@@ -4,13 +4,12 @@ and arithmetic-circuit compilation."""
 
 __version__ = "0.1.0"
 
-from .tensor import AmplitudeValue, TruncatedSvd, contract, renormalize, svd_split
+from .tensor import AmplitudeValue, TruncatedSvd, renormalize, svd_split
 from .peps import (
     DynamicCache,
     FixedEvaluator,
     FixedPlan,
     Peps,
-    amplitude_dynamic,
     amplitude_fixed,
     boundary_absorb,
     exact_amplitude,

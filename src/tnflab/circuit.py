@@ -558,8 +558,10 @@ def eval_amp_circuit(
     ``inputs`` supplies one value per input group: a float for an amp input,
     an int grid index for a variable input. With ``memo`` every node is
     contracted once and its ``(1, value)`` vector reused by all consumers;
-    without it, shared subgraphs are re-contracted per path (the formal
-    expanded tree). Values agree exactly either way.
+    without it, ``EvalStats.contractions`` counts the formal expanded tree,
+    in which shared subgraphs are re-contracted once per path. Nodes are
+    stored in topological order, so one forward loop evaluates the nodes
+    the outputs depend on. Values agree exactly either way.
     """
     graph.validate()
     if len(inputs) != len(graph.input_groups):
@@ -579,51 +581,42 @@ def eval_amp_circuit(
         else:
             raise GraphError("binary inputs do not belong in amp evaluation")
 
-    producer = {}
-    for node in graph.nodes:
-        for w in node.outputs:
-            producer[w] = node
-    stats = EvalStats()
-    cache: dict[int, object] = {}
-
-    def wire_value(w: int):
-        if w in bound:
-            return bound[w]
-        node = producer.get(w)
-        if node is None:
-            raise GraphError(f"wire {w} unbound")
-        if memo and id(node) in cache:
-            vals = cache[id(node)]
-        else:
-            vals = node_value(node)
-            if memo:
-                cache[id(node)] = vals
-        return vals[node.outputs.index(w)]
-
-    def node_value(node: Node):
-        stats.contractions += 1
-        if node.kind == GateKind.CONST_FLOAT:
-            return [gate_tensor(node.kind, node.payload)]
-        if node.kind == GateKind.FUNC:
-            idx = wire_value(node.inputs[0])
-            return [np.asarray(node.payload)[idx].copy()]
-        if node.kind == GateKind.VAR_COPY:
-            idx = wire_value(node.inputs[0])
-            return [idx, idx]
-        if node.kind in (GateKind.PLUS, GateKind.TIMES):
-            x = wire_value(node.inputs[0])
-            y = wire_value(node.inputs[1])
-            t = gate_tensor(node.kind)
-            out = np.einsum("i,j,ijk->k", x, y, t)
-            return [out]
-        raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
-
-    results = []
+    producer = {w: node for node in graph.nodes for w in node.outputs}
+    # Paths from the outputs to each node, counted in reverse topological
+    # order; a node no path reaches is never contracted.
+    paths = {id(node): 0 for node in graph.nodes}
     for group in graph.output_groups:
         if len(group) != 1:
             raise GraphError("amp circuits produce one wire per output group")
-        results.append(float_decode(wire_value(group[0])))
-    return results, stats
+        if group[0] in producer:
+            paths[id(producer[group[0]])] += 1
+    for node in reversed(graph.nodes):
+        for w in node.inputs:
+            if w in producer:
+                paths[id(producer[w])] += paths[id(node)]
+
+    stats = EvalStats()
+    values = dict(bound)
+    for node in graph.nodes:
+        count = paths[id(node)]
+        if not count:
+            continue
+        # Without memo the expanded tree contracts a node once per path.
+        stats.contractions += 1 if memo else count
+        if node.kind == GateKind.CONST_FLOAT:
+            out = [gate_tensor(node.kind, node.payload)]
+        elif node.kind == GateKind.FUNC:
+            out = [np.asarray(node.payload)[values[node.inputs[0]]].copy()]
+        elif node.kind == GateKind.VAR_COPY:
+            idx = values[node.inputs[0]]
+            out = [idx, idx]
+        elif node.kind in (GateKind.PLUS, GateKind.TIMES):
+            x, y = values[node.inputs[0]], values[node.inputs[1]]
+            out = [np.einsum("i,j,ijk->k", x, y, gate_tensor(node.kind))]
+        else:
+            raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
+        values.update(zip(node.outputs, out))
+    return [float_decode(values[group[0]]) for group in graph.output_groups], stats
 
 
 # ---------------------------------------------------------------------------

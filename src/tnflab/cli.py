@@ -4,9 +4,9 @@ Four experiment kinds: ``vmc`` (energy grids over bond dimensions and
 contraction modes), ``floquet`` (entanglement dynamics per method),
 ``pareto`` (cost-versus-accuracy sweeps), and ``circuit`` (arithmetic and
 network-compilation checks). Configs are versioned JSON validated before any
-computation; data files are deterministic for a fixed (config, seed, thread
-count), with wall-clock timings confined to the run manifest and files named
-``timing_*``.
+computation; data files are deterministic for a fixed (config, seed), with
+wall-clock timings confined to the run manifest and files named
+``timing_*``. ``--threads`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success, 2 config error, 3 resource-guard error, 4 numerical
 abort.
@@ -171,7 +171,7 @@ def _initial_peps(cfg: dict, model, bond_dim: int, seed: int, path: str) -> Peps
     raise ConfigError(f"{path}.init.method: unknown method {method!r}")
 
 
-def run_vmc(cfg: dict, out_dir: Path, threads: int) -> list[str]:
+def run_vmc(cfg: dict, out_dir: Path) -> list[str]:
     rows, cols, boundary = _parse_lattice(cfg, "config", 64)
     model = _parse_model(cfg, rows, cols, boundary, "config")
     seed = cfg["seed"]
@@ -213,7 +213,6 @@ def run_vmc(cfg: dict, out_dir: Path, threads: int) -> list[str]:
                     n_warmup=warmup,
                     n_chains=chains,
                     seed=seed,
-                    n_threads=threads,
                 )
                 tag = f"D{bond_dim}_chi{chi}_{mode}"
                 series_rows = []
@@ -269,8 +268,7 @@ def run_vmc(cfg: dict, out_dir: Path, threads: int) -> list[str]:
 # floquet
 
 
-def run_floquet(cfg: dict, out_dir: Path, threads: int) -> list[str]:
-    del threads  # enumeration is sequential; methods are deterministic
+def run_floquet(cfg: dict, out_dir: Path) -> list[str]:
     n_sites = _need(cfg, "sites", int, "config")
     if n_sites > 14:
         raise ResourceLimitError("floquet runs are guarded to 14 sites")
@@ -329,7 +327,7 @@ def run_floquet(cfg: dict, out_dir: Path, threads: int) -> list[str]:
 # pareto
 
 
-def run_pareto(cfg: dict, out_dir: Path, threads: int) -> list[str]:
+def run_pareto(cfg: dict, out_dir: Path) -> list[str]:
     rows, cols, boundary = _parse_lattice(cfg, "config", 36)
     model = _parse_model(cfg, rows, cols, boundary, "config")
     seed = cfg["seed"]
@@ -357,16 +355,12 @@ def run_pareto(cfg: dict, out_dir: Path, threads: int) -> list[str]:
                 seed=seed,
                 n_sweeps=sgd_sweeps,
             )
-            est = estimate_energy(
-                best, model, "fixed", chi, n_sweeps=eval_sweeps, seed=seed, n_threads=threads
-            )
+            est = estimate_energy(best, model, "fixed", chi, n_sweeps=eval_sweeps, seed=seed)
             evaluator = FixedEvaluator(best, FixedPlan.for_lattice(rows, cols, chi))
             cfg0 = neel_config(rows, cols)
             t0 = time.perf_counter()
             for rep in range(timing_reps):
-                evaluator._amps.clear()  # time full contractions, not lookups
-                evaluator._tops.clear()
-                evaluator._bottoms.clear()
+                evaluator.clear()  # time full contractions, not lookups
                 evaluator.amplitude(cfg0)
             amp_seconds = (time.perf_counter() - t0) / timing_reps
             results.append(
@@ -414,8 +408,7 @@ def run_pareto(cfg: dict, out_dir: Path, threads: int) -> list[str]:
 # circuit
 
 
-def run_circuit(cfg: dict, out_dir: Path, threads: int) -> list[str]:
-    del threads
+def run_circuit(cfg: dict, out_dir: Path) -> list[str]:
     from .circuit import (
         BitVec,
         FnnSpec,
@@ -531,7 +524,9 @@ def main(argv=None) -> int:
     parser.add_argument("kind", choices=sorted(_RUNNERS))
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted and ignored; runs are single-threaded"
+    )
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     args = parser.parse_args(argv)
 
@@ -545,7 +540,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         out_dir = Path(args.out)
         t0 = time.perf_counter()
-        files = _RUNNERS[args.kind](cfg, out_dir, max(1, args.threads))
+        files = _RUNNERS[args.kind](cfg, out_dir)
         timings = {"total": time.perf_counter() - t0}
         _write_manifest(out_dir, cfg, timings, files)
     except ConfigError as exc:

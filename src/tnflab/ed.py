@@ -15,17 +15,9 @@ import scipy.sparse.linalg
 from .errors import ResourceLimitError
 from .models import Model
 
-__all__ = ["sector_basis", "sector_hamiltonian", "ground_energy", "config_to_mask", "mask_to_config"]
+__all__ = ["sector_basis", "sector_hamiltonian", "ground_energy", "mask_to_config"]
 
 _MAX_SITES = 20
-
-
-def config_to_mask(config) -> int:
-    mask = 0
-    for i, v in enumerate(np.asarray(config).reshape(-1)):
-        if v:
-            mask |= 1 << i
-    return mask
 
 
 def mask_to_config(mask: int, n_sites: int) -> np.ndarray:

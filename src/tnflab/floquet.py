@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .mps import apply_mpo, compress, contract_mps_chain, mps_amplitude, product_mps
-from .peps import BoundaryMps, _init_boundary, boundary_absorb
+from .peps import boundary_absorb
 from .tensor import AmplitudeValue, svd_split
 
 __all__ = [
@@ -255,12 +255,10 @@ def tnf_amplitude_transverse(
     if t == 0:
         return _delta_amplitude(cfg)
     mpo = build_floquet_mpo(params)
-    boundary = _init_boundary(_column_tensors(mpo, cfg, 0, t), "top", chi)
-    for c in range(1, params.n_sites - 1):
-        boundary = boundary_absorb(boundary, _column_tensors(mpo, cfg, c, t), chi, "top")
-    boundary = boundary_absorb(
-        boundary, _column_tensors(mpo, cfg, params.n_sites - 1, t), None, "top"
-    )
+    boundary = None
+    for c in range(params.n_sites):
+        cap = chi if c < params.n_sites - 1 else None
+        boundary = boundary_absorb(boundary, _column_tensors(mpo, cfg, c, t), cap, "top")
     val = contract_mps_chain(boundary.sites)
     return AmplitudeValue.from_parts(val, boundary.log_scale)
 

@@ -21,11 +21,9 @@ from .tensor import renormalize, svd_split
 
 __all__ = [
     "product_mps",
-    "mps_dims",
     "apply_mpo",
     "compress",
     "contract_mps_chain",
-    "overlap_with_product",
     "mps_amplitude",
     "mps_to_dense",
     "mpo_to_dense",
@@ -36,11 +34,6 @@ __all__ = [
 def product_mps(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Bond-1 MPS from one local vector per site."""
     return [np.asarray(v, dtype=complex).reshape(1, -1, 1) for v in vectors]
-
-
-def mps_dims(sites: Sequence[np.ndarray]) -> list[int]:
-    """Internal bond extents (length ``len(sites) - 1``)."""
-    return [s.shape[2] for s in sites[:-1]]
 
 
 def apply_mpo(sites: Sequence[np.ndarray], mpo: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -117,17 +110,6 @@ def contract_mps_chain(sites: Sequence[np.ndarray]) -> complex:
     for s in sites[1:]:
         vec = vec @ s.reshape(s.shape[0], -1)
     return complex(vec.reshape(-1)[0])
-
-
-def overlap_with_product(
-    sites: Sequence[np.ndarray], vectors: Sequence[np.ndarray]
-) -> complex:
-    """<v| mps> for a product state given as per-site vectors (conjugated here)."""
-    mat = None
-    for s, v in zip(sites, vectors):
-        m = np.tensordot(np.conj(v), s, axes=([0], [1]))  # (l, r)
-        mat = m if mat is None else mat @ m
-    return complex(mat[0, 0])
 
 
 def mps_amplitude(sites: Sequence[np.ndarray], config: Sequence[int]) -> complex:

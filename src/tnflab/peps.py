@@ -13,10 +13,11 @@ Amplitudes for a basis configuration come in three flavors:
   ``chi`` after each absorption, and the three-layer middle strip is closed
   exactly. Deterministic: the same ``(peps, n, plan)`` always yields the
   identical value, for any ``chi``.
-* :class:`DynamicCache` / :func:`amplitude_dynamic` - the standard
-  reuse-friendly evaluation: boundary environments are cached and the
-  contraction meets wherever the configuration last changed, so the value
-  depends on the Markov history at finite ``chi``.
+* :class:`DynamicCache` - the standard reuse-friendly evaluation: the
+  contraction closes at the last row where the configuration changed since
+  the chain's base configuration, over the same prefix memo as
+  :class:`FixedEvaluator`, so the value depends on the Markov history at
+  finite ``chi``.
 * :func:`exact_amplitude` - untruncated row-by-row contraction, the small
   lattice oracle.
 
@@ -47,7 +48,6 @@ __all__ = [
     "amplitude_fixed",
     "FixedEvaluator",
     "DynamicCache",
-    "amplitude_dynamic",
     "exact_amplitude",
     "save_peps",
     "load_peps",
@@ -207,11 +207,22 @@ def _unroll_row(row: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def _row(peps: Peps, cfg: np.ndarray, r: int, patch=None) -> list[np.ndarray]:
+    """Row ``r`` projected on ``cfg``, unrolled on periodic lattices.
+
+    ``patch`` is an optional ``((row, col), tensor)`` replacing one site.
+    """
+    c0 = r * peps.cols
+    row = [peps.sites[r][c][:, :, :, :, cfg[c0 + c]] for c in range(peps.cols)]
+    if patch is not None and patch[0][0] == r:
+        (_, c), tensor = patch
+        row[c] = tensor[:, :, :, :, cfg[c0 + c]]
+    return _unroll_row(row) if peps.boundary == "pbc" else row
+
+
 def _contraction_rows(peps: Peps, n) -> list[list[np.ndarray]]:
-    rows = project_config(peps, n)
-    if peps.boundary == "pbc":
-        rows = [_unroll_row(r) for r in rows]
-    return rows
+    cfg = _as_config(n, peps.n_sites, peps.phys_dim)
+    return [_row(peps, cfg, r) for r in range(peps.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +248,8 @@ class BoundaryMps:
         return s.reshape(s.shape[0], self.open_dims[c], self.face_dims[c], s.shape[2])
 
 
-def _init_boundary(
-    row: list[np.ndarray], side: str, chi: int | None, stats: dict | None = None
-) -> BoundaryMps:
-    """Boundary from the first absorbed row; its outward legs stay open."""
-    sites, opens, faces = [], [], []
-    for t in row:
-        u, l, d, r = t.shape
-        if side == "top":
-            sites.append(np.ascontiguousarray(t.transpose(1, 0, 2, 3)).reshape(l, u * d, r))
-            opens.append(u)
-            faces.append(d)
-        else:
-            sites.append(np.ascontiguousarray(t.transpose(1, 2, 0, 3)).reshape(l, d * u, r))
-            opens.append(d)
-            faces.append(u)
-    sites, lf = compress(sites, chi, stats)
-    return BoundaryMps(sites, tuple(opens), tuple(faces), lf)
-
-
 def boundary_absorb(
-    bmps: BoundaryMps,
+    bmps: BoundaryMps | None,
     row: list[np.ndarray],
     chi: int | None,
     side: str = "top",
@@ -267,8 +259,23 @@ def boundary_absorb(
 
     ``side`` is the direction the boundary grew from: a top boundary
     contracts its face legs with the row's up legs, a bottom boundary with
-    the row's down legs. Scale factors accumulate in ``log_scale``.
+    the row's down legs. ``bmps=None`` starts a boundary from ``row``, whose
+    outward legs stay open. Scale factors accumulate in ``log_scale``.
     """
+    if bmps is None:
+        sites, opens, faces = [], [], []
+        for t in row:
+            u, l, d, r = t.shape
+            if side == "top":
+                sites.append(np.ascontiguousarray(t.transpose(1, 0, 2, 3)).reshape(l, u * d, r))
+                opens.append(u)
+                faces.append(d)
+            else:
+                sites.append(np.ascontiguousarray(t.transpose(1, 2, 0, 3)).reshape(l, d * u, r))
+                opens.append(d)
+                faces.append(u)
+        sites, lf = compress(sites, chi, stats)
+        return BoundaryMps(sites, tuple(opens), tuple(faces), lf)
     if len(row) != len(bmps.sites):
         raise DimensionError("row length does not match boundary length")
     new_sites, faces = [], []
@@ -291,6 +298,14 @@ def boundary_absorb(
         faces.append(face)
     new_sites, lf = compress(new_sites, chi, stats)
     return BoundaryMps(new_sites, bmps.open_dims, tuple(faces), bmps.log_scale + lf)
+
+
+def _absorb_rows(rows: list[list[np.ndarray]], side: str, chi: int | None) -> BoundaryMps | None:
+    """Boundary from absorbing ``rows`` in order; None when there are none."""
+    env = None
+    for row in rows:
+        env = boundary_absorb(env, row, chi, side)
+    return env
 
 
 def _close_strip(
@@ -370,37 +385,84 @@ class FixedPlan:
         return f"v1 rows={self.rows} cols={self.cols} chi={self.chi} mid={self.mid} {body}"
 
 
-def _build_top(rows: list[list[np.ndarray]], upto: int, chi: int | None) -> BoundaryMps | None:
-    """Boundary covering rows ``0..upto`` (inclusive); None when upto < 0."""
-    if upto < 0:
-        return None
-    b = _init_boundary(rows[0], "top", chi)
-    for r in range(1, upto + 1):
-        b = boundary_absorb(b, rows[r], chi, "top")
-    return b
-
-
-def _build_bottom(rows: list[list[np.ndarray]], downto: int, chi: int | None) -> BoundaryMps | None:
-    """Boundary covering rows ``downto..rows-1``; None when past the end."""
-    if downto > len(rows) - 1:
-        return None
-    b = _init_boundary(rows[-1], "bottom", chi)
-    for r in range(len(rows) - 2, downto - 1, -1):
-        b = boundary_absorb(b, rows[r], chi, "bottom")
-    return b
-
-
 def amplitude_fixed(peps: Peps, n, plan: FixedPlan) -> AmplitudeValue:
     """TNF amplitude of ``n`` under the fixed schedule ``plan``."""
     if (plan.rows, plan.cols) != (peps.rows, peps.cols):
         raise ValueError("plan lattice extents do not match the state")
     rows = _contraction_rows(peps, n)
-    top = _build_top(rows, plan.mid - 1, plan.chi)
-    bottom = _build_bottom(rows, plan.mid + 1, plan.chi)
+    top = _absorb_rows(rows[: plan.mid], "top", plan.chi)
+    bottom = _absorb_rows(rows[: plan.mid : -1], "bottom", plan.chi)
     return _close_strip(top, rows[plan.mid], bottom)
 
 
-class FixedEvaluator:
+class _BoundaryStack:
+    """Prefix-memoized boundary environments and closed amplitudes.
+
+    A boundary is a deterministic function of the rows it covers, so one
+    dict serves every closure row: environments are keyed by (side, the
+    configuration of the rows covered) and amplitudes by (closure row,
+    configuration). Reused values are bit-identical to recomputed ones. The
+    memo is emptied whenever it grows past ``max_entries``.
+    """
+
+    def __init__(self, peps: Peps, chi: int, max_entries: int = 20000):
+        if chi < 1:
+            raise ValueError(f"chi must be positive, got {chi}")
+        self.peps = peps
+        self.chi = chi
+        self.max_entries = max_entries
+        self._memo: dict[tuple, object] = {}
+
+    def clear(self) -> None:
+        """Forget every memoized environment and amplitude."""
+        self._memo.clear()
+
+    def _env(
+        self, cfg: np.ndarray, side: str, mid: int, patch=None, stats: dict | None = None
+    ) -> BoundaryMps | None:
+        """Boundary over the rows above (``"top"``) or below ``mid``.
+
+        Environments are reused and stored up to the row of ``patch``; from
+        there on the rows are patched, absorbed afresh with ``stats`` and
+        never stored.
+        """
+        cols = self.peps.cols
+        if side == "top":
+            order = range(mid)
+            keys = [(side, cfg[: (r + 1) * cols].tobytes()) for r in order]
+        else:
+            order = range(self.peps.rows - 1, mid, -1)
+            keys = [(side, cfg[r * cols :].tobytes()) for r in order]
+        stored = len(order)
+        if patch is not None and patch[0][0] in order:
+            stored = order.index(patch[0][0])
+        env, start = None, 0
+        for k in range(stored - 1, -1, -1):
+            if keys[k] in self._memo:
+                env, start = self._memo[keys[k]], k + 1
+                break
+        for k in range(start, len(order)):
+            row = _row(self.peps, cfg, order[k], patch)
+            env = boundary_absorb(env, row, self.chi, side, stats if k >= stored else None)
+            if k < stored:
+                self._memo[keys[k]] = env
+        return env
+
+    def _closed(self, cfg: np.ndarray, mid: int) -> AmplitudeValue:
+        """Amplitude of ``cfg`` with the strip closed at row ``mid``."""
+        key = (mid, cfg.tobytes())
+        amp = self._memo.get(key)
+        if amp is None:
+            if len(self._memo) > self.max_entries:
+                self._memo.clear()
+            top = self._env(cfg, "top", mid)
+            bottom = self._env(cfg, "bottom", mid)
+            amp = _close_strip(top, _row(self.peps, cfg, mid), bottom)
+            self._memo[key] = amp
+        return amp
+
+
+class FixedEvaluator(_BoundaryStack):
     """Amplitude evaluator for the fixed schedule with pure-function memoing.
 
     Boundary environments are deterministic functions of the row
@@ -413,82 +475,11 @@ class FixedEvaluator:
     def __init__(self, peps: Peps, plan: FixedPlan, max_entries: int = 20000):
         if (plan.rows, plan.cols) != (peps.rows, peps.cols):
             raise ValueError("plan lattice extents do not match the state")
-        self.peps = peps
+        super().__init__(peps, plan.chi, max_entries)
         self.plan = plan
-        self.max_entries = max_entries
-        self._tops: dict[bytes, BoundaryMps] = {}
-        self._bottoms: dict[bytes, BoundaryMps] = {}
-        self._amps: dict[bytes, AmplitudeValue] = {}
-
-    def _trim(self):
-        if len(self._tops) + len(self._bottoms) + len(self._amps) > self.max_entries:
-            self._tops.clear()
-            self._bottoms.clear()
-            self._amps.clear()
-
-    def _row(self, cfg: np.ndarray, r: int) -> list[np.ndarray]:
-        c0 = r * self.peps.cols
-        row = [
-            self.peps.sites[r][c][:, :, :, :, cfg[c0 + c]] for c in range(self.peps.cols)
-        ]
-        return _unroll_row(row) if self.peps.boundary == "pbc" else row
-
-    def _top_env(self, cfg: np.ndarray) -> BoundaryMps | None:
-        mid, cols = self.plan.mid, self.peps.cols
-        if mid == 0:
-            return None
-        have = None
-        start = 0
-        for r in range(mid - 1, -1, -1):
-            key = cfg[: (r + 1) * cols].tobytes()
-            env = self._tops.get(key)
-            if env is not None:
-                have, start = env, r + 1
-                break
-        for r in range(start, mid):
-            row = self._row(cfg, r)
-            have = (
-                _init_boundary(row, "top", self.plan.chi)
-                if have is None
-                else boundary_absorb(have, row, self.plan.chi, "top")
-            )
-            self._tops[cfg[: (r + 1) * cols].tobytes()] = have
-        return have
-
-    def _bottom_env(self, cfg: np.ndarray) -> BoundaryMps | None:
-        mid, cols, rows = self.plan.mid, self.peps.cols, self.peps.rows
-        if mid == rows - 1:
-            return None
-        have = None
-        start = rows - 1
-        for r in range(mid + 1, rows):
-            key = cfg[r * cols :].tobytes()
-            env = self._bottoms.get(key)
-            if env is not None:
-                have, start = env, r - 1
-                break
-        for r in range(start, mid, -1):
-            row = self._row(cfg, r)
-            have = (
-                _init_boundary(row, "bottom", self.plan.chi)
-                if have is None
-                else boundary_absorb(have, row, self.plan.chi, "bottom")
-            )
-            self._bottoms[cfg[r * cols :].tobytes()] = have
-        return have
 
     def amplitude(self, n) -> AmplitudeValue:
-        cfg = _as_config(n, self.peps.n_sites, self.peps.phys_dim)
-        key = cfg.tobytes()
-        amp = self._amps.get(key)
-        if amp is not None:
-            return amp
-        self._trim()
-        top = self._top_env(cfg)
-        bottom = self._bottom_env(cfg)
-        amp = _close_strip(top, self._row(cfg, self.plan.mid), bottom)
-        self._amps[key] = amp
-        return amp
+        return self._closed(_as_config(n, self.peps.n_sites, self.peps.phys_dim), self.plan.mid)
 
     def peek(self, n) -> AmplitudeValue:
         """Alias of :meth:`amplitude`; mirrors the dynamic-cache interface."""
@@ -505,177 +496,53 @@ class FixedEvaluator:
         The replacement is transient (nothing about it is memoized); rows on
         the far side of the replaced row reuse the standard environments, so
         parameter sweeps cost only the strip between the site and the middle
-        row. Values equal ``amplitude_fixed`` on the modified state.
+        row. ``stats`` sees only the patched absorptions. Values equal
+        ``amplitude_fixed`` on the modified state.
         """
         cfg = _as_config(n, self.peps.n_sites, self.peps.phys_dim)
-        (ri, ci) = site
-        mid, cols = self.plan.mid, self.peps.cols
-
-        def patched_row(r: int) -> list[np.ndarray]:
-            c0 = r * cols
-            row = [
-                (tensor if (r, c) == (ri, ci) else self.peps.sites[r][c])[
-                    :, :, :, :, cfg[c0 + c]
-                ]
-                for c in range(cols)
-            ]
-            return _unroll_row(row) if self.peps.boundary == "pbc" else row
-
-        if ri < mid:
-            top = None
-            if ri > 0:
-                sub = cfg[: ri * cols].tobytes()
-                top = self._tops.get(sub)
-                if top is None:
-                    # Build (and memoize) unpatched environments below the site.
-                    self._top_env(cfg)
-                    top = self._tops[sub]
-            for r in range(ri, mid):
-                row = patched_row(r)
-                top = (
-                    _init_boundary(row, "top", self.plan.chi, stats)
-                    if top is None
-                    else boundary_absorb(top, row, self.plan.chi, "top", stats)
-                )
-            bottom = self._bottom_env(cfg)
-            return _close_strip(top, self._row(cfg, mid), bottom)
-        if ri > mid:
-            rows_n = self.peps.rows
-            bottom = None
-            if ri < rows_n - 1:
-                sub = cfg[(ri + 1) * cols :].tobytes()
-                bottom = self._bottoms.get(sub)
-                if bottom is None:
-                    self._bottom_env(cfg)
-                    bottom = self._bottoms[sub]
-            for r in range(ri, mid, -1):
-                row = patched_row(r)
-                bottom = (
-                    _init_boundary(row, "bottom", self.plan.chi, stats)
-                    if bottom is None
-                    else boundary_absorb(bottom, row, self.plan.chi, "bottom", stats)
-                )
-            top = self._top_env(cfg)
-            return _close_strip(top, self._row(cfg, mid), bottom)
-        top = self._top_env(cfg)
-        bottom = self._bottom_env(cfg)
-        return _close_strip(top, patched_row(mid), bottom)
+        patch, mid = (tuple(site), tensor), self.plan.mid
+        top = self._env(cfg, "top", mid, patch, stats)
+        bottom = self._env(cfg, "bottom", mid, patch, stats)
+        return _close_strip(top, _row(self.peps, cfg, mid, patch), bottom)
 
 
 # ---------------------------------------------------------------------------
 # Dynamic (history-dependent) amplitude, the standard VMC reuse scheme
 
 
-class DynamicCache:
+class DynamicCache(_BoundaryStack):
     """Reusable boundary environments for one Markov chain.
 
     Single-owner mutable state: one cache per chain, never shared between
-    threads. Environments summarizing rows unchanged since the cache's base
-    configuration are reused; the contraction closes at the rows where the
-    evaluated configuration differs from the base, which is what makes the
+    threads. The contraction closes at the last row where the evaluated
+    configuration differs from the cache's base configuration (the last
+    row on a cold cache), over the same memo as the fixed schedule. The
+    closure row follows the Markov history, which is what makes the
     resulting amplitude history-dependent at finite ``chi``.
     """
 
     def __init__(self, peps: Peps, chi: int):
-        if chi < 1:
-            raise ValueError(f"chi must be positive, got {chi}")
-        self.peps = peps
-        self.chi = chi
+        super().__init__(peps, chi)
         self.base: np.ndarray | None = None
         self.base_amp: AmplitudeValue | None = None
-        self._tops: dict[int, BoundaryMps] = {}
-        self._bottoms: dict[int, BoundaryMps] = {}
-
-    def _row(self, cfg: np.ndarray, r: int) -> list[np.ndarray]:
-        c0 = r * self.peps.cols
-        row = [
-            self.peps.sites[r][c][:, :, :, :, cfg[c0 + c]] for c in range(self.peps.cols)
-        ]
-        return _unroll_row(row) if self.peps.boundary == "pbc" else row
-
-    def _ensure_top(self, upto: int) -> BoundaryMps | None:
-        """Top environment over base rows ``0..upto`` (cached incrementally)."""
-        if upto < 0:
-            return None
-        deepest = -1
-        for r in range(upto, -1, -1):
-            if r in self._tops:
-                deepest = r
-                break
-        env = self._tops.get(deepest) if deepest >= 0 else None
-        for r in range(deepest + 1, upto + 1):
-            row = self._row(self.base, r)
-            env = (
-                _init_boundary(row, "top", self.chi)
-                if env is None
-                else boundary_absorb(env, row, self.chi, "top")
-            )
-            self._tops[r] = env
-        return env
-
-    def _ensure_bottom(self, downto: int) -> BoundaryMps | None:
-        rows = self.peps.rows
-        if downto > rows - 1:
-            return None
-        shallowest = rows
-        for r in range(downto, rows):
-            if r in self._bottoms:
-                shallowest = r
-                break
-        env = self._bottoms.get(shallowest) if shallowest < rows else None
-        for r in range(shallowest - 1, downto - 1, -1):
-            row = self._row(self.base, r)
-            env = (
-                _init_boundary(row, "bottom", self.chi)
-                if env is None
-                else boundary_absorb(env, row, self.chi, "bottom")
-            )
-            self._bottoms[r] = env
-        return env
 
     def peek(self, n) -> AmplitudeValue:
         """Amplitude of ``n`` relative to the current base, without rebasing."""
         cfg = _as_config(n, self.peps.n_sites, self.peps.phys_dim)
-        cols, rows = self.peps.cols, self.peps.rows
         if self.base is None:
-            # Cold cache: build downward and close at the last row.
             self.base = cfg.copy()
-            top = self._ensure_top(rows - 2)
-            amp = _close_strip(top, self._row(cfg, rows - 1), None)
-            self.base_amp = amp
-            return amp
+            self.base_amp = self._closed(cfg, self.peps.rows - 1)
+            return self.base_amp
         diff = np.nonzero(cfg != self.base)[0]
         if diff.size == 0:
             return self.base_amp
-        r_lo = int(diff[0] // cols)
-        r_hi = int(diff[-1] // cols)
-        top = self._ensure_top(r_lo - 1)
-        bottom = self._ensure_bottom(r_hi + 1)
-        for r in range(r_lo, r_hi):
-            row = self._row(cfg, r)
-            top = (
-                _init_boundary(row, "top", self.chi)
-                if top is None
-                else boundary_absorb(top, row, self.chi, "top")
-            )
-        return _close_strip(top, self._row(cfg, r_hi), bottom)
+        return self._closed(cfg, int(diff[-1]) // self.peps.cols)
 
     def commit(self, n, amp: AmplitudeValue) -> None:
-        """Rebase onto ``n``; environments over changed rows are dropped."""
+        """Rebase onto ``n``; the memoized environments stay valid."""
         cfg = _as_config(n, self.peps.n_sites, self.peps.phys_dim)
         if self.base is None:
             raise CacheStateError("commit on a cold cache")
-        diff = np.nonzero(cfg != self.base)[0]
-        if diff.size:
-            cols = self.peps.cols
-            r_lo = int(diff[0] // cols)
-            r_hi = int(diff[-1] // cols)
-            for r in list(self._tops):
-                if r >= r_lo:
-                    del self._tops[r]
-            for r in list(self._bottoms):
-                if r <= r_hi:
-                    del self._bottoms[r]
         self.base = cfg.copy()
         self.base_amp = amp
 
@@ -684,19 +551,6 @@ class DynamicCache:
         amp = self.peek(n)
         self.commit(n, amp)
         return amp
-
-
-def amplitude_dynamic(
-    cache: DynamicCache, peps: Peps, n, chi: int
-) -> tuple[AmplitudeValue, DynamicCache]:
-    """Dynamic-isometry amplitude; the cache records the new configuration.
-
-    Raises :class:`CacheStateError` if the cache was built for a different
-    state or ``chi``.
-    """
-    if cache.peps is not peps or cache.chi != chi:
-        raise CacheStateError("cache was built for a different peps or chi")
-    return cache.amplitude(n), cache
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +565,7 @@ def exact_amplitude(peps: Peps, n) -> AmplitudeValue:
             f"{peps.n_sites} sites at D={peps.bond_dim}"
         )
     rows = _contraction_rows(peps, n)
-    top = _build_top(rows, peps.rows - 2, None)
-    return _close_strip(top, rows[-1], None)
+    return _close_strip(_absorb_rows(rows[:-1], "top", None), rows[-1], None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Dense tensor algebra: pairwise contraction, gauge-fixed truncated SVD,
-and scale management.
+"""Dense tensor algebra: gauge-fixed truncated SVD and scale management.
 
 Tensors are plain ``numpy.ndarray`` values of complex doubles, one axis per
 index. Real-valued models simply carry zero imaginary parts. All functions
@@ -20,10 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError
-
 __all__ = [
-    "contract",
     "svd_split",
     "TruncatedSvd",
     "renormalize",
@@ -33,34 +29,6 @@ __all__ = [
 
 # Relative floor below which singular values are treated as numerical zeros.
 _SINGULAR_FLOOR = 1e-12
-
-
-def contract(a: np.ndarray, b: np.ndarray, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Contract tensors ``a`` and ``b`` over the given index pairs.
-
-    ``pairs`` lists ``(index_of_a, index_of_b)`` tuples. The result carries
-    the unpaired indices of ``a`` followed by those of ``b``, each group in
-    its original order, and its values are the sums over the paired indices.
-
-    Raises :class:`DimensionError` when paired extents differ and
-    ``ValueError`` when an index is paired twice or out of range.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    axes_a = [p[0] for p in pairs]
-    axes_b = [p[1] for p in pairs]
-    for ax, t, name in ((axes_a, a, "a"), (axes_b, b, "b")):
-        for i in ax:
-            if not 0 <= i < t.ndim:
-                raise ValueError(f"index {i} out of range for tensor {name} with {t.ndim} indices")
-        if len(set(ax)) != len(ax):
-            raise ValueError(f"duplicate index pairing on tensor {name}")
-    for ia, ib in pairs:
-        if a.shape[ia] != b.shape[ib]:
-            raise DimensionError(
-                f"paired extents differ: a[{ia}]={a.shape[ia]} vs b[{ib}]={b.shape[ib]}"
-            )
-    return np.tensordot(a, b, axes=(axes_a, axes_b))
 
 
 @dataclass(frozen=True)

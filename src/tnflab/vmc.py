@@ -228,8 +228,9 @@ def estimate_energy(
     """Average E_loc over post-warmup sweeps across independent chains.
 
     Deterministic for fixed (seed, n_chains): every chain draws from its own
-    (seed, chain-index) stream and the reduction order is fixed, so results
-    do not depend on ``n_threads``.
+    (seed, chain-index) stream and chains run one after another in index
+    order. ``n_threads`` is accepted and ignored: a thread pool made runs
+    slower, since the GIL serializes the small numpy calls.
     """
     if n_sweeps < 1:
         raise ValueError("n_sweeps must be positive")
@@ -241,17 +242,10 @@ def estimate_energy(
         initial_config = neel_config(model.rows, model.cols)
     initial_config = np.asarray(initial_config, dtype=np.int64).reshape(-1)
 
-    args = [
-        (peps, model, mode, chi, n_sweeps, n_warmup, seed, k, initial_config)
+    results = [
+        _run_chain(peps, model, mode, chi, n_sweeps, n_warmup, seed, k, initial_config)
         for k in range(n_chains)
     ]
-    if n_threads > 1 and n_chains > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(lambda a: _run_chain(*a), args))
-    else:
-        results = [_run_chain(*a) for a in args]
 
     series = [r[0] for r in results]
     accepted = sum(r[1] for r in results)

@@ -337,18 +337,25 @@ class TestMemoization:
         assert naive.contractions > stats.contractions
 
     def test_deep_composition_linear_node_count(self):
-        """f applied to itself 20 times; each level references its input
-        twice, so naive evaluation would touch ~2^20 paths while the memoized
-        count stays linear in the node count."""
-        b = CircuitBuilder()
-        w = b.input_amp()
-        for _ in range(20):
-            # f(u) = u * u + u; a small input keeps the iterates finite
-            w = b.plus(b.times(w, w), w)
-        g = b.finish([[w]])
-        (v,), stats = eval_amp_circuit(g, [1e-6], memo=True)
-        assert stats.contractions == len(g.nodes) == 40
-        assert np.isfinite(v)
+        """f applied to itself 20 and 300 times; each level references its
+        input three times, so the expanded tree has 3^levels - 1 nodes while
+        the memoized count stays linear in the node count. The 600-node chain
+        is deeper than Python's recursion limit allows a recursive walk."""
+        for levels in (20, 300):
+            b = CircuitBuilder()
+            w = b.input_amp()
+            for _ in range(levels):
+                # f(u) = u * u + u; a small input keeps the iterates finite
+                w = b.plus(b.times(w, w), w)
+            g = b.finish([[w]])
+            (v,), stats = eval_amp_circuit(g, [1e-6], memo=True)
+            assert stats.contractions == len(g.nodes) == 2 * levels
+            (naive,), tree = eval_amp_circuit(g, [1e-6], memo=False)
+            assert naive == v and tree.contractions == 3**levels - 1
+            want = 1e-6
+            for _ in range(levels):
+                want = want * want + want
+            assert v == want
 
     def test_graph_json_round_trip(self):
         g = self._net()

@@ -6,8 +6,6 @@ from tnflab.errors import CacheStateError
 from tnflab.peps import (
     DynamicCache,
     FixedPlan,
-    _init_boundary,
-    amplitude_dynamic,
     amplitude_fixed,
     boundary_absorb,
     exact_amplitude,
@@ -21,7 +19,7 @@ def straight_line_cold_amplitude(peps, n, chi):
     """From-scratch contraction with environments built downward and closure
     at the last row: the cold-cache schedule, written independently."""
     net = project_config(peps, n)
-    top = _init_boundary(net[0], "top", chi)
+    top = boundary_absorb(None, net[0], chi, "top")
     for r in range(1, peps.rows - 1):
         top = boundary_absorb(top, net[r], chi, "top")
     return _close_strip(top, net[-1], None)
@@ -96,37 +94,66 @@ class TestInconsistencyWitness:
         assert (a.mantissa, a.log_scale) == (b.mantissa, b.log_scale)
 
 
+def plan_closing_at(rows, cols, chi, mid):
+    """A fixed schedule like ``FixedPlan.for_lattice`` but closing at ``mid``."""
+    steps = tuple(
+        [("top", r) for r in range(mid)]
+        + [("bottom", r) for r in range(rows - 1, mid, -1)]
+        + [("close", mid)]
+    )
+    return FixedPlan(rows, cols, chi, mid, steps)
+
+
+class TestClosureRow:
+    @pytest.mark.parametrize("boundary", ["obc", "pbc"])
+    def test_peek_is_fixed_schedule_closed_at_last_changed_row(self, boundary):
+        """Environments summarize only the rows they cover, so a dynamic
+        amplitude equals, bit for bit, the fixed-schedule amplitude whose
+        middle row is the last row differing from the base (the last row on
+        a cold cache)."""
+        rows, cols, chi = 4, 3, 2
+        p = random_peps(rows, cols, 2, 2, seed=16, boundary=boundary)
+        n = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
+        cache = DynamicCache(p, chi)
+        cold = cache.amplitude(n)
+        want = amplitude_fixed(p, n, plan_closing_at(rows, cols, chi, rows - 1))
+        assert (cold.mantissa, cold.log_scale, cold.is_zero) == (
+            want.mantissa, want.log_scale, want.is_zero
+        )
+        # (i, j, last changed row): moves within a row, across two rows, and
+        # one spanning the wrap between the first and last rows.
+        moves = [(0, 1, 0), (10, 11, 3), (4, 7, 2), (1, 4, 1), (5, 6, 2), (2, 11, 3), (2, 3, 1)]
+        for step, (i, j, last_row) in enumerate(moves):
+            n1 = n.copy()
+            n1[i], n1[j] = n1[j], n1[i]
+            assert max(np.nonzero(n1 != cache.base)[0]) // cols == last_row
+            got = cache.peek(n1)
+            want = amplitude_fixed(p, n1, plan_closing_at(rows, cols, chi, last_row))
+            assert (got.mantissa, got.log_scale, got.is_zero) == (
+                want.mantissa, want.log_scale, want.is_zero
+            ), (boundary, step)
+            if step % 2 == 0:
+                cache.commit(n1, got)
+                n = n1
+
+
 class TestCacheState:
-    def test_mismatched_peps_rejected(self):
-        p = random_peps(3, 3, 2, 2, seed=3)
-        q = random_peps(3, 3, 2, 2, seed=4)
-        cache = DynamicCache(p, 2)
-        with pytest.raises(CacheStateError):
-            amplitude_dynamic(cache, q, np.zeros(9, dtype=np.int64), 2)
-
-    def test_mismatched_chi_rejected(self):
-        p = random_peps(3, 3, 2, 2, seed=5)
-        cache = DynamicCache(p, 2)
-        with pytest.raises(CacheStateError):
-            amplitude_dynamic(cache, p, np.zeros(9, dtype=np.int64), 3)
-
-    def test_amplitude_dynamic_rebases(self):
-        p = random_peps(3, 3, 2, 2, seed=6)
-        cache = DynamicCache(p, 2)
-        n0 = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
-        amp0, cache = amplitude_dynamic(cache, p, n0, 2)
-        assert np.array_equal(cache.base, n0)
-        n1 = n0.copy()
-        n1[[0, 1]] = n1[[1, 0]]
-        _, cache = amplitude_dynamic(cache, p, n1, 2)
-        assert np.array_equal(cache.base, n1)
-
     def test_peek_does_not_rebase(self):
         p = random_peps(3, 3, 2, 2, seed=7)
         cache = DynamicCache(p, 2)
         n0 = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
         cache.amplitude(n0)
+        assert np.array_equal(cache.base, n0)
         n1 = n0.copy()
         n1[[3, 4]] = n1[[4, 3]]
         cache.peek(n1)
         assert np.array_equal(cache.base, n0)
+        cache.amplitude(n1)
+        assert np.array_equal(cache.base, n1)
+
+    def test_commit_on_cold_cache_rejected(self):
+        p = random_peps(3, 3, 2, 2, seed=3)
+        cache = DynamicCache(p, 2)
+        n = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
+        with pytest.raises(CacheStateError):
+            cache.commit(n, amplitude_fixed(p, n, FixedPlan.for_lattice(3, 3, 2)))

@@ -12,7 +12,6 @@ from tnflab.peps import (
     FixedEvaluator,
     FixedPlan,
     Peps,
-    _init_boundary,
     amplitude_fixed,
     boundary_absorb,
     exact_amplitude,
@@ -22,6 +21,13 @@ from tnflab.peps import (
     random_peps,
     save_peps,
 )
+
+
+BOUNDARIES = ("obc", "pbc")
+
+
+def bits(a):
+    return (a.mantissa, a.log_scale, a.is_zero)
 
 
 def brute_force_amplitude(peps, n):
@@ -138,7 +144,7 @@ class TestBoundaryAbsorb:
         p = random_peps(2, 4, 2, 2, seed=4)
         n = [0, 1, 0, 1, 1, 0, 1, 0]
         net = project_config(p, n)
-        b0 = _init_boundary(net[0], "top", None)
+        b0 = boundary_absorb(None, net[0], None, "top")
         b1 = boundary_absorb(b0, net[1], 64, "top")
         # close with nothing below: contract face legs (extent 1) away
         val = 1.0
@@ -154,7 +160,7 @@ class TestBoundaryAbsorb:
         p = product_peps(3, 4, 2, [0, 1] * 6)
         n = [0, 1] * 6
         net = project_config(p, n)
-        b0 = _init_boundary(net[0], "top", 4)
+        b0 = boundary_absorb(None, net[0], 4, "top")
         b1 = boundary_absorb(b0, net[1], 4, "top")
         # D=1: bond structure unchanged, sites proportional
         for s0, s1 in zip(b0.sites, b1.sites):
@@ -169,7 +175,7 @@ class TestBoundaryAbsorb:
         net = project_config(p, n)
         chi = 2
 
-        got = boundary_absorb(_init_boundary(net[0], "top", chi), net[1], chi, "top")
+        got = boundary_absorb(boundary_absorb(None, net[0], chi, "top"), net[1], chi, "top")
 
         # oracle: same math written straight-line on raw arrays
         from tnflab.tensor import renormalize as renorm, svd_split as split
@@ -231,9 +237,9 @@ class TestAmplitudeFixed:
         got = amplitude_fixed(p, n, plan)
 
         net = project_config(p, n)
-        top = _init_boundary(net[0], "top", chi)
+        top = boundary_absorb(None, net[0], chi, "top")
         top = boundary_absorb(top, net[1], chi, "top")
-        bottom = _init_boundary(net[3], "bottom", chi)
+        bottom = boundary_absorb(None, net[3], chi, "bottom")
         vec = None
         log = top.log_scale + bottom.log_scale
         for c in range(4):
@@ -267,44 +273,63 @@ class TestAmplitudeFixed:
         assert plan.mid == 2
         assert plan.steps[-1] == ("close", 2)
 
+    # The memo tests loop over both boundaries inside one test each, so a PBC
+    # regression fails the same test id that guards the OBC path.
+
     def test_evaluator_matches_plain_path_bitwise(self):
-        p = random_peps(3, 4, 2, 2, seed=9)
-        plan = FixedPlan.for_lattice(3, 4, 2)
-        ev = FixedEvaluator(p, plan)
-        rng = np.random.default_rng(0)
-        for _ in range(12):
-            n = rng.integers(0, 2, size=12)
-            a = ev.amplitude(n)
-            b = amplitude_fixed(p, n, plan)
-            assert (a.mantissa, a.log_scale, a.is_zero) == (b.mantissa, b.log_scale, b.is_zero)
+        for boundary in BOUNDARIES:
+            p = random_peps(3, 4, 2, 2, seed=9, boundary=boundary)
+            plan = FixedPlan.for_lattice(3, 4, 2)
+            ev = FixedEvaluator(p, plan)
+            rng = np.random.default_rng(0)
+            for _ in range(12):
+                n = rng.integers(0, 2, size=12)
+                assert bits(ev.amplitude(n)) == bits(amplitude_fixed(p, n, plan)), boundary
 
     def test_consistency_under_shuffling(self):
-        p = random_peps(3, 3, 2, 2, seed=10)
-        plan = FixedPlan.for_lattice(3, 3, 2)
-        rng = np.random.default_rng(1)
-        configs = [rng.integers(0, 2, size=9) for _ in range(60)]
-        first = [FixedEvaluator(p, plan).amplitude(n) for n in configs]
-        order = rng.permutation(len(configs))
-        ev = FixedEvaluator(p, plan)
-        second = {int(i): ev.amplitude(configs[int(i)]) for i in order}
-        for i, a in enumerate(first):
-            b = second[i]
-            assert (a.mantissa, a.log_scale, a.is_zero) == (b.mantissa, b.log_scale, b.is_zero)
+        for boundary in BOUNDARIES:
+            p = random_peps(3, 3, 2, 2, seed=10, boundary=boundary)
+            plan = FixedPlan.for_lattice(3, 3, 2)
+            rng = np.random.default_rng(1)
+            configs = [rng.integers(0, 2, size=9) for _ in range(60)]
+            first = [FixedEvaluator(p, plan).amplitude(n) for n in configs]
+            order = rng.permutation(len(configs))
+            ev = FixedEvaluator(p, plan)
+            second = {int(i): ev.amplitude(configs[int(i)]) for i in order}
+            for i, a in enumerate(first):
+                assert bits(a) == bits(second[i]), boundary
+
+    def test_bits_survive_memo_flushes(self):
+        """A tiny ``max_entries`` flushes the memo every few evaluations; the
+        values must not depend on what was flushed."""
+        for boundary in BOUNDARIES:
+            p = random_peps(4, 3, 2, 2, seed=15, boundary=boundary)
+            plan = FixedPlan.for_lattice(4, 3, 2)
+            rng = np.random.default_rng(3)
+            configs = [rng.integers(0, 2, size=12) for _ in range(20)]
+            ev = FixedEvaluator(p, plan, max_entries=5)
+            for n in configs + configs[::-1]:
+                assert bits(ev.amplitude(n)) == bits(amplitude_fixed(p, n, plan)), boundary
 
     def test_amplitude_with_site_equals_full_recompute(self):
-        p = random_peps(4, 3, 2, 2, seed=11)
-        plan = FixedPlan.for_lattice(4, 3, 2)
-        ev = FixedEvaluator(p, plan)
-        rng = np.random.default_rng(2)
-        n = rng.integers(0, 2, size=12)
-        for site in ((0, 1), (1, 2), (2, 0), (3, 1)):
-            t = p.sites[site[0]][site[1]].copy()
-            t.flat[0] += 0.1
-            modified = p.copy()
-            modified.sites[site[0]][site[1]] = t
-            a = ev.amplitude_with_site(n, site, t)
-            b = amplitude_fixed(modified, n, plan)
-            assert (a.mantissa, a.log_scale) == (b.mantissa, b.log_scale)
+        for boundary in BOUNDARIES:
+            p = random_peps(4, 3, 2, 2, seed=11, boundary=boundary)
+            plan = FixedPlan.for_lattice(4, 3, 2)
+            ev = FixedEvaluator(p, plan)
+            rng = np.random.default_rng(2)
+            n = rng.integers(0, 2, size=12)
+            ev.amplitude(n)  # warm the memo the patched evaluations share
+            for site in ((0, 1), (1, 2), (2, 0), (3, 1)):
+                t = p.sites[site[0]][site[1]].copy()
+                t.flat[0] += 0.1
+                modified = p.copy()
+                modified.sites[site[0]][site[1]] = t
+                warm, cold = {}, {}
+                a = ev.amplitude_with_site(n, site, t, warm)
+                c = FixedEvaluator(p, plan).amplitude_with_site(n, site, t, cold)
+                b = amplitude_fixed(modified, n, plan)
+                assert bits(a) == bits(b) == bits(c), (boundary, site)
+                assert warm == cold, (boundary, site)
 
 
 class TestSerialization:

@@ -1,4 +1,4 @@
-"""Contraction, gauge-fixed SVD, and scale management."""
+"""Gauge-fixed SVD and scale management."""
 import math
 
 import numpy as np
@@ -7,58 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnflab.errors import DimensionError
-from tnflab.tensor import AmplitudeValue, contract, renormalize, svd_split
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-class TestContract:
-    def test_identity_returns_vector(self):
-        v = np.array([1.0, 2.0], dtype=complex)
-        assert np.allclose(contract(np.eye(2, dtype=complex), v, [(1, 0)]), v)
-
-    def test_unit_vector_self_overlap(self):
-        v = np.array([0.6, 0.8], dtype=complex)
-        assert np.allclose(contract(v, v, [(0, 0)]), 1.0)
-
-    def test_matrix_product_against_naive_loops(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.allclose(contract(a, b, [(1, 0)]), naive_matmul(a, b), atol=1e-14)
-
-    def test_extent_mismatch(self):
-        with pytest.raises(DimensionError):
-            contract(np.zeros((2, 3)), np.zeros((2, 2)), [(1, 0)])
-
-    def test_duplicate_pairing(self):
-        with pytest.raises(ValueError):
-            contract(np.zeros((2, 2)), np.zeros((2, 2)), [(0, 0), (0, 1)])
-
-    def test_bilinearity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
-            b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-            alpha = complex(rng.standard_normal(), rng.standard_normal())
-            lhs = contract(alpha * a, b, [(1, 0)])
-            rhs = alpha * contract(a, b, [(1, 0)])
-            assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_argument_swap_permutes_indices(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((3, 5))
-        ab = contract(a, b, [(1, 0)])  # (2, 4, 5)
-        ba = contract(b, a, [(0, 1)])  # (5, 2, 4)
-        assert np.allclose(np.moveaxis(ba, 0, 2), ab, atol=1e-14)
+from tnflab.tensor import AmplitudeValue, renormalize, svd_split
 
 
 class TestSvdSplit:
