@@ -138,6 +138,17 @@ class TestClosureRow:
 
 
 class TestCacheState:
+    def test_amplitude_dynamic_rebases(self):
+        p = random_peps(3, 3, 2, 2, seed=6)
+        cache = DynamicCache(p, 2)
+        n0 = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
+        cache.amplitude(n0)
+        assert np.array_equal(cache.base, n0)
+        n1 = n0.copy()
+        n1[[0, 1]] = n1[[1, 0]]
+        cache.amplitude(n1)
+        assert np.array_equal(cache.base, n1)
+
     def test_peek_does_not_rebase(self):
         p = random_peps(3, 3, 2, 2, seed=7)
         cache = DynamicCache(p, 2)
