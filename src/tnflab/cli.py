@@ -14,8 +14,11 @@ abort.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import os
+import struct
 import sys
 import tempfile
 import time
@@ -24,6 +27,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .circuit import (
+    BitVec,
+    FnnSpec,
+    build_adder,
+    build_multiplier,
+    build_square,
+    compile_fnn,
+    eval_amp_circuit,
+    eval_binary,
+)
 from .ed import ground_energy
 from .entanglement import METHODS, entanglement_dynamics
 from .errors import ConfigError, NumericalAbortError, ResourceLimitError
@@ -158,7 +171,14 @@ def _initial_peps(cfg: dict, model, bond_dim: int, seed: int, path: str) -> Peps
     init = _opt(cfg, "init", dict, path, {"method": "simple_update"})
     method = _opt(init, "method", str, f"{path}.init", "simple_update")
     if method == "file":
-        return load_peps(_need(init, "path", str, f"{path}.init"))
+        ckpt = _need(init, "path", str, f"{path}.init")
+        try:
+            peps = load_peps(ckpt)
+        except (OSError, ValueError, struct.error) as exc:
+            raise ConfigError(f"{path}.init.path: cannot load checkpoint {ckpt!r}: {exc}") from exc
+        if (peps.rows, peps.cols, peps.boundary) != (model.rows, model.cols, model.boundary):
+            raise ConfigError(f"{path}.init.path: checkpoint lattice differs from {path}.lattice")
+        return peps
     p = random_peps(model.rows, model.cols, 2, bond_dim, seed=seed, boundary=model.boundary)
     if method == "random":
         return p
@@ -408,92 +428,65 @@ def run_pareto(cfg: dict, out_dir: Path) -> list[str]:
 # circuit
 
 
-def run_circuit(cfg: dict, out_dir: Path) -> list[str]:
-    from .circuit import (
-        BitVec,
-        FnnSpec,
-        build_adder,
-        build_multiplier,
-        build_square,
-        compile_fnn,
-        eval_amp_circuit,
-        eval_binary,
-    )
+# Exhaustive binary suites: name -> (default width, builder, operand count,
+# reference); every operand runs over all values of the suite's width.
+_BINARY_SUITES = {
+    "adder": (6, build_adder, 2, operator.add),
+    "multiplier": (5, lambda w: build_multiplier(w, w), 2, operator.mul),
+    "square": (5, build_square, 1, lambda x: x * x),
+}
 
+
+def run_circuit(cfg: dict, out_dir: Path) -> list[str]:
     suites = _need(cfg, "suites", list, "config")
     if not suites:
         raise ConfigError("config.suites: expected a nonempty list")
-    known = {"adder", "multiplier", "square", "fnn", "memo"}
     for s in suites:
-        if s not in known:
+        if s not in {*_BINARY_SUITES, "fnn", "memo"}:
             raise ConfigError(f"config.suites: unknown suite {s!r}")
     widths = _opt(cfg, "max_bits", dict, "config", {})
-    adder_bits = _opt(widths, "adder", int, "config.max_bits", 6)
-    mult_bits = _opt(widths, "multiplier", int, "config.max_bits", 5)
-    square_bits = _opt(widths, "square", int, "config.max_bits", 5)
-    for name, w in (("adder", adder_bits), ("multiplier", mult_bits), ("square", square_bits)):
-        if w > 8:
-            raise ResourceLimitError(f"exhaustive {name} suite guarded to 8 bits, got {w}")
+    bits = {}
+    for name, (default, _, _, _) in _BINARY_SUITES.items():
+        bits[name] = _opt(widths, name, int, "config.max_bits", default)
+        if bits[name] > 8:
+            raise ResourceLimitError(f"exhaustive {name} suite guarded to 8 bits, got {bits[name]}")
+    fc = _opt(cfg, "fnn", dict, "config", {})
+    fnn_widths = _opt(fc, "widths", list, "config.fnn", [2, 4, 1])
+    n_inputs = _opt(fc, "n_inputs", int, "config.fnn", 100)
     seed = cfg["seed"]
 
-    results: dict[str, dict] = {}
-    if "adder" in suites:
-        g = build_adder(adder_bits)
-        failures = sum(
-            eval_binary(g, [BitVec.from_int(x, adder_bits), BitVec.from_int(y, adder_bits)])[0].to_int()
-            != x + y
-            for x in range(1 << adder_bits)
-            for y in range(1 << adder_bits)
-        )
-        results["adder"] = {"cases": (1 << adder_bits) ** 2, "failures": int(failures)}
-    if "multiplier" in suites:
-        g = build_multiplier(mult_bits, mult_bits)
-        failures = sum(
-            eval_binary(g, [BitVec.from_int(x, mult_bits), BitVec.from_int(y, mult_bits)])[0].to_int()
-            != x * y
-            for x in range(1 << mult_bits)
-            for y in range(1 << mult_bits)
-        )
-        results["multiplier"] = {"cases": (1 << mult_bits) ** 2, "failures": int(failures)}
-    if "square" in suites:
-        g = build_square(square_bits)
-        failures = sum(
-            eval_binary(g, [BitVec.from_int(x, square_bits)])[0].to_int() != x * x
-            for x in range(1 << square_bits)
-        )
-        results["square"] = {"cases": 1 << square_bits, "failures": int(failures)}
-    if "fnn" in suites:
-        fc = _opt(cfg, "fnn", dict, "config", {})
-        widths_list = _opt(fc, "widths", list, "config.fnn", [2, 4, 1])
-        n_inputs = _opt(fc, "n_inputs", int, "config.fnn", 100)
+    def fnn_setup():
+        """The configured network, compiled, and the stream that drew its
+        weights; every suite starts a fresh stream from the seed."""
         rng = np.random.default_rng(seed)
-        weights = [
-            rng.standard_normal((widths_list[k + 1], widths_list[k]))
-            for k in range(len(widths_list) - 1)
-        ]
-        biases = [rng.standard_normal(widths_list[k + 1]) for k in range(len(widths_list) - 1)]
-        acts = [[0.1, 0.3, 0.0, 0.5]] * (len(widths_list) - 2) + [[0.0, 1.0]]
-        spec = FnnSpec(list(widths_list), weights, biases, acts)
-        graph = compile_fnn(spec)
+        weights = [rng.standard_normal((m, n)) for n, m in zip(fnn_widths, fnn_widths[1:])]
+        biases = [rng.standard_normal(m) for m in fnn_widths[1:]]
+        acts = [[0.1, 0.3, 0.0, 0.5]] * (len(fnn_widths) - 2) + [[0.0, 1.0]]
+        spec = FnnSpec(list(fnn_widths), weights, biases, acts)
+        return spec, compile_fnn(spec), rng
+
+    results: dict[str, dict] = {}
+    for name, (_, build, arity, reference) in _BINARY_SUITES.items():
+        if name in suites:
+            w = bits[name]
+            g = build(w)
+            operands = list(itertools.product(range(1 << w), repeat=arity))
+            failures = sum(
+                eval_binary(g, [BitVec.from_int(x, w) for x in xs])[0].to_int() != reference(*xs)
+                for xs in operands
+            )
+            results[name] = {"cases": len(operands), "failures": int(failures)}
+    if "fnn" in suites:
+        spec, graph, rng = fnn_setup()
         max_err = 0.0
         for _ in range(n_inputs):
-            x = rng.standard_normal(widths_list[0])
+            x = rng.standard_normal(fnn_widths[0])
             vals, _stats = eval_amp_circuit(graph, list(x))
-            ref = spec.forward(x)
-            max_err = max(max_err, float(np.max(np.abs(np.array(vals) - ref))))
+            max_err = max(max_err, float(np.max(np.abs(np.array(vals) - spec.forward(x)))))
         results["fnn"] = {"cases": n_inputs, "max_abs_error": max_err, "failures": int(max_err > 1e-12)}
     if "memo" in suites:
-        fc = _opt(cfg, "fnn", dict, "config", {})
-        widths_list = _opt(fc, "widths", list, "config.fnn", [2, 4, 1])
-        rng = np.random.default_rng(seed)
-        weights = [
-            rng.standard_normal((widths_list[k + 1], widths_list[k]))
-            for k in range(len(widths_list) - 1)
-        ]
-        biases = [rng.standard_normal(widths_list[k + 1]) for k in range(len(widths_list) - 1)]
-        acts = [[0.1, 0.3, 0.0, 0.5]] * (len(widths_list) - 2) + [[0.0, 1.0]]
-        graph = compile_fnn(FnnSpec(list(widths_list), weights, biases, acts))
-        x = list(rng.standard_normal(widths_list[0]))
+        _, graph, rng = fnn_setup()
+        x = list(rng.standard_normal(fnn_widths[0]))
         vals_on, st_on = eval_amp_circuit(graph, x, memo=True)
         vals_off, st_off = eval_amp_circuit(graph, x, memo=False)
         results["memo"] = {

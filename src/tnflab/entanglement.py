@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError, ResourceLimitError
 from .floquet import (
     FloquetParams,
-    build_floquet_mpo,
+    config_index,
     evolve_conventional,
     exact_evolve,
     mpo_amplitude,
@@ -114,17 +114,9 @@ def entropy_and_spectrum(
 
 def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int):
     """Configuration -> AmplitudeValue for one method at fixed time."""
-    n = params.n_sites
     if method == "exact":
         psi = exact_evolve(params, t)
-
-        def fn(cfg):
-            idx = 0
-            for v in np.asarray(cfg, dtype=np.int64).reshape(-1):
-                idx = (idx << 1) | int(v)
-            return AmplitudeValue.from_parts(complex(psi[idx]))
-
-        return fn
+        return lambda cfg: AmplitudeValue.from_parts(complex(psi[config_index(cfg)]))
     if method == "mps":
         sites, log = evolve_conventional(params, chi, t)
         return lambda cfg: AmplitudeValue.from_parts(mps_amplitude(sites, cfg), log)

@@ -177,6 +177,20 @@ def exact_evolve(params: FloquetParams, t: int) -> np.ndarray:
     return psi.reshape(-1)
 
 
+def _evolve(
+    vectors: list[np.ndarray], mpo: list[np.ndarray], chi: int, t: int
+) -> tuple[list[np.ndarray], float]:
+    """The product state of ``vectors`` after ``t`` MPO layers, compressed
+    to ``chi`` after each; returns the chain and its accumulated log factor."""
+    sites = product_mps(vectors)
+    log = 0.0
+    for _ in range(t):
+        sites = apply_mpo(sites, mpo)
+        sites, lf = compress(sites, chi)
+        log += lf
+    return sites, log
+
+
 def evolve_conventional(
     params: FloquetParams, chi: int, t: int
 ) -> tuple[list[np.ndarray], float]:
@@ -185,16 +199,8 @@ def evolve_conventional(
     Returns the chain and the accumulated log norm factor; amplitudes are
     ``mps_amplitude(sites, n) * exp(log)``.
     """
-    n = params.n_sites
     e0 = np.array([1.0, 0.0], dtype=complex)
-    sites = product_mps([e0] * n)
-    log = 0.0
-    mpo = build_floquet_mpo(params)
-    for _ in range(t):
-        sites = apply_mpo(sites, mpo)
-        sites, lf = compress(sites, chi)
-        log += lf
-    return sites, log
+    return _evolve([e0] * params.n_sites, build_floquet_mpo(params), chi, t)
 
 
 def _as_bits(n, n_sites: int) -> np.ndarray:
@@ -274,19 +280,9 @@ def tnf_amplitude_inverse_time(
     cfg = _as_bits(n, params.n_sites)
     if t == 0:
         return _delta_amplitude(cfg)
-    mpo = build_floquet_mpo(params)
-    bra_mpo = [w.transpose(0, 2, 1, 3) for w in mpo]  # act on the bra side
-    caps = []
-    for c in range(params.n_sites):
-        v = np.zeros(2, dtype=complex)
-        v[cfg[c]] = 1.0
-        caps.append(v)
-    bra = product_mps(caps)
-    log = 0.0
-    for _ in range(t):
-        bra = apply_mpo(bra, bra_mpo)
-        bra, lf = compress(bra, chi)
-        log += lf
+    bra_mpo = [w.transpose(0, 2, 1, 3) for w in build_floquet_mpo(params)]  # act on the bra side
+    caps = [np.eye(2, dtype=complex)[b] for b in cfg]
+    bra, log = _evolve(caps, bra_mpo, chi, t)
     val = mps_amplitude(bra, [0] * params.n_sites)
     return AmplitudeValue.from_parts(val, log)
 
@@ -323,8 +319,5 @@ def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.nd
 def mpo_amplitude(sites: list[np.ndarray], log_scale: float, n) -> AmplitudeValue:
     """<n| M |0...0> for a compressed evolution operator."""
     cfg = _as_bits(n, len(sites))
-    mat = None
-    for w, b in zip(sites, cfg):
-        m = w[:, int(b), 0, :]
-        mat = m if mat is None else mat @ m
-    return AmplitudeValue.from_parts(complex(mat[0, 0]), log_scale)
+    val = mps_amplitude([w[:, :, 0, :] for w in sites], cfg)
+    return AmplitudeValue.from_parts(val, log_scale)

@@ -600,15 +600,6 @@ def peps_from_params(template: Peps, params: np.ndarray) -> Peps:
     return out
 
 
-def param_site_index(peps: Peps) -> list[tuple[int, int]]:
-    """Site owning each parameter, aligned with :func:`peps_to_params`."""
-    idx = []
-    for r in range(peps.rows):
-        for c in range(peps.cols):
-            idx.extend([(r, c)] * (2 * peps.sites[r][c].size))
-    return idx
-
-
 # ---------------------------------------------------------------------------
 # Serialization (binary, little-endian, versioned)
 

@@ -19,6 +19,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 import scipy.linalg
 
+from .errors import NumericalAbortError
+
 __all__ = [
     "svd_split",
     "TruncatedSvd",
@@ -52,6 +54,8 @@ def _svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     try:
         return np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError:
+        if not np.all(np.isfinite(mat)):
+            raise NumericalAbortError("SVD input has non-finite entries") from None
         # gesdd occasionally fails to converge; gesvd is slower but robust.
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
 
@@ -88,6 +92,7 @@ def svd_split(
     The output is gauge-fixed and therefore a deterministic function of the
     input within one process. When ``chi`` is at least the matrix rank,
     ``isometry @ diag(singulars) @ right`` reconstructs ``t`` exactly.
+    Non-finite input raises :class:`NumericalAbortError`.
     """
     t = np.asarray(t, dtype=complex)
     if chi < 1:
@@ -112,6 +117,8 @@ def svd_split(
     u, s, vh = _svd(mat)
 
     total = float(np.sum(s**2))
+    if math.isnan(total):
+        raise NumericalAbortError("SVD input has non-finite entries")
     if s.size == 0 or s[0] == 0.0:
         # Exactly-zero input: keep one canonical zero mode so shapes stay sane.
         k = 1

@@ -21,7 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .peps import (
     FixedEvaluator,
     FixedPlan,
     Peps,
-    param_site_index,
     peps_from_params,
     peps_to_params,
 )
@@ -149,12 +148,6 @@ class EnergyEstimate:
         return self.stderr / self.n_sites
 
 
-def _default_warmup(n_sweeps: int) -> int:
-    # 10% of the run with a floor of 100 sweeps, but never starve short
-    # runs: at most half the sweeps go to warmup.
-    return min(max(100, n_sweeps // 10), n_sweeps // 2)
-
-
 def _make_evaluator(peps: Peps, mode: str, chi: int):
     if mode == "fixed":
         return FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
@@ -178,38 +171,46 @@ def _blocking_stderr(values: np.ndarray, block_len: int) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(n))
 
 
-def _run_chain(
-    peps: Peps,
+def _chain_args(model: Model, n_sweeps: int, n_warmup: int | None, initial_config):
+    """Checked warm-up length and start configuration of a chain."""
+    if n_sweeps < 1:
+        raise ValueError("n_sweeps must be positive")
+    if n_warmup is None:
+        # 10% of the run with a floor of 100 sweeps, but never starve short
+        # runs: at most half the sweeps go to warmup.
+        n_warmup = min(max(100, n_sweeps // 10), n_sweeps // 2)
+    if not 0 <= n_warmup < n_sweeps:
+        raise ValueError(f"warmup {n_warmup} must be in [0, n_sweeps)")
+    if initial_config is None:
+        initial_config = neel_config(model.rows, model.cols)
+    return n_warmup, np.asarray(initial_config, dtype=np.int64).reshape(-1)
+
+
+def _chain_samples(
+    evaluator,
     model: Model,
-    mode: str,
-    chi: int,
     n_sweeps: int,
     n_warmup: int,
     seed: int,
     chain_index: int,
-    initial_config: np.ndarray,
-) -> tuple[np.ndarray, int, int]:
-    evaluator = _make_evaluator(peps, mode, chi)
-    amp0 = evaluator.peek(initial_config)
+    cfg0: np.ndarray,
+) -> Iterator[ChainState]:
+    """Yield the chain after each post-warm-up sweep.
+
+    The chain starts at ``cfg0`` (committed to the evaluator) and draws from
+    the (seed, chain-index) stream; the same state object is yielded every
+    time, so read what you need before advancing.
+    """
+    amp0 = evaluator.peek(cfg0)
     if amp0.is_zero:
         raise ValueError("initial configuration has zero amplitude; pass initial_config")
-    if mode == "dynamic":
-        evaluator.commit(initial_config, amp0)
-    chain = ChainState(
-        config=initial_config.copy(),
-        amp=amp0,
-        rng=_chain_rng(seed, chain_index),
-        evaluator=evaluator,
-    )
+    evaluator.commit(cfg0, amp0)
+    chain = ChainState(cfg0.copy(), amp0, _chain_rng(seed, chain_index), evaluator)
     schedule = nn_pairs(model.rows, model.cols, model.boundary)
-    energies = np.empty(n_sweeps - n_warmup)
-    k = 0
     for sweep in range(n_sweeps):
         metropolis_sweep(chain, schedule)
         if sweep >= n_warmup:
-            energies[k] = local_energy(model, chain.evaluator.peek, chain.config).real
-            k += 1
-    return energies, chain.accepted, chain.proposed
+            yield chain
 
 
 def estimate_energy(
@@ -230,27 +231,24 @@ def estimate_energy(
     Deterministic for fixed (seed, n_chains): every chain draws from its own
     (seed, chain-index) stream and chains run one after another in index
     order. ``n_threads`` is accepted and ignored: a thread pool made runs
-    slower, since the GIL serializes the small numpy calls.
+    slower, since the GIL serializes the small numpy calls. A non-finite
+    mean raises :class:`NumericalAbortError`.
     """
-    if n_sweeps < 1:
-        raise ValueError("n_sweeps must be positive")
-    if n_warmup is None:
-        n_warmup = _default_warmup(n_sweeps)
-    if not 0 <= n_warmup < n_sweeps:
-        raise ValueError(f"warmup {n_warmup} must be in [0, n_sweeps)")
-    if initial_config is None:
-        initial_config = neel_config(model.rows, model.cols)
-    initial_config = np.asarray(initial_config, dtype=np.int64).reshape(-1)
-
-    results = [
-        _run_chain(peps, model, mode, chi, n_sweeps, n_warmup, seed, k, initial_config)
-        for k in range(n_chains)
-    ]
-
-    series = [r[0] for r in results]
-    accepted = sum(r[1] for r in results)
-    proposed = sum(r[2] for r in results)
+    n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup, initial_config)
+    series = []
+    accepted = proposed = 0
+    for k in range(n_chains):
+        evaluator = _make_evaluator(peps, mode, chi)
+        energies = []
+        for chain in _chain_samples(evaluator, model, n_sweeps, n_warmup, seed, k, cfg0):
+            energies.append(local_energy(model, evaluator.peek, chain.config).real)
+        series.append(np.array(energies))
+        accepted += chain.accepted
+        proposed += chain.proposed
     all_vals = np.concatenate(series)
+    mean = float(np.mean(all_vals))
+    if not math.isfinite(mean):
+        raise NumericalAbortError(f"energy estimate is not finite: {mean}")
     block_errs = [_blocking_stderr(s, block_len) for s in series]
     # Chains are independent; their squared errors add in quadrature.
     stderr = math.sqrt(sum(e**2 for e in block_errs)) / max(1, len(block_errs))
@@ -258,7 +256,7 @@ def estimate_energy(
     if proposed > 0 and accepted == 0:
         warnings.append("frozen chain: every proposal was rejected")
     return EnergyEstimate(
-        mean=float(np.mean(all_vals)),
+        mean=mean,
         stderr=stderr,
         n_samples=all_vals.size,
         n_sites=model.n_sites,
@@ -268,11 +266,24 @@ def estimate_energy(
     )
 
 
-def _sector_configs(n_sites: int, n_down: int):
+def _sector_weights(
+    amplitude_fn: Callable, n_sites: int, n_down: int
+) -> list[tuple[np.ndarray, float]]:
+    """(configuration, weight) over a magnetization sector in lexicographic
+    order of the down sites; the weight is the squared amplitude modulus
+    relative to the largest, and zero amplitudes are left out."""
+    amps = []
     for downs in combinations(range(n_sites), n_down):
         cfg = np.zeros(n_sites, dtype=np.int64)
         cfg[list(downs)] = 1
-        yield cfg
+        amp = amplitude_fn(cfg)
+        if not amp.is_zero:
+            amps.append((cfg, amp))
+    max_log = max((amp.log_scale for _, amp in amps), default=-math.inf)
+    return [
+        (cfg, abs(amp.mantissa) ** 2 * math.exp(2.0 * (amp.log_scale - max_log)))
+        for cfg, amp in amps
+    ]
 
 
 def enumerate_energy(
@@ -287,19 +298,9 @@ def enumerate_energy(
     """
     if n_down is None:
         n_down = model.n_sites // 2
-    amps: list[tuple[np.ndarray, AmplitudeValue]] = []
-    max_log = -math.inf
-    for cfg in _sector_configs(model.n_sites, n_down):
-        amp = amplitude_fn(cfg)
-        if not amp.is_zero:
-            max_log = max(max_log, amp.log_scale)
-        amps.append((cfg, amp))
     num = 0.0
     den = 0.0
-    for cfg, amp in amps:
-        if amp.is_zero:
-            continue
-        w = abs(amp.mantissa) ** 2 * math.exp(2.0 * (amp.log_scale - max_log))
+    for cfg, w in _sector_weights(amplitude_fn, model.n_sites, n_down):
         num += w * local_energy(model, amplitude_fn, cfg).real
         den += w
     if den == 0.0:
@@ -315,18 +316,15 @@ class GradientInfo:
 
 
 def _log_derivatives(
-    evaluator: FixedEvaluator,
-    peps: Peps,
-    cfg: np.ndarray,
-    site_of_param: list[tuple[int, int]],
+    evaluator: FixedEvaluator, peps: Peps, cfg: np.ndarray
 ) -> tuple[np.ndarray, int]:
-    """O_k(n) = d ln amp / d theta_k by central differences, all parameters.
+    """O_k(n) = d ln amp / d theta_k by central differences, all parameters
+    in the order of :func:`peps_to_params`.
 
     Probes with a truncation-degeneracy signature (discarded-weight jump
     above ``DEGENERACY_JUMP`` between the two probes) get O_k = 0.
     """
-    n_params = len(site_of_param)
-    out = np.zeros(n_params, dtype=complex)
+    out = np.zeros(peps_to_params(peps).size, dtype=complex)
     zeroed = 0
     k = 0
     for r in range(peps.rows):
@@ -372,12 +370,12 @@ def gradient_estimate(
 
     g_k = 2 Re(<E_loc O_k*> - <E_loc><O_k*>) with O_k the log-derivative of
     the amplitude. ``sampling`` is ``"metropolis"`` or ``"enumerate"`` (full
-    sector enumeration, exact weights; for small lattices and tests).
+    sector enumeration, exact weights; for small lattices and tests). The
+    Metropolis chain is chain 0 of :func:`estimate_energy` with the same
+    seed. A non-finite energy raises :class:`NumericalAbortError`.
     """
-    plan = FixedPlan.for_lattice(peps.rows, peps.cols, chi)
-    evaluator = FixedEvaluator(peps, plan)
-    site_of_param = param_site_index(peps)
-    n_params = len(site_of_param)
+    evaluator = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
+    n_params = peps_to_params(peps).size
 
     sum_w = 0.0
     sum_e = 0.0
@@ -391,7 +389,7 @@ def gradient_estimate(
         # E_loc is complex per configuration (only its average is real);
         # the gradient needs the full complex value against O_k*.
         e = local_energy(model, evaluator.peek, cfg)
-        o, z = _log_derivatives(evaluator, peps, cfg, site_of_param)
+        o, z = _log_derivatives(evaluator, peps, cfg)
         oc = np.conj(o)
         sum_w += w
         sum_e += w * e.real
@@ -401,38 +399,18 @@ def gradient_estimate(
         n_samples += 1
 
     if sampling == "enumerate":
-        n_down = model.n_sites // 2
-        max_log = -math.inf
-        cache = []
-        for cfg in _sector_configs(model.n_sites, n_down):
-            amp = evaluator.peek(cfg)
-            cache.append((cfg, amp))
-            if not amp.is_zero:
-                max_log = max(max_log, amp.log_scale)
-        for cfg, amp in cache:
-            if amp.is_zero:
-                continue
-            w = abs(amp.mantissa) ** 2 * math.exp(2.0 * (amp.log_scale - max_log))
+        for cfg, w in _sector_weights(evaluator.peek, model.n_sites, model.n_sites // 2):
             accumulate(cfg, w)
     elif sampling == "metropolis":
-        if n_warmup is None:
-            n_warmup = _default_warmup(n_sweeps)
-        if initial_config is None:
-            initial_config = neel_config(model.rows, model.cols)
-        cfg0 = np.asarray(initial_config, dtype=np.int64).reshape(-1)
-        amp0 = evaluator.peek(cfg0)
-        if amp0.is_zero:
-            raise ValueError("initial configuration has zero amplitude")
-        chain = ChainState(cfg0.copy(), amp0, _chain_rng(seed, 0), evaluator)
-        schedule = nn_pairs(model.rows, model.cols, model.boundary)
-        for sweep in range(n_sweeps):
-            metropolis_sweep(chain, schedule)
-            if sweep >= n_warmup:
-                accumulate(chain.config, 1.0)
+        n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup, initial_config)
+        for chain in _chain_samples(evaluator, model, n_sweeps, n_warmup, seed, 0, cfg0):
+            accumulate(chain.config, 1.0)
     else:
         raise ValueError(f"unknown sampling {sampling!r}")
 
     e_mean = sum_e / sum_w
+    if not math.isfinite(e_mean):
+        raise NumericalAbortError(f"energy estimate is not finite: {e_mean}")
     o_mean = sum_o / sum_w
     eo_mean = sum_eo / sum_w
     grad = 2.0 * np.real(eo_mean - e_mean * o_mean)

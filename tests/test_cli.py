@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tnflab.cli import main
+from tnflab.peps import random_peps, save_peps
 
 
 def write_config(tmp_path, name, payload):
@@ -128,6 +129,40 @@ class TestVmcRun:
         assert main(["vmc", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["vmc", "--config", cfg, "--out", str(out3), "--seed", "99"]) == 0
         assert not filecmp.cmp(out1 / "energies.csv", out3 / "energies.csv", shallow=False)
+
+
+class TestCheckpointInit:
+    def run_from(self, tmp_path, ckpt):
+        cfg = {**VMC_SMALL, "init": {"method": "file", "path": str(ckpt)}}
+        path = write_config(tmp_path, "ckpt.json", cfg)
+        return main(["vmc", "--config", path, "--out", str(tmp_path / "o")])
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "state.tnp"
+        save_peps(random_peps(3, 3, 2, 2, seed=0), ckpt)
+        data = ckpt.read_bytes()
+        for cut in (20, len(data) // 2):  # inside the header, inside the tensor data
+            ckpt.write_bytes(data[:cut])
+            assert self.run_from(tmp_path, ckpt) == 2
+            assert "config.init.path" in capsys.readouterr().err
+
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        assert self.run_from(tmp_path, tmp_path / "absent.tnp") == 2
+        assert "config.init.path" in capsys.readouterr().err
+
+    def test_other_lattice_checkpoint_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "state.tnp"
+        save_peps(random_peps(2, 3, 2, 2, seed=0), ckpt)
+        assert self.run_from(tmp_path, ckpt) == 2
+        assert "config.init.path" in capsys.readouterr().err
+
+    def test_nan_state_exits_4(self, tmp_path):
+        state = random_peps(3, 3, 2, 2, seed=0)
+        state.sites[1][1][0, 0, 0, 0, 0] = math.nan
+        ckpt = tmp_path / "state.tnp"
+        save_peps(state, ckpt)
+        assert self.run_from(tmp_path, ckpt) == 4
+        assert not (tmp_path / "o" / "energies.csv").exists()
 
 
 class TestFloquetRun:

@@ -13,7 +13,13 @@ from tnflab.peps import (
     random_peps,
 )
 from tnflab.simple_update import simple_update
-from tnflab.vmc import GradientInfo, enumerate_energy, gradient_estimate, sgd_optimize
+from tnflab.vmc import (
+    GradientInfo,
+    enumerate_energy,
+    estimate_energy,
+    gradient_estimate,
+    sgd_optimize,
+)
 from tnflab.ed import ground_energy
 
 
@@ -75,6 +81,30 @@ class TestGradient:
         g_mc, _ = gradient_estimate(p, m, chi=4, sampling="metropolis", n_sweeps=4000, seed=0)
         cos = np.dot(g_enum, g_mc) / (np.linalg.norm(g_enum) * np.linalg.norm(g_mc))
         assert cos > 0.95, f"cosine {cos}"
+
+    def test_metropolis_samples_the_estimate_energy_chain(self):
+        """Same seed and warm-up: the gradient's samples are the one-chain
+        fixed-schedule energy estimate's samples."""
+        m = heisenberg(2, 2)
+        p = random_peps(2, 2, 2, 2, seed=3)
+        _, info = gradient_estimate(p, m, chi=4, n_sweeps=40, n_warmup=10, seed=7)
+        est = estimate_energy(p, m, "fixed", 4, n_sweeps=40, n_warmup=10, seed=7)
+        assert info.n_samples == est.n_samples == 30
+        assert abs(info.energy - est.mean) <= 1e-12 * abs(est.mean)
+
+    def test_enumerate_energy_is_enumerate_energy(self):
+        m = heisenberg(2, 2)
+        p = random_peps(2, 2, 2, 2, seed=9)
+        _, info = gradient_estimate(p, m, chi=2, sampling="enumerate")
+        assert info.energy == enumerated_energy_of(p, m, 2)
+
+    def test_non_finite_energy_aborts(self):
+        m = heisenberg(1, 4)
+        p = random_peps(1, 4, 2, 2, seed=8)
+        p.sites[0][1][0, 0, 0, 0, 0] = np.nan
+        for sampling in ("metropolis", "enumerate"):
+            with pytest.raises(NumericalAbortError):
+                gradient_estimate(p, m, chi=2, n_sweeps=10, n_warmup=2, sampling=sampling)
 
 
 class TestSgd:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from tnflab.models import Model, heisenberg, neel_config
-from tnflab.peps import FixedEvaluator, FixedPlan, exact_amplitude, random_peps
+from tnflab.peps import FixedEvaluator, FixedPlan, Peps, exact_amplitude, random_peps
 from tnflab.simple_update import simple_update
 from tnflab.vmc import enumerate_energy
 
@@ -80,3 +80,17 @@ def test_bond_dimension_not_exceeded():
     for row in q.sites:
         for t in row:
             assert max(t.shape[:4]) <= 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_row_and_column_chains_agree(n):
+    """Horizontal and vertical bonds get the same update: a 1xN chain and
+    its Nx1 mirror image evolve into the same state."""
+    row = random_peps(1, n, 2, 2, seed=10 + n)
+    col = Peps(n, 1, 2, 2, [[t.transpose(1, 0, 3, 2, 4)] for t in row.sites[0]], "obc")
+    q_row = simple_update(row, heisenberg(1, n), tau=0.05, steps=20)
+    q_col = simple_update(col, heisenberg(n, 1), tau=0.05, steps=20)
+    configs = [[(k >> s) & 1 for s in range(n)] for k in range(1 << n)]
+    a = np.array([exact_amplitude(q_row, c).value for c in configs])
+    b = np.array([exact_amplitude(q_col, c).value for c in configs])
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnflab.errors import DimensionError
+from tnflab.errors import DimensionError, NumericalAbortError
 from tnflab.tensor import AmplitudeValue, renormalize, svd_split
 
 
@@ -25,6 +25,13 @@ class TestSvdSplit:
         assert abs(s.discarded_weight - 0.5) < 1e-12
         # canonical ordering: the first kept vector pivots on the lowest flat index
         assert np.allclose(s.isometry.reshape(-1), [1.0, 0.0])
+
+    def test_non_finite_input_aborts(self):
+        for bad in (np.nan, np.inf):
+            m = np.eye(3, dtype=complex)
+            m[1, 2] = bad
+            with pytest.raises(NumericalAbortError):
+                svd_split(m, [0], 2)
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tnflab.ed import mask_to_config, sector_hamiltonian
+from tnflab.errors import NumericalAbortError
 from tnflab.models import heisenberg, neel_config, nn_pairs
 from tnflab.peps import FixedEvaluator, FixedPlan, product_peps, random_peps
 from tnflab.tensor import AmplitudeValue
@@ -202,6 +203,14 @@ class TestEstimateEnergy:
         m = heisenberg(3, 3)
         est = estimate_energy(p, m, "dynamic", 2, n_sweeps=60, n_warmup=10, seed=1)
         assert math.isfinite(est.mean)
+
+    def test_non_finite_energy_aborts(self):
+        """A one-row state needs no SVD, so its NaN reaches the energy."""
+        p = random_peps(1, 4, 2, 2, seed=8)
+        p.sites[0][1][0, 0, 0, 0, 0] = math.nan
+        for mode in ("fixed", "dynamic"):
+            with pytest.raises(NumericalAbortError):
+                estimate_energy(p, heisenberg(1, 4), mode, 2, n_sweeps=10, n_warmup=2)
 
     def test_bad_parameters(self):
         p = random_peps(2, 2, 2, 2, seed=8)
