@@ -1,15 +1,17 @@
 """Tensor networks that encode classical computation.
 
-Two wire families share one DAG container:
+Two wire families share one DAG container; every gate kind is defined once
+in ``_GATES`` (arity, wire kinds, defining tensor):
 
 * bit legs (extent 2, basis semantics): binary logic circuits built from
-  XOR/AND/OR gates and the copy tensor. Feeding basis vectors in and
-  contracting gate by gate keeps every intermediate a basis vector, so
-  evaluation is linear in the gate count.
+  XOR/AND/OR gates and the copy tensor. Basis vectors in keep every
+  intermediate a basis vector, so :func:`eval_binary` carries one bit per
+  wire and indexes each gate tensor by its input bits, linear in the gate
+  count.
 * amplitude legs (extent 2, ``(1, x)`` semantics): arithmetic circuits
   where addition and multiplication are (2,2,2) tensors acting on encoded
-  reals, plus variable legs carrying discretized grid indices with their own
-  copy tensor.
+  reals, contracted by :func:`eval_amp_circuit`, plus variable legs carrying
+  discretized grid indices with their own copy tensor.
 
 Wires have a single producer. Bit wires also have a single consumer, with
 fan-out realized by explicit copy nodes; amplitude wires may feed several
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,45 +69,52 @@ def _logic_tensor(entries) -> np.ndarray:
     t = np.zeros((2, 2, 2))
     for idx in entries:
         t[idx] = 1.0
+    t.setflags(write=False)
     return t
 
 
-_XOR = _logic_tensor([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)])
-_AND = _logic_tensor([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)])
-_OR = _logic_tensor([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
-_DELTA = _logic_tensor([(0, 0, 0), (1, 1, 1)])
-_PLUS = np.zeros((2, 2, 2))
-for _i in range(2):
-    for _j in range(2):
-        if _i + _j < 2:
-            _PLUS[_i, _j, _i + _j] = 1.0
-_TIMES = _logic_tensor([(0, 0, 0), (1, 1, 1)])
+class _Gate(NamedTuple):
+    """Arity, wire kinds and defining tensor (output on the last index)."""
+
+    n_in: int
+    n_out: int
+    in_kind: str | None
+    out_kind: str
+    tensor: np.ndarray | None = None
+
+
+_GATES = {
+    GateKind.XOR: _Gate(2, 1, "bit", "bit", _logic_tensor([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 0)])),
+    GateKind.AND: _Gate(2, 1, "bit", "bit", _logic_tensor([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)])),
+    GateKind.OR: _Gate(2, 1, "bit", "bit", _logic_tensor([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1)])),
+    GateKind.DELTA: _Gate(1, 2, "bit", "bit", _logic_tensor([(0, 0, 0), (1, 1, 1)])),
+    # (1, x) (+) (1, y) = (1, x + y): the x*y entry (1, 1, *) is dropped.
+    GateKind.PLUS: _Gate(2, 1, "amp", "amp", _logic_tensor([(0, 0, 0), (1, 0, 1), (0, 1, 1)])),
+    GateKind.TIMES: _Gate(2, 1, "amp", "amp", _logic_tensor([(0, 0, 0), (1, 1, 1)])),
+    GateKind.CONST_BIT: _Gate(0, 1, None, "bit"),
+    GateKind.CONST_FLOAT: _Gate(0, 1, None, "amp"),
+    GateKind.FUNC: _Gate(1, 1, "var", "amp"),
+    GateKind.VAR_COPY: _Gate(1, 2, "var", "var"),
+}
 
 
 def gate_tensor(kind: GateKind, payload=None) -> np.ndarray:
-    """The defining tensor of a gate.
+    """A copy of the defining tensor of a gate.
 
     Logic gates and the arithmetic (+)/(x) tensors are (2,2,2) with the
     output on the last index; constants are length-2 vectors (a basis vector
     for bits, ``(1, x)`` for reals).
     """
-    table = {
-        GateKind.XOR: _XOR,
-        GateKind.AND: _AND,
-        GateKind.OR: _OR,
-        GateKind.DELTA: _DELTA,
-        GateKind.PLUS: _PLUS,
-        GateKind.TIMES: _TIMES,
-    }
-    if kind in table:
-        return table[kind].copy()
     if kind == GateKind.CONST_BIT:
         v = np.zeros(2)
         v[int(payload)] = 1.0
         return v
     if kind == GateKind.CONST_FLOAT:
-        return np.array([1.0, float(payload)])
-    raise ValueError(f"{kind} has no fixed tensor")
+        return float_encode(payload)
+    tensor = _GATES[kind].tensor
+    if tensor is None:
+        raise ValueError(f"{kind} has no fixed tensor")
+    return tensor.copy()
 
 
 @dataclass(frozen=True)
@@ -139,33 +148,6 @@ class Node:
     payload: object = None
 
 
-_ARITY = {
-    GateKind.XOR: (2, 1),
-    GateKind.AND: (2, 1),
-    GateKind.OR: (2, 1),
-    GateKind.DELTA: (1, 2),
-    GateKind.PLUS: (2, 1),
-    GateKind.TIMES: (2, 1),
-    GateKind.CONST_BIT: (0, 1),
-    GateKind.CONST_FLOAT: (0, 1),
-    GateKind.FUNC: (1, 1),
-    GateKind.VAR_COPY: (1, 2),
-}
-
-_WIRE_KINDS = {
-    GateKind.XOR: ("bit", "bit"),
-    GateKind.AND: ("bit", "bit"),
-    GateKind.OR: ("bit", "bit"),
-    GateKind.DELTA: ("bit", "bit"),
-    GateKind.PLUS: ("amp", "amp"),
-    GateKind.TIMES: ("amp", "amp"),
-    GateKind.CONST_BIT: (None, "bit"),
-    GateKind.CONST_FLOAT: (None, "amp"),
-    GateKind.FUNC: ("var", "amp"),
-    GateKind.VAR_COPY: ("var", "var"),
-}
-
-
 @dataclass
 class CircuitGraph:
     """Directed acyclic gate graph with typed wires.
@@ -190,9 +172,11 @@ class CircuitGraph:
         produced.update(flat_inputs)
         consumers: dict[int, int] = {}
         for node in self.nodes:
-            n_in, n_out = _ARITY[node.kind]
-            if len(node.inputs) != n_in or len(node.outputs) != n_out:
+            gate = _GATES[node.kind]
+            if len(node.inputs) != gate.n_in or len(node.outputs) != gate.n_out:
                 raise GraphError(f"{node.kind} arity mismatch")
+            if node.kind == GateKind.CONST_BIT and node.payload not in (0, 1):
+                raise GraphError(f"constant bit {node.payload!r} is not 0 or 1")
             for w in node.inputs:
                 if w not in produced:
                     raise GraphError(f"wire {w} consumed before production (cycle or unbound)")
@@ -289,14 +273,13 @@ class CircuitBuilder:
         return w
 
     def add(self, kind: GateKind, inputs: Sequence[int], payload=None) -> list[int]:
-        n_in, n_out = _ARITY[kind]
-        if len(inputs) != n_in:
-            raise GraphError(f"{kind} takes {n_in} inputs, got {len(inputs)}")
-        in_kind, out_kind = _WIRE_KINDS[kind]
+        gate = _GATES[kind]
+        if len(inputs) != gate.n_in:
+            raise GraphError(f"{kind} takes {gate.n_in} inputs, got {len(inputs)}")
         for w in inputs:
-            if self.wire_types[w] != in_kind:
-                raise GraphError(f"{kind} expects {in_kind} wires, wire {w} is {self.wire_types[w]}")
-        outs = [self._wire(out_kind) for _ in range(n_out)]
+            if self.wire_types[w] != gate.in_kind:
+                raise GraphError(f"{kind} expects {gate.in_kind} wires, wire {w} is {self.wire_types[w]}")
+        outs = [self._wire(gate.out_kind) for _ in range(gate.n_out)]
         if kind == GateKind.VAR_COPY:
             g = self.var_grids[inputs[0]]
             for w in outs:
@@ -490,49 +473,34 @@ class EvalStats:
 
 
 def eval_binary(graph: CircuitGraph, inputs: Sequence[BitVec]) -> list[BitVec]:
-    """Contract a logic circuit on basis-vector inputs, input to output.
+    """Evaluate a logic circuit on bit-string inputs, gate by gate.
 
-    Every intermediate wire must stay a basis vector (the product-state
-    property); anything else raises :class:`InvariantError`. Work is linear
-    in the gate count.
+    A wire holds one bit. Contracting basis vectors into a gate's input legs
+    is indexing its tensor by the input bits; the slice must be one-hot (the
+    product-state property, else :class:`InvariantError`), and its hot
+    position gives the output bits. Work is linear in the gate count.
     """
     graph.validate()
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} input operands")
-    values: dict[int, np.ndarray] = {}
+    bits: dict[int, int] = {}
     for group, vec in zip(graph.input_groups, inputs):
         if len(group) != len(vec):
             raise GraphError(f"operand width {len(vec)} does not match group {len(group)}")
-        for w, bit in zip(group, vec.bits):
-            values[w] = gate_tensor(GateKind.CONST_BIT, bit)
+        bits.update(zip(group, vec.bits))
     for node in graph.nodes:
-        if node.kind in (GateKind.CONST_BIT,):
-            values[node.outputs[0]] = gate_tensor(node.kind, node.payload)
+        if node.kind == GateKind.CONST_BIT:
+            bits[node.outputs[0]] = int(node.payload)
             continue
-        if node.kind not in (GateKind.XOR, GateKind.AND, GateKind.OR, GateKind.DELTA):
+        gate = _GATES[node.kind]
+        if gate.in_kind != "bit":
             raise GraphError(f"{node.kind} is not a binary-circuit gate")
-        t = gate_tensor(node.kind)
-        for w in node.inputs:
-            t = np.tensordot(values[w], t, axes=([0], [0]))
-        flat = t.reshape(-1)
-        hot = np.nonzero(flat)[0]
-        if hot.size != 1 or not np.isclose(flat[hot[0]], 1.0):
+        out = gate.tensor[tuple(bits[w] for w in node.inputs)]
+        hot = out.nonzero()
+        if len(hot[0]) != 1 or out[hot][0] != 1.0:
             raise InvariantError("non-basis intermediate in binary evaluation")
-        idx = np.unravel_index(hot[0], t.shape)
-        for w, b in zip(node.outputs, idx):
-            v = np.zeros(2)
-            v[b] = 1.0
-            values[w] = v
-    out = []
-    for group in graph.output_groups:
-        bits = []
-        for w in group:
-            v = values[w]
-            if not (np.isclose(v[0], 1.0) ^ np.isclose(v[1], 1.0)):
-                raise InvariantError("non-basis output wire")
-            bits.append(int(np.isclose(v[1], 1.0)))
-        out.append(BitVec(tuple(bits)))
-    return out
+        bits.update(zip(node.outputs, (int(i[0]) for i in hot)))
+    return [BitVec(tuple(bits[w] for w in group)) for group in graph.output_groups]
 
 
 def float_encode(x: float) -> np.ndarray:
@@ -604,7 +572,7 @@ def eval_amp_circuit(
         # Without memo the expanded tree contracts a node once per path.
         stats.contractions += 1 if memo else count
         if node.kind == GateKind.CONST_FLOAT:
-            out = [gate_tensor(node.kind, node.payload)]
+            out = [float_encode(node.payload)]
         elif node.kind == GateKind.FUNC:
             out = [np.asarray(node.payload)[values[node.inputs[0]]].copy()]
         elif node.kind == GateKind.VAR_COPY:
@@ -612,7 +580,7 @@ def eval_amp_circuit(
             out = [idx, idx]
         elif node.kind in (GateKind.PLUS, GateKind.TIMES):
             x, y = values[node.inputs[0]], values[node.inputs[1]]
-            out = [np.einsum("i,j,ijk->k", x, y, gate_tensor(node.kind))]
+            out = [np.einsum("i,j,ijk->k", x, y, _GATES[node.kind].tensor)]
         else:
             raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
         values.update(zip(node.outputs, out))
@@ -640,6 +608,8 @@ def build_amp_function(expr, grids: dict[str, int]) -> CircuitGraph:
 
     def count_uses(e):
         if e[0] == "func":
+            if e[2] not in grids:
+                raise GraphError(f"unknown variable {e[2]!r}")
             counts[e[2]] += 1
         elif e[0] in ("plus", "times"):
             count_uses(e[1])
@@ -654,15 +624,7 @@ def build_amp_function(expr, grids: dict[str, int]) -> CircuitGraph:
 
     def emit(e) -> int:
         if e[0] == "func":
-            _, table, name = e
-            table = np.asarray(table, dtype=float)
-            if name not in grids:
-                raise GraphError(f"unknown variable {name!r}")
-            if table.shape[0] != grids[name]:
-                raise GraphError(
-                    f"table grid {table.shape[0]} does not match variable {name!r} grid {grids[name]}"
-                )
-            return b.func(table, next(pools[name]))
+            return b.func(e[1], next(pools[e[2]]))
         if e[0] == "const":
             return b.const_float(e[1])
         a = emit(e[1])

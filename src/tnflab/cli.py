@@ -41,7 +41,7 @@ from .ed import ground_energy
 from .entanglement import METHODS, entanglement_dynamics
 from .errors import ConfigError, NumericalAbortError, ResourceLimitError
 from .floquet import FloquetParams, PRESETS
-from .models import heisenberg, j1j2, neel_config
+from .models import heisenberg, j1j2, neel_config, nn_pairs
 from .peps import FixedEvaluator, FixedPlan, Peps, load_peps, random_peps, save_peps
 from .simple_update import simple_update
 from .vmc import estimate_energy, sgd_optimize
@@ -187,6 +187,12 @@ def _initial_peps(cfg: dict, model, bond_dim: int, seed: int, path: str) -> Peps
         steps = _opt(init, "steps", int, f"{path}.init", 200)
         if tau <= 0:
             raise ConfigError(f"{path}.init.tau: must be positive")
+        edges = set(nn_pairs(model.rows, model.cols, model.boundary))
+        if any((i, j) not in edges for i, j, _ in model.couplings):
+            raise ConfigError(
+                f"{path}.init.method: simple_update needs nearest-neighbour couplings only, "
+                f"and model {model.name!r} has others; use 'random' or 'file'"
+            )
         return simple_update(p, model, tau=tau, steps=steps)
     raise ConfigError(f"{path}.init.method: unknown method {method!r}")
 

@@ -11,7 +11,6 @@ function of the input chain, which is what fixed-schedule contractions need.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "mps_amplitude",
     "mps_to_dense",
     "mpo_to_dense",
-    "schmidt_values",
 ]
 
 
@@ -141,31 +139,3 @@ def mpo_to_dense(mpo: Sequence[np.ndarray]) -> np.ndarray:
     d_out = int(np.prod(out.shape[1 : 1 + n]))
     d_in = int(np.prod(out.shape[1 + n : 1 + 2 * n]))
     return out.reshape(d_out, d_in)
-
-
-def schmidt_values(sites: Sequence[np.ndarray], cut: int) -> np.ndarray:
-    """Schmidt values across the bond between sites ``cut-1`` and ``cut``.
-
-    The chain is canonicalized from both ends toward the cut, so the result
-    is the exact spectrum of the state the chain represents (not of any
-    particular gauge).
-    """
-    sites = [np.asarray(s, dtype=complex) for s in sites]
-    n = len(sites)
-    if not 0 < cut < n:
-        raise ValueError(f"cut must be internal, got {cut} for {n} sites")
-    for i in range(cut):
-        l, p, r = sites[i].shape
-        q, rmat = np.linalg.qr(sites[i].reshape(l * p, r))
-        sites[i] = q.reshape(l, p, q.shape[1])
-        if i + 1 < n:
-            sites[i + 1] = np.tensordot(rmat, sites[i + 1], axes=([1], [0]))
-    carry = None
-    for i in range(n - 1, cut - 1, -1):
-        t = sites[i] if carry is None else np.tensordot(sites[i], carry, axes=([2], [0]))
-        l, p, r = t.shape
-        _, rmat = np.linalg.qr(t.transpose(0, 2, 1).reshape(l, p * r).T)
-        carry = rmat.T  # (l, k)
-    s = np.linalg.svd(carry, compute_uv=False)
-    norm = math.sqrt(float(np.sum(s**2)))
-    return s / norm if norm > 0 else s

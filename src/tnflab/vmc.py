@@ -54,6 +54,8 @@ FD_STEP_REL = 1e-5
 FD_STEP_FLOOR = 1e-7
 # Discarded-weight jump between probes that marks a truncation degeneracy.
 DEGENERACY_JUMP = 0.1
+# Sweeps per block in the blocking estimate of an energy's standard error.
+BLOCK_LEN = 50
 
 
 def local_energy(model: Model, amplitude_fn: Callable, n) -> complex:
@@ -224,7 +226,6 @@ def estimate_energy(
     seed: int = 0,
     initial_config=None,
     n_threads: int = 1,
-    block_len: int = 50,
 ) -> EnergyEstimate:
     """Average E_loc over post-warmup sweeps across independent chains.
 
@@ -249,7 +250,7 @@ def estimate_energy(
     mean = float(np.mean(all_vals))
     if not math.isfinite(mean):
         raise NumericalAbortError(f"energy estimate is not finite: {mean}")
-    block_errs = [_blocking_stderr(s, block_len) for s in series]
+    block_errs = [_blocking_stderr(s, BLOCK_LEN) for s in series]
     # Chains are independent; their squared errors add in quadrature.
     stderr = math.sqrt(sum(e**2 for e in block_errs)) / max(1, len(block_errs))
     warnings = []

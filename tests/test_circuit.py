@@ -192,6 +192,54 @@ class TestBinaryEvaluator:
         with pytest.raises(GraphError):
             eval_binary(g, [BitVec.from_int(1, 2), BitVec.from_int(1, 3)])
 
+    @pytest.mark.parametrize(
+        "kind, table",
+        [
+            (GateKind.XOR, {(0, 0): (0,), (1, 0): (1,), (0, 1): (1,), (1, 1): (0,)}),
+            (GateKind.AND, {(0, 0): (0,), (1, 0): (0,), (0, 1): (0,), (1, 1): (1,)}),
+            (GateKind.OR, {(0, 0): (0,), (1, 0): (1,), (0, 1): (1,), (1, 1): (1,)}),
+            (GateKind.DELTA, {(0,): (0, 0), (1,): (1, 1)}),
+        ],
+    )
+    def test_gate_truth_tables(self, kind, table):
+        b = CircuitBuilder()
+        n_in = len(next(iter(table)))
+        ins = [b.input_bits(1)[0] for _ in range(n_in)]
+        outs = b.add(kind, ins)
+        g = b.finish([[w] for w in outs])
+        for xs, want in table.items():
+            got = eval_binary(g, [BitVec((x,)) for x in xs])
+            assert tuple(v.bits[0] for v in got) == want
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_const_bit_output_and_and_input(self, bit):
+        b = CircuitBuilder()
+        (x,) = b.input_bits(1)
+        g = b.finish([[b.const_bit(bit)], [b.and_(b.const_bit(bit), x)]])
+        for xv in (0, 1):
+            c, y = eval_binary(g, [BitVec((xv,))])
+            assert c.bits == (bit,)
+            assert y.bits == (bit & xv,)
+
+    @pytest.mark.parametrize("payload", [-1, 2])
+    def test_const_bit_payload_validated(self, payload):
+        b = CircuitBuilder()
+        with pytest.raises(GraphError):
+            b.finish([[b.const_bit(payload)]])
+        graph = CircuitGraph(
+            nodes=[Node(GateKind.CONST_BIT, (), (0,), payload)],
+            wire_types=["bit"],
+            input_groups=[],
+            output_groups=[[0]],
+        )
+        with pytest.raises(GraphError):
+            CircuitGraph.from_json(graph.to_json())
+
+    def test_amplitude_circuit_rejected(self):
+        spec = FnnSpec([1, 1], [np.array([[2.0]])], [np.array([1.0])], [[0.0, 1.0]])
+        with pytest.raises(GraphError):
+            eval_binary(compile_fnn(spec), [BitVec((1,))])
+
     def test_cycle_detected(self):
         node = Node(GateKind.XOR, (1, 2), (1,))
         graph = CircuitGraph(
@@ -252,6 +300,11 @@ class TestAmpFunctions:
             (v,), _ = eval_amp_circuit(g, [k])
             want = f(grid[k]) * gfun(grid[k]) + f(grid[k])
             assert abs(v - want) < 1e-12
+
+    def test_unknown_variable_rejected(self):
+        tab = function_table(lambda x: x, np.linspace(0, 1, 8))
+        with pytest.raises(GraphError):
+            build_amp_function(("func", tab, "y"), {"x": 8})
 
     def test_grid_mismatch_rejected(self):
         tab = function_table(lambda x: x, np.linspace(0, 1, 8))

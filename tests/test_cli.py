@@ -70,6 +70,37 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("kind", ["vmc", "pareto"])
+    def test_j1j2_simple_update_exits_2(self, tmp_path, capsys, kind):
+        """Simple update handles only nearest-neighbour bonds; the J2
+        diagonals are a config error, reported before any data file."""
+        payload = {
+            **VMC_SMALL,
+            "kind": kind,
+            "lattice": {"rows": 2, "cols": 3, "boundary": "pbc"},
+            "model": {"name": "j1j2", "j2": 0.5},
+            "grid": {"bond_dims": [2], "chis": [2], "modes": ["fixed"]},
+        }
+        payload.pop("init")  # the default method is simple_update
+        out = tmp_path / "o"
+        assert main([kind, "--config", write_config(tmp_path, "j.json", payload), "--out", str(out)]) == 2
+        assert "config.init.method" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_j1j2_random_init_runs(self, tmp_path):
+        payload = {
+            **VMC_SMALL,
+            "lattice": {"rows": 2, "cols": 3, "boundary": "pbc"},
+            "model": {"name": "j1j2", "j2": 0.5},
+            "sweeps": 20,
+            "warmup": 5,
+            "init": {"method": "random"},
+        }
+        out = tmp_path / "o"
+        assert main(["vmc", "--config", write_config(tmp_path, "j.json", payload), "--out", str(out)]) == 0
+        assert (out / "energies.csv").exists()
+
+
 class TestResourceGuards:
     def test_floquet_site_guard_exits_3(self, tmp_path):
         cfg = write_config(

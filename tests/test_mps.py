@@ -1,4 +1,4 @@
-"""Shared MPS machinery: MPO application, compression, Schmidt values."""
+"""Shared MPS machinery: MPO application, compression, chain contraction."""
 import numpy as np
 import pytest
 
@@ -11,7 +11,6 @@ from tnflab.mps import (
     mps_to_dense,
     mpo_to_dense,
     product_mps,
-    schmidt_values,
 )
 
 
@@ -87,18 +86,6 @@ def test_compress_respects_chi():
     mps = random_mps(rng, 6, 2, 5)
     out, _ = compress(mps, 3)
     assert all(s.shape[2] <= 3 for s in out[:-1])
-
-
-def test_schmidt_values_against_dense_svd():
-    rng = np.random.default_rng(6)
-    mps = random_mps(rng, 6, 2, 4)
-    dense = mps_to_dense(mps)
-    dense = dense / np.linalg.norm(dense)
-    for cut in (2, 3):
-        ref = np.linalg.svd(dense.reshape(2**cut, -1), compute_uv=False)
-        got = schmidt_values(mps, cut)
-        k = min(ref.size, got.size)
-        assert np.allclose(np.sort(got)[::-1][:k], ref[:k], atol=1e-10)
 
 
 def test_contract_scalar_chain():
