@@ -3,10 +3,10 @@
 Four experiment kinds: ``vmc`` (energy grids over bond dimensions and
 contraction modes), ``floquet`` (entanglement dynamics per method),
 ``pareto`` (cost-versus-accuracy sweeps), and ``circuit`` (arithmetic and
-network-compilation checks). Configs are versioned JSON validated before any
-computation; data files are deterministic for a fixed (config, seed), with
-wall-clock timings confined to the run manifest and files named
-``timing_*``. ``--threads`` is accepted for compatibility and ignored.
+network-compilation checks). Every field of a versioned JSON config is checked
+(numbers finite and in range) before any directory or computation. Data files
+are deterministic for a fixed (config, seed), with wall-clock timings confined
+to the manifest and ``timing_*`` files. ``--threads`` is accepted and ignored.
 
 Exit codes: 0 success, 2 config error, 3 resource-guard error, 4 numerical
 abort.
@@ -53,34 +53,41 @@ CONFIG_VERSION = 1
 # Validation helpers (field-path error messages)
 
 
-def _need(cfg: dict, key: str, kind, path: str):
+def _check(val, kind, where: str, low=None):
+    """``val`` as a finite ``kind`` (int or float) of at least ``low``."""
+    if isinstance(val, bool) or not isinstance(val, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: expected {what}, got {type(val).__name__}")
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{where}: must be finite, got {val}")
+    if low is not None and val < low:
+        raise ConfigError(f"{where}: must be at least {low}, got {val}")
+    return kind(val)
+
+
+def _need(cfg: dict, key: str, kind, path: str, low=None):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}: required field missing")
     val = cfg[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{path}.{key}: expected a number, got {type(val).__name__}")
-        return float(val)
-    if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {type(val).__name__}")
-        return val
+    if kind in (int, float):
+        return _check(val, kind, f"{path}.{key}", low)
     if not isinstance(val, kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
 
 
-def _opt(cfg: dict, key: str, kind, path: str, default):
-    if key not in cfg:
+def _opt(cfg: dict, key: str, kind, path: str, default, low=None):
+    return _need(cfg, key, kind, path, low) if key in cfg else default
+
+
+def _int_list(cfg: dict, key: str, path: str, default=None) -> list[int]:
+    """A nonempty list of positive integers (``default`` when absent, if given)."""
+    if key not in cfg and default is not None:
         return default
-    return _need(cfg, key, kind, path)
-
-
-def _int_list(cfg: dict, key: str, path: str) -> list[int]:
     val = _need(cfg, key, list, path)
-    if not val or not all(isinstance(v, int) and not isinstance(v, bool) for v in val):
+    if not val:
         raise ConfigError(f"{path}.{key}: expected a nonempty list of integers")
-    return val
+    return [_check(v, int, f"{path}.{key}[{i}]", 1) for i, v in enumerate(val)]
 
 
 def load_config(path) -> dict:
@@ -89,7 +96,7 @@ def load_config(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
@@ -99,7 +106,7 @@ def load_config(path) -> dict:
     kind = _need(cfg, "kind", str, "config")
     if kind not in ("vmc", "floquet", "pareto", "circuit"):
         raise ConfigError(f"config.kind: unknown experiment kind {kind!r}")
-    _need(cfg, "seed", int, "config")
+    _need(cfg, "seed", int, "config", 0)
     return cfg
 
 
@@ -143,88 +150,86 @@ def _write_manifest(out_dir: Path, config: dict, timings: dict, files: list[str]
 # vmc
 
 
-def _parse_lattice(cfg: dict, path: str, max_sites: int) -> tuple[int, int, str]:
-    lat = _need(cfg, "lattice", dict, path)
-    rows = _need(lat, "rows", int, f"{path}.lattice")
-    cols = _need(lat, "cols", int, f"{path}.lattice")
-    boundary = _opt(lat, "boundary", str, f"{path}.lattice", "obc")
+def _lattice_experiment(cfg: dict, max_sites: int):
+    """The checked lattice, model, grid and initial state of a ``vmc`` or
+    ``pareto`` config: ``(model, grid, bond_dims, chis, make_peps)``, where
+    ``make_peps(bond_dim)`` builds the starting state."""
+    lat = _need(cfg, "lattice", dict, "config")
+    rows = _need(lat, "rows", int, "config.lattice", 1)
+    cols = _need(lat, "cols", int, "config.lattice", 1)
+    boundary = _opt(lat, "boundary", str, "config.lattice", "obc")
     if boundary not in ("obc", "pbc"):
-        raise ConfigError(f"{path}.lattice.boundary: expected 'obc' or 'pbc'")
-    if rows < 1 or cols < 1:
-        raise ConfigError(f"{path}.lattice: extents must be positive")
+        raise ConfigError("config.lattice.boundary: expected 'obc' or 'pbc'")
     if rows * cols > max_sites:
         raise ResourceLimitError(f"lattice {rows}x{cols} exceeds the {max_sites}-site guard")
-    return rows, cols, boundary
-
-
-def _parse_model(cfg: dict, rows: int, cols: int, boundary: str, path: str):
-    mc = _need(cfg, "model", dict, path)
-    name = _need(mc, "name", str, f"{path}.model")
+    mc = _need(cfg, "model", dict, "config")
+    name = _need(mc, "name", str, "config.model")
     if name == "heisenberg":
-        return heisenberg(rows, cols, boundary)
-    if name == "j1j2":
-        return j1j2(rows, cols, _need(mc, "j2", float, f"{path}.model"), boundary)
-    raise ConfigError(f"{path}.model.name: unknown model {name!r}")
-
-
-def _initial_peps(cfg: dict, model, bond_dim: int, seed: int, path: str) -> Peps:
-    init = _opt(cfg, "init", dict, path, {"method": "simple_update"})
-    method = _opt(init, "method", str, f"{path}.init", "simple_update")
-    if method == "file":
-        ckpt = _need(init, "path", str, f"{path}.init")
-        try:
-            peps = load_peps(ckpt)
-        except (OSError, ValueError, struct.error) as exc:
-            raise ConfigError(f"{path}.init.path: cannot load checkpoint {ckpt!r}: {exc}") from exc
-        if (peps.rows, peps.cols, peps.boundary) != (model.rows, model.cols, model.boundary):
-            raise ConfigError(f"{path}.init.path: checkpoint lattice differs from {path}.lattice")
-        return peps
-    p = random_peps(model.rows, model.cols, 2, bond_dim, seed=seed, boundary=model.boundary)
-    if method == "random":
-        return p
-    if method == "simple_update":
-        tau = _opt(init, "tau", float, f"{path}.init", 0.05)
-        steps = _opt(init, "steps", int, f"{path}.init", 200)
-        if tau <= 0:
-            raise ConfigError(f"{path}.init.tau: must be positive")
-        edges = set(nn_pairs(model.rows, model.cols, model.boundary))
-        if any((i, j) not in edges for i, j, _ in model.couplings):
-            raise ConfigError(
-                f"{path}.init.method: simple_update needs nearest-neighbour couplings only, "
-                f"and model {model.name!r} has others; use 'random' or 'file'"
-            )
-        return simple_update(p, model, tau=tau, steps=steps)
-    raise ConfigError(f"{path}.init.method: unknown method {method!r}")
-
-
-def run_vmc(cfg: dict, out_dir: Path) -> list[str]:
-    rows, cols, boundary = _parse_lattice(cfg, "config", 64)
-    model = _parse_model(cfg, rows, cols, boundary, "config")
-    seed = cfg["seed"]
+        model = heisenberg(rows, cols, boundary)
+    elif name == "j1j2":
+        model = j1j2(rows, cols, _need(mc, "j2", float, "config.model"), boundary)
+    else:
+        raise ConfigError(f"config.model.name: unknown model {name!r}")
     grid = _need(cfg, "grid", dict, "config")
     bond_dims = _int_list(grid, "bond_dims", "config.grid")
     chis = _int_list(grid, "chis", "config.grid")
+    seed = cfg["seed"]
+    init = _opt(cfg, "init", dict, "config", {})
+    method = _opt(init, "method", str, "config.init", "simple_update")
+    if method == "file":
+        ckpt = _need(init, "path", str, "config.init")
+        try:
+            loaded = load_peps(ckpt)
+        except (OSError, ValueError, struct.error) as exc:
+            raise ConfigError(f"config.init.path: cannot load checkpoint {ckpt!r}: {exc}") from exc
+        if (loaded.rows, loaded.cols, loaded.boundary) != (rows, cols, boundary):
+            raise ConfigError("config.init.path: checkpoint lattice differs from config.lattice")
+    elif method == "simple_update":
+        tau = _opt(init, "tau", float, "config.init", 0.05)
+        if tau <= 0:
+            raise ConfigError("config.init.tau: must be positive")
+        steps = _opt(init, "steps", int, "config.init", 200, 0)
+        edges = set(nn_pairs(rows, cols, boundary))
+        if any((i, j) not in edges for i, j, _ in model.couplings):
+            raise ConfigError(
+                "config.init.method: simple_update needs nearest-neighbour couplings only, "
+                f"and model {model.name!r} has others; use 'random' or 'file'"
+            )
+    elif method != "random":
+        raise ConfigError(f"config.init.method: unknown method {method!r}")
+
+    def make_peps(bond_dim: int) -> Peps:
+        if method == "file":
+            return loaded
+        p = random_peps(rows, cols, 2, bond_dim, seed=seed, boundary=boundary)
+        return simple_update(p, model, tau=tau, steps=steps) if method == "simple_update" else p
+
+    return model, grid, bond_dims, chis, make_peps
+
+
+def run_vmc(cfg: dict, out_dir: Path) -> list[str]:
+    model, grid, bond_dims, chis, make_peps = _lattice_experiment(cfg, 64)
     modes = _need(grid, "modes", list, "config.grid")
-    for m in modes:
-        if m not in ("fixed", "dynamic"):
-            raise ConfigError(f"config.grid.modes: unknown mode {m!r}")
-    if not modes:
-        raise ConfigError("config.grid.modes: expected a nonempty list")
-    sweeps = _need(cfg, "sweeps", int, "config")
-    if sweeps < 1:
-        raise ConfigError("config.sweeps: must be positive")
-    warmup = _opt(cfg, "warmup", int, "config", None)
-    chains = _opt(cfg, "chains", int, "config", 1)
-    want_ed = _opt(cfg, "ed_reference", bool, "config", rows * cols <= 16)
-    if want_ed and rows * cols > 16:
+    if not modes or any(m not in ("fixed", "dynamic") for m in modes):
+        raise ConfigError(f"config.grid.modes: expected a nonempty list of modes, got {modes!r}")
+    sweeps = _need(cfg, "sweeps", int, "config", 1)
+    warmup = _opt(cfg, "warmup", int, "config", None, 0)
+    if warmup is not None and warmup >= sweeps:
+        raise ConfigError(f"config.warmup: must be less than config.sweeps, got {warmup}")
+    chains = _opt(cfg, "chains", int, "config", 1, 1)
+    want_ed = _opt(cfg, "ed_reference", bool, "config", model.n_sites <= 16)
+    if want_ed and model.n_sites > 16:
         raise ResourceLimitError("ed_reference limited to lattices of at most 16 sites")
+    seed = cfg["seed"]
+    header = ["bond_dim", "chi", "mode", "e_mean", "e_stderr", "e_per_site", "acceptance", "n_samples"]
+    header += ["ed_energy"] if want_ed else []
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files: list[str] = []
     ed_energy = ground_energy(model) if want_ed else None
     summary_rows = []
     for bond_dim in bond_dims:
-        peps = _initial_peps(cfg, model, bond_dim, seed, "config")
+        peps = make_peps(bond_dim)
         ckpt = out_dir / f"peps_D{bond_dim}.tnp"
         save_peps(peps, ckpt)
         files.append(ckpt.name)
@@ -254,7 +259,7 @@ def run_vmc(cfg: dict, out_dir: Path) -> list[str]:
                 files.append(f"vmc_{tag}.csv")
                 summary = {
                     "model": model.name,
-                    "lattice": [rows, cols, boundary],
+                    "lattice": [model.rows, model.cols, model.boundary],
                     "bond_dim": bond_dim,
                     "chi": chi,
                     "mode": mode,
@@ -269,22 +274,7 @@ def run_vmc(cfg: dict, out_dir: Path) -> list[str]:
                 }
                 _write_text(out_dir / f"vmc_{tag}.json", json.dumps(summary, indent=2, sort_keys=True))
                 files.append(f"vmc_{tag}.json")
-                summary_rows.append(
-                    [
-                        bond_dim,
-                        chi,
-                        mode,
-                        est.mean,
-                        est.stderr,
-                        est.per_site,
-                        est.acceptance,
-                        est.n_samples,
-                    ]
-                    + ([ed_energy] if ed_energy is not None else [])
-                )
-    header = ["bond_dim", "chi", "mode", "e_mean", "e_stderr", "e_per_site", "acceptance", "n_samples"]
-    if ed_energy is not None:
-        header.append("ed_energy")
+                summary_rows.append([summary[k] for k in header])
     _write_csv(out_dir / "energies.csv", header, summary_rows)
     files.append("energies.csv")
     return files
@@ -295,34 +285,23 @@ def run_vmc(cfg: dict, out_dir: Path) -> list[str]:
 
 
 def run_floquet(cfg: dict, out_dir: Path) -> list[str]:
-    n_sites = _need(cfg, "sites", int, "config")
+    n_sites = _need(cfg, "sites", int, "config", 2)
     if n_sites > 14:
         raise ResourceLimitError("floquet runs are guarded to 14 sites")
-    t_max = _need(cfg, "t_max", int, "config")
-    if t_max < 0:
-        raise ConfigError("config.t_max: must be nonnegative")
+    t_max = _need(cfg, "t_max", int, "config", 0)
     if "preset" in cfg:
         preset = _need(cfg, "preset", str, "config")
         if preset not in PRESETS:
             raise ConfigError(f"config.preset: unknown preset {preset!r}")
-        pars = PRESETS[preset]
-        params = FloquetParams(n_sites, pars["j"], pars["g"], pars["h"], t_max)
+        couplings = PRESETS[preset]
     else:
         pc = _need(cfg, "params", dict, "config")
-        params = FloquetParams(
-            n_sites,
-            _need(pc, "j", float, "config.params"),
-            _need(pc, "g", float, "config.params"),
-            _need(pc, "h", float, "config.params"),
-            t_max,
-        )
+        couplings = {k: _need(pc, k, float, "config.params") for k in ("j", "g", "h")}
+    params = FloquetParams(n_sites, **couplings, t_max=t_max)
     methods = _need(cfg, "methods", list, "config")
-    if not methods:
-        raise ConfigError("config.methods: expected a nonempty list")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"config.methods: unknown method {m!r}")
-    chis = _int_list(cfg, "chis", "config") if "chis" in cfg else [2]
+    if not methods or any(m not in METHODS for m in methods):
+        raise ConfigError(f"config.methods: expected a nonempty list of methods, got {methods!r}")
+    chis = _int_list(cfg, "chis", "config", [2])
 
     exact = entanglement_dynamics(params, "exact")
     files: list[str] = []
@@ -342,8 +321,6 @@ def run_floquet(cfg: dict, out_dir: Path) -> list[str]:
             tag = method if method == "exact" else f"{method}_chi{chi}"
             _write_csv(out_dir / f"spectrum_{tag}.csv", ["t", "alpha", "lambda2"], spec_rows)
             files.append(f"spectrum_{tag}.csv")
-            if method == "exact":
-                break
     _write_csv(out_dir / "entropy.csv", ["t", "s_exact", "s_method", "chi", "method"], rows)
     files.append("entropy.csv")
     return files
@@ -354,23 +331,21 @@ def run_floquet(cfg: dict, out_dir: Path) -> list[str]:
 
 
 def run_pareto(cfg: dict, out_dir: Path) -> list[str]:
-    rows, cols, boundary = _parse_lattice(cfg, "config", 36)
-    model = _parse_model(cfg, rows, cols, boundary, "config")
-    seed = cfg["seed"]
-    grid = _need(cfg, "grid", dict, "config")
-    bond_dims = _int_list(grid, "bond_dims", "config.grid")
-    chis = _int_list(grid, "chis", "config.grid")
+    model, _, bond_dims, chis, make_peps = _lattice_experiment(cfg, 36)
+    if model.n_sites < 2:  # accuracy is relative to the ground energy, 0 on one site
+        raise ConfigError("config.lattice: pareto needs at least two sites")
     sgd = _opt(cfg, "sgd", dict, "config", {})
-    iterations = _opt(sgd, "iterations", int, "config.sgd", 10)
-    sgd_sweeps = _opt(sgd, "sweeps", int, "config.sgd", 100)
+    iterations = _opt(sgd, "iterations", int, "config.sgd", 10, 0)
+    sgd_sweeps = _opt(sgd, "sweeps", int, "config.sgd", 100, 1)
     lr = _opt(sgd, "learning_rate", float, "config.sgd", 0.05)
-    eval_sweeps = _opt(cfg, "sweeps", int, "config", 500)
-    timing_reps = _opt(cfg, "timing_amplitudes", int, "config", 50)
+    eval_sweeps = _opt(cfg, "sweeps", int, "config", 500, 1)
+    timing_reps = _opt(cfg, "timing_amplitudes", int, "config", 50, 1)
+    seed = cfg["seed"]
 
-    ed_energy = ground_energy(model) if rows * cols <= 16 else None
+    ed_energy = ground_energy(model) if model.n_sites <= 16 else None
     results = []
     for bond_dim in bond_dims:
-        base = _initial_peps(cfg, model, bond_dim, seed, "config")
+        base = make_peps(bond_dim)
         for chi in chis:
             best, _trace = sgd_optimize(
                 base,
@@ -382,8 +357,8 @@ def run_pareto(cfg: dict, out_dir: Path) -> list[str]:
                 n_sweeps=sgd_sweeps,
             )
             est = estimate_energy(best, model, "fixed", chi, n_sweeps=eval_sweeps, seed=seed)
-            evaluator = FixedEvaluator(best, FixedPlan.for_lattice(rows, cols, chi))
-            cfg0 = neel_config(rows, cols)
+            evaluator = FixedEvaluator(best, FixedPlan.for_lattice(model.rows, model.cols, chi))
+            cfg0 = neel_config(model.rows, model.cols)
             t0 = time.perf_counter()
             for rep in range(timing_reps):
                 evaluator.clear()  # time full contractions, not lookups
@@ -411,23 +386,13 @@ def run_pareto(cfg: dict, out_dir: Path) -> list[str]:
                 for o in results
             )
         )
-    files = []
-    _write_csv(
-        out_dir / "pareto.csv",
-        ["bond_dim", "chi", "energy", "stderr", "accuracy", "acceptance"],
-        [
-            [r["bond_dim"], r["chi"], r["energy"], r["stderr"], r["accuracy"], r["acceptance"]]
-            for r in results
-        ],
-    )
-    files.append("pareto.csv")
-    _write_csv(
-        out_dir / "timing_pareto.csv",
-        ["bond_dim", "chi", "amp_seconds", "frontier"],
-        [[r["bond_dim"], r["chi"], r["amp_seconds"], r["frontier"]] for r in results],
-    )
-    files.append("timing_pareto.csv")
-    return files
+    tables = {
+        "pareto.csv": ["bond_dim", "chi", "energy", "stderr", "accuracy", "acceptance"],
+        "timing_pareto.csv": ["bond_dim", "chi", "amp_seconds", "frontier"],
+    }
+    for name, header in tables.items():
+        _write_csv(out_dir / name, header, [[r[k] for k in header] for r in results])
+    return list(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +410,19 @@ _BINARY_SUITES = {
 
 def run_circuit(cfg: dict, out_dir: Path) -> list[str]:
     suites = _need(cfg, "suites", list, "config")
-    if not suites:
-        raise ConfigError("config.suites: expected a nonempty list")
-    for s in suites:
-        if s not in {*_BINARY_SUITES, "fnn", "memo"}:
-            raise ConfigError(f"config.suites: unknown suite {s!r}")
+    if not suites or any(s not in (*_BINARY_SUITES, "fnn", "memo") for s in suites):
+        raise ConfigError(f"config.suites: expected a nonempty list of suites, got {suites!r}")
     widths = _opt(cfg, "max_bits", dict, "config", {})
     bits = {}
     for name, (default, _, _, _) in _BINARY_SUITES.items():
-        bits[name] = _opt(widths, name, int, "config.max_bits", default)
+        bits[name] = _opt(widths, name, int, "config.max_bits", default, 1)
         if bits[name] > 8:
             raise ResourceLimitError(f"exhaustive {name} suite guarded to 8 bits, got {bits[name]}")
     fc = _opt(cfg, "fnn", dict, "config", {})
-    fnn_widths = _opt(fc, "widths", list, "config.fnn", [2, 4, 1])
-    n_inputs = _opt(fc, "n_inputs", int, "config.fnn", 100)
+    fnn_widths = _int_list(fc, "widths", "config.fnn", [2, 4, 1])
+    if len(fnn_widths) < 2:
+        raise ConfigError("config.fnn.widths: expected at least two layer widths")
+    n_inputs = _opt(fc, "n_inputs", int, "config.fnn", 100, 1)
     seed = cfg["seed"]
 
     def fnn_setup():
@@ -528,6 +492,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed: must be at least 0, got {args.seed}")
 
     try:
         cfg = load_config(args.config)

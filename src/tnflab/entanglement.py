@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _MAX_SITES = 14
+_TRACE_TOL = 1e-6
 METHODS = ("exact", "mps", "tnf_transverse", "tnf_inverse", "mpo")
 
 
@@ -91,18 +92,16 @@ def rdm_from_amplitudes(
     return rdm_from_dense(psi, n_sites, region)
 
 
-def entropy_and_spectrum(
-    rho: np.ndarray, top: int = 40, trace_tol: float = 1e-6
-) -> tuple[float, np.ndarray, int]:
+def entropy_and_spectrum(rho: np.ndarray, top: int = 40) -> tuple[float, np.ndarray, int]:
     """Von Neumann entropy (natural log) and the descending spectrum.
 
     Eigenvalues are clipped at zero inside the entropy sum; the returned
     count reports how many were clipped. The spectrum keeps the ``top``
-    largest eigenvalues. Trace deviations beyond ``trace_tol`` raise
+    largest eigenvalues. Trace deviations beyond ``1e-6`` raise
     :class:`DataError`.
     """
     tr = float(np.real(np.trace(rho)))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _TRACE_TOL:
         raise DataError(f"density matrix trace {tr} deviates from 1")
     vals = np.linalg.eigvalsh(rho)[::-1]
     clipped = int(np.sum(vals < 0))

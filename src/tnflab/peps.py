@@ -358,27 +358,33 @@ class FixedPlan:
 
     Rows ``[0, mid)`` are absorbed downward, rows ``(mid, rows-1]`` upward,
     and the strip at ``mid`` is closed exactly. A pure function of
-    ``(rows, cols, chi)``: serializing the plan yields the same bytes for
-    every configuration of a lattice.
+    ``(rows, cols, chi, mid)``: serializing the plan yields the same bytes for
+    every configuration of a lattice. :meth:`for_lattice` closes at the
+    middle row.
     """
 
     rows: int
     cols: int
     chi: int
     mid: int
-    steps: tuple[tuple[str, int], ...]
+
+    def __post_init__(self):
+        if self.chi < 1:
+            raise ValueError(f"chi must be positive, got {self.chi}")
+        if not 0 <= self.mid < self.rows:
+            raise ValueError(f"mid must be in [0, {self.rows}), got {self.mid}")
 
     @classmethod
     def for_lattice(cls, rows: int, cols: int, chi: int) -> "FixedPlan":
-        if chi < 1:
-            raise ValueError(f"chi must be positive, got {chi}")
-        mid = rows // 2
-        steps = tuple(
-            [("top", r) for r in range(mid)]
-            + [("bottom", r) for r in range(rows - 1, mid, -1)]
-            + [("close", mid)]
+        return cls(rows, cols, chi, rows // 2)
+
+    @property
+    def steps(self) -> tuple[tuple[str, int], ...]:
+        return tuple(
+            [("top", r) for r in range(self.mid)]
+            + [("bottom", r) for r in range(self.rows - 1, self.mid, -1)]
+            + [("close", self.mid)]
         )
-        return cls(rows, cols, chi, mid, steps)
 
     def serialize(self) -> str:
         body = ";".join(f"{s}:{r}" for s, r in self.steps)

@@ -150,12 +150,15 @@ def renormalize(t: np.ndarray) -> Renormalized:
 
     The original tensor equals ``tensor * exp(log_factor)``. An exactly-zero
     input is returned unchanged with ``log_factor`` 0 and the zero flag set;
-    callers propagate the flag instead of producing -inf scales.
+    callers propagate the flag instead of producing -inf scales. A NaN or
+    infinite entry raises :class:`NumericalAbortError`.
     """
     t = np.asarray(t)
     m = float(np.max(np.abs(t))) if t.size else 0.0
-    if m == 0.0:
-        return Renormalized(t, 0.0, True)
+    if not 0.0 < m < math.inf:
+        if m == 0.0:
+            return Renormalized(t, 0.0, True)
+        raise NumericalAbortError(f"cannot renormalize a tensor whose largest entry is {m}")
     return Renormalized(t / m, math.log(m), False)
 
 

@@ -145,10 +145,6 @@ class EnergyEstimate:
     def per_site(self) -> float:
         return self.mean / self.n_sites
 
-    @property
-    def stderr_per_site(self) -> float:
-        return self.stderr / self.n_sites
-
 
 def _make_evaluator(peps: Peps, mode: str, chi: int):
     if mode == "fixed":
@@ -422,7 +418,7 @@ def sgd_optimize(
     peps: Peps,
     model: Model,
     chi: int,
-    learning_rate,
+    learning_rate: float,
     iterations: int,
     seed: int = 0,
     n_sweeps: int = 200,
@@ -431,12 +427,10 @@ def sgd_optimize(
 ) -> tuple[Peps, list[float]]:
     """Stochastic gradient descent on the flattened tensors.
 
-    ``learning_rate`` is a float or a callable ``iteration -> float``.
     Returns the best-energy state seen and the per-iteration energy trace.
     Aborts with :class:`NumericalAbortError` when the energy rises more than
     ten times its initial magnitude above the start.
     """
-    lr = learning_rate if callable(learning_rate) else (lambda _i, v=learning_rate: v)
     params = peps_to_params(peps)
     current = peps
     trace: list[float] = []
@@ -463,6 +457,6 @@ def sgd_optimize(
         if info.energy < best_energy:
             best_energy = info.energy
             best = current
-        params = params - lr(it) * grad
+        params = params - learning_rate * grad
         current = peps_from_params(peps, params)
     return best, trace

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tnflab import cli
 from tnflab.cli import main
-from tnflab.peps import random_peps, save_peps
+from tnflab.peps import load_peps, random_peps, save_peps
 
 
 def write_config(tmp_path, name, payload):
@@ -38,8 +39,118 @@ VMC_SMALL = {
     "init": {"method": "simple_update", "tau": 0.05, "steps": 30},
 }
 
+PARETO_SMALL = {
+    "version": 1,
+    "kind": "pareto",
+    "seed": 2,
+    "lattice": {"rows": 2, "cols": 2, "boundary": "obc"},
+    "model": {"name": "heisenberg"},
+    "grid": {"bond_dims": [2], "chis": [2]},
+    "sgd": {"iterations": 2, "sweeps": 40, "learning_rate": 0.05},
+    "sweeps": 80,
+    "timing_amplitudes": 5,
+    "init": {"method": "simple_update", "tau": 0.05, "steps": 30},
+}
+
+SMALL = {
+    "vmc": VMC_SMALL,
+    "pareto": PARETO_SMALL,
+    "floquet": {
+        "version": 1,
+        "kind": "floquet",
+        "seed": 1,
+        "sites": 4,
+        "t_max": 1,
+        "params": {"j": 0.7, "g": 0.5, "h": 0.5},
+        "methods": ["exact", "mps"],
+    },
+    "circuit": {"version": 1, "kind": "circuit", "seed": 1, "suites": ["fnn"]},
+}
+
+
+def patched(base, changes):
+    """A deep copy of ``base`` with each dotted path in ``changes`` set."""
+    cfg = json.loads(json.dumps(base))
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        node = cfg
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+    return cfg
+
+
+# (kind, changes, field path the error names)
+BAD_FIELDS = [
+    ("vmc", {"warmup": 60}, "config.warmup"),
+    ("vmc", {"warmup": -1}, "config.warmup"),
+    ("vmc", {"chains": 0}, "config.chains"),
+    ("vmc", {"grid.chis": [0]}, "config.grid.chis"),
+    ("vmc", {"grid.bond_dims": [0]}, "config.grid.bond_dims"),
+    ("pareto", {"sgd.sweeps": 0}, "config.sgd.sweeps"),
+    ("pareto", {"sweeps": 0}, "config.sweeps"),
+    ("pareto", {"timing_amplitudes": 0}, "config.timing_amplitudes"),
+    ("floquet", {"chis": [0]}, "config.chis"),
+    ("floquet", {"sites": 1}, "config.sites"),
+    ("floquet", {"params.j": math.nan}, "config.params.j"),
+    ("circuit", {"max_bits.adder": 0}, "config.max_bits.adder"),
+    ("circuit", {"fnn.widths": [1]}, "config.fnn.widths"),
+    ("circuit", {"fnn.widths": ["a", 2]}, "config.fnn.widths"),
+    ("vmc", {"model.name": "j1j2", "model.j2": math.nan, "init.method": "random"}, "config.model.j2"),
+    ("vmc", {"init.tau": math.inf}, "config.init.tau"),
+    ("pareto", {"sgd.learning_rate": math.nan}, "config.sgd.learning_rate"),
+    ("circuit", {"fnn.widths": [2, 0, 1]}, "config.fnn.widths"),
+    ("circuit", {"fnn.n_inputs": -1}, "config.fnn.n_inputs"),
+    ("vmc", {"init.method": "nope"}, "config.init.method"),
+    ("vmc", {"init.tau": 0}, "config.init.tau"),
+    ("circuit", {"seed": -1}, "config.seed"),
+    ("pareto", {"lattice.rows": 1, "lattice.cols": 1}, "config.lattice"),
+]
+
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kind,changes,field",
+        BAD_FIELDS,
+        ids=[kind + "".join(f"-{k}={v}" for k, v in ch.items()) for kind, ch, _ in BAD_FIELDS],
+    )
+    def test_bad_field_exits_2_before_any_work(self, tmp_path, capsys, kind, changes, field):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, "bad.json", patched(SMALL[kind], changes))
+        assert main([kind, "--config", cfg, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_too_long_to_parse_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"version": 1, "kind": "circuit", "seed": ' + "1" * 5000 + "}")
+        assert main(["circuit", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path, "s.json", VMC_SMALL)
+        with pytest.raises(SystemExit) as exc:
+            main(["vmc", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "init", [{"method": "nope"}, {"method": "simple_update", "tau": -1.0}, {"method": "file"}]
+    )
+    def test_invalid_init_leaves_no_directory(self, tmp_path, capsys, init):
+        """The init block is checked before the exact diagonalization and
+        before the output directory is made."""
+        payload = {
+            **VMC_SMALL,
+            "lattice": {"rows": 4, "cols": 4, "boundary": "pbc"},
+            "model": {"name": "j1j2", "j2": 0.5},
+            "init": init,
+        }
+        out = tmp_path / "o"
+        assert main(["vmc", "--config", write_config(tmp_path, "i.json", payload), "--out", str(out)]) == 2
+        assert "config.init" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_field_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {"version": 1, "kind": "vmc", "seed": 1})
         assert main(["vmc", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -187,6 +298,19 @@ class TestCheckpointInit:
         assert self.run_from(tmp_path, ckpt) == 2
         assert "config.init.path" in capsys.readouterr().err
 
+    def test_checkpoint_loaded_once_for_every_bond_dim(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "state.tnp"
+        save_peps(random_peps(3, 3, 2, 2, seed=0), ckpt)
+        loads = []
+        monkeypatch.setattr(cli, "load_peps", lambda path: loads.append(path) or load_peps(path))
+        cfg = {**VMC_SMALL, "grid": {"bond_dims": [2, 3], "chis": [2], "modes": ["fixed"]}}
+        cfg["init"] = {"method": "file", "path": str(ckpt)}
+        out = tmp_path / "o"
+        assert main(["vmc", "--config", write_config(tmp_path, "f.json", cfg), "--out", str(out)]) == 0
+        assert loads == [str(ckpt)]
+        assert (out / "peps_D2.tnp").read_bytes() == (out / "peps_D3.tnp").read_bytes()
+        assert len((out / "energies.csv").read_text().splitlines()) == 3
+
     def test_nan_state_exits_4(self, tmp_path):
         state = random_peps(3, 3, 2, 2, seed=0)
         state.sites[1][1][0, 0, 0, 0, 0] = math.nan
@@ -278,22 +402,7 @@ class TestCircuitRun:
 
 class TestParetoRun:
     def test_single_point_is_frontier(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            "p.json",
-            {
-                "version": 1,
-                "kind": "pareto",
-                "seed": 2,
-                "lattice": {"rows": 2, "cols": 2, "boundary": "obc"},
-                "model": {"name": "heisenberg"},
-                "grid": {"bond_dims": [2], "chis": [2]},
-                "sgd": {"iterations": 2, "sweeps": 40, "learning_rate": 0.05},
-                "sweeps": 80,
-                "timing_amplitudes": 5,
-                "init": {"method": "simple_update", "tau": 0.05, "steps": 30},
-            },
-        )
+        cfg = write_config(tmp_path, "p.json", PARETO_SMALL)
         out = tmp_path / "o"
         assert main(["pareto", "--config", cfg, "--out", str(out)]) == 0
         timing = (out / "timing_pareto.csv").read_text().strip().splitlines()

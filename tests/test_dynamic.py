@@ -94,16 +94,6 @@ class TestInconsistencyWitness:
         assert (a.mantissa, a.log_scale) == (b.mantissa, b.log_scale)
 
 
-def plan_closing_at(rows, cols, chi, mid):
-    """A fixed schedule like ``FixedPlan.for_lattice`` but closing at ``mid``."""
-    steps = tuple(
-        [("top", r) for r in range(mid)]
-        + [("bottom", r) for r in range(rows - 1, mid, -1)]
-        + [("close", mid)]
-    )
-    return FixedPlan(rows, cols, chi, mid, steps)
-
-
 class TestClosureRow:
     @pytest.mark.parametrize("boundary", ["obc", "pbc"])
     def test_peek_is_fixed_schedule_closed_at_last_changed_row(self, boundary):
@@ -116,7 +106,7 @@ class TestClosureRow:
         n = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
         cache = DynamicCache(p, chi)
         cold = cache.amplitude(n)
-        want = amplitude_fixed(p, n, plan_closing_at(rows, cols, chi, rows - 1))
+        want = amplitude_fixed(p, n, FixedPlan(rows, cols, chi, rows - 1))
         assert (cold.mantissa, cold.log_scale, cold.is_zero) == (
             want.mantissa, want.log_scale, want.is_zero
         )
@@ -128,7 +118,7 @@ class TestClosureRow:
             n1[i], n1[j] = n1[j], n1[i]
             assert max(np.nonzero(n1 != cache.base)[0]) // cols == last_row
             got = cache.peek(n1)
-            want = amplitude_fixed(p, n1, plan_closing_at(rows, cols, chi, last_row))
+            want = amplitude_fixed(p, n1, FixedPlan(rows, cols, chi, last_row))
             assert (got.mantissa, got.log_scale, got.is_zero) == (
                 want.mantissa, want.log_scale, want.is_zero
             ), (boundary, step)

@@ -273,6 +273,12 @@ class TestAmplitudeFixed:
         assert plan.mid == 2
         assert plan.steps[-1] == ("close", 2)
 
+    def test_plan_checks_chi_and_closure_row(self):
+        assert FixedPlan(4, 4, 3, 2) == FixedPlan.for_lattice(4, 4, 3)
+        for chi, mid in ((0, 2), (2, 4), (2, -1)):
+            with pytest.raises(ValueError):
+                FixedPlan(4, 4, chi, mid)
+
     # The memo tests loop over both boundaries inside one test each, so a PBC
     # regression fails the same test id that guards the OBC path.
 

@@ -1,5 +1,6 @@
 """Gauge-fixed SVD and scale management."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,14 @@ class TestRenormalize:
         out, log, zero = renormalize(t)
         assert zero and log == 0.0
         assert np.array_equal(out, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_aborts_without_warning(self, bad):
+        t = np.array([[1.0, bad], [0.5, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalAbortError):
+                renormalize(t)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=50, deadline=None)

@@ -142,15 +142,6 @@ def als_ground_state(model, bond_dim: int, seed: int, sweeps: int) -> Peps:
 # Step 2: the dynamic Metropolis chain as a Markov chain on (config, row)
 
 
-def closure_plan(rows: int, cols: int, chi: int, mid: int) -> FixedPlan:
-    steps = tuple(
-        [("top", r) for r in range(mid)]
-        + [("bottom", r) for r in range(rows - 1, mid, -1)]
-        + [("close", mid)]
-    )
-    return FixedPlan(rows, cols, chi, mid, steps)
-
-
 class DynamicChain:
     """Long-run statistics of ``estimate_energy(..., "dynamic", chi)``."""
 
@@ -186,7 +177,7 @@ class DynamicChain:
         rows, cols = self.model.rows, self.model.cols
         amps = []
         for mid in range(rows):
-            ev = FixedEvaluator(peps, closure_plan(rows, cols, chi, mid), max_entries=10**7)
+            ev = FixedEvaluator(peps, FixedPlan(rows, cols, chi, mid), max_entries=10**7)
             amps.append([ev.amplitude(cfg) for cfg in self.configs])
         top = max(a.log_scale for row in amps for a in row if not a.is_zero)
         return np.array(
