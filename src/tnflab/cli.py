@@ -40,7 +40,7 @@ from .circuit import (
 from .ed import ground_energy
 from .entanglement import METHODS, entanglement_dynamics
 from .errors import ConfigError, NumericalAbortError, ResourceLimitError
-from .floquet import FloquetParams, PRESETS
+from .floquet import MAX_DENSE_SITES, FloquetParams, PRESETS
 from .models import heisenberg, j1j2, neel_config, nn_pairs
 from .peps import FixedEvaluator, FixedPlan, Peps, load_peps, random_peps, save_peps
 from .simple_update import simple_update
@@ -286,8 +286,8 @@ def run_vmc(cfg: dict, out_dir: Path) -> list[str]:
 
 def run_floquet(cfg: dict, out_dir: Path) -> list[str]:
     n_sites = _need(cfg, "sites", int, "config", 2)
-    if n_sites > 14:
-        raise ResourceLimitError("floquet runs are guarded to 14 sites")
+    if n_sites > MAX_DENSE_SITES:
+        raise ResourceLimitError(f"floquet runs are guarded to {MAX_DENSE_SITES} sites")
     t_max = _need(cfg, "t_max", int, "config", 0)
     if "preset" in cfg:
         preset = _need(cfg, "preset", str, "config")

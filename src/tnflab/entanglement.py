@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DataError, ResourceLimitError
 from .floquet import (
+    MAX_DENSE_SITES,
     FloquetParams,
     config_index,
     evolve_conventional,
@@ -39,7 +40,6 @@ __all__ = [
     "METHODS",
 ]
 
-_MAX_SITES = 14
 _TRACE_TOL = 1e-6
 METHODS = ("exact", "mps", "tnf_transverse", "tnf_inverse", "mpo")
 
@@ -47,17 +47,12 @@ METHODS = ("exact", "mps", "tnf_transverse", "tnf_inverse", "mpo")
 def dense_state_from_amplitudes(amplitude_fn: Callable, n_sites: int) -> np.ndarray:
     """Enumerate all 2^L amplitudes into a dense vector (site 0 most
     significant), rescaled by the largest log factor; not normalized."""
-    if n_sites > _MAX_SITES:
-        raise ResourceLimitError(f"amplitude enumeration guarded to {_MAX_SITES} sites")
+    if n_sites > MAX_DENSE_SITES:
+        raise ResourceLimitError(f"amplitude enumeration guarded to {MAX_DENSE_SITES} sites")
     dim = 1 << n_sites
-    amps = []
-    max_log = -math.inf
-    for idx in range(dim):
-        cfg = [(idx >> (n_sites - 1 - c)) & 1 for c in range(n_sites)]
-        a = amplitude_fn(np.array(cfg, dtype=np.int64))
-        amps.append(a)
-        if not a.is_zero:
-            max_log = max(max_log, a.log_scale)
+    bits = (np.arange(dim, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+    amps = [amplitude_fn(cfg) for cfg in bits]
+    max_log = max((a.log_scale for a in amps if not a.is_zero), default=-math.inf)
     psi = np.zeros(dim, dtype=complex)
     if math.isinf(max_log):
         return psi
@@ -112,7 +107,15 @@ def entropy_and_spectrum(rho: np.ndarray, top: int = 40) -> tuple[float, np.ndar
 
 
 def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int):
-    """Configuration -> AmplitudeValue for one method at fixed time."""
+    """Configuration -> AmplitudeValue for one method at fixed time.
+
+    Raises ``ValueError`` for an unknown method, or a truncated method
+    without a positive ``chi``.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method != "exact" and (chi is None or chi < 1):
+        raise ValueError("truncated methods need a positive chi")
     if method == "exact":
         psi = exact_evolve(params, t)
         return lambda cfg: AmplitudeValue.from_parts(complex(psi[config_index(cfg)]))
@@ -123,10 +126,8 @@ def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: 
         return lambda cfg: tnf_amplitude_transverse(params, cfg, chi, t)
     if method == "tnf_inverse":
         return lambda cfg: tnf_amplitude_inverse_time(params, cfg, chi, t)
-    if method == "mpo":
-        sites, log = mpo_mpo_inverse(params, chi, t)
-        return lambda cfg: mpo_amplitude(sites, log, cfg)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    sites, log = mpo_mpo_inverse(params, chi, t)
+    return lambda cfg: mpo_amplitude(sites, log, cfg)
 
 
 @dataclass
@@ -151,12 +152,9 @@ def entanglement_dynamics(
 
     ``region`` defaults to the half chain (0, L//2). Truncated methods give
     unnormalized states; each density matrix is normalized before the
-    entropy is taken.
+    entropy is taken. An unknown method, or a truncated one without a
+    positive ``chi``, raises ``ValueError``.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method != "exact" and (chi is None or chi < 1):
-        raise ValueError("truncated methods need a positive chi")
     n = params.n_sites
     if region is None:
         region = (0, n // 2)
@@ -179,7 +177,8 @@ def bulk_entropy_sweep(
     sizes: Sequence[int] | None = None,
 ) -> list[tuple[int, float]]:
     """Entropy of centered bulk regions versus region size at fixed time,
-    the volume-law/area-law diagnostic."""
+    the volume-law/area-law diagnostic. Raises ``ValueError`` as
+    :func:`entanglement_dynamics` does, and for a negative ``t``."""
     n = params.n_sites
     if sizes is None:
         sizes = range(1, n)

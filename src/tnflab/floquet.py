@@ -6,7 +6,7 @@ period operator is held as an exact MPO (bond dimension at most 4, in
 practice 2) built by SVD-splitting the two-qubit gates with the singular
 values shared as square roots between the sites.
 
-Amplitudes ``<n| F^t |0...0>`` come from four contraction routes:
+Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
 
 * :func:`exact_evolve` - dense state vector, the benchmark (L <= 14).
 * :func:`evolve_conventional` - MPS compressed to ``chi`` after every
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .mps import apply_mpo, compress, contract_mps_chain, mps_amplitude, product_mps
-from .peps import boundary_absorb
+from .peps import as_config, boundary_absorb
 from .tensor import AmplitudeValue, svd_split
 
 __all__ = [
@@ -42,9 +42,11 @@ __all__ = [
     "mpo_mpo_inverse",
     "mpo_amplitude",
     "config_index",
+    "MAX_DENSE_SITES",
 ]
 
-_MAX_DENSE_SITES = 14
+# Largest chain held as a dense 2^L state vector or enumerated in full.
+MAX_DENSE_SITES = 14
 
 
 @dataclass(frozen=True)
@@ -83,16 +85,15 @@ def _zz_gate(j: float) -> np.ndarray:
     z = np.array([1.0, -1.0])
     phases = np.exp(1j * j * np.outer(z, z))  # (s1, s2)
     g = np.zeros((2, 2, 2, 2), dtype=complex)
-    for s1 in range(2):
-        for s2 in range(2):
-            g[s1, s1, s2, s2] = phases[s1, s2]
+    s = np.arange(2)
+    g[s[:, None], s[:, None], s, s] = phases
     return g
 
 
 def _split_zz(j: float) -> tuple[np.ndarray, np.ndarray]:
     """SVD split of the two-qubit gate, square roots of the singular values
     absorbed symmetrically. Left piece (out, in, k), right piece (k, out, in)."""
-    split = svd_split(_zz_gate(j), [0, 1], 4)
+    split = svd_split(_zz_gate(j), 2, 4)
     root = np.sqrt(split.singulars)
     left = split.isometry * root[None, None, :]
     right = root[:, None, None] * split.right
@@ -104,27 +105,21 @@ def build_floquet_mpo(params: FloquetParams) -> list[np.ndarray]:
 
     Bond gates live on even links (0-indexed) and odd links; every internal
     link is covered by exactly one gate, so the bond dimension equals the
-    gate's operator rank (2 for generic J, 1 for J=0).
+    gate's operator rank (2 for generic J, 1 for J=0). The chain ends take
+    an identity in place of the missing gate piece.
     """
     n = params.n_sites
     left_piece, right_piece = _split_zz(params.j)
-    k = left_piece.shape[2]
+    eye = np.eye(2, dtype=complex)
     rot = _single_site_rotation(params)
     sites = []
     for c in range(n):
-        has_left = c >= 1
-        has_right = c + 1 <= n - 1
-        if has_left and has_right:
-            # (kl, o, m) x (m, i, kr) summed over the shared physical leg;
-            # the left-link piece acts after the right-link piece (both are
-            # diagonal, so the order is conventional).
-            w = np.einsum("aom,mib->aoib", right_piece, left_piece)
-        elif has_right:
-            w = left_piece.transpose(0, 1, 2)[None, :, :, :]  # (1, o, i, kr)
-        elif has_left:
-            w = right_piece[:, :, :, None]  # (kl, o, i, 1)
-        else:
-            w = np.eye(2, dtype=complex)[None, :, :, None]
+        # (kl, o, m) x (m, i, kr) summed over the shared physical leg; the
+        # left-link piece acts after the right-link piece (both are
+        # diagonal, so the order is conventional).
+        from_left = right_piece if c > 0 else eye[None]
+        to_right = left_piece if c < n - 1 else eye[:, :, None]
+        w = np.einsum("aom,mib->aoib", from_left, to_right)
         w = np.einsum("om,amib->aoib", rot, w)
         sites.append(np.ascontiguousarray(w))
     return sites
@@ -138,11 +133,9 @@ def config_index(n) -> int:
     return idx
 
 
-def _check_dense(n_sites: int):
-    if n_sites > _MAX_DENSE_SITES:
-        raise ResourceLimitError(
-            f"dense simulation guarded to {_MAX_DENSE_SITES} sites, got {n_sites}"
-        )
+def _check_periods(t: int) -> None:
+    if t < 0:
+        raise ValueError(f"number of periods must be nonnegative, got {t}")
 
 
 def _diagonal_phases(params: FloquetParams) -> np.ndarray:
@@ -164,8 +157,10 @@ def _diagonal_phases(params: FloquetParams) -> np.ndarray:
 
 def exact_evolve(params: FloquetParams, t: int) -> np.ndarray:
     """|psi(t)> = F^t |0...0> by dense gate application, normalized."""
-    _check_dense(params.n_sites)
     n = params.n_sites
+    if n > MAX_DENSE_SITES:
+        raise ResourceLimitError(f"dense simulation guarded to {MAX_DENSE_SITES} sites, got {n}")
+    _check_periods(t)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     phases = _diagonal_phases(params)
@@ -182,6 +177,7 @@ def _evolve(
 ) -> tuple[list[np.ndarray], float]:
     """The product state of ``vectors`` after ``t`` MPO layers, compressed
     to ``chi`` after each; returns the chain and its accumulated log factor."""
+    _check_periods(t)
     sites = product_mps(vectors)
     log = 0.0
     for _ in range(t):
@@ -203,15 +199,6 @@ def evolve_conventional(
     return _evolve([e0] * params.n_sites, build_floquet_mpo(params), chi, t)
 
 
-def _as_bits(n, n_sites: int) -> np.ndarray:
-    cfg = np.asarray(n, dtype=np.int64).reshape(-1)
-    if cfg.size != n_sites:
-        raise ValueError(f"configuration has {cfg.size} entries for {n_sites} sites")
-    if np.any((cfg < 0) | (cfg > 1)):
-        raise ValueError("configuration entries must be bits")
-    return cfg
-
-
 def _delta_amplitude(cfg: np.ndarray) -> AmplitudeValue:
     return AmplitudeValue.from_parts(1.0) if not np.any(cfg) else AmplitudeValue.zero()
 
@@ -225,25 +212,16 @@ def _column_tensors(
     tensor legs are (toward absorbed columns, earlier time, toward remaining
     columns, later time).
     """
-    w = mpo[c]  # (l, o, i, r)
     e0 = np.array([1.0, 0.0], dtype=complex)
-    cap = np.zeros(2, dtype=complex)
-    cap[cfg[c]] = 1.0
+    cap = np.eye(2, dtype=complex)[cfg[c]]
     out = []
     for tau in range(t):
-        x = w
+        x = mpo[c].transpose(0, 2, 3, 1)  # (l, i, r, o)
         if tau == 0:
-            x = np.tensordot(x, e0, axes=([2], [0]))  # (l, o, r)
-            if t == 1:
-                x = np.tensordot(x, cap, axes=([1], [0]))  # (l, r)
-                out.append(x.reshape(x.shape[0], 1, x.shape[1], 1))
-            else:
-                out.append(x.transpose(0, 2, 1)[:, None, :, :])  # (l, 1, r, o)
-        elif tau == t - 1:
-            x = np.tensordot(x, cap, axes=([1], [0]))  # (l, i, r)
-            out.append(x[:, :, :, None])  # (l, i, r, 1)
-        else:
-            out.append(np.ascontiguousarray(x.transpose(0, 2, 3, 1)))  # (l, i, r, o)
+            x = np.tensordot(x, e0, axes=([1], [0]))[:, None]  # (l, 1, r, o)
+        if tau == t - 1:
+            x = np.tensordot(x, cap, axes=([3], [0]))[..., None]  # (l, i, r, 1)
+        out.append(np.ascontiguousarray(x))
     return out
 
 
@@ -257,7 +235,8 @@ def tnf_amplitude_transverse(
     chain collapsed. The isometries depend on ``n`` through the bra caps but
     their positions never do.
     """
-    cfg = _as_bits(n, params.n_sites)
+    cfg = as_config(n, params.n_sites, 2)
+    _check_periods(t)
     if t == 0:
         return _delta_amplitude(cfg)
     mpo = build_floquet_mpo(params)
@@ -277,7 +256,7 @@ def tnf_amplitude_inverse_time(
     The bra configuration seeds the boundary, so the isometry entries are
     amplitude dependent; the schedule itself is fixed.
     """
-    cfg = _as_bits(n, params.n_sites)
+    cfg = as_config(n, params.n_sites, 2)
     if t == 0:
         return _delta_amplitude(cfg)
     bra_mpo = [w.transpose(0, 2, 1, 3) for w in build_floquet_mpo(params)]  # act on the bra side
@@ -294,12 +273,11 @@ def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.nd
     before any configuration is attached. Returns (sites, log_scale); use
     :func:`mpo_amplitude` to evaluate configurations.
     """
-    n = params.n_sites
+    _check_periods(t)
     if t == 0:
-        ident = [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(n)]
-        return ident, 0.0
+        return [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(params.n_sites)], 0.0
     mpo = build_floquet_mpo(params)
-    acc = [w.copy() for w in mpo]
+    acc = mpo
     log = 0.0
     for _ in range(t - 1):
         nxt = []
@@ -318,6 +296,6 @@ def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.nd
 
 def mpo_amplitude(sites: list[np.ndarray], log_scale: float, n) -> AmplitudeValue:
     """<n| M |0...0> for a compressed evolution operator."""
-    cfg = _as_bits(n, len(sites))
+    cfg = as_config(n, len(sites), 2)
     val = mps_amplitude([w[:, :, 0, :] for w in sites], cfg)
     return AmplitudeValue.from_parts(val, log_scale)

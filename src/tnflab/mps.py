@@ -66,10 +66,6 @@ def compress(
     sites = [np.asarray(s, dtype=complex) for s in sites]
     n = len(sites)
     log_factor = 0.0
-    if n == 1:
-        t, lf, zero = renormalize(sites[0])
-        return [t], (0.0 if zero else lf)
-
     # Left-to-right QR canonicalization.
     for i in range(n - 1):
         l, p, r = sites[i].shape
@@ -84,14 +80,10 @@ def compress(
         if zero:
             return sites, 0.0
         log_factor += lf
-        sites[i] = t
-        l, p, r = sites[i].shape
-        cap = chi if chi is not None else l * p
-        split = svd_split(sites[i], [0], min(cap, min(l, p * r)))
+        split = svd_split(t, 1, chi if chi is not None else t.shape[0])
         if stats is not None:
             stats["max_discarded"] = max(stats.get("max_discarded", 0.0), split.discarded_weight)
-        k = split.singulars.size
-        sites[i] = split.right.reshape(k, p, r)
+        sites[i] = split.right
         carry = split.isometry * split.singulars  # (l, k)
         sites[i - 1] = np.tensordot(sites[i - 1], carry, axes=([2], [0]))
 

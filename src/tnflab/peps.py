@@ -42,6 +42,7 @@ __all__ = [
     "product_peps",
     "random_peps",
     "project_config",
+    "as_config",
     "FixedPlan",
     "boundary_absorb",
     "BoundaryMps",
@@ -118,7 +119,9 @@ class Peps:
         )
 
 
-def _as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
+def as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
+    """``n`` as a flat int64 configuration, checked to hold ``n_sites``
+    entries in ``[0, phys_dim)``; raises ``ValueError`` otherwise."""
     n = np.asarray(n, dtype=np.int64).reshape(-1)
     if n.size != n_sites:
         raise ValueError(f"configuration has {n.size} entries, lattice has {n_sites} sites")
@@ -129,7 +132,7 @@ def _as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
 
 def product_peps(rows: int, cols: int, phys_dim: int, config) -> Peps:
     """D=1 product state with amplitude 1 on ``config`` and 0 elsewhere."""
-    cfg = _as_config(config, rows * cols, phys_dim)
+    cfg = as_config(config, rows * cols, phys_dim)
     sites = []
     for r in range(rows):
         row = []
@@ -171,7 +174,7 @@ def random_peps(
 
 def project_config(peps: Peps, n) -> list[list[np.ndarray]]:
     """Fix every physical index to the configuration value; rank-4 grid."""
-    cfg = _as_config(n, peps.n_sites, peps.phys_dim)
+    cfg = as_config(n, peps.n_sites, peps.phys_dim)
     return [
         [peps.sites[r][c][:, :, :, :, cfg[r * peps.cols + c]] for c in range(peps.cols)]
         for r in range(peps.rows)
@@ -218,11 +221,6 @@ def _row(peps: Peps, cfg: np.ndarray, r: int, patch=None) -> list[np.ndarray]:
         (_, c), tensor = patch
         row[c] = tensor[:, :, :, :, cfg[c0 + c]]
     return _unroll_row(row) if peps.boundary == "pbc" else row
-
-
-def _contraction_rows(peps: Peps, n) -> list[list[np.ndarray]]:
-    cfg = _as_config(n, peps.n_sites, peps.phys_dim)
-    return [_row(peps, cfg, r) for r in range(peps.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +296,6 @@ def boundary_absorb(
         faces.append(face)
     new_sites, lf = compress(new_sites, chi, stats)
     return BoundaryMps(new_sites, bmps.open_dims, tuple(faces), bmps.log_scale + lf)
-
-
-def _absorb_rows(rows: list[list[np.ndarray]], side: str, chi: int | None) -> BoundaryMps | None:
-    """Boundary from absorbing ``rows`` in order; None when there are none."""
-    env = None
-    for row in rows:
-        env = boundary_absorb(env, row, chi, side)
-    return env
 
 
 def _close_strip(
@@ -395,10 +385,20 @@ def amplitude_fixed(peps: Peps, n, plan: FixedPlan) -> AmplitudeValue:
     """TNF amplitude of ``n`` under the fixed schedule ``plan``."""
     if (plan.rows, plan.cols) != (peps.rows, peps.cols):
         raise ValueError("plan lattice extents do not match the state")
-    rows = _contraction_rows(peps, n)
-    top = _absorb_rows(rows[: plan.mid], "top", plan.chi)
-    bottom = _absorb_rows(rows[: plan.mid : -1], "bottom", plan.chi)
-    return _close_strip(top, rows[plan.mid], bottom)
+    return _schedule_amplitude(peps, n, plan.mid, plan.chi)
+
+
+def _schedule_amplitude(peps: Peps, n, mid: int, chi: int | None) -> AmplitudeValue:
+    """Uncached amplitude: rows above ``mid`` absorbed downward, rows below
+    it upward, each absorption compressed to ``chi``, and the strip at
+    ``mid`` closed exactly."""
+    cfg = as_config(n, peps.n_sites, peps.phys_dim)
+    top = bottom = None
+    for r in range(mid):
+        top = boundary_absorb(top, _row(peps, cfg, r), chi, "top")
+    for r in range(peps.rows - 1, mid, -1):
+        bottom = boundary_absorb(bottom, _row(peps, cfg, r), chi, "bottom")
+    return _close_strip(top, _row(peps, cfg, mid), bottom)
 
 
 class _BoundaryStack:
@@ -485,7 +485,7 @@ class FixedEvaluator(_BoundaryStack):
         self.plan = plan
 
     def amplitude(self, n) -> AmplitudeValue:
-        return self._closed(_as_config(n, self.peps.n_sites, self.peps.phys_dim), self.plan.mid)
+        return self._closed(as_config(n, self.peps.n_sites, self.peps.phys_dim), self.plan.mid)
 
     def peek(self, n) -> AmplitudeValue:
         """Alias of :meth:`amplitude`; mirrors the dynamic-cache interface."""
@@ -505,7 +505,7 @@ class FixedEvaluator(_BoundaryStack):
         row. ``stats`` sees only the patched absorptions. Values equal
         ``amplitude_fixed`` on the modified state.
         """
-        cfg = _as_config(n, self.peps.n_sites, self.peps.phys_dim)
+        cfg = as_config(n, self.peps.n_sites, self.peps.phys_dim)
         patch, mid = (tuple(site), tensor), self.plan.mid
         top = self._env(cfg, "top", mid, patch, stats)
         bottom = self._env(cfg, "bottom", mid, patch, stats)
@@ -534,7 +534,7 @@ class DynamicCache(_BoundaryStack):
 
     def peek(self, n) -> AmplitudeValue:
         """Amplitude of ``n`` relative to the current base, without rebasing."""
-        cfg = _as_config(n, self.peps.n_sites, self.peps.phys_dim)
+        cfg = as_config(n, self.peps.n_sites, self.peps.phys_dim)
         if self.base is None:
             self.base = cfg.copy()
             self.base_amp = self._closed(cfg, self.peps.rows - 1)
@@ -546,7 +546,7 @@ class DynamicCache(_BoundaryStack):
 
     def commit(self, n, amp: AmplitudeValue) -> None:
         """Rebase onto ``n``; the memoized environments stay valid."""
-        cfg = _as_config(n, self.peps.n_sites, self.peps.phys_dim)
+        cfg = as_config(n, self.peps.n_sites, self.peps.phys_dim)
         if self.base is None:
             raise CacheStateError("commit on a cold cache")
         self.base = cfg.copy()
@@ -570,8 +570,7 @@ def exact_amplitude(peps: Peps, n) -> AmplitudeValue:
             f"exact amplitude guarded to <=36 sites and D<=4, got "
             f"{peps.n_sites} sites at D={peps.bond_dim}"
         )
-    rows = _contraction_rows(peps, n)
-    return _close_strip(_absorb_rows(rows[:-1], "top", None), rows[-1], None)
+    return _schedule_amplitude(peps, n, peps.rows - 1, None)
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def simple_update(peps: Peps, model: Model, tau: float, steps: int) -> Peps:
             theta = np.tensordot(a, sites[r2][c2], axes=([ax_a], [ax_b]))
             theta = np.tensordot(theta, gates[edges[bond]], axes=([3, 7], [2, 3]))
             theta = theta.transpose(0, 1, 2, 6, 3, 4, 5, 7)
-            split = svd_split(theta, [0, 1, 2, 3], dmax)
+            split = svd_split(theta, 4, dmax)
             lam[bond] = split.singulars
             sites[r][c] = np.ascontiguousarray(np.moveaxis(split.isometry, 4, ax_a))
             sites[r2][c2] = np.ascontiguousarray(np.moveaxis(split.right, 0, ax_b))

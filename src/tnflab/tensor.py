@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -60,11 +60,10 @@ def _svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
-def _gauge_fix(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each singular pair so the largest-magnitude entry of the left
-    vector is real and positive; ties resolve to the lowest flat index."""
-    u = u.copy()
-    vh = vh.copy()
+def _gauge_fix(u: np.ndarray, vh: np.ndarray) -> None:
+    """Rotate each singular pair in place so the largest-magnitude entry of
+    the left vector is real and positive; ties resolve to the lowest flat
+    index."""
     for k in range(u.shape[1]):
         col = u[:, k]
         i = int(np.argmax(np.abs(col)))
@@ -74,20 +73,17 @@ def _gauge_fix(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = pivot / abs(pivot)
         u[:, k] = col / phase
         vh[k, :] = vh[k, :] * phase
-    return u, vh
 
 
-def svd_split(
-    t: np.ndarray, left_indices: Sequence[int], chi: int
-) -> TruncatedSvd:
-    """Split ``t`` across a bipartition of its indices by truncated SVD.
+def svd_split(t: np.ndarray, n_left: int, chi: int) -> TruncatedSvd:
+    """Split ``t`` after its first ``n_left`` indices by truncated SVD.
 
-    ``left_indices`` is a proper nonempty subset of the indices of ``t``; the
-    remaining indices form the right group in their original order. The
-    tensor is reshaped to a (left group) x (right group) matrix, decomposed,
-    and at most ``chi`` singular values are kept. Singular values below a
-    relative floor of 1e-12 count as numerical zeros and are dropped as well,
-    so the kept rank never exceeds the numerical rank.
+    ``0 < n_left < t.ndim``: the first ``n_left`` indices form the left
+    group and the rest the right group. The tensor is reshaped to a
+    (left group) x (right group) matrix, decomposed, and at most ``chi``
+    singular values are kept. Singular values below a relative floor of
+    1e-12 count as numerical zeros and are dropped as well, so the kept rank
+    never exceeds the numerical rank.
 
     The output is gauge-fixed and therefore a deterministic function of the
     input within one process. When ``chi`` is at least the matrix rank,
@@ -97,23 +93,11 @@ def svd_split(
     t = np.asarray(t, dtype=complex)
     if chi < 1:
         raise ValueError(f"chi must be positive, got {chi}")
-    left = list(left_indices)
-    if not left:
-        raise ValueError("left index group must be nonempty")
-    if len(set(left)) != len(left):
-        raise ValueError("duplicate index in left group")
-    for i in left:
-        if not 0 <= i < t.ndim:
-            raise ValueError(f"index {i} out of range for tensor with {t.ndim} indices")
-    right = [i for i in range(t.ndim) if i not in set(left)]
-    if not right:
-        raise ValueError("left index group must be a proper subset")
+    if not 0 < n_left < t.ndim:
+        raise ValueError(f"n_left must lie in (0, {t.ndim}), got {n_left}")
 
-    left_shape = tuple(t.shape[i] for i in left)
-    right_shape = tuple(t.shape[i] for i in right)
-    mat = np.transpose(t, left + right).reshape(
-        int(np.prod(left_shape, dtype=np.int64)), int(np.prod(right_shape, dtype=np.int64))
-    )
+    left_shape, right_shape = t.shape[:n_left], t.shape[n_left:]
+    mat = t.reshape(math.prod(left_shape), math.prod(right_shape))
     u, s, vh = _svd(mat)
 
     total = float(np.sum(s**2))
@@ -132,7 +116,7 @@ def svd_split(
         discarded = float(np.sum(s[k:] ** 2) / total)
         u, vh = u[:, :k], vh[:k, :]
         s = s[:k]
-        u, vh = _gauge_fix(u, vh)
+        _gauge_fix(u, vh)
 
     isometry = u.reshape(left_shape + (k,))
     right_t = vh.reshape((k,) + right_shape)

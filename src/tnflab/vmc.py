@@ -345,10 +345,7 @@ def _log_derivatives(
                     if ap.is_zero or am.is_zero or jump > DEGENERACY_JUMP:
                         zeroed += 1
                     else:
-                        ratio = (ap.mantissa / am.mantissa) * cmath.exp(
-                            complex(ap.log_scale - am.log_scale)
-                        )
-                        out[k] = cmath.log(ratio) / (2.0 * h)
+                        out[k] = cmath.log(ap.ratio(am)) / (2.0 * h)
                     k += 1
     return out, zeroed
 

@@ -145,6 +145,15 @@ class TestDynamics:
         assert [size for size, _ in out] == [1, 2, 3]
         assert all(s >= -1e-10 for _, s in out)
 
+    def test_bulk_sweep_rejects_bad_method_chi_and_time(self):
+        p = FloquetParams(6, **PRESETS["maximally_chaotic"])
+        with pytest.raises(ValueError, match="positive chi"):
+            bulk_entropy_sweep(p, "mps", t=2)
+        with pytest.raises(ValueError, match="unknown method"):
+            bulk_entropy_sweep(p, "nope", t=2, chi=2)
+        with pytest.raises(ValueError, match="periods"):
+            bulk_entropy_sweep(p, "mpo", t=-1, chi=2)
+
     def test_unknown_method_rejected(self):
         p = FloquetParams(6, 0.1, 0.1, 0.1, t_max=1)
         with pytest.raises(ValueError):

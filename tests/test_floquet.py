@@ -294,3 +294,20 @@ class TestMpoMpo:
         c = mpo_amplitude(sites, log, [0] * 8)
         assert (a.mantissa, a.log_scale) == (c.mantissa, c.log_scale)
         assert not np.array_equal(a.mantissa, b.mantissa)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda p, n: exact_evolve(p, -1),
+        lambda p, n: evolve_conventional(p, 2, -1),
+        lambda p, n: tnf_amplitude_transverse(p, n, 2, -1),
+        lambda p, n: tnf_amplitude_inverse_time(p, n, 2, -1),
+        lambda p, n: mpo_mpo_inverse(p, 2, -1),
+    ],
+    ids=["exact", "conventional", "transverse", "inverse_time", "mpo_mpo"],
+)
+def test_negative_periods_rejected(route):
+    p = FloquetParams(4, **PRESETS["maximally_chaotic"])
+    with pytest.raises(ValueError, match="periods"):
+        route(p, [0, 1, 0, 1])

@@ -192,7 +192,7 @@ class TestBoundaryAbsorb:
                 t, lf, _ = renorm(sites[i])
                 log += lf
                 l, ph, r = t.shape
-                sp = split(t, [0], min(cap, min(l, ph * r)))
+                sp = split(t, 1, min(cap, min(l, ph * r)))
                 k = sp.singulars.size
                 sites[i] = sp.right.reshape(k, ph, r)
                 sites[i - 1] = np.tensordot(sites[i - 1], sp.isometry * sp.singulars, axes=([2], [0]))

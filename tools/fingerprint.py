@@ -1,0 +1,188 @@
+"""Print one SHA-256 over the library's outputs, to check bit identity.
+
+    python tools/fingerprint.py [--src DIR]
+
+Imports ``tnflab`` from ``DIR`` (default: the ``src`` directory of this
+checkout) and hashes, in a fixed order, the exact bits of:
+
+* fixed-schedule amplitudes (``mantissa``, ``log_scale``, ``is_zero``) at
+  every closure row, memoized ones through a ``FixedEvaluator`` with
+  ``max_entries=7`` (so the memo flushes), patched ones with the
+  ``max_discarded`` they report, dynamic-cache ones along a move sequence,
+  and exact ones, on open and periodic lattices from 1x1 to 5x3 at D 1-3
+  and chi 1-3;
+* the five Floquet routes on every configuration of L = 2, 3 and 6 for
+  t = 0..3 and chi = 1..3, with the MPO and MPS site tensors;
+* ``entanglement_dynamics`` for all five methods and ``bulk_entropy_sweep``;
+* ``simple_update`` sites, ``estimate_energy`` in both modes and
+  ``gradient_estimate`` with both samplings.
+
+Run it with ``--src`` at two commits: equal hashes mean the two builds give
+the same bits on every item. It calls only long-standing public signatures,
+so one copy of this script serves both sides. It takes about 15 s on one
+core of a 2-vCPU Xeon VM.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+
+class Digest:
+    """SHA-256 over a sequence of items, with an item count."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.count = 0
+
+    def add(self, label: str, payload: bytes) -> None:
+        self.sha.update(label.encode() + b"\0" + payload + b"\n")
+        self.count += 1
+
+    def amp(self, label: str, a) -> None:
+        m = complex(a.mantissa)
+        self.add(label, f"{m.real.hex()} {m.imag.hex()} {float(a.log_scale).hex()} {a.is_zero}".encode())
+
+    def num(self, label: str, x) -> None:
+        x = complex(x)
+        self.add(label, f"{x.real.hex()} {x.imag.hex()}".encode())
+
+    def array(self, label: str, x) -> None:
+        x = np.ascontiguousarray(x, dtype=complex)
+        self.add(label, repr(x.shape).encode() + x.tobytes())
+
+
+def lattice_items(d: Digest, tnf) -> None:
+    shapes = [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 3)]
+    for boundary, (rows, cols), bond in itertools.product(("obc", "pbc"), shapes, (1, 2, 3)):
+        n = rows * cols
+        if boundary == "pbc" and bond == 3 and n > 9:
+            continue  # doubled wrap bonds make these slow without adding a code path
+        peps = tnf.random_peps(rows, cols, 2, bond, seed=rows * 100 + cols * 10 + bond, boundary=boundary)
+        rng = np.random.default_rng(n * 7 + bond)
+        configs = [rng.integers(0, 2, size=n) for _ in range(3)]
+        tag = f"{boundary} {rows}x{cols} D{bond}"
+        for k, cfg in enumerate(configs):
+            d.amp(f"{tag} exact {k}", tnf.exact_amplitude(peps, cfg))
+        for chi in (1, 2, 3):
+            for mid in range(rows):
+                plan = tnf.FixedPlan(rows, cols, chi, mid)
+                for k, cfg in enumerate(configs):
+                    d.amp(f"{tag} chi{chi} mid{mid} fixed {k}", tnf.amplitude_fixed(peps, cfg, plan))
+            plan = tnf.FixedPlan.for_lattice(rows, cols, chi)
+            ev = tnf.FixedEvaluator(peps, plan, max_entries=7)
+            walk = [configs[0]]
+            for _ in range(6):
+                cfg = walk[-1].copy()
+                cfg[rng.integers(0, n)] ^= 1
+                walk.append(cfg)
+            for k, cfg in enumerate(walk + walk[::-1]):
+                d.amp(f"{tag} chi{chi} memo {k}", ev.amplitude(cfg))
+            site = (int(rng.integers(0, rows)), int(rng.integers(0, cols)))
+            t = peps.sites[site[0]][site[1]]
+            patched = t + 0.01 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+            for k, cfg in enumerate(configs):
+                stats: dict = {}
+                d.amp(f"{tag} chi{chi} patch {k}", ev.amplitude_with_site(cfg, site, patched, stats))
+                d.num(f"{tag} chi{chi} patch {k} discarded", stats.get("max_discarded", 0.0))
+            cache = tnf.DynamicCache(peps, chi)
+            for k, cfg in enumerate(walk):
+                d.amp(f"{tag} chi{chi} peek {k}", cache.peek(cfg))
+                if k % 2 == 0:
+                    d.amp(f"{tag} chi{chi} dynamic {k}", cache.amplitude(cfg))
+
+
+def floquet_items(d: Digest, tnf) -> None:
+    for n_sites, (name, couplings) in itertools.product(
+        (2, 3, 6),
+        [
+            ("maximally_chaotic", tnf.PRESETS["maximally_chaotic"]),
+            ("less_chaotic", tnf.PRESETS["less_chaotic"]),
+            ("zero_j", {"j": 0.0, "g": 0.4, "h": 0.3}),
+        ],
+    ):
+        params = tnf.FloquetParams(n_sites, **couplings)
+        tag = f"L{n_sites} {name}"
+        for k, w in enumerate(tnf.build_floquet_mpo(params)):
+            d.array(f"{tag} mpo {k}", w)
+        configs = [np.array(c) for c in itertools.product((0, 1), repeat=n_sites)]
+        for t in range(4):
+            d.array(f"{tag} t{t} exact", tnf.exact_evolve(params, t))
+            for chi in (1, 2, 3):
+                key = f"{tag} t{t} chi{chi}"
+                sites, log = tnf.evolve_conventional(params, chi, t)
+                d.num(f"{key} mps log", log)
+                for k, s in enumerate(sites):
+                    d.array(f"{key} mps {k}", s)
+                op, op_log = tnf.mpo_mpo_inverse(params, chi, t)
+                d.num(f"{key} mpo log", op_log)
+                for k, s in enumerate(op):
+                    d.array(f"{key} mpo {k}", s)
+                for cfg in configs:
+                    c = "".join(map(str, cfg))
+                    d.amp(f"{key} {c} transverse", tnf.tnf_amplitude_transverse(params, cfg, chi, t))
+                    d.amp(f"{key} {c} inverse", tnf.tnf_amplitude_inverse_time(params, cfg, chi, t))
+                    d.amp(f"{key} {c} mpo", tnf.mpo_amplitude(op, op_log, cfg))
+
+
+def entanglement_items(d: Digest, tnf) -> None:
+    params = tnf.FloquetParams(6, **tnf.PRESETS["maximally_chaotic"], t_max=3)
+    for method, chi in (("exact", None), ("mps", 2), ("tnf_transverse", 2), ("tnf_inverse", 2), ("mpo", 2)):
+        data = tnf.entanglement_dynamics(params, method, chi=chi)
+        for t, s, spec in zip(data.times, data.entropies, data.spectra):
+            d.num(f"dynamics {method} t{t}", s)
+            d.array(f"dynamics {method} t{t} spectrum", spec)
+        for size, s in tnf.bulk_entropy_sweep(params, method, 3, chi=chi):
+            d.num(f"bulk {method} {size}", s)
+
+
+def vmc_items(d: Digest, tnf) -> None:
+    for boundary, bond in (("obc", 2), ("obc", 3), ("pbc", 2)):
+        model = tnf.heisenberg(2, 3, boundary)
+        state = tnf.simple_update(tnf.random_peps(2, 3, 2, bond, seed=5, boundary=boundary), model, 0.05, 20)
+        tag = f"{boundary} D{bond}"
+        for r, row in enumerate(state.sites):
+            for c, t in enumerate(row):
+                d.array(f"{tag} simple_update {r},{c}", t)
+        for mode, chi in itertools.product(("fixed", "dynamic"), (1, 2)):
+            est = tnf.estimate_energy(state, model, mode, chi, n_sweeps=30, n_warmup=5, n_chains=2, seed=3)
+            d.num(f"{tag} {mode} chi{chi} energy", complex(est.mean, est.stderr))
+            d.num(f"{tag} {mode} chi{chi} acceptance", est.acceptance)
+            for k, series in enumerate(est.series):
+                d.array(f"{tag} {mode} chi{chi} series {k}", series)
+    model = tnf.heisenberg(2, 2, "obc")
+    state = tnf.simple_update(tnf.random_peps(2, 2, 2, 2, seed=9), model, 0.05, 20)
+    for sampling in ("enumerate", "metropolis"):
+        grad, info = tnf.gradient_estimate(state, model, 1, n_sweeps=8, n_warmup=2, seed=4, sampling=sampling)
+        d.array(f"gradient {sampling}", grad)
+        d.num(f"gradient {sampling} energy", info.energy)
+        d.add(f"gradient {sampling} counts", f"{info.n_samples} {info.zeroed_params}".encode())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                    help="directory that holds the tnflab package")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import tnflab as tnf
+
+    d = Digest()
+    for part in (lattice_items, floquet_items, entanglement_items, vmc_items):
+        part(d, tnf)
+    print(f"items {d.count}")
+    print(f"sha256 {d.sha.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
