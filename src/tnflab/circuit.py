@@ -21,6 +21,7 @@ evaluation contracts only once.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -74,13 +75,14 @@ def _logic_tensor(entries) -> np.ndarray:
 
 
 class _Gate(NamedTuple):
-    """Arity, wire kinds and defining tensor (output on the last index)."""
+    """Arity, wire kinds, defining tensor (output last) and, if restricted, payloads."""
 
     n_in: int
     n_out: int
     in_kind: str | None
     out_kind: str
     tensor: np.ndarray | None = None
+    payloads: tuple | None = None
 
 
 _GATES = {
@@ -91,7 +93,7 @@ _GATES = {
     # (1, x) (+) (1, y) = (1, x + y): the x*y entry (1, 1, *) is dropped.
     GateKind.PLUS: _Gate(2, 1, "amp", "amp", _logic_tensor([(0, 0, 0), (1, 0, 1), (0, 1, 1)])),
     GateKind.TIMES: _Gate(2, 1, "amp", "amp", _logic_tensor([(0, 0, 0), (1, 1, 1)])),
-    GateKind.CONST_BIT: _Gate(0, 1, None, "bit"),
+    GateKind.CONST_BIT: _Gate(0, 1, None, "bit", payloads=(0, 1)),
     GateKind.CONST_FLOAT: _Gate(0, 1, None, "amp"),
     GateKind.FUNC: _Gate(1, 1, "var", "amp"),
     GateKind.VAR_COPY: _Gate(1, 2, "var", "var"),
@@ -148,6 +150,22 @@ class Node:
     payload: object = None
 
 
+def _check_node(node: Node, wire_types: Sequence[str]) -> _Gate:
+    """The one node rule (arity, wire kinds, payload) from ``_GATES``; returns the gate."""
+    gate = _GATES[node.kind]
+    if len(node.inputs) != gate.n_in or len(node.outputs) != gate.n_out:
+        raise GraphError(f"{node.kind} takes {gate.n_in} inputs and {gate.n_out} outputs")
+    for w in node.inputs:
+        if wire_types[w] != gate.in_kind:
+            raise GraphError(f"{node.kind} reads {gate.in_kind} wires; wire {w} is not one")
+    for w in node.outputs:
+        if wire_types[w] != gate.out_kind:
+            raise GraphError(f"{node.kind} writes {gate.out_kind} wires; wire {w} is not one")
+    if gate.payloads is not None and node.payload not in gate.payloads:
+        raise GraphError(f"{node.kind} payload {node.payload!r} is not one of {gate.payloads}")
+    return gate
+
+
 @dataclass
 class CircuitGraph:
     """Directed acyclic gate graph with typed wires.
@@ -167,20 +185,14 @@ class CircuitGraph:
         return len(self.wire_types)
 
     def validate(self) -> None:
-        produced = set()
-        flat_inputs = [w for g in self.input_groups for w in g]
-        produced.update(flat_inputs)
-        consumers: dict[int, int] = {}
+        produced = {w for g in self.input_groups for w in g}
+        bit_reads: list[int] = []
         for node in self.nodes:
-            gate = _GATES[node.kind]
-            if len(node.inputs) != gate.n_in or len(node.outputs) != gate.n_out:
-                raise GraphError(f"{node.kind} arity mismatch")
-            if node.kind == GateKind.CONST_BIT and node.payload not in (0, 1):
-                raise GraphError(f"constant bit {node.payload!r} is not 0 or 1")
+            if _check_node(node, self.wire_types).in_kind == "bit":
+                bit_reads.extend(node.inputs)
             for w in node.inputs:
                 if w not in produced:
                     raise GraphError(f"wire {w} consumed before production (cycle or unbound)")
-                consumers[w] = consumers.get(w, 0) + 1
             for w in node.outputs:
                 if w in produced:
                     raise GraphError(f"wire {w} produced twice")
@@ -189,11 +201,9 @@ class CircuitGraph:
             for w in g:
                 if w not in produced:
                     raise GraphError(f"output wire {w} never produced")
-        for w, count in consumers.items():
-            if self.wire_types[w] == "bit" and count > 1:
-                raise GraphError(
-                    f"bit wire {w} has {count} consumers; copy tensors realize fan-out"
-                )
+        if len(set(bit_reads)) < len(bit_reads):
+            w, count = Counter(bit_reads).most_common(1)[0]
+            raise GraphError(f"bit wire {w} has {count} consumers; copy tensors realize fan-out")
 
     def to_json(self) -> str:
         def encode_payload(node):
@@ -274,17 +284,14 @@ class CircuitBuilder:
 
     def add(self, kind: GateKind, inputs: Sequence[int], payload=None) -> list[int]:
         gate = _GATES[kind]
-        if len(inputs) != gate.n_in:
-            raise GraphError(f"{kind} takes {gate.n_in} inputs, got {len(inputs)}")
-        for w in inputs:
-            if self.wire_types[w] != gate.in_kind:
-                raise GraphError(f"{kind} expects {gate.in_kind} wires, wire {w} is {self.wire_types[w]}")
         outs = [self._wire(gate.out_kind) for _ in range(gate.n_out)]
+        node = Node(kind, tuple(inputs), tuple(outs), payload)
+        _check_node(node, self.wire_types)
         if kind == GateKind.VAR_COPY:
             g = self.var_grids[inputs[0]]
             for w in outs:
                 self.var_grids[w] = g
-        self.nodes.append(Node(kind, tuple(inputs), tuple(outs), payload))
+        self.nodes.append(node)
         return outs
 
     # Convenience spellings for the common gates.

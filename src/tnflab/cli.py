@@ -6,7 +6,7 @@ contraction modes), ``floquet`` (entanglement dynamics per method),
 network-compilation checks). Every field of a versioned JSON config is checked
 (numbers finite and in range) before any directory or computation. Data files
 are deterministic for a fixed (config, seed), with wall-clock timings confined
-to the manifest and ``timing_*`` files. ``--threads`` is accepted and ignored.
+to the manifest and ``timing_*`` files. Runs are single-threaded.
 
 Exit codes: 0 success, 2 config error, 3 resource-guard error, 4 numerical
 abort.
@@ -487,9 +487,6 @@ def main(argv=None) -> int:
     parser.add_argument("kind", choices=sorted(_RUNNERS))
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted and ignored; runs are single-threaded"
-    )
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:

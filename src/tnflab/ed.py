@@ -61,9 +61,9 @@ def sector_hamiltonian(model: Model, n_down: int) -> tuple[scipy.sparse.csr_matr
     return h, basis
 
 
-def ground_energy(model: Model, n_down: int | None = None) -> float:
-    """Lowest eigenvalue in the sector (default: half filling, the Sz=0 or
-    closest-to-zero sector that sampling is restricted to).
+def ground_energy(model: Model) -> float:
+    """Lowest eigenvalue at half filling (``n_sites // 2`` down spins), the
+    Sz=0 or closest-to-zero sector that sampling is restricted to.
 
     The result is deterministic per build: sectors of at most 64 states use
     dense ``eigvalsh``; larger ones use Lanczos (``eigsh``) from a fixed,
@@ -73,9 +73,7 @@ def ground_energy(model: Model, n_down: int | None = None) -> float:
     byte for byte. A random (not uniform) start vector is used because by
     symmetry the ground state can be orthogonal to the uniform vector.
     """
-    if n_down is None:
-        n_down = model.n_sites // 2
-    h, _ = sector_hamiltonian(model, n_down)
+    h, _ = sector_hamiltonian(model, model.n_sites // 2)
     dim = h.shape[0]
     if dim <= 64:
         return float(np.linalg.eigvalsh(h.toarray())[0])

@@ -142,27 +142,21 @@ class EntanglementData:
 
 
 def entanglement_dynamics(
-    params: FloquetParams,
-    method: str,
-    chi: int | None = None,
-    region: tuple[int, int] | None = None,
-    top: int = 40,
+    params: FloquetParams, method: str, chi: int | None = None
 ) -> EntanglementData:
-    """Entropy S(t) and spectrum for t = 0..t_max with one amplitude method.
+    """Entropy S(t) and the 40 largest eigenvalues of the left half chain
+    (sites ``0 .. L//2 - 1``) for t = 0..t_max with one amplitude method.
 
-    ``region`` defaults to the half chain (0, L//2). Truncated methods give
-    unnormalized states; each density matrix is normalized before the
-    entropy is taken. An unknown method, or a truncated one without a
-    positive ``chi``, raises ``ValueError``.
+    Truncated methods give unnormalized states; each density matrix is
+    normalized before the entropy is taken. An unknown method, or a
+    truncated one without a positive ``chi``, raises ``ValueError``.
     """
     n = params.n_sites
-    if region is None:
-        region = (0, n // 2)
     out = EntanglementData(method=method, chi=None if method == "exact" else chi)
     for t in range(params.t_max + 1):
         fn = _amplitude_function(params, method, chi, t)
-        rho = rdm_from_amplitudes(fn, n, region)
-        s, spec, _ = entropy_and_spectrum(rho, top=top)
+        rho = rdm_from_amplitudes(fn, n, (0, n // 2))
+        s, spec, _ = entropy_and_spectrum(rho)
         out.times.append(t)
         out.entropies.append(s)
         out.spectra.append(spec)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .mps import apply_mpo, compress, contract_mps_chain, mps_amplitude, product_mps
-from .peps import as_config, boundary_absorb
+from .peps import BoundaryMps, as_config, boundary_absorb
 from .tensor import AmplitudeValue, svd_split
 
 __all__ = [
@@ -276,22 +276,14 @@ def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.nd
     _check_periods(t)
     if t == 0:
         return [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(params.n_sites)], 0.0
+    n = params.n_sites
     mpo = build_floquet_mpo(params)
-    acc = mpo
-    log = 0.0
+    # F as a boundary (outputs open, inputs as faces); earlier layers attach by their outputs.
+    acc = BoundaryMps([w.reshape(w.shape[0], 4, w.shape[3]) for w in mpo], (2,) * n, (2,) * n)
+    layer = [w.transpose(1, 0, 2, 3) for w in mpo]
     for _ in range(t - 1):
-        nxt = []
-        for m, w in zip(acc, mpo):
-            # earlier layer attaches on the input side: contract acc.in with w.out
-            x = np.tensordot(m, w, axes=([2], [1]))  # (l, o, r, l2, i2, r2)
-            x = x.transpose(0, 3, 1, 4, 2, 5)
-            l, l2, o, i2, r, r2 = x.shape
-            nxt.append(np.ascontiguousarray(x.reshape(l * l2, o, i2, r * r2)))
-        flat = [x.reshape(x.shape[0], 4, x.shape[3]) for x in nxt]
-        flat, lf = compress(flat, chi)
-        log += lf
-        acc = [x.reshape(x.shape[0], 2, 2, x.shape[2]) for x in flat]
-    return acc, log
+        acc = boundary_absorb(acc, layer, chi, "top")
+    return [acc.site4(c) for c in range(n)], acc.log_scale
 
 
 def mpo_amplitude(sites: list[np.ndarray], log_scale: float, n) -> AmplitudeValue:

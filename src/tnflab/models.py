@@ -80,15 +80,15 @@ def _diagonal_pairs(rows: int, cols: int, boundary: str) -> list[tuple[int, int]
     return pairs
 
 
-def heisenberg(rows: int, cols: int, boundary: str = "obc", j: float = 1.0) -> Model:
-    """Antiferromagnetic nearest-neighbor Heisenberg model."""
-    couplings = tuple((i, k, j) for i, k in nn_pairs(rows, cols, boundary))
+def heisenberg(rows: int, cols: int, boundary: str = "obc") -> Model:
+    """Antiferromagnetic nearest-neighbor Heisenberg model, unit coupling."""
+    couplings = tuple((i, k, 1.0) for i, k in nn_pairs(rows, cols, boundary))
     return Model("heisenberg", rows, cols, boundary, couplings)
 
 
-def j1j2(rows: int, cols: int, j2: float, boundary: str = "pbc", j1: float = 1.0) -> Model:
-    """Frustrated square-lattice model with next-nearest-neighbor coupling."""
-    couplings = [(i, k, j1) for i, k in nn_pairs(rows, cols, boundary)]
+def j1j2(rows: int, cols: int, j2: float, boundary: str = "pbc") -> Model:
+    """Frustrated square lattice: unit nearest-neighbor, ``j2`` diagonal coupling."""
+    couplings = [(i, k, 1.0) for i, k in nn_pairs(rows, cols, boundary)]
     couplings += [(i, k, j2) for i, k in _diagonal_pairs(rows, cols, boundary)]
     return Model("j1j2", rows, cols, boundary, tuple(couplings))
 

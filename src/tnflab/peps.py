@@ -63,7 +63,7 @@ __all__ = [
 
 @dataclass
 class Peps:
-    """Grid of rank-5 site tensors ``(up, left, down, right, phys)``."""
+    """Grid of rank-5 sites ``(up, left, down, right, phys)``; no bond exceeds ``bond_dim``."""
 
     rows: int
     cols: int
@@ -78,7 +78,7 @@ class Peps:
         self.validate()
 
     def validate(self):
-        # Rank and bond matching, including wrap bonds for PBC.
+        # Rank, the bond_dim bound, and bond matching, including wrap bonds for PBC.
         for r in range(self.rows):
             for c in range(self.cols):
                 t = self.sites[r][c]
@@ -86,6 +86,8 @@ class Peps:
                     raise DimensionError(f"site ({r},{c}) has rank {t.ndim}, expected 5")
                 if t.shape[4] != self.phys_dim:
                     raise DimensionError(f"site ({r},{c}) physical extent {t.shape[4]}")
+                if max(t.shape[:4]) > self.bond_dim:
+                    raise DimensionError(f"site ({r},{c}) bond exceeds bond_dim {self.bond_dim}")
                 if c + 1 < self.cols or self.boundary == "pbc":
                     nb = self.sites[r][(c + 1) % self.cols]
                     if t.shape[3] != nb.shape[1]:

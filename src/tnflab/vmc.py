@@ -114,7 +114,7 @@ def metropolis_sweep(chain: ChainState, move_schedule: Sequence[tuple[int, int]]
         n1 = cfg.copy()
         n1[i], n1[j] = n1[j], n1[i]
         amp1 = chain.evaluator.peek(n1)
-        ratio = amp1.abs_ratio_sq(chain.amp) if not amp1.is_zero else 0.0
+        ratio = amp1.abs_ratio_sq(chain.amp)
         if ratio >= 1.0 or chain.rng.random() < ratio:
             chain.accepted += 1
             chain.evaluator.commit(n1, amp1)
@@ -158,18 +158,18 @@ def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, chain]))
 
 
-def _blocking_stderr(values: np.ndarray, block_len: int) -> float:
+def _blocking_stderr(values: np.ndarray) -> float:
     n = values.size
     if n < 2:
         return 0.0
-    n_blocks = n // block_len
+    n_blocks = n // BLOCK_LEN
     if n_blocks >= 2:
-        blocks = values[: n_blocks * block_len].reshape(n_blocks, block_len).mean(axis=1)
+        blocks = values[: n_blocks * BLOCK_LEN].reshape(n_blocks, BLOCK_LEN).mean(axis=1)
         return float(np.std(blocks, ddof=1) / math.sqrt(n_blocks))
     return float(np.std(values, ddof=1) / math.sqrt(n))
 
 
-def _chain_args(model: Model, n_sweeps: int, n_warmup: int | None, initial_config):
+def _chain_args(model: Model, n_sweeps: int, n_warmup: int | None, initial_config=None):
     """Checked warm-up length and start configuration of a chain."""
     if n_sweeps < 1:
         raise ValueError("n_sweeps must be positive")
@@ -231,6 +231,8 @@ def estimate_energy(
     slower, since the GIL serializes the small numpy calls. A non-finite
     mean raises :class:`NumericalAbortError`.
     """
+    if n_chains < 1:
+        raise ValueError(f"n_chains must be at least 1, got {n_chains}")
     n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup, initial_config)
     series = []
     accepted = proposed = 0
@@ -246,7 +248,7 @@ def estimate_energy(
     mean = float(np.mean(all_vals))
     if not math.isfinite(mean):
         raise NumericalAbortError(f"energy estimate is not finite: {mean}")
-    block_errs = [_blocking_stderr(s, BLOCK_LEN) for s in series]
+    block_errs = [_blocking_stderr(s) for s in series]
     # Chains are independent; their squared errors add in quadrature.
     stderr = math.sqrt(sum(e**2 for e in block_errs)) / max(1, len(block_errs))
     warnings = []
@@ -263,14 +265,12 @@ def estimate_energy(
     )
 
 
-def _sector_weights(
-    amplitude_fn: Callable, n_sites: int, n_down: int
-) -> list[tuple[np.ndarray, float]]:
-    """(configuration, weight) over a magnetization sector in lexicographic
+def _sector_weights(amplitude_fn: Callable, n_sites: int) -> list[tuple[np.ndarray, float]]:
+    """(configuration, weight) over the half-filling sector in lexicographic
     order of the down sites; the weight is the squared amplitude modulus
     relative to the largest, and zero amplitudes are left out."""
     amps = []
-    for downs in combinations(range(n_sites), n_down):
+    for downs in combinations(range(n_sites), n_sites // 2):
         cfg = np.zeros(n_sites, dtype=np.int64)
         cfg[list(downs)] = 1
         amp = amplitude_fn(cfg)
@@ -283,21 +283,17 @@ def _sector_weights(
     ]
 
 
-def enumerate_energy(
-    amplitude_fn: Callable, model: Model, n_down: int | None = None
-) -> float:
-    """Rayleigh quotient over a full magnetization sector (no sampling).
+def enumerate_energy(amplitude_fn: Callable, model: Model) -> float:
+    """Rayleigh quotient over the half-filling sector (no sampling).
 
-    Enumerates every configuration in the sector, weights by the squared
-    amplitude modulus, and averages the local energy. Matches the sampled
-    estimator in the infinite-statistics limit and the sector-projected
-    expectation value exactly.
+    Enumerates every configuration in the sector the chains walk, weights
+    by the squared amplitude modulus, and averages the local energy.
+    Matches the sampled estimator in the infinite-statistics limit and the
+    sector-projected expectation value exactly.
     """
-    if n_down is None:
-        n_down = model.n_sites // 2
     num = 0.0
     den = 0.0
-    for cfg, w in _sector_weights(amplitude_fn, model.n_sites, n_down):
+    for cfg, w in _sector_weights(amplitude_fn, model.n_sites):
         num += w * local_energy(model, amplitude_fn, cfg).real
         den += w
     if den == 0.0:
@@ -358,7 +354,6 @@ def gradient_estimate(
     n_warmup: int | None = None,
     seed: int = 0,
     sampling: str = "metropolis",
-    initial_config=None,
 ) -> tuple[np.ndarray, GradientInfo]:
     """Energy gradient over the flattened parameters (fixed schedule only).
 
@@ -366,20 +361,27 @@ def gradient_estimate(
     the amplitude. ``sampling`` is ``"metropolis"`` or ``"enumerate"`` (full
     sector enumeration, exact weights; for small lattices and tests). The
     Metropolis chain is chain 0 of :func:`estimate_energy` with the same
-    seed. A non-finite energy raises :class:`NumericalAbortError`.
+    seed, started from the Neel configuration. A non-finite energy raises
+    :class:`NumericalAbortError`.
     """
-    evaluator = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
-    n_params = peps_to_params(peps).size
+    evaluator = _make_evaluator(peps, "fixed", chi)
+    if sampling == "enumerate":
+        samples = _sector_weights(evaluator.peek, model.n_sites)
+    elif sampling == "metropolis":
+        n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup)
+        chain = _chain_samples(evaluator, model, n_sweeps, n_warmup, seed, 0, cfg0)
+        samples = ((state.config, 1.0) for state in chain)
+    else:
+        raise ValueError(f"unknown sampling {sampling!r}")
 
+    n_params = peps_to_params(peps).size
     sum_w = 0.0
     sum_e = 0.0
     sum_o = np.zeros(n_params, dtype=complex)
     sum_eo = np.zeros(n_params, dtype=complex)
     zeroed = 0
     n_samples = 0
-
-    def accumulate(cfg: np.ndarray, w: float):
-        nonlocal sum_w, sum_e, zeroed, n_samples
+    for cfg, w in samples:
         # E_loc is complex per configuration (only its average is real);
         # the gradient needs the full complex value against O_k*.
         e = local_energy(model, evaluator.peek, cfg)
@@ -387,20 +389,10 @@ def gradient_estimate(
         oc = np.conj(o)
         sum_w += w
         sum_e += w * e.real
-        sum_o[:] += w * oc
-        sum_eo[:] += w * e * oc
+        sum_o += w * oc
+        sum_eo += w * e * oc
         zeroed += z
         n_samples += 1
-
-    if sampling == "enumerate":
-        for cfg, w in _sector_weights(evaluator.peek, model.n_sites, model.n_sites // 2):
-            accumulate(cfg, w)
-    elif sampling == "metropolis":
-        n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup, initial_config)
-        for chain in _chain_samples(evaluator, model, n_sweeps, n_warmup, seed, 0, cfg0):
-            accumulate(chain.config, 1.0)
-    else:
-        raise ValueError(f"unknown sampling {sampling!r}")
 
     e_mean = sum_e / sum_w
     if not math.isfinite(e_mean):
@@ -419,14 +411,14 @@ def sgd_optimize(
     iterations: int,
     seed: int = 0,
     n_sweeps: int = 200,
-    n_warmup: int | None = None,
     sampling: str = "metropolis",
 ) -> tuple[Peps, list[float]]:
     """Stochastic gradient descent on the flattened tensors.
 
-    Returns the best-energy state seen and the per-iteration energy trace.
-    Aborts with :class:`NumericalAbortError` when the energy rises more than
-    ten times its initial magnitude above the start.
+    Returns the best-energy state seen and the per-iteration energy trace;
+    each iteration's chain warms up by :func:`gradient_estimate`'s default
+    rule. Aborts with :class:`NumericalAbortError` when the energy rises
+    more than ten times its initial magnitude above the start.
     """
     params = peps_to_params(peps)
     current = peps
@@ -440,7 +432,6 @@ def sgd_optimize(
             model,
             chi,
             n_sweeps=n_sweeps,
-            n_warmup=n_warmup,
             seed=seed + it,
             sampling=sampling,
         )

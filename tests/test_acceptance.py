@@ -311,7 +311,7 @@ def test_circuit_exactness():
 
 
 def test_determinism_byte_identical(tmp_path):
-    """Any experiment rerun with identical config, seed, and threads gives
+    """Any experiment rerun with identical config and seed gives
     byte-identical data files (manifest and timing files excluded)."""
     configs = {
         "vmc": {

@@ -1,4 +1,6 @@
 """Binary and amplitude arithmetic circuits."""
+import json
+
 import numpy as np
 import pytest
 
@@ -417,3 +419,16 @@ class TestMemoization:
         a, _ = eval_amp_circuit(g, x)
         c, _ = eval_amp_circuit(back, x)
         assert a == c
+
+    def test_json_wire_kinds_validated(self):
+        """A gate on wires of the wrong kind, in or out, fails to load."""
+        b = CircuitBuilder()
+        s = b.plus(b.input_amp(), b.input_amp())
+        text = b.finish([[s]]).to_json()
+        xor_on_amps = json.loads(text)
+        xor_on_amps["nodes"][0]["kind"] = GateKind.XOR.value
+        plus_to_bit = json.loads(text)
+        plus_to_bit["wire_types"][s] = "bit"
+        for data in (xor_on_amps, plus_to_bit):
+            with pytest.raises(GraphError):
+                CircuitGraph.from_json(json.dumps(data))

@@ -298,6 +298,14 @@ class TestCheckpointInit:
         assert self.run_from(tmp_path, ckpt) == 2
         assert "config.init.path" in capsys.readouterr().err
 
+    def test_checkpoint_header_below_its_bonds_exits_2(self, tmp_path, capsys):
+        state = random_peps(3, 3, 2, 3, seed=0)
+        state.bond_dim = 2  # the header then claims D=2 for D=3 bonds
+        ckpt = tmp_path / "state.tnp"
+        save_peps(state, ckpt)
+        assert self.run_from(tmp_path, ckpt) == 2
+        assert "config.init.path" in capsys.readouterr().err
+
     def test_checkpoint_loaded_once_for_every_bond_dim(self, tmp_path, monkeypatch):
         ckpt = tmp_path / "state.tnp"
         save_peps(random_peps(3, 3, 2, 2, seed=0), ckpt)

@@ -364,6 +364,11 @@ class TestValidation:
         with pytest.raises(DimensionError):
             Peps(2, 2, 2, 2, sites, "obc")
 
+    def test_bond_wider_than_bond_dim_rejected(self):
+        sites = random_peps(2, 2, 2, 5, seed=13, boundary="pbc").sites
+        with pytest.raises(DimensionError):
+            Peps(2, 2, 2, 1, sites, "pbc")
+
     def test_plan_lattice_mismatch(self):
         p = random_peps(2, 2, 2, 2, seed=14)
         with pytest.raises(ValueError):

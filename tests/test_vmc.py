@@ -212,6 +212,11 @@ class TestEstimateEnergy:
             with pytest.raises(NumericalAbortError):
                 estimate_energy(p, heisenberg(1, 4), mode, 2, n_sweeps=10, n_warmup=2)
 
+    def test_no_chains_rejected(self):
+        p = random_peps(2, 2, 2, 2, seed=8)
+        with pytest.raises(ValueError, match="n_chains"):
+            estimate_energy(p, heisenberg(2, 2), "fixed", 2, n_sweeps=10, n_chains=0)
+
     def test_bad_parameters(self):
         p = random_peps(2, 2, 2, 2, seed=8)
         m = heisenberg(2, 2)

@@ -14,21 +14,29 @@ checkout) and hashes, in a fixed order, the exact bits of:
 * the five Floquet routes on every configuration of L = 2, 3 and 6 for
   t = 0..3 and chi = 1..3, with the MPO and MPS site tensors;
 * ``entanglement_dynamics`` for all five methods and ``bulk_entropy_sweep``;
-* ``simple_update`` sites, ``estimate_energy`` in both modes and
-  ``gradient_estimate`` with both samplings.
+* ``simple_update`` sites, ``estimate_energy`` in both modes,
+  ``gradient_estimate`` with both samplings, ``ground_energy`` and
+  ``enumerate_energy``;
+* the data files (every file but ``manifest.json`` and ``timing_*``) that
+  ``tnf-lab`` writes for small fixed configs: ``vmc`` (fixed and dynamic,
+  two chains; a j1j2 run from a random start; a run from the first run's
+  checkpoint), ``floquet`` (all five methods at two chis), ``pareto`` and
+  ``circuit`` (all suites), each with its exit code.
 
 Run it with ``--src`` at two commits: equal hashes mean the two builds give
-the same bits on every item. It calls only long-standing public signatures,
-so one copy of this script serves both sides. It takes about 15 s on one
-core of a 2-vCPU Xeon VM.
+the same bits on every item. It calls only long-standing public signatures
+and command-line flags, so one copy of this script serves both sides. It
+takes about 17 s on one core of a 2-vCPU Xeon VM.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import itertools
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -166,6 +174,70 @@ def vmc_items(d: Digest, tnf) -> None:
         d.array(f"gradient {sampling}", grad)
         d.num(f"gradient {sampling} energy", info.energy)
         d.add(f"gradient {sampling} counts", f"{info.n_samples} {info.zeroed_params}".encode())
+    ev = tnf.FixedEvaluator(state, tnf.FixedPlan.for_lattice(2, 2, 2))
+    d.num("enumerate_energy 2x2", tnf.enumerate_energy(ev.peek, model))
+    for model in (tnf.heisenberg(2, 3, "pbc"), tnf.heisenberg(3, 3), tnf.j1j2(4, 4, 0.5, "pbc")):
+        d.num(f"ground_energy {model.name} {model.rows}x{model.cols}", tnf.ground_energy(model))
+
+
+_VMC = {
+    "version": 1, "kind": "vmc", "seed": 11,
+    "lattice": {"rows": 3, "cols": 3, "boundary": "obc"},
+    "model": {"name": "heisenberg"},
+    "grid": {"bond_dims": [2, 3], "chis": [1, 2], "modes": ["fixed", "dynamic"]},
+    "sweeps": 40, "warmup": 10, "chains": 2,
+    "init": {"method": "simple_update", "tau": 0.05, "steps": 20},
+}
+
+# (kind, name, config); "{out}" in a string is the output directory of the
+# first run, so a later run can read its checkpoint.
+CLI_RUNS = [
+    ("vmc", "vmc", _VMC),
+    ("vmc", "vmc_j1j2", {
+        **_VMC, "lattice": {"rows": 2, "cols": 3, "boundary": "pbc"},
+        "model": {"name": "j1j2", "j2": 0.5}, "init": {"method": "random"},
+    }),
+    ("vmc", "vmc_file", {
+        **_VMC, "grid": {"bond_dims": [2], "chis": [2], "modes": ["fixed"]},
+        "init": {"method": "file", "path": "{out}/peps_D2.tnp"},
+    }),
+    ("floquet", "floquet", {
+        "version": 1, "kind": "floquet", "seed": 4, "sites": 6, "t_max": 3,
+        "preset": "maximally_chaotic",
+        "methods": ["exact", "mps", "tnf_transverse", "tnf_inverse", "mpo"], "chis": [2, 3],
+    }),
+    ("pareto", "pareto", {
+        "version": 1, "kind": "pareto", "seed": 2,
+        "lattice": {"rows": 2, "cols": 2, "boundary": "obc"},
+        "model": {"name": "heisenberg"},
+        "grid": {"bond_dims": [2], "chis": [1, 2]},
+        "sgd": {"iterations": 2, "sweeps": 40, "learning_rate": 0.05},
+        "sweeps": 80, "timing_amplitudes": 2,
+        "init": {"method": "simple_update", "tau": 0.05, "steps": 30},
+    }),
+    ("circuit", "circuit", {
+        "version": 1, "kind": "circuit", "seed": 1,
+        "suites": ["adder", "multiplier", "square", "fnn", "memo"],
+        "max_bits": {"adder": 3, "multiplier": 3, "square": 3},
+        "fnn": {"widths": [2, 3, 1], "n_inputs": 10},
+    }),
+]
+
+
+def cli_items(d: Digest, tnf) -> None:
+    import tnflab.cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        first = Path(tmp) / CLI_RUNS[0][1]
+        for kind, name, cfg in CLI_RUNS:
+            out = Path(tmp) / name
+            config = Path(tmp) / f"{name}.json"
+            config.write_text(json.dumps(cfg).replace("{out}", str(first)))
+            code = tnflab.cli.main([kind, "--config", str(config), "--out", str(out)])
+            d.add(f"cli {name} exit", str(code).encode())
+            for f in sorted(out.rglob("*")):
+                if f.is_file() and f.name != "manifest.json" and not f.name.startswith("timing_"):
+                    d.add(f"cli {name} {f.relative_to(out)}", f.read_bytes())
 
 
 def main(argv=None) -> int:
@@ -177,7 +249,7 @@ def main(argv=None) -> int:
     import tnflab as tnf
 
     d = Digest()
-    for part in (lattice_items, floquet_items, entanglement_items, vmc_items):
+    for part in (lattice_items, floquet_items, entanglement_items, vmc_items, cli_items):
         part(d, tnf)
     print(f"items {d.count}")
     print(f"sha256 {d.sha.hexdigest()}")
