@@ -166,37 +166,43 @@ def _check_node(node: Node, wire_types: Sequence[str]) -> _Gate:
     return gate
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitGraph:
-    """Directed acyclic gate graph with typed wires.
+    """Immutable directed acyclic gate graph with typed wires, checked once
+    when it is made: every ``CircuitGraph`` that exists is valid.
 
-    ``input_groups``/``output_groups`` are ordered lists of wire-id lists,
-    one group per logical operand (a bit string, a real, a variable).
+    ``input_groups``/``output_groups`` hold one tuple of wire ids per
+    logical operand (a bit string, a real, a variable).
     """
 
-    nodes: list[Node]
-    wire_types: list[str]
-    input_groups: list[list[int]]
-    output_groups: list[list[int]]
+    nodes: tuple[Node, ...]
+    wire_types: tuple[str, ...]
+    input_groups: tuple[tuple[int, ...], ...]
+    output_groups: tuple[tuple[int, ...], ...]
     var_grids: dict[int, int] = field(default_factory=dict)
 
-    @property
-    def n_wires(self) -> int:
-        return len(self.wire_types)
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        for name in ("nodes", "wire_types"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("input_groups", "output_groups"):
+            object.__setattr__(self, name, tuple(tuple(g) for g in getattr(self, name)))
+        object.__setattr__(self, "var_grids", dict(self.var_grids))
+        wires = range(len(self.wire_types))
         produced = {w for g in self.input_groups for w in g}
+        for w in produced:
+            if w not in wires:
+                raise GraphError(f"input wire {w} is not a wire of the graph")
         bit_reads: list[int] = []
         for node in self.nodes:
-            if _check_node(node, self.wire_types).in_kind == "bit":
-                bit_reads.extend(node.inputs)
             for w in node.inputs:
                 if w not in produced:
                     raise GraphError(f"wire {w} consumed before production (cycle or unbound)")
             for w in node.outputs:
-                if w in produced:
-                    raise GraphError(f"wire {w} produced twice")
+                if w in produced or w not in wires:
+                    raise GraphError(f"wire {w} produced twice or not a wire of the graph")
                 produced.add(w)
+            if _check_node(node, self.wire_types).in_kind == "bit":
+                bit_reads.extend(node.inputs)
         for g in self.output_groups:
             for w in g:
                 if w not in produced:
@@ -242,15 +248,13 @@ class CircuitGraph:
             if kind == GateKind.FUNC and payload is not None:
                 payload = np.asarray(payload, dtype=float)
             nodes.append(Node(kind, tuple(n["inputs"]), tuple(n["outputs"]), payload))
-        graph = cls(
+        return cls(
             nodes=nodes,
-            wire_types=list(data["wire_types"]),
-            input_groups=[list(g) for g in data["input_groups"]],
-            output_groups=[list(g) for g in data["output_groups"]],
+            wire_types=data["wire_types"],
+            input_groups=data["input_groups"],
+            output_groups=data["output_groups"],
             var_grids={int(k): v for k, v in data.get("var_grids", {}).items()},
         )
-        graph.validate()
-        return graph
 
 
 class CircuitBuilder:
@@ -349,15 +353,10 @@ class CircuitBuilder:
         return outs
 
     def finish(self, output_groups: list[list[int]]) -> CircuitGraph:
-        graph = CircuitGraph(
-            nodes=self.nodes,
-            wire_types=self.wire_types,
-            input_groups=self.input_groups,
-            output_groups=[list(g) for g in output_groups],
-            var_grids=dict(self.var_grids),
+        """The graph of the nodes added so far; later calls do not change it."""
+        return CircuitGraph(
+            self.nodes, self.wire_types, self.input_groups, output_groups, self.var_grids
         )
-        graph.validate()
-        return graph
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +486,6 @@ def eval_binary(graph: CircuitGraph, inputs: Sequence[BitVec]) -> list[BitVec]:
     product-state property, else :class:`InvariantError`), and its hot
     position gives the output bits. Work is linear in the gate count.
     """
-    graph.validate()
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} input operands")
     bits: dict[int, int] = {}
@@ -538,7 +536,6 @@ def eval_amp_circuit(
     stored in topological order, so one forward loop evaluates the nodes
     the outputs depend on. Values agree exactly either way.
     """
-    graph.validate()
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} inputs")
     bound: dict[int, object] = {}

@@ -42,7 +42,7 @@ from .entanglement import METHODS, entanglement_dynamics
 from .errors import ConfigError, NumericalAbortError, ResourceLimitError
 from .floquet import MAX_DENSE_SITES, FloquetParams, PRESETS
 from .models import heisenberg, j1j2, neel_config, nn_pairs
-from .peps import FixedEvaluator, FixedPlan, Peps, load_peps, random_peps, save_peps
+from .peps import FixedPlan, Peps, amplitude_fixed, load_peps, random_peps, save_peps
 from .simple_update import simple_update
 from .vmc import estimate_energy, sgd_optimize
 
@@ -357,12 +357,11 @@ def run_pareto(cfg: dict, out_dir: Path) -> list[str]:
                 n_sweeps=sgd_sweeps,
             )
             est = estimate_energy(best, model, "fixed", chi, n_sweeps=eval_sweeps, seed=seed)
-            evaluator = FixedEvaluator(best, FixedPlan.for_lattice(model.rows, model.cols, chi))
+            plan = FixedPlan.for_lattice(model.rows, model.cols, chi)
             cfg0 = neel_config(model.rows, model.cols)
             t0 = time.perf_counter()
             for rep in range(timing_reps):
-                evaluator.clear()  # time full contractions, not lookups
-                evaluator.amplitude(cfg0)
+                amplitude_fixed(best, cfg0, plan)  # a full contraction, no memo
             amp_seconds = (time.perf_counter() - t0) / timing_reps
             results.append(
                 {

@@ -421,10 +421,6 @@ class _BoundaryStack:
         self.max_entries = max_entries
         self._memo: dict[tuple, object] = {}
 
-    def clear(self) -> None:
-        """Forget every memoized environment and amplitude."""
-        self._memo.clear()
-
     def _env(
         self, cfg: np.ndarray, side: str, mid: int, patch=None, stats: dict | None = None
     ) -> BoundaryMps | None:
@@ -616,7 +612,9 @@ _VERSION = 1
 
 def save_peps(peps: Peps, path) -> None:
     """Checkpoint format: versioned header, then per-site extents and
-    row-major complex128 data, all little-endian."""
+    row-major complex128 data, all little-endian. A state changed since it
+    was made is checked again, so the header never claims a false shape."""
+    peps.validate()
     buf = io.BytesIO()
     buf.write(_MAGIC)
     buf.write(

@@ -1,4 +1,5 @@
 """Binary and amplitude arithmetic circuits."""
+import dataclasses
 import json
 
 import numpy as np
@@ -228,14 +229,16 @@ class TestBinaryEvaluator:
         b = CircuitBuilder()
         with pytest.raises(GraphError):
             b.finish([[b.const_bit(payload)]])
-        graph = CircuitGraph(
-            nodes=[Node(GateKind.CONST_BIT, (), (0,), payload)],
-            wire_types=["bit"],
-            input_groups=[],
-            output_groups=[[0]],
-        )
+        text = json.dumps({
+            "version": 1,
+            "wire_types": ["bit"],
+            "nodes": [{"kind": "const_bit", "inputs": [], "outputs": [0], "payload": payload}],
+            "input_groups": [],
+            "output_groups": [[0]],
+            "var_grids": {},
+        })
         with pytest.raises(GraphError):
-            CircuitGraph.from_json(graph.to_json())
+            CircuitGraph.from_json(text)
 
     def test_amplitude_circuit_rejected(self):
         spec = FnnSpec([1, 1], [np.array([[2.0]])], [np.array([1.0])], [[0.0, 1.0]])
@@ -244,14 +247,68 @@ class TestBinaryEvaluator:
 
     def test_cycle_detected(self):
         node = Node(GateKind.XOR, (1, 2), (1,))
-        graph = CircuitGraph(
-            nodes=[node],
-            wire_types=["bit", "bit", "bit"],
-            input_groups=[[0], [2]],
-            output_groups=[[1]],
-        )
         with pytest.raises(GraphError):
-            graph.validate()
+            CircuitGraph(
+                nodes=[node],
+                wire_types=["bit", "bit", "bit"],
+                input_groups=[[0], [2]],
+                output_groups=[[1]],
+            )
+
+
+class TestGraphConstruction:
+    """A CircuitGraph is checked once, when it is made, and never changes."""
+
+    @pytest.mark.parametrize(
+        "nodes, wire_types, input_groups, output_groups",
+        [
+            # a cycle: the XOR reads its own output
+            ([Node(GateKind.XOR, (0, 1), (1,))], ["bit", "bit"], [[0]], [[1]]),
+            # a binary gate on amplitude wires
+            ([Node(GateKind.XOR, (0, 1), (2,))], ["amp", "amp", "amp"], [[0], [1]], [[2]]),
+            # a constant bit that is neither 0 nor 1
+            ([Node(GateKind.CONST_BIT, (), (0,), 2)], ["bit"], [], [[0]]),
+            # wire ids that name no wire: past the end, and negative
+            ([Node(GateKind.PLUS, (0, 9), (2,))], ["amp"] * 3, [[0], [1]], [[2]]),
+            ([Node(GateKind.PLUS, (0, 1), (9,))], ["amp"] * 3, [[0], [1]], [[9]]),
+            ([Node(GateKind.PLUS, (-1, 1), (2,))], ["amp"] * 3, [[-1], [1]], [[2]]),
+        ],
+        ids=["cycle", "xor_on_amp", "const_bit_payload", "input_past_end", "output_past_end",
+             "negative_wire"],
+    )
+    def test_invalid_graph_not_constructed(self, nodes, wire_types, input_groups, output_groups):
+        with pytest.raises(GraphError):
+            CircuitGraph(nodes, wire_types, input_groups, output_groups)
+        text = json.dumps({
+            "version": 1, "wire_types": wire_types, "input_groups": input_groups,
+            "output_groups": output_groups, "var_grids": {},
+            "nodes": [{"kind": n.kind.value, "inputs": n.inputs, "outputs": n.outputs,
+                       "payload": n.payload} for n in nodes],
+        })
+        with pytest.raises(GraphError):
+            CircuitGraph.from_json(text)
+
+    def test_builder_after_finish_leaves_graph_unchanged(self):
+        b = CircuitBuilder()
+        (x,) = b.input_bits(1)
+        (y,) = b.input_bits(1)
+        x1, x2 = b.delta(x)
+        y1, y2 = b.delta(y)
+        g = b.finish([[b.xor(x1, y1)]])
+        text = g.to_json()
+        b.and_(x1, y1)
+        b.and_(x2, y2)
+        b.input_bits(2)
+        assert len(g.nodes) == 3 and g.to_json() == text
+        for xv, yv in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            (z,) = eval_binary(g, [BitVec((xv,)), BitVec((yv,))])
+            assert z.bits == (xv ^ yv,)
+
+    def test_fields_frozen(self):
+        g = build_half_adder()
+        for name in ("nodes", "wire_types", "input_groups", "output_groups", "var_grids"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, getattr(g, name))
 
 
 class TestFloatEncoding:

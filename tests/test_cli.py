@@ -2,6 +2,7 @@
 import filecmp
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -299,10 +300,11 @@ class TestCheckpointInit:
         assert "config.init.path" in capsys.readouterr().err
 
     def test_checkpoint_header_below_its_bonds_exits_2(self, tmp_path, capsys):
-        state = random_peps(3, 3, 2, 3, seed=0)
-        state.bond_dim = 2  # the header then claims D=2 for D=3 bonds
         ckpt = tmp_path / "state.tnp"
-        save_peps(state, ckpt)
+        save_peps(random_peps(3, 3, 2, 3, seed=0), ckpt)
+        data = bytearray(ckpt.read_bytes())
+        struct.pack_into("<I", data, 8 + 16, 2)  # the header's bond_dim claims D=2 for D=3 bonds
+        ckpt.write_bytes(bytes(data))
         assert self.run_from(tmp_path, ckpt) == 2
         assert "config.init.path" in capsys.readouterr().err
 

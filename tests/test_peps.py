@@ -349,6 +349,14 @@ class TestSerialization:
             for c in range(2):
                 assert np.array_equal(p.sites[r][c], q.sites[r][c])
 
+    def test_false_header_not_written(self, tmp_path):
+        p = random_peps(3, 3, 2, 3, seed=0)
+        p.bond_dim = 2  # the header would claim D=2 for D=3 bonds
+        path = tmp_path / "state.tnp"
+        with pytest.raises(DimensionError):
+            save_peps(p, path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.tnp"
         path.write_bytes(b"NOTPEPS!" + b"\0" * 64)

@@ -17,6 +17,11 @@ checkout) and hashes, in a fixed order, the exact bits of:
 * ``simple_update`` sites, ``estimate_energy`` in both modes,
   ``gradient_estimate`` with both samplings, ``ground_energy`` and
   ``enumerate_energy``;
+* binary circuits (adder, multiplier, square at widths 1-4) on every
+  input, and amplitude circuits (three networks, one composition of
+  discretized functions, a 600-node chain) with memo on and off: the
+  output bits, value bits and contraction counts, each graph's JSON text
+  and the same evaluations of the graph loaded back from it;
 * the data files (every file but ``manifest.json`` and ``timing_*``) that
   ``tnf-lab`` writes for small fixed configs: ``vmc`` (fixed and dynamic,
   two chains; a j1j2 run from a random start; a run from the first run's
@@ -224,6 +229,61 @@ CLI_RUNS = [
 ]
 
 
+def circuit_items(d: Digest, tnf) -> None:
+    from tnflab.circuit import CircuitBuilder, function_table
+
+    def loaded(tag, graph):
+        text = graph.to_json()
+        d.add(f"{tag} json", text.encode())
+        return tnf.CircuitGraph.from_json(text)
+
+    binary = [(f"adder {n}", tnf.build_adder(n)) for n in range(1, 5)]
+    binary += [(f"multiplier {m}x{n}", tnf.build_multiplier(m, n))
+               for m, n in itertools.product(range(1, 5), repeat=2)]
+    binary += [(f"square {n}", tnf.build_square(n)) for n in range(1, 5)]
+    for tag, graph in binary:
+        back = loaded(tag, graph)
+        widths = [len(group) for group in graph.input_groups]
+        for values in itertools.product(*(range(1 << w) for w in widths)):
+            operands = [tnf.BitVec.from_int(v, w) for v, w in zip(values, widths)]
+            for side, g in (("", graph), ("loaded ", back)):
+                outs = tnf.eval_binary(g, operands)
+                d.add(f"{tag} {side}{values}", repr([o.bits for o in outs]).encode())
+
+    rng = np.random.default_rng(8)
+    amp = []
+    for widths, acts in (([2, 3, 1], [[0.1, 1.0, 0.5], [0.0, 1.0]]),
+                         ([4, 8, 8, 1], [[0.0, 1.0, 0.0, 0.2]] * 3),
+                         ([3, 2], [[0.3, -1.0, 0.0, 0.1]])):
+        spec = tnf.FnnSpec(
+            widths,
+            [rng.standard_normal((widths[k + 1], widths[k])) * 0.5 for k in range(len(widths) - 1)],
+            [rng.standard_normal(widths[k + 1]) * 0.1 for k in range(len(widths) - 1)],
+            acts,
+        )
+        xs = [list(rng.uniform(-1, 1, widths[0])) for _ in range(4)]
+        amp.append((f"fnn {widths}", tnf.compile_fnn(spec), xs))
+    grid = np.linspace(-1.0, 1.0, 7)
+    f, g = function_table(np.sin, grid), function_table(lambda x: x * x - 0.5, grid[:5])
+    expr = ("plus", ("times", ("func", f, "x"), ("func", f, "x")),
+            ("times", ("func", g, "y"), ("plus", ("func", f, "x"), ("const", 0.25))))
+    amp.append(("amp_function", tnf.build_amp_function(expr, {"x": 7, "y": 5}),
+                [list(v) for v in itertools.product(range(7), range(5))]))
+    b = CircuitBuilder()
+    w = b.input_amp()
+    for _ in range(300):
+        w = b.plus(b.times(w, w), w)
+    amp.append(("chain 600", b.finish([[w]]), [[1e-6], [-3e-4], [0.0]]))
+    for tag, graph, inputs in amp:
+        back = loaded(tag, graph)
+        for k, x in enumerate(inputs):
+            for side, gr in (("", graph), ("loaded ", back)):
+                for memo in (True, False):
+                    values, stats = tnf.eval_amp_circuit(gr, x, memo=memo)
+                    text = " ".join(float(v).hex() for v in values) + f" {stats.contractions}"
+                    d.add(f"{tag} {side}{k} memo={memo}", text.encode())
+
+
 def cli_items(d: Digest, tnf) -> None:
     import tnflab.cli
 
@@ -249,7 +309,7 @@ def main(argv=None) -> int:
     import tnflab as tnf
 
     d = Digest()
-    for part in (lattice_items, floquet_items, entanglement_items, vmc_items, cli_items):
+    for part in (lattice_items, floquet_items, entanglement_items, vmc_items, circuit_items, cli_items):
         part(d, tnf)
     print(f"items {d.count}")
     print(f"sha256 {d.sha.hexdigest()}")
