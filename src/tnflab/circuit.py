@@ -150,8 +150,9 @@ class Node:
     payload: object = None
 
 
-def _check_node(node: Node, wire_types: Sequence[str]) -> _Gate:
-    """The one node rule (arity, wire kinds, payload) from ``_GATES``; returns the gate."""
+def _check_node(node: Node, wire_types: Sequence[str], var_grids: dict) -> tuple[_Gate, Node]:
+    """The one node rule (arity, wire kinds, payload, variable grids) from ``_GATES``;
+    returns the gate and the node as a graph holds it (a ``func`` table as row tuples)."""
     gate = _GATES[node.kind]
     if len(node.inputs) != gate.n_in or len(node.outputs) != gate.n_out:
         raise GraphError(f"{node.kind} takes {gate.n_in} inputs and {gate.n_out} outputs")
@@ -163,7 +164,20 @@ def _check_node(node: Node, wire_types: Sequence[str]) -> _Gate:
             raise GraphError(f"{node.kind} writes {gate.out_kind} wires; wire {w} is not one")
     if gate.payloads is not None and node.payload not in gate.payloads:
         raise GraphError(f"{node.kind} payload {node.payload!r} is not one of {gate.payloads}")
-    return gate
+    if gate.in_kind != "var":
+        return gate, node
+    grid = var_grids.get(node.inputs[0])
+    if any(var_grids.get(w, grid) != grid for w in node.outputs):
+        raise GraphError(f"{node.kind} copies a grid of {grid} points to a different grid")
+    if node.kind == GateKind.FUNC:
+        try:
+            table = np.array(node.payload, dtype=float)
+        except (TypeError, ValueError):
+            table = None
+        if table is None or table.shape != (grid, 2):
+            raise GraphError(f"function table must have shape ({grid}, 2), the variable's grid")
+        node = Node(node.kind, node.inputs, node.outputs, tuple(map(tuple, table.tolist())))
+    return gate, node
 
 
 @dataclass(frozen=True)
@@ -188,11 +202,15 @@ class CircuitGraph:
             object.__setattr__(self, name, tuple(tuple(g) for g in getattr(self, name)))
         object.__setattr__(self, "var_grids", dict(self.var_grids))
         wires = range(len(self.wire_types))
+        for w, kind in enumerate(self.wire_types):
+            if kind == "var" and w not in self.var_grids:
+                raise GraphError(f"variable wire {w} has no grid")
         produced = {w for g in self.input_groups for w in g}
         for w in produced:
             if w not in wires:
                 raise GraphError(f"input wire {w} is not a wire of the graph")
         bit_reads: list[int] = []
+        nodes = []
         for node in self.nodes:
             for w in node.inputs:
                 if w not in produced:
@@ -201,8 +219,11 @@ class CircuitGraph:
                 if w in produced or w not in wires:
                     raise GraphError(f"wire {w} produced twice or not a wire of the graph")
                 produced.add(w)
-            if _check_node(node, self.wire_types).in_kind == "bit":
+            gate, node = _check_node(node, self.wire_types, self.var_grids)
+            nodes.append(node)
+            if gate.in_kind == "bit":
                 bit_reads.extend(node.inputs)
+        object.__setattr__(self, "nodes", tuple(nodes))
         for g in self.output_groups:
             for w in g:
                 if w not in produced:
@@ -212,11 +233,6 @@ class CircuitGraph:
             raise GraphError(f"bit wire {w} has {count} consumers; copy tensors realize fan-out")
 
     def to_json(self) -> str:
-        def encode_payload(node):
-            if node.kind == GateKind.FUNC:
-                return np.asarray(node.payload).tolist()
-            return node.payload
-
         return json.dumps(
             {
                 "version": 1,
@@ -226,7 +242,7 @@ class CircuitGraph:
                         "kind": n.kind.value,
                         "inputs": list(n.inputs),
                         "outputs": list(n.outputs),
-                        "payload": encode_payload(n),
+                        "payload": n.payload,
                     }
                     for n in self.nodes
                 ],
@@ -241,15 +257,11 @@ class CircuitGraph:
         data = json.loads(text)
         if data.get("version") != 1:
             raise ValueError(f"unsupported circuit version {data.get('version')}")
-        nodes = []
-        for n in data["nodes"]:
-            kind = GateKind(n["kind"])
-            payload = n["payload"]
-            if kind == GateKind.FUNC and payload is not None:
-                payload = np.asarray(payload, dtype=float)
-            nodes.append(Node(kind, tuple(n["inputs"]), tuple(n["outputs"]), payload))
         return cls(
-            nodes=nodes,
+            nodes=[
+                Node(GateKind(n["kind"]), tuple(n["inputs"]), tuple(n["outputs"]), n["payload"])
+                for n in data["nodes"]
+            ],
             wire_types=data["wire_types"],
             input_groups=data["input_groups"],
             output_groups=data["output_groups"],
@@ -290,7 +302,7 @@ class CircuitBuilder:
         gate = _GATES[kind]
         outs = [self._wire(gate.out_kind) for _ in range(gate.n_out)]
         node = Node(kind, tuple(inputs), tuple(outs), payload)
-        _check_node(node, self.wire_types)
+        _, node = _check_node(node, self.wire_types, self.var_grids)
         if kind == GateKind.VAR_COPY:
             g = self.var_grids[inputs[0]]
             for w in outs:
@@ -324,13 +336,6 @@ class CircuitBuilder:
         return self.add(GateKind.CONST_FLOAT, [], payload=float(x))[0]
 
     def func(self, table, var_wire):
-        table = np.asarray(table, dtype=float)
-        if table.ndim != 2 or table.shape[1] != 2:
-            raise GraphError("function table must have shape (grid, 2)")
-        if table.shape[0] != self.var_grids[var_wire]:
-            raise GraphError(
-                f"variable grid {self.var_grids[var_wire]} does not match table {table.shape[0]}"
-            )
         return self.add(GateKind.FUNC, [var_wire], payload=table)[0]
 
     def var_copy(self, v):
@@ -578,7 +583,7 @@ def eval_amp_circuit(
         if node.kind == GateKind.CONST_FLOAT:
             out = [float_encode(node.payload)]
         elif node.kind == GateKind.FUNC:
-            out = [np.asarray(node.payload)[values[node.inputs[0]]].copy()]
+            out = [np.array(node.payload[values[node.inputs[0]]])]
         elif node.kind == GateKind.VAR_COPY:
             idx = values[node.inputs[0]]
             out = [idx, idx]

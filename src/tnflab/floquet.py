@@ -276,14 +276,13 @@ def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.nd
     _check_periods(t)
     if t == 0:
         return [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(params.n_sites)], 0.0
-    n = params.n_sites
     mpo = build_floquet_mpo(params)
     # F as a boundary (outputs open, inputs as faces); earlier layers attach by their outputs.
-    acc = BoundaryMps([w.reshape(w.shape[0], 4, w.shape[3]) for w in mpo], (2,) * n, (2,) * n)
+    acc = BoundaryMps(mpo)
     layer = [w.transpose(1, 0, 2, 3) for w in mpo]
     for _ in range(t - 1):
         acc = boundary_absorb(acc, layer, chi, "top")
-    return [acc.site4(c) for c in range(n)], acc.log_scale
+    return acc.sites, acc.log_scale
 
 
 def mpo_amplitude(sites: list[np.ndarray], log_scale: float, n) -> AmplitudeValue:

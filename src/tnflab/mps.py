@@ -57,8 +57,9 @@ def compress(
 ) -> tuple[list[np.ndarray], float]:
     """Compress internal bonds to at most ``chi`` and rescale sites.
 
-    Returns the new chain and the accumulated log of the factors taken out
-    while rescaling each site to unit max-abs entry. ``chi=None`` still
+    A site may have any rank; its first and last axes are the bonds. Returns
+    the new chain and the accumulated log of the factors taken out while
+    rescaling each site to unit max-abs entry. ``chi=None`` still
     canonicalizes (trimming exact-rank excess) but never truncates below the
     numerical rank. A chain with an exactly-zero site represents the value 0;
     it is returned unswept with log factor 0.
@@ -68,10 +69,9 @@ def compress(
     log_factor = 0.0
     # Left-to-right QR canonicalization.
     for i in range(n - 1):
-        l, p, r = sites[i].shape
-        q, rmat = np.linalg.qr(sites[i].reshape(l * p, r))
-        k = q.shape[1]
-        sites[i] = q.reshape(l, p, k)
+        shape = sites[i].shape
+        q, rmat = np.linalg.qr(sites[i].reshape(-1, shape[-1]))
+        sites[i] = q.reshape(shape[:-1] + q.shape[1:])
         sites[i + 1] = np.tensordot(rmat, sites[i + 1], axes=([1], [0]))
 
     # Right-to-left truncation sweep.
@@ -85,7 +85,7 @@ def compress(
             stats["max_discarded"] = max(stats.get("max_discarded", 0.0), split.discarded_weight)
         sites[i] = split.right
         carry = split.isometry * split.singulars  # (l, k)
-        sites[i - 1] = np.tensordot(sites[i - 1], carry, axes=([2], [0]))
+        sites[i - 1] = np.tensordot(sites[i - 1], carry, axes=([-1], [0]))
 
     t, lf, zero = renormalize(sites[0])
     if not zero:

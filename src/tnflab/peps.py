@@ -28,6 +28,7 @@ paired into the boundary physical legs until the final closure.
 from __future__ import annotations
 
 import io
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -233,19 +234,13 @@ def _row(peps: Peps, cfg: np.ndarray, r: int, patch=None) -> list[np.ndarray]:
 class BoundaryMps:
     """Boundary accumulated over absorbed rows.
 
-    ``sites`` are rank-3 ``(left, open*face, right)`` where ``face`` is the
+    ``sites`` are rank-4 ``(left, open, face, right)`` where ``face`` is the
     vertical leg toward the unabsorbed rows and ``open`` is a wrap leg kept
     until closure (extent 1 for open lattices).
     """
 
     sites: list[np.ndarray]
-    open_dims: tuple[int, ...]
-    face_dims: tuple[int, ...]
     log_scale: float = 0.0
-
-    def site4(self, c: int) -> np.ndarray:
-        s = self.sites[c]
-        return s.reshape(s.shape[0], self.open_dims[c], self.face_dims[c], s.shape[2])
 
 
 def boundary_absorb(
@@ -263,41 +258,22 @@ def boundary_absorb(
     outward legs stay open. Scale factors accumulate in ``log_scale``.
     """
     if bmps is None:
-        sites, opens, faces = [], [], []
-        for t in row:
-            u, l, d, r = t.shape
-            if side == "top":
-                sites.append(np.ascontiguousarray(t.transpose(1, 0, 2, 3)).reshape(l, u * d, r))
-                opens.append(u)
-                faces.append(d)
-            else:
-                sites.append(np.ascontiguousarray(t.transpose(1, 2, 0, 3)).reshape(l, d * u, r))
-                opens.append(d)
-                faces.append(u)
-        sites, lf = compress(sites, chi, stats)
-        return BoundaryMps(sites, tuple(opens), tuple(faces), lf)
+        axes = (1, 0, 2, 3) if side == "top" else (1, 2, 0, 3)  # (l, open, face, r)
+        sites, lf = compress([np.ascontiguousarray(t.transpose(axes)) for t in row], chi, stats)
+        return BoundaryMps(sites, lf)
     if len(row) != len(bmps.sites):
         raise DimensionError("row length does not match boundary length")
-    new_sites, faces = [], []
-    for c, t in enumerate(row):
-        s = bmps.site4(c)  # (l, o, f, r)
-        if side == "top":
-            if s.shape[2] != t.shape[0]:
-                raise DimensionError(f"face/up extent mismatch at column {c}")
-            m = np.tensordot(s, t, axes=([2], [0]))  # (l, o, r, l2, d2, r2)
-            face = t.shape[2]
-        else:
-            if s.shape[2] != t.shape[2]:
-                raise DimensionError(f"face/down extent mismatch at column {c}")
-            m = np.tensordot(s, t, axes=([2], [2]))  # (l, o, r, u2, l2, r2)
-            m = m.transpose(0, 1, 2, 4, 3, 5)  # (l, o, r, l2, u2, r2)
-            face = t.shape[0]
-        l, o, r, l2, f2, r2 = m.shape
-        m = m.transpose(0, 3, 1, 4, 2, 5).reshape(l * l2, o * f2, r * r2)
-        new_sites.append(np.ascontiguousarray(m))
-        faces.append(face)
+    # The face meets the row's up leg from the top, its down leg from the bottom.
+    leg, perm = (0, (0, 3, 1, 4, 2, 5)) if side == "top" else (2, (0, 4, 1, 3, 2, 5))
+    new_sites = []
+    for c, (s, t) in enumerate(zip(bmps.sites, row)):  # s: (l, o, f, r)
+        if s.shape[2] != t.shape[leg]:
+            raise DimensionError(f"face extent {s.shape[2]} does not meet the row at column {c}")
+        m = np.tensordot(s, t, axes=([2], [leg])).transpose(perm)  # (l, l2, o, f2, r, r2)
+        l, l2, o, f2, r, r2 = m.shape
+        new_sites.append(np.ascontiguousarray(m.reshape(l * l2, o, f2, r * r2)))
     new_sites, lf = compress(new_sites, chi, stats)
-    return BoundaryMps(new_sites, bmps.open_dims, tuple(faces), bmps.log_scale + lf)
+    return BoundaryMps(new_sites, bmps.log_scale + lf)
 
 
 def _close_strip(
@@ -314,20 +290,20 @@ def _close_strip(
     vec = None
     for c, m in enumerate(mid):
         if top is not None and bottom is not None:
-            a = top.site4(c)  # (lt, o, x, rt)
-            b = bottom.site4(c)  # (lb, o, y, rb)
+            a = top.sites[c]  # (lt, o, x, rt)
+            b = bottom.sites[c]  # (lb, o, y, rb)
             t = np.tensordot(a, m, axes=([2], [0]))  # (lt, o, rt, lm, y, rm)
             t = np.tensordot(t, b, axes=([1, 4], [1, 2]))  # (lt, rt, lm, rm, lb, rb)
             t = t.transpose(0, 2, 4, 1, 3, 5)
             t = t.reshape(a.shape[0] * m.shape[1] * b.shape[0], -1)
         elif top is not None:
-            a = top.site4(c)
+            a = top.sites[c]
             # The middle row is the last row: its down legs pair with the
             # boundary's open wrap legs.
             t = np.tensordot(a, m, axes=([2, 1], [0, 2]))  # (lt, rt, lm, rm)
             t = t.transpose(0, 2, 1, 3).reshape(a.shape[0] * m.shape[1], -1)
         elif bottom is not None:
-            b = bottom.site4(c)
+            b = bottom.sites[c]
             t = np.tensordot(m, b, axes=([2, 0], [2, 1]))  # (lm, rm, lb, rb)
             t = t.transpose(0, 2, 1, 3).reshape(m.shape[1] * b.shape[0], -1)
         else:
@@ -349,10 +325,10 @@ class FixedPlan:
     """Configuration-independent boundary-absorption schedule.
 
     Rows ``[0, mid)`` are absorbed downward, rows ``(mid, rows-1]`` upward,
-    and the strip at ``mid`` is closed exactly. A pure function of
-    ``(rows, cols, chi, mid)``: serializing the plan yields the same bytes for
-    every configuration of a lattice. :meth:`for_lattice` closes at the
-    middle row.
+    and the strip at ``mid`` is closed exactly. The plan is its four numbers
+    ``(rows, cols, chi, mid)`` and holds nothing of a configuration, so every
+    configuration of a lattice is contracted on the same schedule.
+    :meth:`for_lattice` closes at the middle row.
     """
 
     rows: int
@@ -369,18 +345,6 @@ class FixedPlan:
     @classmethod
     def for_lattice(cls, rows: int, cols: int, chi: int) -> "FixedPlan":
         return cls(rows, cols, chi, rows // 2)
-
-    @property
-    def steps(self) -> tuple[tuple[str, int], ...]:
-        return tuple(
-            [("top", r) for r in range(self.mid)]
-            + [("bottom", r) for r in range(self.rows - 1, self.mid, -1)]
-            + [("close", self.mid)]
-        )
-
-    def serialize(self) -> str:
-        body = ";".join(f"{s}:{r}" for s, r in self.steps)
-        return f"v1 rows={self.rows} cols={self.cols} chi={self.chi} mid={self.mid} {body}"
 
 
 def amplitude_fixed(peps: Peps, n, plan: FixedPlan) -> AmplitudeValue:
@@ -421,15 +385,9 @@ class _BoundaryStack:
         self.max_entries = max_entries
         self._memo: dict[tuple, object] = {}
 
-    def _env(
-        self, cfg: np.ndarray, side: str, mid: int, patch=None, stats: dict | None = None
-    ) -> BoundaryMps | None:
-        """Boundary over the rows above (``"top"``) or below ``mid``.
-
-        Environments are reused and stored up to the row of ``patch``; from
-        there on the rows are patched, absorbed afresh with ``stats`` and
-        never stored.
-        """
+    def _env(self, cfg: np.ndarray, side: str, mid: int) -> BoundaryMps | None:
+        """Boundary over the rows above (``"top"``) or below ``mid``, built
+        on the longest stored prefix; every new prefix is stored."""
         cols = self.peps.cols
         if side == "top":
             order = range(mid)
@@ -437,19 +395,14 @@ class _BoundaryStack:
         else:
             order = range(self.peps.rows - 1, mid, -1)
             keys = [(side, cfg[r * cols :].tobytes()) for r in order]
-        stored = len(order)
-        if patch is not None and patch[0][0] in order:
-            stored = order.index(patch[0][0])
         env, start = None, 0
-        for k in range(stored - 1, -1, -1):
+        for k in range(len(order) - 1, -1, -1):
             if keys[k] in self._memo:
                 env, start = self._memo[keys[k]], k + 1
                 break
         for k in range(start, len(order)):
-            row = _row(self.peps, cfg, order[k], patch)
-            env = boundary_absorb(env, row, self.chi, side, stats if k >= stored else None)
-            if k < stored:
-                self._memo[keys[k]] = env
+            env = boundary_absorb(env, _row(self.peps, cfg, order[k]), self.chi, side)
+            self._memo[keys[k]] = env
         return env
 
     def _closed(self, cfg: np.ndarray, mid: int) -> AmplitudeValue:
@@ -503,11 +456,19 @@ class FixedEvaluator(_BoundaryStack):
         row. ``stats`` sees only the patched absorptions. Values equal
         ``amplitude_fixed`` on the modified state.
         """
-        cfg = as_config(n, self.peps.n_sites, self.peps.phys_dim)
-        patch, mid = (tuple(site), tensor), self.plan.mid
-        top = self._env(cfg, "top", mid, patch, stats)
-        bottom = self._env(cfg, "bottom", mid, patch, stats)
-        return _close_strip(top, _row(self.peps, cfg, mid, patch), bottom)
+        peps, mid = self.peps, self.plan.mid
+        r0, c0 = map(operator.index, site)
+        if not (0 <= r0 < peps.rows and 0 <= c0 < peps.cols):
+            raise ValueError(f"site {(r0, c0)} is not on the {peps.rows}x{peps.cols} lattice")
+        cfg = as_config(n, peps.n_sites, peps.phys_dim)
+        patch = ((r0, c0), tensor)
+        top = self._env(cfg, "top", min(r0, mid))
+        for r in range(min(r0, mid), mid):
+            top = boundary_absorb(top, _row(peps, cfg, r, patch), self.chi, "top", stats)
+        bottom = self._env(cfg, "bottom", max(r0, mid))
+        for r in range(max(r0, mid), mid, -1):
+            bottom = boundary_absorb(bottom, _row(peps, cfg, r, patch), self.chi, "bottom", stats)
+        return _close_strip(top, _row(peps, cfg, mid, patch), bottom)
 
 
 # ---------------------------------------------------------------------------

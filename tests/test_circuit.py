@@ -310,6 +310,43 @@ class TestGraphConstruction:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(g, name, getattr(g, name))
 
+    @staticmethod
+    def one_func(table):
+        b = CircuitBuilder()
+        x = b.input_var(4)
+        return b.finish([[b.func(table, x)]])
+
+    def test_func_tables_and_grids_checked(self):
+        data = json.loads(self.one_func(function_table(lambda x: x, np.linspace(0, 1, 4))).to_json())
+        no_grid = {**data, "var_grids": {}}
+        short = json.loads(json.dumps(data))
+        short["nodes"][0]["payload"] = short["nodes"][0]["payload"][:2]
+        ragged = json.loads(json.dumps(data))
+        ragged["nodes"][0]["payload"][1] = [1.0]
+        b = CircuitBuilder()
+        x = b.input_var(4)
+        y, z = b.var_copy(x)
+        copied = json.loads(b.finish([[b.func(np.ones((4, 2)), y)], [z]]).to_json())
+        # a copy on a 2-point grid of a 4-point variable, read by a 2-row table
+        copied["var_grids"]["1"] = 2
+        copied["nodes"][1]["payload"] = [[1.0, 0.0], [1.0, 1.0]]
+        for bad in (no_grid, short, ragged, copied):
+            with pytest.raises(GraphError):
+                CircuitGraph.from_json(json.dumps(bad))
+        for table in (np.ones((2, 2)), np.ones((4, 3)), np.ones(8)):
+            with pytest.raises(GraphError):
+                self.one_func(table)
+
+    def test_func_table_is_an_immutable_copy(self):
+        tab = function_table(lambda x: x, np.linspace(0, 1, 4))
+        g = self.one_func(tab)
+        tab[2, 1] = 99.0
+        (value,), _ = eval_amp_circuit(g, [2])
+        assert value == 2 / 3
+        back = CircuitGraph.from_json(g.to_json())
+        assert g == back and back.to_json() == g.to_json()
+        assert eval_amp_circuit(back, [2])[0] == [value]
+
 
 class TestFloatEncoding:
     def test_encode(self):

@@ -88,6 +88,25 @@ def test_compress_respects_chi():
     assert all(s.shape[2] <= 3 for s in out[:-1])
 
 
+@pytest.mark.parametrize("chi", [1, 2, None])
+@pytest.mark.parametrize("zero_site", [None, 2])
+def test_compress_any_rank_matches_rank3(chi, zero_site):
+    """A chain of rank-4 sites (l, a, b, r) compresses to the same bits as
+    the chain with (a, b) merged into one physical leg."""
+    rng = np.random.default_rng(6)
+    chain4 = [s.reshape(s.shape[0], 2, 3, s.shape[2]) for s in random_mps(rng, 5, 6, 4)]
+    if zero_site is not None:
+        chain4[zero_site] = np.zeros_like(chain4[zero_site])
+    chain3 = [s.reshape(s.shape[0], 6, s.shape[3]) for s in chain4]
+    stats4, stats3 = {}, {}
+    out4, log4 = compress(chain4, chi, stats4)
+    out3, log3 = compress(chain3, chi, stats3)
+    assert log4 == log3 and stats4 == stats3
+    for a, b in zip(out4, out3):
+        assert a.ndim == 4 and a.shape[1:3] == (2, 3)
+        assert np.array_equal(a.reshape(b.shape), b)
+
+
 def test_contract_scalar_chain():
     rng = np.random.default_rng(7)
     mats = [rng.standard_normal((1, 1, 3)), rng.standard_normal((3, 1, 2)), rng.standard_normal((2, 1, 1))]

@@ -1,4 +1,5 @@
 """PEPS states, fixed-schedule amplitudes, boundary contraction, exact oracle."""
+import dataclasses
 import itertools
 import math
 
@@ -243,9 +244,9 @@ class TestAmplitudeFixed:
         vec = None
         log = top.log_scale + bottom.log_scale
         for c in range(4):
-            a = top.site4(c)
+            a = top.sites[c]
             m = net[2][c]
-            b = bottom.site4(c)
+            b = bottom.sites[c]
             t = np.einsum("aoxp,xcyq,eoyr->acepqr", a, m, b)
             t = t.reshape(a.shape[0] * m.shape[1] * b.shape[0], -1)
             vec = t[0] if vec is None else vec @ t
@@ -269,9 +270,8 @@ class TestAmplitudeFixed:
 
     def test_plan_is_configuration_independent(self):
         plan = FixedPlan.for_lattice(4, 4, 3)
-        assert plan.serialize() == FixedPlan.for_lattice(4, 4, 3).serialize()
+        assert dataclasses.astuple(plan) == (4, 4, 3, 2)
         assert plan.mid == 2
-        assert plan.steps[-1] == ("close", 2)
 
     def test_plan_checks_chi_and_closure_row(self):
         assert FixedPlan(4, 4, 3, 2) == FixedPlan.for_lattice(4, 4, 3)
@@ -336,6 +336,15 @@ class TestAmplitudeFixed:
                 b = amplitude_fixed(modified, n, plan)
                 assert bits(a) == bits(b) == bits(c), (boundary, site)
                 assert warm == cold, (boundary, site)
+
+    def test_amplitude_with_site_rejects_sites_off_the_lattice(self):
+        p = random_peps(3, 3, 2, 2, seed=16)
+        ev = FixedEvaluator(p, FixedPlan.for_lattice(3, 3, 2))
+        n = [0, 1] * 4 + [0]
+        for site in ((5, 0), (3, 0), (-1, 0), (0, 5), (0, -1)):
+            with pytest.raises(ValueError, match=rf"site \({site[0]}, {site[1]}\).*3x3"):
+                ev.amplitude_with_site(n, site, p.sites[0][0], {})
+        assert ev._memo == {}  # refused before any contraction
 
 
 class TestSerialization:

@@ -7,8 +7,8 @@ checkout) and hashes, in a fixed order, the exact bits of:
 
 * fixed-schedule amplitudes (``mantissa``, ``log_scale``, ``is_zero``) at
   every closure row, memoized ones through a ``FixedEvaluator`` with
-  ``max_entries=7`` (so the memo flushes), patched ones with the
-  ``max_discarded`` they report, dynamic-cache ones along a move sequence,
+  ``max_entries=7`` (so the memo flushes), patched ones at every site with
+  the ``max_discarded`` they report, dynamic-cache ones along a move sequence,
   and exact ones, on open and periodic lattices from 1x1 to 5x3 at D 1-3
   and chi 1-3;
 * the five Floquet routes on every configuration of L = 2, 3 and 6 for
@@ -31,7 +31,7 @@ checkout) and hashes, in a fixed order, the exact bits of:
 Run it with ``--src`` at two commits: equal hashes mean the two builds give
 the same bits on every item. It calls only long-standing public signatures
 and command-line flags, so one copy of this script serves both sides. It
-takes about 17 s on one core of a 2-vCPU Xeon VM.
+takes about 25 s on one core of a 2-vCPU Xeon VM.
 """
 from __future__ import annotations
 
@@ -100,13 +100,14 @@ def lattice_items(d: Digest, tnf) -> None:
                 walk.append(cfg)
             for k, cfg in enumerate(walk + walk[::-1]):
                 d.amp(f"{tag} chi{chi} memo {k}", ev.amplitude(cfg))
-            site = (int(rng.integers(0, rows)), int(rng.integers(0, cols)))
-            t = peps.sites[site[0]][site[1]]
-            patched = t + 0.01 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
-            for k, cfg in enumerate(configs):
-                stats: dict = {}
-                d.amp(f"{tag} chi{chi} patch {k}", ev.amplitude_with_site(cfg, site, patched, stats))
-                d.num(f"{tag} chi{chi} patch {k} discarded", stats.get("max_discarded", 0.0))
+            for site in itertools.product(range(rows), range(cols)):
+                t = peps.sites[site[0]][site[1]]
+                patched = t + 0.01 * (rng.standard_normal(t.shape) + 1j * rng.standard_normal(t.shape))
+                for k, cfg in enumerate(configs):
+                    stats: dict = {}
+                    key = f"{tag} chi{chi} patch {site} {k}"
+                    d.amp(key, ev.amplitude_with_site(cfg, site, patched, stats))
+                    d.num(f"{key} discarded", stats.get("max_discarded", 0.0))
             cache = tnf.DynamicCache(peps, chi)
             for k, cfg in enumerate(walk):
                 d.amp(f"{tag} chi{chi} peek {k}", cache.peek(cfg))
