@@ -21,10 +21,12 @@ evaluation contracts only once.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +76,16 @@ def _logic_tensor(entries) -> np.ndarray:
     return t
 
 
+class _FiniteReals:
+    """Payloads of a real constant: an int or float within float range (no NaN or inf), not a bool."""
+
+    def __contains__(self, x) -> bool:
+        return type(x) is not bool and isinstance(x, (int, float)) and abs(x) <= sys.float_info.max
+
+    def __repr__(self) -> str:
+        return "the finite reals"
+
+
 class _Gate(NamedTuple):
     """Arity, wire kinds, defining tensor (output last) and, if restricted, payloads."""
 
@@ -82,7 +94,7 @@ class _Gate(NamedTuple):
     in_kind: str | None
     out_kind: str
     tensor: np.ndarray | None = None
-    payloads: tuple | None = None
+    payloads: tuple | _FiniteReals | None = None
 
 
 _GATES = {
@@ -94,7 +106,7 @@ _GATES = {
     GateKind.PLUS: _Gate(2, 1, "amp", "amp", _logic_tensor([(0, 0, 0), (1, 0, 1), (0, 1, 1)])),
     GateKind.TIMES: _Gate(2, 1, "amp", "amp", _logic_tensor([(0, 0, 0), (1, 1, 1)])),
     GateKind.CONST_BIT: _Gate(0, 1, None, "bit", payloads=(0, 1)),
-    GateKind.CONST_FLOAT: _Gate(0, 1, None, "amp"),
+    GateKind.CONST_FLOAT: _Gate(0, 1, None, "amp", payloads=_FiniteReals()),
     GateKind.FUNC: _Gate(1, 1, "var", "amp"),
     GateKind.VAR_COPY: _Gate(1, 2, "var", "var"),
 }
@@ -142,15 +154,14 @@ class BitVec:
         return len(self.bits)
 
 
-@dataclass
-class Node:
+class Node(NamedTuple):
     kind: GateKind
     inputs: tuple[int, ...]
     outputs: tuple[int, ...]
     payload: object = None
 
 
-def _check_node(node: Node, wire_types: Sequence[str], var_grids: dict) -> tuple[_Gate, Node]:
+def _check_node(node: Node, wire_types: Sequence[str], var_grids: Mapping) -> tuple[_Gate, Node]:
     """The one node rule (arity, wire kinds, payload, variable grids) from ``_GATES``;
     returns the gate and the node as a graph holds it (a ``func`` table as row tuples)."""
     gate = _GATES[node.kind]
@@ -163,7 +174,7 @@ def _check_node(node: Node, wire_types: Sequence[str], var_grids: dict) -> tuple
         if wire_types[w] != gate.out_kind:
             raise GraphError(f"{node.kind} writes {gate.out_kind} wires; wire {w} is not one")
     if gate.payloads is not None and node.payload not in gate.payloads:
-        raise GraphError(f"{node.kind} payload {node.payload!r} is not one of {gate.payloads}")
+        raise GraphError(f"{node.kind} payload {node.payload!r} is not in {gate.payloads}")
     if gate.in_kind != "var":
         return gate, node
     grid = var_grids.get(node.inputs[0])
@@ -186,21 +197,22 @@ class CircuitGraph:
     when it is made: every ``CircuitGraph`` that exists is valid.
 
     ``input_groups``/``output_groups`` hold one tuple of wire ids per
-    logical operand (a bit string, a real, a variable).
+    logical operand (a bit string, a real, a variable); ``var_grids`` is a
+    read-only map from each variable wire to its grid length.
     """
 
     nodes: tuple[Node, ...]
     wire_types: tuple[str, ...]
     input_groups: tuple[tuple[int, ...], ...]
     output_groups: tuple[tuple[int, ...], ...]
-    var_grids: dict[int, int] = field(default_factory=dict)
+    var_grids: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("nodes", "wire_types"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("input_groups", "output_groups"):
             object.__setattr__(self, name, tuple(tuple(g) for g in getattr(self, name)))
-        object.__setattr__(self, "var_grids", dict(self.var_grids))
+        object.__setattr__(self, "var_grids", MappingProxyType(dict(self.var_grids)))
         wires = range(len(self.wire_types))
         for w, kind in enumerate(self.wire_types):
             if kind == "var" and w not in self.var_grids:

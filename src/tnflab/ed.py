@@ -1,64 +1,62 @@
-"""Exact diagonalization benchmarks for small spin-1/2 lattices.
+"""Exact diagonalization on the half-filling sector of small spin-1/2 lattices.
 
-Works in a fixed-magnetization sector (the one Monte Carlo sampling walks),
-building the sparse Hamiltonian over bitmask configurations. Bit ``i`` set
-means site ``i`` is spin down.
+:class:`Sector` is the one table of that sector (``n_sites // 2`` down spins,
+the sector Monte Carlo sampling walks): the sparse Hamiltonian here and the
+enumerated energies and gradients of :mod:`tnflab.vmc` index it in one order.
 """
 from __future__ import annotations
 
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ResourceLimitError
 from .models import Model
 
-__all__ = ["sector_basis", "sector_hamiltonian", "ground_energy", "mask_to_config"]
+__all__ = ["Sector", "sector_hamiltonian", "ground_energy"]
 
 _MAX_SITES = 20
 
 
-def mask_to_config(mask: int, n_sites: int) -> np.ndarray:
-    return np.array([(mask >> i) & 1 for i in range(n_sites)], dtype=np.int64)
+class Sector:
+    """The half-filling configurations of ``n_sites`` spins: ``masks``, ascending bitmasks (bit
+    ``i`` set: site ``i`` is spin down), and ``configs``, their ``(dim, n_sites)`` bit table."""
+
+    def __init__(self, n_sites: int):
+        if n_sites > _MAX_SITES:
+            raise ResourceLimitError(f"{n_sites} sites: exact diagonalization guarded to {_MAX_SITES}")
+        downs = np.array(list(combinations(range(n_sites), n_sites // 2)), dtype=np.int64)
+        self.masks = np.sort((1 << downs).sum(axis=1))
+        self.dim = len(self.masks)
+        self.configs = (self.masks[:, None] >> np.arange(n_sites)) & 1
+        self._index = np.full(1 << n_sites, -1, dtype=np.int64)
+        self._index[self.masks] = np.arange(self.dim)
+
+    def swap_target(self, i: int, j: int) -> np.ndarray:
+        """Each configuration's index after exchanging sites ``i`` and ``j``,
+        or -1 where the two spins are parallel."""
+        return self._index[self.masks ^ ((1 << i) | (1 << j))]
 
 
-def sector_basis(n_sites: int, n_down: int) -> list[int]:
-    """All bitmasks with ``n_down`` set bits, ascending."""
-    masks = [sum(1 << i for i in sites) for sites in combinations(range(n_sites), n_down)]
-    return sorted(masks)
-
-
-def sector_hamiltonian(model: Model, n_down: int) -> tuple[scipy.sparse.csr_matrix, list[int]]:
-    """Sparse Hamiltonian restricted to the fixed-magnetization sector."""
-    n = model.n_sites
-    if n > _MAX_SITES:
-        raise ResourceLimitError(f"exact diagonalization guarded to {_MAX_SITES} sites, got {n}")
-    basis = sector_basis(n, n_down)
-    index = {m: k for k, m in enumerate(basis)}
-    rows, cols, vals = [], [], []
-    for k, mask in enumerate(basis):
-        diag = 0.0
-        for i, j, c in model.couplings:
-            bi = (mask >> i) & 1
-            bj = (mask >> j) & 1
-            if bi == bj:
-                diag += 0.25 * c
-            else:
-                diag -= 0.25 * c
-                flipped = mask ^ ((1 << i) | (1 << j))
-                rows.append(index[flipped])
-                cols.append(k)
-                vals.append(0.5 * c)
-        rows.append(k)
-        cols.append(k)
-        vals.append(diag)
-    dim = len(basis)
-    h = scipy.sparse.csr_matrix(
-        (np.array(vals), (np.array(rows), np.array(cols))), shape=(dim, dim)
-    )
-    return h, basis
+def sector_hamiltonian(model: Model) -> scipy.sparse.csr_matrix:
+    """Sparse Hamiltonian on ``Sector(model.n_sites)``, in its order. The
+    entries go in column by column: a column's exchange terms in coupling
+    order, then its diagonal."""
+    sector = Sector(model.n_sites)
+    diag = np.zeros(sector.dim)
+    rows, vals = [], []
+    for i, j, c in model.couplings:
+        target = sector.swap_target(i, j)
+        diag += np.where(target < 0, 0.25 * c, -0.25 * c)
+        rows.append(target)
+        vals.append(np.full(sector.dim, 0.5 * c))
+    cols = np.arange(sector.dim)
+    rows = np.stack(rows + [cols], axis=1)
+    keep = rows >= 0
+    vals = np.stack(vals + [diag], axis=1)[keep]
+    cols = np.broadcast_to(cols[:, None], rows.shape)[keep]
+    return scipy.sparse.csr_matrix((vals, (rows[keep], cols)), shape=(sector.dim, sector.dim))
 
 
 def ground_energy(model: Model) -> float:
@@ -73,7 +71,7 @@ def ground_energy(model: Model) -> float:
     byte for byte. A random (not uniform) start vector is used because by
     symmetry the ground state can be orthogonal to the uniform vector.
     """
-    h, _ = sector_hamiltonian(model, model.n_sites // 2)
+    h = sector_hamiltonian(model)
     dim = h.shape[0]
     if dim <= 64:
         return float(np.linalg.eigvalsh(h.toarray())[0])

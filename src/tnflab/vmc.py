@@ -6,7 +6,7 @@ amplitude modulus, the per-configuration local energy sums amplitude ratios
 over the configurations reachable by one two-site term, and moves exchange
 antiparallel nearest-neighbor pairs so the total magnetization is conserved.
 One sweep proposes every such pair once, in a fixed order; observables are
-measured after each sweep.
+measured after each sweep. Exact energies and gradients use :class:`tnflab.ed.Sector`.
 
 Both amplitude semantics plug in through a small evaluator interface:
 ``peek(n)`` returns the amplitude without touching history and
@@ -20,11 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .ed import Sector, sector_hamiltonian
 from .errors import NumericalAbortError
 from .models import Model, neel_config, nn_pairs
 from .peps import (
@@ -265,40 +265,28 @@ def estimate_energy(
     )
 
 
-def _sector_weights(amplitude_fn: Callable, n_sites: int) -> list[tuple[np.ndarray, float]]:
-    """(configuration, weight) over the half-filling sector in lexicographic
-    order of the down sites; the weight is the squared amplitude modulus
-    relative to the largest, and zero amplitudes are left out."""
-    amps = []
-    for downs in combinations(range(n_sites), n_sites // 2):
-        cfg = np.zeros(n_sites, dtype=np.int64)
-        cfg[list(downs)] = 1
-        amp = amplitude_fn(cfg)
-        if not amp.is_zero:
-            amps.append((cfg, amp))
-    max_log = max((amp.log_scale for _, amp in amps), default=-math.inf)
-    return [
-        (cfg, abs(amp.mantissa) ** 2 * math.exp(2.0 * (amp.log_scale - max_log)))
-        for cfg, amp in amps
-    ]
+def _sector_state(amplitude_fn: Callable, model: Model):
+    """The configurations of ``Sector(model.n_sites)``, their amplitudes ``psi``
+    at the largest amplitude's scale, ``H psi`` and the Rayleigh quotient."""
+    configs = Sector(model.n_sites).configs
+    amps = [amplitude_fn(cfg) for cfg in configs]
+    top = max((a.log_scale for a in amps if not a.is_zero), default=0.0)
+    psi = np.array([0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in amps])
+    h_psi = sector_hamiltonian(model) @ psi
+    norm = np.vdot(psi, psi).real
+    if norm == 0.0:
+        raise ValueError("state has no weight in the requested sector")
+    return configs, psi, h_psi, float(np.vdot(psi, h_psi).real / norm)
 
 
 def enumerate_energy(amplitude_fn: Callable, model: Model) -> float:
     """Rayleigh quotient over the half-filling sector (no sampling).
 
-    Enumerates every configuration in the sector the chains walk, weights
-    by the squared amplitude modulus, and averages the local energy.
-    Matches the sampled estimator in the infinite-statistics limit and the
-    sector-projected expectation value exactly.
+    Evaluates every configuration in the sector the chains walk into one
+    amplitude vector ``psi`` and returns ``<psi|H|psi> / <psi|psi>`` with the
+    sector Hamiltonian: the sampled estimator's infinite-statistics limit.
     """
-    num = 0.0
-    den = 0.0
-    for cfg, w in _sector_weights(amplitude_fn, model.n_sites):
-        num += w * local_energy(model, amplitude_fn, cfg).real
-        den += w
-    if den == 0.0:
-        raise ValueError("state has no weight in the requested sector")
-    return num / den
+    return _sector_state(amplitude_fn, model)[3]
 
 
 @dataclass
@@ -357,20 +345,22 @@ def gradient_estimate(
 ) -> tuple[np.ndarray, GradientInfo]:
     """Energy gradient over the flattened parameters (fixed schedule only).
 
-    g_k = 2 Re(<E_loc O_k*> - <E_loc><O_k*>) with O_k the log-derivative of
-    the amplitude. ``sampling`` is ``"metropolis"`` or ``"enumerate"`` (full
-    sector enumeration, exact weights; for small lattices and tests). The
-    Metropolis chain is chain 0 of :func:`estimate_energy` with the same
-    seed, started from the Neel configuration. A non-finite energy raises
-    :class:`NumericalAbortError`.
+    g_k = 2 Re(<E_loc O_k*> - <E_loc><O_k*>) with O_k the log-derivative of the
+    amplitude. ``sampling="enumerate"`` (small lattices and tests) weights each sector
+    configuration by ``|psi_k|^2``, with ``E_loc = (H psi)_k / psi_k`` and ``<E_loc>`` =
+    :func:`enumerate_energy`, all from one amplitude vector. ``"metropolis"`` averages
+    :func:`local_energy` over chain 0 of :func:`estimate_energy` with the same seed, from
+    the Neel configuration. A non-finite energy raises :class:`NumericalAbortError`.
     """
     evaluator = _make_evaluator(peps, "fixed", chi)
     if sampling == "enumerate":
-        samples = _sector_weights(evaluator.peek, model.n_sites)
+        configs, psi, h_psi, e_mean = _sector_state(evaluator.peek, model)
+        weights = np.abs(psi) ** 2
+        samples = ((configs[k], weights[k], h_psi[k] / psi[k]) for k in np.flatnonzero(weights))
     elif sampling == "metropolis":
         n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup)
         chain = _chain_samples(evaluator, model, n_sweeps, n_warmup, seed, 0, cfg0)
-        samples = ((state.config, 1.0) for state in chain)
+        samples = ((s.config, 1.0, local_energy(model, evaluator.peek, s.config)) for s in chain)
     else:
         raise ValueError(f"unknown sampling {sampling!r}")
 
@@ -381,10 +371,9 @@ def gradient_estimate(
     sum_eo = np.zeros(n_params, dtype=complex)
     zeroed = 0
     n_samples = 0
-    for cfg, w in samples:
-        # E_loc is complex per configuration (only its average is real);
-        # the gradient needs the full complex value against O_k*.
-        e = local_energy(model, evaluator.peek, cfg)
+    # E_loc is complex per configuration (only its average is real); the
+    # gradient needs the full complex value against O_k*.
+    for cfg, w, e in samples:
         o, z = _log_derivatives(evaluator, peps, cfg)
         oc = np.conj(o)
         sum_w += w
@@ -394,7 +383,8 @@ def gradient_estimate(
         zeroed += z
         n_samples += 1
 
-    e_mean = sum_e / sum_w
+    if sampling == "metropolis":
+        e_mean = sum_e / sum_w
     if not math.isfinite(e_mean):
         raise NumericalAbortError(f"energy estimate is not finite: {e_mean}")
     o_mean = sum_o / sum_w

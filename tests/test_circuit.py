@@ -272,9 +272,15 @@ class TestGraphConstruction:
             ([Node(GateKind.PLUS, (0, 9), (2,))], ["amp"] * 3, [[0], [1]], [[2]]),
             ([Node(GateKind.PLUS, (0, 1), (9,))], ["amp"] * 3, [[0], [1]], [[9]]),
             ([Node(GateKind.PLUS, (-1, 1), (2,))], ["amp"] * 3, [[-1], [1]], [[2]]),
+            # a constant real that is missing, not a number, a bool, or past float range
+            ([Node(GateKind.CONST_FLOAT, (), (0,), None)], ["amp"], [], [[0]]),
+            ([Node(GateKind.CONST_FLOAT, (), (0,), float("nan"))], ["amp"], [], [[0]]),
+            ([Node(GateKind.CONST_FLOAT, (), (0,), True)], ["amp"], [], [[0]]),
+            ([Node(GateKind.CONST_FLOAT, (), (0,), 10**400)], ["amp"], [], [[0]]),
         ],
         ids=["cycle", "xor_on_amp", "const_bit_payload", "input_past_end", "output_past_end",
-             "negative_wire"],
+             "negative_wire", "const_float_null", "const_float_nan", "const_float_bool",
+             "const_float_huge_int"],
     )
     def test_invalid_graph_not_constructed(self, nodes, wire_types, input_groups, output_groups):
         with pytest.raises(GraphError):
@@ -309,6 +315,21 @@ class TestGraphConstruction:
         for name in ("nodes", "wire_types", "input_groups", "output_groups", "var_grids"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(g, name, getattr(g, name))
+
+    def test_nodes_frozen(self):
+        b = CircuitBuilder()
+        x = b.input_amp()
+        g = b.finish([[b.plus(x, b.const_float(0.5))]])
+        with pytest.raises(AttributeError):
+            g.nodes[0].payload = 7.0
+        assert eval_amp_circuit(g, [1.0])[0] == [1.5]
+
+    def test_var_grids_read_only(self):
+        g = self.one_func(np.ones((4, 2)))
+        (v,) = g.var_grids
+        with pytest.raises(TypeError):
+            g.var_grids[v] = 2
+        assert g.var_grids == {v: 4}
 
     @staticmethod
     def one_func(table):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from tnflab.ed import ground_energy, mask_to_config, sector_basis, sector_hamiltonian
+from tnflab.ed import Sector, ground_energy, sector_hamiltonian
 from tnflab.errors import ResourceLimitError
 from tnflab.models import Model, heisenberg, j1j2, neel_config, nn_pairs, spin_coupling_matrix
 
@@ -65,13 +65,32 @@ def test_sector_hamiltonian_against_dense():
 
 
 def test_sector_basis_counts():
-    assert len(sector_basis(4, 2)) == 6
-    assert len(sector_basis(6, 3)) == 20
+    assert Sector(4).dim == 6
+    sector = Sector(6)
+    assert sector.dim == 20 and sector.configs.shape == (20, 6)
 
 
 def test_mask_round_trip():
-    cfg = mask_to_config(0b1011, 4)
-    assert cfg.tolist() == [1, 1, 0, 1]
+    sector = Sector(6)
+    assert np.all(np.diff(sector.masks) > 0)
+    assert np.array_equal(sector.configs @ (1 << np.arange(6)), sector.masks)
+    assert sector.configs[0].tolist() == [1, 1, 1, 0, 0, 0]  # mask 0b000111
+    four = Sector(4)
+    assert four.configs[four.masks.tolist().index(0b1001)].tolist() == [1, 0, 0, 1]
+
+
+def test_sector_table():
+    sector = Sector(6)
+    k = np.arange(sector.dim)
+    for i, j in [(0, 1), (0, 5), (2, 4)]:
+        target = sector.swap_target(i, j)
+        parallel = sector.configs[:, i] == sector.configs[:, j]
+        assert np.all(target[parallel] == -1)
+        assert np.all(target[~parallel] >= 0)
+        assert np.array_equal(target[target[~parallel]], k[~parallel])
+        swapped = sector.configs[~parallel].copy()
+        swapped[:, [i, j]] = swapped[:, [j, i]]
+        assert np.array_equal(sector.configs[target[~parallel]], swapped)
 
 
 def test_site_guard():
@@ -91,7 +110,7 @@ def test_ground_energy_repeatable_on_sparse_path():
     for model in (heisenberg(3, 3), j1j2(4, 4, 0.5, "pbc")):
         values = [ground_energy(model) for _ in range(4)]
         assert all(v.hex() == values[0].hex() for v in values)
-    h, _ = sector_hamiltonian(heisenberg(3, 3), 4)
+    h = sector_hamiltonian(heisenberg(3, 3))
     assert h.shape[0] > 64
     dense = np.linalg.eigvalsh(h.toarray())[0]
     assert abs(ground_energy(heisenberg(3, 3)) - dense) < 1e-10

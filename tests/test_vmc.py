@@ -1,11 +1,10 @@
 """Sampling, local energies, and the energy estimator."""
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
 
-from tnflab.ed import mask_to_config, sector_hamiltonian
+from tnflab.ed import Sector
 from tnflab.errors import NumericalAbortError
 from tnflab.models import heisenberg, neel_config, nn_pairs
 from tnflab.peps import FixedEvaluator, FixedPlan, product_peps, random_peps
@@ -20,11 +19,18 @@ from tnflab.vmc import (
 )
 
 
-def sector_configs(n_sites, n_down):
-    for downs in combinations(range(n_sites), n_down):
-        cfg = np.zeros(n_sites, dtype=np.int64)
-        cfg[list(downs)] = 1
-        yield cfg
+def local_energy_average(amplitude_fn, model):
+    """The sector average of the local energy with weights |amp|^2, one
+    :func:`local_energy` call per configuration."""
+    amps = [(cfg, amplitude_fn(cfg)) for cfg in Sector(model.n_sites).configs]
+    max_log = max(a.log_scale for _, a in amps if not a.is_zero)
+    num = den = 0.0
+    for cfg, a in amps:
+        if not a.is_zero:
+            w = abs(a.mantissa) ** 2 * math.exp(2.0 * (a.log_scale - max_log))
+            num += w * local_energy(model, amplitude_fn, cfg).real
+            den += w
+    return num / den
 
 
 class UniformAmplitude:
@@ -71,14 +77,7 @@ class TestLocalEnergy:
         ev = FixedEvaluator(p, FixedPlan.for_lattice(4, 4, 4))
         got = enumerate_energy(ev.peek, m)
 
-        h, basis = sector_hamiltonian(m, 8)
-        amps = [ev.peek(mask_to_config(mask, 16)) for mask in basis]
-        max_log = max(a.log_scale for a in amps if not a.is_zero)
-        psi = np.array(
-            [0j if a.is_zero else a.mantissa * math.exp(a.log_scale - max_log) for a in amps]
-        )
-        want = float(np.real(np.vdot(psi, h @ psi) / np.vdot(psi, psi)))
-        assert abs(got - want) < 1e-10
+        assert abs(got - local_energy_average(ev.peek, m)) < 1e-10
 
 
 class TestMetropolis:
@@ -115,7 +114,7 @@ class TestMetropolis:
         ev = FixedEvaluator(p, FixedPlan.for_lattice(2, 2, 4))
         cfg0 = neel_config(2, 2)
         probs = {}
-        for cfg in sector_configs(4, 2):
+        for cfg in Sector(4).configs:
             a = ev.peek(cfg)
             probs[tuple(cfg)] = 0.0 if a.is_zero else abs(a.mantissa) ** 2 * math.exp(2 * a.log_scale)
         z = sum(probs.values())
@@ -154,7 +153,7 @@ class TestMetropolis:
         sched = nn_pairs(2, 2)
         thin = 5
         n_samples = 6_000
-        counts = {tuple(c): 0 for c in sector_configs(4, 2)}
+        counts = {tuple(c): 0 for c in Sector(4).configs}
         for _ in range(n_samples):
             for _ in range(thin):
                 order = list(sched)

@@ -28,10 +28,13 @@ checkout) and hashes, in a fixed order, the exact bits of:
   checkpoint), ``floquet`` (all five methods at two chis), ``pareto`` and
   ``circuit`` (all suites), each with its exit code.
 
-Run it with ``--src`` at two commits: equal hashes mean the two builds give
-the same bits on every item. It calls only long-standing public signatures
-and command-line flags, so one copy of this script serves both sides. It
-takes about 25 s on one core of a 2-vCPU Xeon VM.
+It prints one ``sha256 <part> <hash>`` line per part (lattice, floquet,
+entanglement, vmc, circuit, cli), then the item count and the SHA-256 over
+all items. Run it with ``--src`` at two commits: equal hashes mean the two
+builds give the same bits on every item, and the part lines say where they
+differ. It calls only long-standing public signatures and command-line
+flags, so one copy of this script serves both sides. It takes about 25 s on
+one core of a 2-vCPU Xeon VM.
 """
 from __future__ import annotations
 
@@ -51,14 +54,18 @@ import numpy as np  # noqa: E402
 
 
 class Digest:
-    """SHA-256 over a sequence of items, with an item count."""
+    """SHA-256 over a sequence of items, with an item count, and one more
+    SHA-256 over the items of the current part."""
 
     def __init__(self):
         self.sha = hashlib.sha256()
+        self.part = hashlib.sha256()
         self.count = 0
 
     def add(self, label: str, payload: bytes) -> None:
-        self.sha.update(label.encode() + b"\0" + payload + b"\n")
+        item = label.encode() + b"\0" + payload + b"\n"
+        self.sha.update(item)
+        self.part.update(item)
         self.count += 1
 
     def amp(self, label: str, a) -> None:
@@ -311,7 +318,9 @@ def main(argv=None) -> int:
 
     d = Digest()
     for part in (lattice_items, floquet_items, entanglement_items, vmc_items, circuit_items, cli_items):
+        d.part = hashlib.sha256()
         part(d, tnf)
+        print(f"sha256 {part.__name__.removesuffix('_items')} {d.part.hexdigest()}")
     print(f"items {d.count}")
     print(f"sha256 {d.sha.hexdigest()}")
     return 0

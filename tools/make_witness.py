@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tnflab.ed import ground_energy, sector_basis, sector_hamiltonian
+from tnflab.ed import Sector, ground_energy, sector_hamiltonian
 from tnflab.models import j1j2, neel_config, nn_pairs
 from tnflab.peps import FixedEvaluator, FixedPlan, Peps, random_peps, save_peps
 from tnflab.vmc import estimate_energy
@@ -110,9 +110,8 @@ def site_environment(sites, legs, phys, s: int) -> np.ndarray:
 
 def als_ground_state(model, bond_dim: int, seed: int, sweeps: int) -> Peps:
     rows, cols, n = model.rows, model.cols, model.n_sites
-    h, basis = sector_hamiltonian(model, n // 2)
-    basis = np.array(basis, dtype=np.int64)
-    bits = (basis[:, None] >> np.arange(n)[None, :]) & 1
+    h = sector_hamiltonian(model)
+    bits = Sector(n).configs
     legs, phys = _labels(rows, cols)
     sites = [[t.copy() for t in row] for row in random_peps(rows, cols, 2, bond_dim, seed, "pbc").sites]
     for sweep in range(sweeps):
@@ -121,7 +120,7 @@ def als_ground_state(model, bond_dim: int, seed: int, sweeps: int) -> Peps:
             env = site_environment(sites, legs, phys, s).reshape(2 ** (n - 1), -1)
             others = np.delete(bits, s, axis=1)
             flat = others @ (1 << np.arange(n - 2, -1, -1))
-            m = np.zeros((len(basis), 2 * env.shape[1]), dtype=complex)
+            m = np.zeros((len(bits), 2 * env.shape[1]), dtype=complex)
             for p in (0, 1):
                 sel = bits[:, s] == p
                 m[sel, p::2] = env[flat[sel]]
@@ -147,30 +146,24 @@ class DynamicChain:
 
     def __init__(self, model):
         self.model = model
-        n = model.n_sites
-        basis = np.array(sector_basis(n, n // 2), dtype=np.int64)
-        self.size = len(basis)
-        self.configs = (basis[:, None] >> np.arange(n)[None, :]) & 1
-        row_of = np.arange(n) // model.cols
-
-        def swapped(i, j):
-            target = np.searchsorted(basis, basis ^ ((1 << i) | (1 << j)))
-            return np.where(self.configs[:, i] == self.configs[:, j], -1, target)
+        sector = Sector(model.n_sites)
+        self.configs = sector.configs
+        row_of = np.arange(model.n_sites) // model.cols
 
         # The cache closes at the last row a configuration changes, so a swap
         # of sites i, j is evaluated with the middle row at the larger row index.
-        self.diag = np.zeros(self.size)
+        self.diag = np.zeros(sector.dim)
         self.terms = []
         for i, j, c in model.couplings:
-            parallel = self.configs[:, i] == self.configs[:, j]
-            self.diag += np.where(parallel, 0.25 * c, -0.25 * c)
-            self.terms.append((0.5 * c, swapped(i, j), max(row_of[i], row_of[j])))
+            target = sector.swap_target(i, j)
+            self.diag += np.where(target < 0, 0.25 * c, -0.25 * c)
+            self.terms.append((0.5 * c, target, max(row_of[i], row_of[j])))
         self.moves = [
-            (swapped(i, j), max(row_of[i], row_of[j]))
+            (sector.swap_target(i, j), max(row_of[i], row_of[j]))
             for i, j in nn_pairs(model.rows, model.cols, model.boundary)
         ]
         neel = neel_config(model.rows, model.cols)
-        self.start = int(np.searchsorted(basis, int(neel @ (1 << np.arange(n)))))
+        self.start = int(np.flatnonzero((self.configs == neel).all(axis=1))[0])
 
     def closure_amplitudes(self, peps: Peps, chi: int) -> np.ndarray:
         """Amplitudes (rows, sector size) of every closure row, common scale."""
