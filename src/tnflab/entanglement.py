@@ -5,6 +5,10 @@ L is guarded) and the reduced density matrix of a contiguous region comes
 from summing out the environment. Amplitudes from truncated contractions are
 not normalized; the density matrix is normalized to unit trace after
 assembly.
+
+Configurations run in index order, so neighbours share long prefixes, which
+the per-configuration Floquet routes reuse through a ``walk`` (see
+:mod:`tnflab.floquet`); their dynamics series put times in the inner loop.
 """
 from __future__ import annotations
 
@@ -47,19 +51,28 @@ METHODS = ("exact", "mps", "tnf_transverse", "tnf_inverse", "mpo")
 def dense_state_from_amplitudes(amplitude_fn: Callable, n_sites: int) -> np.ndarray:
     """Enumerate all 2^L amplitudes into a dense vector (site 0 most
     significant), rescaled by the largest log factor; not normalized."""
+    return _dense_states([amplitude_fn], n_sites)[0]
+
+
+def _dense_states(amplitude_fns: Sequence[Callable], n_sites: int) -> list[np.ndarray]:
+    """:func:`dense_state_from_amplitudes` for each function, with the
+    functions in the inner loop of one pass over the configurations."""
     if n_sites > MAX_DENSE_SITES:
         raise ResourceLimitError(f"amplitude enumeration guarded to {MAX_DENSE_SITES} sites")
     dim = 1 << n_sites
     bits = (np.arange(dim, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-    amps = [amplitude_fn(cfg) for cfg in bits]
-    max_log = max((a.log_scale for a in amps if not a.is_zero), default=-math.inf)
-    psi = np.zeros(dim, dtype=complex)
-    if math.isinf(max_log):
-        return psi
-    for idx, a in enumerate(amps):
-        if not a.is_zero:
-            psi[idx] = a.mantissa * math.exp(a.log_scale - max_log)
-    return psi
+    parts = [(fn, [], []) for fn in amplitude_fns]
+    for cfg in bits:
+        for fn, mantissas, logs in parts:
+            a = fn(cfg)
+            mantissas.append(a.mantissa)
+            logs.append(None if a.is_zero else a.log_scale)
+    states = []
+    for _, mantissas, logs in parts:
+        top = max((lg for lg in logs if lg is not None), default=-math.inf)
+        psi = [0j if lg is None else m * math.exp(lg - top) for m, lg in zip(mantissas, logs)]
+        states.append(np.array(psi, dtype=complex))
+    return states
 
 
 def rdm_from_dense(psi: np.ndarray, n_sites: int, region: tuple[int, int]) -> np.ndarray:
@@ -106,16 +119,18 @@ def entropy_and_spectrum(rho: np.ndarray, top: int = 40) -> tuple[float, np.ndar
     return entropy, vals[:top].copy(), clipped
 
 
-def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int):
+def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int, walk=None):
     """Configuration -> AmplitudeValue for one method at fixed time.
 
-    Raises ``ValueError`` for an unknown method, or a truncated method
-    without a positive ``chi``.
+    The per-configuration routes share ``walk`` across calls (a fresh one
+    when ``None``); it never changes a value. Raises ``ValueError`` for an
+    unknown method, or a truncated method without a positive ``chi``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "exact" and (chi is None or chi < 1):
         raise ValueError("truncated methods need a positive chi")
+    walk = {} if walk is None else walk
     if method == "exact":
         psi = exact_evolve(params, t)
         return lambda cfg: AmplitudeValue.from_parts(complex(psi[config_index(cfg)]))
@@ -123,9 +138,9 @@ def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: 
         sites, log = evolve_conventional(params, chi, t)
         return lambda cfg: AmplitudeValue.from_parts(mps_amplitude(sites, cfg), log)
     if method == "tnf_transverse":
-        return lambda cfg: tnf_amplitude_transverse(params, cfg, chi, t)
+        return lambda cfg: tnf_amplitude_transverse(params, cfg, chi, t, walk)
     if method == "tnf_inverse":
-        return lambda cfg: tnf_amplitude_inverse_time(params, cfg, chi, t)
+        return lambda cfg: tnf_amplitude_inverse_time(params, cfg, chi, t, walk)
     sites, log = mpo_mpo_inverse(params, chi, t)
     return lambda cfg: mpo_amplitude(sites, log, cfg)
 
@@ -153,9 +168,15 @@ def entanglement_dynamics(
     """
     n = params.n_sites
     out = EntanglementData(method=method, chi=None if method == "exact" else chi)
-    for t in range(params.t_max + 1):
-        fn = _amplitude_function(params, method, chi, t)
-        rho = rdm_from_amplitudes(fn, n, (0, n // 2))
+    times = range(params.t_max + 1)
+    if method in ("tnf_transverse", "tnf_inverse"):  # one walk over all times
+        walk: dict = {}
+        states = _dense_states([_amplitude_function(params, method, chi, t, walk) for t in times], n)
+    else:  # nothing to share across times; one state alive at a time
+        fns = (_amplitude_function(params, method, chi, t) for t in times)
+        states = (dense_state_from_amplitudes(fn, n) for fn in fns)
+    for t, psi in enumerate(states):
+        rho = rdm_from_dense(psi, n, (0, n // 2))
         s, spec, _ = entropy_and_spectrum(rho)
         out.times.append(t)
         out.entropies.append(s)

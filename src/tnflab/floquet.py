@@ -18,10 +18,17 @@ Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
   layers from the final step backward, compressed to ``chi`` per layer.
 * :func:`mpo_mpo_inverse` - compresses ``F^t`` itself as an MPO
   (amplitude-independent isometries), then sandwiches ``<n| M |0>``.
+
+The per-configuration routes take an optional ``walk`` dict, kept across one
+enumeration and reset when ``(params, chi)`` changes. It holds the period MPO,
+per ``t`` the last configuration's column boundaries (at most ``L - 1``; the
+next call reuses their shared prefix), and its bra chain, period count and log
+(a later ``t`` continues them). Values are bit-identical with or without it.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +68,14 @@ class FloquetParams:
     t_max: int = 0
 
     def __post_init__(self):
-        if self.n_sites < 2:
-            raise ValueError("need at least two sites")
-        if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
+        for name, low in (("n_sites", 2), ("t_max", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__") or value < low:
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        for name in ("j", "g", "h"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
 PRESETS = {
@@ -173,13 +184,11 @@ def exact_evolve(params: FloquetParams, t: int) -> np.ndarray:
 
 
 def _evolve(
-    vectors: list[np.ndarray], mpo: list[np.ndarray], chi: int, t: int
+    sites: list[np.ndarray], mpo: list[np.ndarray], chi: int, t: int, log: float = 0.0
 ) -> tuple[list[np.ndarray], float]:
-    """The product state of ``vectors`` after ``t`` MPO layers, compressed
-    to ``chi`` after each; returns the chain and its accumulated log factor."""
+    """The chain ``sites`` after ``t`` MPO layers, compressed to ``chi`` after
+    each; returns it and ``log`` plus the log factors taken out."""
     _check_periods(t)
-    sites = product_mps(vectors)
-    log = 0.0
     for _ in range(t):
         sites = apply_mpo(sites, mpo)
         sites, lf = compress(sites, chi)
@@ -196,7 +205,16 @@ def evolve_conventional(
     ``mps_amplitude(sites, n) * exp(log)``.
     """
     e0 = np.array([1.0, 0.0], dtype=complex)
-    return _evolve([e0] * params.n_sites, build_floquet_mpo(params), chi, t)
+    return _evolve(product_mps([e0] * params.n_sites), build_floquet_mpo(params), chi, t)
+
+
+def _walk_for(walk: dict | None, params: FloquetParams, chi: int) -> dict:
+    """``walk`` (a new one for None), reset unless built for ``(params, chi)``."""
+    walk = {} if walk is None else walk
+    if walk.get("key") != (params, chi):
+        walk.clear()
+        walk.update(key=(params, chi), mpo=build_floquet_mpo(params))
+    return walk
 
 
 def _delta_amplitude(cfg: np.ndarray) -> AmplitudeValue:
@@ -226,7 +244,7 @@ def _column_tensors(
 
 
 def tnf_amplitude_transverse(
-    params: FloquetParams, n, chi: int, t: int
+    params: FloquetParams, n, chi: int, t: int, walk: dict | None = None
 ) -> AmplitudeValue:
     """<n| F^t |0...0> by column-by-column contraction along space.
 
@@ -234,34 +252,45 @@ def tnf_amplitude_transverse(
     ``chi`` after each column, the final column is absorbed exactly and the
     chain collapsed. The isometries depend on ``n`` through the bra caps but
     their positions never do.
+    A ``walk`` (module docstring) skips the shared column prefix, bit for bit.
     """
     cfg = as_config(n, params.n_sites, 2)
     _check_periods(t)
     if t == 0:
         return _delta_amplitude(cfg)
-    mpo = build_floquet_mpo(params)
-    boundary = None
-    for c in range(params.n_sites):
+    walk = _walk_for(walk, params, chi)
+    prev, kept = walk.get(t, (cfg, []))
+    same = np.append(prev[: len(kept)] == cfg[: len(kept)], False)
+    kept = kept[: int(np.argmin(same))]  # boundaries of the shared prefix
+    for c in range(len(kept), params.n_sites):
         cap = chi if c < params.n_sites - 1 else None
-        boundary = boundary_absorb(boundary, _column_tensors(mpo, cfg, c, t), cap, "top")
-    val = contract_mps_chain(boundary.sites)
-    return AmplitudeValue.from_parts(val, boundary.log_scale)
+        column = _column_tensors(walk["mpo"], cfg, c, t)
+        kept.append(boundary_absorb(kept[-1] if kept else None, column, cap, "top"))
+    walk[t] = (cfg.copy(), kept[:-1])
+    val = contract_mps_chain(kept[-1].sites)
+    return AmplitudeValue.from_parts(val, kept[-1].log_scale)
 
 
 def tnf_amplitude_inverse_time(
-    params: FloquetParams, n, chi: int, t: int
+    params: FloquetParams, n, chi: int, t: int, walk: dict | None = None
 ) -> AmplitudeValue:
     """<n| F^t |0...0> absorbing period layers from the final step backward.
 
     The bra configuration seeds the boundary, so the isometry entries are
     amplitude dependent; the schedule itself is fixed.
+    A ``walk`` (module docstring) continues the last chain, bit for bit.
     """
     cfg = as_config(n, params.n_sites, 2)
     if t == 0:
         return _delta_amplitude(cfg)
-    bra_mpo = [w.transpose(0, 2, 1, 3) for w in build_floquet_mpo(params)]  # act on the bra side
-    caps = [np.eye(2, dtype=complex)[b] for b in cfg]
-    bra, log = _evolve(caps, bra_mpo, chi, t)
+    walk = _walk_for(walk, params, chi)
+    prev = walk.get("bra")
+    if prev is None or not np.array_equal(prev[0], cfg) or prev[1] > t:
+        prev = (cfg, 0, product_mps([np.eye(2, dtype=complex)[b] for b in cfg]), 0.0)
+    _, done, bra, log = prev
+    bra_mpo = [w.transpose(0, 2, 1, 3) for w in walk["mpo"]]  # act on the bra side
+    bra, log = _evolve(bra, bra_mpo, chi, t - done, log)
+    walk["bra"] = (cfg.copy(), t, bra, log)
     val = mps_amplitude(bra, [0] * params.n_sites)
     return AmplitudeValue.from_parts(val, log)
 

@@ -14,7 +14,13 @@ from tnflab.entanglement import (
     rdm_from_dense,
 )
 from tnflab.errors import DataError, ResourceLimitError
-from tnflab.floquet import PRESETS, FloquetParams, exact_evolve
+from tnflab.floquet import (
+    PRESETS,
+    FloquetParams,
+    exact_evolve,
+    tnf_amplitude_inverse_time,
+    tnf_amplitude_transverse,
+)
 from tnflab.tensor import AmplitudeValue
 
 
@@ -158,3 +164,44 @@ class TestDynamics:
         p = FloquetParams(6, 0.1, 0.1, 0.1, t_max=1)
         with pytest.raises(ValueError):
             entanglement_dynamics(p, "nope", chi=2)
+
+
+ROUTES = {"tnf_transverse": tnf_amplitude_transverse, "tnf_inverse": tnf_amplitude_inverse_time}
+
+
+def per_time_states(params, method, chi):
+    """Dense states enumerated time by time, each configuration contracted
+    afresh: the enumeration order before the Floquet walk."""
+    n = params.n_sites
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    states = []
+    for t in range(params.t_max + 1):
+        amps = [ROUTES[method](params, cfg, chi, t) for cfg in bits]
+        max_log = max((a.log_scale for a in amps if not a.is_zero), default=-math.inf)
+        psi = np.zeros(1 << n, dtype=complex)
+        for idx, a in enumerate(amps):
+            if not a.is_zero:
+                psi[idx] = a.mantissa * math.exp(a.log_scale - max_log)
+        states.append(psi)
+    return states
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("n_sites", [6, 7])
+@pytest.mark.parametrize("method", sorted(ROUTES))
+def test_walk_enumeration_matches_per_time_oracle_bitwise(method, n_sites, preset):
+    p = FloquetParams(n_sites, **PRESETS[preset], t_max=3)
+    for chi in (1, 2, 3):
+        data = entanglement_dynamics(p, method, chi=chi)
+        states = per_time_states(p, method, chi)
+        for t, psi in enumerate(states):
+            s, spec, _ = entropy_and_spectrum(rdm_from_dense(psi, n_sites, (0, n_sites // 2)))
+            assert data.entropies[t].hex() == s.hex()
+            assert data.spectra[t].tobytes() == spec.tobytes()
+        if method == "tnf_transverse":
+            psi = states[-1]
+            want = [
+                (size, entropy_and_spectrum(rdm_from_dense(psi, n_sites, ((n_sites - size) // 2, size)))[0].hex())
+                for size in range(1, n_sites)
+            ]
+            assert [(size, s.hex()) for size, s in bulk_entropy_sweep(p, method, t=3, chi=chi)] == want

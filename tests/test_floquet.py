@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnflab.errors import ResourceLimitError
 from tnflab.floquet import (
@@ -311,3 +313,58 @@ def test_negative_periods_rejected(route):
     p = FloquetParams(4, **PRESETS["maximally_chaotic"])
     with pytest.raises(ValueError, match="periods"):
         route(p, [0, 1, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"n_sites": 1}, "n_sites"),
+        ({"n_sites": 4.0}, "n_sites"),
+        ({"n_sites": True}, "n_sites"),
+        ({"t_max": -1}, "t_max"),
+        ({"t_max": 2.5}, "t_max"),
+        ({"j": math.nan}, "j"),
+        ({"g": math.inf}, "g"),
+        ({"h": "0.5"}, "h"),
+        ({"h": 1j}, "h"),
+        ({"j": False}, "j"),
+    ],
+)
+def test_params_rejected_naming_the_field(kwargs, field):
+    args = {"n_sites": 4, "j": 0.1, "g": 0.1, "h": 0.1, "t_max": 1, **kwargs}
+    with pytest.raises(ValueError, match=field):
+        FloquetParams(**args)
+
+
+def test_params_accept_numpy_numbers():
+    p = FloquetParams(np.int64(4), np.float64(0.1), 0.1, 1, t_max=np.int32(2))
+    assert p.n_sites == 4 and p.t_max == 2
+
+
+WALK_ROUTES = {"transverse": tnf_amplitude_transverse, "inverse_time": tnf_amplitude_inverse_time}
+
+
+def _bits(a):
+    m = complex(a.mantissa)
+    return (m.real.hex(), m.imag.hex(), float(a.log_scale).hex(), a.is_zero)
+
+
+@pytest.mark.parametrize("route", WALK_ROUTES.values(), ids=WALK_ROUTES.keys())
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_walk_matches_fresh_calls_bitwise(route, data):
+    """Configurations in any order, with repeats and interleaved times, all
+    through one walk, give a fresh call's bits; so do calls that switch the
+    walk between two params and two chi."""
+    n_sites = data.draw(st.integers(2, 6), label="n_sites")
+    params = [FloquetParams(n_sites, **PRESETS[name]) for name in sorted(PRESETS)]
+    chis = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True), label="chis")
+    cfg = st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)
+    pool = data.draw(st.lists(cfg, min_size=1, max_size=4), label="configurations")
+    call = st.tuples(st.sampled_from(pool), st.integers(0, 4))
+    steady = [(params[0], chis[0], n, t) for n, t in data.draw(st.lists(call, max_size=20), label="steady")]
+    mixed_call = st.tuples(st.sampled_from(params), st.sampled_from(chis), st.sampled_from(pool), st.integers(0, 4))
+    mixed = data.draw(st.lists(mixed_call, max_size=20), label="mixed")
+    walk = {}
+    for p, chi, n, t in steady + mixed:
+        assert _bits(route(p, n, chi, t, walk)) == _bits(route(p, n, chi, t))
