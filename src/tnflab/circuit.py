@@ -66,6 +66,7 @@ class GateKind(Enum):
     CONST_FLOAT = "const_float"
     FUNC = "func"
     VAR_COPY = "var_copy"
+    __hash__ = object.__hash__  # members are singletons; keeps ``_GATES`` lookups out of Python code
 
 
 def _logic_tensor(entries) -> np.ndarray:

@@ -12,9 +12,11 @@ the per-configuration Floquet routes reuse through a ``walk`` (see
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,10 +25,10 @@ from .floquet import (
     MAX_DENSE_SITES,
     FloquetParams,
     config_index,
-    evolve_conventional,
-    exact_evolve,
+    conventional_states,
+    exact_states,
     mpo_amplitude,
-    mpo_mpo_inverse,
+    mpo_states,
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
 )
@@ -119,30 +121,40 @@ def entropy_and_spectrum(rho: np.ndarray, top: int = 40) -> tuple[float, np.ndar
     return entropy, vals[:top].copy(), clipped
 
 
-def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int, walk=None):
-    """Configuration -> AmplitudeValue for one method at fixed time.
-
-    The per-configuration routes share ``walk`` across calls (a fresh one
-    when ``None``); it never changes a value. Raises ``ValueError`` for an
-    unknown method, or a truncated method without a positive ``chi``.
-    """
+def _amplitude_functions(params: FloquetParams, method: str, chi: int | None) -> Iterator[Callable]:
+    """Configuration -> AmplitudeValue for one method at t = 0, 1, ...: a state
+    route advances its state one period per t, and the per-configuration routes
+    share one ``walk``, which never changes a value. Raises ``ValueError`` for an
+    unknown method, or a truncated method without a positive ``chi``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "exact" and (chi is None or chi < 1):
         raise ValueError("truncated methods need a positive chi")
-    walk = {} if walk is None else walk
     if method == "exact":
-        psi = exact_evolve(params, t)
-        return lambda cfg: AmplitudeValue.from_parts(complex(psi[config_index(cfg)]))
+        return (partial(_dense_amplitude, psi) for psi in exact_states(params))
     if method == "mps":
-        sites, log = evolve_conventional(params, chi, t)
-        return lambda cfg: AmplitudeValue.from_parts(mps_amplitude(sites, cfg), log)
-    if method == "tnf_transverse":
-        return lambda cfg: tnf_amplitude_transverse(params, cfg, chi, t, walk)
-    if method == "tnf_inverse":
-        return lambda cfg: tnf_amplitude_inverse_time(params, cfg, chi, t, walk)
-    sites, log = mpo_mpo_inverse(params, chi, t)
-    return lambda cfg: mpo_amplitude(sites, log, cfg)
+        return (partial(_mps_amplitude, *state) for state in conventional_states(params, chi))
+    if method == "mpo":
+        return (partial(mpo_amplitude, *state) for state in mpo_states(params, chi))
+    route = tnf_amplitude_transverse if method == "tnf_transverse" else tnf_amplitude_inverse_time
+    walk: dict = {}
+    return (partial(route, params, chi=chi, t=t, walk=walk) for t in itertools.count())
+
+
+def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int) -> Callable:
+    """The function of :func:`_amplitude_functions` at time ``t``."""
+    fns = _amplitude_functions(params, method, chi)
+    if t < 0:
+        raise ValueError(f"number of periods must be nonnegative, got {t}")
+    return next(itertools.islice(fns, t, None))
+
+
+def _dense_amplitude(psi: np.ndarray, cfg) -> AmplitudeValue:
+    return AmplitudeValue.from_parts(complex(psi.flat[config_index(cfg)]))
+
+
+def _mps_amplitude(sites: list[np.ndarray], log: float, cfg) -> AmplitudeValue:
+    return AmplitudeValue.from_parts(mps_amplitude(sites, cfg), log)
 
 
 @dataclass
@@ -168,12 +180,10 @@ def entanglement_dynamics(
     """
     n = params.n_sites
     out = EntanglementData(method=method, chi=None if method == "exact" else chi)
-    times = range(params.t_max + 1)
-    if method in ("tnf_transverse", "tnf_inverse"):  # one walk over all times
-        walk: dict = {}
-        states = _dense_states([_amplitude_function(params, method, chi, t, walk) for t in times], n)
-    else:  # nothing to share across times; one state alive at a time
-        fns = (_amplitude_function(params, method, chi, t) for t in times)
+    fns = itertools.islice(_amplitude_functions(params, method, chi), params.t_max + 1)
+    if method in ("tnf_transverse", "tnf_inverse"):  # configurations outer, times inner
+        states = _dense_states(list(fns), n)
+    else:  # one state advanced per time, one alive at a time
         states = (dense_state_from_amplitudes(fn, n) for fn in fns)
     for t, psi in enumerate(states):
         rho = rdm_from_dense(psi, n, (0, n // 2))

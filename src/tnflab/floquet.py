@@ -27,9 +27,11 @@ next call reuses their shared prefix), and its bra chain, period count and log
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -43,10 +45,13 @@ __all__ = [
     "PRESETS",
     "build_floquet_mpo",
     "exact_evolve",
+    "exact_states",
     "evolve_conventional",
+    "conventional_states",
     "tnf_amplitude_transverse",
     "tnf_amplitude_inverse_time",
     "mpo_mpo_inverse",
+    "mpo_states",
     "mpo_amplitude",
     "config_index",
     "MAX_DENSE_SITES",
@@ -166,21 +171,25 @@ def _diagonal_phases(params: FloquetParams) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def exact_evolve(params: FloquetParams, t: int) -> np.ndarray:
-    """|psi(t)> = F^t |0...0> by dense gate application, normalized."""
+def exact_states(params: FloquetParams) -> Iterator[np.ndarray]:
+    """:func:`exact_evolve` at t = 0, 1, ..., shaped ``(2,) * L``, advanced one period per step."""
     n = params.n_sites
     if n > MAX_DENSE_SITES:
         raise ResourceLimitError(f"dense simulation guarded to {MAX_DENSE_SITES} sites, got {n}")
-    _check_periods(t)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
-    phases = _diagonal_phases(params)
     rot = _single_site_rotation(params)
-    for _ in range(t):
-        psi = psi * phases
+    while True:
+        yield psi
+        psi = psi * _diagonal_phases(params)
         for c in range(n):
             psi = np.moveaxis(np.tensordot(rot, psi, axes=([1], [c])), 0, c)
-    return psi.reshape(-1)
+
+
+def exact_evolve(params: FloquetParams, t: int) -> np.ndarray:
+    """|psi(t)> = F^t |0...0> by dense gate application, normalized."""
+    _check_periods(t)
+    return next(itertools.islice(exact_states(params), t, None)).reshape(-1)
 
 
 def _evolve(
@@ -196,16 +205,23 @@ def _evolve(
     return sites, log
 
 
-def evolve_conventional(
-    params: FloquetParams, chi: int, t: int
-) -> tuple[list[np.ndarray], float]:
+def conventional_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:
+    """:func:`evolve_conventional` at t = 0, 1, ..., advanced one period per step."""
+    sites, log = product_mps([np.array([1.0, 0.0], dtype=complex)] * params.n_sites), 0.0
+    mpo = build_floquet_mpo(params)
+    while True:
+        yield sites, log
+        sites, log = _evolve(sites, mpo, chi, 1, log)
+
+
+def evolve_conventional(params: FloquetParams, chi: int, t: int) -> tuple[list[np.ndarray], float]:
     """MPS after t periods of MPO application with compression to ``chi``.
 
     Returns the chain and the accumulated log norm factor; amplitudes are
     ``mps_amplitude(sites, n) * exp(log)``.
     """
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    return _evolve(product_mps([e0] * params.n_sites), build_floquet_mpo(params), chi, t)
+    _check_periods(t)
+    return next(itertools.islice(conventional_states(params, chi), t, None))
 
 
 def _walk_for(walk: dict | None, params: FloquetParams, chi: int) -> dict:
@@ -295,6 +311,17 @@ def tnf_amplitude_inverse_time(
     return AmplitudeValue.from_parts(val, log)
 
 
+def mpo_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:
+    """:func:`mpo_mpo_inverse` at t = 0, 1, ..., advanced one period per step."""
+    yield [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(params.n_sites)], 0.0
+    # F as a boundary (outputs open, inputs as faces); earlier layers attach by their outputs.
+    acc = BoundaryMps(build_floquet_mpo(params))
+    layer = [w.transpose(1, 0, 2, 3) for w in acc.sites]
+    while True:
+        yield acc.sites, acc.log_scale
+        acc = boundary_absorb(acc, layer, chi, "top")
+
+
 def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.ndarray], float]:
     """Compress F^t as an MPO, absorbing layers from the final step backward.
 
@@ -303,15 +330,7 @@ def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.nd
     :func:`mpo_amplitude` to evaluate configurations.
     """
     _check_periods(t)
-    if t == 0:
-        return [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(params.n_sites)], 0.0
-    mpo = build_floquet_mpo(params)
-    # F as a boundary (outputs open, inputs as faces); earlier layers attach by their outputs.
-    acc = BoundaryMps(mpo)
-    layer = [w.transpose(1, 0, 2, 3) for w in mpo]
-    for _ in range(t - 1):
-        acc = boundary_absorb(acc, layer, chi, "top")
-    return acc.sites, acc.log_scale
+    return next(itertools.islice(mpo_states(params, chi), t, None))
 
 
 def mpo_amplitude(sites: list[np.ndarray], log_scale: float, n) -> AmplitudeValue:

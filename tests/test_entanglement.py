@@ -17,10 +17,17 @@ from tnflab.errors import DataError, ResourceLimitError
 from tnflab.floquet import (
     PRESETS,
     FloquetParams,
+    _diagonal_phases,
+    _single_site_rotation,
+    build_floquet_mpo,
+    config_index,
     exact_evolve,
+    mpo_amplitude,
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
 )
+from tnflab.mps import apply_mpo, compress, mps_amplitude, product_mps
+from tnflab.peps import BoundaryMps, boundary_absorb
 from tnflab.tensor import AmplitudeValue
 
 
@@ -205,3 +212,51 @@ def test_walk_enumeration_matches_per_time_oracle_bitwise(method, n_sites, prese
                 for size in range(1, n_sites)
             ]
             assert [(size, s.hex()) for size, s in bulk_entropy_sweep(p, method, t=3, chi=chi)] == want
+
+
+def fresh_state_amplitude(params, method, chi, t):
+    """Amplitude function of a state route at time ``t``, its state built
+    from t = 0: the per-time series before states were advanced in place."""
+    n = params.n_sites
+    mpo = build_floquet_mpo(params)
+    if method == "exact":
+        psi = np.zeros((2,) * n, dtype=complex)
+        psi[(0,) * n] = 1.0
+        phases, rot = _diagonal_phases(params), _single_site_rotation(params)
+        for _ in range(t):
+            psi = psi * phases
+            for c in range(n):
+                psi = np.moveaxis(np.tensordot(rot, psi, axes=([1], [c])), 0, c)
+        flat = psi.reshape(-1)
+        return lambda cfg: AmplitudeValue.from_parts(complex(flat[config_index(cfg)]))
+    if method == "mps":
+        sites, log = product_mps([np.array([1.0, 0.0], dtype=complex)] * n), 0.0
+        for _ in range(t):
+            sites, lf = compress(apply_mpo(sites, mpo), chi)
+            log += lf
+        return lambda cfg: AmplitudeValue.from_parts(mps_amplitude(sites, cfg), log)
+    if t == 0:
+        sites, log = [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(n)], 0.0
+    else:
+        acc = BoundaryMps(mpo)
+        for _ in range(t - 1):
+            acc = boundary_absorb(acc, [w.transpose(1, 0, 2, 3) for w in mpo], chi, "top")
+        sites, log = acc.sites, acc.log_scale
+    return lambda cfg: mpo_amplitude(sites, log, cfg)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("n_sites", [6, 7])
+@pytest.mark.parametrize("method", ["exact", "mps", "mpo"])
+def test_advanced_states_match_per_time_oracle_bitwise(method, n_sites, preset):
+    """One state advanced a period per time gives the entropies and spectra
+    of states rebuilt from t = 0, bit for bit."""
+    p = FloquetParams(n_sites, **PRESETS[preset], t_max=4)
+    for chi in [None] if method == "exact" else [1, 2, 3]:
+        data = entanglement_dynamics(p, method, chi=chi)
+        assert data.times == list(range(5))
+        for t in data.times:
+            psi = dense_state_from_amplitudes(fresh_state_amplitude(p, method, chi, t), n_sites)
+            s, spec, _ = entropy_and_spectrum(rdm_from_dense(psi, n_sites, (0, n_sites // 2)))
+            assert data.entropies[t].hex() == s.hex()
+            assert data.spectra[t].tobytes() == spec.tobytes()

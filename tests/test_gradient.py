@@ -1,6 +1,11 @@
 """Gradient estimation and stochastic gradient descent."""
+import cmath
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tnflab.vmc
 from tnflab.errors import NumericalAbortError
@@ -26,6 +31,134 @@ from tnflab.ed import ground_energy
 def enumerated_energy_of(peps, model, chi):
     ev = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
     return enumerate_energy(ev.peek, model)
+
+
+def oracle_log_derivatives(evaluator, peps, cfg):
+    """Both central-difference probes of every real parameter, read by the
+    amplitude or not: the reference the library's probe-what-is-read
+    ``_log_derivatives`` must match bit for bit."""
+    out = np.zeros(peps_to_params(peps).size, dtype=complex)
+    zeroed = 0
+    k = 0
+    for r in range(peps.rows):
+        for c in range(peps.cols):
+            t = peps.sites[r][c]
+            for part in (1.0, 1.0j):
+                for e in range(t.size):
+                    base = t.flat[e]
+                    mag = abs(base.real if part == 1.0 else base.imag)
+                    h = max(tnflab.vmc.FD_STEP_REL * mag, tnflab.vmc.FD_STEP_FLOOR)
+                    tp = t.copy()
+                    tp.flat[e] = base + part * h
+                    tm = t.copy()
+                    tm.flat[e] = base - part * h
+                    sp, sm = {}, {}
+                    ap = evaluator.amplitude_with_site(cfg, (r, c), tp, sp)
+                    am = evaluator.amplitude_with_site(cfg, (r, c), tm, sm)
+                    jump = abs(sp.get("max_discarded", 0.0) - sm.get("max_discarded", 0.0))
+                    if ap.is_zero or am.is_zero or jump > tnflab.vmc.DEGENERACY_JUMP:
+                        zeroed += 1
+                    else:
+                        out[k] = cmath.log(ap.ratio(am)) / (2.0 * h)
+                    k += 1
+    return out, zeroed
+
+
+def chain_configs(peps, model, chi, n_sweeps, n_warmup, seed):
+    """The configurations a Metropolis ``gradient_estimate`` samples, in order."""
+    ev = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
+    n_warmup, cfg0 = tnflab.vmc._chain_args(model, n_sweeps, n_warmup)
+    chain = tnflab.vmc._chain_samples(ev, model, n_sweeps, n_warmup, seed, 0, cfg0)
+    return [(s.config.copy(), tnflab.vmc.local_energy(model, ev.peek, s.config)) for s in chain]
+
+
+def oracle_metropolis_gradient(peps, model, chi, n_sweeps, n_warmup, seed):
+    """The Metropolis gradient with every sample probed afresh by the oracle,
+    summed in the library's order."""
+    ev = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
+    n_params = peps_to_params(peps).size
+    sum_w, sum_e, zeroed = 0.0, 0.0, 0
+    sum_o = np.zeros(n_params, dtype=complex)
+    sum_eo = np.zeros(n_params, dtype=complex)
+    samples = chain_configs(peps, model, chi, n_sweeps, n_warmup, seed)
+    for cfg, e in samples:
+        o, z = oracle_log_derivatives(ev, peps, cfg)
+        oc = np.conj(o)
+        sum_w += 1.0
+        sum_e += 1.0 * e.real
+        sum_o += 1.0 * oc
+        sum_eo += 1.0 * e * oc
+        zeroed += z
+    e_mean = sum_e / sum_w
+    grad = 2.0 * np.real(sum_eo / sum_w - e_mean * (sum_o / sum_w))
+    return grad, GradientInfo(energy=e_mean, n_samples=len(samples), zeroed_params=zeroed)
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_log_derivatives_equal_the_all_entries_oracle(data):
+    """Probing only the entries the amplitude reads changes no bit of O_k(n)
+    or of the zeroed count, on open and periodic lattices and any phys_dim."""
+    rows = data.draw(st.integers(1, 2), label="rows")
+    cols = data.draw(st.integers(2, 3), label="cols")
+    boundary = data.draw(st.sampled_from(("obc", "pbc")), label="boundary")
+    # Doubled wrap bonds make 2x3 PBC at D=3 take seconds without adding a code path.
+    bond = data.draw(st.integers(1, 2 if boundary == "pbc" and rows * cols == 6 else 3), label="bond")
+    chi = data.draw(st.integers(1, 3), label="chi")
+    phys = data.draw(st.integers(2, 3), label="phys_dim")
+    seed = data.draw(st.integers(0, 999), label="seed")
+    p = random_peps(rows, cols, phys, bond, seed=seed, boundary=boundary)
+    site = st.integers(0, phys - 1)
+    cfg = np.array(data.draw(st.lists(site, min_size=rows * cols, max_size=rows * cols), label="cfg"))
+    plan = FixedPlan.for_lattice(rows, cols, chi)
+    out, zeroed = tnflab.vmc._log_derivatives(FixedEvaluator(p, plan), p, cfg)
+    want, want_zeroed = oracle_log_derivatives(FixedEvaluator(p, plan), p, cfg)
+    assert out.tobytes() == want.tobytes()
+    assert zeroed == want_zeroed
+
+
+# 30 sweeps, 10 of them warm-up: 20 samples of 4, 8 and 5 distinct configurations.
+REVISITING_CHAINS = [
+    pytest.param(2, 2, "obc", 2, 4, 3, id="2x2 obc D2 chi4"),
+    pytest.param(2, 3, "obc", 2, 2, 5, id="2x3 obc D2 chi2"),
+    pytest.param(2, 2, "pbc", 2, 2, 1, id="2x2 pbc D2 chi2"),
+]
+
+
+@pytest.mark.parametrize("rows,cols,boundary,bond,chi,seed", REVISITING_CHAINS)
+def test_probes_once_per_distinct_configuration(monkeypatch, rows, cols, boundary, bond, chi, seed):
+    """Each distinct sampled configuration costs two probes of the real and
+    two of the imaginary part of every entry the amplitude reads, and no
+    probe of an unread entry; a repeated configuration costs none."""
+    m = heisenberg(rows, cols, boundary)
+    p = random_peps(rows, cols, 2, bond, seed=seed, boundary=boundary)
+    samples = [cfg.tobytes() for cfg, _ in chain_configs(p, m, chi, 30, 10, seed)]
+    assert len(set(samples)) < len(samples), "the chain must revisit configurations"
+    calls = Counter()
+    probe = FixedEvaluator.amplitude_with_site
+
+    def counted(self, n, site, tensor, stats=None):
+        (e,) = np.flatnonzero(tensor != self.peps.sites[site[0]][site[1]])
+        assert e % self.peps.phys_dim == n[site[0] * self.peps.cols + site[1]], "probed an unread entry"
+        calls[n.tobytes()] += 1
+        return probe(self, n, site, tensor, stats)
+
+    monkeypatch.setattr(FixedEvaluator, "amplitude_with_site", counted)
+    gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
+    per_config = 4 * sum(t.size // p.phys_dim for row in p.sites for t in row)
+    assert calls == {cfg: per_config for cfg in set(samples)}
+
+
+@pytest.mark.parametrize("rows,cols,boundary,bond,chi,seed", REVISITING_CHAINS)
+def test_revisiting_chain_matches_the_per_sample_oracle(rows, cols, boundary, bond, chi, seed):
+    """Reusing O_k(n) for a repeated configuration gives the bits of probing
+    every sample afresh with every entry."""
+    m = heisenberg(rows, cols, boundary)
+    p = random_peps(rows, cols, 2, bond, seed=seed, boundary=boundary)
+    g, info = gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
+    want, want_info = oracle_metropolis_gradient(p, m, chi, 30, 10, seed)
+    assert g.tobytes() == want.tobytes()
+    assert info == want_info
 
 
 class TestGradient:

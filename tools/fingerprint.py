@@ -15,8 +15,9 @@ checkout) and hashes, in a fixed order, the exact bits of:
   t = 0..3 and chi = 1..3, with the MPO and MPS site tensors;
 * ``entanglement_dynamics`` for all five methods and ``bulk_entropy_sweep``;
 * ``simple_update`` sites, ``estimate_energy`` in both modes,
-  ``gradient_estimate`` with both samplings, ``ground_energy`` and
-  ``enumerate_energy``;
+  ``gradient_estimate`` with both samplings (on 2x2 OBC at chi=1, and on
+  2x3 PBC at D=2 and 2x2 OBC at D=3 with chains that revisit
+  configurations), ``ground_energy`` and ``enumerate_energy``;
 * binary circuits (adder, multiplier, square at widths 1-4) on every
   input, and amplitude circuits (three networks, one composition of
   discretized functions, a 600-node chain) with memo on and off: the
@@ -182,11 +183,16 @@ def vmc_items(d: Digest, tnf) -> None:
                 d.array(f"{tag} {mode} chi{chi} series {k}", series)
     model = tnf.heisenberg(2, 2, "obc")
     state = tnf.simple_update(tnf.random_peps(2, 2, 2, 2, seed=9), model, 0.05, 20)
-    for sampling in ("enumerate", "metropolis"):
-        grad, info = tnf.gradient_estimate(state, model, 1, n_sweeps=8, n_warmup=2, seed=4, sampling=sampling)
-        d.array(f"gradient {sampling}", grad)
-        d.num(f"gradient {sampling} energy", info.energy)
-        d.add(f"gradient {sampling} counts", f"{info.n_samples} {info.zeroed_params}".encode())
+    # The first state's short chain, then chains of 30 sweeps that revisit configurations.
+    gradients = [("", state, model, 1, 8, 2)]
+    for rows, cols, boundary, bond, chi in ((2, 3, "pbc", 2, 2), (2, 2, "obc", 3, 2)):
+        peps = tnf.random_peps(rows, cols, 2, bond, seed=rows * 10 + bond, boundary=boundary)
+        gradients.append((f" {boundary} {rows}x{cols} D{bond}", peps, tnf.heisenberg(rows, cols, boundary), chi, 30, 10))
+    for (tag, peps, m, chi, sweeps, warmup), sampling in itertools.product(gradients, ("enumerate", "metropolis")):
+        grad, info = tnf.gradient_estimate(peps, m, chi, n_sweeps=sweeps, n_warmup=warmup, seed=4, sampling=sampling)
+        d.array(f"gradient{tag} {sampling}", grad)
+        d.num(f"gradient{tag} {sampling} energy", info.energy)
+        d.add(f"gradient{tag} {sampling} counts", f"{info.n_samples} {info.zeroed_params}".encode())
     ev = tnf.FixedEvaluator(state, tnf.FixedPlan.for_lattice(2, 2, 2))
     d.num("enumerate_energy 2x2", tnf.enumerate_energy(ev.peek, model))
     for model in (tnf.heisenberg(2, 3, "pbc"), tnf.heisenberg(3, 3), tnf.j1j2(4, 4, 0.5, "pbc")):
