@@ -7,8 +7,8 @@ not normalized; the density matrix is normalized to unit trace after
 assembly.
 
 Configurations run in index order, so neighbours share long prefixes, which
-the per-configuration Floquet routes reuse through a ``walk`` (see
-:mod:`tnflab.floquet`); their dynamics series put times in the inner loop.
+the ``tnf_transverse`` evaluator of each time reuses; ``tnf_inverse`` dynamics
+advance one bra chain per configuration, with times in the inner loop.
 """
 from __future__ import annotations
 
@@ -27,10 +27,12 @@ from .floquet import (
     config_index,
     conventional_states,
     exact_states,
+    inverse_time_series,
     mpo_amplitude,
     mpo_states,
     tnf_amplitude_inverse_time,
-    tnf_amplitude_transverse,
+    tnf_amplitude_transverse,  # noqa: F401  a binding perfbench/tracer.py requires
+    transverse_amplitudes,
 )
 from .mps import mps_amplitude
 from .tensor import AmplitudeValue
@@ -53,26 +55,25 @@ METHODS = ("exact", "mps", "tnf_transverse", "tnf_inverse", "mpo")
 def dense_state_from_amplitudes(amplitude_fn: Callable, n_sites: int) -> np.ndarray:
     """Enumerate all 2^L amplitudes into a dense vector (site 0 most
     significant), rescaled by the largest log factor; not normalized."""
-    return _dense_states([amplitude_fn], n_sites)[0]
+    return _dense_states(lambda cfg: (amplitude_fn(cfg),), n_sites, 1)[0]
 
 
-def _dense_states(amplitude_fns: Sequence[Callable], n_sites: int) -> list[np.ndarray]:
-    """:func:`dense_state_from_amplitudes` for each function, with the
-    functions in the inner loop of one pass over the configurations."""
+def _dense_states(amplitudes: Callable, n_sites: int, count: int) -> list[np.ndarray]:
+    """``count`` states, each as :func:`dense_state_from_amplitudes`, in one pass
+    over the configurations: ``amplitudes(cfg)`` yields cfg's amplitude in each."""
     if n_sites > MAX_DENSE_SITES:
         raise ResourceLimitError(f"amplitude enumeration guarded to {MAX_DENSE_SITES} sites")
-    dim = 1 << n_sites
-    bits = (np.arange(dim, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-    parts = [(fn, [], []) for fn in amplitude_fns]
+    bits = (np.arange(1 << n_sites, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+    mantissas, logs = [], []  # configuration-major: state k holds items k, k + count, ...
     for cfg in bits:
-        for fn, mantissas, logs in parts:
-            a = fn(cfg)
+        for a in amplitudes(cfg):
             mantissas.append(a.mantissa)
             logs.append(None if a.is_zero else a.log_scale)
     states = []
-    for _, mantissas, logs in parts:
-        top = max((lg for lg in logs if lg is not None), default=-math.inf)
-        psi = [0j if lg is None else m * math.exp(lg - top) for m, lg in zip(mantissas, logs)]
+    for k in range(count):
+        ms, lgs = mantissas[k::count], logs[k::count]
+        top = max((lg for lg in lgs if lg is not None), default=-math.inf)
+        psi = [0j if lg is None else m * math.exp(lg - top) for m, lg in zip(ms, lgs)]
         states.append(np.array(psi, dtype=complex))
     return states
 
@@ -123,9 +124,9 @@ def entropy_and_spectrum(rho: np.ndarray, top: int = 40) -> tuple[float, np.ndar
 
 def _amplitude_functions(params: FloquetParams, method: str, chi: int | None) -> Iterator[Callable]:
     """Configuration -> AmplitudeValue for one method at t = 0, 1, ...: a state
-    route advances its state one period per t, and the per-configuration routes
-    share one ``walk``, which never changes a value. Raises ``ValueError`` for an
-    unknown method, or a truncated method without a positive ``chi``."""
+    route advances its state one period per t, and ``tnf_transverse`` builds one
+    memoizing evaluator per t. Raises ``ValueError`` for an unknown method, or a
+    truncated method without a positive ``chi``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "exact" and (chi is None or chi < 1):
@@ -136,9 +137,9 @@ def _amplitude_functions(params: FloquetParams, method: str, chi: int | None) ->
         return (partial(_mps_amplitude, *state) for state in conventional_states(params, chi))
     if method == "mpo":
         return (partial(mpo_amplitude, *state) for state in mpo_states(params, chi))
-    route = tnf_amplitude_transverse if method == "tnf_transverse" else tnf_amplitude_inverse_time
-    walk: dict = {}
-    return (partial(route, params, chi=chi, t=t, walk=walk) for t in itertools.count())
+    if method == "tnf_transverse":
+        return transverse_amplitudes(params, chi)
+    return (partial(tnf_amplitude_inverse_time, params, chi=chi, t=t) for t in itertools.count())
 
 
 def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int) -> Callable:
@@ -181,9 +182,10 @@ def entanglement_dynamics(
     n = params.n_sites
     out = EntanglementData(method=method, chi=None if method == "exact" else chi)
     fns = itertools.islice(_amplitude_functions(params, method, chi), params.t_max + 1)
-    if method in ("tnf_transverse", "tnf_inverse"):  # configurations outer, times inner
-        states = _dense_states(list(fns), n)
-    else:  # one state advanced per time, one alive at a time
+    if method == "tnf_inverse":  # configurations outer, times inner
+        count, series = params.t_max + 1, inverse_time_series(params, chi)
+        states = _dense_states(lambda cfg: itertools.islice(series(cfg), count), n, count)
+    else:  # one state or evaluator per time, one alive at a time
         states = (dense_state_from_amplitudes(fn, n) for fn in fns)
     for t, psi in enumerate(states):
         rho = rdm_from_dense(psi, n, (0, n // 2))

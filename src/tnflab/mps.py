@@ -1,4 +1,5 @@
-"""Matrix product state utilities shared by the lattice and circuit solvers.
+"""Matrix product state utilities shared by the PEPS boundary engine and the
+Floquet routes.
 
 An MPS is a list of rank-3 arrays ``(left, phys, right)`` with extent-1 outer
 bonds. An MPO site is rank-4 ``(left, out, in, right)``; applying an MPO to an
@@ -22,7 +23,6 @@ __all__ = [
     "product_mps",
     "apply_mpo",
     "compress",
-    "contract_mps_chain",
     "mps_amplitude",
     "mps_to_dense",
     "mpo_to_dense",
@@ -92,14 +92,6 @@ def compress(
         sites[0] = t
         log_factor += lf
     return sites, log_factor
-
-
-def contract_mps_chain(sites: Sequence[np.ndarray]) -> complex:
-    """Collapse a chain whose physical extents are all 1 to a scalar."""
-    vec = sites[0].reshape(sites[0].shape[0], -1)
-    for s in sites[1:]:
-        vec = vec @ s.reshape(s.shape[0], -1)
-    return complex(vec.reshape(-1)[0])
 
 
 def mps_amplitude(sites: Sequence[np.ndarray], config: Sequence[int]) -> complex:

@@ -124,8 +124,11 @@ class Peps:
 
 def as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
     """``n`` as a flat int64 configuration, checked to hold ``n_sites``
-    entries in ``[0, phys_dim)``; raises ``ValueError`` otherwise."""
-    n = np.asarray(n, dtype=np.int64).reshape(-1)
+    integer-valued entries in ``[0, phys_dim)``; raises ``ValueError`` otherwise."""
+    n = np.asarray(n)
+    if n.dtype.kind not in "biu" and not (n.dtype.kind == "f" and np.isin(n, range(phys_dim)).all()):
+        raise ValueError(f"configuration entries must be integers in [0, {phys_dim})")
+    n = n.astype(np.int64, copy=False).reshape(-1)
     if n.size != n_sites:
         raise ValueError(f"configuration has {n.size} entries, lattice has {n_sites} sites")
     if np.any(n < 0) or np.any(n >= phys_dim):

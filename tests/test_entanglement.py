@@ -178,7 +178,7 @@ ROUTES = {"tnf_transverse": tnf_amplitude_transverse, "tnf_inverse": tnf_amplitu
 
 def per_time_states(params, method, chi):
     """Dense states enumerated time by time, each configuration contracted
-    afresh: the enumeration order before the Floquet walk."""
+    afresh by a per-call route."""
     n = params.n_sites
     bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     states = []

@@ -1,4 +1,5 @@
 """Kicked-Ising period operator and amplitude contraction routes."""
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnflab.entanglement import bulk_entropy_sweep, entanglement_dynamics, entropy_and_spectrum, rdm_from_dense
 from tnflab.errors import ResourceLimitError
 from tnflab.floquet import (
     PRESETS,
@@ -15,15 +17,24 @@ from tnflab.floquet import (
     config_index,
     evolve_conventional,
     exact_evolve,
+    floquet_peps,
     mpo_amplitude,
     mpo_mpo_inverse,
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
+    transverse_amplitudes,
 )
 from tnflab.mps import apply_mpo, compress, mps_amplitude, mps_to_dense, mpo_to_dense, product_mps
+from tnflab.peps import FixedPlan, amplitude_fixed
+from tnflab.tensor import AmplitudeValue
 
 Z = np.diag([1.0, -1.0])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _bits(a):
+    m = complex(a.mantissa)
+    return (m.real.hex(), m.imag.hex(), float(a.log_scale).hex(), a.is_zero)
 
 
 def dense_period_operator(params):
@@ -221,13 +232,32 @@ class TestTnfTransverse:
             assert abs(got.value - want) / abs(want) < 1e-8
 
     def test_matches_independent_schedule_oracle(self):
-        p = FloquetParams(10, **PRESETS["maximally_chaotic"])
-        rng = np.random.default_rng(1)
-        for _ in range(4):
-            n = rng.integers(0, 2, size=10)
-            got = tnf_amplitude_transverse(p, n, 2, 5)
-            want = transverse_oracle(p, n, 2, 5)
-            assert abs(got.value - want) / abs(want) < 1e-10
+        worst = 0.0
+        for n_sites in range(6, 11):
+            p = FloquetParams(n_sites, **PRESETS["maximally_chaotic"])
+            rng = np.random.default_rng(n_sites)
+            for t, chi in itertools.product((1, 2, 4, 6), (1, 2, 3, 4)):
+                for n in rng.integers(0, 2, size=(2, n_sites)):
+                    got = tnf_amplitude_transverse(p, n, chi, t)
+                    want = transverse_oracle(p, n, chi, t)
+                    worst = max(worst, abs(got.value - want) / abs(want))
+        assert worst < 1e-12
+
+    def test_is_amplitude_fixed_on_the_floquet_peps(self):
+        """Row c is site c and column tau period tau; only the last column
+        reads the configuration, so any entries elsewhere give the same bits."""
+        rng = np.random.default_rng(5)
+        for preset, n_sites, t, chi in itertools.product(sorted(PRESETS), (2, 3, 6), (1, 2, 5), (1, 3)):
+            p = FloquetParams(n_sites, **PRESETS[preset])
+            peps = floquet_peps(p, t)
+            assert (peps.rows, peps.cols, peps.phys_dim, peps.boundary) == (n_sites, t, 2, "obc")
+            plan = FixedPlan(n_sites, t, chi, n_sites - 1)
+            for n in rng.integers(0, 2, size=(3, n_sites)):
+                grid = rng.integers(0, 2, size=(n_sites, t))
+                grid[:, -1] = n
+                assert _bits(tnf_amplitude_transverse(p, n, chi, t)) == _bits(amplitude_fixed(peps, grid, plan))
+        with pytest.raises(ValueError, match="period"):
+            floquet_peps(p, 0)
 
 
 class TestTnfInverseTime:
@@ -247,26 +277,27 @@ class TestTnfInverseTime:
             assert abs(got.value - want) / abs(want) < 1e-8
 
     def test_matches_independent_layer_oracle(self):
-        """Layer-by-layer bra absorption written out with raw numpy."""
-        p = FloquetParams(8, **PRESETS["maximally_chaotic"])
-        mpo = build_floquet_mpo(p)
-        rng = np.random.default_rng(3)
-        for _ in range(4):
-            n = rng.integers(0, 2, size=8)
-            caps = []
-            for c in range(8):
-                v = np.zeros(2, dtype=complex)
-                v[n[c]] = 1.0
-                caps.append(v)
-            bra = product_mps(caps)
-            log = 0.0
-            for _layer in range(5):
-                bra = apply_mpo(bra, [w.transpose(0, 2, 1, 3) for w in mpo])
-                bra, lf = compress(bra, 2)
-                log += lf
-            want = mps_amplitude(bra, [0] * 8) * math.exp(log)
-            got = tnf_amplitude_inverse_time(p, n, 2, 5)
-            assert abs(got.value - want) / max(abs(want), 1e-300) < 1e-10
+        """Layer-by-layer bra absorption written out with raw numpy: a
+        product-state bra, then compress(apply_mpo(...)) per period, bit for bit."""
+        for preset, chi in itertools.product(sorted(PRESETS), (1, 2, 3)):
+            p = FloquetParams(8, **PRESETS[preset])
+            mpo = build_floquet_mpo(p)
+            rng = np.random.default_rng(3)
+            for _ in range(3):
+                n = rng.integers(0, 2, size=8)
+                caps = []
+                for c in range(8):
+                    v = np.zeros(2, dtype=complex)
+                    v[n[c]] = 1.0
+                    caps.append(v)
+                bra = product_mps(caps)
+                log = 0.0
+                for t in range(1, 6):
+                    bra = apply_mpo(bra, [w.transpose(0, 2, 1, 3) for w in mpo])
+                    bra, lf = compress(bra, chi)
+                    log += lf
+                    want = AmplitudeValue.from_parts(mps_amplitude(bra, [0] * 8), log)
+                    assert _bits(tnf_amplitude_inverse_time(p, n, chi, t)) == _bits(want)
 
 
 class TestMpoMpo:
@@ -341,30 +372,52 @@ def test_params_accept_numpy_numbers():
     assert p.n_sites == 4 and p.t_max == 2
 
 
-WALK_ROUTES = {"transverse": tnf_amplitude_transverse, "inverse_time": tnf_amplitude_inverse_time}
+ROUTES = {"tnf_transverse": tnf_amplitude_transverse, "tnf_inverse": tnf_amplitude_inverse_time}
 
 
-def _bits(a):
-    m = complex(a.mantissa)
-    return (m.real.hex(), m.imag.hex(), float(a.log_scale).hex(), a.is_zero)
+def fresh_state(route, params, chi, t):
+    """Dense state (site 0 most significant) with every amplitude from a
+    fresh call of ``route``, rescaled by the largest log factor."""
+    amps = [route(params, n, chi, t) for n in itertools.product((0, 1), repeat=params.n_sites)]
+    top = max((a.log_scale for a in amps if not a.is_zero), default=-math.inf)
+    return np.array([0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in amps])
 
 
-@pytest.mark.parametrize("route", WALK_ROUTES.values(), ids=WALK_ROUTES.keys())
+@pytest.mark.parametrize("method", sorted(ROUTES))
 @given(data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_walk_matches_fresh_calls_bitwise(route, data):
-    """Configurations in any order, with repeats and interleaved times, all
-    through one walk, give a fresh call's bits; so do calls that switch the
-    walk between two params and two chi."""
+@settings(max_examples=10, deadline=None)
+def test_enumeration_matches_fresh_calls_bitwise(method, data):
+    """``entanglement_dynamics`` and ``bulk_entropy_sweep`` give the entropies
+    and spectra of states built from fresh per-call amplitudes, bit for bit;
+    so does each time's transverse evaluator, called in any order with repeats."""
     n_sites = data.draw(st.integers(2, 6), label="n_sites")
-    params = [FloquetParams(n_sites, **PRESETS[name]) for name in sorted(PRESETS)]
-    chis = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True), label="chis")
-    cfg = st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)
-    pool = data.draw(st.lists(cfg, min_size=1, max_size=4), label="configurations")
-    call = st.tuples(st.sampled_from(pool), st.integers(0, 4))
-    steady = [(params[0], chis[0], n, t) for n, t in data.draw(st.lists(call, max_size=20), label="steady")]
-    mixed_call = st.tuples(st.sampled_from(params), st.sampled_from(chis), st.sampled_from(pool), st.integers(0, 4))
-    mixed = data.draw(st.lists(mixed_call, max_size=20), label="mixed")
-    walk = {}
-    for p, chi, n, t in steady + mixed:
-        assert _bits(route(p, n, chi, t, walk)) == _bits(route(p, n, chi, t))
+    preset = data.draw(st.sampled_from(sorted(PRESETS)), label="preset")
+    p = FloquetParams(n_sites, **PRESETS[preset], t_max=data.draw(st.integers(0, 4), label="t_max"))
+    chi = data.draw(st.integers(1, 3), label="chi")
+    route = ROUTES[method]
+    states = [fresh_state(route, p, chi, t) for t in range(p.t_max + 1)]
+    dynamics = entanglement_dynamics(p, method, chi=chi)
+    for t, psi in enumerate(states):
+        s, spec, _ = entropy_and_spectrum(rdm_from_dense(psi, n_sites, (0, n_sites // 2)))
+        assert (dynamics.entropies[t].hex(), dynamics.spectra[t].tobytes()) == (s.hex(), spec.tobytes())
+    t = data.draw(st.integers(0, p.t_max), label="t")
+    want = [
+        (size, entropy_and_spectrum(rdm_from_dense(states[t], n_sites, ((n_sites - size) // 2, size)))[0].hex())
+        for size in range(1, n_sites)
+    ]
+    assert [(size, s.hex()) for size, s in bulk_entropy_sweep(p, method, t, chi=chi)] == want
+    if method == "tnf_transverse":
+        fns = list(itertools.islice(transverse_amplitudes(p, chi), p.t_max + 1))
+        cfg = st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)
+        for n, t in data.draw(st.lists(st.tuples(cfg, st.integers(0, p.t_max)), max_size=12), label="calls"):
+            assert _bits(fns[t](n)) == _bits(route(p, n, chi, t))
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+@pytest.mark.parametrize("bad", [0.9, math.nan])
+def test_non_integer_configuration_rejected(route, bad):
+    """A non-integer entry is an error, not a truncated site value."""
+    p = FloquetParams(4, **PRESETS["maximally_chaotic"])
+    with pytest.raises(ValueError, match="integers"):
+        route(p, [bad, 0, 0, 0], 2, 0)
+    assert _bits(route(p, [1.0, 0.0, 1.0, 0.0], 2, 2)) == _bits(route(p, [1, 0, 1, 0], 2, 2))

@@ -1,4 +1,4 @@
-"""Shared MPS machinery: MPO application, compression, chain contraction."""
+"""Shared MPS machinery: MPO application, compression, amplitudes."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,6 @@ from tnflab.errors import DimensionError
 from tnflab.mps import (
     apply_mpo,
     compress,
-    contract_mps_chain,
     mps_amplitude,
     mps_to_dense,
     mpo_to_dense,
@@ -105,10 +104,3 @@ def test_compress_any_rank_matches_rank3(chi, zero_site):
     for a, b in zip(out4, out3):
         assert a.ndim == 4 and a.shape[1:3] == (2, 3)
         assert np.array_equal(a.reshape(b.shape), b)
-
-
-def test_contract_scalar_chain():
-    rng = np.random.default_rng(7)
-    mats = [rng.standard_normal((1, 1, 3)), rng.standard_normal((3, 1, 2)), rng.standard_normal((2, 1, 1))]
-    want = (mats[0][0, 0] @ mats[1][:, 0, :] @ mats[2][:, 0, 0]).item()
-    assert abs(contract_mps_chain(mats) - want) < 1e-13

@@ -94,6 +94,18 @@ class TestProjectConfig:
         with pytest.raises(ValueError):
             project_config(p, [0, 1, 2, 0])
 
+    @pytest.mark.parametrize("bad", [0.9, math.nan])
+    def test_non_integer_entry_rejected(self, bad):
+        """A non-integer entry is an error, not a truncated site value;
+        integer-valued floats and bools read as integers."""
+        p = random_peps(2, 2, 2, 2, seed=0)
+        plan = FixedPlan.for_lattice(2, 2, 2)
+        with pytest.raises(ValueError, match="integers"):
+            amplitude_fixed(p, [bad, 0, 0, 0], plan)
+        want = bits(amplitude_fixed(p, [1, 0, 0, 1], plan))
+        assert bits(amplitude_fixed(p, [1.0, 0.0, 0.0, 1.0], plan)) == want
+        assert bits(amplitude_fixed(p, np.array([True, False, False, True]), plan)) == want
+
     def test_product_network_multiplies_to_amplitude(self):
         cfg = [1, 0, 0, 1]
         p = product_peps(2, 2, 2, cfg)
