@@ -72,7 +72,10 @@ def compress(
         shape = sites[i].shape
         q, rmat = np.linalg.qr(sites[i].reshape(-1, shape[-1]))
         sites[i] = q.reshape(shape[:-1] + q.shape[1:])
-        sites[i + 1] = np.tensordot(rmat, sites[i + 1], axes=([1], [0]))
+        # np.tensordot(rmat, sites[i + 1], axes=([1], [0])) written out, bit for bit.
+        nxt = sites[i + 1]
+        prod = np.dot(rmat, nxt.reshape(nxt.shape[0], -1))
+        sites[i + 1] = prod.reshape(rmat.shape[:1] + nxt.shape[1:])
 
     # Right-to-left truncation sweep.
     for i in range(n - 1, 0, -1):
@@ -85,7 +88,10 @@ def compress(
             stats["max_discarded"] = max(stats.get("max_discarded", 0.0), split.discarded_weight)
         sites[i] = split.right
         carry = split.isometry * split.singulars  # (l, k)
-        sites[i - 1] = np.tensordot(sites[i - 1], carry, axes=([-1], [0]))
+        # np.tensordot(sites[i - 1], carry, axes=([-1], [0])) written out, bit for bit.
+        prev = sites[i - 1]
+        prod = np.dot(prev.reshape(-1, prev.shape[-1]), carry)
+        sites[i - 1] = prod.reshape(prev.shape[:-1] + carry.shape[1:])
 
     t, lf, zero = renormalize(sites[0])
     if not zero:

@@ -131,7 +131,7 @@ def as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
     n = n.astype(np.int64, copy=False).reshape(-1)
     if n.size != n_sites:
         raise ValueError(f"configuration has {n.size} entries, lattice has {n_sites} sites")
-    if np.any(n < 0) or np.any(n >= phys_dim):
+    if n.min() < 0 or n.max() >= phys_dim:
         raise ValueError("configuration entry out of range for the physical dimension")
     return n
 
@@ -267,12 +267,20 @@ def boundary_absorb(
     if len(row) != len(bmps.sites):
         raise DimensionError("row length does not match boundary length")
     # The face meets the row's up leg from the top, its down leg from the bottom.
-    leg, perm = (0, (0, 3, 1, 4, 2, 5)) if side == "top" else (2, (0, 4, 1, 3, 2, 5))
+    # ``legs`` puts that leg first; ``perm`` orders the product (l, l2, o, f2, r, r2).
+    if side == "top":
+        leg, legs, perm = 0, (0, 1, 2, 3), (0, 3, 1, 4, 2, 5)
+    else:
+        leg, legs, perm = 2, (2, 0, 1, 3), (0, 4, 1, 3, 2, 5)
     new_sites = []
     for c, (s, t) in enumerate(zip(bmps.sites, row)):  # s: (l, o, f, r)
-        if s.shape[2] != t.shape[leg]:
-            raise DimensionError(f"face extent {s.shape[2]} does not meet the row at column {c}")
-        m = np.tensordot(s, t, axes=([2], [leg])).transpose(perm)  # (l, l2, o, f2, r, r2)
+        l, o, f, r = s.shape
+        if f != t.shape[leg]:
+            raise DimensionError(f"face extent {f} does not meet the row at column {c}")
+        # np.tensordot(s, t, axes=([2], [leg])) written out, bit for bit.
+        t = t.transpose(legs)
+        m = np.dot(s.transpose(0, 1, 3, 2).reshape(l * o * r, f), t.reshape(f, -1))
+        m = m.reshape((l, o, r) + t.shape[1:]).transpose(perm)  # (l, l2, o, f2, r, r2)
         l, l2, o, f2, r, r2 = m.shape
         new_sites.append(np.ascontiguousarray(m.reshape(l * l2, o, f2, r * r2)))
     new_sites, lf = compress(new_sites, chi, stats)
@@ -291,24 +299,37 @@ def _close_strip(
     """
     log = (top.log_scale if top else 0.0) + (bottom.log_scale if bottom else 0.0)
     vec = None
+    # Each np.dot below is the np.tensordot named above it written out, with
+    # its transposes, reshapes and dot, so the bits are the tensordot's.
     for c, m in enumerate(mid):
+        u, lm, d, rm = m.shape
         if top is not None and bottom is not None:
-            a = top.sites[c]  # (lt, o, x, rt)
-            b = bottom.sites[c]  # (lb, o, y, rb)
-            t = np.tensordot(a, m, axes=([2], [0]))  # (lt, o, rt, lm, y, rm)
-            t = np.tensordot(t, b, axes=([1, 4], [1, 2]))  # (lt, rt, lm, rm, lb, rb)
-            t = t.transpose(0, 2, 4, 1, 3, 5)
-            t = t.reshape(a.shape[0] * m.shape[1] * b.shape[0], -1)
+            a, b = top.sites[c], bottom.sites[c]
+            lt, o, x, rt = a.shape
+            lb, _, y, rb = b.shape
+            # np.tensordot(a, m, axes=([2], [0])): (lt, o, rt, lm, y, rm)
+            t = np.dot(a.transpose(0, 1, 3, 2).reshape(lt * o * rt, x), m.reshape(u, -1))
+            t = t.reshape(lt, o, rt, lm, y, rm).transpose(0, 2, 3, 5, 1, 4)
+            # np.tensordot(t, b, axes=([1, 4], [1, 2])): (lt, rt, lm, rm, lb, rb)
+            b = b.transpose(1, 2, 0, 3).reshape(o * y, lb * rb)
+            t = np.dot(t.reshape(lt * rt * lm * rm, o * y), b).reshape(lt, rt, lm, rm, lb, rb)
+            t = t.transpose(0, 2, 4, 1, 3, 5).reshape(lt * lm * lb, -1)
         elif top is not None:
             a = top.sites[c]
+            lt, o, x, rt = a.shape
             # The middle row is the last row: its down legs pair with the
             # boundary's open wrap legs.
-            t = np.tensordot(a, m, axes=([2, 1], [0, 2]))  # (lt, rt, lm, rm)
-            t = t.transpose(0, 2, 1, 3).reshape(a.shape[0] * m.shape[1], -1)
+            # np.tensordot(a, m, axes=([2, 1], [0, 2])): (lt, rt, lm, rm)
+            a = a.transpose(0, 3, 2, 1).reshape(lt * rt, x * o)
+            t = np.dot(a, m.transpose(0, 2, 1, 3).reshape(u * d, lm * rm)).reshape(lt, rt, lm, rm)
+            t = t.transpose(0, 2, 1, 3).reshape(lt * lm, -1)
         elif bottom is not None:
             b = bottom.sites[c]
-            t = np.tensordot(m, b, axes=([2, 0], [2, 1]))  # (lm, rm, lb, rb)
-            t = t.transpose(0, 2, 1, 3).reshape(m.shape[1] * b.shape[0], -1)
+            lb, o, y, rb = b.shape
+            # np.tensordot(m, b, axes=([2, 0], [2, 1])): (lm, rm, lb, rb)
+            b = b.transpose(2, 1, 0, 3).reshape(y * o, lb * rb)
+            t = np.dot(m.transpose(1, 3, 2, 0).reshape(lm * rm, d * u), b).reshape(lm, rm, lb, rb)
+            t = t.transpose(0, 2, 1, 3).reshape(lm * lb, -1)
         else:
             t = np.einsum("ucuq->cq", m)  # single-row lattice: trace the wrap
         vec = t[0] if vec is None else vec @ t

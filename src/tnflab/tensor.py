@@ -63,16 +63,14 @@ def _svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _gauge_fix(u: np.ndarray, vh: np.ndarray) -> None:
     """Rotate each singular pair in place so the largest-magnitude entry of
     the left vector is real and positive; ties resolve to the lowest flat
-    index."""
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if pivot == 0:
-            continue
-        phase = pivot / abs(pivot)
-        u[:, k] = col / phase
-        vh[k, :] = vh[k, :] * phase
+    index. A column whose pivot is zero keeps phase 1."""
+    k = u.shape[1]
+    pivots = u[np.abs(u).argmax(axis=0), np.arange(k)]
+    # Scalar abs, not np.abs(pivots): the array path rounds differently in the last bit.
+    phase = np.array([p / abs(p) if p != 0 else 1.0 for p in pivots], dtype=complex)
+    u /= phase
+    # Out of place: an in-place product on a one-column vh skips the fused path of the row product.
+    vh[:] = vh * phase[:, None]
 
 
 def svd_split(t: np.ndarray, n_left: int, chi: int) -> TruncatedSvd:
@@ -138,7 +136,7 @@ def renormalize(t: np.ndarray) -> Renormalized:
     infinite entry raises :class:`NumericalAbortError`.
     """
     t = np.asarray(t)
-    m = float(np.max(np.abs(t))) if t.size else 0.0
+    m = float(np.abs(t).max()) if t.size else 0.0
     if not 0.0 < m < math.inf:
         if m == 0.0:
             return Renormalized(t, 0.0, True)

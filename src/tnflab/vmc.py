@@ -33,6 +33,7 @@ from .peps import (
     FixedEvaluator,
     FixedPlan,
     Peps,
+    as_config,
     peps_from_params,
     peps_to_params,
 )
@@ -65,8 +66,10 @@ def local_energy(model: Model, amplitude_fn: Callable, n) -> complex:
     ``amplitude_fn`` maps a configuration to an :class:`AmplitudeValue`.
     Ratios come from the mantissa/log pairs; connected configurations with
     zero amplitude contribute nothing. Requires a nonzero amplitude at ``n``.
+    ``n`` is read by :func:`tnflab.peps.as_config`, so an entry that is not an
+    integer in ``[0, 2)`` raises ``ValueError``.
     """
-    cfg = np.asarray(n, dtype=np.int64).reshape(-1)
+    cfg = as_config(n, model.n_sites, 2)
     amp0 = amplitude_fn(cfg)
     if amp0.is_zero:
         raise ValueError("local energy undefined on a zero-amplitude configuration")
@@ -182,7 +185,7 @@ def _chain_args(model: Model, n_sweeps: int, n_warmup: int | None, initial_confi
         raise ValueError(f"warmup {n_warmup} must be in [0, n_sweeps)")
     if initial_config is None:
         initial_config = neel_config(model.rows, model.cols)
-    return n_warmup, np.asarray(initial_config, dtype=np.int64).reshape(-1)
+    return n_warmup, as_config(initial_config, model.n_sites, 2)
 
 
 def _chain_samples(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnflab.errors import DimensionError, ResourceLimitError
 from tnflab.mps import compress
@@ -13,7 +15,10 @@ from tnflab.peps import (
     FixedEvaluator,
     FixedPlan,
     Peps,
+    _close_strip,
+    _row,
     amplitude_fixed,
+    as_config,
     boundary_absorb,
     exact_amplitude,
     load_peps,
@@ -22,6 +27,7 @@ from tnflab.peps import (
     random_peps,
     save_peps,
 )
+from tnflab.tensor import AmplitudeValue, renormalize, svd_split
 
 
 BOUNDARIES = ("obc", "pbc")
@@ -105,6 +111,31 @@ class TestProjectConfig:
         want = bits(amplitude_fixed(p, [1, 0, 0, 1], plan))
         assert bits(amplitude_fixed(p, [1.0, 0.0, 0.0, 1.0], plan)) == want
         assert bits(amplitude_fixed(p, np.array([True, False, False, True]), plan)) == want
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([-1, 0, 0, 1], dtype=np.int8),
+            np.array([2, 0, 0, 1], dtype=np.uint8),
+            [math.inf, 0, 0, 1],
+            np.array([1 + 0j, 0, 0, 1]),
+            [0, 1, 1],
+        ],
+        ids=["int8-negative", "uint8-too-large", "inf", "complex", "wrong-length"],
+    )
+    def test_as_config_rejects(self, bad):
+        p = random_peps(2, 2, 2, 2, seed=0)
+        with pytest.raises(ValueError):
+            as_config(bad, 4, 2)
+        with pytest.raises(ValueError):
+            amplitude_fixed(p, bad, FixedPlan.for_lattice(2, 2, 2))
+
+    def test_narrow_integer_dtypes_give_int64_bits(self):
+        p = random_peps(2, 2, 2, 2, seed=0, boundary="pbc")
+        plan = FixedPlan.for_lattice(2, 2, 2)
+        want = bits(amplitude_fixed(p, np.array([0, 1, 1, 0], dtype=np.int64), plan))
+        for dtype in (bool, np.uint8):
+            assert bits(amplitude_fixed(p, np.array([0, 1, 1, 0], dtype=dtype), plan)) == want
 
     def test_product_network_multiplies_to_amplitude(self):
         cfg = [1, 0, 0, 1]
@@ -229,6 +260,122 @@ class TestBoundaryAbsorb:
         for a, b in zip(got.sites, sites1):
             assert np.allclose(a, b, atol=1e-12), "boundary sites differ from oracle"
         assert abs(got.log_scale - (log0 + log1)) < 1e-10
+
+
+# The np.tensordot bodies that compress, boundary_absorb and _close_strip had
+# before their contractions were written out as np.dot; kept as bitwise oracles.
+
+
+def tensordot_compress(sites, chi):
+    sites = [np.asarray(s, dtype=complex) for s in sites]
+    log_factor = 0.0
+    for i in range(len(sites) - 1):
+        shape = sites[i].shape
+        q, rmat = np.linalg.qr(sites[i].reshape(-1, shape[-1]))
+        sites[i] = q.reshape(shape[:-1] + q.shape[1:])
+        sites[i + 1] = np.tensordot(rmat, sites[i + 1], axes=([1], [0]))
+    for i in range(len(sites) - 1, 0, -1):
+        t, lf, zero = renormalize(sites[i])
+        if zero:
+            return sites, 0.0
+        log_factor += lf
+        split = svd_split(t, 1, chi if chi is not None else t.shape[0])
+        sites[i] = split.right
+        carry = split.isometry * split.singulars
+        sites[i - 1] = np.tensordot(sites[i - 1], carry, axes=([-1], [0]))
+    t, lf, zero = renormalize(sites[0])
+    if not zero:
+        sites[0] = t
+        log_factor += lf
+    return sites, log_factor
+
+
+def tensordot_absorb(bmps, row, chi, side):
+    if bmps is None:
+        axes = (1, 0, 2, 3) if side == "top" else (1, 2, 0, 3)
+        sites, lf = tensordot_compress([np.ascontiguousarray(t.transpose(axes)) for t in row], chi)
+        return BoundaryMps(sites, lf)
+    leg, perm = (0, (0, 3, 1, 4, 2, 5)) if side == "top" else (2, (0, 4, 1, 3, 2, 5))
+    new_sites = []
+    for s, t in zip(bmps.sites, row):
+        m = np.tensordot(s, t, axes=([2], [leg])).transpose(perm)
+        l, l2, o, f2, r, r2 = m.shape
+        new_sites.append(np.ascontiguousarray(m.reshape(l * l2, o, f2, r * r2)))
+    new_sites, lf = tensordot_compress(new_sites, chi)
+    return BoundaryMps(new_sites, bmps.log_scale + lf)
+
+
+def tensordot_close(top, mid, bottom):
+    log = (top.log_scale if top else 0.0) + (bottom.log_scale if bottom else 0.0)
+    vec = None
+    for c, m in enumerate(mid):
+        if top is not None and bottom is not None:
+            a, b = top.sites[c], bottom.sites[c]
+            t = np.tensordot(a, m, axes=([2], [0]))
+            t = np.tensordot(t, b, axes=([1, 4], [1, 2]))
+            t = t.transpose(0, 2, 4, 1, 3, 5)
+            t = t.reshape(a.shape[0] * m.shape[1] * b.shape[0], -1)
+        elif top is not None:
+            a = top.sites[c]
+            t = np.tensordot(a, m, axes=([2, 1], [0, 2]))
+            t = t.transpose(0, 2, 1, 3).reshape(a.shape[0] * m.shape[1], -1)
+        elif bottom is not None:
+            b = bottom.sites[c]
+            t = np.tensordot(m, b, axes=([2, 0], [2, 1]))
+            t = t.transpose(0, 2, 1, 3).reshape(m.shape[1] * b.shape[0], -1)
+        else:
+            t = np.einsum("ucuq->cq", m)
+        vec = t[0] if vec is None else vec @ t
+        nrm, lf, z = renormalize(vec)
+        if z:
+            return AmplitudeValue.zero()
+        vec, log = nrm, log + lf
+    return AmplitudeValue.from_parts(complex(vec.reshape(-1)[0]), log)
+
+
+def boundary_bits(b):
+    return [(s.shape, s.tobytes()) for s in b.sites], b.log_scale.hex()
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("closure", ["both", "top", "bottom", "single-row"])
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_contractions_equal_tensordot_oracle_bitwise(boundary, closure, data):
+    """Starting, continuing (from the top and from the bottom) and closing
+    give the tensordot bodies' bits at chi 1-4 and None, and so does a state
+    with one zeroed site slice, whose amplitude is exactly zero."""
+    if closure == "single-row":
+        rows, mid = 1, 0
+    elif closure == "both":
+        rows = data.draw(st.integers(3, 4))
+        mid = data.draw(st.integers(1, rows - 2))
+    else:
+        rows = data.draw(st.integers(2, 4))
+        mid = rows - 1 if closure == "top" else 0
+    cols = data.draw(st.integers(1, 3))
+    bond = data.draw(st.integers(1, 3))
+    p = random_peps(rows, cols, 2, bond, seed=data.draw(st.integers(0, 2**16)), boundary=boundary)
+    n_sites = rows * cols
+    cfg = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)))
+    zeroed = p.copy()
+    r0, c0 = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    zeroed.sites[r0][c0][..., cfg[r0 * cols + c0]] = 0
+    for state in (p, zeroed):
+        grid = [_row(state, cfg, r) for r in range(rows)]
+        for chi in (1, 2, 3, 4, None):
+            top = ref_top = bottom = ref_bottom = None
+            for r in range(mid):
+                top = boundary_absorb(top, grid[r], chi, "top")
+                ref_top = tensordot_absorb(ref_top, grid[r], chi, "top")
+                assert boundary_bits(top) == boundary_bits(ref_top), (chi, r)
+            for r in range(rows - 1, mid, -1):
+                bottom = boundary_absorb(bottom, grid[r], chi, "bottom")
+                ref_bottom = tensordot_absorb(ref_bottom, grid[r], chi, "bottom")
+                assert boundary_bits(bottom) == boundary_bits(ref_bottom), (chi, r)
+            got = _close_strip(top, grid[mid], bottom)
+            assert bits(got) == bits(tensordot_close(ref_top, grid[mid], ref_bottom)), chi
+            assert got.is_zero == (state is zeroed), chi
 
 
 class TestAmplitudeFixed:

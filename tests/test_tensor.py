@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnflab.errors import DimensionError, NumericalAbortError
-from tnflab.tensor import AmplitudeValue, renormalize, svd_split
+from tnflab.tensor import AmplitudeValue, _gauge_fix, renormalize, svd_split
 
 
 class TestSvdSplit:
@@ -86,6 +86,60 @@ class TestSvdSplit:
         assert s.singulars[0] == 0.0
         gram = s.isometry.conj().T @ s.isometry
         assert np.allclose(gram, np.eye(1))
+
+
+def gauge_fix_per_column(u, vh):
+    """The per-column loop that ``_gauge_fix`` replaced, kept as its bitwise oracle."""
+    for k in range(u.shape[1]):
+        col = u[:, k]
+        i = int(np.argmax(np.abs(col)))
+        pivot = col[i]
+        if pivot == 0:
+            continue
+        phase = pivot / abs(pivot)
+        u[:, k] = col / phase
+        vh[k, :] = vh[k, :] * phase
+
+
+def assert_gauge_fix_matches_loop(u, vh, kept=None):
+    """Both fixes on copies of ``u[:, :kept]`` and ``vh[:kept]``, the strided
+    views svd_split passes, agree bit for bit; returns the fixed copies."""
+    kept = u.shape[1] if kept is None else kept
+    got_u, got_vh = u.copy(), vh.copy()
+    _gauge_fix(got_u[:, :kept], got_vh[:kept])
+    want_u, want_vh = u.copy(), vh.copy()
+    gauge_fix_per_column(want_u[:, :kept], want_vh[:kept])
+    assert got_u.tobytes() == want_u.tobytes()
+    assert got_vh.tobytes() == want_vh.tobytes()
+    return got_u, got_vh
+
+
+class TestGaugeFix:
+    def test_matches_per_column_loop_bitwise(self):
+        """Columns scaled from 1e-3 to 1e3, on the strided views svd_split passes."""
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            m, n = rng.integers(1, 17, size=2)
+            k = min(m, n)
+            scale = 10.0 ** rng.uniform(-3, 3, k)
+            u = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * scale
+            vh = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+            assert_gauge_fix_matches_loop(u, vh, int(rng.integers(1, k + 1)))
+
+    def test_zero_pivot_column_left_unchanged(self):
+        rng = np.random.default_rng(13)
+        u = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        u[:, 1] = 0
+        vh = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        got_u, got_vh = assert_gauge_fix_matches_loop(u, vh)
+        assert got_u[:, 1].tobytes() == u[:, 1].tobytes()
+        assert got_vh[1].tobytes() == vh[1].tobytes()
+
+    def test_tie_goes_to_lowest_index(self):
+        u = np.array([[0.5], [1j], [-1.0], [0.2j]])
+        vh = np.array([[1.0 + 2.0j, -0.5j]])
+        got_u, _ = assert_gauge_fix_matches_loop(u, vh)
+        assert got_u[1, 0] == 1.0 and got_u[2, 0] == 1j
 
 
 class TestRenormalize:

@@ -71,6 +71,21 @@ class TestLocalEnergy:
         with pytest.raises(ValueError):
             local_energy(m, lambda n: AmplitudeValue.zero(), [0, 1])
 
+    @pytest.mark.parametrize("bad", [0.9, math.nan, 2])
+    def test_non_integer_or_out_of_range_entry_rejected(self, bad):
+        """The configuration is read, not truncated: 0.9 is not the energy of 0."""
+        ev = FixedEvaluator(random_peps(2, 2, 2, 2, seed=0), FixedPlan.for_lattice(2, 2, 2))
+        with pytest.raises(ValueError):
+            local_energy(heisenberg(2, 2), ev.peek, [bad, 1, 1, 0])
+
+    def test_integer_valued_floats_and_bools_read_as_ints(self):
+        m = heisenberg(2, 2)
+        ev = FixedEvaluator(random_peps(2, 2, 2, 2, seed=0), FixedPlan.for_lattice(2, 2, 2))
+        want = local_energy(m, ev.peek, [0, 1, 1, 0])
+        for n in ([0.0, 1.0, 1.0, 0.0], np.array([False, True, True, False])):
+            got = local_energy(m, ev.peek, n)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
     def test_enumeration_equals_sector_rayleigh_quotient(self):
         m = heisenberg(4, 4)
         p = random_peps(4, 4, 2, 2, seed=0)
@@ -178,6 +193,26 @@ class TestEstimateEnergy:
         assert est.stderr == 0.0
         assert est.acceptance == 0.0
         assert est.warnings  # frozen chain diagnostic
+
+    @pytest.mark.parametrize("bad", [0.9, math.nan, 2])
+    def test_initial_config_entry_rejected(self, bad):
+        p = random_peps(2, 2, 2, 2, seed=0)
+        with pytest.raises(ValueError):
+            estimate_energy(p, heisenberg(2, 2), "fixed", 2, n_sweeps=4, n_warmup=0,
+                            initial_config=[bad, 1, 1, 0])
+
+    def test_initial_config_floats_and_bools_read_as_ints(self):
+        p = random_peps(2, 2, 2, 2, seed=0)
+        m = heisenberg(2, 2)
+
+        def run(cfg):
+            est = estimate_energy(p, m, "fixed", 2, n_sweeps=40, n_warmup=5, seed=1,
+                                  initial_config=cfg)
+            return est.mean.hex(), est.stderr.hex(), est.acceptance, est.series[0].tobytes()
+
+        want = run([0, 1, 1, 0])
+        assert run([0.0, 1.0, 1.0, 0.0]) == want
+        assert run(np.array([False, True, True, False])) == want
 
     def test_seed_determinism_bit_for_bit(self):
         p = random_peps(3, 3, 2, 2, seed=5)
