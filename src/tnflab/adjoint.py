@@ -1,0 +1,176 @@
+"""Reverse-mode derivatives of the fixed-schedule contraction.
+
+A :class:`Tape` handed to the engine functions (:func:`tnflab.mps.compress`,
+:func:`tnflab.peps.boundary_absorb` and the strip closure) records each step
+they take: the arrays it read, the arrays it made, and a rule that maps the
+cotangents of the made arrays to those of the read ones. :meth:`Tape.backward`
+runs the rules in reverse order.
+
+A cotangent of a complex array ``z`` under a real loss ``L`` is
+``dL/d Re z + i dL/d Im z``. Every cotangent carries one leading batch axis,
+so several real losses (``Re ln psi`` and ``arg psi``) go back in one pass:
+once a truncation is active the contraction is not holomorphic, and the two
+do not follow from one another. Three rules make the pass exact:
+
+* ``renormalize`` scales are constants: every step is degree-1 homogeneous.
+* Gauge choices (QR phases, the SVD gauge fix) are not differentiated: the
+  amplitude depends only on the truncated products ``U_k S_k V_k^H``.
+* The truncated SVD adjoint (Liao, Liu, Wang and Xiang, PRX 9, 031041
+  (2019)) runs on the full thin factorization with zero cotangents on the
+  discarded triplets. Only kept-discarded pairs carry ``1/(s_c^2 - s_d^2)``
+  terms; kept-kept pairs need none, so a degeneracy inside the kept set is
+  harmless. A truncation whose boundary gap is below :data:`TRUNCATION_GAP`
+  has no derivative: its op is marked degenerate, and every array that feeds
+  it is reported.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = [
+    "Tape",
+    "TRUNCATION_GAP",
+    "degenerate_cut",
+    "singular_r",
+    "einsum_backward",
+    "svd_backward",
+    "qr_backward",
+]
+
+# A truncation is degenerate when its last kept and first discarded singular
+# values are closer than this, relative to the largest; a QR factor counts as
+# singular when a diagonal entry is this small relative to the largest.
+# LAPACK resolves singular values to about 1e-16 of the largest, so an exact
+# degeneracy shows gaps near 1e-15, while the 1/gap terms of a 1e-9 gap are
+# still good to a few parts in 1e7. Real truncations sit far above it: the
+# smallest boundary gap of the 4x4 D=3 simple-update state at chi=4 is 9e-4.
+TRUNCATION_GAP = 1e-9
+
+
+class Tape:
+    """Record of one contraction, for one reverse pass.
+
+    ``ops`` holds ``(inputs, outputs, backward, degenerate)`` per step; an
+    input of ``None`` is a constant. Arrays are identified by object, and the
+    tape keeps them alive. ``leaves`` maps each lattice site ``(r, c)`` to
+    the projected site tensor the contraction read; ``max_discarded`` is the
+    largest discarded weight among the recorded truncations.
+    """
+
+    def __init__(self):
+        self.ops: list[tuple] = []
+        self.leaves: dict[tuple[int, int], np.ndarray] = {}
+        self.max_discarded = 0.0
+
+    def record(self, inputs, outputs, backward, degenerate: bool = False) -> None:
+        self.ops.append((list(inputs), list(outputs), backward, degenerate))
+
+    def backward(self, seed: np.ndarray) -> tuple[dict[int, np.ndarray], set[int]]:
+        """Cotangents keyed by ``id`` of every array read, from ``seed``, the
+        cotangent of the last op's first output; and the ids of the arrays
+        that feed a degenerate truncation."""
+        bars = {id(self.ops[-1][1][0]): seed}
+        tainted: set[int] = set()
+        for inputs, outputs, backward, degenerate in reversed(self.ops):
+            if degenerate or not tainted.isdisjoint(map(id, outputs)):
+                tainted.update(id(a) for a in inputs if a is not None)
+            outs = [bars.pop(id(a), None) for a in outputs]
+            live = next((g for g in outs if g is not None), None)
+            if live is None:
+                continue
+            outs = [np.zeros(live.shape[:1] + a.shape, complex) if g is None else g
+                    for a, g in zip(outputs, outs)]
+            for a, g in zip(inputs, backward(outs)):
+                if a is not None and g is not None:
+                    key = id(a)
+                    bars[key] = bars[key] + g if key in bars else g
+        return bars, tainted
+
+
+def degenerate_cut(k: int, s: np.ndarray, chi: int) -> bool:
+    """Whether keeping ``k`` of the singular values ``s`` at bond limit ``chi``
+    has no derivative the tape can give: the boundary gap is at most
+    :data:`TRUNCATION_GAP` ``* s[0]``, or the numerical-rank floor dropped a
+    zero mode that ``chi`` would keep, whose response the tape never saw."""
+    return k < min(chi, s.size) or k < s.size and s[k - 1] - s[k] <= TRUNCATION_GAP * s[0]
+
+
+def singular_r(r: np.ndarray) -> bool:
+    """Whether the triangular factor ``r`` of a QR step has a leading square
+    block too close to singular (a diagonal entry at most
+    :data:`TRUNCATION_GAP` times the largest) for its reverse rule."""
+    d = np.abs(np.diagonal(r))
+    return d.min() <= TRUNCATION_GAP * d.max()
+
+
+def _h(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _pairwise_einsum(terms, arrays, result):
+    """``np.einsum`` of ``terms`` into ``result``, one pair at a time."""
+    term, out = terms[0], arrays[0]
+    for k in range(1, len(terms)):
+        rest = "".join(terms[k + 1 :]) + result
+        keep = "".join(ch for ch in dict.fromkeys(term + terms[k]) if ch in rest)
+        out, term = np.einsum(f"{term},{terms[k]}->{keep}", out, arrays[k]), keep
+    return out if term == result else np.einsum(f"{term}->{result}", out)
+
+
+def einsum_backward(spec: str, operands, scale: float = 1.0):
+    """Rule for ``scale * np.einsum(spec, *operands)``, read in any shape with
+    the same element order. Returns one cotangent per operand. ``spec`` names
+    indices with letters other than ``Z``, the batch axis here."""
+
+    def backward(bars):
+        ins, out = spec.split("->")
+        ins = ins.split(",")
+        dims = {ch: n for term, x in zip(ins, operands) for ch, n in zip(term, x.shape)}
+        bar = bars[0].reshape(bars[0].shape[:1] + tuple(dims[ch] for ch in out)) * scale
+        conj = [np.conj(x) for x in operands]
+        grads = []
+        for i, term in enumerate(ins):
+            others = [j for j in range(len(ins)) if j != i]
+            grads.append(_pairwise_einsum(["Z" + out] + [ins[j] for j in others],
+                                          [bar] + [conj[j] for j in others], "Z" + term))
+        return grads
+
+    return backward
+
+
+def svd_backward(u, s, vh, k: int, cbar, ybar):
+    """Cotangent of the matrix ``a = u diag(s) vh`` (thin) from those of the
+    truncated factors ``u[:, :k] * s[:k]`` (``cbar``) and ``vh[:k]`` (``ybar``).
+
+    The downstream value is taken to depend on the truncated product only, so
+    the kept-kept block needs no singular-value differences. Kept-discarded
+    pairs closer than :data:`TRUNCATION_GAP` get no term (the caller marks
+    such a truncation degenerate).
+    """
+    uk, ud, vk, vd = u[:, :k], u[:, k:], vh[:k], vh[k:]
+    sk, sd = s[:k], s[k:, None]
+    p = _h(ud) @ cbar  # (d, k)
+    q = ybar @ _h(vd)  # (k, d)
+    gap = sk - sd
+    den = np.where(gap > TRUNCATION_GAP * s[0], gap * (sk + sd), np.inf)  # s_c^2 - s_d^2
+    x = sd * (sd * p + _h(q)) / den
+    z = sd.T * (sk[:, None] ** 2 * _h(p) + sd.T * q) / (den.T * sk[:, None])
+    inner = (ybar - (ybar @ _h(vk)) @ vk) / sk[:, None] + z @ vd
+    return (cbar + ud @ x) @ vk + uk @ inner
+
+
+def qr_backward(q, r, qbar, rbar):
+    """Cotangent of ``a = q r`` (reduced QR, ``r`` upper triangular with an
+    invertible leading square block) from those of ``q`` and ``r``."""
+    k = r.shape[0]
+    wide = None
+    if r.shape[1] > k:  # a = q [r1 r2]: r2 = q^H a2 is linear in a2
+        r2bar = rbar[..., k:]
+        qbar = qbar + (q @ r[:, k:]) @ _h(r2bar)
+        wide = q @ r2bar
+        r, rbar = r[:, :k], rbar[..., :k]
+    m = _h(q) @ qbar - rbar @ _h(r)
+    sym = np.triu(m) + _h(np.triu(m, 1))
+    abar = _h(np.linalg.solve(r, _h(qbar - q @ sym)))
+    return abar if wide is None else np.concatenate([abar, wide], axis=-1)

@@ -626,35 +626,40 @@ def build_amp_function(expr, grids: dict[str, int]) -> CircuitGraph:
     b = CircuitBuilder()
     var_wires = {name: b.input_var(g) for name, g in grids.items()}
 
+    # Both walks use explicit stacks, so expression depth is not bounded by
+    # the recursion limit: uses are counted in pre-order, nodes are emitted
+    # in post-order, left operand first.
     counts: dict[str, int] = {name: 0 for name in grids}
-
-    def count_uses(e):
+    stack = [expr]
+    while stack:
+        e = stack.pop()
         if e[0] == "func":
             if e[2] not in grids:
                 raise GraphError(f"unknown variable {e[2]!r}")
             counts[e[2]] += 1
         elif e[0] in ("plus", "times"):
-            count_uses(e[1])
-            count_uses(e[2])
+            stack += [e[2], e[1]]
         elif e[0] != "const":
             raise GraphError(f"unknown expression node {e[0]!r}")
-
-    count_uses(expr)
     pools = {
         name: iter(b.copies(var_wires[name], max(1, counts[name]))) for name in grids
     }
 
-    def emit(e) -> int:
+    wires: list[int] = []  # outputs of the finished subtrees
+    todo = [(expr, False)]
+    while todo:
+        e, operands_done = todo.pop()
         if e[0] == "func":
-            return b.func(e[1], next(pools[e[2]]))
-        if e[0] == "const":
-            return b.const_float(e[1])
-        a = emit(e[1])
-        c = emit(e[2])
-        return b.plus(a, c) if e[0] == "plus" else b.times(a, c)
-
-    out = emit(expr)
-    return b.finish([[out]])
+            wires.append(b.func(e[1], next(pools[e[2]])))
+        elif e[0] == "const":
+            wires.append(b.const_float(e[1]))
+        elif operands_done:
+            c = wires.pop()
+            a = wires.pop()
+            wires.append(b.plus(a, c) if e[0] == "plus" else b.times(a, c))
+        else:
+            todo += [(e, True), (e[2], False), (e[1], False)]
+    return b.finish([[wires[0]]])
 
 
 def function_table(f, grid: np.ndarray) -> np.ndarray:

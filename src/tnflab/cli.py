@@ -149,6 +149,29 @@ def _write_manifest(out_dir: Path, config: dict, timings: dict, files: list[str]
 # ---------------------------------------------------------------------------
 # vmc
 
+# Largest array a vmc or pareto grid point may build, in bytes.
+MAX_ARRAY_BYTES = 1 << 28
+
+
+def _check_array_sizes(rows, cols, boundary, bond_dims, chis, simple_update: bool) -> None:
+    """Refuse, before anything is built, a grid whose state (every site at
+    full bond extent), absorbed boundary site (``(chi l2, open, face, chi
+    r2)`` before compression, periodic rows unrolled to carry their wrap
+    bond) or simple-update bond tensor exceeds :data:`MAX_ARRAY_BYTES`."""
+    pbc = boundary == "pbc"
+    for d in bond_dims:
+        entries = {
+            "state": rows * cols * 2 * d**4,
+            "boundary site": (max(chis) * (d * d if pbc else d)) ** 2 * (d if pbc else 1) * d,
+            "simple-update bond tensor": (2 * d**3) ** 2 if simple_update else 0,
+        }
+        for what, n in entries.items():
+            if 16 * n > MAX_ARRAY_BYTES:
+                raise ResourceLimitError(
+                    f"config.grid.bond_dims: D={d} needs a {16 * n / 2**20:.0f} MiB {what}, "
+                    f"over the {MAX_ARRAY_BYTES >> 20} MiB guard"
+                )
+
 
 def _lattice_experiment(cfg: dict, max_sites: int):
     """The checked lattice, model, grid and initial state of a ``vmc`` or
@@ -197,6 +220,7 @@ def _lattice_experiment(cfg: dict, max_sites: int):
             )
     elif method != "random":
         raise ConfigError(f"config.init.method: unknown method {method!r}")
+    _check_array_sizes(rows, cols, boundary, bond_dims, chis, method == "simple_update")
 
     def make_peps(bond_dim: int) -> Peps:
         if method == "file":

@@ -12,10 +12,12 @@ function of the input chain, which is what fixed-schedule contractions need.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
+from .adjoint import Tape, degenerate_cut, qr_backward, singular_r, svd_backward
 from .errors import DimensionError
 from .tensor import renormalize, svd_split
 
@@ -53,7 +55,7 @@ def apply_mpo(sites: Sequence[np.ndarray], mpo: Sequence[np.ndarray]) -> list[np
 
 
 def compress(
-    sites: Sequence[np.ndarray], chi: int | None, stats: dict | None = None
+    sites: Sequence[np.ndarray], chi: int | None, tape: Tape | None = None
 ) -> tuple[list[np.ndarray], float]:
     """Compress internal bonds to at most ``chi`` and rescale sites.
 
@@ -62,9 +64,14 @@ def compress(
     rescaling each site to unit max-abs entry. ``chi=None`` still
     canonicalizes (trimming exact-rank excess) but never truncates below the
     numerical rank. A chain with an exactly-zero site represents the value 0;
-    it is returned unswept with log factor 0.
+    it is returned unswept with log factor 0. A ``tape`` records the
+    compression as one step (see :mod:`tnflab.adjoint`) and the largest
+    discarded weight.
     """
+    inputs = sites
     sites = [np.asarray(s, dtype=complex) for s in sites]
+    if tape is not None:
+        chain, qrs, cuts, degenerate = list(sites), [], [], False
     n = len(sites)
     log_factor = 0.0
     # Left-to-right QR canonicalization.
@@ -76,6 +83,9 @@ def compress(
         nxt = sites[i + 1]
         prod = np.dot(rmat, nxt.reshape(nxt.shape[0], -1))
         sites[i + 1] = prod.reshape(rmat.shape[:1] + nxt.shape[1:])
+        if tape is not None:
+            qrs.append((q, rmat))
+            degenerate |= singular_r(rmat)
 
     # Right-to-left truncation sweep.
     for i in range(n - 1, 0, -1):
@@ -84,20 +94,58 @@ def compress(
             return sites, 0.0
         log_factor += lf
         split = svd_split(t, 1, chi if chi is not None else t.shape[0])
-        if stats is not None:
-            stats["max_discarded"] = max(stats.get("max_discarded", 0.0), split.discarded_weight)
         sites[i] = split.right
         carry = split.isometry * split.singulars  # (l, k)
         # np.tensordot(sites[i - 1], carry, axes=([-1], [0])) written out, bit for bit.
         prev = sites[i - 1]
         prod = np.dot(prev.reshape(-1, prev.shape[-1]), carry)
         sites[i - 1] = prod.reshape(prev.shape[:-1] + carry.shape[1:])
+        if tape is not None:
+            tape.max_discarded = max(tape.max_discarded, split.discarded_weight)
+            cuts.append((lf, split, carry))
+            degenerate |= degenerate_cut(carry.shape[1], split.thin[1], chi or t.shape[0])
 
     t, lf, zero = renormalize(sites[0])
     if not zero:
         sites[0] = t
         log_factor += lf
+        if tape is not None:
+            # A degenerate compression has no derivative: nothing goes back through it.
+            backward = (lambda bars: [None] * len(chain)) if degenerate else (
+                _compress_backward(chain, qrs, cuts[::-1], lf))
+            tape.record(inputs, sites, backward, degenerate)
     return sites, log_factor
+
+
+def _compress_backward(chain, qrs, cuts, lf0):
+    """Reverse rule of one :func:`compress` of ``chain``: ``qrs`` are the
+    sweep's ``(q, r)`` factors and ``cuts`` the ``(log factor, split, carry)``
+    of bonds ``1 .. n-1``; ``lf0`` is the last rescaling's log factor."""
+
+    def backward(bars):
+        batch = bars[0].shape[0]
+        zbar = bars[0] * math.exp(-lf0)
+        qbars = []
+        # Truncations, first bond first: site i-1 became q_{i-1} @ carry_i.
+        for i, (lf, split, carry) in enumerate(cuts, start=1):
+            q = qrs[i - 1][0]
+            zm = zbar.reshape(batch, q.shape[0], carry.shape[1])
+            qbars.append(zm @ carry.conj().T)
+            u, s, vh = split.thin
+            ybar = bars[i].reshape(batch, carry.shape[1], -1)
+            zbar = svd_backward(u, s, vh, carry.shape[1], q.conj().T @ zm, ybar) * math.exp(-lf)
+        # QR sweep, last site first: site i+1 became r_i @ site i+1.
+        abars = [None] * len(chain)
+        for i in range(len(chain) - 2, -1, -1):
+            q, r = qrs[i]
+            a = chain[i + 1].reshape(chain[i + 1].shape[0], -1)
+            xbar = zbar.reshape(batch, r.shape[0], -1)
+            abars[i + 1] = (r.conj().T @ xbar).reshape((batch,) + chain[i + 1].shape)
+            zbar = qr_backward(q, r, qbars[i], xbar @ a.conj().T)
+        abars[0] = zbar.reshape((batch,) + chain[0].shape)
+        return abars
+
+    return backward
 
 
 def mps_amplitude(sites: Sequence[np.ndarray], config: Sequence[int]) -> complex:

@@ -28,12 +28,14 @@ paired into the boundary physical legs until the final closure.
 from __future__ import annotations
 
 import io
+import math
 import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .adjoint import Tape, einsum_backward
 from .errors import CacheStateError, DimensionError, ResourceLimitError
 from .mps import compress
 from .tensor import AmplitudeValue, renormalize
@@ -48,6 +50,7 @@ __all__ = [
     "boundary_absorb",
     "BoundaryMps",
     "amplitude_fixed",
+    "log_derivatives",
     "FixedEvaluator",
     "DynamicCache",
     "exact_amplitude",
@@ -191,7 +194,7 @@ def project_config(peps: Peps, n) -> list[list[np.ndarray]]:
 # Row handling: PBC rows are unrolled into open rows with doubled bonds
 
 
-def _unroll_row(row: list[np.ndarray]) -> list[np.ndarray]:
+def _unroll_row(row: list[np.ndarray], tape: Tape | None = None) -> list[np.ndarray]:
     """Cut the horizontal wrap bond and route it through the row.
 
     The cyclic row becomes an open row whose interior bonds carry the pair
@@ -200,33 +203,47 @@ def _unroll_row(row: list[np.ndarray]) -> list[np.ndarray]:
     """
     ncols = len(row)
     w = row[0].shape[1]
+    eye = np.eye(w)
     if ncols == 1:
         t = row[0]
-        return [np.einsum("uwdw->ud", t).reshape(t.shape[0], 1, t.shape[2], 1)]
+        out = [np.einsum("uwdw->ud", t).reshape(t.shape[0], 1, t.shape[2], 1)]
+        if tape is not None:
+            tape.record([t, None], out, einsum_backward("uvdw,vw->ud", [t, eye]))
+        return out
     out = []
     for c, t in enumerate(row):
         u, l, d, r = t.shape
         if c == 0:
             a = t.transpose(0, 2, 3, 1).reshape(u, 1, d, r * w)
+            spec, ops = "uwdr->udrw", [t]
         elif c == ncols - 1:
             a = t.transpose(0, 1, 3, 2).reshape(u, l * w, d, 1)
+            spec, ops = "uldw->ulwd", [t]
         else:
-            a = np.einsum("uldr,wx->ulwdrx", t, np.eye(w)).reshape(u, l * w, d, r * w)
+            a = np.einsum("uldr,wx->ulwdrx", t, eye).reshape(u, l * w, d, r * w)
+            spec, ops = "uldr,wx->ulwdrx", [t, eye]
         out.append(np.ascontiguousarray(a))
+        if tape is not None:
+            tape.record([t, None][: len(ops)], out[-1:], einsum_backward(spec, ops))
     return out
 
 
-def _row(peps: Peps, cfg: np.ndarray, r: int, patch=None) -> list[np.ndarray]:
+def _row(
+    peps: Peps, cfg: np.ndarray, r: int, patch=None, tape: Tape | None = None
+) -> list[np.ndarray]:
     """Row ``r`` projected on ``cfg``, unrolled on periodic lattices.
 
-    ``patch`` is an optional ``((row, col), tensor)`` replacing one site.
+    ``patch`` is an optional ``((row, col), tensor)`` replacing one site. A
+    ``tape`` keeps the projected tensors as its leaves.
     """
     c0 = r * peps.cols
     row = [peps.sites[r][c][:, :, :, :, cfg[c0 + c]] for c in range(peps.cols)]
     if patch is not None and patch[0][0] == r:
         (_, c), tensor = patch
         row[c] = tensor[:, :, :, :, cfg[c0 + c]]
-    return _unroll_row(row) if peps.boundary == "pbc" else row
+    if tape is not None:
+        tape.leaves.update(((r, c), t) for c, t in enumerate(row))
+    return _unroll_row(row, tape) if peps.boundary == "pbc" else row
 
 
 # ---------------------------------------------------------------------------
@@ -251,51 +268,72 @@ def boundary_absorb(
     row: list[np.ndarray],
     chi: int | None,
     side: str = "top",
-    stats: dict | None = None,
+    tape: Tape | None = None,
 ) -> BoundaryMps:
     """Absorb one lattice row into the boundary and compress to ``chi``.
 
     ``side`` is the direction the boundary grew from: a top boundary
     contracts its face legs with the row's up legs, a bottom boundary with
     the row's down legs. ``bmps=None`` starts a boundary from ``row``, whose
-    outward legs stay open. Scale factors accumulate in ``log_scale``.
+    outward legs stay open. Scale factors accumulate in ``log_scale``. A
+    ``tape`` records every step (see :mod:`tnflab.adjoint`).
     """
     if bmps is None:
         axes = (1, 0, 2, 3) if side == "top" else (1, 2, 0, 3)  # (l, open, face, r)
-        sites, lf = compress([np.ascontiguousarray(t.transpose(axes)) for t in row], chi, stats)
+        sites = [np.ascontiguousarray(t.transpose(axes)) for t in row]
+        if tape is not None:
+            spec = "abcd->" + "".join("abcd"[a] for a in axes)
+            for t, s in zip(row, sites):
+                tape.record([t], [s], einsum_backward(spec, [t]))
+        sites, lf = compress(sites, chi, tape)
         return BoundaryMps(sites, lf)
     if len(row) != len(bmps.sites):
         raise DimensionError("row length does not match boundary length")
     # The face meets the row's up leg from the top, its down leg from the bottom.
     # ``legs`` puts that leg first; ``perm`` orders the product (l, l2, o, f2, r, r2).
     if side == "top":
-        leg, legs, perm = 0, (0, 1, 2, 3), (0, 3, 1, 4, 2, 5)
+        leg, legs, perm, spec = 0, (0, 1, 2, 3), (0, 3, 1, 4, 2, 5), "ache,hbdg->abcdeg"
     else:
-        leg, legs, perm = 2, (2, 0, 1, 3), (0, 4, 1, 3, 2, 5)
+        leg, legs, perm, spec = 2, (2, 0, 1, 3), (0, 4, 1, 3, 2, 5), "ache,dbhg->abcdeg"
     new_sites = []
-    for c, (s, t) in enumerate(zip(bmps.sites, row)):  # s: (l, o, f, r)
+    for c, (s, t0) in enumerate(zip(bmps.sites, row)):  # s: (l, o, f, r)
         l, o, f, r = s.shape
-        if f != t.shape[leg]:
+        if f != t0.shape[leg]:
             raise DimensionError(f"face extent {f} does not meet the row at column {c}")
-        # np.tensordot(s, t, axes=([2], [leg])) written out, bit for bit.
-        t = t.transpose(legs)
+        # np.tensordot(s, t0, axes=([2], [leg])) written out, bit for bit.
+        t = t0.transpose(legs)
         m = np.dot(s.transpose(0, 1, 3, 2).reshape(l * o * r, f), t.reshape(f, -1))
         m = m.reshape((l, o, r) + t.shape[1:]).transpose(perm)  # (l, l2, o, f2, r, r2)
         l, l2, o, f2, r, r2 = m.shape
         new_sites.append(np.ascontiguousarray(m.reshape(l * l2, o, f2, r * r2)))
-    new_sites, lf = compress(new_sites, chi, stats)
+        if tape is not None:
+            tape.record([s, t0], new_sites[-1:], einsum_backward(spec, [s, t0]))
+    new_sites, lf = compress(new_sites, chi, tape)
     return BoundaryMps(new_sites, bmps.log_scale + lf)
 
 
+# Each closure column as one einsum over (top site, middle site, bottom
+# site), keyed by which boundaries exist; output rows then columns.
+_CLOSE_SPECS = {
+    (True, True): "LoxR,xMyN,BoyC->LMBRNC",
+    (True, False): "LoxR,xMoN->LMRN",
+    (False, True): "oMyN,BoyC->MBNC",
+}
+
+
 def _close_strip(
-    top: BoundaryMps | None, mid: list[np.ndarray], bottom: BoundaryMps | None
+    top: BoundaryMps | None,
+    mid: list[np.ndarray],
+    bottom: BoundaryMps | None,
+    tape: Tape | None = None,
 ) -> AmplitudeValue:
     """Exactly contract (top boundary, middle row, bottom boundary).
 
     Open wrap legs pair top-to-bottom; with a missing boundary the middle
     row's outward legs pair with the surviving boundary's open legs (or with
     each other on a single-row lattice). Columns are contracted left to
-    right with running renormalization.
+    right with running renormalization. A ``tape`` records every step; the
+    last one makes the final one-entry vector whose entry is the mantissa.
     """
     log = (top.log_scale if top else 0.0) + (bottom.log_scale if bottom else 0.0)
     vec = None
@@ -332,12 +370,29 @@ def _close_strip(
             t = t.transpose(0, 2, 1, 3).reshape(lm * lb, -1)
         else:
             t = np.einsum("ucuq->cq", m)  # single-row lattice: trace the wrap
-        vec = t[0] if vec is None else vec @ t
-        nrm, lf, z = renormalize(vec)
+        new = t[0] if vec is None else vec @ t
+        nrm, lf, z = renormalize(new)
         if z:
             return AmplitudeValue.zero()
+        if tape is not None:
+            _record_column(tape, c, top, m, bottom, t, vec, nrm, lf)
         vec, log = nrm, log + lf
     return AmplitudeValue.from_parts(complex(vec.reshape(-1)[0]), log)
+
+
+def _record_column(tape: Tape, c: int, top, m, bottom, t, vec, nrm, lf: float) -> None:
+    """Record closure column ``c``: ``t`` from the column's tensors, then the
+    running vector ``nrm`` (rescaled by ``exp(-lf)``) from ``vec`` and ``t``;
+    ``vec`` is ``None`` at the first column, which reads row 0 of ``t``."""
+    if top is None and bottom is None:
+        inputs, ops, spec = [m, None], [m, np.eye(m.shape[0])], "ucvq,uv->cq"
+    else:
+        inputs = [top.sites[c]] if top is not None else []
+        inputs += [m] + ([bottom.sites[c]] if bottom is not None else [])
+        ops, spec = inputs, _CLOSE_SPECS[(top is not None, bottom is not None)]
+    tape.record(inputs, [t], einsum_backward(spec, ops))
+    prev = np.eye(1, t.shape[0])[0] if vec is None else vec
+    tape.record([vec, t], [nrm], einsum_backward("i,ij->j", [prev, t], math.exp(-lf)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +433,56 @@ def amplitude_fixed(peps: Peps, n, plan: FixedPlan) -> AmplitudeValue:
     return _schedule_amplitude(peps, n, plan.mid, plan.chi)
 
 
-def _schedule_amplitude(peps: Peps, n, mid: int, chi: int | None) -> AmplitudeValue:
+def _schedule_amplitude(
+    peps: Peps, n, mid: int, chi: int | None, tape: Tape | None = None
+) -> AmplitudeValue:
     """Uncached amplitude: rows above ``mid`` absorbed downward, rows below
     it upward, each absorption compressed to ``chi``, and the strip at
-    ``mid`` closed exactly."""
+    ``mid`` closed exactly. A ``tape`` records the whole contraction."""
     cfg = as_config(n, peps.n_sites, peps.phys_dim)
     top = bottom = None
     for r in range(mid):
-        top = boundary_absorb(top, _row(peps, cfg, r), chi, "top")
+        top = boundary_absorb(top, _row(peps, cfg, r, tape=tape), chi, "top", tape)
     for r in range(peps.rows - 1, mid, -1):
-        bottom = boundary_absorb(bottom, _row(peps, cfg, r), chi, "bottom")
-    return _close_strip(top, _row(peps, cfg, mid), bottom)
+        bottom = boundary_absorb(bottom, _row(peps, cfg, r, tape=tape), chi, "bottom", tape)
+    return _close_strip(top, _row(peps, cfg, mid, tape=tape), bottom, tape)
+
+
+def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.ndarray, int]:
+    """The amplitude of ``n`` and ``O_k = d ln psi(n) / d theta_k`` for every
+    real parameter in :func:`peps_to_params` order, from one taped
+    fixed-schedule contraction and one reverse pass (:mod:`tnflab.adjoint`).
+
+    The amplitude is bit for bit :func:`amplitude_fixed`'s. Only the entries
+    ``t[..., n_s]`` an amplitude reads have nonzero derivatives. The read
+    entries of rows that feed a degenerate truncation, and all read entries
+    of a zero amplitude, have none: they get 0, and the third value counts
+    them.
+    """
+    if (plan.rows, plan.cols) != (peps.rows, peps.cols):
+        raise ValueError("plan lattice extents do not match the state")
+    cfg = as_config(n, peps.n_sites, peps.phys_dim)
+    tape = Tape()
+    amp = _schedule_amplitude(peps, cfg, plan.mid, plan.chi, tape)
+    if amp.is_zero:
+        bars, tainted = {}, {id(t) for t in tape.leaves.values()}
+    else:
+        vec = tape.ops[-1][1][0]
+        v = complex(vec.reshape(-1)[0]).conjugate()
+        seed = np.zeros((2, vec.size), complex)
+        seed[:, 0] = 1.0 / v, 1j / v  # cotangents of Re ln psi and arg psi
+        bars, tainted = tape.backward(seed.reshape((2,) + vec.shape))
+    parts, zeroed = [], 0
+    for r in range(peps.rows):
+        for c in range(peps.cols):
+            leaf = tape.leaves[(r, c)]
+            g = np.zeros((2,) + peps.sites[r][c].shape, complex)
+            if id(leaf) in tainted:
+                zeroed += 2 * leaf.size
+            elif id(leaf) in bars:
+                g[..., cfg[r * peps.cols + c]] = bars[id(leaf)]
+            parts += [(g[0].real + 1j * g[1].real).ravel(), (g[0].imag + 1j * g[1].imag).ravel()]
+    return amp, np.concatenate(parts), zeroed
 
 
 class _BoundaryStack:
@@ -477,8 +571,9 @@ class FixedEvaluator(_BoundaryStack):
         The replacement is transient (nothing about it is memoized); rows on
         the far side of the replaced row reuse the standard environments, so
         parameter sweeps cost only the strip between the site and the middle
-        row. ``stats`` sees only the patched absorptions. Values equal
-        ``amplitude_fixed`` on the modified state.
+        row. ``stats["max_discarded"]`` receives the largest discarded weight
+        of the patched absorptions. Values equal ``amplitude_fixed`` on the
+        modified state.
         """
         peps, mid = self.peps, self.plan.mid
         r0, c0 = map(operator.index, site)
@@ -486,12 +581,15 @@ class FixedEvaluator(_BoundaryStack):
             raise ValueError(f"site {(r0, c0)} is not on the {peps.rows}x{peps.cols} lattice")
         cfg = as_config(n, peps.n_sites, peps.phys_dim)
         patch = ((r0, c0), tensor)
+        tape = None if stats is None else Tape()
         top = self._env(cfg, "top", min(r0, mid))
         for r in range(min(r0, mid), mid):
-            top = boundary_absorb(top, _row(peps, cfg, r, patch), self.chi, "top", stats)
+            top = boundary_absorb(top, _row(peps, cfg, r, patch), self.chi, "top", tape)
         bottom = self._env(cfg, "bottom", max(r0, mid))
         for r in range(max(r0, mid), mid, -1):
-            bottom = boundary_absorb(bottom, _row(peps, cfg, r, patch), self.chi, "bottom", stats)
+            bottom = boundary_absorb(bottom, _row(peps, cfg, r, patch), self.chi, "bottom", tape)
+        if tape is not None:
+            stats["max_discarded"] = tape.max_discarded
         return _close_strip(top, _row(peps, cfg, mid, patch), bottom)
 
 
@@ -546,12 +644,55 @@ class DynamicCache(_BoundaryStack):
 # Exact oracle
 
 
+# Largest array :func:`exact_amplitude` may build, in bytes.
+EXACT_MAX_BYTES = 1 << 27
+
+
+def _exact_peak(peps: Peps) -> int:
+    """Entries of the largest array :func:`exact_amplitude` builds, from the
+    site shapes alone: an absorbed row's sites before compression and the
+    closure columns, with every boundary bond at its exact-rank bound (the
+    product of the (open, face) extents on the smaller side)."""
+    def row_shapes(r):
+        shapes = [t.shape[:4] for t in peps.sites[r]]
+        if peps.boundary == "obc":
+            return shapes
+        last, w = len(shapes) - 1, shapes[0][1]  # unrolled: the wrap bond rides along
+        if last == 0:
+            return [(shapes[0][0], 1, shapes[0][2], 1)]
+        return [(u, l * w if c else 1, d, r * w if c < last else 1)
+                for c, (u, l, d, r) in enumerate(shapes)]
+
+    peak, legs, bonds = 0, None, None  # legs: (open, face) per column
+    for r in range(peps.rows):
+        row = row_shapes(r)
+        row_bonds = [row[0][1]] + [s[3] for s in row]
+        if r == peps.rows - 1:  # the closure
+            if bonds is not None:
+                peak = max(peak, max(bonds[c] * lm * bonds[c + 1] * rm
+                                     for c, (_, lm, _, rm) in enumerate(row)))
+            break
+        if legs is None:
+            legs, bonds = [(u, d) for u, _, d, _ in row], row_bonds
+        else:
+            legs = [(o, d) for (o, _), (_, _, d, _) in zip(legs, row)]
+            bonds = [b * rb for b, rb in zip(bonds, row_bonds)]
+            peak = max(peak, max(bonds[c] * o * f * bonds[c + 1] for c, (o, f) in enumerate(legs)))
+        sizes = [o * f for o, f in legs]
+        bonds = [min(b, math.prod(sizes[:c]), math.prod(sizes[c:])) if 0 < c < len(sizes) else b
+                 for c, b in enumerate(bonds)]
+    return peak
+
+
 def exact_amplitude(peps: Peps, n) -> AmplitudeValue:
-    """Untruncated row-by-row contraction. Guarded to small lattices."""
-    if peps.n_sites > 36 or peps.bond_dim > 4:
+    """Untruncated row-by-row contraction. Raises :class:`ResourceLimitError`,
+    before any contraction, when its largest array would exceed
+    :data:`EXACT_MAX_BYTES`."""
+    need = 16 * _exact_peak(peps)
+    if need > EXACT_MAX_BYTES:
         raise ResourceLimitError(
-            f"exact amplitude guarded to <=36 sites and D<=4, got "
-            f"{peps.n_sites} sites at D={peps.bond_dim}"
+            f"exact amplitude would build a {need / 2**20:.0f} MiB array, over the "
+            f"{EXACT_MAX_BYTES >> 20} MiB guard"
         )
     return _schedule_amplitude(peps, n, peps.rows - 1, None)
 

@@ -13,7 +13,7 @@ across platforms, since LAPACK backends differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -41,13 +41,17 @@ class TruncatedSvd:
     column-isometric over the grouped left indices. ``right`` carries the
     kept-rank axis followed by the right-group extents.
     ``discarded_weight`` is the squared-singular-value weight dropped by the
-    truncation, relative to the total.
+    truncation, relative to the total. ``thin`` is the full thin
+    factorization ``(u, s, vh)`` of the matrix the truncation was cut from,
+    kept columns gauge-fixed (``None`` for an exactly-zero input); the
+    reverse pass of :mod:`tnflab.adjoint` reads it.
     """
 
     isometry: np.ndarray
     singulars: np.ndarray
     right: np.ndarray
     discarded_weight: float
+    thin: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,6 +101,7 @@ def svd_split(t: np.ndarray, n_left: int, chi: int) -> TruncatedSvd:
     left_shape, right_shape = t.shape[:n_left], t.shape[n_left:]
     mat = t.reshape(math.prod(left_shape), math.prod(right_shape))
     u, s, vh = _svd(mat)
+    thin = (u, s, vh)  # the gauge fix below writes the kept columns in place
 
     total = float(np.sum(s**2))
     if math.isnan(total):
@@ -108,6 +113,7 @@ def svd_split(t: np.ndarray, n_left: int, chi: int) -> TruncatedSvd:
         s = np.zeros(1)
         vh = np.zeros((1, mat.shape[1]), dtype=complex)
         discarded = 0.0
+        thin = None
     else:
         rank = int(np.sum(s > s[0] * _SINGULAR_FLOOR))
         k = min(chi, rank)
@@ -118,7 +124,7 @@ def svd_split(t: np.ndarray, n_left: int, chi: int) -> TruncatedSvd:
 
     isometry = u.reshape(left_shape + (k,))
     right_t = vh.reshape((k,) + right_shape)
-    return TruncatedSvd(isometry=isometry, singulars=s, right=right_t, discarded_weight=discarded)
+    return TruncatedSvd(isometry, s, right_t, discarded, thin)
 
 
 class Renormalized(NamedTuple):

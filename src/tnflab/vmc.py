@@ -11,14 +11,18 @@ measured after each sweep. Exact energies and gradients use :class:`tnflab.ed.Se
 Both amplitude semantics plug in through a small evaluator interface:
 ``peek(n)`` returns the amplitude without touching history and
 ``commit(n, amp)`` records an accepted move (a no-op for the fixed
-schedule). Gradients are defined for the fixed schedule only and use central
-finite differences of the log-amplitude, which is well defined because the
-fixed-schedule amplitude is deterministic and piecewise smooth. Only the entries
-an amplitude reads are probed, once per distinct configuration, bit for bit.
+schedule). Gradients are defined for the fixed schedule only, where the
+amplitude is one deterministic, piecewise smooth function of the tensors.
+Its log-derivatives are exact reverse-mode derivatives
+(:func:`tnflab.peps.log_derivatives`): one taped contraction and one reverse
+pass per distinct configuration. Parameters of rows that feed a truncation
+whose boundary singular values are degenerate (relative gap below
+:data:`tnflab.adjoint.TRUNCATION_GAP`), or a rank-deficient boundary, have no
+derivative there; they get 0 and are counted in
+:attr:`GradientInfo.zeroed_params`.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -34,6 +38,7 @@ from .peps import (
     FixedPlan,
     Peps,
     as_config,
+    log_derivatives,
     peps_from_params,
     peps_to_params,
 )
@@ -51,11 +56,6 @@ __all__ = [
     "sgd_optimize",
 ]
 
-# Finite-difference step for log-derivatives: relative, with absolute floor.
-FD_STEP_REL = 1e-5
-FD_STEP_FLOOR = 1e-7
-# Discarded-weight jump between probes that marks a truncation degeneracy.
-DEGENERACY_JUMP = 0.1
 # Sweeps per block in the blocking estimate of an energy's standard error.
 BLOCK_LEN = 50
 
@@ -300,49 +300,6 @@ class GradientInfo:
     zeroed_params: int
 
 
-def _log_derivatives(
-    evaluator: FixedEvaluator, peps: Peps, cfg: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """O_k(n) = d ln amp / d theta_k by central differences, all parameters
-    in the order of :func:`peps_to_params`.
-
-    Probes with a truncation-degeneracy signature (discarded-weight jump
-    above ``DEGENERACY_JUMP`` between the two probes) get O_k = 0. Only the read
-    entries ``t[..., cfg[s]]`` of each site s are probed; the rest get what probes would give.
-    """
-    out = np.zeros(peps_to_params(peps).size, dtype=complex)
-    zeroed = 0
-    k = 0
-    a0 = evaluator.amplitude(cfg)
-    for r in range(peps.rows):
-        for c in range(peps.cols):
-            t = peps.sites[r][c]
-            for part in (1.0, 1.0j):
-                for e in range(t.size):
-                    base = t.flat[e]
-                    mag = abs(base.real if part == 1.0 else base.imag)
-                    h = max(FD_STEP_REL * mag, FD_STEP_FLOOR)
-                    if e % peps.phys_dim == cfg[r * peps.cols + c]:
-                        tp = t.copy()
-                        tp.flat[e] = base + part * h
-                        tm = t.copy()
-                        tm.flat[e] = base - part * h
-                        sp, sm = {}, {}
-                        ap = evaluator.amplitude_with_site(cfg, (r, c), tp, sp)
-                        am = evaluator.amplitude_with_site(cfg, (r, c), tm, sm)
-                        jump = abs(sp.get("max_discarded", 0.0) - sm.get("max_discarded", 0.0))
-                    else:  # unread: both probes would return a0 bit for bit, with no jump
-                        # log(a0 / a0), not 0: m / m is not exactly 1 for about 4% of
-                        # unit-modulus m, and 0 would move gradient bits by about 1e-11.
-                        ap, am, jump = a0, a0, 0.0
-                    if ap.is_zero or am.is_zero or jump > DEGENERACY_JUMP:
-                        zeroed += 1
-                    else:
-                        out[k] = cmath.log(ap.ratio(am)) / (2.0 * h)
-                    k += 1
-    return out, zeroed
-
-
 def gradient_estimate(
     peps: Peps,
     model: Model,
@@ -354,13 +311,15 @@ def gradient_estimate(
 ) -> tuple[np.ndarray, GradientInfo]:
     """Energy gradient over the flattened parameters (fixed schedule only).
 
-    g_k = 2 Re(<E_loc O_k*> - <E_loc><O_k*>) with O_k the log-derivative of the
-    amplitude. ``sampling="enumerate"`` (small lattices and tests) weights each sector
+    g_k = 2 Re(<E_loc O_k*> - <E_loc><O_k*>) with O_k = d ln psi / d theta_k the exact
+    reverse-mode log-derivative (:func:`tnflab.peps.log_derivatives`), computed once per
+    distinct configuration. ``sampling="enumerate"`` (small lattices and tests) weights each sector
     configuration by ``|psi_k|^2``, with ``E_loc = (H psi)_k / psi_k`` and ``<E_loc>`` =
     :func:`enumerate_energy`, all from one amplitude vector. ``"metropolis"`` averages
     :func:`local_energy` over chain 0 of :func:`estimate_energy` with the same seed, from
     the Neel configuration. A repeated configuration reuses its ``O_k``, bit for bit.
-    A non-finite energy raises :class:`NumericalAbortError`.
+    ``zeroed_params`` sums, over samples, the parameters left at 0 because they feed a
+    degenerate truncation. A non-finite energy raises :class:`NumericalAbortError`.
     """
     evaluator = _make_evaluator(peps, "fixed", chi)
     if sampling == "enumerate":
@@ -386,7 +345,7 @@ def gradient_estimate(
     # gradient needs the full complex value against O_k*.
     for cfg, w, e in samples:
         if (key := cfg.tobytes()) not in memo:
-            memo[key] = _log_derivatives(evaluator, peps, cfg)
+            memo[key] = log_derivatives(peps, cfg, evaluator.plan)[1:]
         o, z = memo[key]
         oc = np.conj(o)
         sum_w += w

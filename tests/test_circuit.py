@@ -418,6 +418,24 @@ class TestAmpFunctions:
             want = f(grid[k]) * gfun(grid[k]) + f(grid[k])
             assert abs(v - want) < 1e-12
 
+    def test_5000_level_expression_builds(self):
+        """Far deeper than the recursion limit, nested on both operand sides;
+        nodes come out in post-order, left operand first."""
+        grid = np.linspace(-1, 1, 8)
+        tab = function_table(lambda x: x**3, grid)
+        expr = ("func", tab, "x")
+        for level in range(5000):
+            expr = ("plus", expr, ("const", 1.0)) if level % 2 else ("times", ("const", 1.0), expr)
+        g = build_amp_function(expr, {"x": 8})
+        assert len(g.nodes) == 10001
+        # The left constants of the 2500 products come first, outermost first.
+        kinds = [n.kind for n in g.nodes]
+        assert kinds[:2500] == [GateKind.CONST_FLOAT] * 2500
+        assert kinds[2500:2504] == [GateKind.FUNC, GateKind.TIMES, GateKind.CONST_FLOAT, GateKind.PLUS]
+        for k in (0, 5):
+            (v,), _ = eval_amp_circuit(g, [k])
+            assert abs(v - (grid[k] ** 3 + 2500)) < 1e-9
+
     def test_unknown_variable_rejected(self):
         tab = function_table(lambda x: x, np.linspace(0, 1, 8))
         with pytest.raises(GraphError):

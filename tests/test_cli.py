@@ -3,6 +3,7 @@ import filecmp
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,27 @@ class TestResourceGuards:
         big = {**VMC_SMALL, "lattice": {"rows": 9, "cols": 9, "boundary": "obc"}}
         cfg = write_config(tmp_path, "big.json", big)
         assert main(["vmc", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+    def test_vmc_bond_dim_guard_exits_3_before_out(self, tmp_path):
+        """D=100 on 2x2 PBC would need gigabytes: refused from the config,
+        before the output directory or any large array is made."""
+        big = {
+            **VMC_SMALL,
+            "lattice": {"rows": 2, "cols": 2, "boundary": "pbc"},
+            "grid": {"bond_dims": [100], "chis": [2], "modes": ["fixed"]},
+            "init": {"method": "random"},
+        }
+        cfg = write_config(tmp_path, "big.json", big)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            assert main(["vmc", "--config", cfg, "--out", str(out)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not out.exists()
+        assert peak < 1 << 20
 
 
 class TestVmcRun:

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tnflab.peps
 import tnflab.vmc
 from tnflab.errors import NumericalAbortError
-from tnflab.models import heisenberg
+from tnflab.models import heisenberg, neel_config
 from tnflab.peps import (
     FixedEvaluator,
     FixedPlan,
+    log_derivatives,
     peps_from_params,
     peps_to_params,
+    product_peps,
     random_peps,
 )
 from tnflab.simple_update import simple_update
@@ -33,13 +36,23 @@ def enumerated_energy_of(peps, model, chi):
     return enumerate_energy(ev.peek, model)
 
 
-def oracle_log_derivatives(evaluator, peps, cfg):
-    """Both central-difference probes of every real parameter, read by the
-    amplitude or not: the reference the library's probe-what-is-read
-    ``_log_derivatives`` must match bit for bit."""
+# The finite-difference oracle: central differences of the log-amplitude with
+# a relative step and an absolute floor, probing only the entries an amplitude
+# reads.
+FD_STEP_REL = 1e-5
+FD_STEP_FLOOR = 1e-7
+# Discarded-weight jump between the two probes that marks a truncation degeneracy.
+DEGENERACY_JUMP = 0.1
+
+
+def fd_log_derivatives(evaluator, peps, cfg):
+    """O_k(n) = d ln amp / d theta_k by central differences, all parameters in
+    the order of ``peps_to_params``. A probe pair with a zero amplitude or a
+    discarded-weight jump above ``DEGENERACY_JUMP`` gives NaN; unread entries
+    get what their probes would give."""
     out = np.zeros(peps_to_params(peps).size, dtype=complex)
-    zeroed = 0
     k = 0
+    a0 = evaluator.amplitude(cfg)
     for r in range(peps.rows):
         for c in range(peps.cols):
             t = peps.sites[r][c]
@@ -47,21 +60,44 @@ def oracle_log_derivatives(evaluator, peps, cfg):
                 for e in range(t.size):
                     base = t.flat[e]
                     mag = abs(base.real if part == 1.0 else base.imag)
-                    h = max(tnflab.vmc.FD_STEP_REL * mag, tnflab.vmc.FD_STEP_FLOOR)
-                    tp = t.copy()
-                    tp.flat[e] = base + part * h
-                    tm = t.copy()
-                    tm.flat[e] = base - part * h
-                    sp, sm = {}, {}
-                    ap = evaluator.amplitude_with_site(cfg, (r, c), tp, sp)
-                    am = evaluator.amplitude_with_site(cfg, (r, c), tm, sm)
-                    jump = abs(sp.get("max_discarded", 0.0) - sm.get("max_discarded", 0.0))
-                    if ap.is_zero or am.is_zero or jump > tnflab.vmc.DEGENERACY_JUMP:
-                        zeroed += 1
+                    h = max(FD_STEP_REL * mag, FD_STEP_FLOOR)
+                    if e % peps.phys_dim == cfg[r * peps.cols + c]:
+                        tp = t.copy()
+                        tp.flat[e] = base + part * h
+                        tm = t.copy()
+                        tm.flat[e] = base - part * h
+                        sp, sm = {}, {}
+                        ap = evaluator.amplitude_with_site(cfg, (r, c), tp, sp)
+                        am = evaluator.amplitude_with_site(cfg, (r, c), tm, sm)
+                        jump = abs(sp.get("max_discarded", 0.0) - sm.get("max_discarded", 0.0))
+                    else:  # unread: both probes would return a0 bit for bit, with no jump
+                        ap, am, jump = a0, a0, 0.0
+                    if ap.is_zero or am.is_zero or jump > DEGENERACY_JUMP:
+                        out[k] = np.nan
                     else:
                         out[k] = cmath.log(ap.ratio(am)) / (2.0 * h)
                     k += 1
-    return out, zeroed
+    return out
+
+
+def bits(a):
+    return (a.mantissa, a.log_scale, a.is_zero)
+
+
+def assert_matches_oracle(p, cfg, chi):
+    """Reverse-mode O_k(n) against the finite-difference oracle, to 1e-6
+    relative to max(1, |O_fd|), skipping parameters the oracle flags; the
+    amplitude on the tape is the memoized amplitude, bit for bit."""
+    plan = FixedPlan.for_lattice(p.rows, p.cols, chi)
+    ev = FixedEvaluator(p, plan)
+    amp, o, zeroed = log_derivatives(p, cfg, plan)
+    assert bits(amp) == bits(ev.amplitude(cfg))
+    want = fd_log_derivatives(ev, p, cfg)
+    ok = np.isfinite(want)
+    assert np.all(np.isfinite(o)) and zeroed == 0
+    err = np.abs(o - want)[ok] / np.maximum(1.0, np.abs(want[ok]))
+    assert err.max(initial=0.0) < 1e-6, err.max()
+    return o, want
 
 
 def chain_configs(peps, model, chi, n_sweeps, n_warmup, seed):
@@ -73,16 +109,16 @@ def chain_configs(peps, model, chi, n_sweeps, n_warmup, seed):
 
 
 def oracle_metropolis_gradient(peps, model, chi, n_sweeps, n_warmup, seed):
-    """The Metropolis gradient with every sample probed afresh by the oracle,
-    summed in the library's order."""
-    ev = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
+    """The Metropolis gradient with the derivatives of every sample taken
+    afresh, summed in the library's order."""
+    plan = FixedPlan.for_lattice(peps.rows, peps.cols, chi)
     n_params = peps_to_params(peps).size
     sum_w, sum_e, zeroed = 0.0, 0.0, 0
     sum_o = np.zeros(n_params, dtype=complex)
     sum_eo = np.zeros(n_params, dtype=complex)
     samples = chain_configs(peps, model, chi, n_sweeps, n_warmup, seed)
     for cfg, e in samples:
-        o, z = oracle_log_derivatives(ev, peps, cfg)
+        _, o, z = log_derivatives(peps, cfg, plan)
         oc = np.conj(o)
         sum_w += 1.0
         sum_e += 1.0 * e.real
@@ -96,25 +132,117 @@ def oracle_metropolis_gradient(peps, model, chi, n_sweeps, n_warmup, seed):
 
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
-def test_log_derivatives_equal_the_all_entries_oracle(data):
-    """Probing only the entries the amplitude reads changes no bit of O_k(n)
-    or of the zeroed count, on open and periodic lattices and any phys_dim."""
-    rows = data.draw(st.integers(1, 2), label="rows")
-    cols = data.draw(st.integers(2, 3), label="cols")
+def test_log_derivatives_match_the_finite_difference_oracle(data):
+    """Open and periodic lattices, 1xN and Nx1 included, chi below and at the
+    bond rank, phys_dim 2 and 3."""
+    rows = data.draw(st.integers(1, 3), label="rows")
+    cols = data.draw(st.integers(1, 3), label="cols")
     boundary = data.draw(st.sampled_from(("obc", "pbc")), label="boundary")
-    # Doubled wrap bonds make 2x3 PBC at D=3 take seconds without adding a code path.
-    bond = data.draw(st.integers(1, 2 if boundary == "pbc" and rows * cols == 6 else 3), label="bond")
-    chi = data.draw(st.integers(1, 3), label="chi")
+    # Doubled wrap bonds make large PBC lattices at D=3 take seconds without adding a code path.
+    bond = data.draw(st.integers(1, 2 if boundary == "pbc" and rows * cols > 4 else 3), label="bond")
+    chi = data.draw(st.integers(1, 4), label="chi")
     phys = data.draw(st.integers(2, 3), label="phys_dim")
     seed = data.draw(st.integers(0, 999), label="seed")
     p = random_peps(rows, cols, phys, bond, seed=seed, boundary=boundary)
     site = st.integers(0, phys - 1)
     cfg = np.array(data.draw(st.lists(site, min_size=rows * cols, max_size=rows * cols), label="cfg"))
-    plan = FixedPlan.for_lattice(rows, cols, chi)
-    out, zeroed = tnflab.vmc._log_derivatives(FixedEvaluator(p, plan), p, cfg)
-    want, want_zeroed = oracle_log_derivatives(FixedEvaluator(p, plan), p, cfg)
-    assert out.tobytes() == want.tobytes()
-    assert zeroed == want_zeroed
+    assert_matches_oracle(p, cfg, chi)
+
+
+def test_log_derivatives_of_the_benchmark_state():
+    """The 3x3 D=2 simple-update state the gradient benchmark samples, at chi=2."""
+    m = heisenberg(3, 3)
+    p = simple_update(random_peps(3, 3, 2, 2, seed=42), m, tau=0.05, steps=200)
+    rng = np.random.default_rng(0)
+    for cfg in [neel_config(3, 3)] + [rng.permutation(neel_config(3, 3)) for _ in range(2)]:
+        assert_matches_oracle(p, cfg, 2)
+
+
+def degenerate_row_state(weights, seed):
+    """2x2 OBC D=3 state whose top boundary, on every configuration, holds
+    the singular values ``weights``: row 0 is diag(weights) then the
+    identity across its bond, for both physical values; row 1 is random."""
+    p = random_peps(2, 2, 2, 3, seed=seed)
+    diag = np.zeros((1, 1, 3, 3, 2), dtype=complex)
+    eye = np.zeros((1, 3, 3, 1, 2), dtype=complex)
+    for k, w in enumerate(weights):
+        diag[0, 0, k, k, :] = w
+        eye[0, k, k, 0, :] = 1.0
+    p.sites[0] = [diag, eye]
+    return p
+
+
+@pytest.mark.parametrize("chi", [2, 3])
+def test_degenerate_kept_pair_is_finite_and_matches_the_oracle(chi):
+    """The top boundary keeps an exactly degenerate pair (1, 1), with the 0.5
+    below it discarded at chi=2 and kept at chi=3."""
+    p = degenerate_row_state((1.0, 1.0, 0.5), seed=5)
+    cfg = np.array([0, 1, 1, 0])
+    o, _ = assert_matches_oracle(p, cfg, chi)
+    assert np.any(o[: 2 * p.sites[0][0].size] != 0)
+
+
+def test_degenerate_truncation_zeroes_and_counts_its_rows():
+    """chi=1 cuts between the exactly degenerate pair (1, 1): the read entries
+    of row 0, which feeds that truncation, get 0 and are counted; the other
+    rows match the oracle."""
+    p = degenerate_row_state((1.0, 1.0, 0.5), seed=5)
+    plan = FixedPlan.for_lattice(2, 2, 1)
+    cfg = np.array([0, 1, 1, 0])
+    amp, o, zeroed = log_derivatives(p, cfg, plan)
+    row0 = 2 * (p.sites[0][0].size + p.sites[0][1].size)
+    assert zeroed == row0 // p.phys_dim
+    assert not np.any(o[:row0])
+    want = fd_log_derivatives(FixedEvaluator(p, plan), p, cfg)[row0:]
+    assert np.all(np.isfinite(want))
+    assert np.max(np.abs(o[row0:] - want) / np.maximum(1.0, np.abs(want))) < 1e-6
+    _, info = gradient_estimate(p, heisenberg(2, 2), 1, sampling="enumerate")
+    assert info.zeroed_params == zeroed * info.n_samples > 0
+
+
+def test_dropped_zero_mode_zeroes_its_rows():
+    """Site (0, 1) has rank 1 across (left, down), so the top boundary's
+    truncation at chi=2 drops a zero singular value that any perturbation
+    brings back as a kept mode: the tape holds no derivative for it, so row 0
+    gets 0 and is counted, and row 1 matches the oracle."""
+    p = random_peps(2, 2, 2, 2, seed=3)
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    p.sites[0][1] = np.einsum("lp,dp->ldp", a, b).reshape(1, 2, 2, 1, 2)
+    cfg = np.array([0, 1, 1, 0])
+    plan = FixedPlan.for_lattice(2, 2, 2)
+    _, o, zeroed = log_derivatives(p, cfg, plan)
+    row0 = 2 * (p.sites[0][0].size + p.sites[0][1].size)
+    assert zeroed == row0 // p.phys_dim and not np.any(o[:row0])
+    want = fd_log_derivatives(FixedEvaluator(p, plan), p, cfg)[row0:]
+    assert np.max(np.abs(o[row0:] - want) / np.maximum(1.0, np.abs(want))) < 1e-6
+
+
+def test_zero_amplitude_has_no_derivatives():
+    """Every read parameter of a zero amplitude gets 0 and is counted."""
+    p = product_peps(2, 2, 2, [0, 1, 1, 0])
+    amp, o, zeroed = log_derivatives(p, [1, 1, 1, 1], FixedPlan.for_lattice(2, 2, 1))
+    assert amp.is_zero and zeroed == 2 * p.n_sites and not np.any(o)
+
+
+def test_rank_deficient_boundaries_zero_their_rows():
+    """A D=1 state zero-padded to D=2 has rank-deficient boundaries (a
+    singular QR factor, zero modes the rank floor drops): nothing comes back
+    through them, so rows 0 and 2, which feed them, get 0 and are counted,
+    and the closure row matches the oracle."""
+    p = random_peps(3, 3, 2, 2, seed=8)
+    for row in p.sites:
+        for t in row:
+            for axis in range(4):
+                t[(slice(None),) * axis + (slice(1, None),)] = 0.0
+    cfg = np.array([0, 1, 1, 0, 1, 0, 0, 1, 0])
+    plan = FixedPlan.for_lattice(3, 3, 2)
+    _, o, zeroed = log_derivatives(p, cfg, plan)
+    size = [2 * sum(t.size for t in row) for row in p.sites]
+    assert zeroed == (size[0] + size[2]) // p.phys_dim
+    assert not np.any(o[: size[0]]) and not np.any(o[size[0] + size[1] :])
+    want = fd_log_derivatives(FixedEvaluator(p, plan), p, cfg)[size[0] : size[0] + size[1]]
+    assert np.max(np.abs(o[size[0] : size[0] + size[1]] - want) / np.maximum(1.0, np.abs(want))) < 1e-6
 
 
 # 30 sweeps, 10 of them warm-up: 20 samples of 4, 8 and 5 distinct configurations.
@@ -127,32 +255,34 @@ REVISITING_CHAINS = [
 
 @pytest.mark.parametrize("rows,cols,boundary,bond,chi,seed", REVISITING_CHAINS)
 def test_probes_once_per_distinct_configuration(monkeypatch, rows, cols, boundary, bond, chi, seed):
-    """Each distinct sampled configuration costs two probes of the real and
-    two of the imaginary part of every entry the amplitude reads, and no
-    probe of an unread entry; a repeated configuration costs none."""
+    """Each distinct sampled configuration costs one taped contraction and
+    no patched amplitude; a repeated configuration costs nothing."""
     m = heisenberg(rows, cols, boundary)
     p = random_peps(rows, cols, 2, bond, seed=seed, boundary=boundary)
     samples = [cfg.tobytes() for cfg, _ in chain_configs(p, m, chi, 30, 10, seed)]
     assert len(set(samples)) < len(samples), "the chain must revisit configurations"
-    calls = Counter()
-    probe = FixedEvaluator.amplitude_with_site
+    taped, patched = Counter(), Counter()
+    forward = tnflab.peps._schedule_amplitude
 
-    def counted(self, n, site, tensor, stats=None):
-        (e,) = np.flatnonzero(tensor != self.peps.sites[site[0]][site[1]])
-        assert e % self.peps.phys_dim == n[site[0] * self.peps.cols + site[1]], "probed an unread entry"
-        calls[n.tobytes()] += 1
-        return probe(self, n, site, tensor, stats)
+    def counted(peps, n, mid, chi, tape=None):
+        if tape is not None:
+            taped[n.tobytes()] += 1
+        return forward(peps, n, mid, chi, tape)
 
-    monkeypatch.setattr(FixedEvaluator, "amplitude_with_site", counted)
+    def probe(self, n, *args, **kwargs):
+        patched[n.tobytes()] += 1
+
+    monkeypatch.setattr(tnflab.peps, "_schedule_amplitude", counted)
+    monkeypatch.setattr(FixedEvaluator, "amplitude_with_site", probe)
     gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
-    per_config = 4 * sum(t.size // p.phys_dim for row in p.sites for t in row)
-    assert calls == {cfg: per_config for cfg in set(samples)}
+    assert taped == {cfg: 1 for cfg in set(samples)}
+    assert not patched
 
 
 @pytest.mark.parametrize("rows,cols,boundary,bond,chi,seed", REVISITING_CHAINS)
 def test_revisiting_chain_matches_the_per_sample_oracle(rows, cols, boundary, bond, chi, seed):
-    """Reusing O_k(n) for a repeated configuration gives the bits of probing
-    every sample afresh with every entry."""
+    """Reusing O_k(n) for a repeated configuration gives the bits of taking
+    every sample's derivatives afresh."""
     m = heisenberg(rows, cols, boundary)
     p = random_peps(rows, cols, 2, bond, seed=seed, boundary=boundary)
     g, info = gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)

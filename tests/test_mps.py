@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from tnflab.adjoint import Tape
 from tnflab.errors import DimensionError
 from tnflab.mps import (
     apply_mpo,
@@ -97,10 +98,10 @@ def test_compress_any_rank_matches_rank3(chi, zero_site):
     if zero_site is not None:
         chain4[zero_site] = np.zeros_like(chain4[zero_site])
     chain3 = [s.reshape(s.shape[0], 6, s.shape[3]) for s in chain4]
-    stats4, stats3 = {}, {}
-    out4, log4 = compress(chain4, chi, stats4)
-    out3, log3 = compress(chain3, chi, stats3)
-    assert log4 == log3 and stats4 == stats3
+    tape4, tape3 = Tape(), Tape()
+    out4, log4 = compress(chain4, chi, tape4)
+    out3, log3 = compress(chain3, chi, tape3)
+    assert log4 == log3 and tape4.max_discarded == tape3.max_discarded
     for a, b in zip(out4, out3):
         assert a.ndim == 4 and a.shape[1:3] == (2, 3)
         assert np.array_equal(a.reshape(b.shape), b)

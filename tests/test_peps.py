@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from tnflab.errors import DimensionError, ResourceLimitError
 from tnflab.mps import compress
 from tnflab.peps import (
+    EXACT_MAX_BYTES,
     BoundaryMps,
     FixedEvaluator,
     FixedPlan,
     Peps,
     _close_strip,
+    _exact_peak,
     _row,
     amplitude_fixed,
     as_config,
@@ -176,10 +179,24 @@ class TestExactAmplitude:
         assert abs(got - want) / abs(want) < 1e-11
 
     def test_resource_guard(self):
-        p = random_peps(2, 2, 2, 2, seed=0)
-        p.bond_dim = 5
-        with pytest.raises(ResourceLimitError):
-            exact_amplitude(p, [0, 0, 0, 0])
+        """5x5 PBC at D=4 would build a 4 GiB boundary site: refused from
+        the shapes, before any contraction allocates."""
+        p = random_peps(5, 5, 2, 4, seed=0, boundary="pbc")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="4096 MiB"):
+                exact_amplitude(p, [0, 1] * 12 + [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_guard_admits_the_largest_lattices_in_use(self):
+        """4x4 PBC at D=3, larger than any lattice the tests contract
+        exactly, needs 8 MiB; it and 6x6 OBC at D=4 stay admitted."""
+        for rows, cols, bond, boundary in ((4, 4, 3, "pbc"), (6, 6, 4, "obc")):
+            p = random_peps(rows, cols, 2, bond, seed=0, boundary=boundary)
+            assert 16 * _exact_peak(p) <= EXACT_MAX_BYTES
 
 
 class TestBoundaryAbsorb:
