@@ -431,6 +431,11 @@ _BINARY_SUITES = {
 }
 
 
+# Most weights a circuit config's network may have: compiling makes about
+# three graph nodes per weight, 0.9 KB of peak memory (90 MB at the guard).
+MAX_FNN_WEIGHTS = 100_000
+
+
 def run_circuit(cfg: dict, out_dir: Path) -> list[str]:
     suites = _need(cfg, "suites", list, "config")
     if not suites or any(s not in (*_BINARY_SUITES, "fnn", "memo") for s in suites):
@@ -445,6 +450,9 @@ def run_circuit(cfg: dict, out_dir: Path) -> list[str]:
     fnn_widths = _int_list(fc, "widths", "config.fnn", [2, 4, 1])
     if len(fnn_widths) < 2:
         raise ConfigError("config.fnn.widths: expected at least two layer widths")
+    if (n_weights := sum(n * m for n, m in zip(fnn_widths, fnn_widths[1:]))) > MAX_FNN_WEIGHTS:
+        raise ResourceLimitError(
+            f"config.fnn.widths: {n_weights} weights, over the {MAX_FNN_WEIGHTS}-weight guard")
     n_inputs = _opt(fc, "n_inputs", int, "config.fnn", 100, 1)
     seed = cfg["seed"]
 

@@ -275,13 +275,12 @@ def tnf_amplitude_transverse(params: FloquetParams, n, chi: int, t: int) -> Ampl
 
 def transverse_amplitudes(params: FloquetParams, chi: int) -> Iterator[Callable]:
     """:func:`tnf_amplitude_transverse` as one function of ``n`` per t = 0, 1, ...;
-    each t > 0 evaluates on one memoizing :class:`FixedEvaluator`, bit for bit."""
+    each t > 0 evaluates on one :class:`FixedEvaluator`, bit for bit, whose
+    byte-bounded memo reuses the column boundaries of shared prefixes."""
     yield partial(tnf_amplitude_transverse, params, chi=chi, t=0)
-    # Enumerating in index order reuses only the current configuration's L - 1 column
-    # boundaries; 32 L memo entries keep that (+3% absorbs at L = 8-12) and bound memory.
     n_sites = params.n_sites
     for t in itertools.count(1):
-        ev = FixedEvaluator(floquet_peps(params, t), FixedPlan(n_sites, t, chi, n_sites - 1), 32 * n_sites)
+        ev = FixedEvaluator(floquet_peps(params, t), FixedPlan(n_sites, t, chi, n_sites - 1))
         yield lambda n, ev=ev, t=t: ev.amplitude(np.repeat(as_config(n, n_sites, 2), t))
 
 

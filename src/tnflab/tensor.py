@@ -150,7 +150,7 @@ def renormalize(t: np.ndarray) -> Renormalized:
     return Renormalized(t / m, math.log(m), False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmplitudeValue:
     """A complex amplitude stored as mantissa times ``exp(log_scale)``.
 

@@ -134,10 +134,10 @@ def test_consistency_and_inconsistency():
     plan = FixedPlan.for_lattice(4, 4, 2)
     rng = np.random.default_rng(0)
     configs = [rng.integers(0, 2, size=16) for _ in range(1000)]
-    ev1 = FixedEvaluator(peps, plan, max_entries=200000)
+    ev1 = FixedEvaluator(peps, plan)
     first = [ev1.amplitude(n) for n in configs]
     order = rng.permutation(1000)
-    ev2 = FixedEvaluator(peps, plan, max_entries=200000)
+    ev2 = FixedEvaluator(peps, plan)
     second = {}
     for i in order:
         second[int(i)] = ev2.amplitude(configs[int(i)])

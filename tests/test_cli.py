@@ -271,6 +271,27 @@ class TestResourceGuards:
         assert not out.exists()
         assert peak < 1 << 20
 
+    def test_fnn_widths_guard_exits_3_before_out(self, tmp_path):
+        """Widths [100000, 100000] would draw 80 GB of weights: refused from
+        the config, before the output directory or any large array is made."""
+        big = {**SMALL["circuit"], "fnn": {"widths": [100000, 100000]}}
+        cfg = write_config(tmp_path, "big.json", big)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            assert main(["circuit", "--config", cfg, "--out", str(out)]) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not out.exists()
+        assert peak < 1 << 20
+
+    def test_fnn_widths_guard_admits_the_widths_in_use(self, tmp_path):
+        for widths in ([2, 4, 1], [4, 8, 8, 1]):
+            conf = {**SMALL["circuit"], "fnn": {"widths": widths, "n_inputs": 1}}
+            cfg = write_config(tmp_path, "c.json", conf)
+            assert main(["circuit", "--config", cfg, "--out", str(tmp_path / str(widths))]) == 0
+
 
 class TestVmcRun:
     def test_outputs_and_determinism(self, tmp_path):

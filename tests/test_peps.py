@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tnflab.peps as peps_module
 from tnflab.errors import DimensionError, ResourceLimitError
+from tnflab.models import heisenberg
 from tnflab.mps import compress
 from tnflab.peps import (
     EXACT_MAX_BYTES,
     BoundaryMps,
+    DynamicCache,
     FixedEvaluator,
     FixedPlan,
     Peps,
@@ -31,6 +34,7 @@ from tnflab.peps import (
     save_peps,
 )
 from tnflab.tensor import AmplitudeValue, renormalize, svd_split
+from tnflab.vmc import enumerate_energy
 
 
 BOUNDARIES = ("obc", "pbc")
@@ -38,6 +42,30 @@ BOUNDARIES = ("obc", "pbc")
 
 def bits(a):
     return (a.mantissa, a.log_scale, a.is_zero)
+
+
+def count_absorbs(monkeypatch) -> list[int]:
+    """Count the ``boundary_absorb`` calls made in :mod:`tnflab.peps`, in the
+    returned one-item list."""
+    count, absorb = [0], peps_module.boundary_absorb
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return absorb(*args, **kwargs)
+
+    monkeypatch.setattr(peps_module, "boundary_absorb", counted)
+    return count
+
+
+def memo_footprint(ev) -> tuple[int, int]:
+    """Bytes of the environment and amplitude memos, counted entry by entry."""
+    def owner(a):
+        return a if a.base is None else a.base
+
+    envs = sum(len(key[1]) + peps_module._ENV_BYTES
+               + sum(owner(s).nbytes + peps_module._SITE_BYTES for s in env.sites)
+               for key, env in ev._envs.items())
+    return envs, sum(len(key) + peps_module._AMP_BYTES for key in ev._amps)
 
 
 def brute_force_amplitude(peps, n):
@@ -481,17 +509,83 @@ class TestAmplitudeFixed:
             for i, a in enumerate(first):
                 assert bits(a) == bits(second[i]), boundary
 
-    def test_bits_survive_memo_flushes(self):
-        """A tiny ``max_entries`` flushes the memo every few evaluations; the
-        values must not depend on what was flushed."""
+    def test_bits_survive_memo_flushes(self, monkeypatch):
+        """A tiny budget flushes both memos every few evaluations; the values
+        must not depend on what was flushed."""
         for boundary in BOUNDARIES:
             p = random_peps(4, 3, 2, 2, seed=15, boundary=boundary)
             plan = FixedPlan.for_lattice(4, 3, 2)
             rng = np.random.default_rng(3)
             configs = [rng.integers(0, 2, size=12) for _ in range(20)]
-            ev = FixedEvaluator(p, plan, max_entries=5)
-            for n in configs + configs[::-1]:
-                assert bits(ev.amplitude(n)) == bits(amplitude_fixed(p, n, plan)), boundary
+            history = configs + configs[::-1]
+            fixed = [bits(amplitude_fixed(p, n, plan)) for n in history]
+            with monkeypatch.context() as m:
+                absorbs = count_absorbs(m)
+                full = DynamicCache(p, 2)
+                dynamic = [bits(full.amplitude(n)) for n in history]
+                unbounded, absorbs[0] = absorbs[0], 0
+                m.setattr(peps_module, "MEMO_MAX_BYTES", 4 << 10)
+                ev, cache = FixedEvaluator(p, plan), DynamicCache(p, 2)
+                assert [bits(ev.amplitude(n)) for n in history] == fixed, boundary
+                absorbs[0] = 0
+                assert [bits(cache.amplitude(n)) for n in history] == dynamic, boundary
+                # Both memos were emptied along the way.
+                assert absorbs[0] > unbounded, boundary
+                assert ev._amp_capacity < len(configs) <= len(full._amps), boundary
+                assert cache._amp_capacity == ev._amp_capacity, boundary
+
+    def test_amplitude_eviction_keeps_the_environments(self, monkeypatch):
+        """A budget that holds the 3x4 sector's environments but not its
+        amplitudes makes exactly the unbounded enumeration's absorbs."""
+        p = random_peps(3, 4, 2, 2, seed=5)
+        plan = FixedPlan.for_lattice(3, 4, 2)
+        model = heisenberg(3, 4)
+        absorbs = count_absorbs(monkeypatch)
+        energy = enumerate_energy(FixedEvaluator(p, plan).amplitude, model)
+        unbounded, absorbs[0] = absorbs[0], 0
+        monkeypatch.setattr(peps_module, "MEMO_MAX_BYTES", 64 << 10)
+        ev = FixedEvaluator(p, plan)
+        assert enumerate_energy(ev.amplitude, model).hex() == energy.hex()
+        assert ev._amp_capacity < 924  # C(12, 6) configurations: amplitudes were evicted
+        assert absorbs[0] == unbounded
+
+    @pytest.mark.parametrize("budget", [0, 1000, 3000, 8 << 10])
+    def test_counted_footprint_stays_within_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(peps_module, "MEMO_MAX_BYTES", budget)
+        for boundary in BOUNDARIES:
+            p = random_peps(4, 3, 2, 2, seed=15, boundary=boundary)
+            plan = FixedPlan.for_lattice(4, 3, 2)
+            rng = np.random.default_rng(4)
+            evaluators = [FixedEvaluator(p, plan), DynamicCache(p, 2)]
+            for _ in range(40):
+                n = rng.integers(0, 2, size=12)
+                evaluators[0].amplitude_with_site(n, (0, 1), p.sites[0][1])
+                for ev in evaluators:
+                    ev.amplitude(n)
+                    envs, amps = memo_footprint(ev)
+                    assert envs == ev._env_bytes <= budget and amps <= budget, boundary
+
+    def test_counted_footprint_tracks_the_allocations(self):
+        """Each memo's counted bytes are within a quarter of what freeing it
+        returns to tracemalloc, so the budget bounds real memory."""
+        p = random_peps(4, 4, 2, 3, seed=1)
+        rng = np.random.default_rng(0)
+        configs = [rng.integers(0, 2, size=16) for _ in range(400)]
+        for ev in (FixedEvaluator(p, FixedPlan.for_lattice(4, 4, 4)), DynamicCache(p, 2)):
+            tracemalloc.start()
+            try:
+                for n in configs:
+                    ev.amplitude(n)
+                counted = memo_footprint(ev)
+                freed = []
+                for name in ("_envs", "_amps"):
+                    before = tracemalloc.get_traced_memory()[0]
+                    setattr(ev, name, {})
+                    freed.append(before - tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            for c, f in zip(counted, freed):
+                assert 0.8 < f / c < 1.25, (type(ev).__name__, c, f)
 
     def test_amplitude_with_site_equals_full_recompute(self):
         for boundary in BOUNDARIES:
@@ -520,7 +614,7 @@ class TestAmplitudeFixed:
         for site in ((5, 0), (3, 0), (-1, 0), (0, 5), (0, -1)):
             with pytest.raises(ValueError, match=rf"site \({site[0]}, {site[1]}\).*3x3"):
                 ev.amplitude_with_site(n, site, p.sites[0][0], {})
-        assert ev._memo == {}  # refused before any contraction
+        assert ev._envs == ev._amps == {}  # refused before any contraction
 
 
 class TestSerialization:

@@ -6,11 +6,10 @@ Imports ``tnflab`` from ``DIR`` (default: the ``src`` directory of this
 checkout) and hashes, in a fixed order, the exact bits of:
 
 * fixed-schedule amplitudes (``mantissa``, ``log_scale``, ``is_zero``) at
-  every closure row, memoized ones through a ``FixedEvaluator`` with
-  ``max_entries=7`` (so the memo flushes), patched ones at every site with
-  the ``max_discarded`` they report, dynamic-cache ones along a move sequence,
-  and exact ones, on open and periodic lattices from 1x1 to 5x3 at D 1-3
-  and chi 1-3;
+  every closure row, memoized ones through a ``FixedEvaluator``, patched
+  ones at every site with the ``max_discarded`` they report, dynamic-cache
+  ones along a move sequence, and exact ones, on open and periodic lattices
+  from 1x1 to 5x3 at D 1-3 and chi 1-3;
 * the five Floquet routes on every configuration of L = 2, 3 and 6 for
   t = 0..3 and chi = 1..3, with the MPO and MPS site tensors;
 * ``entanglement_dynamics`` for all five methods and ``bulk_entropy_sweep``;
@@ -100,7 +99,7 @@ def lattice_items(d: Digest, tnf) -> None:
                 for k, cfg in enumerate(configs):
                     d.amp(f"{tag} chi{chi} mid{mid} fixed {k}", tnf.amplitude_fixed(peps, cfg, plan))
             plan = tnf.FixedPlan.for_lattice(rows, cols, chi)
-            ev = tnf.FixedEvaluator(peps, plan, max_entries=7)
+            ev = tnf.FixedEvaluator(peps, plan)
             walk = [configs[0]]
             for _ in range(6):
                 cfg = walk[-1].copy()

@@ -170,7 +170,7 @@ class DynamicChain:
         rows, cols = self.model.rows, self.model.cols
         amps = []
         for mid in range(rows):
-            ev = FixedEvaluator(peps, FixedPlan(rows, cols, chi, mid), max_entries=10**7)
+            ev = FixedEvaluator(peps, FixedPlan(rows, cols, chi, mid))
             amps.append([ev.amplitude(cfg) for cfg in self.configs])
         top = max(a.log_scale for row in amps for a in row if not a.is_zero)
         return np.array(
