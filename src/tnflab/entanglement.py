@@ -7,8 +7,10 @@ not normalized; the density matrix is normalized to unit trace after
 assembly.
 
 Configurations run in index order, so neighbours share long prefixes, which
-the ``tnf_transverse`` evaluator of each time reuses; ``tnf_inverse`` dynamics
-advance one bra chain per configuration, with times in the inner loop.
+the ``tnf_transverse`` evaluator of each time reuses. ``tnf_inverse`` runs
+the configurations in lock-step blocks of :func:`tnflab.floquet.inverse_time_block`
+bra chains, blocks outer and times inner, through
+:func:`tnflab.floquet.inverse_time_series`.
 """
 from __future__ import annotations
 
@@ -27,14 +29,16 @@ from .floquet import (
     config_index,
     conventional_states,
     exact_states,
+    inverse_time_block,
     inverse_time_series,
     mpo_amplitude,
     mpo_states,
-    tnf_amplitude_inverse_time,
+    tnf_amplitude_inverse_time,  # noqa: F401  a binding perfbench/tracer.py requires
     tnf_amplitude_transverse,  # noqa: F401  a binding perfbench/tracer.py requires
     transverse_amplitudes,
 )
 from .mps import mps_amplitude
+from .peps import as_config
 from .tensor import AmplitudeValue
 
 __all__ = [
@@ -55,27 +59,47 @@ METHODS = ("exact", "mps", "tnf_transverse", "tnf_inverse", "mpo")
 def dense_state_from_amplitudes(amplitude_fn: Callable, n_sites: int) -> np.ndarray:
     """Enumerate all 2^L amplitudes into a dense vector (site 0 most
     significant), rescaled by the largest log factor; not normalized."""
-    return _dense_states(lambda cfg: (amplitude_fn(cfg),), n_sites, 1)[0]
+    return _dense_state([amplitude_fn(cfg) for cfg in _configs(n_sites)])
 
 
-def _dense_states(amplitudes: Callable, n_sites: int, count: int) -> list[np.ndarray]:
-    """``count`` states, each as :func:`dense_state_from_amplitudes`, in one pass
-    over the configurations: ``amplitudes(cfg)`` yields cfg's amplitude in each."""
+def _configs(n_sites: int) -> np.ndarray:
+    """All 2^L configurations in index order, one per row."""
     if n_sites > MAX_DENSE_SITES:
         raise ResourceLimitError(f"amplitude enumeration guarded to {MAX_DENSE_SITES} sites")
-    bits = (np.arange(1 << n_sites, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-    mantissas, logs = [], []  # configuration-major: state k holds items k, k + count, ...
-    for cfg in bits:
-        for a in amplitudes(cfg):
-            mantissas.append(a.mantissa)
-            logs.append(None if a.is_zero else a.log_scale)
-    states = []
-    for k in range(count):
-        ms, lgs = mantissas[k::count], logs[k::count]
-        top = max((lg for lg in lgs if lg is not None), default=-math.inf)
-        psi = [0j if lg is None else m * math.exp(lg - top) for m, lg in zip(ms, lgs)]
-        states.append(np.array(psi, dtype=complex))
-    return states
+    return (np.arange(1 << n_sites, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+
+
+def _dense_state(amps: list[AmplitudeValue]) -> np.ndarray:
+    """Amplitudes in index order as :func:`dense_state_from_amplitudes` returns them."""
+    logs = [None if a.is_zero else a.log_scale for a in amps]
+    top = max((lg for lg in logs if lg is not None), default=-math.inf)
+    return np.array([0j if lg is None else a.mantissa * math.exp(lg - top) for a, lg in zip(amps, logs)],
+                    dtype=complex)
+
+
+def _inverse_tables(params: FloquetParams, chi: int, t_max: int) -> list[list[AmplitudeValue]]:
+    """``tnf_inverse`` amplitudes of all configurations in index order, one list
+    per t = 0..t_max: lock-step blocks outer, times inner."""
+    configs = _configs(params.n_sites)
+    size = inverse_time_block(params, chi)
+    tables: list[list[AmplitudeValue]] = [[] for _ in range(t_max + 1)]
+    for start in range(0, len(configs), size):
+        for table, amps in zip(tables, inverse_time_series(params, chi, configs[start : start + size])):
+            table.extend(amps)
+    return tables
+
+
+def _inverse_amplitude(params: FloquetParams, chi: int, t: int) -> Callable:
+    """``tnf_inverse`` at time ``t`` as a function of ``n``; the first call
+    evaluates every configuration through :func:`_inverse_tables`."""
+    table: list[AmplitudeValue] = []
+
+    def amplitude(n) -> AmplitudeValue:
+        if not table:
+            table.extend(_inverse_tables(params, chi, t)[t])
+        return table[config_index(as_config(n, params.n_sites, 2))]
+
+    return amplitude
 
 
 def rdm_from_dense(psi: np.ndarray, n_sites: int, region: tuple[int, int]) -> np.ndarray:
@@ -124,9 +148,11 @@ def entropy_and_spectrum(rho: np.ndarray, top: int = 40) -> tuple[float, np.ndar
 
 def _amplitude_functions(params: FloquetParams, method: str, chi: int | None) -> Iterator[Callable]:
     """Configuration -> AmplitudeValue for one method at t = 0, 1, ...: a state
-    route advances its state one period per t, and ``tnf_transverse`` builds one
-    memoizing evaluator per t. Raises ``ValueError`` for an unknown method, or a
-    truncated method without a positive ``chi``."""
+    route advances its state one period per t, ``tnf_transverse`` builds one
+    memoizing evaluator per t, and ``tnf_inverse`` evaluates every
+    configuration in lock-step blocks on its first call. Raises
+    ``ValueError`` for an unknown method, or a truncated method without a
+    positive ``chi``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "exact" and (chi is None or chi < 1):
@@ -139,7 +165,7 @@ def _amplitude_functions(params: FloquetParams, method: str, chi: int | None) ->
         return (partial(mpo_amplitude, *state) for state in mpo_states(params, chi))
     if method == "tnf_transverse":
         return transverse_amplitudes(params, chi)
-    return (partial(tnf_amplitude_inverse_time, params, chi=chi, t=t) for t in itertools.count())
+    return map(partial(_inverse_amplitude, params, chi), itertools.count())
 
 
 def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int) -> Callable:
@@ -182,9 +208,8 @@ def entanglement_dynamics(
     n = params.n_sites
     out = EntanglementData(method=method, chi=None if method == "exact" else chi)
     fns = itertools.islice(_amplitude_functions(params, method, chi), params.t_max + 1)
-    if method == "tnf_inverse":  # configurations outer, times inner
-        count, series = params.t_max + 1, inverse_time_series(params, chi)
-        states = _dense_states(lambda cfg: itertools.islice(series(cfg), count), n, count)
+    if method == "tnf_inverse":  # configuration blocks outer, times inner
+        states = map(_dense_state, _inverse_tables(params, chi, params.t_max))
     else:  # one state or evaluator per time, one alive at a time
         states = (dense_state_from_amplitudes(fn, n) for fn in fns)
     for t, psi in enumerate(states):

@@ -23,8 +23,11 @@ Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
 Enumerations share work without changing a bit. :func:`transverse_amplitudes`
 gives one memoizing ``FixedEvaluator`` per ``t``, which reuses the column
 boundaries of a shared configuration prefix; :func:`inverse_time_series`
-advances one configuration's bra chain a period per ``t``, as the state routes
-``exact_states``, ``conventional_states`` and ``mpo_states`` advance theirs.
+advances a block of bra chains, one per configuration, a period per ``t`` in
+lock step (one stacked ``apply_mpo`` and ``compress`` per period, each chain
+bit for bit as alone), as the state routes ``exact_states``,
+``conventional_states`` and ``mpo_states`` advance their single state.
+:func:`inverse_time_block` sizes such blocks from a byte budget.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ResourceLimitError
-from .mps import apply_mpo, compress, mps_amplitude, product_mps
+from .mps import Chains, apply_mpo, compress, mps_amplitude
 from .peps import BoundaryMps, FixedEvaluator, FixedPlan, Peps, amplitude_fixed, as_config, boundary_absorb
 from .tensor import AmplitudeValue, svd_split
 
@@ -55,6 +58,8 @@ __all__ = [
     "transverse_amplitudes",
     "tnf_amplitude_inverse_time",
     "inverse_time_series",
+    "inverse_time_block",
+    "INVERSE_BLOCK_BYTES",
     "mpo_mpo_inverse",
     "mpo_states",
     "mpo_amplitude",
@@ -64,6 +69,10 @@ __all__ = [
 
 # Largest chain held as a dense 2^L state vector or enumerated in full.
 MAX_DENSE_SITES = 14
+
+# Bytes the MPO-applied bra chains of one inverse-time block may take at the
+# widest bonds chi allows; longer enumerations run in more blocks.
+INVERSE_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -159,6 +168,11 @@ def _check_periods(t: int) -> None:
         raise ValueError(f"number of periods must be nonnegative, got {t}")
 
 
+def _check_chi(chi: int) -> None:
+    if chi is None or chi < 1:
+        raise ValueError(f"chi must be positive, got {chi}")
+
+
 def _diagonal_phases(params: FloquetParams) -> np.ndarray:
     """exp(i J sum z z') over all configurations, shaped (2,)*L.
 
@@ -197,26 +211,26 @@ def exact_evolve(params: FloquetParams, t: int) -> np.ndarray:
     return next(itertools.islice(exact_states(params), t, None)).reshape(-1)
 
 
-def _evolve(
-    sites: list[np.ndarray], mpo: list[np.ndarray], chi: int, t: int, log: float = 0.0
-) -> tuple[list[np.ndarray], float]:
-    """The chain ``sites`` after ``t`` MPO layers, compressed to ``chi`` after
-    each; returns it and ``log`` plus the log factors taken out."""
-    _check_periods(t)
-    for _ in range(t):
-        sites = apply_mpo(sites, mpo)
-        sites, lf = compress(sites, chi)
-        log += lf
-    return sites, log
+def _advance(parts: list[Chains], mpo: list[np.ndarray], chi: int) -> list[Chains]:
+    """The stacked chains ``parts`` one MPO layer on, compressed to ``chi``;
+    each chain's log factor grows by the factors taken out."""
+    out = []
+    for rows, sites, log in parts:
+        for sub in compress(apply_mpo(sites, mpo), chi):
+            out.append(Chains([rows[j] for j in sub.rows], sub.sites,
+                              [log[j] + lf for j, lf in zip(sub.rows, sub.log)]))
+    return out
 
 
 def conventional_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:
     """:func:`evolve_conventional` at t = 0, 1, ..., advanced one period per step."""
-    sites, log = product_mps([np.array([1.0, 0.0], dtype=complex)] * params.n_sites), 0.0
+    e0 = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2, 1)
+    parts = [Chains([0], [e0] * params.n_sites, [0.0])]  # a stack of one
     mpo = build_floquet_mpo(params)
     while True:
-        yield sites, log
-        sites, log = _evolve(sites, mpo, chi, 1, log)
+        [(_, sites, log)] = parts
+        yield [s[0] for s in sites], log[0]
+        parts = _advance(parts, mpo, chi)
 
 
 def evolve_conventional(params: FloquetParams, chi: int, t: int) -> tuple[list[np.ndarray], float]:
@@ -267,6 +281,7 @@ def tnf_amplitude_transverse(params: FloquetParams, n, chi: int, t: int) -> Ampl
     """
     cfg = as_config(n, params.n_sites, 2)
     _check_periods(t)
+    _check_chi(chi)
     if t == 0:
         return _delta_amplitude(cfg)
     plan = FixedPlan(params.n_sites, t, chi, params.n_sites - 1)
@@ -277,37 +292,70 @@ def transverse_amplitudes(params: FloquetParams, chi: int) -> Iterator[Callable]
     """:func:`tnf_amplitude_transverse` as one function of ``n`` per t = 0, 1, ...;
     each t > 0 evaluates on one :class:`FixedEvaluator`, bit for bit, whose
     byte-bounded memo reuses the column boundaries of shared prefixes."""
-    yield partial(tnf_amplitude_transverse, params, chi=chi, t=0)
+    _check_chi(chi)
     n_sites = params.n_sites
-    for t in itertools.count(1):
+
+    def at(t: int) -> Callable:
+        if t == 0:
+            return partial(tnf_amplitude_transverse, params, chi=chi, t=0)
         ev = FixedEvaluator(floquet_peps(params, t), FixedPlan(n_sites, t, chi, n_sites - 1))
-        yield lambda n, ev=ev, t=t: ev.amplitude(np.repeat(as_config(n, n_sites, 2), t))
+        return lambda n: ev.amplitude(np.repeat(as_config(n, n_sites, 2), t))
+
+    return map(at, itertools.count())
 
 
-def inverse_time_series(params: FloquetParams, chi: int) -> Callable[..., Iterator[AmplitudeValue]]:
-    """``n ->`` :func:`tnf_amplitude_inverse_time` of ``n`` at t = 0, 1, ...: one bra
-    chain per configuration, advanced one period per step, over one period MPO."""
+def inverse_time_block(params: FloquetParams, chi: int) -> int:
+    """Configurations per block of :func:`inverse_time_series`: as many as fit
+    :data:`INVERSE_BLOCK_BYTES` with the period MPO applied to chains whose
+    bonds are as wide as ``chi`` and the chain length allow; at least one."""
+    _check_chi(chi)
+    n = params.n_sites
+    mpo = build_floquet_mpo(params)
+    bonds = [min(chi, 2**c, 2 ** (n - c)) * w.shape[0] for c, w in enumerate(mpo)] + [1]
+    chain = sum(bonds[c] * w.shape[1] * bonds[c + 1] for c, w in enumerate(mpo)) * np.dtype(complex).itemsize
+    return max(1, INVERSE_BLOCK_BYTES // chain)
+
+
+def inverse_time_series(params: FloquetParams, chi: int, configs) -> Iterator[list[AmplitudeValue]]:
+    """:func:`tnf_amplitude_inverse_time` of each configuration in ``configs``
+    at t = 0, 1, ..., one list per t. The block's bra chains, one per
+    configuration, advance in lock step: one stacked ``apply_mpo`` and
+    ``compress`` per period and one stacked overlap with ``|0...0>``, each
+    chain bit for bit as alone. Size blocks with :func:`inverse_time_block`."""
+    _check_chi(chi)
+    n_sites = params.n_sites
+    cfgs = np.array([as_config(n, n_sites, 2) for n in configs], dtype=np.int64).reshape(-1, n_sites)
+    return _lockstep(params, chi, cfgs)
+
+
+def _lockstep(params: FloquetParams, chi: int, cfgs: np.ndarray) -> Iterator[list[AmplitudeValue]]:
     bra_mpo = [w.transpose(0, 2, 1, 3) for w in build_floquet_mpo(params)]  # act on the bra side
-
-    def series(n) -> Iterator[AmplitudeValue]:
-        cfg = as_config(n, params.n_sites, 2)
-        yield _delta_amplitude(cfg)
-        bra, log = product_mps([np.eye(2, dtype=complex)[b] for b in cfg]), 0.0
-        while True:
-            bra, log = _evolve(bra, bra_mpo, chi, 1, log)
-            yield AmplitudeValue.from_parts(mps_amplitude(bra, [0] * params.n_sites), log)
-
-    return series
+    yield [_delta_amplitude(c) for c in cfgs]
+    basis = np.eye(2, dtype=complex)
+    count = len(cfgs)
+    parts = [Chains(list(range(count)), [basis[b].reshape(-1, 1, 2, 1) for b in cfgs.T], [0.0] * count)]
+    while True:
+        parts = _advance(parts, bra_mpo, chi)
+        amps = [None] * count
+        for rows, sites, log in parts:
+            # mps_amplitude(chain, [0] * L) per chain, bit for bit.
+            mat = sites[0][:, :, 0, :]
+            for s in sites[1:]:
+                mat = mat @ s[:, :, 0, :]
+            for row, value, lg in zip(rows, mat[:, 0, 0].tolist(), log):
+                amps[row] = AmplitudeValue.from_parts(value, lg)
+        yield amps
 
 
 def tnf_amplitude_inverse_time(params: FloquetParams, n, chi: int, t: int) -> AmplitudeValue:
     """<n| F^t |0...0> absorbing period layers from the final step backward.
 
     The bra configuration seeds the boundary, so the isometry entries are
-    amplitude dependent; the schedule itself is fixed.
+    amplitude dependent; the schedule itself is fixed. A block of one in
+    :func:`inverse_time_series`.
     """
     _check_periods(t)
-    return next(itertools.islice(inverse_time_series(params, chi)(n), t, None))
+    return next(itertools.islice(inverse_time_series(params, chi, [n]), t, None))[0]
 
 
 def mpo_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:

@@ -3,7 +3,13 @@ Floquet routes.
 
 An MPS is a list of rank-3 arrays ``(left, phys, right)`` with extent-1 outer
 bonds. An MPO site is rank-4 ``(left, out, in, right)``; applying an MPO to an
-MPS contracts ``in`` with the state's physical leg.
+MPS contracts ``in`` with the state's physical leg. :func:`as_config` reads
+the basis configurations every module takes.
+
+:func:`apply_mpo` and :func:`compress` work on stacks of chains of equal
+shapes: site ``i`` of a stack is one array whose leading axis runs over the
+chains, and each chain comes out bit for bit as it would alone. A single
+chain is a stack of one.
 
 Compression follows one fixed recipe everywhere: a left-to-right QR
 canonicalization followed by a right-to-left truncation sweep using the
@@ -12,8 +18,9 @@ function of the input chain, which is what fixed-schedule contractions need.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,7 +29,8 @@ from .errors import DimensionError
 from .tensor import renormalize, svd_split
 
 __all__ = [
-    "product_mps",
+    "as_config",
+    "Chains",
     "apply_mpo",
     "compress",
     "mps_amplitude",
@@ -31,128 +39,193 @@ __all__ = [
 ]
 
 
-def product_mps(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Bond-1 MPS from one local vector per site."""
-    return [np.asarray(v, dtype=complex).reshape(1, -1, 1) for v in vectors]
+def as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
+    """``n`` as a flat int64 configuration, checked to hold ``n_sites``
+    integer-valued entries in ``[0, phys_dim)``; raises ``ValueError`` otherwise."""
+    n = np.asarray(n)
+    if n.dtype.kind not in "biu" and not (n.dtype.kind == "f" and np.isin(n, range(phys_dim)).all()):
+        raise ValueError(f"configuration entries must be integers in [0, {phys_dim})")
+    n = n.astype(np.int64, copy=False).reshape(-1)
+    if n.size != n_sites:
+        raise ValueError(f"configuration has {n.size} entries, lattice has {n_sites} sites")
+    values = n.tolist()  # Python's min and max beat two array reductions at lattice sizes
+    if values and (min(values) < 0 or max(values) >= phys_dim):
+        raise ValueError("configuration entry out of range for the physical dimension")
+    return n
+
+
+class Chains(NamedTuple):
+    """Chains of a stack that share their shapes: ``rows`` index them in the
+    stack, every site carries a leading axis over them, and ``log`` holds
+    each chain's log factor."""
+
+    rows: list[int]
+    sites: list[np.ndarray]
+    log: list[float]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot`` of each pair of matrices in two stacks (a 2-D ``b`` is
+    shared), bit for bit. Over a shared extent of 1 (scalar, scaled and outer
+    products) ``np.dot`` and ``np.matmul`` round differently, so those run
+    per chain; elsewhere both call the same BLAS routine."""
+    if a.shape[-1] == 1:
+        return np.stack([np.dot(x, y) for x, y in zip(a, b if b.ndim == 3 else itertools.repeat(b))])
+    return np.matmul(a, b)
 
 
 def apply_mpo(sites: Sequence[np.ndarray], mpo: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Exact MPO application; bond extents multiply."""
+    """Exact MPO application to each chain of a stack (sites ``(count, l, p,
+    r)``); bond extents multiply."""
     if len(sites) != len(mpo):
         raise DimensionError(f"length mismatch: mps {len(sites)} vs mpo {len(mpo)}")
     out = []
     for m, w in zip(sites, mpo):
-        if w.shape[2] != m.shape[1]:
-            raise DimensionError(
-                f"mpo input extent {w.shape[2]} does not match mps physical extent {m.shape[1]}"
-            )
-        # (l, p, r) x (wl, out, in=p, wr) -> (l, r, wl, out, wr)
-        c = np.tensordot(m, w, axes=([1], [2]))
-        c = c.transpose(0, 2, 3, 1, 4)  # (l, wl, out, r, wr)
-        l, wl, p, r, wr = c.shape
-        out.append(np.ascontiguousarray(c.reshape(l * wl, p, r * wr)))
+        count, l, p, r = m.shape
+        wl, o, w_in, wr = w.shape
+        if w_in != p:
+            raise DimensionError(f"mpo input extent {w_in} does not match mps physical extent {p}")
+        # np.tensordot(chain site, w, axes=([1], [2])) per chain, written out bit for bit:
+        # (l, r, p) x (in=p, wl, out, wr) -> (l, r, wl, out, wr).
+        c = _matmul(m.transpose(0, 1, 3, 2).reshape(count, l * r, p), w.transpose(2, 0, 1, 3).reshape(p, -1))
+        c = c.reshape(count, l, r, wl, o, wr).transpose(0, 1, 3, 4, 2, 5)  # (l, wl, out, r, wr)
+        out.append(np.ascontiguousarray(c.reshape(count, l * wl, o, r * wr)))
     return out
 
 
 def compress(
     sites: Sequence[np.ndarray], chi: int | None, tape: Tape | None = None
-) -> tuple[list[np.ndarray], float]:
-    """Compress internal bonds to at most ``chi`` and rescale sites.
+) -> list[Chains]:
+    """Compress the internal bonds of each chain of a stack to at most ``chi``
+    and rescale its sites.
 
-    A site may have any rank; its first and last axes are the bonds. Returns
-    the new chain and the accumulated log of the factors taken out while
-    rescaling each site to unit max-abs entry. ``chi=None`` still
-    canonicalizes (trimming exact-rank excess) but never truncates below the
-    numerical rank. A chain with an exactly-zero site represents the value 0;
-    it is returned unswept with log factor 0. A ``tape`` records the
-    compression as one step (see :mod:`tnflab.adjoint`) and the largest
-    discarded weight.
+    A site may have any rank after the stack axis; its first and last axes
+    are the bonds. Each chain's log factor accumulates the logs of the
+    factors taken out while rescaling each site to unit max-abs entry.
+    ``chi=None`` still canonicalizes (trimming exact-rank excess) but never
+    truncates below the numerical rank. Chains leave the stack at a bond
+    where their kept ranks differ, and a chain with an exactly-zero site
+    (the value 0) leaves unswept with log factor 0. Returns the parts, which
+    hold every chain once. A ``tape`` records each part as one step (see
+    :mod:`tnflab.adjoint`), degenerate when one of its chains is, and the
+    largest discarded weight.
     """
     inputs = sites
     sites = [np.asarray(s, dtype=complex) for s in sites]
-    if tape is not None:
-        chain, qrs, cuts, degenerate = list(sites), [], [], False
-    n = len(sites)
-    log_factor = 0.0
+    chain, count = list(sites), len(sites[0])
+    if not count:
+        return []
     # Left-to-right QR canonicalization.
-    for i in range(n - 1):
+    qrs = []
+    for i in range(len(sites) - 1):
         shape = sites[i].shape
-        q, rmat = np.linalg.qr(sites[i].reshape(-1, shape[-1]))
-        sites[i] = q.reshape(shape[:-1] + q.shape[1:])
-        # np.tensordot(rmat, sites[i + 1], axes=([1], [0])) written out, bit for bit.
+        q, rmat = np.linalg.qr(sites[i].reshape(count, -1, shape[-1]))
+        sites[i] = q.reshape(shape[:-1] + q.shape[-1:])
         nxt = sites[i + 1]
-        prod = np.dot(rmat, nxt.reshape(nxt.shape[0], -1))
-        sites[i + 1] = prod.reshape(rmat.shape[:1] + nxt.shape[1:])
-        if tape is not None:
-            qrs.append((q, rmat))
-            degenerate |= singular_r(rmat)
+        prod = _matmul(rmat, nxt.reshape(nxt.shape[:2] + (-1,)))
+        sites[i + 1] = prod.reshape(rmat.shape[:2] + nxt.shape[2:])
+        qrs.append((q, rmat))
 
-    # Right-to-left truncation sweep.
-    for i in range(n - 1, 0, -1):
-        t, lf, zero = renormalize(sites[i])
-        if zero:
-            return sites, 0.0
-        log_factor += lf
-        split = svd_split(t, 1, chi if chi is not None else t.shape[0])
-        sites[i] = split.right
-        carry = split.isometry * split.singulars  # (l, k)
-        # np.tensordot(sites[i - 1], carry, axes=([-1], [0])) written out, bit for bit.
-        prev = sites[i - 1]
-        prod = np.dot(prev.reshape(-1, prev.shape[-1]), carry)
-        sites[i - 1] = prod.reshape(prev.shape[:-1] + carry.shape[1:])
-        if tape is not None:
-            tape.max_discarded = max(tape.max_discarded, split.discarded_weight)
-            cuts.append((lf, split, carry))
-            degenerate |= degenerate_cut(carry.shape[1], split.thin[1], chi or t.shape[0])
+    # Right-to-left truncation sweep over pending parts: (rows, sites, log
+    # factors, bond, and with a tape the cuts so far, last bond first).
+    parts = []
+    pending = [(list(range(count)), sites, [0.0] * count, len(sites) - 1, [])]
+    while pending:
+        rows, sites, log, i, cuts = pending.pop()
+        t, lf, zero = renormalize(sites[i], stack=True)
+        if any(zero):
+            # A zero site ends its chain; at site 0 the chain keeps its log factor.
+            out = [j for j, z in enumerate(zero) if z]
+            parts.append(Chains([rows[j] for j in out], [s[out] for s in sites],
+                                [log[j] if i == 0 else 0.0 for j in out]))
+            keep = [j for j, z in enumerate(zero) if not z]
+            if not keep:
+                continue
+            rows, log, lf = ([x[j] for j in keep] for x in (rows, log, lf))
+            sites, t = [s[keep] for s in sites], t[keep]
+            cuts = _take_cuts(cuts, keep) if tape is not None else cuts
+        log = [a + b for a, b in zip(log, lf)]
+        if i == 0:
+            parts.append(Chains(rows, [t] + sites[1:], log))
+            if tape is not None:
+                _record(tape, inputs, chain, qrs, cuts[::-1], lf, parts[-1], chi)
+            continue
+        for sel, split in svd_split(t, 1, chi if chi is not None else t.shape[1], stack=True):
+            whole, past = len(sel) == len(rows), None
+            sub = sites if whole else [s[sel] for s in sites]  # one part keeps its list
+            sub[i] = split.right
+            carry = split.isometry * split.singulars[:, None, :]  # (l, k) per chain
+            # np.tensordot(sub[i - 1], carry, axes=([-1], [0])) per chain, bit for bit.
+            prev = sub[i - 1]
+            prod = _matmul(prev.reshape(len(prev), -1, prev.shape[-1]), carry)
+            sub[i - 1] = prod.reshape(prev.shape[:-1] + carry.shape[2:])
+            if tape is not None:
+                tape.max_discarded = max(tape.max_discarded, float(split.discarded_weight.max()))
+                past = cuts if whole else _take_cuts(cuts, sel)
+                past.append((lf if whole else [lf[j] for j in sel], split, carry))
+            pending.append((rows if whole else [rows[j] for j in sel], sub,
+                            log if whole else [log[j] for j in sel], i - 1, past))
+    return parts
 
-    t, lf, zero = renormalize(sites[0])
-    if not zero:
-        sites[0] = t
-        log_factor += lf
-        if tape is not None:
-            # A degenerate compression has no derivative: nothing goes back through it.
-            backward = (lambda bars: [None] * len(chain)) if degenerate else (
-                _compress_backward(chain, qrs, cuts[::-1], lf))
-            tape.record(inputs, sites, backward, degenerate)
-    return sites, log_factor
+
+def _take_cuts(cuts, sel):
+    """The chains ``sel`` of taped cuts ``(log factors, split, carry)``."""
+    return [([lf[j] for j in sel], type(split)(split.isometry[sel], split.singulars[sel], split.right[sel],
+                                               tuple(f[sel] for f in split.thin)),
+             carry[sel]) for lf, split, carry in cuts]
 
 
-def _compress_backward(chain, qrs, cuts, lf0):
-    """Reverse rule of one :func:`compress` of ``chain``: ``qrs`` are the
-    sweep's ``(q, r)`` factors and ``cuts`` the ``(log factor, split, carry)``
-    of bonds ``1 .. n-1``; ``lf0`` is the last rescaling's log factor."""
+def _record(tape, inputs, chain, qrs, cuts, lf0, part, chi):
+    """Record one part of a :func:`compress` of the stack ``chain`` on ``tape``."""
+    degenerate = any(singular_r(r[row]) for _, r in qrs for row in part.rows)
+    for (_, split, carry), (_, r) in zip(cuts, qrs):
+        # The bond's extent after the QR sweep caps it when chi is None.
+        degenerate |= any(degenerate_cut(carry.shape[2], s, chi or r.shape[1]) for s in split.thin[1])
+    # A degenerate compression has no derivative: nothing goes back through it.
+    backward = (lambda bars: [None] * len(chain)) if degenerate else (
+        _compress_backward(chain, qrs, cuts, lf0, part.rows))
+    tape.record(inputs, part.sites, backward, degenerate)
+
+
+def _compress_backward(chain, qrs, cuts, lf0, rows):
+    """Reverse rule of one part of a :func:`compress` of the stack ``chain``:
+    ``rows`` are its chains, ``qrs`` the stack's ``(q, r)`` factors, ``cuts``
+    the part's ``(log factors, split, carry)`` of bonds ``1 .. n-1`` and
+    ``lf0`` its last rescaling's log factors."""
 
     def backward(bars):
         batch = bars[0].shape[0]
-        zbar = bars[0] * math.exp(-lf0)
-        qbars = []
-        # Truncations, first bond first: site i-1 became q_{i-1} @ carry_i.
-        for i, (lf, split, carry) in enumerate(cuts, start=1):
-            q = qrs[i - 1][0]
-            zm = zbar.reshape(batch, q.shape[0], carry.shape[1])
-            qbars.append(zm @ carry.conj().T)
-            u, s, vh = split.thin
-            ybar = bars[i].reshape(batch, carry.shape[1], -1)
-            zbar = svd_backward(u, s, vh, carry.shape[1], q.conj().T @ zm, ybar) * math.exp(-lf)
-        # QR sweep, last site first: site i+1 became r_i @ site i+1.
-        abars = [None] * len(chain)
-        for i in range(len(chain) - 2, -1, -1):
-            q, r = qrs[i]
-            a = chain[i + 1].reshape(chain[i + 1].shape[0], -1)
-            xbar = zbar.reshape(batch, r.shape[0], -1)
-            abars[i + 1] = (r.conj().T @ xbar).reshape((batch,) + chain[i + 1].shape)
-            zbar = qr_backward(q, r, qbars[i], xbar @ a.conj().T)
-        abars[0] = zbar.reshape((batch,) + chain[0].shape)
+        abars = [np.zeros((batch,) + a.shape, complex) for a in chain]
+        for j, row in enumerate(rows):
+            zbar = bars[0][:, j] * math.exp(-lf0[j])
+            qbars = []
+            # Truncations, first bond first: site i-1 became q_{i-1} @ carry_i.
+            for i, (lf, split, carry) in enumerate(cuts, start=1):
+                q, c = qrs[i - 1][0][row], carry[j]
+                zm = zbar.reshape(batch, q.shape[0], c.shape[1])
+                qbars.append(zm @ c.conj().T)
+                u, s, vh = (f[j] for f in split.thin)
+                ybar = bars[i][:, j].reshape(batch, c.shape[1], -1)
+                zbar = svd_backward(u, s, vh, c.shape[1], q.conj().T @ zm, ybar) * math.exp(-lf[j])
+            # QR sweep, last site first: site i+1 became r_i @ site i+1.
+            for i in range(len(chain) - 2, -1, -1):
+                q, r = qrs[i][0][row], qrs[i][1][row]
+                a = chain[i + 1][row].reshape(chain[i + 1].shape[1], -1)
+                xbar = zbar.reshape(batch, r.shape[0], -1)
+                abars[i + 1][:, row] = (r.conj().T @ xbar).reshape((batch,) + chain[i + 1].shape[1:])
+                zbar = qr_backward(q, r, qbars[i], xbar @ a.conj().T)
+            abars[0][:, row] = zbar.reshape((batch,) + chain[0].shape[1:])
         return abars
 
     return backward
 
 
 def mps_amplitude(sites: Sequence[np.ndarray], config: Sequence[int]) -> complex:
-    """<config| mps> for a computational-basis configuration."""
+    """<config| mps> for a computational-basis configuration, read by
+    :func:`as_config` (``ValueError``)."""
     mat = None
-    for s, c in zip(sites, config):
-        m = s[:, int(c), :]
+    for s, c in zip(sites, as_config(config, len(sites), sites[0].shape[1]).tolist()):
+        m = s[:, c, :]
         mat = m if mat is None else mat @ m
     return complex(mat[0, 0])
 

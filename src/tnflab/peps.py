@@ -37,7 +37,7 @@ import numpy as np
 
 from .adjoint import Tape, einsum_backward
 from .errors import CacheStateError, DimensionError, ResourceLimitError
-from .mps import compress
+from .mps import as_config, compress
 from .tensor import AmplitudeValue, renormalize
 
 __all__ = [
@@ -116,20 +116,6 @@ class Peps:
 
     def copy(self) -> "Peps":
         return replace(self, sites=[[t.copy() for t in row] for row in self.sites])
-
-
-def as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
-    """``n`` as a flat int64 configuration, checked to hold ``n_sites``
-    integer-valued entries in ``[0, phys_dim)``; raises ``ValueError`` otherwise."""
-    n = np.asarray(n)
-    if n.dtype.kind not in "biu" and not (n.dtype.kind == "f" and np.isin(n, range(phys_dim)).all()):
-        raise ValueError(f"configuration entries must be integers in [0, {phys_dim})")
-    n = n.astype(np.int64, copy=False).reshape(-1)
-    if n.size != n_sites:
-        raise ValueError(f"configuration has {n.size} entries, lattice has {n_sites} sites")
-    if n.min() < 0 or n.max() >= phys_dim:
-        raise ValueError("configuration entry out of range for the physical dimension")
-    return n
 
 
 def product_peps(rows: int, cols: int, phys_dim: int, config) -> Peps:
@@ -266,13 +252,12 @@ def boundary_absorb(
     """
     if bmps is None:
         axes = (1, 0, 2, 3) if side == "top" else (1, 2, 0, 3)  # (l, open, face, r)
-        sites = [np.ascontiguousarray(t.transpose(axes)) for t in row]
+        sites = [np.ascontiguousarray(t.transpose(axes)[None]) for t in row]  # a stack of one
         if tape is not None:
             spec = "abcd->" + "".join("abcd"[a] for a in axes)
             for t, s in zip(row, sites):
                 tape.record([t], [s], einsum_backward(spec, [t]))
-        sites, lf = compress(sites, chi, tape)
-        return BoundaryMps(sites, lf)
+        return _compressed(sites, chi, 0.0, tape)
     if len(row) != len(bmps.sites):
         raise DimensionError("row length does not match boundary length")
     # The face meets the row's up leg from the top, its down leg from the bottom.
@@ -291,11 +276,21 @@ def boundary_absorb(
         m = np.dot(s.transpose(0, 1, 3, 2).reshape(l * o * r, f), t.reshape(f, -1))
         m = m.reshape((l, o, r) + t.shape[1:]).transpose(perm)  # (l, l2, o, f2, r, r2)
         l, l2, o, f2, r, r2 = m.shape
-        new_sites.append(np.ascontiguousarray(m.reshape(l * l2, o, f2, r * r2)))
+        new_sites.append(np.ascontiguousarray(m.reshape(1, l * l2, o, f2, r * r2)))  # a stack of one
         if tape is not None:
             tape.record([s, t0], new_sites[-1:], einsum_backward(spec, [s, t0]))
-    new_sites, lf = compress(new_sites, chi, tape)
-    return BoundaryMps(new_sites, bmps.log_scale + lf)
+    return _compressed(new_sites, chi, bmps.log_scale, tape)
+
+
+def _compressed(stack: list[np.ndarray], chi: int | None, log: float, tape: Tape | None) -> BoundaryMps:
+    """The boundary of the stack of one ``stack`` compressed to ``chi``, its
+    log scale ``log`` plus the log factor taken out."""
+    [part] = compress(stack, chi, tape)
+    sites = [s[0] for s in part.sites]
+    if tape is not None:
+        tape.record(part.sites, sites,
+                    lambda bars: [b.reshape(b.shape[:1] + s.shape) for b, s in zip(bars, part.sites)])
+    return BoundaryMps(sites, log + part.log[0])
 
 
 # Each closure column as one einsum over (top site, middle site, bottom

@@ -41,43 +41,63 @@ class TruncatedSvd:
     column-isometric over the grouped left indices. ``right`` carries the
     kept-rank axis followed by the right-group extents.
     ``discarded_weight`` is the squared-singular-value weight dropped by the
-    truncation, relative to the total. ``thin`` is the full thin
-    factorization ``(u, s, vh)`` of the matrix the truncation was cut from,
-    kept columns gauge-fixed (``None`` for an exactly-zero input); the
-    reverse pass of :mod:`tnflab.adjoint` reads it.
+    truncation, relative to the total, worked out from ``thin`` when read.
+    ``thin`` is the full thin factorization ``(u, s, vh)`` of the matrix the
+    truncation was cut from, kept columns gauge-fixed (``None`` for an
+    exactly-zero input); the reverse pass of :mod:`tnflab.adjoint` reads it.
+    A split of a stack carries a leading axis on every field, and its
+    ``discarded_weight`` is an array.
     """
 
     isometry: np.ndarray
     singulars: np.ndarray
     right: np.ndarray
-    discarded_weight: float
     thin: tuple | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def discarded_weight(self):
+        if self.thin is None:
+            return 0.0 if self.singulars.ndim == 1 else np.zeros(len(self.singulars))
+        s = self.thin[1]
+        tail = s[..., self.singulars.shape[-1] :]
+        weight = np.add.reduce(tail * tail, axis=-1) / np.add.reduce(s * s, axis=-1)
+        return float(weight) if weight.ndim == 0 else weight
 
-def _svd(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+
+def _svd(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD of each matrix of the stack ``mats``."""
     try:
-        return np.linalg.svd(mat, full_matrices=False)
+        return np.linalg.svd(mats, full_matrices=False)
     except np.linalg.LinAlgError:
-        if not np.all(np.isfinite(mat)):
+        if not np.all(np.isfinite(mats)):
             raise NumericalAbortError("SVD input has non-finite entries") from None
-        # gesdd occasionally fails to converge; gesvd is slower but robust.
-        return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
+    factors = []
+    for mat in mats:
+        try:
+            factors.append(np.linalg.svd(mat, full_matrices=False))
+        except np.linalg.LinAlgError:
+            # gesdd occasionally fails to converge; gesvd is slower but robust.
+            factors.append(scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd"))
+    return tuple(np.stack(f) for f in zip(*factors))
 
 
 def _gauge_fix(u: np.ndarray, vh: np.ndarray) -> None:
-    """Rotate each singular pair in place so the largest-magnitude entry of
-    the left vector is real and positive; ties resolve to the lowest flat
-    index. A column whose pivot is zero keeps phase 1."""
-    k = u.shape[1]
-    pivots = u[np.abs(u).argmax(axis=0), np.arange(k)]
-    # Scalar abs, not np.abs(pivots): the array path rounds differently in the last bit.
-    phase = np.array([p / abs(p) if p != 0 else 1.0 for p in pivots], dtype=complex)
-    u /= phase
+    """Rotate each singular pair of the stacks ``u`` and ``vh`` in place so the
+    largest-magnitude entry of the left vector is real and positive; ties
+    resolve to the lowest index. A column whose pivot is zero keeps phase 1."""
+    count, _, k = u.shape
+    pivots = u[np.arange(count)[:, None], np.abs(u).argmax(axis=1), np.arange(k)]
+    size = np.hypot(pivots.real, pivots.imag)  # the bits of the scalar abs(p)
+    if 0.0 not in size.ravel().tolist():
+        phase = pivots / size
+    else:
+        phase = np.where(size == 0, 1.0, pivots / np.where(size == 0, 1.0, size))
+    u /= phase[:, None, :]
     # Out of place: an in-place product on a one-column vh skips the fused path of the row product.
-    vh[:] = vh * phase[:, None]
+    vh[:] = vh * phase[:, :, None]
 
 
-def svd_split(t: np.ndarray, n_left: int, chi: int) -> TruncatedSvd:
+def svd_split(t: np.ndarray, n_left: int, chi: int, stack: bool = False):
     """Split ``t`` after its first ``n_left`` indices by truncated SVD.
 
     ``0 < n_left < t.ndim``: the first ``n_left`` indices form the left
@@ -91,40 +111,53 @@ def svd_split(t: np.ndarray, n_left: int, chi: int) -> TruncatedSvd:
     input within one process. When ``chi`` is at least the matrix rank,
     ``isometry @ diag(singulars) @ right`` reconstructs ``t`` exactly.
     Non-finite input raises :class:`NumericalAbortError`.
+
+    With ``stack``, axis 0 of ``t`` runs over tensors that are each split
+    exactly as they would be alone, and ``n_left`` counts the axes after it.
+    The stack splits by kept rank: the result is a list of ``(rows, split)``
+    pairs, ``rows`` listing the tensors of one kept rank and every field of
+    ``split`` carrying a leading axis over them. A single tensor is split as
+    a stack of one.
     """
     t = np.asarray(t, dtype=complex)
     if chi < 1:
         raise ValueError(f"chi must be positive, got {chi}")
-    if not 0 < n_left < t.ndim:
-        raise ValueError(f"n_left must lie in (0, {t.ndim}), got {n_left}")
+    if not 0 < n_left < t.ndim - stack:
+        raise ValueError(f"n_left must lie in (0, {t.ndim - stack}), got {n_left}")
+    if not stack:
+        [(_, split)] = svd_split(t[None], n_left, chi, stack=True)
+        return TruncatedSvd(split.isometry[0], split.singulars[0], split.right[0],
+                            None if split.thin is None else tuple(f[0] for f in split.thin))
 
-    left_shape, right_shape = t.shape[:n_left], t.shape[n_left:]
-    mat = t.reshape(math.prod(left_shape), math.prod(right_shape))
-    u, s, vh = _svd(mat)
-    thin = (u, s, vh)  # the gauge fix below writes the kept columns in place
-
-    total = float(np.sum(s**2))
-    if math.isnan(total):
+    count, left_shape, right_shape = len(t), t.shape[1 : n_left + 1], t.shape[n_left + 1 :]
+    u, s, vh = _svd(t.reshape(count, math.prod(left_shape), math.prod(right_shape)))
+    if math.isnan(np.add.reduce(s, axis=None)):
         raise NumericalAbortError("SVD input has non-finite entries")
-    if s.size == 0 or s[0] == 0.0:
-        # Exactly-zero input: keep one canonical zero mode so shapes stay sane.
-        k = 1
-        u = np.eye(mat.shape[0], 1, dtype=complex)
-        s = np.zeros(1)
-        vh = np.zeros((1, mat.shape[1]), dtype=complex)
-        discarded = 0.0
-        thin = None
+    # Kept rank per tensor, 0 for an exactly-zero one; the stack splits by it.
+    kept = [min(chi, r) for r in np.add.reduce(s > s[:, :1] * _SINGULAR_FLOOR, axis=1).tolist()]
+    if kept.count(kept[0]) == count:
+        groups = {kept[0]: list(range(count))}
     else:
-        rank = int(np.sum(s > s[0] * _SINGULAR_FLOOR))
-        k = min(chi, rank)
-        discarded = float(np.sum(s[k:] ** 2) / total)
-        u, vh = u[:, :k], vh[:k, :]
-        s = s[:k]
-        _gauge_fix(u, vh)
-
-    isometry = u.reshape(left_shape + (k,))
-    right_t = vh.reshape((k,) + right_shape)
-    return TruncatedSvd(isometry, s, right_t, discarded, thin)
+        groups = {}
+        for row, k in enumerate(kept):
+            groups.setdefault(k, []).append(row)
+    out = []
+    for k, rows in groups.items():
+        ug, sg, vg = (u, s, vh) if len(rows) == count else (u[rows], s[rows], vh[rows])
+        size = len(rows)
+        if k == 0:
+            # Exactly-zero input: keep one canonical zero mode so shapes stay sane.
+            iso = np.zeros((size, ug.shape[1], 1), dtype=complex)
+            iso[:, 0] = 1.0
+            split = TruncatedSvd(iso.reshape((size,) + left_shape + (1,)), np.zeros((size, 1)),
+                                 np.zeros((size, 1) + right_shape, dtype=complex))
+        else:
+            iso, right = ug[:, :, :k], vg[:, :k, :]
+            _gauge_fix(iso, right)  # writes the kept columns of the thin factors
+            split = TruncatedSvd(iso.reshape((size,) + left_shape + (k,)), sg[:, :k],
+                                 right.reshape((size, k) + right_shape), (ug, sg, vg))
+        out.append((rows, split))
+    return out
 
 
 class Renormalized(NamedTuple):
@@ -133,21 +166,40 @@ class Renormalized(NamedTuple):
     is_zero: bool
 
 
-def renormalize(t: np.ndarray) -> Renormalized:
+def renormalize(t: np.ndarray, stack: bool = False) -> Renormalized:
     """Rescale ``t`` so its max-absolute entry is 1, returning the log factor.
 
     The original tensor equals ``tensor * exp(log_factor)``. An exactly-zero
     input is returned unchanged with ``log_factor`` 0 and the zero flag set;
     callers propagate the flag instead of producing -inf scales. A NaN or
     infinite entry raises :class:`NumericalAbortError`.
+
+    With ``stack``, axis 0 of ``t`` runs over tensors that are each rescaled
+    exactly as they would be alone; ``log_factor`` and ``is_zero`` are then
+    lists over them.
     """
     t = np.asarray(t)
-    m = float(np.abs(t).max()) if t.size else 0.0
-    if not 0.0 < m < math.inf:
-        if m == 0.0:
-            return Renormalized(t, 0.0, True)
-        raise NumericalAbortError(f"cannot renormalize a tensor whose largest entry is {m}")
-    return Renormalized(t / m, math.log(m), False)
+    if not stack:
+        m = float(np.abs(t).max()) if t.size else 0.0
+        if not 0.0 < m < math.inf:
+            if m == 0.0:
+                return Renormalized(t, 0.0, True)
+            raise NumericalAbortError(f"cannot renormalize a tensor whose largest entry is {m}")
+        return Renormalized(t / m, math.log(m), False)
+    m = np.abs(t).reshape(len(t), -1).max(axis=1, initial=0.0)
+    ms = m.tolist()
+    shape = (-1,) + (1,) * (t.ndim - 1)
+    if 0.0 < min(ms) and sum(ms) < math.inf:  # no zero, infinite or NaN entry
+        # A stack of one divides by its float, as a single tensor does: the same bits, sooner.
+        scale = m.reshape(shape) if len(ms) > 1 else ms[0]
+        return Renormalized(t / scale, [math.log(x) for x in ms], [False] * len(ms))
+    bad = [x for x in ms if not x < math.inf]
+    if bad:
+        raise NumericalAbortError(f"cannot renormalize a tensor whose largest entry is {bad[0]}")
+    zero = m == 0.0
+    out = t / np.where(zero, 1.0, m).reshape(shape)
+    out[zero] = t[zero]
+    return Renormalized(out, [math.log(x) if x else 0.0 for x in ms], zero.tolist())
 
 
 @dataclass(frozen=True, slots=True)

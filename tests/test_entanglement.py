@@ -26,7 +26,7 @@ from tnflab.floquet import (
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
 )
-from tnflab.mps import apply_mpo, compress, mps_amplitude, product_mps
+from tnflab.mps import apply_mpo, compress, mps_amplitude
 from tnflab.peps import BoundaryMps, boundary_absorb
 from tnflab.tensor import AmplitudeValue
 
@@ -230,10 +230,11 @@ def fresh_state_amplitude(params, method, chi, t):
         flat = psi.reshape(-1)
         return lambda cfg: AmplitudeValue.from_parts(complex(flat[config_index(cfg)]))
     if method == "mps":
-        sites, log = product_mps([np.array([1.0, 0.0], dtype=complex)] * n), 0.0
+        sites, log = [np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)] * n, 0.0
         for _ in range(t):
-            sites, lf = compress(apply_mpo(sites, mpo), chi)
-            log += lf
+            [part] = compress(apply_mpo([s[None] for s in sites], mpo), chi)  # a stack of one
+            sites = [s[0] for s in part.sites]
+            log += float(part.log[0])
         return lambda cfg: AmplitudeValue.from_parts(mps_amplitude(sites, cfg), log)
     if t == 0:
         sites, log = [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(n)], 0.0

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from tnflab.entanglement import bulk_entropy_sweep, entanglement_dynamics, entropy_and_spectrum, rdm_from_dense
 from tnflab.errors import ResourceLimitError
+import tnflab.floquet as floquet
 from tnflab.floquet import (
+    INVERSE_BLOCK_BYTES,
     PRESETS,
     FloquetParams,
     build_floquet_mpo,
@@ -18,13 +20,15 @@ from tnflab.floquet import (
     evolve_conventional,
     exact_evolve,
     floquet_peps,
+    inverse_time_block,
+    inverse_time_series,
     mpo_amplitude,
     mpo_mpo_inverse,
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
     transverse_amplitudes,
 )
-from tnflab.mps import apply_mpo, compress, mps_amplitude, mps_to_dense, mpo_to_dense, product_mps
+from tnflab.mps import apply_mpo, compress, mps_amplitude, mps_to_dense, mpo_to_dense
 from tnflab.peps import FixedPlan, amplitude_fixed
 from tnflab.tensor import AmplitudeValue
 
@@ -205,7 +209,8 @@ def transverse_oracle(params, n, chi, t):
                 l, l2, d, r, r2 = m.shape
                 chain.append(m.reshape(l * l2, d, r * r2))
         cap = chi if c < L - 1 else None
-        chain, lf = compress(chain, cap)
+        [part] = compress([s[None] for s in chain], cap)  # a stack of one
+        chain, lf = [s[0] for s in part.sites], float(part.log[0])
         log += lf
         boundary = chain
     mat = None
@@ -290,12 +295,13 @@ class TestTnfInverseTime:
                     v = np.zeros(2, dtype=complex)
                     v[n[c]] = 1.0
                     caps.append(v)
-                bra = product_mps(caps)
+                bra = [v.reshape(1, 2, 1) for v in caps]  # a product-state bra
                 log = 0.0
                 for t in range(1, 6):
-                    bra = apply_mpo(bra, [w.transpose(0, 2, 1, 3) for w in mpo])
-                    bra, lf = compress(bra, chi)
-                    log += lf
+                    stack = apply_mpo([s[None] for s in bra], [w.transpose(0, 2, 1, 3) for w in mpo])
+                    [part] = compress(stack, chi)  # a stack of one
+                    bra = [s[0] for s in part.sites]
+                    log += float(part.log[0])
                     want = AmplitudeValue.from_parts(mps_amplitude(bra, [0] * 8), log)
                     assert _bits(tnf_amplitude_inverse_time(p, n, chi, t)) == _bits(want)
 
@@ -344,6 +350,78 @@ def test_negative_periods_rejected(route):
     p = FloquetParams(4, **PRESETS["maximally_chaotic"])
     with pytest.raises(ValueError, match="periods"):
         route(p, [0, 1, 0, 1])
+
+
+@pytest.mark.parametrize("chi", [0, -1, None])
+def test_nonpositive_chi_rejected_at_every_time(chi):
+    """t = 0 is no shortcut around a bad chi, on either TNF route or series."""
+    p = FloquetParams(4, **PRESETS["maximally_chaotic"])
+    for t in (0, 1, 2):
+        for route in (tnf_amplitude_inverse_time, tnf_amplitude_transverse):
+            with pytest.raises(ValueError, match="chi"):
+                route(p, [0, 1, 0, 1], chi, t)
+    with pytest.raises(ValueError, match="chi"):
+        inverse_time_series(p, chi, [[0, 1, 0, 1]])
+    with pytest.raises(ValueError, match="chi"):
+        transverse_amplitudes(p, chi)
+
+
+COUPLINGS = {**PRESETS, "zero_j": {"j": 0.0, "g": 0.4, "h": 0.3}}
+
+
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_block_series_matches_each_configuration_alone(data):
+    """A lock-step block, repeats and all, gives every configuration the
+    bits of ``tnf_amplitude_inverse_time`` (a block of one) at t = 0..4."""
+    n_sites = data.draw(st.integers(2, 7), label="n_sites")
+    couplings = COUPLINGS[data.draw(st.sampled_from(sorted(COUPLINGS)), label="couplings")]
+    chi = data.draw(st.integers(1, 4), label="chi")
+    p = FloquetParams(n_sites, **couplings)
+    cfg = st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)
+    configs = data.draw(st.lists(cfg, min_size=1, max_size=12), label="configs")
+    for t, amps in zip(range(5), inverse_time_series(p, chi, configs)):
+        assert len(amps) == len(configs)
+        for n, a in zip(configs, amps):
+            assert _bits(a) == _bits(tnf_amplitude_inverse_time(p, n, chi, t))
+
+
+def applied_chain_bytes(params, chi):
+    """Bytes of one bra chain after the period MPO, every bond at the widest
+    extent chi and the Schmidt rank across it allow."""
+    n = params.n_sites
+    mpo = build_floquet_mpo(params)
+    left = [min(chi, 2**c, 2 ** (n - c)) * w.shape[0] for c, w in enumerate(mpo)]
+    shapes = [(left[c], w.shape[1], left[c + 1] if c + 1 < n else 1) for c, w in enumerate(mpo)]
+    return sum(math.prod(shape) for shape in shapes) * 16
+
+
+def test_block_size_fits_the_byte_budget():
+    """No block at L = 14, chi = 64 holds more applied chain bytes than the
+    budget, while the benchmark's L = 8 enumeration runs as one block."""
+    wide = FloquetParams(14, **PRESETS["maximally_chaotic"])
+    rows = inverse_time_block(wide, 64)
+    assert 1 <= rows < 2**14
+    assert rows * applied_chain_bytes(wide, 64) <= INVERSE_BLOCK_BYTES
+    for chi in (2, 4):
+        assert inverse_time_block(FloquetParams(8, **PRESETS["maximally_chaotic"]), chi) >= 2**8
+
+
+def test_block_chains_stay_within_the_shape_bound(monkeypatch):
+    """The applied chains a block really holds, period after period, never
+    outgrow the shape bound the block size is computed from."""
+    p = FloquetParams(6, **PRESETS["maximally_chaotic"])
+    seen = []
+
+    def spy(sites, mpo):
+        out = apply_mpo(sites, mpo)
+        seen.append(sum(s[0].nbytes for s in out))
+        return out
+
+    monkeypatch.setattr(floquet, "apply_mpo", spy)
+    configs = list(itertools.product((0, 1), repeat=6))
+    list(itertools.islice(inverse_time_series(p, 3, configs), 10))
+    assert seen and max(seen) <= applied_chain_bytes(p, 3)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Shared MPS machinery: MPO application, compression, amplitudes."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnflab.adjoint import Tape
 from tnflab.errors import DimensionError
@@ -10,8 +12,19 @@ from tnflab.mps import (
     mps_amplitude,
     mps_to_dense,
     mpo_to_dense,
-    product_mps,
 )
+
+
+def compress_chain(chain, chi, tape=None):
+    """:func:`compress` of one chain, as a stack of one: its sites and log factor."""
+    [part] = compress([s[None] for s in chain], chi, tape)
+    assert part.rows == [0]
+    return [s[0] for s in part.sites], float(part.log[0])
+
+
+def apply_chain(chain, mpo):
+    """:func:`apply_mpo` of one chain, as a stack of one."""
+    return [s[0] for s in apply_mpo([s[None] for s in chain], mpo)]
 
 
 def random_mps(rng, n, phys, bond):
@@ -29,7 +42,7 @@ def random_mps(rng, n, phys, bond):
 def test_product_and_amplitude():
     v0 = np.array([1.0, 0.0])
     v1 = np.array([0.0, 1.0])
-    sites = product_mps([v0, v1, v0])
+    sites = [np.asarray(v, dtype=complex).reshape(1, 2, 1) for v in (v0, v1, v0)]
     assert abs(mps_amplitude(sites, [0, 1, 0]) - 1.0) < 1e-15
     assert abs(mps_amplitude(sites, [1, 1, 0])) < 1e-15
 
@@ -44,21 +57,21 @@ def test_apply_mpo_matches_dense():
         mpo.append(rng.standard_normal((left, 2, 2, right)) + 0j)
         left = right
     dense = mpo_to_dense(mpo) @ mps_to_dense(mps)
-    assert np.allclose(mps_to_dense(apply_mpo(mps, mpo)), dense, atol=1e-12)
+    assert np.allclose(mps_to_dense(apply_chain(mps, mpo)), dense, atol=1e-12)
 
 
 def test_apply_mpo_length_mismatch():
     rng = np.random.default_rng(1)
     mps = random_mps(rng, 3, 2, 2)
     with pytest.raises(DimensionError):
-        apply_mpo(mps, [np.zeros((1, 2, 2, 1))] * 4)
+        apply_chain(mps, [np.zeros((1, 2, 2, 1))] * 4)
 
 
 def test_compress_exact_when_chi_large():
     rng = np.random.default_rng(2)
     mps = random_mps(rng, 5, 2, 3)
     dense = mps_to_dense(mps)
-    out, log = compress(mps, 16)
+    out, log = compress_chain(mps, 16)
     assert np.allclose(mps_to_dense(out) * np.exp(log), dense, rtol=1e-10, atol=1e-12)
 
 
@@ -66,7 +79,7 @@ def test_compress_none_canonicalizes_without_loss():
     rng = np.random.default_rng(3)
     mps = random_mps(rng, 4, 2, 4)
     dense = mps_to_dense(mps)
-    out, log = compress(mps, None)
+    out, log = compress_chain(mps, None)
     assert np.allclose(mps_to_dense(out) * np.exp(log), dense, rtol=1e-10, atol=1e-12)
 
 
@@ -75,7 +88,7 @@ def test_compress_truncation_quality():
     rng = np.random.default_rng(4)
     mps = random_mps(rng, 6, 2, 4)
     dense = mps_to_dense(mps)
-    out, log = compress(mps, 2)
+    out, log = compress_chain(mps, 2)
     approx = mps_to_dense(out) * np.exp(log)
     overlap = abs(np.vdot(dense, approx)) / (np.linalg.norm(dense) * np.linalg.norm(approx))
     assert overlap > 0.5
@@ -84,7 +97,7 @@ def test_compress_truncation_quality():
 def test_compress_respects_chi():
     rng = np.random.default_rng(5)
     mps = random_mps(rng, 6, 2, 5)
-    out, _ = compress(mps, 3)
+    out, _ = compress_chain(mps, 3)
     assert all(s.shape[2] <= 3 for s in out[:-1])
 
 
@@ -99,9 +112,87 @@ def test_compress_any_rank_matches_rank3(chi, zero_site):
         chain4[zero_site] = np.zeros_like(chain4[zero_site])
     chain3 = [s.reshape(s.shape[0], 6, s.shape[3]) for s in chain4]
     tape4, tape3 = Tape(), Tape()
-    out4, log4 = compress(chain4, chi, tape4)
-    out3, log3 = compress(chain3, chi, tape3)
+    out4, log4 = compress_chain(chain4, chi, tape4)
+    out3, log3 = compress_chain(chain3, chi, tape3)
     assert log4 == log3 and tape4.max_discarded == tape3.max_discarded
     for a, b in zip(out4, out3):
         assert a.ndim == 4 and a.shape[1:3] == (2, 3)
         assert np.array_equal(a.reshape(b.shape), b)
+
+
+def _bits(chain):
+    return [(s.shape, s.tobytes()) for s in chain]
+
+
+def test_stacked_compress_matches_each_chain_alone():
+    """A stack mixing kept ranks at a bond (a product chain beside entangled
+    ones of the same shapes), an all-zero chain and a chain with one zero
+    site compresses every chain to the bits it gets alone, at each chi."""
+    rng = np.random.default_rng(7)
+    entangled = [random_mps(rng, 5, 2, 3) for _ in range(3)]
+    product = [np.zeros((s.shape[0], 2, s.shape[2]), dtype=complex) for s in entangled[0]]
+    for s in product:
+        s[0, :, 0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    zero = [np.zeros_like(s) for s in entangled[0]]
+    holed = [s.copy() for s in entangled[1]]
+    holed[2][:] = 0
+    chains = [entangled[0], product, zero, entangled[1], holed, entangled[2]]
+    stack = [np.stack(sites) for sites in zip(*chains)]
+    for chi in (1, 2, 3, None):
+        parts = compress(stack, chi)
+        assert sorted(r for part in parts for r in part.rows) == list(range(len(chains)))
+        if chi != 1:
+            assert len(parts) > 2  # the stack split by kept rank, not only by zero chains
+        for part in parts:
+            for j, row in enumerate(part.rows):
+                want, log = compress_chain(chains[row], chi)
+                assert _bits([s[j] for s in part.sites]) == _bits(want)
+                assert float(part.log[j]).hex() == log.hex()
+
+
+def test_stacked_apply_mpo_matches_each_chain_alone():
+    rng = np.random.default_rng(8)
+    chains = [random_mps(rng, 4, 2, 2) for _ in range(3)]
+    mpo = [rng.standard_normal((a, 2, 2, b)) + 1j * rng.standard_normal((a, 2, 2, b))
+           for a, b in ((1, 2), (2, 2), (2, 2), (2, 1))]
+    out = apply_mpo([np.stack(sites) for sites in zip(*chains)], mpo)
+    for j, chain in enumerate(chains):
+        assert _bits([s[j] for s in out]) == _bits(apply_chain(chain, mpo))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.sampled_from([1, 2, 3, None]), st.integers(0, 2**32 - 1))
+def test_stacked_compress_matches_alone_hypothesis(n, count, chi, seed):
+    """Random stacks of small chains, some of low rank or real, one chain
+    at a time against the stack, bit for bit."""
+    rng = np.random.default_rng(seed)
+    bonds = [1] + rng.integers(1, 4, size=n - 1).tolist() + [1]
+    phys = int(rng.integers(1, 3))
+    chains = []
+    for k in range(count):
+        chain = [rng.standard_normal((bonds[i], phys, bonds[i + 1])) + 0j for i in range(n)]
+        if k % 2:
+            chain = [s + 1j * rng.standard_normal(s.shape) for s in chain]
+        if rng.random() < 0.3:
+            chain[int(rng.integers(n))][..., 0] = 0
+        chains.append(chain)
+    stack = [np.stack(sites) for sites in zip(*chains)]
+    seen = []
+    for part in compress(stack, chi):
+        for j, row in enumerate(part.rows):
+            want, log = compress_chain(chains[row], chi)
+            assert _bits([s[j] for s in part.sites]) == _bits(want)
+            assert float(part.log[j]).hex() == log.hex()
+            seen.append(row)
+    assert sorted(seen) == list(range(count))
+
+
+def test_mps_amplitude_checks_config():
+    rng = np.random.default_rng(9)
+    sites = random_mps(rng, 6, 2, 2)
+    want = mps_amplitude(sites, [0, 1, 1, 0, 1, 0])
+    assert mps_amplitude(sites, np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])) == want
+    bads = ([0, 1, 0, 1], [0, 1, 1, 0, 1, 0, 1], [0.7, 1, 1, 0, 1, 0], [0, 2, 1, 0, 1, 0], [0, -1, 1, 0, 1, 0])
+    for bad in bads:
+        with pytest.raises(ValueError, match="configuration"):
+            mps_amplitude(sites, bad)

@@ -103,10 +103,11 @@ def gauge_fix_per_column(u, vh):
 
 def assert_gauge_fix_matches_loop(u, vh, kept=None):
     """Both fixes on copies of ``u[:, :kept]`` and ``vh[:kept]``, the strided
-    views svd_split passes, agree bit for bit; returns the fixed copies."""
+    views svd_split passes (as stacks of one), agree bit for bit; returns the
+    fixed copies."""
     kept = u.shape[1] if kept is None else kept
     got_u, got_vh = u.copy(), vh.copy()
-    _gauge_fix(got_u[:, :kept], got_vh[:kept])
+    _gauge_fix(got_u[None, :, :kept], got_vh[None, :kept])
     want_u, want_vh = u.copy(), vh.copy()
     gauge_fix_per_column(want_u[:, :kept], want_vh[:kept])
     assert got_u.tobytes() == want_u.tobytes()

@@ -12,7 +12,10 @@ checkout) and hashes, in a fixed order, the exact bits of:
   from 1x1 to 5x3 at D 1-3 and chi 1-3;
 * the five Floquet routes on every configuration of L = 2, 3 and 6 for
   t = 0..3 and chi = 1..3, with the MPO and MPS site tensors;
-* ``entanglement_dynamics`` for all five methods and ``bulk_entropy_sweep``;
+* ``entanglement_dynamics`` for all five methods and ``bulk_entropy_sweep``,
+  and for both TNF routes at the benchmark's size (L = 8, t_max = 4, chi 2
+  and 4), where the inverse-time route runs all 256 configurations as one
+  lock-step block;
 * ``simple_update`` sites, ``estimate_energy`` in both modes,
   ``gradient_estimate`` with both samplings (on 2x2 OBC at chi=1, and on
   2x3 PBC at D=2 and 2x2 OBC at D=3 with chains that revisit
@@ -164,6 +167,12 @@ def entanglement_items(d: Digest, tnf) -> None:
             d.array(f"dynamics {method} t{t} spectrum", spec)
         for size, s in tnf.bulk_entropy_sweep(params, method, 3, chi=chi):
             d.num(f"bulk {method} {size}", s)
+    params = tnf.FloquetParams(8, **tnf.PRESETS["maximally_chaotic"], t_max=4)
+    for method, chi in itertools.product(("tnf_transverse", "tnf_inverse"), (2, 4)):
+        data = tnf.entanglement_dynamics(params, method, chi=chi)
+        for t, s, spec in zip(data.times, data.entropies, data.spectra):
+            d.num(f"dynamics L8 {method} chi{chi} t{t}", s)
+            d.array(f"dynamics L8 {method} chi{chi} t{t} spectrum", spec)
 
 
 def vmc_items(d: Digest, tnf) -> None:
