@@ -54,13 +54,23 @@ class Tape:
     input of ``None`` is a constant. Arrays are identified by object, and the
     tape keeps them alive. ``leaves`` maps each lattice site ``(r, c)`` to
     the projected site tensor the contraction read; ``max_discarded`` is the
-    largest discarded weight among the recorded truncations.
+    largest discarded weight among the recorded truncations. ``relaid`` maps
+    the ``id`` of a copy with rearranged axes to ``(copy, original)``: a step
+    that reads the copy records the original (see :meth:`recorded`), so its
+    rule runs on the array the copy came from.
     """
 
     def __init__(self):
         self.ops: list[tuple] = []
         self.leaves: dict[tuple[int, int], np.ndarray] = {}
         self.max_discarded = 0.0
+        self.relaid: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def recorded(self, a: np.ndarray) -> np.ndarray:
+        """The array a step that reads ``a`` records: ``a``, or the original
+        of a copy with rearranged axes."""
+        entry = self.relaid.get(id(a))
+        return a if entry is None else entry[1]
 
     def record(self, inputs, outputs, backward, degenerate: bool = False) -> None:
         self.ops.append((list(inputs), list(outputs), backward, degenerate))

@@ -20,14 +20,17 @@ Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
 * :func:`mpo_mpo_inverse` - compresses ``F^t`` itself as an MPO
   (amplitude-independent isometries), then sandwiches ``<n| M |0>``.
 
-Enumerations share work without changing a bit. :func:`transverse_amplitudes`
-gives one memoizing ``FixedEvaluator`` per ``t``, which reuses the column
-boundaries of a shared configuration prefix; :func:`inverse_time_series`
-advances a block of bra chains, one per configuration, a period per ``t`` in
-lock step (one stacked ``apply_mpo`` and ``compress`` per period, each chain
-bit for bit as alone), as the state routes ``exact_states``,
-``conventional_states`` and ``mpo_states`` advance their single state.
-:func:`inverse_time_block` sizes such blocks from a byte budget.
+Enumerations run in lock step without changing a bit: each chain of a
+stack gets the bits it gets alone. :func:`transverse_table` absorbs row
+``r`` of the Floquet PEPS into the boundaries of all prefixes ``n[:r]`` in one
+stacked ``boundary_absorb`` and closes all ``2^L`` configurations in one
+stacked closure; :func:`transverse_amplitudes` fills one such table per ``t``.
+:func:`inverse_time_series` advances a block of bra chains, one per
+configuration, a period per ``t`` (one stacked ``apply_mpo`` and ``compress``
+per period), as the state routes ``exact_states``, ``conventional_states``
+and ``mpo_states`` advance their single state. Both routes keep their
+stacks within :data:`BLOCK_BYTES` at the widest bonds a run can reach;
+:func:`inverse_time_block` sizes the inverse-time blocks.
 """
 from __future__ import annotations
 
@@ -42,7 +45,17 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .mps import Chains, apply_mpo, compress, mps_amplitude
-from .peps import BoundaryMps, FixedEvaluator, FixedPlan, Peps, amplitude_fixed, as_config, boundary_absorb
+from .peps import (
+    _LAYOUT,
+    FixedPlan,
+    Peps,
+    _check_chi,
+    _close_strip,
+    _in_compress_order,
+    amplitude_fixed,
+    as_config,
+    boundary_absorb,
+)
 from .tensor import AmplitudeValue, svd_split
 
 __all__ = [
@@ -55,11 +68,12 @@ __all__ = [
     "conventional_states",
     "floquet_peps",
     "tnf_amplitude_transverse",
+    "transverse_table",
     "transverse_amplitudes",
     "tnf_amplitude_inverse_time",
     "inverse_time_series",
     "inverse_time_block",
-    "INVERSE_BLOCK_BYTES",
+    "BLOCK_BYTES",
     "mpo_mpo_inverse",
     "mpo_states",
     "mpo_amplitude",
@@ -70,9 +84,10 @@ __all__ = [
 # Largest chain held as a dense 2^L state vector or enumerated in full.
 MAX_DENSE_SITES = 14
 
-# Bytes the MPO-applied bra chains of one inverse-time block may take at the
-# widest bonds chi allows; longer enumerations run in more blocks.
-INVERSE_BLOCK_BYTES = 8 << 20
+# Bytes one lock-step stack may take at the widest bonds a run can reach: the
+# MPO-applied bra chains of an inverse-time block, or the absorbed boundaries
+# of one transverse stack. Longer enumerations run in more stacks.
+BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -168,11 +183,6 @@ def _check_periods(t: int) -> None:
         raise ValueError(f"number of periods must be nonnegative, got {t}")
 
 
-def _check_chi(chi: int) -> None:
-    if chi is None or chi < 1:
-        raise ValueError(f"chi must be positive, got {chi}")
-
-
 def _diagonal_phases(params: FloquetParams) -> np.ndarray:
     """exp(i J sum z z') over all configurations, shaped (2,)*L.
 
@@ -224,6 +234,7 @@ def _advance(parts: list[Chains], mpo: list[np.ndarray], chi: int) -> list[Chain
 
 def conventional_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:
     """:func:`evolve_conventional` at t = 0, 1, ..., advanced one period per step."""
+    _check_chi(chi)
     e0 = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2, 1)
     parts = [Chains([0], [e0] * params.n_sites, [0.0])]  # a stack of one
     mpo = build_floquet_mpo(params)
@@ -288,32 +299,102 @@ def tnf_amplitude_transverse(params: FloquetParams, n, chi: int, t: int) -> Ampl
     return amplitude_fixed(floquet_peps(params, t), np.repeat(cfg, t), plan)
 
 
+def _applied_bytes(bonds: list[int], layer: list[tuple[int, int, int]]) -> int:
+    """Bytes of one chain whose internal bonds are at most ``bonds`` once a
+    layer of sites ``(left, phys, right)`` is applied to it: bonds multiply."""
+    edges = [1, *bonds, 1]
+    return 16 * sum(edges[c] * l * p * edges[c + 1] * r for c, (l, p, r) in enumerate(layer))
+
+
+def transverse_table(params: FloquetParams, chi: int, t: int) -> list[AmplitudeValue]:
+    """:func:`tnf_amplitude_transverse` of all ``2^L`` configurations at time
+    ``t`` in index order, bit for bit.
+
+    The configurations run level by level over :func:`floquet_peps`: level
+    ``r`` absorbs row ``r`` into the boundaries of all prefixes ``n[:r]`` at
+    once, one stacked ``boundary_absorb`` per part, and the last level closes
+    every configuration in one stacked closure. Work is depth-first, so at
+    most one stack per level is alive, and a level's stack splits in two
+    when doubling it would take more than an ``L``-th of :data:`BLOCK_BYTES`
+    at the widest bonds ``chi`` and ``t`` allow.
+    """
+    _check_chi(chi)
+    _check_periods(t)
+    n_sites = params.n_sites
+    if n_sites > MAX_DENSE_SITES:
+        raise ResourceLimitError(f"amplitude enumeration guarded to {MAX_DENSE_SITES} sites, got {n_sites}")
+    if t == 0:
+        return [AmplitudeValue.from_parts(1.0)] + [AmplitudeValue.zero()] * ((1 << n_sites) - 1)
+    peps = floquet_peps(params, t)
+    # Row r's sites projected on bit b at [b]: views with the layout of _row's slices.
+    rows = [[np.moveaxis(s, 4, 0) for s in row] for row in peps.sites]
+    budget = []
+    for r, row in enumerate(peps.sites):
+        faces = [s.shape[0] for s in row]
+        bonds = [min(chi, math.prod(peps.sites[k][tau].shape[3] for k in range(r)),
+                     math.prod(faces[: tau + 1]), math.prod(faces[tau + 1 :])) for tau in range(t - 1)]
+        budget.append(_applied_bytes(bonds, [s.shape[1:4] for s in row]))
+    table: list[AmplitudeValue] = [None] * (1 << n_sites)
+    # Depth-first over (row, stack of prefixes n[:row] labelled by their integer),
+    # last in first out, so the stacks run in label order.
+    pending = [(1, part) for part in reversed(boundary_absorb(None, rows[0], chi, "top"))]
+    while pending:
+        r, stack = pending.pop()
+        count = len(stack.rows)
+        if count > 1 and 2 * count * budget[r] > BLOCK_BYTES // n_sites:
+            pending += [(r, Chains(stack.rows[half], [s[half] for s in stack.sites], stack.log[half]))
+                        for half in (slice(count // 2, None), slice(None, count // 2))]
+            continue
+        # Both bits of n[r] for each prefix; each chain's projected site is laid
+        # out as a slice of a site, so products with an extent of 1 round as alone.
+        bits, row = np.tile([0, 1], count), []
+        for pair in rows[r]:
+            site = np.empty((2 * count,) + pair.shape[1:] + (len(pair),), complex)
+            site[..., 0] = pair[bits]
+            row.append(site[..., 0])
+        top = Chains([2 * p + b for p in stack.rows for b in (0, 1)],
+                     [np.repeat(s, 2, axis=0) for s in stack.sites], [lg for lg in stack.log for _ in (0, 1)])
+        if r == n_sites - 1:
+            for p, amp in zip(top.rows, _close_strip(top, row, None)):
+                table[p] = amp
+        else:
+            pending += [(r + 1, part) for part in reversed(boundary_absorb(top, row, chi, "top"))]
+    return table
+
+
 def transverse_amplitudes(params: FloquetParams, chi: int) -> Iterator[Callable]:
     """:func:`tnf_amplitude_transverse` as one function of ``n`` per t = 0, 1, ...;
-    each t > 0 evaluates on one :class:`FixedEvaluator`, bit for bit, whose
-    byte-bounded memo reuses the column boundaries of shared prefixes."""
+    each fills its :func:`transverse_table` on its first call."""
     _check_chi(chi)
     n_sites = params.n_sites
 
     def at(t: int) -> Callable:
-        if t == 0:
-            return partial(tnf_amplitude_transverse, params, chi=chi, t=0)
-        ev = FixedEvaluator(floquet_peps(params, t), FixedPlan(n_sites, t, chi, n_sites - 1))
-        return lambda n: ev.amplitude(np.repeat(as_config(n, n_sites, 2), t))
+        table: list[AmplitudeValue] = []
+
+        def amplitude(n) -> AmplitudeValue:
+            cfg = as_config(n, n_sites, 2)
+            if not table:
+                table.extend(transverse_table(params, chi, t))
+            return table[config_index(cfg)]
+
+        return amplitude
 
     return map(at, itertools.count())
 
 
-def inverse_time_block(params: FloquetParams, chi: int) -> int:
-    """Configurations per block of :func:`inverse_time_series`: as many as fit
-    :data:`INVERSE_BLOCK_BYTES` with the period MPO applied to chains whose
-    bonds are as wide as ``chi`` and the chain length allow; at least one."""
+def inverse_time_block(params: FloquetParams, chi: int, t_max: int) -> int:
+    """Configurations per block of :func:`inverse_time_series` run to ``t_max``
+    periods: as many as fit :data:`BLOCK_BYTES` with the period MPO applied to
+    chains whose bonds are as wide as ``chi``, the chain length and ``t_max``
+    allow (a chain ``t`` periods old has bonds of at most ``w**t`` for MPO
+    bond ``w``); at least one."""
     _check_chi(chi)
+    _check_periods(t_max)
     n = params.n_sites
     mpo = build_floquet_mpo(params)
-    bonds = [min(chi, 2**c, 2 ** (n - c)) * w.shape[0] for c, w in enumerate(mpo)] + [1]
-    chain = sum(bonds[c] * w.shape[1] * bonds[c + 1] for c, w in enumerate(mpo)) * np.dtype(complex).itemsize
-    return max(1, INVERSE_BLOCK_BYTES // chain)
+    reach = max(w.shape[0] for w in mpo) ** max(t_max - 1, 0)
+    bonds = [min(chi, 2**c, 2 ** (n - c), reach) for c in range(1, n)]
+    return max(1, BLOCK_BYTES // _applied_bytes(bonds, [(w.shape[0], w.shape[1], w.shape[3]) for w in mpo]))
 
 
 def inverse_time_series(params: FloquetParams, chi: int, configs) -> Iterator[list[AmplitudeValue]]:
@@ -360,13 +441,16 @@ def tnf_amplitude_inverse_time(params: FloquetParams, n, chi: int, t: int) -> Am
 
 def mpo_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:
     """:func:`mpo_mpo_inverse` at t = 0, 1, ..., advanced one period per step."""
+    _check_chi(chi)
     yield [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(params.n_sites)], 0.0
-    # F as a boundary (outputs open, inputs as faces); earlier layers attach by their outputs.
-    acc = BoundaryMps(build_floquet_mpo(params))
-    layer = [w.transpose(1, 0, 2, 3) for w in acc.sites]
+    # F as a top boundary stack of one (outputs open, inputs as faces); earlier layers attach by their outputs.
+    mpo = build_floquet_mpo(params)
+    yield mpo, 0.0
+    acc = Chains([0], [w[None].transpose(_LAYOUT["top"]) for w in mpo], [0.0])
+    layer = [w.transpose(1, 0, 2, 3)[None] for w in mpo]
     while True:
-        yield acc.sites, acc.log_scale
-        acc = boundary_absorb(acc, layer, chi, "top")
+        [acc] = boundary_absorb(acc, layer, chi, "top")
+        yield [_in_compress_order(s, "top")[0] for s in acc.sites], acc.log[0]
 
 
 def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.ndarray], float]:

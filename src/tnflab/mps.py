@@ -183,18 +183,21 @@ def _record(tape, inputs, chain, qrs, cuts, lf0, part, chi):
         degenerate |= any(degenerate_cut(carry.shape[2], s, chi or r.shape[1]) for s in split.thin[1])
     # A degenerate compression has no derivative: nothing goes back through it.
     backward = (lambda bars: [None] * len(chain)) if degenerate else (
-        _compress_backward(chain, qrs, cuts, lf0, part.rows))
+        _compress_backward(chain, qrs, cuts, lf0, part))
     tape.record(inputs, part.sites, backward, degenerate)
 
 
-def _compress_backward(chain, qrs, cuts, lf0, rows):
-    """Reverse rule of one part of a :func:`compress` of the stack ``chain``:
-    ``rows`` are its chains, ``qrs`` the stack's ``(q, r)`` factors, ``cuts``
-    the part's ``(log factors, split, carry)`` of bonds ``1 .. n-1`` and
-    ``lf0`` its last rescaling's log factors."""
+def _compress_backward(chain, qrs, cuts, lf0, part):
+    """Reverse rule of the part ``part`` of a :func:`compress` of the stack
+    ``chain``, its cotangents read in any shape with its sites' element
+    order: ``qrs`` are the stack's ``(q, r)`` factors, ``cuts`` the part's
+    ``(log factors, split, carry)`` of bonds ``1 .. n-1`` and ``lf0`` its
+    last rescaling's log factors."""
+    rows = part.rows
 
     def backward(bars):
         batch = bars[0].shape[0]
+        bars = [b.reshape((batch,) + s.shape) for b, s in zip(bars, part.sites)]
         abars = [np.zeros((batch,) + a.shape, complex) for a in chain]
         for j, row in enumerate(rows):
             zbar = bars[0][:, j] * math.exp(-lf0[j])

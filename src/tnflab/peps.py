@@ -24,9 +24,17 @@ Amplitudes for a basis configuration come in three flavors:
 Periodic wrap bonds are handled by unrolling each cyclic row into an open
 row with doubled horizontal bonds and by keeping the vertical wrap legs open,
 paired into the boundary physical legs until the final closure.
+
+The boundary engine (:func:`boundary_absorb` and the strip closure) works on
+stacks: every array carries a leading axis over independent contractions,
+each of which gets the bits it gets alone. A single evaluation is a stack of
+one, whose products run on plain 2-D matrices; the Floquet routes stack
+every configuration of a level. Boundaries keep their legs in the order the
+next contraction reads them, so memoized ones are read without a copy.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 import operator
@@ -37,7 +45,7 @@ import numpy as np
 
 from .adjoint import Tape, einsum_backward
 from .errors import CacheStateError, DimensionError, ResourceLimitError
-from .mps import as_config, compress
+from .mps import Chains, as_config, compress
 from .tensor import AmplitudeValue, renormalize
 
 __all__ = [
@@ -48,7 +56,6 @@ __all__ = [
     "as_config",
     "FixedPlan",
     "boundary_absorb",
-    "BoundaryMps",
     "amplitude_fixed",
     "log_derivatives",
     "FixedEvaluator",
@@ -167,33 +174,34 @@ def project_config(peps: Peps, n) -> list[list[np.ndarray]]:
 
 
 def _unroll_row(row: list[np.ndarray], tape: Tape | None = None) -> list[np.ndarray]:
-    """Cut the horizontal wrap bond and route it through the row.
+    """Cut the horizontal wrap bond of each row of a stack and route it through the row.
 
     The cyclic row becomes an open row whose interior bonds carry the pair
     (original bond, wrap bond); contracted with anything, it reproduces the
     cyclic row exactly.
     """
     ncols = len(row)
-    w = row[0].shape[1]
+    w = row[0].shape[2]
     eye = np.eye(w)
     if ncols == 1:
         t = row[0]
-        out = [np.einsum("uwdw->ud", t).reshape(t.shape[0], 1, t.shape[2], 1)]
+        n, u, _, d, _ = t.shape
+        out = [np.einsum("Yuwdw->Yud", t).reshape(n, u, 1, d, 1)]
         if tape is not None:
-            tape.record([t, None], out, einsum_backward("uvdw,vw->ud", [t, eye]))
+            tape.record([t, None], out, einsum_backward("uvdw,vw->ud", [t[0], eye]))
         return out
     out = []
     for c, t in enumerate(row):
-        u, l, d, r = t.shape
+        n, u, l, d, r = t.shape
         if c == 0:
-            a = t.transpose(0, 2, 3, 1).reshape(u, 1, d, r * w)
-            spec, ops = "uwdr->udrw", [t]
+            a = t.transpose(0, 1, 3, 4, 2).reshape(n, u, 1, d, r * w)
+            spec, ops = "uwdr->udrw", [t[0]]
         elif c == ncols - 1:
-            a = t.transpose(0, 1, 3, 2).reshape(u, l * w, d, 1)
-            spec, ops = "uldw->ulwd", [t]
+            a = t.transpose(0, 1, 2, 4, 3).reshape(n, u, l * w, d, 1)
+            spec, ops = "uldw->ulwd", [t[0]]
         else:
-            a = np.einsum("uldr,wx->ulwdrx", t, eye).reshape(u, l * w, d, r * w)
-            spec, ops = "uldr,wx->ulwdrx", [t, eye]
+            a = np.einsum("Yuldr,wx->Yulwdrx", t, eye).reshape(n, u, l * w, d, r * w)
+            spec, ops = "uldr,wx->ulwdrx", [t[0], eye]
         out.append(np.ascontiguousarray(a))
         if tape is not None:
             tape.record([t, None][: len(ops)], out[-1:], einsum_backward(spec, ops))
@@ -203,94 +211,131 @@ def _unroll_row(row: list[np.ndarray], tape: Tape | None = None) -> list[np.ndar
 def _row(
     peps: Peps, cfg: np.ndarray, r: int, patch=None, tape: Tape | None = None
 ) -> list[np.ndarray]:
-    """Row ``r`` projected on ``cfg``, unrolled on periodic lattices.
+    """Row ``r`` projected on ``cfg`` as a stack of one, unrolled on periodic
+    lattices.
 
     ``patch`` is an optional ``((row, col), tensor)`` replacing one site. A
     ``tape`` keeps the projected tensors as its leaves.
     """
-    c0 = r * peps.cols
-    row = [peps.sites[r][c][:, :, :, :, cfg[c0 + c]] for c in range(peps.cols)]
+    ks = cfg[r * peps.cols : (r + 1) * peps.cols].tolist()
+    row = [site[None, ..., k] for site, k in zip(peps.sites[r], ks)]
     if patch is not None and patch[0][0] == r:
         (_, c), tensor = patch
-        row[c] = tensor[:, :, :, :, cfg[c0 + c]]
+        row[c] = tensor[None, ..., ks[c]]
     if tape is not None:
         tape.leaves.update(((r, c), t) for c, t in enumerate(row))
     return _unroll_row(row, tape) if peps.boundary == "pbc" else row
 
 
 # ---------------------------------------------------------------------------
-# Boundary MPS
+# Boundary MPS stacks
+
+# Where each side's boundaries keep their legs, from compress's (count, left,
+# open, face, right): as the next contraction reads them as a matrix. An absorb
+# into a top boundary and a closure between two boundaries read a stored (often
+# memoized) boundary without copying it, and on open lattices so does every
+# closure; only an absorb into a bottom boundary copies its sites.
+_LAYOUT = {"top": (0, 1, 2, 4, 3), "bottom": (0, 2, 3, 1, 4)}
+_COMPRESS_ORDER = {side: tuple(int(k) for k in np.argsort(axes)) for side, axes in _LAYOUT.items()}
 
 
-@dataclass
-class BoundaryMps:
-    """Boundary accumulated over absorbed rows.
+def _in_compress_order(site: np.ndarray, side: str) -> np.ndarray:
+    """A stored boundary site of ``side`` as a contiguous copy in compress's
+    leg order ``(count, left, open, face, right)``."""
+    return np.ascontiguousarray(site.transpose(_COMPRESS_ORDER[side]))
 
-    ``sites`` are rank-4 ``(left, open, face, right)`` where ``face`` is the
-    vertical leg toward the unabsorbed rows and ``open`` is a wrap leg kept
-    until closure (extent 1 for open lattices).
-    """
 
-    sites: list[np.ndarray]
-    log_scale: float = 0.0
+def _stack_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot`` of each pair of matrices in two stacks, bit for bit: one
+    ``np.matmul``, which gives each matrix ``np.dot``'s bits whatever the
+    operands' layout, unless an extent is 1. A scalar, vector or outer
+    product rounds with the layout ``np.dot`` reads it in, so it runs per
+    chain, as ``np.dot`` itself."""
+    if 1 in (a.shape[1], a.shape[2], b.shape[2]):
+        return np.stack([np.dot(x, y) for x, y in zip(a, b)])
+    return np.matmul(a, b)
+
+
+def _products(count: int):
+    """The leading shape of the matrices of a stack of ``count`` chains, and
+    their product: a stack of one multiplies plain 2-D matrices with
+    ``np.dot`` itself (a stacked ``np.matmul`` costs a microsecond more on
+    these small matrices), a larger stack runs :func:`_stack_dot`."""
+    return ((), np.dot) if count == 1 else ((count,), _stack_dot)
 
 
 def boundary_absorb(
-    bmps: BoundaryMps | None,
+    stack: Chains | None,
     row: list[np.ndarray],
     chi: int | None,
     side: str = "top",
     tape: Tape | None = None,
-) -> BoundaryMps:
-    """Absorb one lattice row into the boundary and compress to ``chi``.
+) -> list[Chains]:
+    """Absorb one lattice row into each boundary of a stack and compress to ``chi``.
 
-    ``side`` is the direction the boundary grew from: a top boundary
-    contracts its face legs with the row's up legs, a bottom boundary with
-    the row's down legs. ``bmps=None`` starts a boundary from ``row``, whose
-    outward legs stay open. Scale factors accumulate in ``log_scale``. A
-    ``tape`` records every step (see :mod:`tnflab.adjoint`).
+    A boundary stack is a :class:`tnflab.mps.Chains`: ``rows`` label its
+    boundaries, ``log`` holds each one's log scale, and each site carries a
+    leading axis over them and the legs ``left``, ``right``, ``face`` (the
+    vertical leg toward the unabsorbed rows) and ``open`` (a wrap leg kept
+    until closure, extent 1 on open lattices). A top boundary keeps them as
+    ``(count, left, open, right, face)``, a bottom boundary as ``(count,
+    open, face, left, right)``. ``row`` holds one ``(count, up, left, down,
+    right)`` site per column: each boundary absorbs its own row. A top
+    boundary contracts its face legs with the row's up legs, a bottom
+    boundary with the row's down legs. ``stack=None`` starts boundaries
+    labelled ``0 .. count-1`` from ``row``, whose outward legs stay open.
+
+    Returns the parts :func:`tnflab.mps.compress` splits the stack into
+    (by kept rank, or an exactly-zero site), labels carried along and log
+    scales grown by the factors taken out. Each boundary gets the bits it
+    gets alone; a single boundary is a stack of one. A ``tape`` records
+    every step of a stack of one (see :mod:`tnflab.adjoint`).
     """
-    if bmps is None:
-        axes = (1, 0, 2, 3) if side == "top" else (1, 2, 0, 3)  # (l, open, face, r)
-        sites = [np.ascontiguousarray(t.transpose(axes)[None]) for t in row]  # a stack of one
+    count = len(row[0])
+    if stack is None:
+        axes = (0, 2, 1, 3, 4) if side == "top" else (0, 2, 3, 1, 4)  # (l, open, face, r)
+        sites = [np.ascontiguousarray(t.transpose(axes)) for t in row]
         if tape is not None:
-            spec = "abcd->" + "".join("abcd"[a] for a in axes)
+            spec = "abcd->" + "".join("abcd"[a - 1] for a in axes[1:])
             for t, s in zip(row, sites):
-                tape.record([t], [s], einsum_backward(spec, [t]))
-        return _compressed(sites, chi, 0.0, tape)
-    if len(row) != len(bmps.sites):
-        raise DimensionError("row length does not match boundary length")
-    # The face meets the row's up leg from the top, its down leg from the bottom.
-    # ``legs`` puts that leg first; ``perm`` orders the product (l, l2, o, f2, r, r2).
-    if side == "top":
-        leg, legs, perm, spec = 0, (0, 1, 2, 3), (0, 3, 1, 4, 2, 5), "ache,hbdg->abcdeg"
+                tape.record([t], [s], einsum_backward(spec, [t[0]]))
+        labels, log = range(count), [0.0] * count
     else:
-        leg, legs, perm, spec = 2, (2, 0, 1, 3), (0, 4, 1, 3, 2, 5), "ache,dbhg->abcdeg"
-    new_sites = []
-    for c, (s, t0) in enumerate(zip(bmps.sites, row)):  # s: (l, o, f, r)
-        l, o, f, r = s.shape
-        if f != t0.shape[leg]:
-            raise DimensionError(f"face extent {f} does not meet the row at column {c}")
-        # np.tensordot(s, t0, axes=([2], [leg])) written out, bit for bit.
-        t = t0.transpose(legs)
-        m = np.dot(s.transpose(0, 1, 3, 2).reshape(l * o * r, f), t.reshape(f, -1))
-        m = m.reshape((l, o, r) + t.shape[1:]).transpose(perm)  # (l, l2, o, f2, r, r2)
-        l, l2, o, f2, r, r2 = m.shape
-        new_sites.append(np.ascontiguousarray(m.reshape(1, l * l2, o, f2, r * r2)))  # a stack of one
-        if tape is not None:
-            tape.record([s, t0], new_sites[-1:], einsum_backward(spec, [s, t0]))
-    return _compressed(new_sites, chi, bmps.log_scale, tape)
-
-
-def _compressed(stack: list[np.ndarray], chi: int | None, log: float, tape: Tape | None) -> BoundaryMps:
-    """The boundary of the stack of one ``stack`` compressed to ``chi``, its
-    log scale ``log`` plus the log factor taken out."""
-    [part] = compress(stack, chi, tape)
-    sites = [s[0] for s in part.sites]
-    if tape is not None:
-        tape.record(part.sites, sites,
-                    lambda bars: [b.reshape(b.shape[:1] + s.shape) for b, s in zip(bars, part.sites)])
-    return BoundaryMps(sites, log + part.log[0])
+        if len(row) != len(stack.sites):
+            raise DimensionError("row length does not match boundary length")
+        labels, log = stack.rows, stack.log
+        lead, dot = _products(count)
+        # The face meets the row's up leg from the top, its down leg from the bottom.
+        # ``legs`` puts that leg first; ``perm`` orders the product (l, l2, o, f2, r, r2).
+        if side == "top":
+            leg, legs, perm, spec = 1, (0, 1, 2, 3, 4), (0, 3, 1, 4, 2, 5), "ache,hbdg->abcdeg"
+        else:
+            leg, legs, perm, spec = 3, (0, 3, 1, 2, 4), (0, 4, 1, 3, 2, 5), "ache,dbhg->abcdeg"
+        sites = []
+        for c, (s, t0) in enumerate(zip(stack.sites, row)):
+            # (l, o, r, f) of each boundary: a view of a top site, a copy of a bottom one.
+            a = s if side == "top" else s.transpose(0, 3, 1, 4, 2)
+            n, l, o, r, f = a.shape
+            if f != t0.shape[leg]:
+                raise DimensionError(f"face extent {f} does not meet the row at column {c}")
+            # np.tensordot(s, t0, axes=([face], [leg])) per boundary written out, bit for bit.
+            t = t0.transpose(legs)
+            m = dot(a.reshape(lead + (l * o * r, f)), t.reshape(lead + (f, -1)))
+            # The stack axis rides along with the boundary's left leg.
+            m = m.reshape((n * l, o, r) + t.shape[2:]).transpose(perm)  # (l, l2, o, f2, r, r2)
+            _, l2, o, f2, r, r2 = m.shape
+            sites.append(np.ascontiguousarray(m.reshape(n, l * l2, o, f2, r * r2)))
+            if tape is not None:
+                read = tape.recorded(s)
+                tape.record([read, t0], sites[-1:], einsum_backward(spec, [read[0], t0[0]]))
+    axes, parts = _LAYOUT[side], []
+    for part in compress(sites, chi, tape):
+        laid = [np.ascontiguousarray(s.transpose(axes)) for s in part.sites]
+        if tape is not None:  # steps that read these record compress's own arrays
+            tape.relaid.update((id(x), (x, s)) for s, x in zip(part.sites, laid))
+        log_scales = [log[j] + lf for j, lf in zip(part.rows, part.log)]
+        parts.append(Chains([labels[j] for j in part.rows], laid, log_scales))
+    return parts
 
 
 # Each closure column as one einsum over (top site, middle site, bottom
@@ -303,76 +348,95 @@ _CLOSE_SPECS = {
 
 
 def _close_strip(
-    top: BoundaryMps | None,
+    top: Chains | None,
     mid: list[np.ndarray],
-    bottom: BoundaryMps | None,
+    bottom: Chains | None,
     tape: Tape | None = None,
-) -> AmplitudeValue:
-    """Exactly contract (top boundary, middle row, bottom boundary).
+) -> list[AmplitudeValue]:
+    """Exactly contract (top boundary, middle row, bottom boundary) for each
+    chain of a stack, one amplitude per chain in stack order.
 
+    ``mid`` holds one ``(count, up, left, down, right)`` site per column; the
+    boundary stacks, where given, hold the same chains in the same order.
     Open wrap legs pair top-to-bottom; with a missing boundary the middle
     row's outward legs pair with the surviving boundary's open legs (or with
     each other on a single-row lattice). Columns are contracted left to
-    right with running renormalization. A ``tape`` records every step; the
-    last one makes the final one-entry vector whose entry is the mantissa.
+    right with running renormalization, each chain bit for bit as alone. A
+    ``tape`` records every step of a stack of one; the last one makes the
+    final one-entry vector whose entry is the mantissa.
     """
-    log = (top.log_scale if top else 0.0) + (bottom.log_scale if bottom else 0.0)
-    vec = None
-    # Each np.dot below is the np.tensordot named above it written out, with
-    # its transposes, reshapes and dot, so the bits are the tensordot's.
+    count = len(mid[0])
+    lead, dot = _products(count)
+    vec = zero = None
+    # Each chain's log scale adds these up in order: its boundaries' scales,
+    # then each column's factor.
+    factors = [top.log if top is not None else [0.0] * count,
+               bottom.log if bottom is not None else [0.0] * count]
+    # Each dot below is the np.tensordot named above it written out, with
+    # its transposes, reshapes and dot, so the bits are the tensordot's. The
+    # stack axis rides along with the first leg of each intermediate.
     for c, m in enumerate(mid):
-        u, lm, d, rm = m.shape
+        n, u, lm, d, rm = m.shape
         if top is not None and bottom is not None:
             a, b = top.sites[c], bottom.sites[c]
-            lt, o, x, rt = a.shape
-            lb, _, y, rb = b.shape
-            # np.tensordot(a, m, axes=([2], [0])): (lt, o, rt, lm, y, rm)
-            t = np.dot(a.transpose(0, 1, 3, 2).reshape(lt * o * rt, x), m.reshape(u, -1))
-            t = t.reshape(lt, o, rt, lm, y, rm).transpose(0, 2, 3, 5, 1, 4)
-            # np.tensordot(t, b, axes=([1, 4], [1, 2])): (lt, rt, lm, rm, lb, rb)
-            b = b.transpose(1, 2, 0, 3).reshape(o * y, lb * rb)
-            t = np.dot(t.reshape(lt * rt * lm * rm, o * y), b).reshape(lt, rt, lm, rm, lb, rb)
-            t = t.transpose(0, 2, 4, 1, 3, 5).reshape(lt * lm * lb, -1)
+            _, lt, o, rt, x = a.shape
+            _, _, y, lb, rb = b.shape
+            # np.tensordot(a, m, axes=([x], [0])): (lt, o, rt, lm, y, rm)
+            t = dot(a.reshape(lead + (lt * o * rt, x)), m.reshape(lead + (u, -1)))
+            t = t.reshape(n * lt, o, rt, lm, y, rm).transpose(0, 2, 3, 5, 1, 4)
+            # np.tensordot(t, b, axes=([1, 4], [o, y])): (lt, rt, lm, rm, lb, rb)
+            t = dot(t.reshape(lead + (lt * rt * lm * rm, o * y)), b.reshape(lead + (o * y, lb * rb)))
+            t = t.reshape(n * lt, rt, lm, rm, lb, rb).transpose(0, 2, 4, 1, 3, 5).reshape(lead + (lt * lm * lb, -1))
         elif top is not None:
             a = top.sites[c]
-            lt, o, x, rt = a.shape
+            _, lt, o, rt, x = a.shape
             # The middle row is the last row: its down legs pair with the
             # boundary's open wrap legs.
-            # np.tensordot(a, m, axes=([2, 1], [0, 2])): (lt, rt, lm, rm)
-            a = a.transpose(0, 3, 2, 1).reshape(lt * rt, x * o)
-            t = np.dot(a, m.transpose(0, 2, 1, 3).reshape(u * d, lm * rm)).reshape(lt, rt, lm, rm)
-            t = t.transpose(0, 2, 1, 3).reshape(lt * lm, -1)
+            # np.tensordot(a, m, axes=([x, o], [0, 2])): (lt, rt, lm, rm)
+            a = a.transpose(0, 1, 3, 4, 2).reshape(lead + (lt * rt, x * o))
+            t = dot(a, m.transpose(0, 1, 3, 2, 4).reshape(lead + (u * d, lm * rm))).reshape(n * lt, rt, lm, rm)
+            t = t.transpose(0, 2, 1, 3).reshape(lead + (lt * lm, -1))
         elif bottom is not None:
             b = bottom.sites[c]
-            lb, o, y, rb = b.shape
-            # np.tensordot(m, b, axes=([2, 0], [2, 1])): (lm, rm, lb, rb)
-            b = b.transpose(2, 1, 0, 3).reshape(y * o, lb * rb)
-            t = np.dot(m.transpose(1, 3, 2, 0).reshape(lm * rm, d * u), b).reshape(lm, rm, lb, rb)
-            t = t.transpose(0, 2, 1, 3).reshape(lm * lb, -1)
+            _, o, y, lb, rb = b.shape
+            # np.tensordot(m, b, axes=([2, 0], [y, o])): (lm, rm, lb, rb)
+            b = b.transpose(0, 2, 1, 3, 4).reshape(lead + (y * o, lb * rb))
+            t = dot(m.transpose(0, 2, 4, 3, 1).reshape(lead + (lm * rm, d * u)), b).reshape(n * lm, rm, lb, rb)
+            t = t.transpose(0, 2, 1, 3).reshape(lead + (lm * lb, -1))
         else:
-            t = np.einsum("ucuq->cq", m)  # single-row lattice: trace the wrap
-        new = t[0] if vec is None else vec @ t
-        nrm, lf, z = renormalize(new)
-        if z:
-            return AmplitudeValue.zero()
+            t = np.einsum("Yucuq->Ycq", m).reshape(lead + (lm, rm))  # single-row lattice: trace the wrap
+        new = t[..., :1, :] if vec is None else vec @ t  # (1, columns) per chain
+        nrm, lf, z = renormalize(new, stack=True)
+        if True in z:
+            zero = z if zero is None else [p or q for p, q in zip(zero, z)]
+            if all(zero):
+                return [AmplitudeValue.zero()] * count
         if tape is not None:
-            _record_column(tape, c, top, m, bottom, t, vec, nrm, lf)
-        vec, log = nrm, log + lf
-    return AmplitudeValue.from_parts(complex(vec.reshape(-1)[0]), log)
+            _record_column(tape, c, top, m, bottom, t, vec, nrm, lf[0])
+        vec = nrm
+        factors.append(lf)
+    log = [functools.reduce(operator.add, fs) for fs in zip(*factors)]
+    values = vec.reshape(count).tolist()  # the last column's right bonds are 1
+    if zero is None:
+        return [AmplitudeValue.from_parts(v, lg) for v, lg in zip(values, log)]
+    return [AmplitudeValue.zero() if z else AmplitudeValue.from_parts(v, lg)
+            for v, lg, z in zip(values, log, zero)]
 
 
 def _record_column(tape: Tape, c: int, top, m, bottom, t, vec, nrm, lf: float) -> None:
-    """Record closure column ``c``: ``t`` from the column's tensors, then the
-    running vector ``nrm`` (rescaled by ``exp(-lf)``) from ``vec`` and ``t``;
-    ``vec`` is ``None`` at the first column, which reads row 0 of ``t``."""
+    """Record closure column ``c`` of a stack of one: ``t`` from the column's
+    tensors, then the running vector ``nrm`` (rescaled by ``exp(-lf)``) from
+    ``vec`` and ``t``; ``vec`` is ``None`` at the first column, which reads
+    row 0 of ``t``. The rules run on the chain's own arrays, as a single
+    chain's contraction reads them."""
     if top is None and bottom is None:
-        inputs, ops, spec = [m, None], [m, np.eye(m.shape[0])], "ucvq,uv->cq"
+        inputs, ops, spec = [m, None], [m[0], np.eye(m.shape[1])], "ucvq,uv->cq"
     else:
-        inputs = [top.sites[c]] if top is not None else []
-        inputs += [m] + ([bottom.sites[c]] if bottom is not None else [])
-        ops, spec = inputs, _CLOSE_SPECS[(top is not None, bottom is not None)]
+        inputs = [tape.recorded(top.sites[c])] if top is not None else []
+        inputs += [m] + ([tape.recorded(bottom.sites[c])] if bottom is not None else [])
+        ops, spec = [x[0] for x in inputs], _CLOSE_SPECS[(top is not None, bottom is not None)]
     tape.record(inputs, [t], einsum_backward(spec, ops))
-    prev = np.eye(1, t.shape[0])[0] if vec is None else vec
+    prev = np.eye(1, t.shape[0])[0] if vec is None else vec[0]
     tape.record([vec, t], [nrm], einsum_backward("i,ij->j", [prev, t], math.exp(-lf)))
 
 
@@ -397,14 +461,19 @@ class FixedPlan:
     mid: int
 
     def __post_init__(self):
-        if self.chi < 1:
-            raise ValueError(f"chi must be positive, got {self.chi}")
+        _check_chi(self.chi)
         if not 0 <= self.mid < self.rows:
             raise ValueError(f"mid must be in [0, {self.rows}), got {self.mid}")
 
     @classmethod
     def for_lattice(cls, rows: int, cols: int, chi: int) -> "FixedPlan":
         return cls(rows, cols, chi, rows // 2)
+
+
+def _check_chi(chi) -> None:
+    """Raise ``ValueError`` unless ``chi`` is a positive integer (not a bool)."""
+    if isinstance(chi, bool) or not hasattr(chi, "__index__") or chi < 1:
+        raise ValueError(f"chi must be a positive integer, got {chi!r}")
 
 
 def _check_plan(peps: Peps, plan: FixedPlan) -> None:
@@ -427,10 +496,11 @@ def _schedule_amplitude(
     cfg = as_config(n, peps.n_sites, peps.phys_dim)
     top = bottom = None
     for r in range(mid):
-        top = boundary_absorb(top, _row(peps, cfg, r, tape=tape), chi, "top", tape)
+        [top] = boundary_absorb(top, _row(peps, cfg, r, tape=tape), chi, "top", tape)
     for r in range(peps.rows - 1, mid, -1):
-        bottom = boundary_absorb(bottom, _row(peps, cfg, r, tape=tape), chi, "bottom", tape)
-    return _close_strip(top, _row(peps, cfg, mid, tape=tape), bottom, tape)
+        [bottom] = boundary_absorb(bottom, _row(peps, cfg, r, tape=tape), chi, "bottom", tape)
+    [amp] = _close_strip(top, _row(peps, cfg, mid, tape=tape), bottom, tape)
+    return amp
 
 
 def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.ndarray, int]:
@@ -464,7 +534,7 @@ def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.
             if id(leaf) in tainted:
                 zeroed += 2 * leaf.size
             elif id(leaf) in bars:
-                g[..., cfg[r * peps.cols + c]] = bars[id(leaf)]
+                g[..., cfg[r * peps.cols + c]] = bars[id(leaf)].reshape(g.shape[:-1])
             parts += [(g[0].real + 1j * g[1].real).ravel(), (g[0].imag + 1j * g[1].imag).ravel()]
     return amp, np.concatenate(parts), zeroed
 
@@ -492,11 +562,10 @@ class _BoundaryStack:
     """
 
     def __init__(self, peps: Peps, chi: int):
-        if chi < 1:
-            raise ValueError(f"chi must be positive, got {chi}")
+        _check_chi(chi)
         self.peps = peps
         self.chi = chi
-        self._envs: dict[tuple, BoundaryMps] = {}
+        self._envs: dict[tuple, Chains] = {}
         self._env_bytes = 0
         self._amps: dict[bytes, AmplitudeValue] = {}
         # Amplitude keys: the closure row's tag, then the configuration as its narrowest integers.
@@ -504,23 +573,22 @@ class _BoundaryStack:
         self._row_tags = [r.to_bytes(4, "little") for r in range(peps.rows)]
         self._amp_capacity = MEMO_MAX_BYTES // (4 + peps.n_sites * self._key_type.itemsize + _AMP_BYTES)
 
-    def _env(self, cfg: np.ndarray, side: str, mid: int) -> BoundaryMps | None:
+    def _env(self, cfg: np.ndarray, side: str, mid: int) -> Chains | None:
         """Boundary over the rows above (``"top"``) or below ``mid``, built
         on the longest stored prefix; each new prefix is offered to the memo."""
         cols = self.peps.cols
-        if side == "top":
-            order = range(mid)
-            keys = [(side, cfg[: (r + 1) * cols].tobytes()) for r in order]
-        else:
-            order = range(self.peps.rows - 1, mid, -1)
-            keys = [(side, cfg[r * cols :].tobytes()) for r in order]
+        order = range(mid) if side == "top" else range(self.peps.rows - 1, mid, -1)
+        # Keys of the longest prefixes first, down to the longest one stored.
+        keys = [None] * len(order)
         env, start = None, 0
         for k in range(len(order) - 1, -1, -1):
+            r = order[k]
+            keys[k] = (side, (cfg[: (r + 1) * cols] if side == "top" else cfg[r * cols :]).tobytes())
             if keys[k] in self._envs:
                 env, start = self._envs[keys[k]], k + 1
                 break
         for k in range(start, len(order)):
-            env = boundary_absorb(env, _row(self.peps, cfg, order[k]), self.chi, side)
+            [env] = boundary_absorb(env, _row(self.peps, cfg, order[k]), self.chi, side)
             size = len(keys[k][1]) + _ENV_BYTES + sum(
                 (s if s.base is None else s.base).nbytes + _SITE_BYTES for s in env.sites)
             if self._env_bytes + size <= MEMO_MAX_BYTES:
@@ -536,7 +604,7 @@ class _BoundaryStack:
         amp = self._amps.get(key)
         if amp is None:
             top, bottom = self._env(cfg, "top", mid), self._env(cfg, "bottom", mid)
-            amp = _close_strip(top, _row(self.peps, cfg, mid), bottom)
+            [amp] = _close_strip(top, _row(self.peps, cfg, mid), bottom)
             if len(self._amps) < self._amp_capacity:
                 self._amps[key] = amp
             else:
@@ -590,13 +658,14 @@ class FixedEvaluator(_BoundaryStack):
         tape = None if stats is None else Tape()
         top = self._env(cfg, "top", min(r0, mid))
         for r in range(min(r0, mid), mid):
-            top = boundary_absorb(top, _row(peps, cfg, r, patch), self.chi, "top", tape)
+            [top] = boundary_absorb(top, _row(peps, cfg, r, patch), self.chi, "top", tape)
         bottom = self._env(cfg, "bottom", max(r0, mid))
         for r in range(max(r0, mid), mid, -1):
-            bottom = boundary_absorb(bottom, _row(peps, cfg, r, patch), self.chi, "bottom", tape)
+            [bottom] = boundary_absorb(bottom, _row(peps, cfg, r, patch), self.chi, "bottom", tape)
         if tape is not None:
             stats["max_discarded"] = tape.max_discarded
-        return _close_strip(top, _row(peps, cfg, mid, patch), bottom)
+        [amp] = _close_strip(top, _row(peps, cfg, mid, patch), bottom)
+        return amp
 
 
 # ---------------------------------------------------------------------------

@@ -179,20 +179,17 @@ def renormalize(t: np.ndarray, stack: bool = False) -> Renormalized:
     lists over them.
     """
     t = np.asarray(t)
-    if not stack:
-        m = float(np.abs(t).max()) if t.size else 0.0
-        if not 0.0 < m < math.inf:
-            if m == 0.0:
-                return Renormalized(t, 0.0, True)
+    if not stack or len(t) == 1:  # a stack of one is rescaled as one tensor: the same bits, sooner
+        m = float(np.maximum.reduce(np.abs(t), axis=None)) if t.size else 0.0
+        if not m < math.inf:
             raise NumericalAbortError(f"cannot renormalize a tensor whose largest entry is {m}")
-        return Renormalized(t / m, math.log(m), False)
+        t, lf, zero = (t / m, math.log(m), False) if m else (t, 0.0, True)
+        return Renormalized(t, [lf], [zero]) if stack else Renormalized(t, lf, zero)
     m = np.abs(t).reshape(len(t), -1).max(axis=1, initial=0.0)
     ms = m.tolist()
     shape = (-1,) + (1,) * (t.ndim - 1)
     if 0.0 < min(ms) and sum(ms) < math.inf:  # no zero, infinite or NaN entry
-        # A stack of one divides by its float, as a single tensor does: the same bits, sooner.
-        scale = m.reshape(shape) if len(ms) > 1 else ms[0]
-        return Renormalized(t / scale, [math.log(x) for x in ms], [False] * len(ms))
+        return Renormalized(t / m.reshape(shape), [math.log(x) for x in ms], [False] * len(ms))
     bad = [x for x in ms if not x < math.inf]
     if bad:
         raise NumericalAbortError(f"cannot renormalize a tensor whose largest entry is {bad[0]}")

@@ -18,11 +18,12 @@ from tnflab.peps import _close_strip
 def straight_line_cold_amplitude(peps, n, chi):
     """From-scratch contraction with environments built downward and closure
     at the last row: the cold-cache schedule, written independently."""
-    net = project_config(peps, n)
-    top = boundary_absorb(None, net[0], chi, "top")
+    net = [[t[None] for t in row] for row in project_config(peps, n)]  # stacks of one
+    [top] = boundary_absorb(None, net[0], chi, "top")
     for r in range(1, peps.rows - 1):
-        top = boundary_absorb(top, net[r], chi, "top")
-    return _close_strip(top, net[-1], None)
+        [top] = boundary_absorb(top, net[r], chi, "top")
+    [amp] = _close_strip(top, net[-1], None)
+    return amp
 
 
 class TestColdCache:

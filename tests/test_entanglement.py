@@ -26,8 +26,9 @@ from tnflab.floquet import (
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
 )
-from tnflab.mps import apply_mpo, compress, mps_amplitude
-from tnflab.peps import BoundaryMps, boundary_absorb
+from tnflab.mps import Chains, apply_mpo, compress, mps_amplitude
+from tnflab import peps
+from tnflab.peps import boundary_absorb
 from tnflab.tensor import AmplitudeValue
 
 
@@ -239,10 +240,11 @@ def fresh_state_amplitude(params, method, chi, t):
     if t == 0:
         sites, log = [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(n)], 0.0
     else:
-        acc = BoundaryMps(mpo)
+        # F as a top boundary stack of one: outputs open, inputs as faces.
+        acc = Chains([0], [w[None].transpose(peps._LAYOUT["top"]) for w in mpo], [0.0])
         for _ in range(t - 1):
-            acc = boundary_absorb(acc, [w.transpose(1, 0, 2, 3) for w in mpo], chi, "top")
-        sites, log = acc.sites, acc.log_scale
+            [acc] = boundary_absorb(acc, [w.transpose(1, 0, 2, 3)[None] for w in mpo], chi, "top")
+        sites, log = [peps._in_compress_order(s, "top")[0] for s in acc.sites], acc.log[0]
     return lambda cfg: mpo_amplitude(sites, log, cfg)
 
 

@@ -12,7 +12,7 @@ from tnflab.entanglement import bulk_entropy_sweep, entanglement_dynamics, entro
 from tnflab.errors import ResourceLimitError
 import tnflab.floquet as floquet
 from tnflab.floquet import (
-    INVERSE_BLOCK_BYTES,
+    BLOCK_BYTES,
     PRESETS,
     FloquetParams,
     build_floquet_mpo,
@@ -27,6 +27,7 @@ from tnflab.floquet import (
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
     transverse_amplitudes,
+    transverse_table,
 )
 from tnflab.mps import apply_mpo, compress, mps_amplitude, mps_to_dense, mpo_to_dense
 from tnflab.peps import FixedPlan, amplitude_fixed
@@ -366,6 +367,31 @@ def test_nonpositive_chi_rejected_at_every_time(chi):
         transverse_amplitudes(p, chi)
 
 
+CHI_ROUTES = {
+    "transverse": lambda p, chi: tnf_amplitude_transverse(p, [0, 1, 0, 1], chi, 2),
+    "inverse_time": lambda p, chi: tnf_amplitude_inverse_time(p, [0, 1, 0, 1], chi, 2),
+    "conventional": lambda p, chi: evolve_conventional(p, chi, 2),
+    "mpo_mpo": lambda p, chi: mpo_mpo_inverse(p, chi, 2),
+    "transverse_table": lambda p, chi: transverse_table(p, chi, 2),
+    "transverse_amplitudes": lambda p, chi: next(transverse_amplitudes(p, chi)),
+    "inverse_time_series": lambda p, chi: inverse_time_series(p, chi, [[0, 1, 0, 1]]),
+    "inverse_time_block": lambda p, chi: inverse_time_block(p, chi, 2),
+    "fixed_plan": lambda p, chi: FixedPlan(p.n_sites, 2, chi, p.n_sites - 1),
+    "entanglement": lambda p, chi: entanglement_dynamics(p, "tnf_transverse", chi=chi),
+}
+
+
+@pytest.mark.parametrize("route", CHI_ROUTES.values(), ids=CHI_ROUTES.keys())
+@pytest.mark.parametrize("chi", [2.5, 2.0, True, "2", np.float64(2.0)])
+def test_non_integer_chi_rejected_on_every_route(route, chi):
+    """A bool or non-integer chi is a ValueError naming chi, not a value or
+    a bare TypeError; numpy integers pass."""
+    p = FloquetParams(4, **PRESETS["maximally_chaotic"], t_max=2)
+    with pytest.raises(ValueError, match="chi"):
+        route(p, chi)
+    route(p, np.int64(2))
+
+
 COUPLINGS = {**PRESETS, "zero_j": {"j": 0.0, "g": 0.4, "h": 0.3}}
 
 
@@ -398,13 +424,27 @@ def applied_chain_bytes(params, chi):
 
 def test_block_size_fits_the_byte_budget():
     """No block at L = 14, chi = 64 holds more applied chain bytes than the
-    budget, while the benchmark's L = 8 enumeration runs as one block."""
+    budget, while the benchmark's L = 8 enumeration runs as one block. At
+    t_max = 10 the bonds can reach chi."""
     wide = FloquetParams(14, **PRESETS["maximally_chaotic"])
-    rows = inverse_time_block(wide, 64)
+    rows = inverse_time_block(wide, 64, 10)
     assert 1 <= rows < 2**14
-    assert rows * applied_chain_bytes(wide, 64) <= INVERSE_BLOCK_BYTES
+    assert rows * applied_chain_bytes(wide, 64) <= BLOCK_BYTES
     for chi in (2, 4):
-        assert inverse_time_block(FloquetParams(8, **PRESETS["maximally_chaotic"]), chi) >= 2**8
+        assert inverse_time_block(FloquetParams(8, **PRESETS["maximally_chaotic"]), chi, 4) >= 2**8
+
+
+def test_block_size_follows_the_bonds_t_max_reaches():
+    """At L = 12, chi = 32, a run to t_max = 2 gets larger blocks than a run
+    long enough for chi to bind, still within the budget at the bonds it can
+    reach (a chain t periods old has bonds of at most 2^t)."""
+    p = FloquetParams(12, **PRESETS["maximally_chaotic"])
+    unbounded, short = inverse_time_block(p, 32, 12), inverse_time_block(p, 32, 2)
+    assert unbounded == 19 and short > unbounded
+    n, mpo = p.n_sites, build_floquet_mpo(p)
+    left = [min(32, 2**c, 2 ** (n - c), 2) * w.shape[0] for c, w in enumerate(mpo)] + [1]
+    chain = sum(left[c] * w.shape[1] * left[c + 1] for c, w in enumerate(mpo)) * 16
+    assert short * chain <= BLOCK_BYTES < (short + 1) * chain
 
 
 def test_block_chains_stay_within_the_shape_bound(monkeypatch):
@@ -489,6 +529,47 @@ def test_enumeration_matches_fresh_calls_bitwise(method, data):
         cfg = st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)
         for n, t in data.draw(st.lists(st.tuples(cfg, st.integers(0, p.t_max)), max_size=12), label="calls"):
             assert _bits(fns[t](n)) == _bits(route(p, n, chi, t))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_transverse_table_matches_each_configuration_alone(data):
+    """The lock-step table gives every configuration the bits of
+    ``tnf_amplitude_transverse`` (a stack of one), whole or with the byte
+    budget so small that every level's stack splits down to single prefixes."""
+    n_sites = data.draw(st.integers(2, 7), label="n_sites")
+    couplings = COUPLINGS[data.draw(st.sampled_from(sorted(COUPLINGS)), label="couplings")]
+    chi = data.draw(st.integers(1, 4), label="chi")
+    t = data.draw(st.integers(0, 4), label="t")
+    p = FloquetParams(n_sites, **couplings)
+    with pytest.MonkeyPatch.context() as patch:
+        if data.draw(st.booleans(), label="split"):
+            patch.setattr(floquet, "BLOCK_BYTES", 1)
+        table = transverse_table(p, chi, t)
+    assert len(table) == 2**n_sites
+    for n in itertools.product((0, 1), repeat=n_sites):
+        assert _bits(table[config_index(n)]) == _bits(tnf_amplitude_transverse(p, n, chi, t))
+
+
+def test_transverse_stacks_split_by_the_byte_budget(monkeypatch):
+    """Each absorbed stack (two children per prefix) stays within its level's
+    share of the budget unless it holds a single prefix, and the budget does
+    not move a bit."""
+    p = FloquetParams(7, **PRESETS["maximally_chaotic"])
+    want = [_bits(a) for a in transverse_table(p, 3, 4)]
+    sizes = []
+
+    def spy(stack, row, chi, side="top", tape=None):
+        if stack is not None and len(row[0]) > 2:  # absorbed sites: (l, o, r) x (l2, d, r2) per chain
+            sizes.append(16 * len(row[0]) * sum(s[0].size // s.shape[3] * (t[0].size // t.shape[1])
+                                                for s, t in zip(stack.sites, row)))
+        return absorb(stack, row, chi, side, tape)
+
+    absorb = floquet.boundary_absorb
+    monkeypatch.setattr(floquet, "boundary_absorb", spy)
+    monkeypatch.setattr(floquet, "BLOCK_BYTES", 16384 * 7)
+    assert [_bits(a) for a in transverse_table(p, 3, 4)] == want
+    assert len(sizes) > 8 and max(sizes) <= 16384
 
 
 @pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())

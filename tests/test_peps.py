@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ from hypothesis import strategies as st
 import tnflab.peps as peps_module
 from tnflab.errors import DimensionError, ResourceLimitError
 from tnflab.models import heisenberg
-from tnflab.mps import compress
+from tnflab.mps import Chains, compress
 from tnflab.peps import (
     EXACT_MAX_BYTES,
-    BoundaryMps,
     DynamicCache,
     FixedEvaluator,
     FixedPlan,
@@ -23,6 +23,7 @@ from tnflab.peps import (
     _close_strip,
     _exact_peak,
     _row,
+    _unroll_row,
     amplitude_fixed,
     as_config,
     boundary_absorb,
@@ -42,6 +43,33 @@ BOUNDARIES = ("obc", "pbc")
 
 def bits(a):
     return (a.mantissa, a.log_scale, a.is_zero)
+
+
+class Boundary(NamedTuple):
+    """One boundary: rank-4 ``(left, open, face, right)`` sites and its log scale."""
+
+    sites: list
+    log_scale: float
+
+
+def engine_stack(b: Boundary | None, side: str) -> Chains | None:
+    """A rank-4 boundary as the engine's stack of one, in the layout it keeps on ``side``."""
+    if b is None:
+        return None
+    return Chains([0], [s[None].transpose(peps_module._LAYOUT[side]) for s in b.sites], [b.log_scale])
+
+
+def absorb(bmps, row, chi, side="top") -> Boundary:
+    """``boundary_absorb`` of a stack of one on the rank-4 ``row``, its
+    boundaries read and returned as rank-4 sites."""
+    [part] = boundary_absorb(engine_stack(bmps, side), [t[None] for t in row], chi, side)
+    return Boundary([peps_module._in_compress_order(s, side)[0] for s in part.sites], part.log[0])
+
+
+def close(top, mid, bottom) -> AmplitudeValue:
+    """``_close_strip`` of a stack of one on rank-4 boundaries and row."""
+    [amp] = _close_strip(engine_stack(top, "top"), [t[None] for t in mid], engine_stack(bottom, "bottom"))
+    return amp
 
 
 def count_absorbs(monkeypatch) -> list[int]:
@@ -233,8 +261,8 @@ class TestBoundaryAbsorb:
         p = random_peps(2, 4, 2, 2, seed=4)
         n = [0, 1, 0, 1, 1, 0, 1, 0]
         net = project_config(p, n)
-        b0 = boundary_absorb(None, net[0], None, "top")
-        b1 = boundary_absorb(b0, net[1], 64, "top")
+        b0 = absorb(None, net[0], None)
+        b1 = absorb(b0, net[1], 64)
         # close with nothing below: contract face legs (extent 1) away
         val = 1.0
         mat = None
@@ -249,8 +277,8 @@ class TestBoundaryAbsorb:
         p = product_peps(3, 4, 2, [0, 1] * 6)
         n = [0, 1] * 6
         net = project_config(p, n)
-        b0 = boundary_absorb(None, net[0], 4, "top")
-        b1 = boundary_absorb(b0, net[1], 4, "top")
+        b0 = absorb(None, net[0], 4)
+        b1 = absorb(b0, net[1], 4)
         # D=1: bond structure unchanged, sites proportional
         for s0, s1 in zip(b0.sites, b1.sites):
             assert s0.shape == s1.shape
@@ -264,7 +292,7 @@ class TestBoundaryAbsorb:
         net = project_config(p, n)
         chi = 2
 
-        got = boundary_absorb(boundary_absorb(None, net[0], chi, "top"), net[1], chi, "top")
+        got = absorb(absorb(None, net[0], chi), net[1], chi)
 
         # oracle: same math written straight-line on raw arrays
         from tnflab.tensor import renormalize as renorm, svd_split as split
@@ -339,7 +367,7 @@ def tensordot_absorb(bmps, row, chi, side):
     if bmps is None:
         axes = (1, 0, 2, 3) if side == "top" else (1, 2, 0, 3)
         sites, lf = tensordot_compress([np.ascontiguousarray(t.transpose(axes)) for t in row], chi)
-        return BoundaryMps(sites, lf)
+        return Boundary(sites, lf)
     leg, perm = (0, (0, 3, 1, 4, 2, 5)) if side == "top" else (2, (0, 4, 1, 3, 2, 5))
     new_sites = []
     for s, t in zip(bmps.sites, row):
@@ -347,7 +375,7 @@ def tensordot_absorb(bmps, row, chi, side):
         l, l2, o, f2, r, r2 = m.shape
         new_sites.append(np.ascontiguousarray(m.reshape(l * l2, o, f2, r * r2)))
     new_sites, lf = tensordot_compress(new_sites, chi)
-    return BoundaryMps(new_sites, bmps.log_scale + lf)
+    return Boundary(new_sites, bmps.log_scale + lf)
 
 
 def tensordot_close(top, mid, bottom):
@@ -407,20 +435,113 @@ def test_contractions_equal_tensordot_oracle_bitwise(boundary, closure, data):
     r0, c0 = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
     zeroed.sites[r0][c0][..., cfg[r0 * cols + c0]] = 0
     for state in (p, zeroed):
-        grid = [_row(state, cfg, r) for r in range(rows)]
+        grid = [[t[0] for t in _row(state, cfg, r)] for r in range(rows)]
         for chi in (1, 2, 3, 4, None):
             top = ref_top = bottom = ref_bottom = None
             for r in range(mid):
-                top = boundary_absorb(top, grid[r], chi, "top")
+                top = absorb(top, grid[r], chi, "top")
                 ref_top = tensordot_absorb(ref_top, grid[r], chi, "top")
                 assert boundary_bits(top) == boundary_bits(ref_top), (chi, r)
             for r in range(rows - 1, mid, -1):
-                bottom = boundary_absorb(bottom, grid[r], chi, "bottom")
+                bottom = absorb(bottom, grid[r], chi, "bottom")
                 ref_bottom = tensordot_absorb(ref_bottom, grid[r], chi, "bottom")
                 assert boundary_bits(bottom) == boundary_bits(ref_bottom), (chi, r)
-            got = _close_strip(top, grid[mid], bottom)
+            got = close(top, grid[mid], bottom)
             assert bits(got) == bits(tensordot_close(ref_top, grid[mid], ref_bottom)), chi
             assert got.is_zero == (state is zeroed), chi
+
+
+def stack_bits(part, pos):
+    """Bits of chain ``pos`` of a boundary stack ``part``."""
+    return [(s[pos].shape, s[pos].tobytes()) for s in part.sites], part.log[pos].hex()
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("closure", ["both", "top", "bottom", "single-row"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_stacked_contractions_give_each_chain_its_bits_alone(boundary, closure, data):
+    """A stack of boundaries absorbs and closes each chain with the bits it
+    gets alone, as a stack of one, at chi 1-4 and None. The chains are
+    random states, a bond-1 state padded to the bond dimension (its kept
+    ranks differ from the others') and a state with an exactly-zero site
+    slice; the rows are rank-5 slices of one configuration, or copies of
+    each chain's own configuration."""
+    if closure == "single-row":
+        rows, mid = 1, 0
+    elif closure == "both":
+        rows = data.draw(st.integers(3, 4))
+        mid = data.draw(st.integers(1, rows - 2))
+    else:
+        rows = data.draw(st.integers(2, 4))
+        mid = rows - 1 if closure == "top" else 0
+    cols, bond = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+    seeds = data.draw(st.lists(st.integers(0, 2**16), min_size=2, max_size=4))
+    states = [random_peps(rows, cols, 2, bond, seed=s, boundary=boundary) for s in seeds]
+    low = random_peps(rows, cols, 2, 1, seed=seeds[0], boundary=boundary)
+    for r, c in itertools.product(range(rows), range(cols)):
+        padded = np.zeros(states[0].sites[r][c].shape, complex)
+        padded[:1, :1, :1, :1] = low.sites[r][c]
+        low.sites[r][c] = padded
+    config = st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols).map(np.array)
+    cfg = data.draw(config)
+    zeroed = states[-1].copy()
+    r0, c0 = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+    zeroed.sites[r0][c0][..., cfg[r0 * cols + c0]] = 0
+    states += [low, zeroed]
+    every = list(range(len(states)))
+    if data.draw(st.booleans(), label="slices"):
+        # One configuration: each column of a row is a rank-5 slice of the chains' stacked sites.
+        sites = [[np.stack([p.sites[r][c] for p in states]) for c in range(cols)] for r in range(rows)]
+
+        def row(r, idx):
+            out = [sites[r][c][idx][..., cfg[r * cols + c]] for c in range(cols)]
+            return _unroll_row(out) if boundary == "pbc" else out
+    else:
+        cfgs = [data.draw(config) for _ in states[:-1]] + [cfg]
+        grids = [[_row(p, n, r) for r in range(rows)] for p, n in zip(states, cfgs)]
+
+        def row(r, idx):
+            return [np.concatenate([grids[i][r][c] for i in idx]) for c in range(cols)]
+
+    for chi in (1, 2, 3, 4, None):
+        sides = {}
+        for side, order in (("top", range(mid)), ("bottom", range(rows - 1, mid, -1))):
+            parts = alone = None
+            for r in order:
+                if parts is None:
+                    parts = boundary_absorb(None, row(r, every), chi, side)
+                    alone = [boundary_absorb(None, row(r, [i]), chi, side)[0] for i in every]
+                else:
+                    parts = [q for part in parts for q in boundary_absorb(part, row(r, part.rows), chi, side)]
+                    alone = [boundary_absorb(a, row(r, [i]), chi, side)[0] for i, a in enumerate(alone)]
+                assert sorted(j for part in parts for j in part.rows) == every
+                for part in parts:
+                    for pos, j in enumerate(part.rows):
+                        assert stack_bits(part, pos) == stack_bits(alone[j], 0), (chi, side, r, j)
+            if parts is not None:
+                # (part, position in it) of each chain
+                sides[side] = (parts, {j: (k, pos) for k, part in enumerate(parts) for pos, j in enumerate(part.rows)})
+
+        def take(side, idx):
+            """The boundaries of the chains ``idx``, which share one part, as one stack."""
+            if side not in sides:
+                return None
+            parts, where = sides[side]
+            part, pos = parts[where[idx[0]][0]], [where[side_j][1] for side_j in idx]
+            return Chains(idx, [s[pos] for s in part.sites], [part.log[p] for p in pos])
+
+        # Close every group of chains whose boundaries lie in the same parts as one stack.
+        groups = {}
+        for j in every:
+            groups.setdefault(tuple(where[j][0] for _, where in sides.values()), []).append(j)
+        amps = {}
+        for idx in groups.values():
+            for j, amp in zip(idx, _close_strip(take("top", idx), row(mid, idx), take("bottom", idx))):
+                [want] = _close_strip(take("top", [j]), row(mid, [j]), take("bottom", [j]))
+                assert bits(amp) == bits(want), (chi, j)
+                amps[j] = amp
+        assert amps[every[-1]].is_zero, chi
 
 
 class TestAmplitudeFixed:
@@ -442,9 +563,9 @@ class TestAmplitudeFixed:
         got = amplitude_fixed(p, n, plan)
 
         net = project_config(p, n)
-        top = boundary_absorb(None, net[0], chi, "top")
-        top = boundary_absorb(top, net[1], chi, "top")
-        bottom = boundary_absorb(None, net[3], chi, "bottom")
+        top = absorb(None, net[0], chi, "top")
+        top = absorb(top, net[1], chi, "top")
+        bottom = absorb(None, net[3], chi, "bottom")
         vec = None
         log = top.log_scale + bottom.log_scale
         for c in range(4):

@@ -6,16 +6,18 @@ Imports ``tnflab`` from ``DIR`` (default: the ``src`` directory of this
 checkout) and hashes, in a fixed order, the exact bits of:
 
 * fixed-schedule amplitudes (``mantissa``, ``log_scale``, ``is_zero``) at
-  every closure row, memoized ones through a ``FixedEvaluator``, patched
+  every closure row, with the taped ones and their log-derivatives
+  (``peps.log_derivatives``), memoized ones through a ``FixedEvaluator``, patched
   ones at every site with the ``max_discarded`` they report, dynamic-cache
   ones along a move sequence, and exact ones, on open and periodic lattices
   from 1x1 to 5x3 at D 1-3 and chi 1-3;
 * the five Floquet routes on every configuration of L = 2, 3 and 6 for
   t = 0..3 and chi = 1..3, with the MPO and MPS site tensors;
 * ``entanglement_dynamics`` for all five methods and ``bulk_entropy_sweep``,
-  and for both TNF routes at the benchmark's size (L = 8, t_max = 4, chi 2
-  and 4), where the inverse-time route runs all 256 configurations as one
-  lock-step block;
+  for both TNF routes at L = 6 on the less chaotic couplings and at J = 0
+  (bond-1 MPO products; chi 1-3), and for both TNF routes at the
+  benchmark's size (L = 8, t_max = 4, chi 2 and 4), where each route runs
+  all 256 configurations in lock step;
 * ``simple_update`` sites, ``estimate_energy`` in both modes,
   ``gradient_estimate`` with both samplings (on 2x2 OBC at chi=1, and on
   2x3 PBC at D=2 and 2x2 OBC at D=3 with chains that revisit
@@ -101,6 +103,10 @@ def lattice_items(d: Digest, tnf) -> None:
                 plan = tnf.FixedPlan(rows, cols, chi, mid)
                 for k, cfg in enumerate(configs):
                     d.amp(f"{tag} chi{chi} mid{mid} fixed {k}", tnf.amplitude_fixed(peps, cfg, plan))
+                    amp, grads, zeroed = tnf.peps.log_derivatives(peps, cfg, plan)
+                    d.amp(f"{tag} chi{chi} mid{mid} taped {k}", amp)
+                    d.array(f"{tag} chi{chi} mid{mid} log-derivatives {k}", grads)
+                    d.add(f"{tag} chi{chi} mid{mid} zeroed {k}", str(zeroed).encode())
             plan = tnf.FixedPlan.for_lattice(rows, cols, chi)
             ev = tnf.FixedEvaluator(peps, plan)
             walk = [configs[0]]
@@ -167,6 +173,16 @@ def entanglement_items(d: Digest, tnf) -> None:
             d.array(f"dynamics {method} t{t} spectrum", spec)
         for size, s in tnf.bulk_entropy_sweep(params, method, 3, chi=chi):
             d.num(f"bulk {method} {size}", s)
+    for name, couplings in (("less_chaotic", tnf.PRESETS["less_chaotic"]), ("zero_j", {"j": 0.0, "g": 0.4, "h": 0.3})):
+        params = tnf.FloquetParams(6, **couplings, t_max=3)
+        for method, chi in itertools.product(("tnf_transverse", "tnf_inverse"), (1, 2, 3)):
+            tag = f"L6 {name} {method} chi{chi}"
+            data = tnf.entanglement_dynamics(params, method, chi=chi)
+            for t, s, spec in zip(data.times, data.entropies, data.spectra):
+                d.num(f"dynamics {tag} t{t}", s)
+                d.array(f"dynamics {tag} t{t} spectrum", spec)
+            for size, s in tnf.bulk_entropy_sweep(params, method, 3, chi=chi):
+                d.num(f"bulk {tag} {size}", s)
     params = tnf.FloquetParams(8, **tnf.PRESETS["maximally_chaotic"], t_max=4)
     for method, chi in itertools.product(("tnf_transverse", "tnf_inverse"), (2, 4)):
         data = tnf.entanglement_dynamics(params, method, chi=chi)
