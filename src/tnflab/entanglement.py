@@ -6,8 +6,11 @@ from summing out the environment. Amplitudes from truncated contractions are
 not normalized; the density matrix is normalized to unit trace after
 assembly.
 
-The two TNF routes evaluate every configuration in lock step, each chain
-bit for bit as alone. ``tnf_transverse`` fills one table per time with
+Every method reaches its states through one stream of amplitude tables, all
+2^L configurations in index order per time. The state routes advance one
+state a period per time and enumerate it only at the times asked for; the
+two TNF routes evaluate every configuration in lock step, each chain bit for
+bit as alone. ``tnf_transverse`` fills one table per time with
 :func:`tnflab.floquet.transverse_table`, which absorbs each row into the
 boundaries of all prefixes at once. ``tnf_inverse`` runs the configurations
 in blocks of :func:`tnflab.floquet.inverse_time_block` bra chains, blocks
@@ -18,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from .errors import DataError, ResourceLimitError
 from .floquet import (
     MAX_DENSE_SITES,
     FloquetParams,
-    config_index,
+    _check_periods,
     conventional_states,
     exact_states,
     inverse_time_block,
@@ -36,11 +38,10 @@ from .floquet import (
     mpo_states,
     tnf_amplitude_inverse_time,  # noqa: F401  a binding perfbench/tracer.py requires
     tnf_amplitude_transverse,  # noqa: F401  a binding perfbench/tracer.py requires
-    transverse_amplitudes,
     transverse_table,
 )
 from .mps import mps_amplitude
-from .peps import _check_chi, as_config
+from .peps import _check_chi
 from .tensor import AmplitudeValue
 
 __all__ = [
@@ -91,19 +92,6 @@ def _inverse_tables(params: FloquetParams, chi: int, t_max: int) -> list[list[Am
     return tables
 
 
-def _inverse_amplitude(params: FloquetParams, chi: int, t: int) -> Callable:
-    """``tnf_inverse`` at time ``t`` as a function of ``n``; the first call
-    evaluates every configuration through :func:`_inverse_tables`."""
-    table: list[AmplitudeValue] = []
-
-    def amplitude(n) -> AmplitudeValue:
-        if not table:
-            table.extend(_inverse_tables(params, chi, t)[t])
-        return table[config_index(as_config(n, params.n_sites, 2))]
-
-    return amplitude
-
-
 def rdm_from_dense(psi: np.ndarray, n_sites: int, region: tuple[int, int]) -> np.ndarray:
     """Reduced density matrix of the contiguous region (start, size),
     normalized to unit trace."""
@@ -148,22 +136,27 @@ def entropy_and_spectrum(rho: np.ndarray, top: int = 40) -> tuple[float, np.ndar
     return entropy, vals[:top].copy(), clipped
 
 
-def _amplitude_functions(params: FloquetParams, method: str, chi: int | None) -> Iterator[Callable]:
-    """Configuration -> AmplitudeValue for one method at t = 0, 1, ...: a state
-    route advances its state one period per t, and each TNF route evaluates
-    every configuration in lock step on its first call at a time. Raises
-    ``ValueError`` for an unknown method, or a truncated method without a
-    positive integer ``chi``."""
+def _tables(
+    params: FloquetParams, method: str, chi: int | None, times: range
+) -> Iterator[list[AmplitudeValue]]:
+    """Amplitudes of all 2^L configurations in index order, one list per t in
+    ``times``, by the route of the module docstring. Raises ``ValueError`` for
+    an unknown method, a truncated method without a positive integer ``chi``,
+    or a negative start."""
     _check_method(method, chi)
-    if method == "exact":
-        return (partial(_dense_amplitude, psi) for psi in exact_states(params))
-    if method == "mps":
-        return (partial(_mps_amplitude, *state) for state in conventional_states(params, chi))
-    if method == "mpo":
-        return (partial(mpo_amplitude, *state) for state in mpo_states(params, chi))
+    _check_periods(times.start)
     if method == "tnf_transverse":
-        return transverse_amplitudes(params, chi)
-    return map(partial(_inverse_amplitude, params, chi), itertools.count())
+        return (transverse_table(params, chi, t) for t in times)
+    if method == "tnf_inverse":
+        return iter(_inverse_tables(params, chi, times.stop - 1)[times.start :])
+    if method == "exact":
+        return ([AmplitudeValue.from_parts(complex(v)) for v in psi.reshape(-1)]
+                for psi in itertools.islice(exact_states(params), times.start, times.stop))
+    states = conventional_states(params, chi) if method == "mps" else mpo_states(params, chi)
+    amplitude = _mps_amplitude if method == "mps" else mpo_amplitude
+    configs = _configs(params.n_sites)
+    return ([amplitude(*state, cfg) for cfg in configs]
+            for state in itertools.islice(states, times.start, times.stop))
 
 
 def _check_method(method: str, chi: int | None) -> None:
@@ -176,18 +169,6 @@ def _check_method(method: str, chi: int | None) -> None:
             _check_chi(chi)
         except ValueError as err:
             raise ValueError(f"truncated methods need a positive chi: {err}") from None
-
-
-def _amplitude_function(params: FloquetParams, method: str, chi: int | None, t: int) -> Callable:
-    """The function of :func:`_amplitude_functions` at time ``t``."""
-    fns = _amplitude_functions(params, method, chi)
-    if t < 0:
-        raise ValueError(f"number of periods must be nonnegative, got {t}")
-    return next(itertools.islice(fns, t, None))
-
-
-def _dense_amplitude(psi: np.ndarray, cfg) -> AmplitudeValue:
-    return AmplitudeValue.from_parts(complex(psi.flat[config_index(cfg)]))
 
 
 def _mps_amplitude(sites: list[np.ndarray], log: float, cfg) -> AmplitudeValue:
@@ -217,18 +198,8 @@ def entanglement_dynamics(
     """
     n = params.n_sites
     out = EntanglementData(method=method, chi=None if method == "exact" else chi)
-    _check_method(method, chi)
-    if method == "tnf_inverse":  # configuration blocks outer, times inner
-        states = map(_dense_state, _inverse_tables(params, chi, params.t_max))
-    elif method == "tnf_transverse":
-        # One table per time, one alive at a time, read in index order: looking
-        # each configuration up through transverse_amplitudes instead took 31 ms
-        # against 26 ms at L=8, t_max=4, chi=2 (one core of a 2-vCPU Xeon VM).
-        states = (_dense_state(transverse_table(params, chi, t)) for t in range(params.t_max + 1))
-    else:  # one state per time, one alive at a time
-        fns = itertools.islice(_amplitude_functions(params, method, chi), params.t_max + 1)
-        states = (dense_state_from_amplitudes(fn, n) for fn in fns)
-    for t, psi in enumerate(states):
+    tables = _tables(params, method, chi, range(params.t_max + 1))
+    for t, psi in enumerate(map(_dense_state, tables)):
         rho = rdm_from_dense(psi, n, (0, n // 2))
         s, spec, _ = entropy_and_spectrum(rho)
         out.times.append(t)
@@ -246,12 +217,14 @@ def bulk_entropy_sweep(
 ) -> list[tuple[int, float]]:
     """Entropy of centered bulk regions versus region size at fixed time,
     the volume-law/area-law diagnostic. Raises ``ValueError`` as
-    :func:`entanglement_dynamics` does, and for a negative ``t``."""
+    :func:`entanglement_dynamics` does, and for a ``t`` that is not a
+    nonnegative integer."""
     n = params.n_sites
     if sizes is None:
         sizes = range(1, n)
-    fn = _amplitude_function(params, method, chi, t)
-    psi = dense_state_from_amplitudes(fn, n)
+    _check_periods(t)
+    [table] = _tables(params, method, chi, range(t, t + 1))
+    psi = _dense_state(table)
     out = []
     for size in sizes:
         start = (n - size) // 2

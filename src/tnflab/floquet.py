@@ -21,10 +21,10 @@ Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
   (amplitude-independent isometries), then sandwiches ``<n| M |0>``.
 
 Enumerations run in lock step without changing a bit: each chain of a
-stack gets the bits it gets alone. :func:`transverse_table` absorbs row
-``r`` of the Floquet PEPS into the boundaries of all prefixes ``n[:r]`` in one
-stacked ``boundary_absorb`` and closes all ``2^L`` configurations in one
-stacked closure; :func:`transverse_amplitudes` fills one such table per ``t``.
+stack gets the bits it gets alone. :func:`transverse_table` fills the table
+of one ``t``, absorbing row ``r`` of the Floquet PEPS into the boundaries of
+all prefixes ``n[:r]`` in one stacked ``boundary_absorb`` and closing all
+``2^L`` configurations in one stacked closure.
 :func:`inverse_time_series` advances a block of bra chains, one per
 configuration, a period per ``t`` (one stacked ``apply_mpo`` and ``compress``
 per period), as the state routes ``exact_states``, ``conventional_states``
@@ -38,8 +38,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -69,7 +68,6 @@ __all__ = [
     "floquet_peps",
     "tnf_amplitude_transverse",
     "transverse_table",
-    "transverse_amplitudes",
     "tnf_amplitude_inverse_time",
     "inverse_time_series",
     "inverse_time_block",
@@ -178,9 +176,10 @@ def config_index(n) -> int:
     return idx
 
 
-def _check_periods(t: int) -> None:
-    if t < 0:
-        raise ValueError(f"number of periods must be nonnegative, got {t}")
+def _check_periods(t) -> None:
+    """Raise ``ValueError`` unless ``t`` is a nonnegative integer (not a bool)."""
+    if isinstance(t, bool) or not hasattr(t, "__index__") or t < 0:
+        raise ValueError(f"number of periods must be a nonnegative integer, got {t!r}")
 
 
 def _diagonal_phases(params: FloquetParams) -> np.ndarray:
@@ -267,6 +266,7 @@ def floquet_peps(params: FloquetParams, t: int) -> Peps:
     physical leg and earlier columns ignore theirs, so ``n`` reads as
     ``np.repeat(n, t)``. The transverse route closes the strip at row ``L - 1``.
     """
+    _check_periods(t)
     if t < 1:
         raise ValueError(f"the Floquet PEPS needs at least one period, got {t}")
     e0 = np.array([1.0, 0.0], dtype=complex)
@@ -360,26 +360,6 @@ def transverse_table(params: FloquetParams, chi: int, t: int) -> list[AmplitudeV
         else:
             pending += [(r + 1, part) for part in reversed(boundary_absorb(top, row, chi, "top"))]
     return table
-
-
-def transverse_amplitudes(params: FloquetParams, chi: int) -> Iterator[Callable]:
-    """:func:`tnf_amplitude_transverse` as one function of ``n`` per t = 0, 1, ...;
-    each fills its :func:`transverse_table` on its first call."""
-    _check_chi(chi)
-    n_sites = params.n_sites
-
-    def at(t: int) -> Callable:
-        table: list[AmplitudeValue] = []
-
-        def amplitude(n) -> AmplitudeValue:
-            cfg = as_config(n, n_sites, 2)
-            if not table:
-                table.extend(transverse_table(params, chi, t))
-            return table[config_index(cfg)]
-
-        return amplitude
-
-    return map(at, itertools.count())
 
 
 def inverse_time_block(params: FloquetParams, chi: int, t_max: int) -> int:

@@ -27,7 +27,7 @@ from tnflab.circuit import (
 from tnflab.cli import main as cli_main
 from tnflab.ed import ground_energy
 from tnflab.entanglement import entanglement_dynamics, entropy_and_spectrum, rdm_from_amplitudes
-from tnflab.entanglement import _amplitude_function
+from tnflab.entanglement import _tables
 from tnflab.floquet import (
     PRESETS,
     FloquetParams,
@@ -243,11 +243,11 @@ def test_spectrum_structure():
     sharply at rank 4 while the chi=4 TNF keeps a long tail."""
     params = FloquetParams(10, **PRESETS["less_chaotic"])
     t = 15
-    fn_mps = _amplitude_function(params, "mps", 4, t)
-    rho_mps = rdm_from_amplitudes(fn_mps, 10, (0, 5))
+    [mps_table] = _tables(params, "mps", 4, range(t, t + 1))
+    rho_mps = rdm_from_amplitudes(lambda n: mps_table[config_index(n)], 10, (0, 5))
     _, spec_mps, _ = entropy_and_spectrum(rho_mps, top=40)
-    fn_tnf = _amplitude_function(params, "tnf_transverse", 4, t)
-    rho_tnf = rdm_from_amplitudes(fn_tnf, 10, (0, 5))
+    [tnf_table] = _tables(params, "tnf_transverse", 4, range(t, t + 1))
+    rho_tnf = rdm_from_amplitudes(lambda n: tnf_table[config_index(n)], 10, (0, 5))
     _, spec_tnf, _ = entropy_and_spectrum(rho_tnf, top=40)
     eig5 = float(np.real(spec_mps[4]))
     tail = int(np.sum(np.real(spec_tnf) > 1e-8))

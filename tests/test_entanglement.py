@@ -1,5 +1,6 @@
 """Reduced density matrices, entropies, spectra, and dynamics series."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from tnflab.floquet import (
     tnf_amplitude_transverse,
 )
 from tnflab.mps import Chains, apply_mpo, compress, mps_amplitude
-from tnflab import peps
+from tnflab import entanglement, peps
 from tnflab.peps import boundary_absorb
 from tnflab.tensor import AmplitudeValue
 
@@ -134,10 +135,10 @@ class TestDynamics:
 
     def test_mps_sharp_cutoff(self):
         p = FloquetParams(8, **PRESETS["maximally_chaotic"], t_max=0)
-        from tnflab.entanglement import _amplitude_function
+        from tnflab.entanglement import _tables
 
-        fn = _amplitude_function(p, "mps", 3, 8)
-        rho = rdm_from_amplitudes(fn, 8, (0, 4))
+        [table] = _tables(p, "mps", 3, range(8, 9))
+        rho = rdm_from_amplitudes(lambda n: table[config_index(n)], 8, (0, 4))
         _, spec, _ = entropy_and_spectrum(rho, top=16)
         assert spec[2] > 1e-8  # chi kept states carry weight
         assert abs(spec[3]) < 1e-12  # eigenvalue chi+1 vanishes
@@ -252,8 +253,8 @@ def fresh_state_amplitude(params, method, chi, t):
 @pytest.mark.parametrize("n_sites", [6, 7])
 @pytest.mark.parametrize("method", ["exact", "mps", "mpo"])
 def test_advanced_states_match_per_time_oracle_bitwise(method, n_sites, preset):
-    """One state advanced a period per time gives the entropies and spectra
-    of states rebuilt from t = 0, bit for bit."""
+    """One state advanced a period per time gives the entropies and spectra,
+    and the bulk sweep at every time, of states rebuilt from t = 0, bit for bit."""
     p = FloquetParams(n_sites, **PRESETS[preset], t_max=4)
     for chi in [None] if method == "exact" else [1, 2, 3]:
         data = entanglement_dynamics(p, method, chi=chi)
@@ -263,3 +264,58 @@ def test_advanced_states_match_per_time_oracle_bitwise(method, n_sites, preset):
             s, spec, _ = entropy_and_spectrum(rdm_from_dense(psi, n_sites, (0, n_sites // 2)))
             assert data.entropies[t].hex() == s.hex()
             assert data.spectra[t].tobytes() == spec.tobytes()
+            want = [
+                (size, entropy_and_spectrum(rdm_from_dense(psi, n_sites, ((n_sites - size) // 2, size)))[0].hex())
+                for size in range(1, n_sites)
+            ]
+            assert [(size, s.hex()) for size, s in bulk_entropy_sweep(p, method, t, chi=chi)] == want
+
+
+CHIS = {"exact": None, "mps": 2, "mpo": 2, "tnf_transverse": 2, "tnf_inverse": 2}
+
+
+@pytest.mark.parametrize("method", sorted(CHIS))
+def test_one_table_per_requested_time(method, monkeypatch):
+    """``bulk_entropy_sweep`` at t builds the table of t alone, and
+    ``entanglement_dynamics`` the tables of t = 0..t_max. Tables are counted
+    by a state route's amplitude calls, by ``transverse_table`` calls, or by
+    the lists each ``inverse_time_series`` block yields, whose bra chains
+    pass through every earlier period on the way to t."""
+    p = FloquetParams(5, **PRESETS["less_chaotic"], t_max=3)
+    chi, size = CHIS[method], 1 << p.n_sites
+    times = []  # the time of each amplitude evaluated; None from a state route
+    if method == "tnf_transverse":
+        table = entanglement.transverse_table
+
+        def spy(params, chi, t):
+            times.extend([t] * size)
+            return table(params, chi, t)
+
+        monkeypatch.setattr(entanglement, "transverse_table", spy)
+        want = lambda ts: Counter({t: size for t in ts})
+    elif method == "tnf_inverse":
+        series = entanglement.inverse_time_series
+
+        def spy(params, chi, configs):
+            for t, amps in enumerate(series(params, chi, configs)):
+                times.extend([t] * len(amps))
+                yield amps
+
+        monkeypatch.setattr(entanglement, "inverse_time_series", spy)
+        want = lambda ts: Counter({t: size for t in range(max(ts) + 1)})
+    else:
+        from_parts = AmplitudeValue.from_parts
+
+        def spy(*args):
+            times.append(None)
+            return from_parts(*args)
+
+        monkeypatch.setattr(AmplitudeValue, "from_parts", spy)
+        want = lambda ts: Counter({None: size * len(ts)})
+    for t in range(p.t_max + 1):
+        times.clear()
+        bulk_entropy_sweep(p, method, t, chi=chi)
+        assert Counter(times) == want([t])
+    times.clear()
+    entanglement_dynamics(p, method, chi=chi)
+    assert Counter(times) == want(range(p.t_max + 1))

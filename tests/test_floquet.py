@@ -26,7 +26,6 @@ from tnflab.floquet import (
     mpo_mpo_inverse,
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
-    transverse_amplitudes,
     transverse_table,
 )
 from tnflab.mps import apply_mpo, compress, mps_amplitude, mps_to_dense, mpo_to_dense
@@ -355,16 +354,20 @@ def test_negative_periods_rejected(route):
 
 @pytest.mark.parametrize("chi", [0, -1, None])
 def test_nonpositive_chi_rejected_at_every_time(chi):
-    """t = 0 is no shortcut around a bad chi, on either TNF route or series."""
+    """t = 0 is no shortcut around a bad chi, on either TNF route, table,
+    series or bulk sweep."""
     p = FloquetParams(4, **PRESETS["maximally_chaotic"])
     for t in (0, 1, 2):
         for route in (tnf_amplitude_inverse_time, tnf_amplitude_transverse):
             with pytest.raises(ValueError, match="chi"):
                 route(p, [0, 1, 0, 1], chi, t)
+        with pytest.raises(ValueError, match="chi"):
+            transverse_table(p, chi, t)
+        for method in ("tnf_transverse", "tnf_inverse"):
+            with pytest.raises(ValueError, match="chi"):
+                bulk_entropy_sweep(p, method, t, chi=chi)
     with pytest.raises(ValueError, match="chi"):
         inverse_time_series(p, chi, [[0, 1, 0, 1]])
-    with pytest.raises(ValueError, match="chi"):
-        transverse_amplitudes(p, chi)
 
 
 CHI_ROUTES = {
@@ -373,7 +376,7 @@ CHI_ROUTES = {
     "conventional": lambda p, chi: evolve_conventional(p, chi, 2),
     "mpo_mpo": lambda p, chi: mpo_mpo_inverse(p, chi, 2),
     "transverse_table": lambda p, chi: transverse_table(p, chi, 2),
-    "transverse_amplitudes": lambda p, chi: next(transverse_amplitudes(p, chi)),
+    "bulk_entropy_sweep": lambda p, chi: bulk_entropy_sweep(p, "tnf_transverse", 2, chi=chi),
     "inverse_time_series": lambda p, chi: inverse_time_series(p, chi, [[0, 1, 0, 1]]),
     "inverse_time_block": lambda p, chi: inverse_time_block(p, chi, 2),
     "fixed_plan": lambda p, chi: FixedPlan(p.n_sites, 2, chi, p.n_sites - 1),
@@ -389,6 +392,31 @@ def test_non_integer_chi_rejected_on_every_route(route, chi):
     p = FloquetParams(4, **PRESETS["maximally_chaotic"], t_max=2)
     with pytest.raises(ValueError, match="chi"):
         route(p, chi)
+    route(p, np.int64(2))
+
+
+PERIOD_ROUTES = {
+    "exact": exact_evolve,
+    "conventional": lambda p, t: evolve_conventional(p, 2, t),
+    "transverse": lambda p, t: tnf_amplitude_transverse(p, [0, 1, 0, 1], 2, t),
+    "inverse_time": lambda p, t: tnf_amplitude_inverse_time(p, [0, 1, 0, 1], 2, t),
+    "mpo_mpo": lambda p, t: mpo_mpo_inverse(p, 2, t),
+    "transverse_table": lambda p, t: transverse_table(p, 2, t),
+    "floquet_peps": floquet_peps,
+    "inverse_time_block": lambda p, t: inverse_time_block(p, 2, t),
+    "bulk_entropy_sweep": lambda p, t: bulk_entropy_sweep(p, "mps", t, chi=2),
+}
+
+
+@pytest.mark.parametrize("route", PERIOD_ROUTES.values(), ids=PERIOD_ROUTES.keys())
+@pytest.mark.parametrize("t", [2.5, 2.0, True, "2", np.float64(1.0)])
+def test_non_integer_periods_rejected_on_every_route(route, t):
+    """A bool or non-integer period count is a ValueError naming the periods,
+    not islice's bare ValueError, a bare TypeError or a silent 1; numpy
+    integers pass."""
+    p = FloquetParams(4, **PRESETS["maximally_chaotic"])
+    with pytest.raises(ValueError, match="periods"):
+        route(p, t)
     route(p, np.int64(2))
 
 
@@ -506,8 +534,7 @@ def fresh_state(route, params, chi, t):
 @settings(max_examples=10, deadline=None)
 def test_enumeration_matches_fresh_calls_bitwise(method, data):
     """``entanglement_dynamics`` and ``bulk_entropy_sweep`` give the entropies
-    and spectra of states built from fresh per-call amplitudes, bit for bit;
-    so does each time's transverse evaluator, called in any order with repeats."""
+    and spectra of states built from fresh per-call amplitudes, bit for bit."""
     n_sites = data.draw(st.integers(2, 6), label="n_sites")
     preset = data.draw(st.sampled_from(sorted(PRESETS)), label="preset")
     p = FloquetParams(n_sites, **PRESETS[preset], t_max=data.draw(st.integers(0, 4), label="t_max"))
@@ -524,11 +551,6 @@ def test_enumeration_matches_fresh_calls_bitwise(method, data):
         for size in range(1, n_sites)
     ]
     assert [(size, s.hex()) for size, s in bulk_entropy_sweep(p, method, t, chi=chi)] == want
-    if method == "tnf_transverse":
-        fns = list(itertools.islice(transverse_amplitudes(p, chi), p.t_max + 1))
-        cfg = st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)
-        for n, t in data.draw(st.lists(st.tuples(cfg, st.integers(0, p.t_max)), max_size=12), label="calls"):
-            assert _bits(fns[t](n)) == _bits(route(p, n, chi, t))
 
 
 @given(data=st.data())

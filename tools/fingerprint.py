@@ -13,11 +13,12 @@ checkout) and hashes, in a fixed order, the exact bits of:
   from 1x1 to 5x3 at D 1-3 and chi 1-3;
 * the five Floquet routes on every configuration of L = 2, 3 and 6 for
   t = 0..3 and chi = 1..3, with the MPO and MPS site tensors;
-* ``entanglement_dynamics`` for all five methods and ``bulk_entropy_sweep``,
-  for both TNF routes at L = 6 on the less chaotic couplings and at J = 0
-  (bond-1 MPO products; chi 1-3), and for both TNF routes at the
-  benchmark's size (L = 8, t_max = 4, chi 2 and 4), where each route runs
-  all 256 configurations in lock step;
+* ``entanglement_dynamics``, and ``bulk_entropy_sweep`` at every t = 0..3,
+  for all five methods at L = 6, and for both TNF routes at L = 6 on the
+  less chaotic couplings and at J = 0 (bond-1 MPO products; chi 1-3);
+  ``entanglement_dynamics`` for both TNF routes at the benchmark's size
+  (L = 8, t_max = 4, chi 2 and 4), where each route runs all 256
+  configurations in lock step;
 * ``simple_update`` sites, ``estimate_energy`` in both modes,
   ``gradient_estimate`` with both samplings (on 2x2 OBC at chi=1, and on
   2x3 PBC at D=2 and 2x2 OBC at D=3 with chains that revisit
@@ -171,8 +172,9 @@ def entanglement_items(d: Digest, tnf) -> None:
         for t, s, spec in zip(data.times, data.entropies, data.spectra):
             d.num(f"dynamics {method} t{t}", s)
             d.array(f"dynamics {method} t{t} spectrum", spec)
-        for size, s in tnf.bulk_entropy_sweep(params, method, 3, chi=chi):
-            d.num(f"bulk {method} {size}", s)
+        for t in data.times:
+            for size, s in tnf.bulk_entropy_sweep(params, method, t, chi=chi):
+                d.num(f"bulk {method} t{t} {size}", s)
     for name, couplings in (("less_chaotic", tnf.PRESETS["less_chaotic"]), ("zero_j", {"j": 0.0, "g": 0.4, "h": 0.3})):
         params = tnf.FloquetParams(6, **couplings, t_max=3)
         for method, chi in itertools.product(("tnf_transverse", "tnf_inverse"), (1, 2, 3)):
@@ -181,8 +183,9 @@ def entanglement_items(d: Digest, tnf) -> None:
             for t, s, spec in zip(data.times, data.entropies, data.spectra):
                 d.num(f"dynamics {tag} t{t}", s)
                 d.array(f"dynamics {tag} t{t} spectrum", spec)
-            for size, s in tnf.bulk_entropy_sweep(params, method, 3, chi=chi):
-                d.num(f"bulk {tag} {size}", s)
+            for t in data.times:
+                for size, s in tnf.bulk_entropy_sweep(params, method, t, chi=chi):
+                    d.num(f"bulk {tag} t{t} {size}", s)
     params = tnf.FloquetParams(8, **tnf.PRESETS["maximally_chaotic"], t_max=4)
     for method, chi in itertools.product(("tnf_transverse", "tnf_inverse"), (2, 4)):
         data = tnf.entanglement_dynamics(params, method, chi=chi)
