@@ -13,6 +13,7 @@ from .peps import (
     amplitude_fixed,
     boundary_absorb,
     exact_amplitude,
+    fixed_table,
     load_peps,
     product_peps,
     project_config,

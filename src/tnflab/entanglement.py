@@ -11,10 +11,11 @@ Every method reaches its states through one stream of amplitude tables, all
 state a period per time and enumerate it only at the times asked for; the
 two TNF routes evaluate every configuration in lock step, each chain bit for
 bit as alone. ``tnf_transverse`` fills one table per time with
-:func:`tnflab.floquet.transverse_table`, which absorbs each row into the
-boundaries of all prefixes at once. ``tnf_inverse`` runs the configurations
-in blocks of :func:`tnflab.floquet.inverse_time_block` bra chains, blocks
-outer and times inner, through :func:`tnflab.floquet.inverse_time_series`.
+:func:`tnflab.floquet.transverse_table`, one :func:`tnflab.peps.fixed_table`
+walk that absorbs each distinct prefix once. ``tnf_inverse`` runs the
+configurations in blocks of :func:`tnflab.floquet.inverse_time_block` bra
+chains, blocks outer and times inner, through
+:func:`tnflab.floquet.inverse_time_series`.
 """
 from __future__ import annotations
 
@@ -25,11 +26,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, ResourceLimitError
+from .errors import DataError
 from .floquet import (
-    MAX_DENSE_SITES,
     FloquetParams,
     _check_periods,
+    _configs,
     conventional_states,
     exact_states,
     inverse_time_block,
@@ -63,13 +64,6 @@ def dense_state_from_amplitudes(amplitude_fn: Callable, n_sites: int) -> np.ndar
     """Enumerate all 2^L amplitudes into a dense vector (site 0 most
     significant), rescaled by the largest log factor; not normalized."""
     return _dense_state([amplitude_fn(cfg) for cfg in _configs(n_sites)])
-
-
-def _configs(n_sites: int) -> np.ndarray:
-    """All 2^L configurations in index order, one per row."""
-    if n_sites > MAX_DENSE_SITES:
-        raise ResourceLimitError(f"amplitude enumeration guarded to {MAX_DENSE_SITES} sites")
-    return (np.arange(1 << n_sites, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
 def _dense_state(amps: list[AmplitudeValue]) -> np.ndarray:

@@ -22,15 +22,14 @@ Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
 
 Enumerations run in lock step without changing a bit: each chain of a
 stack gets the bits it gets alone. :func:`transverse_table` fills the table
-of one ``t``, absorbing row ``r`` of the Floquet PEPS into the boundaries of
-all prefixes ``n[:r]`` in one stacked ``boundary_absorb`` and closing all
-``2^L`` configurations in one stacked closure.
+of one ``t`` with one :func:`tnflab.peps.fixed_table` walk over the Floquet
+PEPS, which absorbs each distinct prefix ``n[:r]`` once.
 :func:`inverse_time_series` advances a block of bra chains, one per
 configuration, a period per ``t`` (one stacked ``apply_mpo`` and ``compress``
 per period), as the state routes ``exact_states``, ``conventional_states``
-and ``mpo_states`` advance their single state. Both routes keep their
-stacks within :data:`BLOCK_BYTES` at the widest bonds a run can reach;
-:func:`inverse_time_block` sizes the inverse-time blocks.
+and ``mpo_states`` advance their single state; :func:`inverse_time_block`
+sizes the blocks to :data:`tnflab.peps.BLOCK_BYTES` at the widest bonds a
+run can reach.
 """
 from __future__ import annotations
 
@@ -46,14 +45,15 @@ from .errors import ResourceLimitError
 from .mps import Chains, apply_mpo, compress, mps_amplitude
 from .peps import (
     _LAYOUT,
+    BLOCK_BYTES,
     FixedPlan,
     Peps,
     _check_chi,
-    _close_strip,
     _in_compress_order,
     amplitude_fixed,
     as_config,
     boundary_absorb,
+    fixed_table,
 )
 from .tensor import AmplitudeValue, svd_split
 
@@ -71,7 +71,6 @@ __all__ = [
     "tnf_amplitude_inverse_time",
     "inverse_time_series",
     "inverse_time_block",
-    "BLOCK_BYTES",
     "mpo_mpo_inverse",
     "mpo_states",
     "mpo_amplitude",
@@ -81,11 +80,6 @@ __all__ = [
 
 # Largest chain held as a dense 2^L state vector or enumerated in full.
 MAX_DENSE_SITES = 14
-
-# Bytes one lock-step stack may take at the widest bonds a run can reach: the
-# MPO-applied bra chains of an inverse-time block, or the absorbed boundaries
-# of one transverse stack. Longer enumerations run in more stacks.
-BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -174,6 +168,13 @@ def config_index(n) -> int:
     for v in np.asarray(n, dtype=np.int64).reshape(-1):
         idx = (idx << 1) | int(v)
     return idx
+
+
+def _configs(n_sites: int) -> np.ndarray:
+    """All 2^L configurations in index order, one per row."""
+    if n_sites > MAX_DENSE_SITES:
+        raise ResourceLimitError(f"amplitude enumeration guarded to {MAX_DENSE_SITES} sites, got {n_sites}")
+    return (np.arange(1 << n_sites, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
 def _check_periods(t) -> None:
@@ -299,82 +300,33 @@ def tnf_amplitude_transverse(params: FloquetParams, n, chi: int, t: int) -> Ampl
     return amplitude_fixed(floquet_peps(params, t), np.repeat(cfg, t), plan)
 
 
-def _applied_bytes(bonds: list[int], layer: list[tuple[int, int, int]]) -> int:
-    """Bytes of one chain whose internal bonds are at most ``bonds`` once a
-    layer of sites ``(left, phys, right)`` is applied to it: bonds multiply."""
-    edges = [1, *bonds, 1]
-    return 16 * sum(edges[c] * l * p * edges[c + 1] * r for c, (l, p, r) in enumerate(layer))
-
-
 def transverse_table(params: FloquetParams, chi: int, t: int) -> list[AmplitudeValue]:
     """:func:`tnf_amplitude_transverse` of all ``2^L`` configurations at time
-    ``t`` in index order, bit for bit.
-
-    The configurations run level by level over :func:`floquet_peps`: level
-    ``r`` absorbs row ``r`` into the boundaries of all prefixes ``n[:r]`` at
-    once, one stacked ``boundary_absorb`` per part, and the last level closes
-    every configuration in one stacked closure. Work is depth-first, so at
-    most one stack per level is alive, and a level's stack splits in two
-    when doubling it would take more than an ``L``-th of :data:`BLOCK_BYTES`
-    at the widest bonds ``chi`` and ``t`` allow.
-    """
+    ``t`` in index order, bit for bit: one :func:`tnflab.peps.fixed_table`
+    over :func:`floquet_peps`, each configuration read as ``np.repeat(n, t)``."""
     _check_chi(chi)
     _check_periods(t)
-    n_sites = params.n_sites
-    if n_sites > MAX_DENSE_SITES:
-        raise ResourceLimitError(f"amplitude enumeration guarded to {MAX_DENSE_SITES} sites, got {n_sites}")
+    table = _configs(params.n_sites)
     if t == 0:
-        return [AmplitudeValue.from_parts(1.0)] + [AmplitudeValue.zero()] * ((1 << n_sites) - 1)
-    peps = floquet_peps(params, t)
-    # Row r's sites projected on bit b at [b]: views with the layout of _row's slices.
-    rows = [[np.moveaxis(s, 4, 0) for s in row] for row in peps.sites]
-    budget = []
-    for r, row in enumerate(peps.sites):
-        faces = [s.shape[0] for s in row]
-        bonds = [min(chi, math.prod(peps.sites[k][tau].shape[3] for k in range(r)),
-                     math.prod(faces[: tau + 1]), math.prod(faces[tau + 1 :])) for tau in range(t - 1)]
-        budget.append(_applied_bytes(bonds, [s.shape[1:4] for s in row]))
-    table: list[AmplitudeValue] = [None] * (1 << n_sites)
-    # Depth-first over (row, stack of prefixes n[:row] labelled by their integer),
-    # last in first out, so the stacks run in label order.
-    pending = [(1, part) for part in reversed(boundary_absorb(None, rows[0], chi, "top"))]
-    while pending:
-        r, stack = pending.pop()
-        count = len(stack.rows)
-        if count > 1 and 2 * count * budget[r] > BLOCK_BYTES // n_sites:
-            pending += [(r, Chains(stack.rows[half], [s[half] for s in stack.sites], stack.log[half]))
-                        for half in (slice(count // 2, None), slice(None, count // 2))]
-            continue
-        # Both bits of n[r] for each prefix; each chain's projected site is laid
-        # out as a slice of a site, so products with an extent of 1 round as alone.
-        bits, row = np.tile([0, 1], count), []
-        for pair in rows[r]:
-            site = np.empty((2 * count,) + pair.shape[1:] + (len(pair),), complex)
-            site[..., 0] = pair[bits]
-            row.append(site[..., 0])
-        top = Chains([2 * p + b for p in stack.rows for b in (0, 1)],
-                     [np.repeat(s, 2, axis=0) for s in stack.sites], [lg for lg in stack.log for _ in (0, 1)])
-        if r == n_sites - 1:
-            for p, amp in zip(top.rows, _close_strip(top, row, None)):
-                table[p] = amp
-        else:
-            pending += [(r + 1, part) for part in reversed(boundary_absorb(top, row, chi, "top"))]
-    return table
+        return [AmplitudeValue.from_parts(1.0)] + [AmplitudeValue.zero()] * (len(table) - 1)
+    plan = FixedPlan(params.n_sites, t, chi, params.n_sites - 1)
+    return fixed_table(floquet_peps(params, t), plan, np.repeat(table.astype(np.uint8), t, axis=1))
 
 
 def inverse_time_block(params: FloquetParams, chi: int, t_max: int) -> int:
     """Configurations per block of :func:`inverse_time_series` run to ``t_max``
-    periods: as many as fit :data:`BLOCK_BYTES` with the period MPO applied to
-    chains whose bonds are as wide as ``chi``, the chain length and ``t_max``
-    allow (a chain ``t`` periods old has bonds of at most ``w**t`` for MPO
-    bond ``w``); at least one."""
+    periods: as many as fit :data:`tnflab.peps.BLOCK_BYTES` with the period
+    MPO applied to chains whose bonds are as wide as ``chi``, the chain
+    length and ``t_max`` allow (a chain ``t`` periods old has bonds of at
+    most ``w**t`` for MPO bond ``w``; applied bonds multiply); at least one."""
     _check_chi(chi)
     _check_periods(t_max)
     n = params.n_sites
     mpo = build_floquet_mpo(params)
     reach = max(w.shape[0] for w in mpo) ** max(t_max - 1, 0)
-    bonds = [min(chi, 2**c, 2 ** (n - c), reach) for c in range(1, n)]
-    return max(1, BLOCK_BYTES // _applied_bytes(bonds, [(w.shape[0], w.shape[1], w.shape[3]) for w in mpo]))
+    edges = [1, *(min(chi, 2**c, 2 ** (n - c), reach) for c in range(1, n)), 1]
+    chain = 16 * sum(edges[c] * w.shape[0] * w.shape[1] * edges[c + 1] * w.shape[3] for c, w in enumerate(mpo))
+    return max(1, BLOCK_BYTES // chain)
 
 
 def inverse_time_series(params: FloquetParams, chi: int, configs) -> Iterator[list[AmplitudeValue]]:

@@ -43,8 +43,7 @@ def as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
     """``n`` as a flat int64 configuration, checked to hold ``n_sites``
     integer-valued entries in ``[0, phys_dim)``; raises ``ValueError`` otherwise."""
     n = np.asarray(n)
-    if n.dtype.kind not in "biu" and not (n.dtype.kind == "f" and np.isin(n, range(phys_dim)).all()):
-        raise ValueError(f"configuration entries must be integers in [0, {phys_dim})")
+    _check_entries(n, phys_dim)
     n = n.astype(np.int64, copy=False).reshape(-1)
     if n.size != n_sites:
         raise ValueError(f"configuration has {n.size} entries, lattice has {n_sites} sites")
@@ -52,6 +51,13 @@ def as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
     if values and (min(values) < 0 or max(values) >= phys_dim):
         raise ValueError("configuration entry out of range for the physical dimension")
     return n
+
+
+def _check_entries(n: np.ndarray, phys_dim: int) -> None:
+    """Raise ``ValueError`` unless the array ``n`` holds integers, or floats
+    that are integers in ``[0, phys_dim)``."""
+    if n.dtype.kind not in "biu" and not (n.dtype.kind == "f" and np.isin(n, range(phys_dim)).all()):
+        raise ValueError(f"configuration entries must be integers in [0, {phys_dim})")
 
 
 class Chains(NamedTuple):

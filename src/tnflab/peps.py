@@ -28,9 +28,11 @@ paired into the boundary physical legs until the final closure.
 The boundary engine (:func:`boundary_absorb` and the strip closure) works on
 stacks: every array carries a leading axis over independent contractions,
 each of which gets the bits it gets alone. A single evaluation is a stack of
-one, whose products run on plain 2-D matrices; the Floquet routes stack
-every configuration of a level. Boundaries keep their legs in the order the
-next contraction reads them, so memoized ones are read without a copy.
+one, whose products run on plain 2-D matrices; :func:`fixed_table`, the one
+walk behind every enumeration (sector energies, the Floquet transverse
+tables), stacks every distinct prefix of a level and every closure.
+Boundaries keep their legs in the order the next contraction reads them, so
+memoized and gathered ones are read without a copy.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ import numpy as np
 
 from .adjoint import Tape, einsum_backward
 from .errors import CacheStateError, DimensionError, ResourceLimitError
-from .mps import Chains, as_config, compress
+from .mps import Chains, _check_entries, as_config, compress
 from .tensor import AmplitudeValue, renormalize
 
 __all__ = [
@@ -57,6 +59,8 @@ __all__ = [
     "FixedPlan",
     "boundary_absorb",
     "amplitude_fixed",
+    "fixed_table",
+    "BLOCK_BYTES",
     "log_derivatives",
     "FixedEvaluator",
     "DynamicCache",
@@ -503,6 +507,137 @@ def _schedule_amplitude(
     return amp
 
 
+# Bytes one lock-step stack may take: a :func:`fixed_table` stack a ``rows``-th,
+# counted by its largest products (a walk holds one per level); an inverse-time
+# block of MPO-applied bra chains all of it.
+BLOCK_BYTES = 8 << 20
+
+
+def fixed_table(peps: Peps, plan: FixedPlan, configs) -> list[AmplitudeValue]:
+    """:func:`amplitude_fixed` of each row of the table ``configs``, in order,
+    bit for bit.
+
+    The configurations share the plan's schedule, so one walk on the stacked
+    engine absorbs each distinct prefix of rows ``0 .. mid-1`` and each
+    distinct suffix of rows ``mid+1 ..`` once, then gathers each
+    configuration's two boundaries by index and closes them in stacked
+    closures. Every distinct bottom boundary is kept; the top side runs depth
+    first and closes as it goes. A stack holds as many chains as fit a
+    ``rows``-th of :data:`BLOCK_BYTES` at its own shapes, and at least one.
+    A bad entry or row width raises ``ValueError`` for the whole table, as
+    :func:`as_config` does for one configuration.
+    """
+    _check_plan(peps, plan)
+    table = np.asarray(configs)
+    _check_entries(table, peps.phys_dim)
+    if table.ndim != 2 or table.shape[1] != peps.n_sites:
+        raise ValueError(f"configuration table of shape {table.shape}, lattice has {peps.n_sites} sites")
+    if table.size and (table.min() < 0 or table.max() >= peps.phys_dim):
+        raise ValueError("configuration entry out of range for the physical dimension")
+    table, out = table.astype(np.min_scalar_type(peps.phys_dim - 1), copy=False), [None] * len(table)
+    (b_part, b_pos), bottoms = np.zeros((2, len(table)), np.int64), []
+    for bottom, pos, cfgs in _walk(peps, table, range(peps.rows - 1, plan.mid, -1), plan.chi, "bottom"):
+        b_part[cfgs], b_pos[cfgs] = len(bottoms), pos
+        bottoms.append(bottom)
+    shapes = [t.shape[1:] for t in _row(peps, np.zeros(peps.n_sites, int), plan.mid)]
+    for top, pos, cfgs in _walk(peps, table, range(plan.mid), plan.chi, "top"):
+        order = np.argsort(b_part[cfgs], kind="stable")  # a closure stack reads one bottom part
+        pos, cfgs = pos[order], cfgs[order]
+        edges = np.flatnonzero(np.diff(b_part[cfgs], prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(edges, edges[1:]):
+            bottom = bottoms[b_part[cfgs[lo]]]
+            step = max(1, BLOCK_BYTES // peps.rows // _stack_bytes(top, shapes, bottom))
+            for k in range(lo, hi, step):
+                cut = slice(k, min(k + step, hi))
+                amps = _close_strip(_gather(top, pos[cut]), _stacked_row(peps, table[cfgs[cut]], plan.mid),
+                                    _gather(bottom, b_pos[cfgs[cut]]))
+                for i, amp in zip(cfgs[cut].tolist(), amps):
+                    out[i] = amp
+    return out
+
+
+def _walk(peps: Peps, table: np.ndarray, rows: range, chi: int, side: str):
+    """Depth first over the distinct prefixes of the table along ``rows``
+    (the rows one side absorbs, in order), yielding each stack of the last
+    level's boundaries (``None`` for no rows), the configurations under it
+    and the place of each one's boundary in it.
+
+    Level ``k`` numbers its prefixes in order of the pair (parent prefix,
+    row pattern), so each parent's children are consecutive, and absorbs a
+    stack's children in slices that fit a ``rows``-th of :data:`BLOCK_BYTES`,
+    last in first out, so a level holds one slice's boundaries at a time.
+    """
+    d, cols, blank = peps.phys_dim, peps.cols, np.zeros(peps.n_sites, int)
+    ids, count, levels = np.zeros(len(table), np.int64), 1, []
+    for r in rows:
+        key, bound = ids, count
+        for c in range(r * cols, (r + 1) * cols):
+            if bound * d >= 1 << 62:  # renumber before the key could overflow
+                uniq, key = np.unique(key, return_inverse=True)
+                bound = len(uniq)
+            key, bound = key * d + table[:, c], bound * d
+        _, held, key = np.unique(key, return_index=True, return_inverse=True)
+        shapes = [t.shape[1:] for t in _row(peps, blank, r)]
+        levels.append((held, np.searchsorted(ids[held], np.arange(count + 1)), r, shapes))
+        ids, count = key, len(held)
+    held = np.argsort(ids, kind="stable")  # the configurations under each last prefix
+    levels.append((held, np.searchsorted(ids[held], np.arange(count + 1)), None, None))
+    pending = [(0, None, None, None)]  # (level, stack, a slice of its children or None)
+    while pending:
+        k, stack, pos, child = pending.pop()
+        held, first, r, shapes = levels[k]
+        if child is not None:
+            row = _stacked_row(peps, table[held[child]], r)
+            for part in reversed(boundary_absorb(_gather(stack, pos), row, chi, side)):
+                pending.append((k + 1, Chains(child[part.rows].tolist(), part.sites, part.log), None, None))
+            continue
+        parents = np.zeros(1, np.int64) if stack is None else np.asarray(stack.rows)
+        lo, n = first[parents], first[parents + 1] - first[parents]
+        pos = np.repeat(np.arange(len(n)), n)  # each child's parent, and the children in order:
+        child = np.arange(len(pos)) + (lo - np.cumsum(n) + n)[pos]
+        if r is None:
+            yield stack, pos, held[child]
+            continue
+        ends = (stack, None) if side == "top" else (None, stack)
+        step = max(1, BLOCK_BYTES // peps.rows // _stack_bytes(ends[0], shapes, ends[1]))
+        pending += [(k, stack, pos[j : j + step], child[j : j + step]) for j in range(0, len(child), step)][::-1]
+
+
+def _gather(stack: Chains | None, pos: np.ndarray) -> Chains | None:
+    """The boundaries of ``stack`` at ``pos``, repeats and all, as one stack
+    labelled ``0 .. len(pos)-1``; its sites stay contiguous in their layout."""
+    if stack is None:
+        return None
+    return Chains(list(range(len(pos))), [s[pos] for s in stack.sites], [stack.log[i] for i in pos.tolist()])
+
+
+def _stacked_row(peps: Peps, cfgs: np.ndarray, r: int) -> list[np.ndarray]:
+    """:func:`_row` of each configuration of the table ``cfgs`` as one stack.
+    Each chain's site is laid out as a slice of a site, as :func:`_row`
+    reads it, so products with an extent of 1 round as alone."""
+    row = []
+    for c, site in enumerate(peps.sites[r]):
+        sliced = np.empty((len(cfgs),) + site.shape, site.dtype)
+        sliced[..., 0] = site.transpose(4, 0, 1, 2, 3)[cfgs[:, r * peps.cols + c]]
+        row.append(sliced[..., 0])
+    return _unroll_row(row) if peps.boundary == "pbc" else row
+
+
+def _stack_bytes(top: Chains | None, shapes: list[tuple], bottom: Chains | None) -> int:
+    """Bytes per chain of the largest arrays an absorb into one boundary
+    stack, or a closure between two, makes on a row of site shapes
+    ``shapes``: per column, the product of the top boundary (else the
+    bottom one) with the row over the face legs, and the bonds of all three
+    layers."""
+    total = 0
+    for c, (u, l, d, r) in enumerate(shapes):
+        lt, o, rt, _ = top.sites[c][0].shape if top is not None else (1, 1, 1, u)
+        o2, _, lb, rb = bottom.sites[c][0].shape if bottom is not None else (1, d, 1, 1)
+        face = lt * o * rt * l * d * r if top is not None else o2 * lb * rb * u * l * r
+        total += max(face, lt * rt * l * r * lb * rb)
+    return 16 * total
+
+
 def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.ndarray, int]:
     """The amplitude of ``n`` and ``O_k = d ln psi(n) / d theta_k`` for every
     real parameter in :func:`peps_to_params` order, from one taped
@@ -539,8 +674,9 @@ def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.
     return amp, np.concatenate(parts), zeroed
 
 
-# Bytes each memo of a :class:`_BoundaryStack` may hold, as it counts them: room for all
-# 12,870 4x4 half-filling amplitudes (2.6 MiB), and an L=14, t=10 Floquet run stays under 80 MB.
+# Bytes each memo of a :class:`_BoundaryStack` may hold, as it counts them: room for the
+# amplitudes of all 12,870 4x4 half-filling configurations (2.6 MiB) that a Metropolis
+# chain on that lattice can visit. Enumerations run on :func:`fixed_table` and keep no memo.
 MEMO_MAX_BYTES = 3 << 20
 # Object bytes beyond key data and arrays per amplitude entry (key, dict slot, value),
 # per environment entry (key tuple, dict slot, boundary) and per boundary site (view

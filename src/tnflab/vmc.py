@@ -38,6 +38,7 @@ from .peps import (
     FixedPlan,
     Peps,
     as_config,
+    fixed_table,
     log_derivatives,
     peps_from_params,
     peps_to_params,
@@ -66,7 +67,7 @@ def local_energy(model: Model, amplitude_fn: Callable, n) -> complex:
     ``amplitude_fn`` maps a configuration to an :class:`AmplitudeValue`.
     Ratios come from the mantissa/log pairs; connected configurations with
     zero amplitude contribute nothing. Requires a nonzero amplitude at ``n``.
-    ``n`` is read by :func:`tnflab.peps.as_config`, so an entry that is not an
+    ``n`` is read by :func:`tnflab.mps.as_config`, so an entry that is not an
     integer in ``[0, 2)`` raises ``ValueError``.
     """
     cfg = as_config(n, model.n_sites, 2)
@@ -269,11 +270,12 @@ def estimate_energy(
     )
 
 
-def _sector_state(amplitude_fn: Callable, model: Model):
+def _sector_state(peps: Peps, model: Model, plan: FixedPlan):
     """The configurations of ``Sector(model.n_sites)``, their amplitudes ``psi``
-    at the largest amplitude's scale, ``H psi`` and the Rayleigh quotient."""
+    at the largest amplitude's scale (one :func:`tnflab.peps.fixed_table`),
+    ``H psi`` and the Rayleigh quotient."""
     configs = Sector(model.n_sites).configs
-    amps = [amplitude_fn(cfg) for cfg in configs]
+    amps = fixed_table(peps, plan, configs)
     top = max((a.log_scale for a in amps if not a.is_zero), default=0.0)
     psi = np.array([0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in amps])
     h_psi = sector_hamiltonian(model) @ psi
@@ -283,14 +285,15 @@ def _sector_state(amplitude_fn: Callable, model: Model):
     return configs, psi, h_psi, float(np.vdot(psi, h_psi).real / norm)
 
 
-def enumerate_energy(amplitude_fn: Callable, model: Model) -> float:
+def enumerate_energy(peps: Peps, model: Model, chi: int) -> float:
     """Rayleigh quotient over the half-filling sector (no sampling).
 
-    Evaluates every configuration in the sector the chains walk into one
-    amplitude vector ``psi`` and returns ``<psi|H|psi> / <psi|psi>`` with the
-    sector Hamiltonian: the sampled estimator's infinite-statistics limit.
+    Contracts every configuration in the sector the chains walk on the fixed
+    schedule of :func:`estimate_energy`'s ``"fixed"`` mode into one amplitude
+    vector ``psi`` and returns ``<psi|H|psi> / <psi|psi>`` with the sector
+    Hamiltonian: the sampled estimator's infinite-statistics limit.
     """
-    return _sector_state(amplitude_fn, model)[3]
+    return _sector_state(peps, model, FixedPlan.for_lattice(peps.rows, peps.cols, chi))[3]
 
 
 @dataclass
@@ -321,13 +324,14 @@ def gradient_estimate(
     ``zeroed_params`` sums, over samples, the parameters left at 0 because they feed a
     degenerate truncation. A non-finite energy raises :class:`NumericalAbortError`.
     """
-    evaluator = _make_evaluator(peps, "fixed", chi)
+    plan = FixedPlan.for_lattice(peps.rows, peps.cols, chi)
     if sampling == "enumerate":
-        configs, psi, h_psi, e_mean = _sector_state(evaluator.peek, model)
+        configs, psi, h_psi, e_mean = _sector_state(peps, model, plan)
         weights = np.abs(psi) ** 2
         samples = ((configs[k], weights[k], h_psi[k] / psi[k]) for k in np.flatnonzero(weights))
     elif sampling == "metropolis":
         n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup)
+        evaluator = FixedEvaluator(peps, plan)
         chain = _chain_samples(evaluator, model, n_sweeps, n_warmup, seed, 0, cfg0)
         samples = ((s.config, 1.0, local_energy(model, evaluator.peek, s.config)) for s in chain)
     else:
@@ -345,7 +349,7 @@ def gradient_estimate(
     # gradient needs the full complex value against O_k*.
     for cfg, w, e in samples:
         if (key := cfg.tobytes()) not in memo:
-            memo[key] = log_derivatives(peps, cfg, evaluator.plan)[1:]
+            memo[key] = log_derivatives(peps, cfg, plan)[1:]
         o, z = memo[key]
         oc = np.conj(o)
         sum_w += w

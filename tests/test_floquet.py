@@ -12,7 +12,6 @@ from tnflab.entanglement import bulk_entropy_sweep, entanglement_dynamics, entro
 from tnflab.errors import ResourceLimitError
 import tnflab.floquet as floquet
 from tnflab.floquet import (
-    BLOCK_BYTES,
     PRESETS,
     FloquetParams,
     build_floquet_mpo,
@@ -29,7 +28,8 @@ from tnflab.floquet import (
     transverse_table,
 )
 from tnflab.mps import apply_mpo, compress, mps_amplitude, mps_to_dense, mpo_to_dense
-from tnflab.peps import FixedPlan, amplitude_fixed
+import tnflab.peps as peps_module
+from tnflab.peps import BLOCK_BYTES, FixedPlan, amplitude_fixed
 from tnflab.tensor import AmplitudeValue
 
 Z = np.diag([1.0, -1.0])
@@ -566,7 +566,7 @@ def test_transverse_table_matches_each_configuration_alone(data):
     p = FloquetParams(n_sites, **couplings)
     with pytest.MonkeyPatch.context() as patch:
         if data.draw(st.booleans(), label="split"):
-            patch.setattr(floquet, "BLOCK_BYTES", 1)
+            patch.setattr(peps_module, "BLOCK_BYTES", 1)
         table = transverse_table(p, chi, t)
     assert len(table) == 2**n_sites
     for n in itertools.product((0, 1), repeat=n_sites):
@@ -583,13 +583,13 @@ def test_transverse_stacks_split_by_the_byte_budget(monkeypatch):
 
     def spy(stack, row, chi, side="top", tape=None):
         if stack is not None and len(row[0]) > 2:  # absorbed sites: (l, o, r) x (l2, d, r2) per chain
-            sizes.append(16 * len(row[0]) * sum(s[0].size // s.shape[3] * (t[0].size // t.shape[1])
+            sizes.append(16 * len(row[0]) * sum(s[0].size // s.shape[4] * (t[0].size // t.shape[1])
                                                 for s, t in zip(stack.sites, row)))
         return absorb(stack, row, chi, side, tape)
 
-    absorb = floquet.boundary_absorb
-    monkeypatch.setattr(floquet, "boundary_absorb", spy)
-    monkeypatch.setattr(floquet, "BLOCK_BYTES", 16384 * 7)
+    absorb = peps_module.boundary_absorb
+    monkeypatch.setattr(peps_module, "boundary_absorb", spy)
+    monkeypatch.setattr(peps_module, "BLOCK_BYTES", 16384 * 7)
     assert [_bits(a) for a in transverse_table(p, 3, 4)] == want
     assert len(sizes) > 8 and max(sizes) <= 16384
 

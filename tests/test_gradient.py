@@ -31,11 +31,6 @@ from tnflab.vmc import (
 from tnflab.ed import ground_energy
 
 
-def enumerated_energy_of(peps, model, chi):
-    ev = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
-    return enumerate_energy(ev.peek, model)
-
-
 # The finite-difference oracle: central differences of the log-amplitude with
 # a relative step and an absolute floor, probing only the entries an amplitude
 # reads.
@@ -308,8 +303,8 @@ class TestGradient:
             dn = params.copy()
             dn[k] -= h
             fd = (
-                enumerated_energy_of(peps_from_params(p, up), m, chi)
-                - enumerated_energy_of(peps_from_params(p, dn), m, chi)
+                enumerate_energy(peps_from_params(p, up), m, chi)
+                - enumerate_energy(peps_from_params(p, dn), m, chi)
             ) / (2 * h)
             assert abs(g[k] - fd) < 1e-6, f"param {k}: {g[k]} vs {fd}"
 
@@ -359,7 +354,7 @@ class TestGradient:
         m = heisenberg(2, 2)
         p = random_peps(2, 2, 2, 2, seed=9)
         _, info = gradient_estimate(p, m, chi=2, sampling="enumerate")
-        assert info.energy == enumerated_energy_of(p, m, 2)
+        assert info.energy == enumerate_energy(p, m, 2)
 
     def test_non_finite_energy_aborts(self):
         m = heisenberg(1, 4)
@@ -384,7 +379,7 @@ class TestSgd:
         e_ed = ground_energy(m)
         p = random_peps(2, 2, 2, 2, seed=9)
         best, trace = sgd_optimize(p, m, chi=4, learning_rate=0.1, iterations=150, sampling="enumerate")
-        e = enumerated_energy_of(best, m, 4)
+        e = enumerate_energy(best, m, 4)
         assert (e - e_ed) / abs(e_ed) < 0.01, f"final {e} vs ED {e_ed}"
 
     def test_divergence_abort(self, monkeypatch):

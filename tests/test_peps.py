@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tnflab.peps as peps_module
+from tnflab.ed import Sector
 from tnflab.errors import DimensionError, ResourceLimitError
-from tnflab.models import heisenberg
 from tnflab.mps import Chains, compress
 from tnflab.peps import (
     EXACT_MAX_BYTES,
@@ -28,6 +28,7 @@ from tnflab.peps import (
     as_config,
     boundary_absorb,
     exact_amplitude,
+    fixed_table,
     load_peps,
     product_peps,
     project_config,
@@ -35,7 +36,6 @@ from tnflab.peps import (
     save_peps,
 )
 from tnflab.tensor import AmplitudeValue, renormalize, svd_split
-from tnflab.vmc import enumerate_energy
 
 
 BOUNDARIES = ("obc", "pbc")
@@ -544,6 +544,59 @@ def test_stacked_contractions_give_each_chain_its_bits_alone(boundary, closure, 
         assert amps[every[-1]].is_zero, chi
 
 
+def exact_bits(a):
+    m = complex(a.mantissa)
+    return m.real.hex(), m.imag.hex(), float(a.log_scale).hex(), a.is_zero
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_fixed_table_matches_each_configuration_alone(data):
+    """One table walk gives every row of a configuration table the bits of
+    ``FixedEvaluator.amplitude``, at every closure row and chi 1-4, on open
+    and periodic lattices down to one row or one column. The rows are a
+    shuffled subset with repeats; a product state gives exactly-zero
+    amplitudes; a budget of one byte runs every stack as one chain."""
+    boundary = data.draw(st.sampled_from(BOUNDARIES), label="boundary")
+    rows, cols = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
+    n_sites = rows * cols
+    config = st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)
+    if boundary == "obc" and data.draw(st.booleans(), label="product"):
+        state = product_peps(rows, cols, 2, data.draw(config, label="support"))
+    else:
+        bond = data.draw(st.integers(1, 3 if boundary == "obc" and n_sites <= 9 else 2), label="bond")
+        state = random_peps(rows, cols, 2, bond, seed=data.draw(st.integers(0, 2**16)), boundary=boundary)
+    distinct = data.draw(st.lists(config, min_size=1, max_size=12, unique_by=tuple), label="distinct")
+    configs = data.draw(st.permutations(distinct + data.draw(st.lists(st.sampled_from(distinct), max_size=6))))
+    if state.bond_dim == 1:
+        configs.append(data.draw(config))
+    with pytest.MonkeyPatch.context() as patch:
+        if data.draw(st.booleans(), label="split"):
+            patch.setattr(peps_module, "BLOCK_BYTES", 1)
+        for mid, chi in itertools.product(range(rows), range(1, 5)):
+            plan = FixedPlan(rows, cols, chi, mid)
+            ev = FixedEvaluator(state, plan)
+            got = fixed_table(state, plan, np.array(configs))
+            assert [exact_bits(a) for a in got] == [exact_bits(ev.amplitude(n)) for n in configs], (mid, chi)
+
+
+@pytest.mark.parametrize("bad", [0.9, math.nan, 2, "width"])
+def test_fixed_table_rejects_a_bad_table_whole(bad):
+    """A bad entry anywhere, or rows of the wrong width, raise one
+    ``ValueError`` for the whole table, as ``as_config`` does for one
+    configuration; nothing is contracted."""
+    p = random_peps(2, 3, 2, 2, seed=1)
+    plan = FixedPlan.for_lattice(2, 3, 2)
+    table = np.zeros((4, 7 if bad == "width" else 6))
+    if bad != "width":
+        table[2, 5] = bad
+        with pytest.raises(ValueError):
+            as_config(table[2], 6, 2)
+    with pytest.raises(ValueError):
+        fixed_table(p, plan, table)
+    assert fixed_table(p, plan, np.zeros((0, 6), int)) == []
+
+
 class TestAmplitudeFixed:
     def test_exact_limit_4x4_d3(self):
         p = random_peps(4, 4, 2, 3, seed=6)
@@ -657,17 +710,18 @@ class TestAmplitudeFixed:
 
     def test_amplitude_eviction_keeps_the_environments(self, monkeypatch):
         """A budget that holds the 3x4 sector's environments but not its
-        amplitudes makes exactly the unbounded enumeration's absorbs."""
+        amplitudes makes exactly the unbounded pass's absorbs, with the
+        same bits."""
         p = random_peps(3, 4, 2, 2, seed=5)
         plan = FixedPlan.for_lattice(3, 4, 2)
-        model = heisenberg(3, 4)
-        absorbs = count_absorbs(monkeypatch)
-        energy = enumerate_energy(FixedEvaluator(p, plan).amplitude, model)
+        configs = Sector(12).configs
+        absorbs, full = count_absorbs(monkeypatch), FixedEvaluator(p, plan)
+        want = [bits(full.amplitude(n)) for n in configs]
         unbounded, absorbs[0] = absorbs[0], 0
         monkeypatch.setattr(peps_module, "MEMO_MAX_BYTES", 64 << 10)
         ev = FixedEvaluator(p, plan)
-        assert enumerate_energy(ev.amplitude, model).hex() == energy.hex()
-        assert ev._amp_capacity < 924  # C(12, 6) configurations: amplitudes were evicted
+        assert [bits(ev.amplitude(n)) for n in configs] == want
+        assert ev._amp_capacity < len(configs)  # C(12, 6) configurations: amplitudes were evicted
         assert absorbs[0] == unbounded
 
     @pytest.mark.parametrize("budget", [0, 1000, 3000, 8 << 10])

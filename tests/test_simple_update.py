@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from tnflab.models import Model, heisenberg, neel_config
-from tnflab.peps import FixedEvaluator, FixedPlan, Peps, exact_amplitude, random_peps
+from tnflab.peps import Peps, exact_amplitude, random_peps
 from tnflab.simple_update import simple_update
 from tnflab.vmc import enumerate_energy
 
@@ -66,8 +66,7 @@ def test_4x4_below_neel_product_energy():
     m = heisenberg(4, 4)
     p = random_peps(4, 4, 2, 2, seed=4)
     q = simple_update(p, m, tau=0.1, steps=150)
-    ev = FixedEvaluator(q, FixedPlan.for_lattice(4, 4, 8))
-    e = enumerate_energy(ev.peek, m)
+    e = enumerate_energy(q, m, 8)
     # Neel product state: every bond contributes its diagonal -1/4
     neel_energy = -0.25 * len(m.couplings)
     assert e < neel_energy, f"simple update energy {e} not below Neel {neel_energy}"

@@ -90,7 +90,7 @@ class TestLocalEnergy:
         m = heisenberg(4, 4)
         p = random_peps(4, 4, 2, 2, seed=0)
         ev = FixedEvaluator(p, FixedPlan.for_lattice(4, 4, 4))
-        got = enumerate_energy(ev.peek, m)
+        got = enumerate_energy(p, m, 4)
 
         assert abs(got - local_energy_average(ev.peek, m)) < 1e-10
 

@@ -220,8 +220,7 @@ def vmc_items(d: Digest, tnf) -> None:
         d.array(f"gradient{tag} {sampling}", grad)
         d.num(f"gradient{tag} {sampling} energy", info.energy)
         d.add(f"gradient{tag} {sampling} counts", f"{info.n_samples} {info.zeroed_params}".encode())
-    ev = tnf.FixedEvaluator(state, tnf.FixedPlan.for_lattice(2, 2, 2))
-    d.num("enumerate_energy 2x2", tnf.enumerate_energy(ev.peek, model))
+    d.num("enumerate_energy 2x2", tnf.enumerate_energy(state, model, 2))
     for model in (tnf.heisenberg(2, 3, "pbc"), tnf.heisenberg(3, 3), tnf.j1j2(4, 4, 0.5, "pbc")):
         d.num(f"ground_energy {model.name} {model.rows}x{model.cols}", tnf.ground_energy(model))
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from tnflab.ed import Sector, ground_energy, sector_hamiltonian
 from tnflab.models import j1j2, neel_config, nn_pairs
-from tnflab.peps import FixedEvaluator, FixedPlan, Peps, random_peps, save_peps
+from tnflab.peps import FixedPlan, Peps, fixed_table, random_peps, save_peps
 from tnflab.vmc import estimate_energy
 
 ROWS = COLS = 4
@@ -168,10 +168,7 @@ class DynamicChain:
     def closure_amplitudes(self, peps: Peps, chi: int) -> np.ndarray:
         """Amplitudes (rows, sector size) of every closure row, common scale."""
         rows, cols = self.model.rows, self.model.cols
-        amps = []
-        for mid in range(rows):
-            ev = FixedEvaluator(peps, FixedPlan(rows, cols, chi, mid))
-            amps.append([ev.amplitude(cfg) for cfg in self.configs])
+        amps = [fixed_table(peps, FixedPlan(rows, cols, chi, mid), self.configs) for mid in range(rows)]
         top = max(a.log_scale for row in amps for a in row if not a.is_zero)
         return np.array(
             [[0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in row] for row in amps]
