@@ -6,8 +6,6 @@ enumerated energies and gradients of :mod:`tnflab.vmc` index it in one order.
 """
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 import scipy.sparse.linalg
 
@@ -26,8 +24,10 @@ class Sector:
     def __init__(self, n_sites: int):
         if n_sites > _MAX_SITES:
             raise ResourceLimitError(f"{n_sites} sites: exact diagonalization guarded to {_MAX_SITES}")
-        downs = np.array(list(combinations(range(n_sites), n_sites // 2)), dtype=np.int64)
-        self.masks = np.sort((1 << downs).sum(axis=1))
+        count = np.zeros(1 << n_sites, np.uint8)  # set bits of each mask, filled by doubling
+        for i in range(n_sites):
+            count[1 << i : 2 << i] = count[: 1 << i] + 1
+        self.masks = np.flatnonzero(count == n_sites // 2)
         self.dim = len(self.masks)
         self.configs = (self.masks[:, None] >> np.arange(n_sites)) & 1
         self._index = np.full(1 << n_sites, -1, dtype=np.int64)

@@ -20,7 +20,6 @@ chains, blocks outer and times inner, through
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -43,7 +42,7 @@ from .floquet import (
 )
 from .mps import mps_amplitude
 from .peps import _check_chi
-from .tensor import AmplitudeValue
+from .tensor import AmplitudeValue, rescaled
 
 __all__ = [
     "EntanglementData",
@@ -63,15 +62,7 @@ METHODS = ("exact", "mps", "tnf_transverse", "tnf_inverse", "mpo")
 def dense_state_from_amplitudes(amplitude_fn: Callable, n_sites: int) -> np.ndarray:
     """Enumerate all 2^L amplitudes into a dense vector (site 0 most
     significant), rescaled by the largest log factor; not normalized."""
-    return _dense_state([amplitude_fn(cfg) for cfg in _configs(n_sites)])
-
-
-def _dense_state(amps: list[AmplitudeValue]) -> np.ndarray:
-    """Amplitudes in index order as :func:`dense_state_from_amplitudes` returns them."""
-    logs = [None if a.is_zero else a.log_scale for a in amps]
-    top = max((lg for lg in logs if lg is not None), default=-math.inf)
-    return np.array([0j if lg is None else a.mantissa * math.exp(lg - top) for a, lg in zip(amps, logs)],
-                    dtype=complex)
+    return rescaled([amplitude_fn(cfg) for cfg in _configs(n_sites)])
 
 
 def _inverse_tables(params: FloquetParams, chi: int, t_max: int) -> list[list[AmplitudeValue]]:
@@ -193,7 +184,7 @@ def entanglement_dynamics(
     n = params.n_sites
     out = EntanglementData(method=method, chi=None if method == "exact" else chi)
     tables = _tables(params, method, chi, range(params.t_max + 1))
-    for t, psi in enumerate(map(_dense_state, tables)):
+    for t, psi in enumerate(map(rescaled, tables)):
         rho = rdm_from_dense(psi, n, (0, n // 2))
         s, spec, _ = entropy_and_spectrum(rho)
         out.times.append(t)
@@ -218,7 +209,7 @@ def bulk_entropy_sweep(
         sizes = range(1, n)
     _check_periods(t)
     [table] = _tables(params, method, chi, range(t, t + 1))
-    psi = _dense_state(table)
+    psi = rescaled(table)
     out = []
     for size in sizes:
         start = (n - size) // 2

@@ -20,16 +20,18 @@ Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
 * :func:`mpo_mpo_inverse` - compresses ``F^t`` itself as an MPO
   (amplitude-independent isometries), then sandwiches ``<n| M |0>``.
 
+Every time-direction route takes one layer step, ``_advance``: a stack of
+chains held as top boundaries absorbs the period MPO through
+:func:`tnflab.peps.boundary_absorb` and is compressed to ``chi``.
 Enumerations run in lock step without changing a bit: each chain of a
 stack gets the bits it gets alone. :func:`transverse_table` fills the table
 of one ``t`` with one :func:`tnflab.peps.fixed_table` walk over the Floquet
 PEPS, which absorbs each distinct prefix ``n[:r]`` once.
 :func:`inverse_time_series` advances a block of bra chains, one per
-configuration, a period per ``t`` (one stacked ``apply_mpo`` and ``compress``
-per period), as the state routes ``exact_states``, ``conventional_states``
-and ``mpo_states`` advance their single state; :func:`inverse_time_block`
-sizes the blocks to :data:`tnflab.peps.BLOCK_BYTES` at the widest bonds a
-run can reach.
+configuration, a period per ``t`` (one stacked layer step per period), as
+the state routes ``conventional_states`` and ``mpo_states`` advance their
+single chain; :func:`inverse_time_block` sizes the blocks to
+:data:`tnflab.peps.BLOCK_BYTES` at the widest bonds a run can reach.
 """
 from __future__ import annotations
 
@@ -42,7 +44,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResourceLimitError
-from .mps import Chains, apply_mpo, compress, mps_amplitude
+from .mps import Chains, as_configs, mps_amplitude
+from .mps import compress  # noqa: F401  a binding perfbench/tracer.py requires
 from .peps import (
     _LAYOUT,
     BLOCK_BYTES,
@@ -221,27 +224,24 @@ def exact_evolve(params: FloquetParams, t: int) -> np.ndarray:
     return next(itertools.islice(exact_states(params), t, None)).reshape(-1)
 
 
-def _advance(parts: list[Chains], mpo: list[np.ndarray], chi: int) -> list[Chains]:
-    """The stacked chains ``parts`` one MPO layer on, compressed to ``chi``;
-    each chain's log factor grows by the factors taken out."""
-    out = []
-    for rows, sites, log in parts:
-        for sub in compress(apply_mpo(sites, mpo), chi):
-            out.append(Chains([rows[j] for j in sub.rows], sub.sites,
-                              [log[j] + lf for j, lf in zip(sub.rows, sub.log)]))
-    return out
+def _advance(parts: list[Chains], layer: list[np.ndarray], chi: int) -> list[Chains]:
+    """The top boundary stacks ``parts`` one ``layer`` on (sites ``(up, left,
+    down, right)``, views of the MPO whose layout the products round with,
+    shared by every chain), compressed to ``chi``; log factors grow."""
+    return [part for stack in parts for part in boundary_absorb(
+        stack, [np.broadcast_to(t, (len(stack.rows),) + t.shape) for t in layer], chi, "top")]
 
 
 def conventional_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:
     """:func:`evolve_conventional` at t = 0, 1, ..., advanced one period per step."""
     _check_chi(chi)
-    e0 = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 2, 1)
-    parts = [Chains([0], [e0] * params.n_sites, [0.0])]  # a stack of one
-    mpo = build_floquet_mpo(params)
+    e0 = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 1, 1, 2)  # a top boundary stack of one
+    parts = [Chains([0], [e0] * params.n_sites, [0.0])]
+    layer = [w.transpose(2, 0, 1, 3) for w in build_floquet_mpo(params)]  # in meets the state
     while True:
         [(_, sites, log)] = parts
-        yield [s[0] for s in sites], log[0]
-        parts = _advance(parts, mpo, chi)
+        yield [_in_compress_order(s, "top")[0, :, 0] for s in sites], log[0]
+        parts = _advance(parts, layer, chi)
 
 
 def evolve_conventional(params: FloquetParams, chi: int, t: int) -> tuple[list[np.ndarray], float]:
@@ -330,34 +330,32 @@ def inverse_time_block(params: FloquetParams, chi: int, t_max: int) -> int:
 
 
 def inverse_time_series(params: FloquetParams, chi: int, configs) -> Iterator[list[AmplitudeValue]]:
-    """:func:`tnf_amplitude_inverse_time` of each configuration in ``configs``
-    at t = 0, 1, ..., one list per t. The block's bra chains, one per
-    configuration, advance in lock step: one stacked ``apply_mpo`` and
-    ``compress`` per period and one stacked overlap with ``|0...0>``, each
-    chain bit for bit as alone. Size blocks with :func:`inverse_time_block`."""
+    """:func:`tnf_amplitude_inverse_time` of each configuration of the table
+    ``configs`` (read by :func:`tnflab.mps.as_configs`) at t = 0, 1, ..., one
+    list per t. The block's bra chains, one per configuration, advance in
+    lock step: one stacked absorb of the period layer (compressed to ``chi``)
+    per period and one stacked overlap with ``|0...0>``, each chain bit for
+    bit as alone. Size blocks with :func:`inverse_time_block`."""
     _check_chi(chi)
-    n_sites = params.n_sites
-    cfgs = np.array([as_config(n, n_sites, 2) for n in configs], dtype=np.int64).reshape(-1, n_sites)
-    return _lockstep(params, chi, cfgs)
+    return _lockstep(params, chi, as_configs(configs, params.n_sites, 2))
 
 
 def _lockstep(params: FloquetParams, chi: int, cfgs: np.ndarray) -> Iterator[list[AmplitudeValue]]:
-    bra_mpo = [w.transpose(0, 2, 1, 3) for w in build_floquet_mpo(params)]  # act on the bra side
+    layer = [w.transpose(1, 0, 2, 3) for w in build_floquet_mpo(params)]  # out meets the bra
     yield [_delta_amplitude(c) for c in cfgs]
-    basis = np.eye(2, dtype=complex)
-    count = len(cfgs)
-    parts = [Chains(list(range(count)), [basis[b].reshape(-1, 1, 2, 1) for b in cfgs.T], [0.0] * count)]
+    # Each chain starts as the first period's layer projected on its configuration.
+    parts = boundary_absorb(None, [w[b][:, None] for w, b in zip(layer, cfgs.T)], chi, "top")
     while True:
-        parts = _advance(parts, bra_mpo, chi)
-        amps = [None] * count
+        amps = [None] * len(cfgs)
         for rows, sites, log in parts:
             # mps_amplitude(chain, [0] * L) per chain, bit for bit.
-            mat = sites[0][:, :, 0, :]
+            mat = _in_compress_order(sites[0], "top")[:, :, 0, 0, :]
             for s in sites[1:]:
-                mat = mat @ s[:, :, 0, :]
+                mat = mat @ _in_compress_order(s, "top")[:, :, 0, 0, :]
             for row, value, lg in zip(rows, mat[:, 0, 0].tolist(), log):
                 amps[row] = AmplitudeValue.from_parts(value, lg)
         yield amps
+        parts = _advance(parts, layer, chi)
 
 
 def tnf_amplitude_inverse_time(params: FloquetParams, n, chi: int, t: int) -> AmplitudeValue:
@@ -378,11 +376,11 @@ def mpo_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarra
     # F as a top boundary stack of one (outputs open, inputs as faces); earlier layers attach by their outputs.
     mpo = build_floquet_mpo(params)
     yield mpo, 0.0
-    acc = Chains([0], [w[None].transpose(_LAYOUT["top"]) for w in mpo], [0.0])
-    layer = [w.transpose(1, 0, 2, 3)[None] for w in mpo]
+    acc = [Chains([0], [w[None].transpose(_LAYOUT["top"]) for w in mpo], [0.0])]
+    layer = [w.transpose(1, 0, 2, 3) for w in mpo]
     while True:
-        [acc] = boundary_absorb(acc, layer, chi, "top")
-        yield [_in_compress_order(s, "top")[0] for s in acc.sites], acc.log[0]
+        [(_, sites, log)] = acc = _advance(acc, layer, chi)
+        yield [_in_compress_order(s, "top")[0] for s in sites], log[0]
 
 
 def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.ndarray], float]:

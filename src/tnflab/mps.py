@@ -2,14 +2,15 @@
 Floquet routes.
 
 An MPS is a list of rank-3 arrays ``(left, phys, right)`` with extent-1 outer
-bonds. An MPO site is rank-4 ``(left, out, in, right)``; applying an MPO to an
-MPS contracts ``in`` with the state's physical leg. :func:`as_config` reads
-the basis configurations every module takes.
+bonds. An MPO site is rank-4 ``(left, out, in, right)``. :func:`as_config`
+reads the basis configurations every module takes, :func:`as_configs` the
+tables of them.
 
-:func:`apply_mpo` and :func:`compress` work on stacks of chains of equal
-shapes: site ``i`` of a stack is one array whose leading axis runs over the
-chains, and each chain comes out bit for bit as it would alone. A single
-chain is a stack of one.
+:func:`compress` works on stacks of chains of equal shapes: site ``i`` of a
+stack is one array whose leading axis runs over the chains, and each chain
+comes out bit for bit as it would alone. A single chain is a stack of one.
+Layers are applied by :func:`tnflab.peps.boundary_absorb`; :func:`apply_mpo`
+is its single-chain ``np.tensordot`` reference.
 
 Compression follows one fixed recipe everywhere: a left-to-right QR
 canonicalization followed by a right-to-left truncation sweep using the
@@ -18,7 +19,6 @@ function of the input chain, which is what fixed-schedule contractions need.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -30,6 +30,7 @@ from .tensor import renormalize, svd_split
 
 __all__ = [
     "as_config",
+    "as_configs",
     "Chains",
     "apply_mpo",
     "compress",
@@ -53,6 +54,20 @@ def as_config(n, n_sites: int, phys_dim: int) -> np.ndarray:
     return n
 
 
+def as_configs(table, n_sites: int, phys_dim: int) -> np.ndarray:
+    """The table of configurations ``table``, one a row (``[]`` is empty), as the
+    smallest unsigned type holding ``phys_dim - 1``; a bad entry or row width
+    raises ``ValueError`` for the whole table, as :func:`as_config` for one."""
+    table = np.asarray(table)
+    _check_entries(table, phys_dim)
+    table = table.reshape(0, n_sites) if table.shape == (0,) else table
+    if table.ndim != 2 or table.shape[1] != n_sites:
+        raise ValueError(f"configuration table of shape {table.shape}, lattice has {n_sites} sites")
+    if table.size and (table.min() < 0 or table.max() >= phys_dim):
+        raise ValueError("configuration entry out of range for the physical dimension")
+    return table.astype(np.min_scalar_type(phys_dim - 1), copy=False)
+
+
 def _check_entries(n: np.ndarray, phys_dim: int) -> None:
     """Raise ``ValueError`` unless the array ``n`` holds integers, or floats
     that are integers in ``[0, phys_dim)``."""
@@ -71,31 +86,28 @@ class Chains(NamedTuple):
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot`` of each pair of matrices in two stacks (a 2-D ``b`` is
-    shared), bit for bit. Over a shared extent of 1 (scalar, scaled and outer
-    products) ``np.dot`` and ``np.matmul`` round differently, so those run
-    per chain; elsewhere both call the same BLAS routine."""
+    """``np.dot`` of each pair of matrices in two stacks, bit for bit. Over a
+    shared extent of 1 (scalar, scaled and outer products) ``np.dot`` and
+    ``np.matmul`` round differently, so those run per chain; elsewhere both
+    call the same BLAS routine."""
     if a.shape[-1] == 1:
-        return np.stack([np.dot(x, y) for x, y in zip(a, b if b.ndim == 3 else itertools.repeat(b))])
+        return np.stack([np.dot(x, y) for x, y in zip(a, b)])
     return np.matmul(a, b)
 
 
 def apply_mpo(sites: Sequence[np.ndarray], mpo: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Exact MPO application to each chain of a stack (sites ``(count, l, p,
-    r)``); bond extents multiply."""
+    """Exact MPO application to one chain (sites ``(l, p, r)``) by
+    ``np.tensordot``; bond extents multiply. The reference the stacked layer
+    step (:func:`tnflab.peps.boundary_absorb`) is checked against."""
     if len(sites) != len(mpo):
         raise DimensionError(f"length mismatch: mps {len(sites)} vs mpo {len(mpo)}")
     out = []
     for m, w in zip(sites, mpo):
-        count, l, p, r = m.shape
-        wl, o, w_in, wr = w.shape
-        if w_in != p:
-            raise DimensionError(f"mpo input extent {w_in} does not match mps physical extent {p}")
-        # np.tensordot(chain site, w, axes=([1], [2])) per chain, written out bit for bit:
-        # (l, r, p) x (in=p, wl, out, wr) -> (l, r, wl, out, wr).
-        c = _matmul(m.transpose(0, 1, 3, 2).reshape(count, l * r, p), w.transpose(2, 0, 1, 3).reshape(p, -1))
-        c = c.reshape(count, l, r, wl, o, wr).transpose(0, 1, 3, 4, 2, 5)  # (l, wl, out, r, wr)
-        out.append(np.ascontiguousarray(c.reshape(count, l * wl, o, r * wr)))
+        if w.shape[2] != m.shape[1]:
+            raise DimensionError(f"mpo input extent {w.shape[2]} does not match mps physical extent {m.shape[1]}")
+        c = np.tensordot(m, w, axes=([1], [2]))  # (l, r, wl, out, wr)
+        l, r, wl, o, wr = c.shape
+        out.append(np.ascontiguousarray(c.transpose(0, 2, 3, 1, 4).reshape(l * wl, o, r * wr)))
     return out
 
 
@@ -112,15 +124,17 @@ def compress(
     truncates below the numerical rank. Chains leave the stack at a bond
     where their kept ranks differ, and a chain with an exactly-zero site
     (the value 0) leaves unswept with log factor 0. Returns the parts, which
-    hold every chain once. A ``tape`` records each part as one step (see
-    :mod:`tnflab.adjoint`), degenerate when one of its chains is, and the
-    largest discarded weight.
+    hold every chain once. A ``tape`` records a stack of one chain (a larger
+    stack raises ``ValueError``) as one step (see :mod:`tnflab.adjoint`),
+    degenerate when the compression is, and the largest discarded weight.
     """
     inputs = sites
     sites = [np.asarray(s, dtype=complex) for s in sites]
     chain, count = list(sites), len(sites[0])
     if not count:
         return []
+    if tape is not None and count != 1:
+        raise ValueError(f"a tape records a stack of one chain, got {count}")
     # Left-to-right QR canonicalization.
     qrs = []
     for i in range(len(sites) - 1):
@@ -132,12 +146,12 @@ def compress(
         sites[i + 1] = prod.reshape(rmat.shape[:2] + nxt.shape[2:])
         qrs.append((q, rmat))
 
-    # Right-to-left truncation sweep over pending parts: (rows, sites, log
-    # factors, bond, and with a tape the cuts so far, last bond first).
-    parts = []
-    pending = [(list(range(count)), sites, [0.0] * count, len(sites) - 1, [])]
+    # Right-to-left truncation sweep over pending parts (rows, sites, log
+    # factors, bond); with a tape, the cuts of its one chain, last bond first.
+    parts, cuts = [], []
+    pending = [(list(range(count)), sites, [0.0] * count, len(sites) - 1)]
     while pending:
-        rows, sites, log, i, cuts = pending.pop()
+        rows, sites, log, i = pending.pop()
         t, lf, zero = renormalize(sites[i], stack=True)
         if any(zero):
             # A zero site ends its chain; at site 0 the chain keeps its log factor.
@@ -149,15 +163,14 @@ def compress(
                 continue
             rows, log, lf = ([x[j] for j in keep] for x in (rows, log, lf))
             sites, t = [s[keep] for s in sites], t[keep]
-            cuts = _take_cuts(cuts, keep) if tape is not None else cuts
         log = [a + b for a, b in zip(log, lf)]
         if i == 0:
             parts.append(Chains(rows, [t] + sites[1:], log))
             if tape is not None:
-                _record(tape, inputs, chain, qrs, cuts[::-1], lf, parts[-1], chi)
+                _record(tape, inputs, chain, qrs, cuts[::-1], lf[0], parts[-1], chi)
             continue
         for sel, split in svd_split(t, 1, chi if chi is not None else t.shape[1], stack=True):
-            whole, past = len(sel) == len(rows), None
+            whole = len(sel) == len(rows)
             sub = sites if whole else [s[sel] for s in sites]  # one part keeps its list
             sub[i] = split.right
             carry = split.isometry * split.singulars[:, None, :]  # (l, k) per chain
@@ -166,67 +179,50 @@ def compress(
             prod = _matmul(prev.reshape(len(prev), -1, prev.shape[-1]), carry)
             sub[i - 1] = prod.reshape(prev.shape[:-1] + carry.shape[2:])
             if tape is not None:
-                tape.max_discarded = max(tape.max_discarded, float(split.discarded_weight.max()))
-                past = cuts if whole else _take_cuts(cuts, sel)
-                past.append((lf if whole else [lf[j] for j in sel], split, carry))
+                tape.max_discarded = max(tape.max_discarded, float(split.discarded_weight[0]))
+                cuts.append((lf[0], split, carry[0]))
             pending.append((rows if whole else [rows[j] for j in sel], sub,
-                            log if whole else [log[j] for j in sel], i - 1, past))
+                            log if whole else [log[j] for j in sel], i - 1))
     return parts
 
 
-def _take_cuts(cuts, sel):
-    """The chains ``sel`` of taped cuts ``(log factors, split, carry)``."""
-    return [([lf[j] for j in sel], type(split)(split.isometry[sel], split.singulars[sel], split.right[sel],
-                                               tuple(f[sel] for f in split.thin)),
-             carry[sel]) for lf, split, carry in cuts]
-
-
 def _record(tape, inputs, chain, qrs, cuts, lf0, part, chi):
-    """Record one part of a :func:`compress` of the stack ``chain`` on ``tape``."""
-    degenerate = any(singular_r(r[row]) for _, r in qrs for row in part.rows)
+    """Record the compression of the stack of one ``chain`` to ``part`` on
+    ``tape``: ``qrs`` are the ``(q, r)`` factors, ``cuts`` the ``(log factor,
+    split, carry)`` of bonds ``1 .. n-1`` and ``lf0`` the last rescaling's log
+    factor. The rule reads cotangents in any shape with the sites' element order."""
+    degenerate = any(singular_r(r[0]) for _, r in qrs)
     for (_, split, carry), (_, r) in zip(cuts, qrs):
         # The bond's extent after the QR sweep caps it when chi is None.
-        degenerate |= any(degenerate_cut(carry.shape[2], s, chi or r.shape[1]) for s in split.thin[1])
-    # A degenerate compression has no derivative: nothing goes back through it.
-    backward = (lambda bars: [None] * len(chain)) if degenerate else (
-        _compress_backward(chain, qrs, cuts, lf0, part))
-    tape.record(inputs, part.sites, backward, degenerate)
-
-
-def _compress_backward(chain, qrs, cuts, lf0, part):
-    """Reverse rule of the part ``part`` of a :func:`compress` of the stack
-    ``chain``, its cotangents read in any shape with its sites' element
-    order: ``qrs`` are the stack's ``(q, r)`` factors, ``cuts`` the part's
-    ``(log factors, split, carry)`` of bonds ``1 .. n-1`` and ``lf0`` its
-    last rescaling's log factors."""
-    rows = part.rows
+        degenerate |= degenerate_cut(carry.shape[1], split.thin[1][0], chi or r.shape[1])
 
     def backward(bars):
+        if degenerate:  # no derivative: nothing goes back through it
+            return [None] * len(chain)
         batch = bars[0].shape[0]
-        bars = [b.reshape((batch,) + s.shape) for b, s in zip(bars, part.sites)]
-        abars = [np.zeros((batch,) + a.shape, complex) for a in chain]
-        for j, row in enumerate(rows):
-            zbar = bars[0][:, j] * math.exp(-lf0[j])
-            qbars = []
-            # Truncations, first bond first: site i-1 became q_{i-1} @ carry_i.
-            for i, (lf, split, carry) in enumerate(cuts, start=1):
-                q, c = qrs[i - 1][0][row], carry[j]
-                zm = zbar.reshape(batch, q.shape[0], c.shape[1])
-                qbars.append(zm @ c.conj().T)
-                u, s, vh = (f[j] for f in split.thin)
-                ybar = bars[i][:, j].reshape(batch, c.shape[1], -1)
-                zbar = svd_backward(u, s, vh, c.shape[1], q.conj().T @ zm, ybar) * math.exp(-lf[j])
-            # QR sweep, last site first: site i+1 became r_i @ site i+1.
-            for i in range(len(chain) - 2, -1, -1):
-                q, r = qrs[i][0][row], qrs[i][1][row]
-                a = chain[i + 1][row].reshape(chain[i + 1].shape[1], -1)
-                xbar = zbar.reshape(batch, r.shape[0], -1)
-                abars[i + 1][:, row] = (r.conj().T @ xbar).reshape((batch,) + chain[i + 1].shape[1:])
-                zbar = qr_backward(q, r, qbars[i], xbar @ a.conj().T)
-            abars[0][:, row] = zbar.reshape((batch,) + chain[0].shape[1:])
+        bars = [b.reshape((batch,) + s.shape[1:]) for b, s in zip(bars, part.sites)]
+        zbar = bars[0] * math.exp(-lf0)
+        qbars = []
+        # Truncations, first bond first: site i-1 became q_{i-1} @ carry_i.
+        for i, (lf, split, c) in enumerate(cuts, start=1):
+            q = qrs[i - 1][0][0]
+            zm = zbar.reshape(batch, q.shape[0], c.shape[1])
+            qbars.append(zm @ c.conj().T)
+            u, s, vh = (f[0] for f in split.thin)
+            ybar = bars[i].reshape(batch, c.shape[1], -1)
+            zbar = svd_backward(u, s, vh, c.shape[1], q.conj().T @ zm, ybar) * math.exp(-lf)
+        abars = [None] * len(chain)
+        # QR sweep, last site first: site i+1 became r_i @ site i+1.
+        for i in range(len(chain) - 2, -1, -1):
+            q, r = qrs[i][0][0], qrs[i][1][0]
+            a = chain[i + 1][0].reshape(chain[i + 1].shape[1], -1)
+            xbar = zbar.reshape(batch, r.shape[0], -1)
+            abars[i + 1] = (r.conj().T @ xbar).reshape((batch,) + chain[i + 1].shape)
+            zbar = qr_backward(q, r, qbars[i], xbar @ a.conj().T)
+        abars[0] = zbar.reshape((batch,) + chain[0].shape)
         return abars
 
-    return backward
+    tape.record(inputs, part.sites, backward, degenerate)
 
 
 def mps_amplitude(sites: Sequence[np.ndarray], config: Sequence[int]) -> complex:

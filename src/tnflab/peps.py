@@ -47,7 +47,7 @@ import numpy as np
 
 from .adjoint import Tape, einsum_backward
 from .errors import CacheStateError, DimensionError, ResourceLimitError
-from .mps import Chains, _check_entries, as_config, compress
+from .mps import Chains, as_config, as_configs, compress
 from .tensor import AmplitudeValue, renormalize
 
 __all__ = [
@@ -524,18 +524,11 @@ def fixed_table(peps: Peps, plan: FixedPlan, configs) -> list[AmplitudeValue]:
     closures. Every distinct bottom boundary is kept; the top side runs depth
     first and closes as it goes. A stack holds as many chains as fit a
     ``rows``-th of :data:`BLOCK_BYTES` at its own shapes, and at least one.
-    A bad entry or row width raises ``ValueError`` for the whole table, as
-    :func:`as_config` does for one configuration.
+    The table is read by :func:`tnflab.mps.as_configs`.
     """
     _check_plan(peps, plan)
-    table = np.asarray(configs)
-    _check_entries(table, peps.phys_dim)
-    if table.ndim != 2 or table.shape[1] != peps.n_sites:
-        raise ValueError(f"configuration table of shape {table.shape}, lattice has {peps.n_sites} sites")
-    if table.size and (table.min() < 0 or table.max() >= peps.phys_dim):
-        raise ValueError("configuration entry out of range for the physical dimension")
-    table, out = table.astype(np.min_scalar_type(peps.phys_dim - 1), copy=False), [None] * len(table)
-    (b_part, b_pos), bottoms = np.zeros((2, len(table)), np.int64), []
+    table = as_configs(configs, peps.n_sites, peps.phys_dim)
+    (b_part, b_pos), bottoms, out = np.zeros((2, len(table)), np.int64), [], [None] * len(table)
     for bottom, pos, cfgs in _walk(peps, table, range(peps.rows - 1, plan.mid, -1), plan.chi, "bottom"):
         b_part[cfgs], b_pos[cfgs] = len(bottoms), pos
         bottoms.append(bottom)

@@ -27,6 +27,7 @@ __all__ = [
     "renormalize",
     "Renormalized",
     "AmplitudeValue",
+    "rescaled",
 ]
 
 # Relative floor below which singular values are treated as numerical zeros.
@@ -250,3 +251,10 @@ class AmplitudeValue:
         if log > 700.0:  # exp would overflow; the move is certainly accepted
             return float("inf")
         return r * r * math.exp(log)
+
+
+def rescaled(amps: list[AmplitudeValue]) -> np.ndarray:
+    """The amplitudes as one complex vector at the largest one's scale: each
+    ``mantissa * exp(log_scale - top)``, an exact zero as 0."""
+    top = max((a.log_scale for a in amps if not a.is_zero), default=0.0)
+    return np.array([0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in amps], dtype=complex)

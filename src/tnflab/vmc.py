@@ -43,7 +43,7 @@ from .peps import (
     peps_from_params,
     peps_to_params,
 )
-from .tensor import AmplitudeValue
+from .tensor import AmplitudeValue, rescaled
 
 __all__ = [
     "ChainState",
@@ -275,9 +275,7 @@ def _sector_state(peps: Peps, model: Model, plan: FixedPlan):
     at the largest amplitude's scale (one :func:`tnflab.peps.fixed_table`),
     ``H psi`` and the Rayleigh quotient."""
     configs = Sector(model.n_sites).configs
-    amps = fixed_table(peps, plan, configs)
-    top = max((a.log_scale for a in amps if not a.is_zero), default=0.0)
-    psi = np.array([0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in amps])
+    psi = rescaled(fixed_table(peps, plan, configs))
     h_psi = sector_hamiltonian(model) @ psi
     norm = np.vdot(psi, psi).real
     if norm == 0.0:

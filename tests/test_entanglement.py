@@ -234,7 +234,7 @@ def fresh_state_amplitude(params, method, chi, t):
     if method == "mps":
         sites, log = [np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)] * n, 0.0
         for _ in range(t):
-            [part] = compress(apply_mpo([s[None] for s in sites], mpo), chi)  # a stack of one
+            [part] = compress([s[None] for s in apply_mpo(sites, mpo)], chi)  # a stack of one
             sites = [s[0] for s in part.sites]
             log += float(part.log[0])
         return lambda cfg: AmplitudeValue.from_parts(mps_amplitude(sites, cfg), log)

@@ -298,8 +298,8 @@ class TestTnfInverseTime:
                 bra = [v.reshape(1, 2, 1) for v in caps]  # a product-state bra
                 log = 0.0
                 for t in range(1, 6):
-                    stack = apply_mpo([s[None] for s in bra], [w.transpose(0, 2, 1, 3) for w in mpo])
-                    [part] = compress(stack, chi)  # a stack of one
+                    applied = apply_mpo(bra, [w.transpose(0, 2, 1, 3) for w in mpo])
+                    [part] = compress([s[None] for s in applied], chi)  # a stack of one
                     bra = [s[0] for s in part.sites]
                     log += float(part.log[0])
                     want = AmplitudeValue.from_parts(mps_amplitude(bra, [0] * 8), log)
@@ -476,17 +476,20 @@ def test_block_size_follows_the_bonds_t_max_reaches():
 
 
 def test_block_chains_stay_within_the_shape_bound(monkeypatch):
-    """The applied chains a block really holds, period after period, never
-    outgrow the shape bound the block size is computed from."""
+    """The absorbed chains a block really holds, period after period, never
+    outgrow the shape bound the block size is computed from: per column, a
+    chain's ``(l, open, r)`` legs (none before the first period) times the
+    layer's ``(left, down, right)``."""
     p = FloquetParams(6, **PRESETS["maximally_chaotic"])
     seen = []
+    absorb = floquet.boundary_absorb
 
-    def spy(sites, mpo):
-        out = apply_mpo(sites, mpo)
-        seen.append(sum(s[0].nbytes for s in out))
-        return out
+    def spy(stack, row, chi, side):
+        legs = [()] * len(row) if stack is None else [s.shape[1:4] for s in stack.sites]
+        seen.append(16 * sum(math.prod(a) * math.prod(t.shape[2:]) for a, t in zip(legs, row)))
+        return absorb(stack, row, chi, side)
 
-    monkeypatch.setattr(floquet, "apply_mpo", spy)
+    monkeypatch.setattr(floquet, "boundary_absorb", spy)
     configs = list(itertools.product((0, 1), repeat=6))
     list(itertools.islice(inverse_time_series(p, 3, configs), 10))
     assert seen and max(seen) <= applied_chain_bytes(p, 3)

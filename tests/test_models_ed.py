@@ -1,4 +1,6 @@
 """Lattice models and the exact-diagonalization benchmark."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,16 @@ def test_mask_round_trip():
     assert sector.configs[0].tolist() == [1, 1, 1, 0, 0, 0]  # mask 0b000111
     four = Sector(4)
     assert four.configs[four.masks.tolist().index(0b1001)].tolist() == [1, 0, 0, 1]
+
+
+def test_sector_masks_match_the_combinations():
+    """The popcount-table masks are the sorted sums over every choice of
+    ``n // 2`` down sites, dtype and all."""
+    for n in range(2, 15):
+        downs = np.array(list(combinations(range(n), n // 2)), dtype=np.int64)
+        want = np.sort((1 << downs).sum(axis=1))
+        got = Sector(n).masks
+        assert got.dtype == want.dtype and np.array_equal(got, want), n
 
 
 def test_sector_table():

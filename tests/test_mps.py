@@ -1,4 +1,7 @@
 """Shared MPS machinery: MPO application, compression, amplitudes."""
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 
 from tnflab.adjoint import Tape
 from tnflab.errors import DimensionError
+from tnflab.floquet import PRESETS, FloquetParams, inverse_time_series
 from tnflab.mps import (
     apply_mpo,
     compress,
@@ -13,6 +17,7 @@ from tnflab.mps import (
     mps_to_dense,
     mpo_to_dense,
 )
+from tnflab.peps import FixedPlan, fixed_table, random_peps
 
 
 def compress_chain(chain, chi, tape=None):
@@ -20,11 +25,6 @@ def compress_chain(chain, chi, tape=None):
     [part] = compress([s[None] for s in chain], chi, tape)
     assert part.rows == [0]
     return [s[0] for s in part.sites], float(part.log[0])
-
-
-def apply_chain(chain, mpo):
-    """:func:`apply_mpo` of one chain, as a stack of one."""
-    return [s[0] for s in apply_mpo([s[None] for s in chain], mpo)]
 
 
 def random_mps(rng, n, phys, bond):
@@ -57,14 +57,14 @@ def test_apply_mpo_matches_dense():
         mpo.append(rng.standard_normal((left, 2, 2, right)) + 0j)
         left = right
     dense = mpo_to_dense(mpo) @ mps_to_dense(mps)
-    assert np.allclose(mps_to_dense(apply_chain(mps, mpo)), dense, atol=1e-12)
+    assert np.allclose(mps_to_dense(apply_mpo(mps, mpo)), dense, atol=1e-12)
 
 
 def test_apply_mpo_length_mismatch():
     rng = np.random.default_rng(1)
     mps = random_mps(rng, 3, 2, 2)
     with pytest.raises(DimensionError):
-        apply_chain(mps, [np.zeros((1, 2, 2, 1))] * 4)
+        apply_mpo(mps, [np.zeros((1, 2, 2, 1))] * 4)
 
 
 def test_compress_exact_when_chi_large():
@@ -150,14 +150,16 @@ def test_stacked_compress_matches_each_chain_alone():
                 assert float(part.log[j]).hex() == log.hex()
 
 
-def test_stacked_apply_mpo_matches_each_chain_alone():
+def test_tape_records_a_stack_of_one_only():
+    """A tape follows one chain; a stack of two raises before anything is recorded."""
     rng = np.random.default_rng(8)
-    chains = [random_mps(rng, 4, 2, 2) for _ in range(3)]
-    mpo = [rng.standard_normal((a, 2, 2, b)) + 1j * rng.standard_normal((a, 2, 2, b))
-           for a, b in ((1, 2), (2, 2), (2, 2), (2, 1))]
-    out = apply_mpo([np.stack(sites) for sites in zip(*chains)], mpo)
-    for j, chain in enumerate(chains):
-        assert _bits([s[j] for s in out]) == _bits(apply_chain(chain, mpo))
+    stack = [np.stack(sites) for sites in zip(*(random_mps(rng, 4, 2, 2) for _ in range(2)))]
+    tape = Tape()
+    with pytest.raises(ValueError, match="stack of one"):
+        compress(stack, 2, tape)
+    assert tape.ops == []
+    compress([s[:1] for s in stack], 2, tape)
+    assert len(tape.ops) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,3 +198,27 @@ def test_mps_amplitude_checks_config():
     for bad in bads:
         with pytest.raises(ValueError, match="configuration"):
             mps_amplitude(sites, bad)
+
+
+def _fixed_table(table):
+    return fixed_table(random_peps(2, 3, 2, 2, seed=1), FixedPlan.for_lattice(2, 3, 2), table)
+
+
+def _inverse_time_series(table):
+    return list(itertools.islice(inverse_time_series(FloquetParams(6, **PRESETS["less_chaotic"]), 2, table), 2))
+
+
+@pytest.mark.parametrize("route, empty", [(_fixed_table, []), (_inverse_time_series, [[], []])])
+@pytest.mark.parametrize("bad", [0.9, math.nan, 2, "width", "empty"])
+def test_both_table_routes_read_a_table_alike(route, empty, bad):
+    """``as_configs`` reads the table on both routes: a bad entry anywhere or
+    rows of the wrong width raise one ``ValueError`` for the whole table, and
+    an empty list is an empty table."""
+    if bad == "empty":
+        assert route([]) == empty
+        return
+    table = np.zeros((4, 7 if bad == "width" else 6))
+    if bad != "width":
+        table[2, 5] = bad
+    with pytest.raises(ValueError, match="configuration"):
+        route(table)
