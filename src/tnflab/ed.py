@@ -40,23 +40,25 @@ class Sector:
 
 
 def sector_hamiltonian(model: Model) -> scipy.sparse.csr_matrix:
-    """Sparse Hamiltonian on ``Sector(model.n_sites)``, in its order. The
-    entries go in column by column: a column's exchange terms in coupling
-    order, then its diagonal."""
+    """Sparse Hamiltonian on ``Sector(model.n_sites)``, in its order. Each
+    column holds its exchange terms in coupling order, then its diagonal;
+    no two entries share a place, so the CSR form sorts them by column."""
     sector = Sector(model.n_sites)
-    diag = np.zeros(sector.dim)
-    rows, vals = [], []
+    diag, count = np.zeros(sector.dim), np.ones(sector.dim, np.int64)  # every column keeps its diagonal
     for i, j, c in model.couplings:
         target = sector.swap_target(i, j)
         diag += np.where(target < 0, 0.25 * c, -0.25 * c)
-        rows.append(target)
-        vals.append(np.full(sector.dim, 0.5 * c))
-    cols = np.arange(sector.dim)
-    rows = np.stack(rows + [cols], axis=1)
-    keep = rows >= 0
-    vals = np.stack(vals + [diag], axis=1)[keep]
-    cols = np.broadcast_to(cols[:, None], rows.shape)[keep]
-    return scipy.sparse.csr_matrix((vals, (rows[keep], cols)), shape=(sector.dim, sector.dim))
+        count += target >= 0
+    indptr = np.concatenate(([0], np.cumsum(count)))
+    fill = indptr[:-1].copy()  # each column's next free entry
+    rows, vals = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+    for i, j, c in model.couplings:
+        target = sector.swap_target(i, j)
+        cols = np.flatnonzero(target >= 0)
+        rows[fill[cols]], vals[fill[cols]] = target[cols], 0.5 * c
+        fill[cols] += 1
+    rows[fill], vals[fill] = np.arange(sector.dim), diag
+    return scipy.sparse.csc_matrix((vals, rows, indptr), shape=(sector.dim,) * 2).tocsr()
 
 
 def ground_energy(model: Model) -> float:

@@ -8,7 +8,8 @@ assembly.
 
 Every method reaches its states through one stream of amplitude tables, all
 2^L configurations in index order per time. The state routes advance one
-state a period per time and enumerate it only at the times asked for; the
+state a period per time and read it out only at the times asked for, in one
+stacked :func:`tnflab.mps.chain_values` pass over all prefixes; the
 two TNF routes evaluate every configuration in lock step, each chain bit for
 bit as alone. ``tnf_transverse`` fills one table per time with
 :func:`tnflab.floquet.transverse_table`, one :func:`tnflab.peps.fixed_table`
@@ -34,13 +35,12 @@ from .floquet import (
     exact_states,
     inverse_time_block,
     inverse_time_series,
-    mpo_amplitude,
     mpo_states,
     tnf_amplitude_inverse_time,  # noqa: F401  a binding perfbench/tracer.py requires
     tnf_amplitude_transverse,  # noqa: F401  a binding perfbench/tracer.py requires
     transverse_table,
 )
-from .mps import mps_amplitude
+from .mps import chain_values
 from .peps import _check_chi
 from .tensor import AmplitudeValue, rescaled
 
@@ -137,11 +137,12 @@ def _tables(
     if method == "exact":
         return ([AmplitudeValue.from_parts(complex(v)) for v in psi.reshape(-1)]
                 for psi in itertools.islice(exact_states(params), times.start, times.stop))
-    states = conventional_states(params, chi) if method == "mps" else mpo_states(params, chi)
-    amplitude = _mps_amplitude if method == "mps" else mpo_amplitude
-    configs = _configs(params.n_sites)
-    return ([amplitude(*state, cfg) for cfg in configs]
-            for state in itertools.islice(states, times.start, times.stop))
+    _configs(params.n_sites)  # the enumeration guard, before any state is built
+    if method == "mps":
+        states = conventional_states(params, chi)
+    else:  # <n| M |0...0>: each MPO site read at input 0
+        states = (([w[:, :, 0] for w in sites], log) for sites, log in mpo_states(params, chi))
+    return (_basis_table(*state) for state in itertools.islice(states, times.start, times.stop))
 
 
 def _check_method(method: str, chi: int | None) -> None:
@@ -156,8 +157,13 @@ def _check_method(method: str, chi: int | None) -> None:
             raise ValueError(f"truncated methods need a positive chi: {err}") from None
 
 
-def _mps_amplitude(sites: list[np.ndarray], log: float, cfg) -> AmplitudeValue:
-    return AmplitudeValue.from_parts(mps_amplitude(sites, cfg), log)
+def _basis_table(sites: list[np.ndarray], log: float) -> list[AmplitudeValue]:
+    """``mps_amplitude(sites, n)`` at scale ``log`` for every configuration
+    ``n`` in index order, bit for bit, in one stacked readout: the matrices
+    of site ``i`` run along axis ``i``, so each prefix's product is formed once."""
+    mats = [np.moveaxis(s, 1, 0).reshape(s.shape[1:2] + (1,) * (len(sites) - 1 - i) + s.shape[::2])
+            for i, s in enumerate(sites)]  # leading axes broadcast
+    return [AmplitudeValue.from_parts(v, log) for v in chain_values(mats).reshape(-1).tolist()]
 
 
 @dataclass

@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ResourceLimitError
-from .mps import Chains, as_configs, mps_amplitude
+from .mps import Chains, as_configs, chain_values, mps_amplitude
 from .mps import compress  # noqa: F401  a binding perfbench/tracer.py requires
 from .peps import (
     _LAYOUT,
@@ -53,7 +53,7 @@ from .peps import (
     Peps,
     _check_chi,
     _in_compress_order,
-    amplitude_fixed,
+    _schedule_amplitude,
     as_config,
     boundary_absorb,
     fixed_table,
@@ -133,10 +133,10 @@ def _zz_gate(j: float) -> np.ndarray:
 def _split_zz(j: float) -> tuple[np.ndarray, np.ndarray]:
     """SVD split of the two-qubit gate, square roots of the singular values
     absorbed symmetrically. Left piece (out, in, k), right piece (k, out, in)."""
-    split = svd_split(_zz_gate(j), 2, 4)
-    root = np.sqrt(split.singulars)
-    left = split.isometry * root[None, None, :]
-    right = root[:, None, None] * split.right
+    [(_, split)] = svd_split(_zz_gate(j)[None], 2, 4)
+    root = np.sqrt(split.singulars[0])
+    left = split.isometry[0] * root[None, None, :]
+    right = root[:, None, None] * split.right[0]
     return left, right
 
 
@@ -286,18 +286,17 @@ def floquet_peps(params: FloquetParams, t: int) -> Peps:
 def tnf_amplitude_transverse(params: FloquetParams, n, chi: int, t: int) -> AmplitudeValue:
     """<n| F^t |0...0> by column-by-column contraction along space.
 
-    :func:`amplitude_fixed` on :func:`floquet_peps`: the time-axis boundary
-    is compressed to ``chi`` after each of the first ``L - 1`` columns and
-    closed exactly against the last. The isometries depend on ``n`` through
-    the bra caps but their positions never do.
+    :func:`tnflab.peps.amplitude_fixed` on :func:`floquet_peps`: the
+    time-axis boundary is compressed to ``chi`` after each of the first
+    ``L - 1`` columns and closed exactly against the last. The isometries
+    depend on ``n`` through the bra caps but their positions never do.
     """
     cfg = as_config(n, params.n_sites, 2)
     _check_periods(t)
     _check_chi(chi)
     if t == 0:
         return _delta_amplitude(cfg)
-    plan = FixedPlan(params.n_sites, t, chi, params.n_sites - 1)
-    return amplitude_fixed(floquet_peps(params, t), np.repeat(cfg, t), plan)
+    return _schedule_amplitude(floquet_peps(params, t), np.repeat(cfg, t), params.n_sites - 1, chi)
 
 
 def transverse_table(params: FloquetParams, chi: int, t: int) -> list[AmplitudeValue]:
@@ -349,10 +348,8 @@ def _lockstep(params: FloquetParams, chi: int, cfgs: np.ndarray) -> Iterator[lis
         amps = [None] * len(cfgs)
         for rows, sites, log in parts:
             # mps_amplitude(chain, [0] * L) per chain, bit for bit.
-            mat = _in_compress_order(sites[0], "top")[:, :, 0, 0, :]
-            for s in sites[1:]:
-                mat = mat @ _in_compress_order(s, "top")[:, :, 0, 0, :]
-            for row, value, lg in zip(rows, mat[:, 0, 0].tolist(), log):
+            values = chain_values([_in_compress_order(s, "top")[:, :, 0, 0, :] for s in sites])
+            for row, value, lg in zip(rows, values.tolist(), log):
                 amps[row] = AmplitudeValue.from_parts(value, lg)
         yield amps
         parts = _advance(parts, layer, chi)
@@ -395,7 +392,6 @@ def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.nd
 
 
 def mpo_amplitude(sites: list[np.ndarray], log_scale: float, n) -> AmplitudeValue:
-    """<n| M |0...0> for a compressed evolution operator."""
-    cfg = as_config(n, len(sites), 2)
-    val = mps_amplitude([w[:, :, 0, :] for w in sites], cfg)
-    return AmplitudeValue.from_parts(val, log_scale)
+    """<n| M |0...0> for a compressed evolution operator; ``n`` is read by
+    :func:`tnflab.mps.as_config` (``ValueError``)."""
+    return AmplitudeValue.from_parts(mps_amplitude([w[:, :, 0, :] for w in sites], n), log_scale)

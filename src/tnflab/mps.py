@@ -9,8 +9,8 @@ tables of them.
 :func:`compress` works on stacks of chains of equal shapes: site ``i`` of a
 stack is one array whose leading axis runs over the chains, and each chain
 comes out bit for bit as it would alone. A single chain is a stack of one.
-Layers are applied by :func:`tnflab.peps.boundary_absorb`; :func:`apply_mpo`
-is its single-chain ``np.tensordot`` reference.
+Layers are applied by :func:`tnflab.peps.boundary_absorb` (:func:`apply_mpo`
+is its single-chain reference); :func:`chain_values` reads stacks out.
 
 Compression follows one fixed recipe everywhere: a left-to-right QR
 canonicalization followed by a right-to-left truncation sweep using the
@@ -26,7 +26,7 @@ import numpy as np
 
 from .adjoint import Tape, degenerate_cut, qr_backward, singular_r, svd_backward
 from .errors import DimensionError
-from .tensor import renormalize, svd_split
+from .tensor import renormalize, stack_dot, svd_split
 
 __all__ = [
     "as_config",
@@ -35,6 +35,7 @@ __all__ = [
     "apply_mpo",
     "compress",
     "mps_amplitude",
+    "chain_values",
     "mps_to_dense",
     "mpo_to_dense",
 ]
@@ -85,16 +86,6 @@ class Chains(NamedTuple):
     log: list[float]
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot`` of each pair of matrices in two stacks, bit for bit. Over a
-    shared extent of 1 (scalar, scaled and outer products) ``np.dot`` and
-    ``np.matmul`` round differently, so those run per chain; elsewhere both
-    call the same BLAS routine."""
-    if a.shape[-1] == 1:
-        return np.stack([np.dot(x, y) for x, y in zip(a, b)])
-    return np.matmul(a, b)
-
-
 def apply_mpo(sites: Sequence[np.ndarray], mpo: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Exact MPO application to one chain (sites ``(l, p, r)``) by
     ``np.tensordot``; bond extents multiply. The reference the stacked layer
@@ -142,7 +133,7 @@ def compress(
         q, rmat = np.linalg.qr(sites[i].reshape(count, -1, shape[-1]))
         sites[i] = q.reshape(shape[:-1] + q.shape[-1:])
         nxt = sites[i + 1]
-        prod = _matmul(rmat, nxt.reshape(nxt.shape[:2] + (-1,)))
+        prod = stack_dot(rmat, nxt.reshape(nxt.shape[:2] + (-1,)))
         sites[i + 1] = prod.reshape(rmat.shape[:2] + nxt.shape[2:])
         qrs.append((q, rmat))
 
@@ -152,7 +143,7 @@ def compress(
     pending = [(list(range(count)), sites, [0.0] * count, len(sites) - 1)]
     while pending:
         rows, sites, log, i = pending.pop()
-        t, lf, zero = renormalize(sites[i], stack=True)
+        t, lf, zero = renormalize(sites[i])
         if any(zero):
             # A zero site ends its chain; at site 0 the chain keeps its log factor.
             out = [j for j, z in enumerate(zero) if z]
@@ -169,14 +160,14 @@ def compress(
             if tape is not None:
                 _record(tape, inputs, chain, qrs, cuts[::-1], lf[0], parts[-1], chi)
             continue
-        for sel, split in svd_split(t, 1, chi if chi is not None else t.shape[1], stack=True):
+        for sel, split in svd_split(t, 1, chi if chi is not None else t.shape[1]):
             whole = len(sel) == len(rows)
             sub = sites if whole else [s[sel] for s in sites]  # one part keeps its list
             sub[i] = split.right
             carry = split.isometry * split.singulars[:, None, :]  # (l, k) per chain
             # np.tensordot(sub[i - 1], carry, axes=([-1], [0])) per chain, bit for bit.
             prev = sub[i - 1]
-            prod = _matmul(prev.reshape(len(prev), -1, prev.shape[-1]), carry)
+            prod = stack_dot(prev.reshape(len(prev), -1, prev.shape[-1]), carry)
             sub[i - 1] = prod.reshape(prev.shape[:-1] + carry.shape[2:])
             if tape is not None:
                 tape.max_discarded = max(tape.max_discarded, float(split.discarded_weight[0]))
@@ -233,6 +224,17 @@ def mps_amplitude(sites: Sequence[np.ndarray], config: Sequence[int]) -> complex
         m = s[:, c, :]
         mat = m if mat is None else mat @ m
     return complex(mat[0, 0])
+
+
+def chain_values(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Entry ``[0, 0]`` of each chain's product of its site matrices, left to
+    right: site ``i`` is a stack ``(..., left, right)`` whose leading axes
+    broadcast against the other sites'. The products are ``@``'s, as in
+    :func:`mps_amplitude`, so each chain of its matrices gets its bits."""
+    mat = mats[0]
+    for m in mats[1:]:
+        mat = mat @ m
+    return mat[..., 0, 0]
 
 
 def mps_to_dense(sites: Sequence[np.ndarray]) -> np.ndarray:

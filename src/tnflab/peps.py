@@ -48,7 +48,7 @@ import numpy as np
 from .adjoint import Tape, einsum_backward
 from .errors import CacheStateError, DimensionError, ResourceLimitError
 from .mps import Chains, as_config, as_configs, compress
-from .tensor import AmplitudeValue, renormalize
+from .tensor import AmplitudeValue, renormalize, stack_dot
 
 __all__ = [
     "Peps",
@@ -249,23 +249,12 @@ def _in_compress_order(site: np.ndarray, side: str) -> np.ndarray:
     return np.ascontiguousarray(site.transpose(_COMPRESS_ORDER[side]))
 
 
-def _stack_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.dot`` of each pair of matrices in two stacks, bit for bit: one
-    ``np.matmul``, which gives each matrix ``np.dot``'s bits whatever the
-    operands' layout, unless an extent is 1. A scalar, vector or outer
-    product rounds with the layout ``np.dot`` reads it in, so it runs per
-    chain, as ``np.dot`` itself."""
-    if 1 in (a.shape[1], a.shape[2], b.shape[2]):
-        return np.stack([np.dot(x, y) for x, y in zip(a, b)])
-    return np.matmul(a, b)
-
-
 def _products(count: int):
     """The leading shape of the matrices of a stack of ``count`` chains, and
     their product: a stack of one multiplies plain 2-D matrices with
     ``np.dot`` itself (a stacked ``np.matmul`` costs a microsecond more on
-    these small matrices), a larger stack runs :func:`_stack_dot`."""
-    return ((), np.dot) if count == 1 else ((count,), _stack_dot)
+    these small matrices), a larger stack runs :func:`tnflab.tensor.stack_dot`."""
+    return ((), np.dot) if count == 1 else ((count,), stack_dot)
 
 
 def boundary_absorb(
@@ -410,7 +399,7 @@ def _close_strip(
         else:
             t = np.einsum("Yucuq->Ycq", m).reshape(lead + (lm, rm))  # single-row lattice: trace the wrap
         new = t[..., :1, :] if vec is None else vec @ t  # (1, columns) per chain
-        nrm, lf, z = renormalize(new, stack=True)
+        nrm, lf, z = renormalize(new)
         if True in z:
             zero = z if zero is None else [p or q for p, q in zip(zero, z)]
             if all(zero):
@@ -488,16 +477,16 @@ def _check_plan(peps: Peps, plan: FixedPlan) -> None:
 def amplitude_fixed(peps: Peps, n, plan: FixedPlan) -> AmplitudeValue:
     """TNF amplitude of ``n`` under the fixed schedule ``plan``."""
     _check_plan(peps, plan)
-    return _schedule_amplitude(peps, n, plan.mid, plan.chi)
+    return _schedule_amplitude(peps, as_config(n, peps.n_sites, peps.phys_dim), plan.mid, plan.chi)
 
 
 def _schedule_amplitude(
-    peps: Peps, n, mid: int, chi: int | None, tape: Tape | None = None
+    peps: Peps, cfg: np.ndarray, mid: int, chi: int | None, tape: Tape | None = None
 ) -> AmplitudeValue:
-    """Uncached amplitude: rows above ``mid`` absorbed downward, rows below
-    it upward, each absorption compressed to ``chi``, and the strip at
+    """Uncached amplitude of the checked configuration ``cfg`` (flat int64, as
+    :func:`as_config` gives it): rows above ``mid`` absorbed downward, rows
+    below it upward, each absorption compressed to ``chi``, and the strip at
     ``mid`` closed exactly. A ``tape`` records the whole contraction."""
-    cfg = as_config(n, peps.n_sites, peps.phys_dim)
     top = bottom = None
     for r in range(mid):
         [top] = boundary_absorb(top, _row(peps, cfg, r, tape=tape), chi, "top", tape)
@@ -898,7 +887,7 @@ def exact_amplitude(peps: Peps, n) -> AmplitudeValue:
             f"exact amplitude would build a {need / 2**20:.0f} MiB array, over the "
             f"{EXACT_MAX_BYTES >> 20} MiB guard"
         )
-    return _schedule_amplitude(peps, n, peps.rows - 1, None)
+    return _schedule_amplitude(peps, as_config(n, peps.n_sites, peps.phys_dim), peps.rows - 1, None)
 
 
 # ---------------------------------------------------------------------------

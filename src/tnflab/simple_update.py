@@ -93,10 +93,10 @@ def simple_update(peps: Peps, model: Model, tau: float, steps: int) -> Peps:
             theta = np.tensordot(a, sites[r2][c2], axes=([ax_a], [ax_b]))
             theta = np.tensordot(theta, gates[edges[bond]], axes=([3, 7], [2, 3]))
             theta = theta.transpose(0, 1, 2, 6, 3, 4, 5, 7)
-            split = svd_split(theta, 4, dmax)
-            lam[bond] = split.singulars
-            sites[r][c] = np.ascontiguousarray(np.moveaxis(split.isometry, 4, ax_a))
-            sites[r2][c2] = np.ascontiguousarray(np.moveaxis(split.right, 0, ax_b))
+            [(_, split)] = svd_split(theta[None], 4, dmax)
+            lam[bond] = split.singulars[0]
+            sites[r][c] = np.ascontiguousarray(np.moveaxis(split.isometry[0], 4, ax_a))
+            sites[r2][c2] = np.ascontiguousarray(np.moveaxis(split.right[0], 0, ax_b))
         for r in range(rows):
             for c in range(cols):
                 m = float(np.max(np.abs(sites[r][c])))

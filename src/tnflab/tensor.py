@@ -3,6 +3,8 @@
 Tensors are plain ``numpy.ndarray`` values of complex doubles, one axis per
 index. Real-valued models simply carry zero imaginary parts. All functions
 are pure; nothing here mutates its arguments.
+The primitives take stacks only: axis 0 runs over independent tensors, each
+of which gets the bits it would get alone; a single tensor is a stack of one.
 
 The SVD here is deterministic: the raw factorization is phase-ambiguous, so
 every kept singular vector pair is rotated to a canonical gauge (largest left
@@ -25,6 +27,7 @@ __all__ = [
     "svd_split",
     "TruncatedSvd",
     "renormalize",
+    "stack_dot",
     "Renormalized",
     "AmplitudeValue",
     "rescaled",
@@ -46,8 +49,8 @@ class TruncatedSvd:
     ``thin`` is the full thin factorization ``(u, s, vh)`` of the matrix the
     truncation was cut from, kept columns gauge-fixed (``None`` for an
     exactly-zero input); the reverse pass of :mod:`tnflab.adjoint` reads it.
-    A split of a stack carries a leading axis on every field, and its
-    ``discarded_weight`` is an array.
+    Every field, and ``discarded_weight``, carries a leading axis over the
+    tensors of the split stack.
     """
 
     isometry: np.ndarray
@@ -58,11 +61,10 @@ class TruncatedSvd:
     @property
     def discarded_weight(self):
         if self.thin is None:
-            return 0.0 if self.singulars.ndim == 1 else np.zeros(len(self.singulars))
+            return np.zeros(len(self.singulars))
         s = self.thin[1]
-        tail = s[..., self.singulars.shape[-1] :]
-        weight = np.add.reduce(tail * tail, axis=-1) / np.add.reduce(s * s, axis=-1)
-        return float(weight) if weight.ndim == 0 else weight
+        tail = s[:, self.singulars.shape[1] :]
+        return np.add.reduce(tail * tail, axis=1) / np.add.reduce(s * s, axis=1)
 
 
 def _svd(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -98,37 +100,31 @@ def _gauge_fix(u: np.ndarray, vh: np.ndarray) -> None:
     vh[:] = vh * phase[:, :, None]
 
 
-def svd_split(t: np.ndarray, n_left: int, chi: int, stack: bool = False):
-    """Split ``t`` after its first ``n_left`` indices by truncated SVD.
+def svd_split(t: np.ndarray, n_left: int, chi: int) -> list[tuple[list[int], TruncatedSvd]]:
+    """Split each tensor of the stack ``t`` after its first ``n_left`` indices
+    by truncated SVD.
 
-    ``0 < n_left < t.ndim``: the first ``n_left`` indices form the left
-    group and the rest the right group. The tensor is reshaped to a
-    (left group) x (right group) matrix, decomposed, and at most ``chi``
-    singular values are kept. Singular values below a relative floor of
-    1e-12 count as numerical zeros and are dropped as well, so the kept rank
-    never exceeds the numerical rank.
+    Axis 0 of ``t`` runs over tensors that are each split exactly as they
+    would be alone, and ``0 < n_left < t.ndim - 1`` counts the axes after it:
+    they form the left group and the rest the right group. Each tensor is
+    reshaped to a (left group) x (right group) matrix, decomposed, and at
+    most ``chi`` singular values are kept. Singular values below a relative
+    floor of 1e-12 count as numerical zeros and are dropped as well, so the
+    kept rank never exceeds the numerical rank.
 
     The output is gauge-fixed and therefore a deterministic function of the
     input within one process. When ``chi`` is at least the matrix rank,
-    ``isometry @ diag(singulars) @ right`` reconstructs ``t`` exactly.
-    Non-finite input raises :class:`NumericalAbortError`.
-
-    With ``stack``, axis 0 of ``t`` runs over tensors that are each split
-    exactly as they would be alone, and ``n_left`` counts the axes after it.
-    The stack splits by kept rank: the result is a list of ``(rows, split)``
-    pairs, ``rows`` listing the tensors of one kept rank and every field of
-    ``split`` carrying a leading axis over them. A single tensor is split as
-    a stack of one.
+    ``isometry @ diag(singulars) @ right`` reconstructs each tensor exactly.
+    Non-finite input raises :class:`NumericalAbortError`. The stack splits
+    by kept rank: the result is a list of ``(rows, split)`` pairs, ``rows``
+    listing the tensors of one kept rank and every field of ``split``
+    carrying a leading axis over them.
     """
     t = np.asarray(t, dtype=complex)
     if chi < 1:
         raise ValueError(f"chi must be positive, got {chi}")
-    if not 0 < n_left < t.ndim - stack:
-        raise ValueError(f"n_left must lie in (0, {t.ndim - stack}), got {n_left}")
-    if not stack:
-        [(_, split)] = svd_split(t[None], n_left, chi, stack=True)
-        return TruncatedSvd(split.isometry[0], split.singulars[0], split.right[0],
-                            None if split.thin is None else tuple(f[0] for f in split.thin))
+    if not 0 < n_left < t.ndim - 1:
+        raise ValueError(f"n_left must lie in (0, {t.ndim - 1}), got {n_left}")
 
     count, left_shape, right_shape = len(t), t.shape[1 : n_left + 1], t.shape[n_left + 1 :]
     u, s, vh = _svd(t.reshape(count, math.prod(left_shape), math.prod(right_shape)))
@@ -163,29 +159,25 @@ def svd_split(t: np.ndarray, n_left: int, chi: int, stack: bool = False):
 
 class Renormalized(NamedTuple):
     tensor: np.ndarray
-    log_factor: float
-    is_zero: bool
+    log_factor: list[float]
+    is_zero: list[bool]
 
 
-def renormalize(t: np.ndarray, stack: bool = False) -> Renormalized:
-    """Rescale ``t`` so its max-absolute entry is 1, returning the log factor.
+def renormalize(t: np.ndarray) -> Renormalized:
+    """Rescale each tensor of the stack ``t`` so its max-absolute entry is 1,
+    returning the lists of log factors and zero flags over the tensors.
 
-    The original tensor equals ``tensor * exp(log_factor)``. An exactly-zero
-    input is returned unchanged with ``log_factor`` 0 and the zero flag set;
-    callers propagate the flag instead of producing -inf scales. A NaN or
-    infinite entry raises :class:`NumericalAbortError`.
-
-    With ``stack``, axis 0 of ``t`` runs over tensors that are each rescaled
-    exactly as they would be alone; ``log_factor`` and ``is_zero`` are then
-    lists over them.
+    Each original tensor equals its rescaled one times ``exp(log_factor)``.
+    An exactly-zero tensor is returned unchanged with ``log_factor`` 0 and
+    its zero flag set; callers propagate the flag instead of producing -inf
+    scales. A NaN or infinite entry raises :class:`NumericalAbortError`.
     """
     t = np.asarray(t)
-    if not stack or len(t) == 1:  # a stack of one is rescaled as one tensor: the same bits, sooner
+    if len(t) == 1:  # a stack of one is rescaled as one tensor: the same bits, sooner
         m = float(np.maximum.reduce(np.abs(t), axis=None)) if t.size else 0.0
         if not m < math.inf:
             raise NumericalAbortError(f"cannot renormalize a tensor whose largest entry is {m}")
-        t, lf, zero = (t / m, math.log(m), False) if m else (t, 0.0, True)
-        return Renormalized(t, [lf], [zero]) if stack else Renormalized(t, lf, zero)
+        return Renormalized(t / m, [math.log(m)], [False]) if m else Renormalized(t, [0.0], [True])
     m = np.abs(t).reshape(len(t), -1).max(axis=1, initial=0.0)
     ms = m.tolist()
     shape = (-1,) + (1,) * (t.ndim - 1)
@@ -198,6 +190,17 @@ def renormalize(t: np.ndarray, stack: bool = False) -> Renormalized:
     out = t / np.where(zero, 1.0, m).reshape(shape)
     out[zero] = t[zero]
     return Renormalized(out, [math.log(x) if x else 0.0 for x in ms], zero.tolist())
+
+
+def stack_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot`` of each pair of matrices in the stacks ``a`` ``(count, m, k)``
+    and ``b`` ``(count, k, n)``, bit for bit: one ``np.matmul``, which gives
+    each matrix ``np.dot``'s bits whatever the operands' layout, unless an
+    extent is 1. A scalar, vector or outer product rounds with the layout
+    ``np.dot`` reads it in, so it runs pair by pair through ``np.dot`` itself."""
+    if 1 in (a.shape[1], a.shape[2], b.shape[2]):
+        return np.stack([np.dot(x, y) for x, y in zip(a, b)])
+    return np.matmul(a, b)
 
 
 @dataclass(frozen=True, slots=True)

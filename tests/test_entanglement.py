@@ -22,8 +22,10 @@ from tnflab.floquet import (
     _single_site_rotation,
     build_floquet_mpo,
     config_index,
+    conventional_states,
     exact_evolve,
     mpo_amplitude,
+    mpo_states,
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
 )
@@ -41,6 +43,11 @@ def amp_fn_from_vector(psi, n_sites):
         return AmplitudeValue.from_parts(complex(psi[idx]))
 
     return fn
+
+
+def amp_bits(a):
+    m = complex(a.mantissa)
+    return (m.real.hex(), m.imag.hex(), float(a.log_scale).hex(), a.is_zero)
 
 
 class TestRdm:
@@ -269,6 +276,25 @@ def test_advanced_states_match_per_time_oracle_bitwise(method, n_sites, preset):
                 for size in range(1, n_sites)
             ]
             assert [(size, s.hex()) for size, s in bulk_entropy_sweep(p, method, t, chi=chi)] == want
+
+
+@pytest.mark.parametrize("n_sites", range(2, 9))
+@pytest.mark.parametrize("method", ["mps", "mpo"])
+def test_state_tables_match_single_configuration_amplitudes_bitwise(method, n_sites):
+    """The stacked readout of the ``mps`` and ``mpo`` tables gives every
+    configuration the bits of ``mps_amplitude`` / ``mpo_amplitude`` on the
+    same state, at chi 1-4 and t 0-4."""
+    p = FloquetParams(n_sites, **PRESETS["less_chaotic"], t_max=4)
+    configs = [[int(b) for b in format(i, f"0{n_sites}b")] for i in range(1 << n_sites)]
+    for chi in range(1, 5):
+        tables = entanglement._tables(p, method, chi, range(5))
+        states = conventional_states(p, chi) if method == "mps" else mpo_states(p, chi)
+        for t, table, (sites, log) in zip(range(5), tables, states):
+            if method == "mps":
+                want = [AmplitudeValue.from_parts(mps_amplitude(sites, n), log) for n in configs]
+            else:
+                want = [mpo_amplitude(sites, log, n) for n in configs]
+            assert list(map(amp_bits, table)) == list(map(amp_bits, want)), (chi, t)
 
 
 CHIS = {"exact": None, "mps": 2, "mpo": 2, "tnf_transverse": 2, "tnf_inverse": 2}

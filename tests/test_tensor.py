@@ -1,6 +1,8 @@
 """Gauge-fixed SVD and scale management."""
+import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,20 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnflab.errors import DimensionError, NumericalAbortError
-from tnflab.tensor import AmplitudeValue, _gauge_fix, renormalize, svd_split
+from tnflab.tensor import AmplitudeValue, _gauge_fix, renormalize, stack_dot, svd_split
+
+
+def split_one(t, n_left, chi):
+    """:func:`svd_split` of the stack of one ``t[None]``, read at its one tensor."""
+    [(rows, s)] = svd_split(np.asarray(t)[None], n_left, chi)
+    assert rows == [0]
+    return SimpleNamespace(isometry=s.isometry[0], singulars=s.singulars[0], right=s.right[0],
+                           discarded_weight=s.discarded_weight[0])
 
 
 class TestSvdSplit:
     def test_rank_one(self):
         u = np.array([3.0, 4.0]) / 5.0
         v = np.array([0.6, -0.8])
-        s = svd_split(np.outer(u, v), 1, 4)
+        s = split_one(np.outer(u, v), 1, 4)
         assert s.singulars.shape == (1,)
         assert abs(s.singulars[0] - 1.0) < 1e-12
         assert s.discarded_weight < 1e-20
 
     def test_identity_chi_one_tie_break(self):
-        s = svd_split(np.eye(2, dtype=complex), 1, 1)
+        s = split_one(np.eye(2, dtype=complex), 1, 1)
         assert np.allclose(s.singulars, [1.0])
         assert abs(s.discarded_weight - 0.5) < 1e-12
         # canonical ordering: the first kept vector pivots on the lowest flat index
@@ -32,19 +42,19 @@ class TestSvdSplit:
             m = np.eye(3, dtype=complex)
             m[1, 2] = bad
             with pytest.raises(NumericalAbortError):
-                svd_split(m, 1, 2)
+                svd_split(m[None], 1, 2)
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        s = svd_split(m, 1, 4)
+        s = split_one(m, 1, 4)
         rec = (s.isometry * s.singulars) @ s.right
         assert np.linalg.norm(rec - m) / np.linalg.norm(m) < 1e-12
 
     def test_multi_index_reconstruction(self):
         rng = np.random.default_rng(4)
         t = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
-        s = svd_split(t.transpose(0, 2, 1, 3), 2, 64)
+        s = split_one(t.transpose(0, 2, 1, 3), 2, 64)
         rec = np.tensordot(s.isometry * s.singulars, s.right, axes=([2], [0]))
         # isometry carries (axis0, axis2); right carries (axis1, axis3)
         rec = rec.transpose(0, 2, 1, 3)
@@ -53,35 +63,35 @@ class TestSvdSplit:
     def test_isometry_property(self):
         rng = np.random.default_rng(5)
         t = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-        s = svd_split(t, 1, 3)
+        s = split_one(t, 1, 3)
         gram = s.isometry.conj().T @ s.isometry
         assert np.linalg.norm(gram - np.eye(s.singulars.size)) < 1e-10
 
     def test_descending_nonnegative(self):
         rng = np.random.default_rng(6)
-        s = svd_split(rng.standard_normal((8, 8)), 1, 5)
+        s = split_one(rng.standard_normal((8, 8)), 1, 5)
         assert np.all(s.singulars >= 0)
         assert np.all(np.diff(s.singulars) <= 0)
 
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(7)
         t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        a = svd_split(t, 1, 3)
-        b = svd_split(t.copy(), 1, 3)
+        a = split_one(t, 1, 3)
+        b = split_one(t.copy(), 1, 3)
         assert np.array_equal(a.isometry, b.isometry)
         assert np.array_equal(a.singulars, b.singulars)
         assert np.array_equal(a.right, b.right)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            svd_split(np.eye(2), 1, 0)
+            svd_split(np.eye(2)[None], 1, 0)
         with pytest.raises(ValueError):
-            svd_split(np.eye(2), 0, 2)
+            svd_split(np.eye(2)[None], 0, 2)
         with pytest.raises(ValueError):
-            svd_split(np.eye(2), 2, 2)
+            svd_split(np.eye(2)[None], 2, 2)
 
     def test_zero_tensor(self):
-        s = svd_split(np.zeros((3, 3)), 1, 2)
+        s = split_one(np.zeros((3, 3)), 1, 2)
         assert s.singulars.shape == (1,)
         assert s.singulars[0] == 0.0
         gram = s.isometry.conj().T @ s.isometry
@@ -143,17 +153,23 @@ class TestGaugeFix:
         assert got_u[1, 0] == 1.0 and got_u[2, 0] == 1j
 
 
+def renormalize_one(t):
+    """:func:`renormalize` of the stack of one ``t[None]``, read at its one tensor."""
+    out, [log], [zero] = renormalize(t[None])
+    return out[0], log, zero
+
+
 class TestRenormalize:
     def test_max_entry_four(self):
         t = np.array([1.0, -4.0, 2.0])
-        out, log, zero = renormalize(t)
+        out, log, zero = renormalize_one(t)
         assert not zero
         assert np.allclose(out, t / 4.0)
         assert abs(log - math.log(4.0)) < 1e-15
 
     def test_already_normalized(self):
         t = np.array([0.5, 1.0])
-        out, log, zero = renormalize(t)
+        out, log, zero = renormalize_one(t)
         assert log == 0.0 and not zero
         assert np.array_equal(out, t)
 
@@ -162,14 +178,14 @@ class TestRenormalize:
         total = 0.0
         t = np.array([1.0])
         for _ in range(50):
-            out, log, _ = renormalize(t * 0.1)
+            out, log, _ = renormalize_one(t * 0.1)
             total += log
             t = out
         assert abs(total - 50 * math.log(0.1)) < 1e-12
 
     def test_zero_flagged(self):
         t = np.zeros((2, 2))
-        out, log, zero = renormalize(t)
+        out, log, zero = renormalize_one(t)
         assert zero and log == 0.0
         assert np.array_equal(out, t)
 
@@ -179,16 +195,40 @@ class TestRenormalize:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalAbortError):
-                renormalize(t)
+                renormalize(t[None])
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=50, deadline=None)
     def test_max_abs_is_one(self, scale):
         t = np.array([scale, -scale / 3.0])
-        out, log, zero = renormalize(t)
+        out, log, zero = renormalize_one(t)
         assert not zero
         assert abs(np.max(np.abs(out)) - 1.0) < 1e-14
         assert np.allclose(out * math.exp(log), t, rtol=1e-12)
+
+
+def every_other(x):
+    """``x`` as a view on every other entry of a larger stack: neither matrix axis has unit stride."""
+    big = np.zeros(x.shape[:1] + tuple(2 * d for d in x.shape[1:]), x.dtype)
+    big[:, ::2, ::2] = x
+    return big[:, ::2, ::2]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_stack_dot_gives_each_chain_np_dot_bits(count):
+    """Every (m, k, n) over {1, 2, 5}: each chain of the stacked product is
+    ``np.dot`` of its own matrices, byte for byte, for C-contiguous operands
+    and for strided views, where a vector product through ``np.matmul``
+    would round differently."""
+    rng = np.random.default_rng(count)
+    for m, k, n in itertools.product((1, 2, 5), repeat=3):
+        a = rng.standard_normal((count, m, k)) + 1j * rng.standard_normal((count, m, k))
+        b = rng.standard_normal((count, k, n)) + 1j * rng.standard_normal((count, k, n))
+        for x, y in itertools.product((a, every_other(a)), (b, every_other(b))):
+            got = stack_dot(x, y)
+            assert got.shape == (count, m, n)
+            for xm, ym, z in zip(x, y, got):
+                assert z.tobytes() == np.dot(xm, ym).tobytes(), (m, k, n)
 
 
 class TestAmplitudeValue:

@@ -52,6 +52,7 @@ import numpy as np
 from tnflab.ed import Sector, ground_energy, sector_hamiltonian
 from tnflab.models import j1j2, neel_config, nn_pairs
 from tnflab.peps import FixedPlan, Peps, fixed_table, random_peps, save_peps
+from tnflab.tensor import rescaled
 from tnflab.vmc import estimate_energy
 
 ROWS = COLS = 4
@@ -169,10 +170,7 @@ class DynamicChain:
         """Amplitudes (rows, sector size) of every closure row, common scale."""
         rows, cols = self.model.rows, self.model.cols
         amps = [fixed_table(peps, FixedPlan(rows, cols, chi, mid), self.configs) for mid in range(rows)]
-        top = max(a.log_scale for row in amps for a in row if not a.is_zero)
-        return np.array(
-            [[0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in row] for row in amps]
-        )
+        return rescaled([a for row in amps for a in row]).reshape(rows, -1)
 
     def long_run(self, amps: np.ndarray, sweeps: int = 30) -> tuple[float, float]:
         """Mean and standard deviation of the local energy after ``sweeps``.
