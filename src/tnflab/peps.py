@@ -30,9 +30,12 @@ stacks: every array carries a leading axis over independent contractions,
 each of which gets the bits it gets alone. A single evaluation is a stack of
 one, whose products run on plain 2-D matrices; :func:`fixed_table`, the one
 walk behind every enumeration (sector energies, the Floquet transverse
-tables), stacks every distinct prefix of a level and every closure.
-Boundaries keep their legs in the order the next contraction reads them, so
-memoized and gathered ones are read without a copy.
+tables), stacks every distinct prefix of a level and every closure; the
+evaluators' ``prefetch`` stacks the memo misses of a table of
+configurations (a Monte Carlo sample's neighbours) into one closure per
+closure row and boundary shape. Boundaries keep their legs in the order the
+next contraction reads them, so memoized and gathered ones are read without
+a copy.
 """
 from __future__ import annotations
 
@@ -723,11 +726,50 @@ class _BoundaryStack:
         if amp is None:
             top, bottom = self._env(cfg, "top", mid), self._env(cfg, "bottom", mid)
             [amp] = _close_strip(top, _row(self.peps, cfg, mid), bottom)
-            if len(self._amps) < self._amp_capacity:
-                self._amps[key] = amp
-            else:
-                self._amps.clear()
+            self._store(key, amp)
         return amp
+
+    def _store(self, key: bytes, amp: AmplitudeValue) -> None:
+        """Offer ``amp`` to the amplitude memo, which empties when full."""
+        if len(self._amps) < self._amp_capacity:
+            self._amps[key] = amp
+        else:
+            self._amps.clear()
+
+    def _close_misses(self, table: np.ndarray, mids) -> None:
+        """Memoize the amplitude of each row of the checked table ``table``
+        (as :func:`tnflab.mps.as_configs` gives it) closed at its row of
+        ``mids``, bit for bit :meth:`_closed`'s, where the memo lacks it.
+
+        Each miss builds its environments through :meth:`_env`; the misses
+        of one closure row whose boundaries share their site shapes close in
+        one stacked :func:`_close_strip`, laid out as :func:`fixed_table`
+        lays out its stacks: the row from :func:`_stacked_row`, each
+        boundary's sites concatenated along the stack axis.
+        """
+        raw, width, tags = table.tobytes(), table.shape[1] * table.itemsize, self._row_tags
+        keys = [tags[mid] + raw[i * width : (i + 1) * width] for i, mid in enumerate(mids)]
+        misses = {key: i for i, key in enumerate(keys) if key not in self._amps}  # one per repeat
+        groups: dict[tuple, list] = {}
+        for key, i in misses.items():
+            mid, cfg = mids[i], table[i].astype(np.int64)
+            top, bottom = self._env(cfg, "top", mid), self._env(cfg, "bottom", mid)
+            shapes = tuple(None if env is None else tuple(s.shape for s in env.sites) for env in (top, bottom))
+            groups.setdefault((mid,) + shapes, []).append((key, i, top, bottom))
+        for (mid, *_), group in groups.items():
+            keys, picks, tops, bottoms = zip(*group)
+            amps = _close_strip(_concat(tops), _stacked_row(self.peps, table[list(picks)], mid), _concat(bottoms))
+            for key, amp in zip(keys, amps):
+                self._store(key, amp)
+
+
+def _concat(envs) -> Chains | None:
+    """The stacks of one ``envs`` (all ``None``, or sharing their site
+    shapes) as one stack, each site contiguous along the stack axis."""
+    if envs[0] is None:
+        return None
+    sites = [np.concatenate(column) for column in zip(*(env.sites for env in envs))]
+    return Chains(list(range(len(envs))), sites, [env.log[0] for env in envs])
 
 
 class FixedEvaluator(_BoundaryStack):
@@ -737,7 +779,8 @@ class FixedEvaluator(_BoundaryStack):
     configurations they summarize, so reusing them across configurations
     returns bit-identical values to recomputation. This is what makes
     Metropolis sweeps and local-energy sums affordable; semantics are
-    exactly those of :func:`amplitude_fixed`.
+    exactly those of :func:`amplitude_fixed`. The evaluator holds no
+    history, so one serves any number of chains, one after another.
     """
 
     def __init__(self, peps: Peps, plan: FixedPlan):
@@ -754,6 +797,14 @@ class FixedEvaluator(_BoundaryStack):
 
     def commit(self, n, amp: AmplitudeValue | None = None) -> None:
         """No-op: the fixed schedule has no history."""
+
+    def prefetch(self, configs) -> None:
+        """Memoize the amplitudes of the table ``configs`` (one configuration
+        a row, read by :func:`tnflab.mps.as_configs`), closing the memo's
+        misses in stacked closures; :meth:`amplitude` then reads each one,
+        with the bits it gives alone."""
+        table = as_configs(configs, self.peps.n_sites, self.peps.phys_dim)
+        self._close_misses(table, [self.plan.mid] * len(table))
 
     def amplitude_with_site(
         self, n, site: tuple[int, int], tensor: np.ndarray, stats: dict | None = None
@@ -791,14 +842,16 @@ class FixedEvaluator(_BoundaryStack):
 
 
 class DynamicCache(_BoundaryStack):
-    """Reusable boundary environments for one Markov chain.
+    """Reusable boundary environments under one Markov history at a time.
 
-    Single-owner mutable state: one cache per chain, never shared between
-    threads. The contraction closes at the last row where the evaluated
-    configuration differs from the cache's base configuration (the last
-    row on a cold cache), over the same memo as the fixed schedule. The
-    closure row follows the Markov history, which is what makes the
-    resulting amplitude history-dependent at finite ``chi``.
+    Mutable state, never shared between threads. The contraction closes at
+    the last row where the evaluated configuration differs from the cache's
+    base configuration (the last row on a cold cache), over the same memo
+    as the fixed schedule. The closure row follows the Markov history,
+    which is what makes the resulting amplitude history-dependent at finite
+    ``chi``. The memo's keys hold the closure row, so they stay pure: the
+    chains of an estimate run one after another on one cache, each from a
+    cold history (:meth:`reset_history`), and read one memo.
     """
 
     def __init__(self, peps: Peps, chi: int):
@@ -825,6 +878,25 @@ class DynamicCache(_BoundaryStack):
             raise CacheStateError("commit on a cold cache")
         self.base = cfg.copy()
         self.base_amp = amp
+
+    def prefetch(self, configs) -> None:
+        """Memoize what :meth:`peek` of each row of the table ``configs``
+        (read by :func:`tnflab.mps.as_configs`) closes against the current
+        base, closing the memo's misses in stacked closures; :meth:`peek`
+        then reads each one, with the bits it gives alone. A cold cache, or
+        a row equal to the base, closes nothing."""
+        table = as_configs(configs, self.peps.n_sites, self.peps.phys_dim)
+        if self.base is None:
+            return
+        changed = table != self.base
+        moved = changed.any(axis=1)
+        last = self.peps.n_sites - 1 - np.argmax(changed[:, ::-1], axis=1)
+        self._close_misses(table[moved], (last[moved] // self.peps.cols).tolist())
+
+    def reset_history(self) -> None:
+        """Make the cache cold again, as for a new chain; the memo, a pure
+        function of the configurations, is kept."""
+        self.base = self.base_amp = None
 
     def amplitude(self, n) -> AmplitudeValue:
         """Evaluate and rebase in one step (one move of the Markov history)."""

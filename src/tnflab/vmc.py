@@ -9,13 +9,22 @@ One sweep proposes every such pair once, in a fixed order; observables are
 measured after each sweep. Exact energies and gradients use :class:`tnflab.ed.Sector`.
 
 Both amplitude semantics plug in through a small evaluator interface:
-``peek(n)`` returns the amplitude without touching history and
+``peek(n)`` returns the amplitude without touching history,
 ``commit(n, amp)`` records an accepted move (a no-op for the fixed
-schedule). Gradients are defined for the fixed schedule only, where the
+schedule) and ``prefetch(table)`` memoizes the amplitudes ``peek`` would
+give a table of configurations, closing the memo's misses in stacked
+closures; each sample's neighbours go through it before its local energy.
+One evaluator, so one memo of environments and amplitudes, serves every
+chain of an estimate. Both memo keys (a side and the rows it covers; a
+closure row and the configuration) are pure, so a chain reads the bits it
+would compute itself. A dynamic chain keeps its own history over the shared
+memo, and that history starts cold at the chain's first configuration.
+
+Gradients are defined for the fixed schedule only, where the
 amplitude is one deterministic, piecewise smooth function of the tensors.
 Its log-derivatives are exact reverse-mode derivatives
 (:func:`tnflab.peps.log_derivatives`): one taped contraction and one reverse
-pass per distinct configuration. Parameters of rows that feed a truncation
+pass per distinct configuration, while a byte-bounded memo holds it. Parameters of rows that feed a truncation
 whose boundary singular values are degenerate (relative gap below
 :data:`tnflab.adjoint.TRUNCATION_GAP`), or a rank-deficient boundary, have no
 derivative there; they get 0 and are counted in
@@ -32,6 +41,7 @@ import numpy as np
 from .ed import Sector, sector_hamiltonian
 from .errors import NumericalAbortError
 from .models import Model, neel_config, nn_pairs
+from . import peps as peps_module
 from .peps import (
     DynamicCache,
     FixedEvaluator,
@@ -92,8 +102,9 @@ def local_energy(model: Model, amplitude_fn: Callable, n) -> complex:
 class ChainState:
     """One Markov chain: configuration, its amplitude, RNG, and evaluator.
 
-    ``evaluator`` owns any dynamic-contraction cache; one chain, one cache,
-    never shared between threads.
+    ``evaluator`` may serve the chains of an estimate one after another; a
+    dynamic cache then holds one chain's history at a time. It is never
+    shared between threads.
     """
 
     config: np.ndarray
@@ -174,16 +185,23 @@ def _blocking_stderr(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(n))
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _chain_args(model: Model, n_sweeps: int, n_warmup: int | None, initial_config=None):
     """Checked warm-up length and start configuration of a chain."""
-    if n_sweeps < 1:
-        raise ValueError("n_sweeps must be positive")
+    _check_count("n_sweeps", n_sweeps, 1)
     if n_warmup is None:
         # 10% of the run with a floor of 100 sweeps, but never starve short
         # runs: at most half the sweeps go to warmup.
         n_warmup = min(max(100, n_sweeps // 10), n_sweeps // 2)
-    if not 0 <= n_warmup < n_sweeps:
-        raise ValueError(f"warmup {n_warmup} must be in [0, n_sweeps)")
+    _check_count("n_warmup", n_warmup, 0)
+    if n_warmup >= n_sweeps:
+        raise ValueError(f"n_warmup must be below n_sweeps ({n_sweeps}), got {n_warmup}")
     if initial_config is None:
         initial_config = neel_config(model.rows, model.cols)
     return n_warmup, as_config(initial_config, model.n_sites, 2)
@@ -216,6 +234,28 @@ def _chain_samples(
             yield chain
 
 
+def _chain_energies(evaluator, model: Model, *chain_args) -> Iterator[tuple[ChainState, complex]]:
+    """Yield the chain of :func:`_chain_samples` (same arguments after
+    ``model``) and its :func:`local_energy` after each post-warm-up sweep.
+
+    The configuration and its neighbours one exchange away go to the
+    evaluator's ``prefetch`` first, which closes the memo misses among them
+    in stacked closures, so the local energy reads memo hits with the bits
+    it would compute alone.
+    """
+    i, j = np.array([(i, j) for i, j, _ in model.couplings], np.int64).reshape(-1, 2).T
+    # Exchanging an antiparallel pair of spins flips both: XOR with the pair's
+    # mask. Row 0 flips nothing, so the table starts with the configuration.
+    masks = np.zeros((len(i) + 1, model.n_sites), np.uint8)
+    pair = np.arange(1, len(i) + 1)
+    masks[pair, i] = masks[pair, j] = 1
+    for chain in _chain_samples(evaluator, model, *chain_args):
+        cfg = chain.config
+        moves = np.flatnonzero(np.concatenate(([True], cfg[i] != cfg[j])))
+        evaluator.prefetch(cfg.astype(np.uint8) ^ masks[moves])
+        yield chain, local_energy(model, evaluator.peek, cfg)
+
+
 def estimate_energy(
     peps: Peps,
     model: Model,
@@ -232,20 +272,26 @@ def estimate_energy(
 
     Deterministic for fixed (seed, n_chains): every chain draws from its own
     (seed, chain-index) stream and chains run one after another in index
-    order. ``n_threads`` is accepted and ignored: a thread pool made runs
-    slower, since the GIL serializes the small numpy calls. A non-finite
-    mean raises :class:`NumericalAbortError`.
+    order, all reading one evaluator's memo. Each chain's series is, bit for
+    bit, the one it gives alone on a fresh evaluator; a dynamic chain's
+    history starts cold, as on a fresh cache. ``n_sweeps`` (at least 1),
+    ``n_warmup`` (below ``n_sweeps``; ``None`` picks 10% of the run, at
+    least 100 sweeps and at most half) and ``n_chains`` (at least 1) must
+    be integers, not bools. ``n_threads`` is accepted and ignored: a thread
+    pool made runs slower, since the GIL serializes the small numpy calls.
+    A non-finite mean raises :class:`NumericalAbortError`.
     """
-    if n_chains < 1:
-        raise ValueError(f"n_chains must be at least 1, got {n_chains}")
+    _check_count("n_chains", n_chains, 1)
     n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup, initial_config)
+    evaluator = _make_evaluator(peps, mode, chi)
     series = []
     accepted = proposed = 0
     for k in range(n_chains):
-        evaluator = _make_evaluator(peps, mode, chi)
+        if mode == "dynamic":
+            evaluator.reset_history()
         energies = []
-        for chain in _chain_samples(evaluator, model, n_sweeps, n_warmup, seed, k, cfg0):
-            energies.append(local_energy(model, evaluator.peek, chain.config).real)
+        for chain, e in _chain_energies(evaluator, model, n_sweeps, n_warmup, seed, k, cfg0):
+            energies.append(e.real)
         series.append(np.array(energies))
         accepted += chain.accepted
         proposed += chain.proposed
@@ -318,7 +364,8 @@ def gradient_estimate(
     configuration by ``|psi_k|^2``, with ``E_loc = (H psi)_k / psi_k`` and ``<E_loc>`` =
     :func:`enumerate_energy`, all from one amplitude vector. ``"metropolis"`` averages
     :func:`local_energy` over chain 0 of :func:`estimate_energy` with the same seed, from
-    the Neel configuration. A repeated configuration reuses its ``O_k``, bit for bit.
+    the Neel configuration. A repeated configuration reuses its ``O_k``, bit for bit, from a
+    memo held under :data:`tnflab.peps.MEMO_MAX_BYTES`, which empties when a store would pass it.
     ``zeroed_params`` sums, over samples, the parameters left at 0 because they feed a
     degenerate truncation. A non-finite energy raises :class:`NumericalAbortError`.
     """
@@ -329,9 +376,8 @@ def gradient_estimate(
         samples = ((configs[k], weights[k], h_psi[k] / psi[k]) for k in np.flatnonzero(weights))
     elif sampling == "metropolis":
         n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup)
-        evaluator = FixedEvaluator(peps, plan)
-        chain = _chain_samples(evaluator, model, n_sweeps, n_warmup, seed, 0, cfg0)
-        samples = ((s.config, 1.0, local_energy(model, evaluator.peek, s.config)) for s in chain)
+        chain = _chain_energies(FixedEvaluator(peps, plan), model, n_sweeps, n_warmup, seed, 0, cfg0)
+        samples = ((s.config, 1.0, e) for s, e in chain)
     else:
         raise ValueError(f"unknown sampling {sampling!r}")
 
@@ -342,13 +388,23 @@ def gradient_estimate(
     sum_eo = np.zeros(n_params, dtype=complex)
     zeroed = 0
     n_samples = 0
-    memo: dict[bytes, tuple[np.ndarray, int]] = {}  # O_k(n) is a pure function of n
+    # O_k(n) is a pure function of n. The memo counts each entry's key and
+    # O_k bytes, and a store that would pass peps.MEMO_MAX_BYTES empties it.
+    memo: dict[bytes, tuple[np.ndarray, int]] = {}
+    memo_bytes = 0
     # E_loc is complex per configuration (only its average is real); the
     # gradient needs the full complex value against O_k*.
     for cfg, w, e in samples:
-        if (key := cfg.tobytes()) not in memo:
-            memo[key] = log_derivatives(peps, cfg, plan)[1:]
-        o, z = memo[key]
+        if (key := cfg.tobytes()) in memo:
+            o, z = memo[key]
+        else:
+            _, o, z = log_derivatives(peps, cfg, plan)
+            size = len(key) + o.nbytes
+            if memo_bytes + size <= peps_module.MEMO_MAX_BYTES:
+                memo[key] = o, z
+                memo_bytes += size
+            else:
+                memo, memo_bytes = {}, 0
         oc = np.conj(o)
         sum_w += w
         sum_e += w * e.real

@@ -286,6 +286,29 @@ def test_revisiting_chain_matches_the_per_sample_oracle(rows, cols, boundary, bo
     assert info == want_info
 
 
+@pytest.mark.parametrize("rows,cols,boundary,bond,chi,seed", REVISITING_CHAINS)
+def test_bounded_derivative_memo_keeps_the_gradient(monkeypatch, rows, cols, boundary, bond, chi, seed):
+    """A budget of two configurations' ``O_k`` empties the derivative memo
+    along the way, so repeated configurations are taped again; the gradient
+    bytes and ``zeroed_params`` stay those of the unbounded memo."""
+    m = heisenberg(rows, cols, boundary)
+    p = random_peps(rows, cols, 2, bond, seed=seed, boundary=boundary)
+    want, want_info = gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
+    taped, forward = [0], tnflab.peps._schedule_amplitude
+
+    def counted(peps, n, mid, chi, tape=None):
+        taped[0] += tape is not None
+        return forward(peps, n, mid, chi, tape)
+
+    monkeypatch.setattr(tnflab.peps, "_schedule_amplitude", counted)
+    monkeypatch.setattr(tnflab.peps, "MEMO_MAX_BYTES", 2 * (peps_to_params(p).size * 16 + 8 * rows * cols))
+    g, info = gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
+    assert g.tobytes() == want.tobytes()
+    assert info == want_info
+    distinct = {cfg.tobytes() for cfg, _ in chain_configs(p, m, chi, 30, 10, seed)}
+    assert taped[0] > len(distinct)
+
+
 class TestGradient:
     def test_matches_finite_difference_of_rayleigh_quotient(self):
         """Enumeration-sampled estimator against central differences of the

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import tnflab.peps as peps_module
 from tnflab.ed import Sector
 from tnflab.errors import DimensionError, ResourceLimitError
-from tnflab.mps import Chains, compress
+from tnflab.mps import Chains, as_configs, compress
 from tnflab.peps import (
     EXACT_MAX_BYTES,
     DynamicCache,
@@ -589,6 +589,66 @@ def test_fixed_table_matches_each_configuration_alone(data):
             ev = FixedEvaluator(state, plan)
             got = fixed_table(state, plan, np.array(configs))
             assert [exact_bits(a) for a in got] == [exact_bits(ev.amplitude(n)) for n in configs], (mid, chi)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stacked_misses_match_single_closures(data):
+    """``_close_misses`` memoizes each (configuration, closure row) miss
+    with the bits of ``amplitude_fixed`` on the plan closing at that row and
+    of a single ``DynamicCache`` closure, at chi 1-4 on open and periodic
+    lattices down to one row or one column. The miss list repeats
+    configurations and mixes closure rows, so it spans several shape groups;
+    an entry memoized beforehand is left as it was."""
+    boundary = data.draw(st.sampled_from(BOUNDARIES), label="boundary")
+    rows, cols = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
+    n_sites = rows * cols
+    bond = data.draw(st.integers(1, 3 if boundary == "obc" and n_sites <= 9 else 2), label="bond")
+    state = random_peps(rows, cols, 2, bond, seed=data.draw(st.integers(0, 2**16)), boundary=boundary)
+    chi = data.draw(st.integers(1, 4), label="chi")
+    config = st.lists(st.integers(0, 1), min_size=n_sites, max_size=n_sites)
+    distinct = data.draw(st.lists(config, min_size=1, max_size=8, unique_by=tuple), label="distinct")
+    entry = st.tuples(st.sampled_from(distinct), st.integers(0, rows - 1))
+    entries = data.draw(st.lists(entry, min_size=1, max_size=16), label="entries")
+    stack = DynamicCache(state, chi)
+    pre_cfg, pre_mid = data.draw(st.sampled_from(entries), label="memoized")
+    pre = stack._closed(as_config(pre_cfg, n_sites, 2), pre_mid)
+    table = as_configs([cfg for cfg, _ in entries], n_sites, 2)
+    stack._close_misses(table, [mid for _, mid in entries])
+    pre_key = stack._row_tags[pre_mid] + table[entries.index((pre_cfg, pre_mid))].tobytes()
+    assert stack._amps[pre_key] is pre
+    for (cfg, mid), row in zip(entries, table):
+        got = stack._amps[stack._row_tags[mid] + row.tobytes()]
+        want = amplitude_fixed(state, cfg, FixedPlan(rows, cols, chi, mid))
+        alone = DynamicCache(state, chi)._closed(as_config(cfg, n_sites, 2), mid)
+        assert exact_bits(got) == exact_bits(want) == exact_bits(alone), (cfg, mid)
+
+
+def test_stacked_misses_close_one_stack_per_row_and_shape(monkeypatch):
+    """The misses of one closure row with equal boundary shapes close in one
+    stacked closure: the neighbours of the Neel configuration of a random
+    3x3 state close in one closure per row, and a second pass closes none."""
+    state = random_peps(3, 3, 2, 2, seed=4)
+    cfg = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
+    table = []
+    for i, j in ((0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (0, 3), (4, 7), (5, 8)):
+        n = cfg.copy()
+        n[[i, j]] = n[[j, i]]
+        table.append(n)
+    table = as_configs(table * 3, 9, 2)
+    mids = [0] * 8 + [1] * 8 + [2] * 8
+    sizes, close = [], peps_module._close_strip
+
+    def counted(top, mid, bottom, tape=None):
+        sizes.append(len(mid[0]))
+        return close(top, mid, bottom, tape)
+
+    monkeypatch.setattr(peps_module, "_close_strip", counted)
+    stack = DynamicCache(state, 2)
+    stack._close_misses(table, mids)
+    assert sizes == [8, 8, 8]
+    stack._close_misses(table, mids)
+    assert sizes == [8, 8, 8]
 
 
 @pytest.mark.parametrize("bad", [0.9, math.nan, 2, "width"])

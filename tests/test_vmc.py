@@ -7,13 +7,17 @@ import pytest
 from tnflab.ed import Sector
 from tnflab.errors import NumericalAbortError
 from tnflab.models import heisenberg, neel_config, nn_pairs
-from tnflab.peps import FixedEvaluator, FixedPlan, product_peps, random_peps
+import tnflab.peps as peps_module
+from tnflab.peps import DynamicCache, FixedEvaluator, FixedPlan, product_peps, random_peps
 from tnflab.tensor import AmplitudeValue
 from tnflab.vmc import (
     ChainState,
+    _chain_args,
     _chain_rng,
+    _chain_samples,
     enumerate_energy,
     estimate_energy,
+    gradient_estimate,
     local_energy,
     metropolis_sweep,
 )
@@ -258,3 +262,92 @@ class TestEstimateEnergy:
             estimate_energy(p, m, "fixed", 2, n_sweeps=0)
         with pytest.raises(ValueError):
             estimate_energy(p, m, "nope", 2, n_sweeps=10)
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_sweeps", 10.5), ("n_sweeps", True), ("n_sweeps", "10"), ("n_sweeps", 0),
+        ("n_warmup", 2.5), ("n_warmup", True), ("n_warmup", -1), ("n_warmup", 10),
+        ("n_chains", 2.5), ("n_chains", True), ("n_chains", 0),
+    ])
+    def test_chain_counts_must_be_integers(self, name, value):
+        """A bool, a non-integer or an out-of-range count raises a
+        ``ValueError`` naming it, in both estimators."""
+        p = random_peps(2, 2, 2, 2, seed=8)
+        m = heisenberg(2, 2)
+        args = {"n_sweeps": 10, "n_warmup": 2, "n_chains": 1, name: value}
+        with pytest.raises(ValueError, match=name):
+            estimate_energy(p, m, "fixed", 2, **args)
+        if name != "n_chains":
+            with pytest.raises(ValueError, match=name):
+                gradient_estimate(p, m, 2, n_sweeps=args["n_sweeps"], n_warmup=args["n_warmup"])
+
+    def test_numpy_integer_counts_accepted(self):
+        p = random_peps(2, 2, 2, 2, seed=8)
+        m = heisenberg(2, 2)
+        a = estimate_energy(p, m, "fixed", 2, n_sweeps=np.int64(10), n_warmup=np.int32(2), n_chains=np.int64(2))
+        b = estimate_energy(p, m, "fixed", 2, n_sweeps=10, n_warmup=2, n_chains=2)
+        assert a.mean == b.mean and a.n_samples == 16
+
+
+def count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Count the calls :mod:`tnflab.peps` makes to each function of
+    ``names``, in the returned dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(peps_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(peps_module, name, counted)
+    return calls
+
+
+def lone_series(peps, model, mode, chi, n_sweeps, n_warmup, seed, k):
+    """Chain ``k``'s local energies on a fresh evaluator, each amplitude
+    closed on its own as ``peek`` reaches it."""
+    if mode == "fixed":
+        ev = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
+    else:
+        ev = DynamicCache(peps, chi)
+    n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup)
+    chain = _chain_samples(ev, model, n_sweeps, n_warmup, seed, k, cfg0)
+    return np.array([local_energy(model, ev.peek, s.config).real for s in chain])
+
+
+@pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+@pytest.mark.parametrize("n_chains", [2, 3])
+def test_each_chain_gives_its_series_alone(monkeypatch, mode, boundary, n_chains):
+    """The chains of an estimate share one memo, and each gives, bit for bit,
+    the series it gives alone on a fresh evaluator; so does a run whose
+    memos are emptied in the middle of each chain. On this instance a
+    dynamic chain 1 that started on chain 0's history, not cold, would
+    give another series."""
+    p = random_peps(3, 3, 2, 2, seed=0, boundary=boundary)
+    m = heisenberg(3, 3, boundary)
+    want = [lone_series(p, m, mode, 1, 30, 5, 1, k) for k in range(n_chains)]
+    calls, absorbs = count_calls(monkeypatch, "boundary_absorb"), []
+    for budget in (peps_module.MEMO_MAX_BYTES, 6 << 10):
+        monkeypatch.setattr(peps_module, "MEMO_MAX_BYTES", budget)
+        est = estimate_energy(p, m, mode, 1, n_sweeps=30, n_warmup=5, n_chains=n_chains, seed=1)
+        assert len(est.series) == n_chains
+        for k, (got, alone) in enumerate(zip(est.series, want)):
+            assert got.tobytes() == alone.tobytes(), (budget, k)
+        absorbs.append(calls["boundary_absorb"] - sum(absorbs))
+    assert absorbs[1] > absorbs[0]  # the small budget emptied the memos along the way
+
+
+# Work of the pinned instance below, per mode: (boundary_absorb calls,
+# _close_strip calls). A chain per evaluator, each amplitude closed alone,
+# made (32, 160) and (103, 210). A change that loses the shared memo or
+# splits the stacked closures changes them.
+WORK = {"fixed": (16, 82), "dynamic": (67, 131)}
+
+
+@pytest.mark.parametrize("mode", ["fixed", "dynamic"])
+def test_work_counts_are_pinned(monkeypatch, mode):
+    """A seeded 3x3 OBC, D=2, chi=2 estimate of 2 chains x 20 sweeps makes
+    exactly the pinned number of absorbs and closures."""
+    p = random_peps(3, 3, 2, 2, seed=3)
+    calls = count_calls(monkeypatch, "boundary_absorb", "_close_strip")
+    estimate_energy(p, heisenberg(3, 3), mode, 2, n_sweeps=20, n_warmup=5, n_chains=2, seed=0)
+    assert (calls["boundary_absorb"], calls["_close_strip"]) == WORK[mode]
