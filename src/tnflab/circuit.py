@@ -6,8 +6,8 @@ in ``_GATES`` (arity, wire kinds, defining tensor):
 * bit legs (extent 2, basis semantics): binary logic circuits built from
   XOR/AND/OR gates and the copy tensor. Basis vectors in keep every
   intermediate a basis vector, so :func:`eval_binary` carries one bit per
-  wire and indexes each gate tensor by its input bits, linear in the gate
-  count.
+  wire and looks each gate up in a truth table read off its tensor, linear
+  in the gate count.
 * amplitude legs (extent 2, ``(1, x)`` semantics): arithmetic circuits
   where addition and multiplication are (2,2,2) tensors acting on encoded
   reals, contracted by :func:`eval_amp_circuit`, plus variable legs carrying
@@ -17,20 +17,25 @@ Wires have a single producer. Bit wires also have a single consumer, with
 fan-out realized by explicit copy nodes; amplitude wires may feed several
 consumers, standing for the formally duplicated subgraphs that memoized
 evaluation contracts only once.
+
+A graph compiles each evaluator's program on its first evaluation and
+keeps it; evaluation runs it over a list of wire values indexed by wire id.
 """
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import GraphError, InvariantError, RepresentationError
+from .errors import GraphError, InvariantError, NumericalAbortError, RepresentationError
 
 __all__ = [
     "GateKind",
@@ -192,6 +197,17 @@ def _check_node(node: Node, wire_types: Sequence[str], var_grids: Mapping) -> tu
     return gate, node
 
 
+def _truth_table(tensor: np.ndarray, n_in: int):
+    """``table[b0][b1]...``: the output bits a gate writes for input bits
+    ``b0, b1, ...``, or None where its tensor's slice is not one-hot."""
+    if n_in:
+        return tuple(_truth_table(tensor[b], n_in - 1) for b in (0, 1))
+    hot = tensor.nonzero()
+    if len(hot[0]) != 1 or tensor[hot][0] != 1.0:
+        return None
+    return tuple(int(i[0]) for i in hot)
+
+
 @dataclass(frozen=True)
 class CircuitGraph:
     """Immutable directed acyclic gate graph with typed wires, checked once
@@ -280,6 +296,56 @@ class CircuitGraph:
             output_groups=data["output_groups"],
             var_grids={int(k): v for k, v in data.get("var_grids", {}).items()},
         )
+
+    @cached_property
+    def _binary_program(self) -> tuple:
+        """Per node: input wires, output wires, and the truth table of its gate."""
+        tables: dict[GateKind, tuple] = {}
+        program = []
+        for node in self.nodes:
+            gate = _GATES[node.kind]
+            if node.kind == GateKind.CONST_BIT:
+                table = (int(node.payload),)
+            elif gate.in_kind != "bit":
+                raise GraphError(f"{node.kind} is not a binary-circuit gate")
+            else:
+                table = tables.get(node.kind) or tables.setdefault(
+                    node.kind, _truth_table(gate.tensor, gate.n_in))
+            program.append((node.inputs, node.outputs, table))
+        return tuple(program)
+
+    @cached_property
+    def _amp_program(self) -> tuple:
+        """The nodes the outputs reach, in order, as (kind, input wires, output
+        wires, paths from the outputs, tensor or read-only value table)."""
+        producer = {w: i for i, node in enumerate(self.nodes) for w in node.outputs}
+        # Paths from the outputs to each node, counted in reverse topological
+        # order; a node no path reaches is never contracted.
+        paths = [0] * len(self.nodes)
+        for group in self.output_groups:
+            if len(group) != 1:
+                raise GraphError("amp circuits produce one wire per output group")
+            if group[0] in producer:
+                paths[producer[group[0]]] += 1
+        for i in reversed(range(len(self.nodes))):
+            for w in self.nodes[i].inputs:
+                if w in producer:
+                    paths[producer[w]] += paths[i]
+        program = []
+        for node, count in zip(self.nodes, paths):
+            if not count:
+                continue
+            data = _GATES[node.kind].tensor
+            if node.kind == GateKind.CONST_FLOAT:
+                data = float_encode(node.payload)
+            elif node.kind == GateKind.FUNC:
+                data = np.array(node.payload)
+            elif node.kind not in (GateKind.PLUS, GateKind.TIMES, GateKind.VAR_COPY):
+                raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
+            if data is not None:
+                data.setflags(write=False)
+            program.append((node.kind, node.inputs, node.outputs, count, data))
+        return tuple(program)
 
 
 class CircuitBuilder:
@@ -500,29 +566,26 @@ def eval_binary(graph: CircuitGraph, inputs: Sequence[BitVec]) -> list[BitVec]:
     """Evaluate a logic circuit on bit-string inputs, gate by gate.
 
     A wire holds one bit. Contracting basis vectors into a gate's input legs
-    is indexing its tensor by the input bits; the slice must be one-hot (the
-    product-state property, else :class:`InvariantError`), and its hot
-    position gives the output bits. Work is linear in the gate count.
+    is indexing its tensor by the input bits, so the graph's program looks
+    the output bits up in a truth table read off the tensor once. A slice
+    that is not one-hot (no product state) raises :class:`InvariantError`
+    when an input reaches it. Work is linear in the gate count.
     """
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} input operands")
-    bits: dict[int, int] = {}
+    bits = [0] * len(graph.wire_types)
     for group, vec in zip(graph.input_groups, inputs):
         if len(group) != len(vec):
             raise GraphError(f"operand width {len(vec)} does not match group {len(group)}")
-        bits.update(zip(group, vec.bits))
-    for node in graph.nodes:
-        if node.kind == GateKind.CONST_BIT:
-            bits[node.outputs[0]] = int(node.payload)
-            continue
-        gate = _GATES[node.kind]
-        if gate.in_kind != "bit":
-            raise GraphError(f"{node.kind} is not a binary-circuit gate")
-        out = gate.tensor[tuple(bits[w] for w in node.inputs)]
-        hot = out.nonzero()
-        if len(hot[0]) != 1 or out[hot][0] != 1.0:
+        for w, b in zip(group, vec.bits):
+            bits[w] = b
+    for ins, outs, row in graph._binary_program:
+        for w in ins:
+            row = row[bits[w]]
+        if row is None:
             raise InvariantError("non-basis intermediate in binary evaluation")
-        bits.update(zip(node.outputs, (int(i[0]) for i in hot)))
+        for w, b in zip(outs, row):
+            bits[w] = b
     return [BitVec(tuple(bits[w] for w in group)) for group in graph.output_groups]
 
 
@@ -546,67 +609,51 @@ def eval_amp_circuit(
 ) -> tuple[list[float], EvalStats]:
     """Evaluate an amplitude-arithmetic circuit on bound inputs.
 
-    ``inputs`` supplies one value per input group: a float for an amp input,
-    an int grid index for a variable input. With ``memo`` every node is
-    contracted once and its ``(1, value)`` vector reused by all consumers;
-    without it, ``EvalStats.contractions`` counts the formal expanded tree,
-    in which shared subgraphs are re-contracted once per path. Nodes are
-    stored in topological order, so one forward loop evaluates the nodes
-    the outputs depend on. Values agree exactly either way.
+    ``inputs`` supplies one value per input group: a finite real for an amp
+    input, an integer grid index for a variable input; anything else raises
+    :class:`GraphError`. The graph's program holds the nodes the outputs
+    reach, in topological order, each with its number of paths to the
+    outputs, and one forward pass contracts each of them once and reuses its
+    ``(1, value)`` vector for all consumers. ``EvalStats.contractions``
+    counts those contractions with ``memo``; without it, it counts the
+    formal expanded tree, in which a shared subgraph is contracted once per
+    path. Values are the same either way. An output that is not finite
+    (overflow inside the graph) raises :class:`NumericalAbortError`.
     """
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} inputs")
-    bound: dict[int, object] = {}
+    values: list = [None] * len(graph.wire_types)
     for group, value in zip(graph.input_groups, inputs):
         if len(group) != 1:
             raise GraphError("amp circuits bind one wire per input group")
         w = group[0]
         if graph.wire_types[w] == "amp":
-            bound[w] = float_encode(float(value))
+            x = float(value) if isinstance(value, (np.integer, np.floating)) else value
+            if x not in _GATES[GateKind.CONST_FLOAT].payloads:
+                raise GraphError(f"amp input {value!r} is not a finite real")
+            values[w] = float_encode(x)
         elif graph.wire_types[w] == "var":
-            idx = int(value)
-            if not 0 <= idx < graph.var_grids[w]:
-                raise GraphError(f"grid index {idx} out of range")
-            bound[w] = idx
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise GraphError(f"grid index {value!r} is not an integer")
+            if not 0 <= value < graph.var_grids[w]:
+                raise GraphError(f"grid index {value} out of range")
+            values[w] = int(value)
         else:
             raise GraphError("binary inputs do not belong in amp evaluation")
-
-    producer = {w: node for node in graph.nodes for w in node.outputs}
-    # Paths from the outputs to each node, counted in reverse topological
-    # order; a node no path reaches is never contracted.
-    paths = {id(node): 0 for node in graph.nodes}
-    for group in graph.output_groups:
-        if len(group) != 1:
-            raise GraphError("amp circuits produce one wire per output group")
-        if group[0] in producer:
-            paths[id(producer[group[0]])] += 1
-    for node in reversed(graph.nodes):
-        for w in node.inputs:
-            if w in producer:
-                paths[id(producer[w])] += paths[id(node)]
-
-    stats = EvalStats()
-    values = dict(bound)
-    for node in graph.nodes:
-        count = paths[id(node)]
-        if not count:
-            continue
-        # Without memo the expanded tree contracts a node once per path.
-        stats.contractions += 1 if memo else count
-        if node.kind == GateKind.CONST_FLOAT:
-            out = [float_encode(node.payload)]
-        elif node.kind == GateKind.FUNC:
-            out = [np.array(node.payload[values[node.inputs[0]]])]
-        elif node.kind == GateKind.VAR_COPY:
-            idx = values[node.inputs[0]]
-            out = [idx, idx]
-        elif node.kind in (GateKind.PLUS, GateKind.TIMES):
-            x, y = values[node.inputs[0]], values[node.inputs[1]]
-            out = [np.einsum("i,j,ijk->k", x, y, _GATES[node.kind].tensor)]
+    program = graph._amp_program
+    for kind, ins, outs, _, data in program:
+        if kind is GateKind.PLUS or kind is GateKind.TIMES:
+            values[outs[0]] = np.einsum("i,j,ijk->k", values[ins[0]], values[ins[1]], data)
+        elif kind is GateKind.CONST_FLOAT:
+            values[outs[0]] = data
+        elif kind is GateKind.FUNC:
+            values[outs[0]] = data[values[ins[0]]]
         else:
-            raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
-        values.update(zip(node.outputs, out))
-    return [float_decode(values[group[0]]) for group in graph.output_groups], stats
+            values[outs[0]] = values[outs[1]] = values[ins[0]]
+    out = [float_decode(values[group[0]]) for group in graph.output_groups]
+    if not all(map(math.isfinite, out)):
+        raise NumericalAbortError(f"amplitude circuit output {out} is not finite")
+    return out, EvalStats(len(program) if memo else sum(step[3] for step in program))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Binary and amplitude arithmetic circuits."""
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tnflab import circuit
 from tnflab.circuit import (
     BitVec,
     CircuitBuilder,
@@ -27,7 +31,13 @@ from tnflab.circuit import (
     function_table,
     gate_tensor,
 )
-from tnflab.errors import GraphError, RepresentationError, ResourceLimitError
+from tnflab.errors import (
+    GraphError,
+    InvariantError,
+    NumericalAbortError,
+    RepresentationError,
+    ResourceLimitError,
+)
 
 
 class TestGateTensors:
@@ -565,3 +575,248 @@ class TestMemoization:
         for data in (xor_on_amps, plus_to_bit):
             with pytest.raises(GraphError):
                 CircuitGraph.from_json(json.dumps(data))
+
+
+class TestInputRules:
+    """Evaluator inputs are checked as graph payloads are; bad ones raise GraphError."""
+
+    def _square_on_grid(self):
+        return build_amp_function(("func", function_table(np.square, np.arange(4.0)), "x"), {"x": 4})
+
+    @pytest.mark.parametrize("index", [2.7, 2.0, True, np.True_, "2", None, -1, 4, np.int64(4)])
+    def test_grid_index_must_be_an_integer_in_range(self, index):
+        with pytest.raises(GraphError):
+            eval_amp_circuit(self._square_on_grid(), [index])
+
+    @pytest.mark.parametrize("index", [2, np.int64(2), np.uint8(2)])
+    def test_integer_grid_indices_accepted(self, index):
+        (v,), _ = eval_amp_circuit(self._square_on_grid(), [index])
+        assert v == 4.0
+
+    def _sum(self):
+        b = CircuitBuilder()
+        return b.finish([[b.plus(b.input_amp(), b.input_amp())]])
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.inf, -math.inf, math.nan, np.float64("inf"), np.float32("nan"), 10**400,
+         "3", True, np.True_, None, [1.0]],
+    )
+    def test_amp_inputs_must_be_finite_reals(self, value):
+        """(1, inf) (+) (1, 1) would read NaN: the dropped x*y entry multiplies inf by 0."""
+        with pytest.raises(GraphError):
+            eval_amp_circuit(self._sum(), [value, 1.0])
+
+    @pytest.mark.parametrize("value", [7, -0.5, np.float64(-2.25), np.float32(0.5), np.int64(3)])
+    def test_real_scalars_accepted(self, value):
+        (v,), _ = eval_amp_circuit(self._sum(), [value, 1.0])
+        assert v == float(value) + 1.0
+
+    def test_overflow_inside_the_graph_aborts(self):
+        b = CircuitBuilder()
+        w = b.input_amp()
+        for _ in range(4):
+            w = b.times(w, w)
+        g = b.finish([[w]])
+        assert eval_amp_circuit(g, [10.0]) == ([1e16], EvalStats(4))
+        with pytest.raises(NumericalAbortError):
+            eval_amp_circuit(g, [1e100])
+
+
+class TestEvaluatorErrors:
+    def _non_basis_and(self, monkeypatch):
+        """AND with a (1, 1) slice that is not a basis vector."""
+        gate = circuit._GATES[GateKind.AND]
+        tensor = np.array(gate.tensor)
+        tensor[1, 1] = [0.5, 0.5]
+        monkeypatch.setitem(circuit._GATES, GateKind.AND, gate._replace(tensor=tensor))
+
+    def test_non_basis_slice_raises_invariant_error(self, monkeypatch):
+        self._non_basis_and(monkeypatch)
+        b = CircuitBuilder()
+        x, y = b.input_bits(2)
+        g = b.finish([[b.and_(x, y)]])
+        assert eval_binary(g, [BitVec((1, 0))]) == [BitVec((0,))]
+        with pytest.raises(InvariantError):
+            eval_binary(g, [BitVec((1, 1))])
+        with pytest.raises(GraphError):  # operand widths are checked first
+            eval_binary(g, [BitVec((1,))])
+
+    def test_gate_kind_checked_before_invariant(self, monkeypatch):
+        self._non_basis_and(monkeypatch)
+        b = CircuitBuilder()
+        x, y = b.input_bits(2)
+        bit = b.and_(x, y)
+        amp = b.plus(b.input_amp(), b.input_amp())
+        g = b.finish([[bit], [amp]])
+        with pytest.raises(GraphError):
+            eval_binary(g, [BitVec((1, 1)), BitVec((0,)), BitVec((0,))])
+
+    def test_amp_evaluation_rejects_logic_graphs(self):
+        with pytest.raises(GraphError):
+            eval_amp_circuit(build_half_adder(), [0, 1])
+        b = CircuitBuilder()
+        with pytest.raises(GraphError):
+            eval_amp_circuit(b.finish([[b.const_bit(1)]]), [])
+        with pytest.raises(GraphError):  # outputs are single wires
+            eval_amp_circuit(build_adder(2), [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# The per-call graph walks the compiled programs replaced, kept as the oracle.
+
+
+def oracle_eval_binary(graph, inputs):
+    """Index each gate tensor by its input bits; the slice must be one-hot."""
+    if len(inputs) != len(graph.input_groups):
+        raise GraphError(f"expected {len(graph.input_groups)} input operands")
+    bits = {}
+    for group, vec in zip(graph.input_groups, inputs):
+        if len(group) != len(vec):
+            raise GraphError(f"operand width {len(vec)} does not match group {len(group)}")
+        bits.update(zip(group, vec.bits))
+    for node in graph.nodes:
+        if node.kind == GateKind.CONST_BIT:
+            bits[node.outputs[0]] = int(node.payload)
+            continue
+        gate = circuit._GATES[node.kind]
+        if gate.in_kind != "bit":
+            raise GraphError(f"{node.kind} is not a binary-circuit gate")
+        out = gate.tensor[tuple(bits[w] for w in node.inputs)]
+        hot = out.nonzero()
+        if len(hot[0]) != 1 or out[hot][0] != 1.0:
+            raise InvariantError("non-basis intermediate in binary evaluation")
+        bits.update(zip(node.outputs, (int(i[0]) for i in hot)))
+    return [BitVec(tuple(bits[w] for w in group)) for group in graph.output_groups]
+
+
+def oracle_eval_amp_circuit(graph, inputs, memo=True):
+    """Count each node's paths to the outputs, then contract the nodes with
+    any, one forward loop over dicts keyed by wire."""
+    if len(inputs) != len(graph.input_groups):
+        raise GraphError(f"expected {len(graph.input_groups)} inputs")
+    values = {}
+    for group, value in zip(graph.input_groups, inputs):
+        w = group[0]
+        values[w] = float_encode(float(value)) if graph.wire_types[w] == "amp" else int(value)
+    producer = {w: node for node in graph.nodes for w in node.outputs}
+    paths = {id(node): 0 for node in graph.nodes}
+    for group in graph.output_groups:
+        if len(group) != 1:
+            raise GraphError("amp circuits produce one wire per output group")
+        if group[0] in producer:
+            paths[id(producer[group[0]])] += 1
+    for node in reversed(graph.nodes):
+        for w in node.inputs:
+            if w in producer:
+                paths[id(producer[w])] += paths[id(node)]
+    stats = EvalStats()
+    for node in graph.nodes:
+        count = paths[id(node)]
+        if not count:
+            continue
+        stats.contractions += 1 if memo else count
+        if node.kind == GateKind.CONST_FLOAT:
+            out = [float_encode(node.payload)]
+        elif node.kind == GateKind.FUNC:
+            out = [np.array(node.payload[values[node.inputs[0]]])]
+        elif node.kind == GateKind.VAR_COPY:
+            idx = values[node.inputs[0]]
+            out = [idx, idx]
+        elif node.kind in (GateKind.PLUS, GateKind.TIMES):
+            x, y = values[node.inputs[0]], values[node.inputs[1]]
+            out = [np.einsum("i,j,ijk->k", x, y, circuit._GATES[node.kind].tensor)]
+        else:
+            raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
+        values.update(zip(node.outputs, out))
+    return [float_decode(values[group[0]]) for group in graph.output_groups], stats
+
+
+def random_logic_circuit(rng):
+    """Random xor/and/or/delta/const_bit circuit; every wire nothing reads is an output."""
+    b = CircuitBuilder()
+    free = [w for _ in range(rng.integers(1, 4)) for w in b.input_bits(int(rng.integers(1, 4)))]
+    for _ in range(rng.integers(0, 30)):
+        op = rng.choice(["xor", "and_", "or_", "delta", "const_bit"])
+        if op == "const_bit":
+            free.append(b.const_bit(int(rng.integers(2))))
+        elif op == "delta":
+            free += b.delta(free.pop(rng.integers(len(free))))
+        elif len(free) >= 2:
+            x = free.pop(rng.integers(len(free)))
+            y = free.pop(rng.integers(len(free)))
+            free.append(getattr(b, op)(x, y))
+    cuts = sorted(rng.choice(np.arange(1, len(free)), size=min(2, len(free) - 1), replace=False))
+    return b.finish([g.tolist() for g in np.split(np.array(free), cuts)])
+
+
+def random_amp_circuit(rng):
+    """Random plus/times/const_float circuit with shared operands (a wire may
+    feed both legs of a gate), func tables on variables fanned out by
+    var_copy, and outputs drawn from every amp wire, so some nodes are unreached."""
+    b = CircuitBuilder()
+    amps = [b.input_amp() for _ in range(rng.integers(1, 4))]
+    free_vars = [b.input_var(int(rng.integers(1, 5))) for _ in range(rng.integers(0, 3))]
+    for _ in range(rng.integers(1, 30)):
+        op = rng.choice(["plus", "times", "const_float", "func", "var_copy"])
+        if op in ("plus", "times"):
+            amps.append(getattr(b, op)(amps[rng.integers(len(amps))], amps[rng.integers(len(amps))]))
+        elif op == "const_float" or not free_vars:
+            amps.append(b.const_float(rng.uniform(-1.5, 1.5)))
+        elif op == "func":
+            v = free_vars.pop(rng.integers(len(free_vars)))
+            amps.append(b.func(function_table(np.sin, rng.uniform(-3, 3, b.var_grids[v])), v))
+        else:
+            free_vars += b.var_copy(free_vars.pop(rng.integers(len(free_vars))))
+    return b.finish([[amps[i]] for i in rng.integers(len(amps), size=rng.integers(1, 4))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compiled_binary_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    g = random_logic_circuit(rng)
+    loaded = CircuitGraph.from_json(g.to_json())
+    for _ in range(8):
+        xs = [BitVec(tuple(int(b) for b in rng.integers(2, size=len(grp)))) for grp in g.input_groups]
+        want = oracle_eval_binary(g, xs)
+        assert eval_binary(g, xs) == want
+        assert eval_binary(loaded, xs) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compiled_amp_matches_oracle(seed):
+    """Values bit for bit and contraction counts, with and without memo; an
+    output the oracle reads as not finite aborts."""
+    rng = np.random.default_rng(seed)
+    g = random_amp_circuit(rng)
+    loaded = CircuitGraph.from_json(g.to_json())
+    for _ in range(4):
+        xs = [float(rng.uniform(-1.5, 1.5)) if g.wire_types[w] == "amp" else int(rng.integers(g.var_grids[w]))
+              for (w,) in g.input_groups]
+        for memo in (True, False):
+            want, want_stats = oracle_eval_amp_circuit(g, xs, memo)
+            for graph in (g, loaded):
+                if not all(map(math.isfinite, want)):
+                    with pytest.raises(NumericalAbortError):
+                        eval_amp_circuit(graph, xs, memo)
+                    continue
+                got, stats = eval_amp_circuit(graph, xs, memo)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+                assert stats == want_stats
+
+
+def test_programs_compiled_once_on_first_evaluation(monkeypatch):
+    """Making a graph compiles nothing; the first evaluation compiles its
+    program and later ones reuse it."""
+    adder = build_adder(3)
+    net = TestMemoization()._net()
+    assert "_binary_program" not in vars(adder) and "_amp_program" not in vars(net)
+    (z,) = eval_binary(adder, [BitVec.from_int(5, 3), BitVec.from_int(6, 3)])
+    (v,), _ = eval_amp_circuit(net, [0.5, 0.25])
+    programs = vars(adder)["_binary_program"], vars(net)["_amp_program"]
+    monkeypatch.setattr(circuit, "_truth_table", None)
+    assert eval_binary(adder, [BitVec.from_int(5, 3), BitVec.from_int(6, 3)]) == [z]
+    assert eval_amp_circuit(net, [0.5, 0.25])[0] == [v]
+    assert (vars(adder)["_binary_program"], vars(net)["_amp_program"]) == programs
