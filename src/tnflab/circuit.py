@@ -92,6 +92,9 @@ class _FiniteReals:
         return "the finite reals"
 
 
+_FINITE_REALS = _FiniteReals()
+
+
 class _Gate(NamedTuple):
     """Arity, wire kinds, defining tensor (output last) and, if restricted, payloads."""
 
@@ -112,7 +115,7 @@ _GATES = {
     GateKind.PLUS: _Gate(2, 1, "amp", "amp", _logic_tensor([(0, 0, 0), (1, 0, 1), (0, 1, 1)])),
     GateKind.TIMES: _Gate(2, 1, "amp", "amp", _logic_tensor([(0, 0, 0), (1, 1, 1)])),
     GateKind.CONST_BIT: _Gate(0, 1, None, "bit", payloads=(0, 1)),
-    GateKind.CONST_FLOAT: _Gate(0, 1, None, "amp", payloads=_FiniteReals()),
+    GateKind.CONST_FLOAT: _Gate(0, 1, None, "amp", payloads=_FINITE_REALS),
     GateKind.FUNC: _Gate(1, 1, "var", "amp"),
     GateKind.VAR_COPY: _Gate(1, 2, "var", "var"),
 }
@@ -168,8 +171,9 @@ class Node(NamedTuple):
 
 
 def _check_node(node: Node, wire_types: Sequence[str], var_grids: Mapping) -> tuple[_Gate, Node]:
-    """The one node rule (arity, wire kinds, payload, variable grids) from ``_GATES``;
-    returns the gate and the node as a graph holds it (a ``func`` table as row tuples)."""
+    """The one node rule (arity, wire kinds, payload, variable grids, finite ``func`` table
+    entries) from ``_GATES``; returns the gate and the node as a graph holds it (a ``func``
+    table as row tuples)."""
     gate = _GATES[node.kind]
     if len(node.inputs) != gate.n_in or len(node.outputs) != gate.n_out:
         raise GraphError(f"{node.kind} takes {gate.n_in} inputs and {gate.n_out} outputs")
@@ -193,7 +197,10 @@ def _check_node(node: Node, wire_types: Sequence[str], var_grids: Mapping) -> tu
             table = None
         if table is None or table.shape != (grid, 2):
             raise GraphError(f"function table must have shape ({grid}, 2), the variable's grid")
-        node = Node(node.kind, node.inputs, node.outputs, tuple(map(tuple, table.tolist())))
+        rows = tuple(map(tuple, table.tolist()))
+        if not all(x in _FINITE_REALS for row in rows for x in row):
+            raise GraphError("function table entries must be finite reals")
+        node = Node(node.kind, node.inputs, node.outputs, rows)
     return gate, node
 
 

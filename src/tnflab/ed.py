@@ -19,7 +19,7 @@ _MAX_SITES = 20
 
 class Sector:
     """The half-filling configurations of ``n_sites`` spins: ``masks``, ascending bitmasks (bit
-    ``i`` set: site ``i`` is spin down), and ``configs``, their ``(dim, n_sites)`` bit table."""
+    ``i`` set: site ``i`` is spin down), and ``configs``, their ``(dim, n_sites)`` uint8 bits."""
 
     def __init__(self, n_sites: int):
         if n_sites > _MAX_SITES:
@@ -28,10 +28,13 @@ class Sector:
         for i in range(n_sites):
             count[1 << i : 2 << i] = count[: 1 << i] + 1
         self.masks = np.flatnonzero(count == n_sites // 2)
+        del count  # 2^n_sites bytes, freed before the tables are built
         self.dim = len(self.masks)
-        self.configs = (self.masks[:, None] >> np.arange(n_sites)) & 1
-        self._index = np.full(1 << n_sites, -1, dtype=np.int64)
-        self._index[self.masks] = np.arange(self.dim)
+        self.configs = np.empty((self.dim, n_sites), np.uint8)
+        for i in range(n_sites):
+            self.configs[:, i] = (self.masks >> i) & 1
+        self._index = np.full(1 << n_sites, -1, dtype=np.int32)
+        self._index[self.masks] = np.arange(self.dim, dtype=np.int32)
 
     def swap_target(self, i: int, j: int) -> np.ndarray:
         """Each configuration's index after exchanging sites ``i`` and ``j``,

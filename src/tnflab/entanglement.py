@@ -42,7 +42,7 @@ from .floquet import (
 )
 from .mps import chain_values
 from .peps import _check_chi
-from .tensor import AmplitudeValue, rescaled
+from .tensor import rescaled, table_from_parts
 
 __all__ = [
     "EntanglementData",
@@ -62,19 +62,8 @@ METHODS = ("exact", "mps", "tnf_transverse", "tnf_inverse", "mpo")
 def dense_state_from_amplitudes(amplitude_fn: Callable, n_sites: int) -> np.ndarray:
     """Enumerate all 2^L amplitudes into a dense vector (site 0 most
     significant), rescaled by the largest log factor; not normalized."""
-    return rescaled([amplitude_fn(cfg) for cfg in _configs(n_sites)])
-
-
-def _inverse_tables(params: FloquetParams, chi: int, t_max: int) -> list[list[AmplitudeValue]]:
-    """``tnf_inverse`` amplitudes of all configurations in index order, one list
-    per t = 0..t_max: lock-step blocks outer, times inner."""
-    configs = _configs(params.n_sites)
-    size = inverse_time_block(params, chi, t_max)
-    tables: list[list[AmplitudeValue]] = [[] for _ in range(t_max + 1)]
-    for start in range(0, len(configs), size):
-        for table, amps in zip(tables, inverse_time_series(params, chi, configs[start : start + size])):
-            table.extend(amps)
-    return tables
+    amps = [amplitude_fn(cfg) for cfg in _configs(n_sites)]
+    return rescaled(np.array([a.mantissa for a in amps], complex), np.array([a.log_scale for a in amps]))
 
 
 def rdm_from_dense(psi: np.ndarray, n_sites: int, region: tuple[int, int]) -> np.ndarray:
@@ -123,8 +112,8 @@ def entropy_and_spectrum(rho: np.ndarray, top: int = 40) -> tuple[float, np.ndar
 
 def _tables(
     params: FloquetParams, method: str, chi: int | None, times: range
-) -> Iterator[list[AmplitudeValue]]:
-    """Amplitudes of all 2^L configurations in index order, one list per t in
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Amplitude tables of all 2^L configurations in index order, one per t in
     ``times``, by the route of the module docstring. Raises ``ValueError`` for
     an unknown method, a truncated method without a positive integer ``chi``,
     or a negative start."""
@@ -132,10 +121,13 @@ def _tables(
     _check_periods(times.start)
     if method == "tnf_transverse":
         return (transverse_table(params, chi, t) for t in times)
-    if method == "tnf_inverse":
-        return iter(_inverse_tables(params, chi, times.stop - 1)[times.start :])
+    if method == "tnf_inverse":  # lock-step blocks outer, times inner, then each time's blocks joined
+        configs, size = _configs(params.n_sites), inverse_time_block(params, chi, times.stop - 1)
+        blocks = [list(itertools.islice(inverse_time_series(params, chi, configs[k : k + size]), times.stop))
+                  for k in range(0, len(configs), size)]
+        return (tuple(map(np.concatenate, zip(*tables))) for tables in list(zip(*blocks))[times.start :])
     if method == "exact":
-        return ([AmplitudeValue.from_parts(complex(v)) for v in psi.reshape(-1)]
+        return (table_from_parts(psi.reshape(-1), 0.0)
                 for psi in itertools.islice(exact_states(params), times.start, times.stop))
     _configs(params.n_sites)  # the enumeration guard, before any state is built
     if method == "mps":
@@ -157,13 +149,13 @@ def _check_method(method: str, chi: int | None) -> None:
             raise ValueError(f"truncated methods need a positive chi: {err}") from None
 
 
-def _basis_table(sites: list[np.ndarray], log: float) -> list[AmplitudeValue]:
+def _basis_table(sites: list[np.ndarray], log: float) -> tuple[np.ndarray, np.ndarray]:
     """``mps_amplitude(sites, n)`` at scale ``log`` for every configuration
     ``n`` in index order, bit for bit, in one stacked readout: the matrices
     of site ``i`` run along axis ``i``, so each prefix's product is formed once."""
     mats = [np.moveaxis(s, 1, 0).reshape(s.shape[1:2] + (1,) * (len(sites) - 1 - i) + s.shape[::2])
             for i, s in enumerate(sites)]  # leading axes broadcast
-    return [AmplitudeValue.from_parts(v, log) for v in chain_values(mats).reshape(-1).tolist()]
+    return table_from_parts(chain_values(mats).reshape(-1), log)
 
 
 @dataclass
@@ -190,7 +182,7 @@ def entanglement_dynamics(
     n = params.n_sites
     out = EntanglementData(method=method, chi=None if method == "exact" else chi)
     tables = _tables(params, method, chi, range(params.t_max + 1))
-    for t, psi in enumerate(map(rescaled, tables)):
+    for t, psi in enumerate(rescaled(*table) for table in tables):
         rho = rdm_from_dense(psi, n, (0, n // 2))
         s, spec, _ = entropy_and_spectrum(rho)
         out.times.append(t)
@@ -215,7 +207,7 @@ def bulk_entropy_sweep(
         sizes = range(1, n)
     _check_periods(t)
     [table] = _tables(params, method, chi, range(t, t + 1))
-    psi = rescaled(table)
+    psi = rescaled(*table)
     out = []
     for size in sizes:
         start = (n - size) // 2

@@ -58,7 +58,7 @@ from .peps import (
     boundary_absorb,
     fixed_table,
 )
-from .tensor import AmplitudeValue, svd_split
+from .tensor import AmplitudeValue, svd_split, table_from_parts
 
 __all__ = [
     "FloquetParams",
@@ -254,10 +254,6 @@ def evolve_conventional(params: FloquetParams, chi: int, t: int) -> tuple[list[n
     return next(itertools.islice(conventional_states(params, chi), t, None))
 
 
-def _delta_amplitude(cfg: np.ndarray) -> AmplitudeValue:
-    return AmplitudeValue.from_parts(1.0) if not np.any(cfg) else AmplitudeValue.zero()
-
-
 def floquet_peps(params: FloquetParams, t: int) -> Peps:
     """The (1+1)D network of ``<n| F^t |0...0>`` as an ``L x t`` open PEPS.
 
@@ -295,19 +291,20 @@ def tnf_amplitude_transverse(params: FloquetParams, n, chi: int, t: int) -> Ampl
     _check_periods(t)
     _check_chi(chi)
     if t == 0:
-        return _delta_amplitude(cfg)
+        return AmplitudeValue.from_parts(float(not cfg.any()))
     return _schedule_amplitude(floquet_peps(params, t), np.repeat(cfg, t), params.n_sites - 1, chi)
 
 
-def transverse_table(params: FloquetParams, chi: int, t: int) -> list[AmplitudeValue]:
+def transverse_table(params: FloquetParams, chi: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`tnf_amplitude_transverse` of all ``2^L`` configurations at time
-    ``t`` in index order, bit for bit: one :func:`tnflab.peps.fixed_table`
-    over :func:`floquet_peps`, each configuration read as ``np.repeat(n, t)``."""
+    ``t`` in index order as an amplitude table, bit for bit: one
+    :func:`tnflab.peps.fixed_table` over :func:`floquet_peps`, each
+    configuration read as ``np.repeat(n, t)``."""
     _check_chi(chi)
     _check_periods(t)
     table = _configs(params.n_sites)
     if t == 0:
-        return [AmplitudeValue.from_parts(1.0)] + [AmplitudeValue.zero()] * (len(table) - 1)
+        return table_from_parts(~table.any(axis=1), 0.0)
     plan = FixedPlan(params.n_sites, t, chi, params.n_sites - 1)
     return fixed_table(floquet_peps(params, t), plan, np.repeat(table.astype(np.uint8), t, axis=1))
 
@@ -328,30 +325,29 @@ def inverse_time_block(params: FloquetParams, chi: int, t_max: int) -> int:
     return max(1, BLOCK_BYTES // chain)
 
 
-def inverse_time_series(params: FloquetParams, chi: int, configs) -> Iterator[list[AmplitudeValue]]:
+def inverse_time_series(params: FloquetParams, chi: int, configs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """:func:`tnf_amplitude_inverse_time` of each configuration of the table
     ``configs`` (read by :func:`tnflab.mps.as_configs`) at t = 0, 1, ..., one
-    list per t. The block's bra chains, one per configuration, advance in
-    lock step: one stacked absorb of the period layer (compressed to ``chi``)
-    per period and one stacked overlap with ``|0...0>``, each chain bit for
-    bit as alone. Size blocks with :func:`inverse_time_block`."""
+    amplitude table per t. The block's bra chains, one per configuration,
+    advance in lock step: one stacked absorb of the period layer (compressed
+    to ``chi``) per period and one stacked overlap with ``|0...0>``, each
+    chain bit for bit as alone. Size blocks with :func:`inverse_time_block`."""
     _check_chi(chi)
     return _lockstep(params, chi, as_configs(configs, params.n_sites, 2))
 
 
-def _lockstep(params: FloquetParams, chi: int, cfgs: np.ndarray) -> Iterator[list[AmplitudeValue]]:
+def _lockstep(params: FloquetParams, chi: int, cfgs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     layer = [w.transpose(1, 0, 2, 3) for w in build_floquet_mpo(params)]  # out meets the bra
-    yield [_delta_amplitude(c) for c in cfgs]
+    yield table_from_parts(~cfgs.any(axis=1), 0.0)
     # Each chain starts as the first period's layer projected on its configuration.
     parts = boundary_absorb(None, [w[b][:, None] for w, b in zip(layer, cfgs.T)], chi, "top")
     while True:
-        amps = [None] * len(cfgs)
+        mantissa, log_scale = np.empty(len(cfgs), complex), np.empty(len(cfgs))
         for rows, sites, log in parts:
             # mps_amplitude(chain, [0] * L) per chain, bit for bit.
             values = chain_values([_in_compress_order(s, "top")[:, :, 0, 0, :] for s in sites])
-            for row, value, lg in zip(rows, values.tolist(), log):
-                amps[row] = AmplitudeValue.from_parts(value, lg)
-        yield amps
+            mantissa[rows], log_scale[rows] = table_from_parts(values, log)
+        yield mantissa, log_scale
         parts = _advance(parts, layer, chi)
 
 
@@ -363,7 +359,9 @@ def tnf_amplitude_inverse_time(params: FloquetParams, n, chi: int, t: int) -> Am
     :func:`inverse_time_series`.
     """
     _check_periods(t)
-    return next(itertools.islice(inverse_time_series(params, chi, [n]), t, None))[0]
+    table = next(itertools.islice(inverse_time_series(params, chi, [n]), t, None))
+    [mantissa], [log_scale] = (x.tolist() for x in table)
+    return AmplitudeValue(mantissa, log_scale, mantissa == 0)
 
 
 def mpo_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:

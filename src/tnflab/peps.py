@@ -30,12 +30,12 @@ stacks: every array carries a leading axis over independent contractions,
 each of which gets the bits it gets alone. A single evaluation is a stack of
 one, whose products run on plain 2-D matrices; :func:`fixed_table`, the one
 walk behind every enumeration (sector energies, the Floquet transverse
-tables), stacks every distinct prefix of a level and every closure; the
-evaluators' ``prefetch`` stacks the memo misses of a table of
-configurations (a Monte Carlo sample's neighbours) into one closure per
-closure row and boundary shape. Boundaries keep their legs in the order the
-next contraction reads them, so memoized and gathered ones are read without
-a copy.
+tables), stacks every distinct prefix of a level and every closure into
+one amplitude table; the evaluators' ``prefetch`` stacks the memo misses of
+a table of configurations (a Monte Carlo sample's neighbours) into one
+closure per closure row and boundary shape. Boundaries keep their legs in
+the order the next contraction reads them, so memoized and gathered ones are
+read without a copy.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ import numpy as np
 from .adjoint import Tape, einsum_backward
 from .errors import CacheStateError, DimensionError, ResourceLimitError
 from .mps import Chains, as_config, as_configs, compress
-from .tensor import AmplitudeValue, renormalize, stack_dot
+from .tensor import AmplitudeValue, renormalize, stack_dot, table_from_parts
 
 __all__ = [
     "Peps",
@@ -348,9 +348,9 @@ def _close_strip(
     mid: list[np.ndarray],
     bottom: Chains | None,
     tape: Tape | None = None,
-) -> list[AmplitudeValue]:
+) -> tuple[np.ndarray, list[float]]:
     """Exactly contract (top boundary, middle row, bottom boundary) for each
-    chain of a stack, one amplitude per chain in stack order.
+    chain of a stack: raw values and log scales, as ``from_parts`` takes them.
 
     ``mid`` holds one ``(count, up, left, down, right)`` site per column; the
     boundary stacks, where given, hold the same chains in the same order.
@@ -363,7 +363,7 @@ def _close_strip(
     """
     count = len(mid[0])
     lead, dot = _products(count)
-    vec = zero = None
+    vec = None
     # Each chain's log scale adds these up in order: its boundaries' scales,
     # then each column's factor.
     factors = [top.log if top is not None else [0.0] * count,
@@ -403,20 +403,22 @@ def _close_strip(
             t = np.einsum("Yucuq->Ycq", m).reshape(lead + (lm, rm))  # single-row lattice: trace the wrap
         new = t[..., :1, :] if vec is None else vec @ t  # (1, columns) per chain
         nrm, lf, z = renormalize(new)
-        if True in z:
-            zero = z if zero is None else [p or q for p, q in zip(zero, z)]
-            if all(zero):
-                return [AmplitudeValue.zero()] * count
+        if False not in z:  # every chain is zero (a zero chain stays zero)
+            return np.zeros(count, complex), [0.0] * count
         if tape is not None:
             _record_column(tape, c, top, m, bottom, t, vec, nrm, lf[0])
         vec = nrm
         factors.append(lf)
-    log = [functools.reduce(operator.add, fs) for fs in zip(*factors)]
-    values = vec.reshape(count).tolist()  # the last column's right bonds are 1
-    if zero is None:
-        return [AmplitudeValue.from_parts(v, lg) for v, lg in zip(values, log)]
-    return [AmplitudeValue.zero() if z else AmplitudeValue.from_parts(v, lg)
-            for v, lg, z in zip(values, log, zero)]
+    # The last column's right bonds are 1.
+    return vec.reshape(count), [functools.reduce(operator.add, fs) for fs in zip(*factors)]
+
+
+def _close_one(top: Chains | None, mid: list[np.ndarray], bottom: Chains | None,
+               tape: Tape | None = None) -> AmplitudeValue:
+    """:func:`_close_strip` of a stack of one, as its amplitude."""
+    values, [log] = _close_strip(top, mid, bottom, tape)
+    [value] = values.tolist()
+    return AmplitudeValue.from_parts(value, log)
 
 
 def _record_column(tape: Tape, c: int, top, m, bottom, t, vec, nrm, lf: float) -> None:
@@ -495,8 +497,7 @@ def _schedule_amplitude(
         [top] = boundary_absorb(top, _row(peps, cfg, r, tape=tape), chi, "top", tape)
     for r in range(peps.rows - 1, mid, -1):
         [bottom] = boundary_absorb(bottom, _row(peps, cfg, r, tape=tape), chi, "bottom", tape)
-    [amp] = _close_strip(top, _row(peps, cfg, mid, tape=tape), bottom, tape)
-    return amp
+    return _close_one(top, _row(peps, cfg, mid, tape=tape), bottom, tape)
 
 
 # Bytes one lock-step stack may take: a :func:`fixed_table` stack a ``rows``-th,
@@ -505,9 +506,9 @@ def _schedule_amplitude(
 BLOCK_BYTES = 8 << 20
 
 
-def fixed_table(peps: Peps, plan: FixedPlan, configs) -> list[AmplitudeValue]:
+def fixed_table(peps: Peps, plan: FixedPlan, configs) -> tuple[np.ndarray, np.ndarray]:
     """:func:`amplitude_fixed` of each row of the table ``configs``, in order,
-    bit for bit.
+    bit for bit, as an amplitude table (see :mod:`tnflab.tensor`).
 
     The configurations share the plan's schedule, so one walk on the stacked
     engine absorbs each distinct prefix of rows ``0 .. mid-1`` and each
@@ -520,7 +521,8 @@ def fixed_table(peps: Peps, plan: FixedPlan, configs) -> list[AmplitudeValue]:
     """
     _check_plan(peps, plan)
     table = as_configs(configs, peps.n_sites, peps.phys_dim)
-    (b_part, b_pos), bottoms, out = np.zeros((2, len(table)), np.int64), [], [None] * len(table)
+    (b_part, b_pos), bottoms = np.zeros((2, len(table)), np.int64), []
+    mantissa, log_scale = np.empty(len(table), complex), np.empty(len(table))
     for bottom, pos, cfgs in _walk(peps, table, range(peps.rows - 1, plan.mid, -1), plan.chi, "bottom"):
         b_part[cfgs], b_pos[cfgs] = len(bottoms), pos
         bottoms.append(bottom)
@@ -534,11 +536,10 @@ def fixed_table(peps: Peps, plan: FixedPlan, configs) -> list[AmplitudeValue]:
             step = max(1, BLOCK_BYTES // peps.rows // _stack_bytes(top, shapes, bottom))
             for k in range(lo, hi, step):
                 cut = slice(k, min(k + step, hi))
-                amps = _close_strip(_gather(top, pos[cut]), _stacked_row(peps, table[cfgs[cut]], plan.mid),
-                                    _gather(bottom, b_pos[cfgs[cut]]))
-                for i, amp in zip(cfgs[cut].tolist(), amps):
-                    out[i] = amp
-    return out
+                closed = _close_strip(_gather(top, pos[cut]), _stacked_row(peps, table[cfgs[cut]], plan.mid),
+                                      _gather(bottom, b_pos[cfgs[cut]]))
+                mantissa[cfgs[cut]], log_scale[cfgs[cut]] = table_from_parts(*closed)
+    return mantissa, log_scale
 
 
 def _walk(peps: Peps, table: np.ndarray, rows: range, chi: int, side: str):
@@ -725,7 +726,7 @@ class _BoundaryStack:
         amp = self._amps.get(key)
         if amp is None:
             top, bottom = self._env(cfg, "top", mid), self._env(cfg, "bottom", mid)
-            [amp] = _close_strip(top, _row(self.peps, cfg, mid), bottom)
+            amp = _close_one(top, _row(self.peps, cfg, mid), bottom)
             self._store(key, amp)
         return amp
 
@@ -758,9 +759,10 @@ class _BoundaryStack:
             groups.setdefault((mid,) + shapes, []).append((key, i, top, bottom))
         for (mid, *_), group in groups.items():
             keys, picks, tops, bottoms = zip(*group)
-            amps = _close_strip(_concat(tops), _stacked_row(self.peps, table[list(picks)], mid), _concat(bottoms))
-            for key, amp in zip(keys, amps):
-                self._store(key, amp)
+            row = _stacked_row(self.peps, table[list(picks)], mid)
+            values, log = _close_strip(_concat(tops), row, _concat(bottoms))
+            for key, value, lg in zip(keys, values.tolist(), log):
+                self._store(key, AmplitudeValue.from_parts(value, lg))
 
 
 def _concat(envs) -> Chains | None:
@@ -833,8 +835,7 @@ class FixedEvaluator(_BoundaryStack):
             [bottom] = boundary_absorb(bottom, _row(peps, cfg, r, patch), self.chi, "bottom", tape)
         if tape is not None:
             stats["max_discarded"] = tape.max_discarded
-        [amp] = _close_strip(top, _row(peps, cfg, mid, patch), bottom)
-        return amp
+        return _close_one(top, _row(peps, cfg, mid, patch), bottom)
 
 
 # ---------------------------------------------------------------------------

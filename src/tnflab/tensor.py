@@ -11,6 +11,9 @@ every kept singular vector pair is rotated to a canonical gauge (largest left
 entry real and positive). Consistent contraction schedules rely on this.
 Determinism is guaranteed within a single build/runtime, not bit-exactly
 across platforms, since LAPACK backends differ.
+
+An amplitude table is two arrays, ``mantissa`` and ``log_scale``, whose entry
+``k`` holds the fields of the ``k``-th :class:`AmplitudeValue` (a zero has mantissa 0).
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ __all__ = [
     "stack_dot",
     "Renormalized",
     "AmplitudeValue",
+    "table_from_parts",
     "rescaled",
 ]
 
@@ -256,8 +260,32 @@ class AmplitudeValue:
         return r * r * math.exp(log)
 
 
-def rescaled(amps: list[AmplitudeValue]) -> np.ndarray:
-    """The amplitudes as one complex vector at the largest one's scale: each
-    ``mantissa * exp(log_scale - top)``, an exact zero as 0."""
-    top = max((a.log_scale for a in amps if not a.is_zero), default=0.0)
-    return np.array([0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in amps], dtype=complex)
+def table_from_parts(values, log) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`AmplitudeValue.from_parts` of each raw value at its raw log scale
+    (``log``, one per value or one for all) as an amplitude table, bit for bit:
+    ``abs`` is ``np.hypot``, the quotient Python's complex-by-real one and the
+    log ``math.log``; numpy's ``abs``, division and ``log`` round otherwise."""
+    values = np.asarray(values, complex)
+    m = np.hypot(values.real, values.imag)
+    zero = m == 0.0
+    m[zero] = 1.0
+    mantissa = np.empty(m.shape, complex)
+    mantissa.real = (values.real + values.imag * 0.0) / m
+    mantissa.imag = (values.imag - values.real * 0.0) / m
+    mantissa[zero] = 0.0
+    log_scale = np.fromiter(map(math.log, m.tolist()), float, m.size) + log
+    log_scale[zero] = 0.0
+    return mantissa, log_scale
+
+
+def rescaled(mantissa: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """An amplitude table as one vector at its largest live scale: each
+    ``mantissa * math.exp(log_scale - top)`` by Python's complex-by-real
+    product, bit for bit, an exact zero as 0."""
+    live = mantissa != 0
+    top = np.max(log_scale, where=live, initial=-math.inf)
+    scale = np.fromiter(map(math.exp, np.where(live, log_scale - top, 0.0).tolist()), float, len(live))
+    out = np.empty(len(live), complex)
+    out.real = mantissa.real * scale - mantissa.imag * 0.0
+    out.imag = mantissa.real * 0.0 + mantissa.imag * scale
+    return out

@@ -321,7 +321,7 @@ def _sector_state(peps: Peps, model: Model, plan: FixedPlan):
     at the largest amplitude's scale (one :func:`tnflab.peps.fixed_table`),
     ``H psi`` and the Rayleigh quotient."""
     configs = Sector(model.n_sites).configs
-    psi = rescaled(fixed_table(peps, plan, configs))
+    psi = rescaled(*fixed_table(peps, plan, configs))
     h_psi = sector_hamiltonian(model) @ psi
     norm = np.vdot(psi, psi).real
     if norm == 0.0:

@@ -26,7 +26,7 @@ from tnflab.circuit import (
 )
 from tnflab.cli import main as cli_main
 from tnflab.ed import ground_energy
-from tnflab.entanglement import entanglement_dynamics, entropy_and_spectrum, rdm_from_amplitudes
+from tnflab.entanglement import entanglement_dynamics, entropy_and_spectrum, rdm_from_dense
 from tnflab.entanglement import _tables
 from tnflab.floquet import (
     PRESETS,
@@ -51,6 +51,7 @@ from tnflab.peps import (
     random_peps,
 )
 from tnflab.simple_update import simple_update
+from tnflab.tensor import rescaled
 from tnflab.vmc import enumerate_energy, estimate_energy
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -242,10 +243,10 @@ def test_spectrum_structure():
     params = FloquetParams(10, **PRESETS["less_chaotic"])
     t = 15
     [mps_table] = _tables(params, "mps", 4, range(t, t + 1))
-    rho_mps = rdm_from_amplitudes(lambda n: mps_table[config_index(n)], 10, (0, 5))
+    rho_mps = rdm_from_dense(rescaled(*mps_table), 10, (0, 5))
     _, spec_mps, _ = entropy_and_spectrum(rho_mps, top=40)
     [tnf_table] = _tables(params, "tnf_transverse", 4, range(t, t + 1))
-    rho_tnf = rdm_from_amplitudes(lambda n: tnf_table[config_index(n)], 10, (0, 5))
+    rho_tnf = rdm_from_dense(rescaled(*tnf_table), 10, (0, 5))
     _, spec_tnf, _ = entropy_and_spectrum(rho_tnf, top=40)
     eig5 = float(np.real(spec_mps[4]))
     tail = int(np.sum(np.real(spec_tnf) > 1e-8))

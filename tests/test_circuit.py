@@ -368,6 +368,23 @@ class TestGraphConstruction:
             with pytest.raises(GraphError):
                 self.one_func(table)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_func_table_entries_must_be_finite(self, bad):
+        """A ``func`` table entry that is not a finite real is a GraphError
+        when the graph is built, and when JSON text holding it is read."""
+        with pytest.raises(GraphError, match="finite"):
+            build_amp_function(("func", [[1, bad], [1, 2]], "x"), {"x": 2})
+        table = np.ones((4, 2))
+        table[2, 1] = bad
+        with pytest.raises(GraphError, match="finite"):
+            self.one_func(table)
+        data = json.loads(self.one_func(np.ones((4, 2))).to_json())
+        data["nodes"][0]["payload"][2][1] = bad
+        text = json.dumps(data)
+        assert "NaN" in text or "Infinity" in text
+        with pytest.raises(GraphError, match="finite"):
+            CircuitGraph.from_json(text)
+
     def test_func_table_is_an_immutable_copy(self):
         tab = function_table(lambda x: x, np.linspace(0, 1, 4))
         g = self.one_func(tab)

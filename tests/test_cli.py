@@ -452,6 +452,36 @@ class TestCircuitRun:
         assert results["passed"] is True
         assert results["suites"]["fnn"]["max_abs_error"] < 1e-12
 
+    def fnn_run(self, tmp_path, seed, widths):
+        tmp_path.mkdir(exist_ok=True)
+        cfg = write_config(tmp_path, "fnn.json", {"version": 1, "kind": "circuit", "seed": seed, "suites": ["fnn"],
+                                                  "fnn": {"widths": widths, "n_inputs": 100}})
+        out = tmp_path / "o"
+        assert main(["circuit", "--config", cfg, "--out", str(out)]) == 0
+        return json.loads((out / "results.json").read_text())
+
+    def test_fnn_error_is_relative_to_the_output(self, tmp_path):
+        """Unscaled weights and cubic activations give outputs near -4e8 at
+        seed 3 and widths [4, 8, 8, 1]; an absolute error of 6e-7 there is a
+        relative 1.4e-15, and the suite passes."""
+        results = self.fnn_run(tmp_path, 3, [4, 8, 8, 1])
+        assert results["passed"] is True
+        assert results["suites"]["fnn"]["failures"] == 0
+        assert results["suites"]["fnn"]["max_abs_error"] > 1e-12  # the old absolute bound failed it
+
+    def test_fnn_output_off_by_a_relative_1e9_fails(self, tmp_path, monkeypatch):
+        evaluate = cli.eval_amp_circuit
+
+        def perturbed(graph, x, **kwargs):
+            vals, stats = evaluate(graph, x, **kwargs)
+            return [v * (1 + 1e-9) for v in vals], stats
+
+        monkeypatch.setattr(cli, "eval_amp_circuit", perturbed)
+        for seed, widths in ((3, [4, 8, 8, 1]), (1, [2, 3, 1])):
+            results = self.fnn_run(tmp_path / str(seed), seed, widths)
+            assert results["passed"] is False
+            assert results["suites"]["fnn"]["failures"] == 1
+
 
 class TestParetoRun:
     def test_single_point_is_frontier(self, tmp_path):

@@ -13,7 +13,7 @@ from tnflab.peps import (
     project_config,
     random_peps,
 )
-from tnflab.peps import _close_strip
+from tnflab.peps import _close_one
 
 
 def straight_line_cold_amplitude(peps, n, chi):
@@ -23,8 +23,7 @@ def straight_line_cold_amplitude(peps, n, chi):
     [top] = boundary_absorb(None, net[0], chi, "top")
     for r in range(1, peps.rows - 1):
         [top] = boundary_absorb(top, net[r], chi, "top")
-    [amp] = _close_strip(top, net[-1], None)
-    return amp
+    return _close_one(top, net[-1], None)
 
 
 class TestColdCache:

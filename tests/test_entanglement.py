@@ -1,10 +1,12 @@
 """Reduced density matrices, entropies, spectra, and dynamics series."""
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from tnflab.ed import Sector
 from tnflab.entanglement import (
     EntanglementData,
     bulk_entropy_sweep,
@@ -24,15 +26,17 @@ from tnflab.floquet import (
     config_index,
     conventional_states,
     exact_evolve,
+    inverse_time_series,
     mpo_amplitude,
     mpo_states,
     tnf_amplitude_inverse_time,
     tnf_amplitude_transverse,
+    transverse_table,
 )
 from tnflab.mps import Chains, apply_mpo, compress, mps_amplitude
 from tnflab import entanglement, peps
-from tnflab.peps import boundary_absorb
-from tnflab.tensor import AmplitudeValue
+from tnflab.peps import FixedPlan, boundary_absorb, fixed_table, product_peps, random_peps
+from tnflab.tensor import AmplitudeValue, rescaled
 
 
 def amp_fn_from_vector(psi, n_sites):
@@ -48,6 +52,11 @@ def amp_fn_from_vector(psi, n_sites):
 def amp_bits(a):
     m = complex(a.mantissa)
     return (m.real.hex(), m.imag.hex(), float(a.log_scale).hex(), a.is_zero)
+
+
+def table_bits(table):
+    """``amp_bits`` of each entry of the amplitude table ``(mantissa, log_scale)``."""
+    return [(m.real.hex(), m.imag.hex(), lg.hex(), m == 0) for m, lg in zip(*(x.tolist() for x in table))]
 
 
 class TestRdm:
@@ -145,7 +154,7 @@ class TestDynamics:
         from tnflab.entanglement import _tables
 
         [table] = _tables(p, "mps", 3, range(8, 9))
-        rho = rdm_from_amplitudes(lambda n: table[config_index(n)], 8, (0, 4))
+        rho = rdm_from_dense(rescaled(*table), 8, (0, 4))
         _, spec, _ = entropy_and_spectrum(rho, top=16)
         assert spec[2] > 1e-8  # chi kept states carry weight
         assert abs(spec[3]) < 1e-12  # eigenvalue chi+1 vanishes
@@ -294,7 +303,7 @@ def test_state_tables_match_single_configuration_amplitudes_bitwise(method, n_si
                 want = [AmplitudeValue.from_parts(mps_amplitude(sites, n), log) for n in configs]
             else:
                 want = [mpo_amplitude(sites, log, n) for n in configs]
-            assert list(map(amp_bits, table)) == list(map(amp_bits, want)), (chi, t)
+            assert table_bits(table) == list(map(amp_bits, want)), (chi, t)
 
 
 CHIS = {"exact": None, "mps": 2, "mpo": 2, "tnf_transverse": 2, "tnf_inverse": 2}
@@ -303,10 +312,11 @@ CHIS = {"exact": None, "mps": 2, "mpo": 2, "tnf_transverse": 2, "tnf_inverse": 2
 @pytest.mark.parametrize("method", sorted(CHIS))
 def test_one_table_per_requested_time(method, monkeypatch):
     """``bulk_entropy_sweep`` at t builds the table of t alone, and
-    ``entanglement_dynamics`` the tables of t = 0..t_max. Tables are counted
-    by a state route's amplitude calls, by ``transverse_table`` calls, or by
-    the lists each ``inverse_time_series`` block yields, whose bra chains
-    pass through every earlier period on the way to t."""
+    ``entanglement_dynamics`` the tables of t = 0..t_max. A table counts its
+    entries, at a state route's ``table_from_parts`` calls, at
+    ``transverse_table`` calls, or at the tables each ``inverse_time_series``
+    block yields, whose bra chains pass through every earlier period on the
+    way to t."""
     p = FloquetParams(5, **PRESETS["less_chaotic"], t_max=3)
     chi, size = CHIS[method], 1 << p.n_sites
     times = []  # the time of each amplitude evaluated; None from a state route
@@ -323,20 +333,20 @@ def test_one_table_per_requested_time(method, monkeypatch):
         series = entanglement.inverse_time_series
 
         def spy(params, chi, configs):
-            for t, amps in enumerate(series(params, chi, configs)):
-                times.extend([t] * len(amps))
-                yield amps
+            for t, (mantissa, log_scale) in enumerate(series(params, chi, configs)):
+                times.extend([t] * len(mantissa))
+                yield mantissa, log_scale
 
         monkeypatch.setattr(entanglement, "inverse_time_series", spy)
         want = lambda ts: Counter({t: size for t in range(max(ts) + 1)})
     else:
-        from_parts = AmplitudeValue.from_parts
+        build = entanglement.table_from_parts
 
-        def spy(*args):
-            times.append(None)
-            return from_parts(*args)
+        def spy(values, log):
+            times.extend([None] * len(values))
+            return build(values, log)
 
-        monkeypatch.setattr(AmplitudeValue, "from_parts", spy)
+        monkeypatch.setattr(entanglement, "table_from_parts", spy)
         want = lambda ts: Counter({None: size * len(ts)})
     for t in range(p.t_max + 1):
         times.clear()
@@ -345,3 +355,30 @@ def test_one_table_per_requested_time(method, monkeypatch):
     times.clear()
     entanglement_dynamics(p, method, chi=chi)
     assert Counter(times) == want(range(p.t_max + 1))
+
+
+def test_table_paths_build_no_amplitude_values(monkeypatch):
+    """An amplitude table stays two arrays from its closures to its vector:
+    ``fixed_table`` (zero amplitudes included), ``transverse_table``,
+    ``inverse_time_series`` and ``entanglement_dynamics`` by every method
+    construct no ``AmplitudeValue``."""
+    built, init = [], AmplitudeValue.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AmplitudeValue, "__init__", counted)
+    assert AmplitudeValue.zero().is_zero and len(built) == 1  # the spy sees a construction
+    built.clear()
+    p = FloquetParams(5, **PRESETS["less_chaotic"], t_max=3)
+    plan = FixedPlan.for_lattice(3, 3, 2)
+    fixed_table(random_peps(3, 3, 2, 2, seed=1), plan, Sector(9).configs)
+    mantissa, _ = fixed_table(product_peps(3, 3, 2, [0, 1] * 4 + [0]), plan, Sector(9).configs)
+    assert 0 < (mantissa == 0).sum() < len(mantissa)
+    for t in range(3):
+        transverse_table(p, 2, t)
+    list(itertools.islice(inverse_time_series(p, 2, list(itertools.product((0, 1), repeat=5))), 4))
+    for method, chi in CHIS.items():
+        entanglement_dynamics(p, method, chi=chi)
+    assert built == []

@@ -91,6 +91,21 @@ def test_sector_masks_match_the_combinations():
         assert got.dtype == want.dtype and np.array_equal(got, want), n
 
 
+def test_sector_configs_are_a_uint8_bit_table():
+    """``configs`` holds the bits of ``masks`` as uint8, and ``swap_target``
+    gives the index of each configuration with two sites exchanged, or -1
+    where the two spins are parallel, as a search of the table finds it."""
+    sector = Sector(6)
+    assert sector.configs.dtype == np.uint8
+    assert np.array_equal(sector.configs, (sector.masks[:, None] >> np.arange(6)) & 1)
+    rows = sector.configs.tolist()
+    index = {tuple(c): k for k, c in enumerate(rows)}
+    for i, j in combinations(range(6), 2):
+        want = [-1 if c[i] == c[j] else index[tuple(c[j] if s == i else c[i] if s == j else b for s, b in enumerate(c))]
+                for c in rows]
+        assert sector.swap_target(i, j).tolist() == want, (i, j)
+
+
 def test_sector_table():
     sector = Sector(6)
     k = np.arange(sector.dim)

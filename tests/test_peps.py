@@ -21,6 +21,7 @@ from tnflab.peps import (
     FixedEvaluator,
     FixedPlan,
     Peps,
+    _close_one,
     _close_strip,
     _exact_peak,
     _row,
@@ -36,7 +37,7 @@ from tnflab.peps import (
     random_peps,
     save_peps,
 )
-from tnflab.tensor import AmplitudeValue, renormalize, svd_split
+from tnflab.tensor import AmplitudeValue, renormalize, svd_split, table_from_parts
 
 
 BOUNDARIES = ("obc", "pbc")
@@ -68,9 +69,8 @@ def absorb(bmps, row, chi, side="top") -> Boundary:
 
 
 def close(top, mid, bottom) -> AmplitudeValue:
-    """``_close_strip`` of a stack of one on rank-4 boundaries and row."""
-    [amp] = _close_strip(engine_stack(top, "top"), [t[None] for t in mid], engine_stack(bottom, "bottom"))
-    return amp
+    """``_close_one`` (a stack of one) on rank-4 boundaries and row."""
+    return _close_one(engine_stack(top, "top"), [t[None] for t in mid], engine_stack(bottom, "bottom"))
 
 
 def count_absorbs(monkeypatch) -> list[int]:
@@ -548,10 +548,11 @@ def test_stacked_contractions_give_each_chain_its_bits_alone(boundary, closure, 
             groups.setdefault(tuple(where[j][0] for _, where in sides.values()), []).append(j)
         amps = {}
         for idx in groups.values():
-            for j, amp in zip(idx, _close_strip(take("top", idx), row(mid, idx), take("bottom", idx))):
-                [want] = _close_strip(take("top", [j]), row(mid, [j]), take("bottom", [j]))
-                assert bits(amp) == bits(want), (chi, j)
-                amps[j] = amp
+            table = table_from_parts(*_close_strip(take("top", idx), row(mid, idx), take("bottom", idx)))
+            for j, got in zip(idx, table_bits(table)):
+                want = _close_one(take("top", [j]), row(mid, [j]), take("bottom", [j]))
+                assert got == exact_bits(want), (chi, j)
+                amps[j] = want
         assert amps[every[-1]].is_zero, chi
 
 
@@ -560,11 +561,16 @@ def exact_bits(a):
     return m.real.hex(), m.imag.hex(), float(a.log_scale).hex(), a.is_zero
 
 
+def table_bits(table):
+    """``exact_bits`` of each entry of the amplitude table ``(mantissa, log_scale)``."""
+    return [(m.real.hex(), m.imag.hex(), lg.hex(), m == 0) for m, lg in zip(*(x.tolist() for x in table))]
+
+
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_fixed_table_matches_each_configuration_alone(data):
     """One table walk gives every row of a configuration table the bits of
-    ``FixedEvaluator.amplitude``, at every closure row and chi 1-4, on open
+    ``amplitude_fixed``, at every closure row and chi 1-4, on open
     and periodic lattices down to one row or one column. The rows are a
     shuffled subset with repeats; a product state gives exactly-zero
     amplitudes; a budget of one byte runs every stack as one chain."""
@@ -586,9 +592,8 @@ def test_fixed_table_matches_each_configuration_alone(data):
             patch.setattr(peps_module, "BLOCK_BYTES", 1)
         for mid, chi in itertools.product(range(rows), range(1, 5)):
             plan = FixedPlan(rows, cols, chi, mid)
-            ev = FixedEvaluator(state, plan)
-            got = fixed_table(state, plan, np.array(configs))
-            assert [exact_bits(a) for a in got] == [exact_bits(ev.amplitude(n)) for n in configs], (mid, chi)
+            got = table_bits(fixed_table(state, plan, np.array(configs)))
+            assert got == [exact_bits(amplitude_fixed(state, n, plan)) for n in configs], (mid, chi)
 
 
 @given(data=st.data())
@@ -665,7 +670,8 @@ def test_fixed_table_rejects_a_bad_table_whole(bad):
             as_config(table[2], 6, 2)
     with pytest.raises(ValueError):
         fixed_table(p, plan, table)
-    assert fixed_table(p, plan, np.zeros((0, 6), int)) == []
+    mantissa, log_scale = fixed_table(p, plan, np.zeros((0, 6), int))
+    assert (mantissa.shape, mantissa.dtype, log_scale.shape, log_scale.dtype) == ((0,), complex, (0,), float)
 
 
 class TestAmplitudeFixed:

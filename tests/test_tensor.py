@@ -6,11 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnflab.errors import DimensionError, NumericalAbortError
-from tnflab.tensor import AmplitudeValue, _gauge_fix, renormalize, stack_dot, svd_split
+from tnflab.tensor import AmplitudeValue, _gauge_fix, renormalize, rescaled, stack_dot, svd_split, table_from_parts
 
 
 def split_one(t, n_left, chi):
@@ -250,3 +250,38 @@ class TestAmplitudeValue:
     def test_ratio_against_zero(self):
         with pytest.raises(ZeroDivisionError):
             AmplitudeValue.from_parts(1.0).ratio(AmplitudeValue.zero())
+
+
+def scalar_rescaled(amps):
+    """The scalar rule the tables keep: each live amplitude times
+    ``math.exp(log_scale - top)`` at the largest live log scale, a zero as 0j."""
+    top = max((a.log_scale for a in amps if not a.is_zero), default=0.0)
+    return np.array([0j if a.is_zero else a.mantissa * math.exp(a.log_scale - top) for a in amps], dtype=complex)
+
+
+# A real or imaginary part: an exact or negative zero, or a magnitude from 1e-130 to 1e130.
+PART = st.one_of(st.sampled_from([0.0, -0.0]),
+                 st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10).filter(bool), st.integers(-130, 130)))
+ENTRY = st.tuples(st.builds(complex, PART, PART), st.floats(-700, 700))
+
+
+@given(st.lists(ENTRY, max_size=40))
+# Moduli and exponents at which numpy's vector log and exp round away from math's on
+# some builds, and a table of zeros alone.
+@example([(8.21679200856372 + 0j, 0.0), (0.9655389275047511j, 3.0), (2.3886891388477123e-36 + 0j, 1.0)])
+@example([(1 + 0j, 0.0), (1 + 0j, -38.4772340255854), (-1j, -1.5398764381488945)])
+@example([(0j, 5.0), (complex(-0.0, -0.0), -700.0), (complex(0.0, -0.0), 700.0)])
+@example([(1 + 0j, 0.0), (complex(-0.2, -0.9), -745.0)])  # a part rounds to -0.0 at the subnormal scale
+@settings(max_examples=300, deadline=None)
+def test_table_rule_matches_from_parts_bitwise(entries):
+    """``table_from_parts`` gives each entry the fields of
+    ``AmplitudeValue.from_parts``, and ``rescaled`` the vector of the scalar
+    rule, bit for bit: signed zeros, subnormals and all."""
+    amps = [AmplitudeValue.from_parts(v, lg) for v, lg in entries]
+    mantissa, log_scale = table_from_parts(np.array([v for v, _ in entries], complex), [lg for _, lg in entries])
+    assert mantissa.dtype == complex and log_scale.dtype == float
+    want = np.array([a.mantissa for a in amps], complex), np.array([a.log_scale for a in amps], float)
+    assert mantissa.view(np.int64).tolist() == want[0].view(np.int64).tolist()
+    assert log_scale.view(np.int64).tolist() == want[1].view(np.int64).tolist()
+    assert (mantissa == 0).tolist() == [a.is_zero for a in amps]
+    assert rescaled(mantissa, log_scale).view(np.int64).tolist() == scalar_rescaled(amps).view(np.int64).tolist()

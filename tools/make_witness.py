@@ -169,8 +169,8 @@ class DynamicChain:
     def closure_amplitudes(self, peps: Peps, chi: int) -> np.ndarray:
         """Amplitudes (rows, sector size) of every closure row, common scale."""
         rows, cols = self.model.rows, self.model.cols
-        amps = [fixed_table(peps, FixedPlan(rows, cols, chi, mid), self.configs) for mid in range(rows)]
-        return rescaled([a for row in amps for a in row]).reshape(rows, -1)
+        tables = [fixed_table(peps, FixedPlan(rows, cols, chi, mid), self.configs) for mid in range(rows)]
+        return rescaled(*map(np.concatenate, zip(*tables))).reshape(rows, -1)
 
     def long_run(self, amps: np.ndarray, sweeps: int = 30) -> tuple[float, float]:
         """Mean and standard deviation of the local energy after ``sweeps``.
