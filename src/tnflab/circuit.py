@@ -10,7 +10,8 @@ in ``_GATES`` (arity, wire kinds, defining tensor):
   in the gate count.
 * amplitude legs (extent 2, ``(1, x)`` semantics): arithmetic circuits
   where addition and multiplication are (2,2,2) tensors acting on encoded
-  reals, contracted by :func:`eval_amp_circuit`, plus variable legs carrying
+  reals, contracted by :func:`eval_amp_circuit` through their nonzero
+  entries on a float pair per wire, plus variable legs carrying
   discretized grid indices with their own copy tensor.
 
 Wires have a single producer. Bit wires also have a single consumer, with
@@ -306,32 +307,38 @@ class CircuitGraph:
 
     @cached_property
     def _binary_program(self) -> tuple:
-        """Per node: input wires, output wires, and the truth table of its gate."""
+        """Per node: two input wires, two output wires and a two-level truth
+        table, so that every gate runs one rule. A one-input gate reads its
+        wire twice and its table repeats each row; a constant reads wire 0
+        and its table holds one row; a one-output gate writes its wire twice."""
         tables: dict[GateKind, tuple] = {}
         program = []
         for node in self.nodes:
             gate = _GATES[node.kind]
             if node.kind == GateKind.CONST_BIT:
-                table = (int(node.payload),)
+                table = (((int(node.payload),),) * 2,) * 2
             elif gate.in_kind != "bit":
                 raise GraphError(f"{node.kind} is not a binary-circuit gate")
             else:
                 table = tables.get(node.kind) or tables.setdefault(
                     node.kind, _truth_table(gate.tensor, gate.n_in))
-            program.append((node.inputs, node.outputs, table))
+                if gate.n_in == 1:
+                    table = tuple((row, row) for row in table)
+            program.append(((node.inputs * 2)[:2] or (0, 0)) + (node.outputs * 2)[:2] + (table,))
         return tuple(program)
 
     @cached_property
     def _amp_program(self) -> tuple:
         """The nodes the outputs reach, in order, as (kind, input wires, output
-        wires, paths from the outputs, tensor or read-only value table)."""
+        wires, paths from the outputs, data): a constant's ``(1.0, value)``
+        pair, else the node's payload (a ``func`` node's row tuples)."""
         producer = {w: i for i, node in enumerate(self.nodes) for w in node.outputs}
         # Paths from the outputs to each node, counted in reverse topological
         # order; a node no path reaches is never contracted.
         paths = [0] * len(self.nodes)
         for group in self.output_groups:
-            if len(group) != 1:
-                raise GraphError("amp circuits produce one wire per output group")
+            if len(group) != 1 or self.wire_types[group[0]] != "amp":
+                raise GraphError("amp circuits produce one amp wire per output group")
             if group[0] in producer:
                 paths[producer[group[0]]] += 1
         for i in reversed(range(len(self.nodes))):
@@ -342,15 +349,9 @@ class CircuitGraph:
         for node, count in zip(self.nodes, paths):
             if not count:
                 continue
-            data = _GATES[node.kind].tensor
-            if node.kind == GateKind.CONST_FLOAT:
-                data = float_encode(node.payload)
-            elif node.kind == GateKind.FUNC:
-                data = np.array(node.payload)
-            elif node.kind not in (GateKind.PLUS, GateKind.TIMES, GateKind.VAR_COPY):
+            if _GATES[node.kind].out_kind == "bit":
                 raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
-            if data is not None:
-                data.setflags(write=False)
+            data = (1.0, float(node.payload)) if node.kind == GateKind.CONST_FLOAT else node.payload
             program.append((node.kind, node.inputs, node.outputs, count, data))
         return tuple(program)
 
@@ -582,17 +583,17 @@ def eval_binary(graph: CircuitGraph, inputs: Sequence[BitVec]) -> list[BitVec]:
         raise GraphError(f"expected {len(graph.input_groups)} input operands")
     bits = [0] * len(graph.wire_types)
     for group, vec in zip(graph.input_groups, inputs):
+        if not isinstance(vec, BitVec):
+            raise GraphError(f"operand {vec!r} is not a BitVec")
         if len(group) != len(vec):
             raise GraphError(f"operand width {len(vec)} does not match group {len(group)}")
         for w, b in zip(group, vec.bits):
             bits[w] = b
-    for ins, outs, row in graph._binary_program:
-        for w in ins:
-            row = row[bits[w]]
+    for x, y, out0, out1, table in graph._binary_program:
+        row = table[bits[x]][bits[y]]
         if row is None:
             raise InvariantError("non-basis intermediate in binary evaluation")
-        for w, b in zip(outs, row):
-            bits[w] = b
+        bits[out0], bits[out1] = row[0], row[-1]
     return [BitVec(tuple(bits[w] for w in group)) for group in graph.output_groups]
 
 
@@ -606,7 +607,7 @@ def float_decode(v) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != (2,):
         raise RepresentationError(f"encoded reals have shape (2,), got {v.shape}")
-    if abs(v[0] - 1.0) > 1e-12:
+    if not abs(v[0] - 1.0) <= 1e-12:  # NaN fails this too
         raise RepresentationError(f"leading component {v[0]} is not 1")
     return float(v[1])
 
@@ -621,11 +622,19 @@ def eval_amp_circuit(
     :class:`GraphError`. The graph's program holds the nodes the outputs
     reach, in topological order, each with its number of paths to the
     outputs, and one forward pass contracts each of them once and reuses its
-    ``(1, value)`` vector for all consumers. ``EvalStats.contractions``
+    ``(lead, value)`` float pair for all consumers. ``EvalStats.contractions``
     counts those contractions with ``memo``; without it, it counts the
     formal expanded tree, in which a shared subgraph is contracted once per
-    path. Values are the same either way. An output that is not finite
-    (overflow inside the graph) raises :class:`NumericalAbortError`.
+    path. Values are the same either way.
+
+    A (+) or (x) node is the bilinear form of its tensor's nonzero entries:
+    ``(a0*b0, a0*b1 + a1*b0)`` and ``(a0*b0, a1*b1)``, each sum started at
+    ``0.0`` as ``np.einsum("i,j,ijk->k", a, b, tensor)`` starts it, so the
+    pair has einsum's bits wherever einsum's is finite. An output pair with
+    an entry that is not finite (overflow inside the graph) raises
+    :class:`NumericalAbortError` before it is decoded. A product the tensor
+    zeroes is never formed, so its overflow, which einsum turns into NaN,
+    aborts nothing.
     """
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} inputs")
@@ -638,7 +647,7 @@ def eval_amp_circuit(
             x = float(value) if isinstance(value, (np.integer, np.floating)) else value
             if x not in _GATES[GateKind.CONST_FLOAT].payloads:
                 raise GraphError(f"amp input {value!r} is not a finite real")
-            values[w] = float_encode(x)
+            values[w] = (1.0, float(x))
         elif graph.wire_types[w] == "var":
             if type(value) is bool or not isinstance(value, (int, np.integer)):
                 raise GraphError(f"grid index {value!r} is not an integer")
@@ -649,18 +658,23 @@ def eval_amp_circuit(
             raise GraphError("binary inputs do not belong in amp evaluation")
     program = graph._amp_program
     for kind, ins, outs, _, data in program:
-        if kind is GateKind.PLUS or kind is GateKind.TIMES:
-            values[outs[0]] = np.einsum("i,j,ijk->k", values[ins[0]], values[ins[1]], data)
+        if kind is GateKind.PLUS:
+            (a0, a1), (b0, b1) = values[ins[0]], values[ins[1]]
+            values[outs[0]] = (0.0 + a0 * b0, 0.0 + a0 * b1 + a1 * b0)
+        elif kind is GateKind.TIMES:
+            (a0, a1), (b0, b1) = values[ins[0]], values[ins[1]]
+            values[outs[0]] = (0.0 + a0 * b0, 0.0 + a1 * b1)
         elif kind is GateKind.CONST_FLOAT:
             values[outs[0]] = data
         elif kind is GateKind.FUNC:
             values[outs[0]] = data[values[ins[0]]]
         else:
             values[outs[0]] = values[outs[1]] = values[ins[0]]
-    out = [float_decode(values[group[0]]) for group in graph.output_groups]
-    if not all(map(math.isfinite, out)):
-        raise NumericalAbortError(f"amplitude circuit output {out} is not finite")
-    return out, EvalStats(len(program) if memo else sum(step[3] for step in program))
+    pairs = [values[w] for (w,) in graph.output_groups]
+    if not all(map(math.isfinite, sum(pairs, ()))):
+        raise NumericalAbortError(f"amplitude circuit outputs {pairs} are not all finite")
+    stats = EvalStats(len(program) if memo else sum(step[3] for step in program))
+    return list(map(float_decode, pairs)), stats
 
 
 # ---------------------------------------------------------------------------

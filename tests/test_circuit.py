@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -204,6 +205,11 @@ class TestBinaryEvaluator:
         g = build_adder(3)
         with pytest.raises(GraphError):
             eval_binary(g, [BitVec.from_int(1, 2), BitVec.from_int(1, 3)])
+
+    @pytest.mark.parametrize("operand", [5, [1, 0], (1, 0), None, "1"])
+    def test_operands_must_be_bitvecs(self, operand):
+        with pytest.raises(GraphError):
+            eval_binary(build_half_adder(), [BitVec((1,)), operand])
 
     @pytest.mark.parametrize(
         "kind, table",
@@ -410,6 +416,11 @@ class TestFloatEncoding:
     def test_decode_rejects_bad_leading_component(self):
         with pytest.raises(RepresentationError):
             float_decode(np.array([1.5, 2.0]))
+
+    @pytest.mark.parametrize("lead", [math.nan, -math.nan, math.inf, -math.inf, 0.0, 1.0 + 1e-9])
+    def test_decode_rejects_any_lead_not_within_1e_12_of_1(self, lead):
+        with pytest.raises(RepresentationError):
+            float_decode([lead, 2.0])
 
 
 class TestAmpFunctions:
@@ -639,6 +650,27 @@ class TestInputRules:
         with pytest.raises(NumericalAbortError):
             eval_amp_circuit(g, [1e100])
 
+    def test_output_with_a_lead_that_is_not_finite_aborts(self):
+        """(1e200, 1) (x) (1e200, 1) = (inf, 1), and (inf, 1) (x) (0, 1) = (NaN, 1):
+        the dropped zero entries would have carried the overflow into the value."""
+        big = ("func", [[1e200, 1.0]], "x")
+        grids = {"x": 1, "y": 1}
+        with pytest.raises(NumericalAbortError):
+            eval_amp_circuit(build_amp_function(("times", big, big), grids), [0, 0])
+        nan_lead = build_amp_function(("times", ("times", big, big), ("func", [[0.0, 1.0]], "y")), grids)
+        with pytest.raises(NumericalAbortError):
+            eval_amp_circuit(nan_lead, [0, 0])
+
+    def test_a_product_the_tensor_zeroes_is_never_formed(self):
+        """einsum forms the x*y product of (1, x) (+) (1, y) and weighs it by 0,
+        so at x = y = 1e200 it reads NaN; the (+) rule reads the sum."""
+        b = CircuitBuilder()
+        g = b.finish([[b.plus(b.input_amp(), b.input_amp())]])
+        assert eval_amp_circuit(g, [1e200, 1e200]) == ([2e200], EvalStats(1))
+        with np.errstate(all="ignore"):
+            pair = np.einsum("i,j,ijk->k", [1.0, 1e200], [1.0, 1e200], gate_tensor(GateKind.PLUS))
+        assert np.isnan(pair).all()
+
 
 class TestEvaluatorErrors:
     def _non_basis_and(self, monkeypatch):
@@ -677,6 +709,9 @@ class TestEvaluatorErrors:
             eval_amp_circuit(b.finish([[b.const_bit(1)]]), [])
         with pytest.raises(GraphError):  # outputs are single wires
             eval_amp_circuit(build_adder(2), [0.0, 0.0])
+        b = CircuitBuilder()
+        with pytest.raises(GraphError):  # ... and amp wires
+            eval_amp_circuit(b.finish([[b.input_var(2)]]), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +742,14 @@ def oracle_eval_binary(graph, inputs):
     return [BitVec(tuple(bits[w] for w in group)) for group in graph.output_groups]
 
 
+class ZeroedProductOverflow(NumericalAbortError):
+    """einsum reads NaN because a product its gate tensor zeroes overflowed."""
+
+
 def oracle_eval_amp_circuit(graph, inputs, memo=True):
     """Count each node's paths to the outputs, then contract the nodes with
-    any, one forward loop over dicts keyed by wire."""
+    any, one forward loop over dicts keyed by wire; an output vector with an
+    entry that is not finite aborts before it is decoded."""
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} inputs")
     values = {}
@@ -742,11 +782,20 @@ def oracle_eval_amp_circuit(graph, inputs, memo=True):
             out = [idx, idx]
         elif node.kind in (GateKind.PLUS, GateKind.TIMES):
             x, y = values[node.inputs[0]], values[node.inputs[1]]
-            out = [np.einsum("i,j,ijk->k", x, y, circuit._GATES[node.kind].tensor)]
+            tensor = circuit._GATES[node.kind].tensor
+            with np.errstate(all="ignore"):
+                products = np.multiply.outer(x, y)
+                out = [np.einsum("i,j,ijk->k", x, y, tensor)]
+            hot = tensor.any(axis=2)
+            if np.isfinite(products[hot]).all() and not np.isfinite(products).all():
+                raise ZeroedProductOverflow(f"{node.kind} forms a product it weighs by 0 that overflows")
         else:
             raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
         values.update(zip(node.outputs, out))
-    return [float_decode(values[group[0]]) for group in graph.output_groups], stats
+    vectors = [values[group[0]] for group in graph.output_groups]
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise NumericalAbortError(f"amplitude circuit outputs {vectors} are not all finite")
+    return [float_decode(v) for v in vectors], stats
 
 
 def random_logic_circuit(rng):
@@ -770,7 +819,10 @@ def random_logic_circuit(rng):
 def random_amp_circuit(rng):
     """Random plus/times/const_float circuit with shared operands (a wire may
     feed both legs of a gate), func tables on variables fanned out by
-    var_copy, and outputs drawn from every amp wire, so some nodes are unreached."""
+    var_copy, and outputs drawn from every amp wire, so some nodes are
+    unreached. A func row's leading entry is 1, 0, -0.0 or 1e200, so that
+    both terms of a (+) value count and some outputs are not encoded reals
+    or overflow."""
     b = CircuitBuilder()
     amps = [b.input_amp() for _ in range(rng.integers(1, 4))]
     free_vars = [b.input_var(int(rng.integers(1, 5))) for _ in range(rng.integers(0, 3))]
@@ -782,7 +834,9 @@ def random_amp_circuit(rng):
             amps.append(b.const_float(rng.uniform(-1.5, 1.5)))
         elif op == "func":
             v = free_vars.pop(rng.integers(len(free_vars)))
-            amps.append(b.func(function_table(np.sin, rng.uniform(-3, 3, b.var_grids[v])), v))
+            table = function_table(np.sin, rng.uniform(-3, 3, b.var_grids[v]))
+            table[:, 0] = rng.choice([1.0, 0.0, -0.0, 1e200], size=len(table))
+            amps.append(b.func(table, v))
         else:
             free_vars += b.var_copy(free_vars.pop(rng.integers(len(free_vars))))
     return b.finish([[amps[i]] for i in rng.integers(len(amps), size=rng.integers(1, 4))])
@@ -804,8 +858,10 @@ def test_compiled_binary_matches_oracle(seed):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_compiled_amp_matches_oracle(seed):
-    """Values bit for bit and contraction counts, with and without memo; an
-    output the oracle reads as not finite aborts."""
+    """Values bit for bit and contraction counts, with and without memo, or
+    the oracle's exception. Where einsum reads NaN only because a product
+    its tensor zeroes overflowed, the rules, which never form that product,
+    are not compared (see ``test_a_product_the_tensor_zeroes_is_never_formed``)."""
     rng = np.random.default_rng(seed)
     g = random_amp_circuit(rng)
     loaded = CircuitGraph.from_json(g.to_json())
@@ -813,15 +869,48 @@ def test_compiled_amp_matches_oracle(seed):
         xs = [float(rng.uniform(-1.5, 1.5)) if g.wire_types[w] == "amp" else int(rng.integers(g.var_grids[w]))
               for (w,) in g.input_groups]
         for memo in (True, False):
-            want, want_stats = oracle_eval_amp_circuit(g, xs, memo)
-            for graph in (g, loaded):
-                if not all(map(math.isfinite, want)):
-                    with pytest.raises(NumericalAbortError):
+            try:
+                want, want_stats = oracle_eval_amp_circuit(g, xs, memo)
+            except ZeroedProductOverflow:
+                continue
+            except (NumericalAbortError, RepresentationError) as exc:
+                for graph in (g, loaded):
+                    with pytest.raises(type(exc)):
                         eval_amp_circuit(graph, xs, memo)
-                    continue
+                continue
+            for graph in (g, loaded):
                 got, stats = eval_amp_circuit(graph, xs, memo)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
                 assert stats == want_stats
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+    st.builds(math.ldexp, st.floats(-1, 1), st.integers(-1074, 1023)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(["plus", "times"]), st.tuples(_ENTRIES, _ENTRIES), st.tuples(_ENTRIES, _ENTRIES))
+def test_gate_rules_match_the_tensor_contraction(kind, a, b):
+    """A (+) or (x) node's pair has the bits of ``np.einsum`` on its tensor
+    wherever einsum's pair is finite. Where it is not, the evaluator aborts,
+    or the product that overflowed is one the tensor zeroes."""
+    g = build_amp_function((kind, ("func", [a], "x"), ("func", [b], "y")), {"x": 1, "y": 1})
+    tensor = gate_tensor(GateKind(kind))
+    with np.errstate(all="ignore"):
+        want = np.einsum("i,j,ijk->k", a, b, tensor)
+        products = np.multiply.outer(a, b)
+    with mock.patch.object(circuit, "float_decode", tuple):  # read the output pair raw
+        try:
+            (got,), _ = eval_amp_circuit(g, [0, 0])
+        except NumericalAbortError:
+            got = None
+    if np.isfinite(want).all():
+        assert got is not None and [v.hex() for v in got] == [float(v).hex() for v in want]
+    elif got is not None:
+        hot = tensor.any(axis=2)
+        assert np.isfinite(products[hot]).all() and not np.isfinite(products).all()
 
 
 def test_programs_compiled_once_on_first_evaluation(monkeypatch):
