@@ -186,6 +186,8 @@ def _check_node(node: Node, wire_types: Sequence[str], var_grids: Mapping) -> tu
             raise GraphError(f"{node.kind} writes {gate.out_kind} wires; wire {w} is not one")
     if gate.payloads is not None and node.payload not in gate.payloads:
         raise GraphError(f"{node.kind} payload {node.payload!r} is not in {gate.payloads}")
+    if gate.payloads is None and node.kind != GateKind.FUNC and node.payload is not None:
+        raise GraphError(f"{node.kind} takes no payload, got {node.payload!r}")
     if gate.in_kind != "var":
         return gate, node
     grid = var_grids.get(node.inputs[0])

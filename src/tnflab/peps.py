@@ -14,10 +14,10 @@ Amplitudes for a basis configuration come in three flavors:
   exactly. Deterministic: the same ``(peps, n, plan)`` always yields the
   identical value, for any ``chi``.
 * :class:`DynamicCache` - the standard reuse-friendly evaluation: the
-  contraction closes at the last row where the configuration changed since
-  the chain's base configuration, over the same prefix memo as
+  contraction closes at the row of the last site the Markov history changed
+  (the last row for its first configuration), over the same prefix memo as
   :class:`FixedEvaluator`, so the value depends on the Markov history at
-  finite ``chi``.
+  finite ``chi``. Each evaluator's ``closure_row`` is its one rule.
 * :func:`exact_amplitude` - untruncated row-by-row contraction, the small
   lattice oracle.
 
@@ -31,11 +31,11 @@ each of which gets the bits it gets alone. A single evaluation is a stack of
 one, whose products run on plain 2-D matrices; :func:`fixed_table`, the one
 walk behind every enumeration (sector energies, the Floquet transverse
 tables), stacks every distinct prefix of a level and every closure into
-one amplitude table; the evaluators' ``prefetch`` stacks the memo misses of
-a table of configurations (a Monte Carlo sample's neighbours) into one
-closure per closure row and boundary shape. Boundaries keep their legs in
-the order the next contraction reads them, so memoized and gathered ones are
-read without a copy.
+one amplitude table; the evaluators' memo closes the misses of a table of
+configurations (a Monte Carlo sample's neighbours, each at its own closure
+row) in one closure per closure row and boundary shape. Boundaries keep
+their legs in the order the next contraction reads them, so memoized and
+gathered ones are read without a copy.
 """
 from __future__ import annotations
 
@@ -737,10 +737,11 @@ class _BoundaryStack:
         else:
             self._amps.clear()
 
-    def _close_misses(self, table: np.ndarray, mids) -> None:
-        """Memoize the amplitude of each row of the checked table ``table``
-        (as :func:`tnflab.mps.as_configs` gives it) closed at its row of
-        ``mids``, bit for bit :meth:`_closed`'s, where the memo lacks it.
+    def _close_misses(self, table: np.ndarray, mids) -> list[AmplitudeValue]:
+        """The amplitude of each row of the checked table ``table`` (as
+        :func:`tnflab.mps.as_configs` gives it) closed at its row of
+        ``mids``, bit for bit :meth:`_closed`'s; the memo's misses among
+        them are memoized.
 
         Each miss builds its environments through :meth:`_env`; the misses
         of one closure row whose boundaries share their site shapes close in
@@ -750,7 +751,8 @@ class _BoundaryStack:
         """
         raw, width, tags = table.tobytes(), table.shape[1] * table.itemsize, self._row_tags
         keys = [tags[mid] + raw[i * width : (i + 1) * width] for i, mid in enumerate(mids)]
-        misses = {key: i for i, key in enumerate(keys) if key not in self._amps}  # one per repeat
+        amps = {key: self._amps.get(key) for key in keys}
+        misses = {key: i for i, key in enumerate(keys) if amps[key] is None}  # one per repeat
         groups: dict[tuple, list] = {}
         for key, i in misses.items():
             mid, cfg = mids[i], table[i].astype(np.int64)
@@ -758,11 +760,13 @@ class _BoundaryStack:
             shapes = tuple(None if env is None else tuple(s.shape for s in env.sites) for env in (top, bottom))
             groups.setdefault((mid,) + shapes, []).append((key, i, top, bottom))
         for (mid, *_), group in groups.items():
-            keys, picks, tops, bottoms = zip(*group)
+            closed, picks, tops, bottoms = zip(*group)
             row = _stacked_row(self.peps, table[list(picks)], mid)
             values, log = _close_strip(_concat(tops), row, _concat(bottoms))
-            for key, value, lg in zip(keys, values.tolist(), log):
-                self._store(key, AmplitudeValue.from_parts(value, lg))
+            for key, value, lg in zip(closed, values.tolist(), log):
+                amps[key] = AmplitudeValue.from_parts(value, lg)
+                self._store(key, amps[key])
+        return [amps[key] for key in keys]
 
 
 def _concat(envs) -> Chains | None:
@@ -782,7 +786,8 @@ class FixedEvaluator(_BoundaryStack):
     returns bit-identical values to recomputation. This is what makes
     Metropolis sweeps and local-energy sums affordable; semantics are
     exactly those of :func:`amplitude_fixed`. The evaluator holds no
-    history, so one serves any number of chains, one after another.
+    history: its closure row is ``plan.mid`` whatever a move changed, so
+    one serves any number of chains, one after another.
     """
 
     def __init__(self, peps: Peps, plan: FixedPlan):
@@ -790,23 +795,13 @@ class FixedEvaluator(_BoundaryStack):
         super().__init__(peps, plan.chi)
         self.plan = plan
 
+    def closure_row(self, site: int) -> int:
+        """The row a contraction closes at after a move that last changed
+        ``site``: always ``plan.mid``."""
+        return self.plan.mid
+
     def amplitude(self, n) -> AmplitudeValue:
         return self._closed(as_config(n, self.peps.n_sites, self.peps.phys_dim), self.plan.mid)
-
-    def peek(self, n) -> AmplitudeValue:
-        """Alias of :meth:`amplitude`; mirrors the dynamic-cache interface."""
-        return self.amplitude(n)
-
-    def commit(self, n, amp: AmplitudeValue | None = None) -> None:
-        """No-op: the fixed schedule has no history."""
-
-    def prefetch(self, configs) -> None:
-        """Memoize the amplitudes of the table ``configs`` (one configuration
-        a row, read by :func:`tnflab.mps.as_configs`), closing the memo's
-        misses in stacked closures; :meth:`amplitude` then reads each one,
-        with the bits it gives alone."""
-        table = as_configs(configs, self.peps.n_sites, self.peps.phys_dim)
-        self._close_misses(table, [self.plan.mid] * len(table))
 
     def amplitude_with_site(
         self, n, site: tuple[int, int], tensor: np.ndarray, stats: dict | None = None
@@ -843,16 +838,14 @@ class FixedEvaluator(_BoundaryStack):
 
 
 class DynamicCache(_BoundaryStack):
-    """Reusable boundary environments under one Markov history at a time.
-
-    Mutable state, never shared between threads. The contraction closes at
-    the last row where the evaluated configuration differs from the cache's
-    base configuration (the last row on a cold cache), over the same memo
-    as the fixed schedule. The closure row follows the Markov history,
-    which is what makes the resulting amplitude history-dependent at finite
-    ``chi``. The memo's keys hold the closure row, so they stay pure: the
-    chains of an estimate run one after another on one cache, each from a
-    cold history (:meth:`reset_history`), and read one memo.
+    """Dynamic amplitudes: a contraction closes at the row of the last site
+    the Markov history changed (:meth:`closure_row`; the last row for the
+    history's first configuration), so at finite ``chi`` the amplitude
+    depends on the history. The memo is the fixed schedule's, keyed by the
+    closure row, so it stays pure. The chains of :mod:`tnflab.vmc` keep
+    their own history and share one cache; :meth:`peek` and :meth:`commit`
+    walk one history held here as a base configuration. Mutable state,
+    never shared between threads.
     """
 
     def __init__(self, peps: Peps, chi: int):
@@ -860,17 +853,23 @@ class DynamicCache(_BoundaryStack):
         self.base: np.ndarray | None = None
         self.base_amp: AmplitudeValue | None = None
 
+    def closure_row(self, site: int) -> int:
+        """The row a contraction closes at after a move that last changed
+        ``site``: the row of ``site``."""
+        return site // self.peps.cols
+
     def peek(self, n) -> AmplitudeValue:
-        """Amplitude of ``n`` relative to the current base, without rebasing."""
+        """Amplitude of ``n`` relative to the current base, without rebasing;
+        a cold cache takes ``n`` as its first configuration."""
         cfg = as_config(n, self.peps.n_sites, self.peps.phys_dim)
         if self.base is None:
             self.base = cfg.copy()
-            self.base_amp = self._closed(cfg, self.peps.rows - 1)
+            self.base_amp = self._closed(cfg, self.closure_row(cfg.size - 1))
             return self.base_amp
         diff = np.nonzero(cfg != self.base)[0]
         if diff.size == 0:
             return self.base_amp
-        return self._closed(cfg, int(diff[-1]) // self.peps.cols)
+        return self._closed(cfg, self.closure_row(int(diff[-1])))
 
     def commit(self, n, amp: AmplitudeValue) -> None:
         """Rebase onto ``n``; the memoized environments stay valid."""
@@ -879,25 +878,6 @@ class DynamicCache(_BoundaryStack):
             raise CacheStateError("commit on a cold cache")
         self.base = cfg.copy()
         self.base_amp = amp
-
-    def prefetch(self, configs) -> None:
-        """Memoize what :meth:`peek` of each row of the table ``configs``
-        (read by :func:`tnflab.mps.as_configs`) closes against the current
-        base, closing the memo's misses in stacked closures; :meth:`peek`
-        then reads each one, with the bits it gives alone. A cold cache, or
-        a row equal to the base, closes nothing."""
-        table = as_configs(configs, self.peps.n_sites, self.peps.phys_dim)
-        if self.base is None:
-            return
-        changed = table != self.base
-        moved = changed.any(axis=1)
-        last = self.peps.n_sites - 1 - np.argmax(changed[:, ::-1], axis=1)
-        self._close_misses(table[moved], (last[moved] // self.peps.cols).tolist())
-
-    def reset_history(self) -> None:
-        """Make the cache cold again, as for a new chain; the memo, a pure
-        function of the configurations, is kept."""
-        self.base = self.base_amp = None
 
     def amplitude(self, n) -> AmplitudeValue:
         """Evaluate and rebase in one step (one move of the Markov history)."""

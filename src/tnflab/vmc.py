@@ -8,17 +8,18 @@ antiparallel nearest-neighbor pairs so the total magnetization is conserved.
 One sweep proposes every such pair once, in a fixed order; observables are
 measured after each sweep. Exact energies and gradients use :class:`tnflab.ed.Sector`.
 
-Both amplitude semantics plug in through a small evaluator interface:
-``peek(n)`` returns the amplitude without touching history,
-``commit(n, amp)`` records an accepted move (a no-op for the fixed
-schedule) and ``prefetch(table)`` memoizes the amplitudes ``peek`` would
-give a table of configurations, closing the memo's misses in stacked
-closures; each sample's neighbours go through it before its local energy.
-One evaluator, so one memo of environments and amplitudes, serves every
-chain of an estimate. Both memo keys (a side and the rows it covers; a
-closure row and the configuration) are pure, so a chain reads the bits it
-would compute itself. A dynamic chain keeps its own history over the shared
-memo, and that history starts cold at the chain's first configuration.
+The chain loop (:func:`metropolis_sweep`) keeps the whole Markov history:
+a chain's checked configuration and its amplitude. The two amplitude
+semantics differ in one rule, the evaluator's ``closure_row(site)``, the
+row a contraction closes at when ``site`` is the last site a move changed
+(``max(i, j)`` for an exchange of ``(i, j)``, ``n_sites - 1`` for a chain's
+first configuration): ``plan.mid`` for the fixed schedule, ``site // cols``
+(the last row that differs from the chain's configuration) for the dynamic
+one. Proposals and local-energy neighbours both follow it; a sample's
+neighbours close their memo misses in stacked closures. One evaluator, so
+one memo, serves every chain of an estimate; its keys (a side and the rows
+it covers; a closure row and the configuration) are pure, so a chain reads
+the bits it would compute itself.
 
 Gradients are defined for the fixed schedule only, where the
 amplitude is one deterministic, piecewise smooth function of the tensors.
@@ -71,6 +72,23 @@ __all__ = [
 BLOCK_LEN = 50
 
 
+def _local_energy(model: Model, cfg: np.ndarray, amp0: AmplitudeValue, amps: Iterator) -> complex:
+    """The E_loc sum of the checked ``cfg`` of amplitude ``amp0``; ``amps``
+    yields the amplitude after each antiparallel coupling's exchange, in order."""
+    if amp0.is_zero:
+        raise ValueError("local energy undefined on a zero-amplitude configuration")
+    e = 0.0 + 0.0j
+    for i, j, c in model.couplings:
+        if cfg[i] == cfg[j]:
+            e += 0.25 * c
+        else:
+            e -= 0.25 * c
+            amp1 = next(amps)
+            if not amp1.is_zero:
+                e += 0.5 * c * amp1.ratio(amp0)
+    return e
+
+
 def local_energy(model: Model, amplitude_fn: Callable, n) -> complex:
     """E_loc(n): sum over configurations one Hamiltonian term away.
 
@@ -81,30 +99,18 @@ def local_energy(model: Model, amplitude_fn: Callable, n) -> complex:
     integer in ``[0, 2)`` raises ``ValueError``.
     """
     cfg = as_config(n, model.n_sites, 2)
-    amp0 = amplitude_fn(cfg)
-    if amp0.is_zero:
-        raise ValueError("local energy undefined on a zero-amplitude configuration")
-    e = 0.0 + 0.0j
-    for i, j, c in model.couplings:
-        if cfg[i] == cfg[j]:
-            e += 0.25 * c
-        else:
-            e -= 0.25 * c
-            n2 = cfg.copy()
-            n2[i], n2[j] = n2[j], n2[i]
-            amp1 = amplitude_fn(n2)
-            if not amp1.is_zero:
-                e += 0.5 * c * amp1.ratio(amp0)
-    return e
+    sites = np.arange(cfg.size)  # an exchange of an antiparallel pair flips both
+    moved = (cfg ^ ((sites == i) | (sites == j)) for i, j, _ in model.couplings if cfg[i] != cfg[j])
+    return _local_energy(model, cfg, amplitude_fn(cfg), map(amplitude_fn, moved))
 
 
 @dataclass
 class ChainState:
     """One Markov chain: configuration, its amplitude, RNG, and evaluator.
 
-    ``evaluator`` may serve the chains of an estimate one after another; a
-    dynamic cache then holds one chain's history at a time. It is never
-    shared between threads.
+    The configuration is the chain's whole history; the evaluator gives its
+    closure-row rule and memo, and may serve the chains of an estimate one
+    after another. It is never shared between threads.
     """
 
     config: np.ndarray
@@ -119,24 +125,25 @@ def metropolis_sweep(chain: ChainState, move_schedule: Sequence[tuple[int, int]]
     """One pass over the move schedule, exchanging antiparallel pairs.
 
     Acceptance probability is min(1, |amp1/amp0|^2); proposals into
-    zero-amplitude configurations are always rejected. Mutates and returns
-    ``chain``.
+    zero-amplitude configurations are always rejected. The proposal of
+    ``(i, j)`` closes at the evaluator's ``closure_row(max(i, j))``.
+    ``chain.config`` is read by :func:`tnflab.mps.as_config`. Mutates and
+    returns ``chain``.
     """
-    cfg = chain.config
+    ev = chain.evaluator
+    cfg = chain.config = as_config(chain.config, ev.peps.n_sites, ev.peps.phys_dim)
     for i, j in move_schedule:
         if cfg[i] == cfg[j]:
             continue
         chain.proposed += 1
         n1 = cfg.copy()
         n1[i], n1[j] = n1[j], n1[i]
-        amp1 = chain.evaluator.peek(n1)
+        amp1 = ev._closed(n1, ev.closure_row(max(i, j)))
         ratio = amp1.abs_ratio_sq(chain.amp)
         if ratio >= 1.0 or chain.rng.random() < ratio:
             chain.accepted += 1
-            chain.evaluator.commit(n1, amp1)
-            chain.config = n1
+            chain.config = cfg = n1
             chain.amp = amp1
-            cfg = n1
     return chain
 
 
@@ -192,8 +199,11 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
-def _chain_args(model: Model, n_sweeps: int, n_warmup: int | None, initial_config=None):
-    """Checked warm-up length and start configuration of a chain."""
+def _chain_args(peps: Peps, model: Model, n_sweeps: int, n_warmup: int | None, initial_config=None):
+    """Checked warm-up length and start configuration of a chain of
+    ``model`` on ``peps``, which must have the model's site count."""
+    if model.n_sites != peps.n_sites:
+        raise ValueError(f"model has {model.n_sites} sites, state has {peps.n_sites}")
     _check_count("n_sweeps", n_sweeps, 1)
     if n_warmup is None:
         # 10% of the run with a floor of 100 sweeps, but never starve short
@@ -218,14 +228,13 @@ def _chain_samples(
 ) -> Iterator[ChainState]:
     """Yield the chain after each post-warm-up sweep.
 
-    The chain starts at ``cfg0`` (committed to the evaluator) and draws from
-    the (seed, chain-index) stream; the same state object is yielded every
-    time, so read what you need before advancing.
+    The chain starts at the checked ``cfg0`` and draws from the (seed,
+    chain-index) stream; the same state object is yielded every time, so
+    read what you need before advancing.
     """
-    amp0 = evaluator.peek(cfg0)
+    amp0 = evaluator._closed(cfg0, evaluator.closure_row(cfg0.size - 1))
     if amp0.is_zero:
         raise ValueError("initial configuration has zero amplitude; pass initial_config")
-    evaluator.commit(cfg0, amp0)
     chain = ChainState(cfg0.copy(), amp0, _chain_rng(seed, chain_index), evaluator)
     schedule = nn_pairs(model.rows, model.cols, model.boundary)
     for sweep in range(n_sweeps):
@@ -236,24 +245,20 @@ def _chain_samples(
 
 def _chain_energies(evaluator, model: Model, *chain_args) -> Iterator[tuple[ChainState, complex]]:
     """Yield the chain of :func:`_chain_samples` (same arguments after
-    ``model``) and its :func:`local_energy` after each post-warm-up sweep.
-
-    The configuration and its neighbours one exchange away go to the
-    evaluator's ``prefetch`` first, which closes the memo misses among them
-    in stacked closures, so the local energy reads memo hits with the bits
-    it would compute alone.
-    """
+    ``model``) and its local energy after each post-warm-up sweep. Each
+    sample's neighbours close at their exchange's closure row, their memo
+    misses in stacked closures with the bits each gives alone."""
     i, j = np.array([(i, j) for i, j, _ in model.couplings], np.int64).reshape(-1, 2).T
-    # Exchanging an antiparallel pair of spins flips both: XOR with the pair's
-    # mask. Row 0 flips nothing, so the table starts with the configuration.
-    masks = np.zeros((len(i) + 1, model.n_sites), np.uint8)
-    pair = np.arange(1, len(i) + 1)
+    # Exchanging an antiparallel pair of spins flips both: XOR with the pair's mask.
+    pair = np.arange(len(i))
+    masks = np.zeros((len(i), model.n_sites), np.uint8)
     masks[pair, i] = masks[pair, j] = 1
+    rows = np.array([evaluator.closure_row(site) for site in np.maximum(i, j).tolist()], np.int64)
     for chain in _chain_samples(evaluator, model, *chain_args):
         cfg = chain.config
-        moves = np.flatnonzero(np.concatenate(([True], cfg[i] != cfg[j])))
-        evaluator.prefetch(cfg.astype(np.uint8) ^ masks[moves])
-        yield chain, local_energy(model, evaluator.peek, cfg)
+        moves = np.flatnonzero(cfg[i] != cfg[j])
+        amps = evaluator._close_misses(cfg.astype(np.uint8) ^ masks[moves], rows[moves].tolist())
+        yield chain, _local_energy(model, cfg, chain.amp, iter(amps))
 
 
 def estimate_energy(
@@ -273,8 +278,8 @@ def estimate_energy(
     Deterministic for fixed (seed, n_chains): every chain draws from its own
     (seed, chain-index) stream and chains run one after another in index
     order, all reading one evaluator's memo. Each chain's series is, bit for
-    bit, the one it gives alone on a fresh evaluator; a dynamic chain's
-    history starts cold, as on a fresh cache. ``n_sweeps`` (at least 1),
+    bit, the one it gives alone on a fresh evaluator. A ``model`` of
+    another site count than ``peps`` raises ``ValueError``. ``n_sweeps`` (at least 1),
     ``n_warmup`` (below ``n_sweeps``; ``None`` picks 10% of the run, at
     least 100 sweeps and at most half) and ``n_chains`` (at least 1) must
     be integers, not bools. ``n_threads`` is accepted and ignored: a thread
@@ -282,13 +287,11 @@ def estimate_energy(
     A non-finite mean raises :class:`NumericalAbortError`.
     """
     _check_count("n_chains", n_chains, 1)
-    n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup, initial_config)
+    n_warmup, cfg0 = _chain_args(peps, model, n_sweeps, n_warmup, initial_config)
     evaluator = _make_evaluator(peps, mode, chi)
     series = []
     accepted = proposed = 0
     for k in range(n_chains):
-        if mode == "dynamic":
-            evaluator.reset_history()
         energies = []
         for chain, e in _chain_energies(evaluator, model, n_sweeps, n_warmup, seed, k, cfg0):
             energies.append(e.real)
@@ -364,7 +367,7 @@ def gradient_estimate(
     configuration by ``|psi_k|^2``, with ``E_loc = (H psi)_k / psi_k`` and ``<E_loc>`` =
     :func:`enumerate_energy`, all from one amplitude vector. ``"metropolis"`` averages
     :func:`local_energy` over chain 0 of :func:`estimate_energy` with the same seed, from
-    the Neel configuration. A repeated configuration reuses its ``O_k``, bit for bit, from a
+    the Neel configuration, on a model with the state's site count. A repeated configuration reuses its ``O_k``, bit for bit, from a
     memo held under :data:`tnflab.peps.MEMO_MAX_BYTES`, which empties when a store would pass it.
     ``zeroed_params`` sums, over samples, the parameters left at 0 because they feed a
     degenerate truncation. A non-finite energy raises :class:`NumericalAbortError`.
@@ -375,7 +378,7 @@ def gradient_estimate(
         weights = np.abs(psi) ** 2
         samples = ((configs[k], weights[k], h_psi[k] / psi[k]) for k in np.flatnonzero(weights))
     elif sampling == "metropolis":
-        n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup)
+        n_warmup, cfg0 = _chain_args(peps, model, n_sweeps, n_warmup)
         chain = _chain_energies(FixedEvaluator(peps, plan), model, n_sweeps, n_warmup, seed, 0, cfg0)
         samples = ((s.config, 1.0, e) for s, e in chain)
     else:

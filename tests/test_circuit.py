@@ -256,6 +256,19 @@ class TestBinaryEvaluator:
         with pytest.raises(GraphError):
             CircuitGraph.from_json(text)
 
+    @pytest.mark.parametrize("kind", [GateKind.PLUS, GateKind.XOR])
+    def test_payload_on_a_gate_that_takes_none_rejected(self, kind):
+        """Only constants and ``func`` take a payload; any other gate with
+        one is rejected when added and when read from JSON."""
+        b = CircuitBuilder()
+        x, y = (b.input_amp(), b.input_amp()) if kind == GateKind.PLUS else b.input_bits(2)
+        with pytest.raises(GraphError, match="no payload"):
+            b.add(kind, [x, y], {"junk": [1, 2]})
+        data = json.loads(b.finish([[b.add(kind, [x, y])[0]]]).to_json())
+        data["nodes"][0]["payload"] = {"junk": [1, 2]}
+        with pytest.raises(GraphError, match="no payload"):
+            CircuitGraph.from_json(json.dumps(data))
+
     def test_amplitude_circuit_rejected(self):
         spec = FnnSpec([1, 1], [np.array([[2.0]])], [np.array([1.0])], [[0.0, 1.0]])
         with pytest.raises(GraphError):

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-import tnflab.peps as peps_module
 from tnflab.errors import CacheStateError
 from tnflab.peps import (
     DynamicCache,
@@ -159,51 +158,3 @@ class TestCacheState:
         n = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
         with pytest.raises(CacheStateError):
             cache.commit(n, amplitude_fixed(p, n, FixedPlan.for_lattice(3, 3, 2)))
-
-    def test_prefetch_closes_what_peek_reads(self, monkeypatch):
-        """``prefetch`` memoizes what ``peek`` of each row closes against the
-        base, with the bits of a fresh cache on the same base, so the peeks
-        close nothing more; a cold cache and the base itself close nothing."""
-        p = random_peps(3, 3, 2, 2, seed=8, boundary="pbc")
-        n0 = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
-        moves = []
-        for i, j in ((0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (0, 3), (4, 7), (5, 8)):
-            n = n0.copy()
-            n[[i, j]] = n[[j, i]]
-            moves.append(n)
-        closures, close = [0], peps_module._close_strip
-
-        def counted(*args):
-            closures[0] += 1
-            return close(*args)
-
-        monkeypatch.setattr(peps_module, "_close_strip", counted)
-        cache = DynamicCache(p, 2)
-        cache.prefetch([n0] + moves)
-        assert closures[0] == 0 and cache.base is None
-        cache.amplitude(n0)
-        closures[0] = 0
-        cache.prefetch([n0] + moves)
-        assert closures[0] == 3  # one stacked closure per closure row
-        got = [cache.peek(n) for n in moves]
-        assert closures[0] == 3
-        for n, a in zip(moves, got):
-            fresh = DynamicCache(p, 2)
-            fresh.amplitude(n0)
-            b = fresh.peek(n)
-            assert (a.mantissa, a.log_scale, a.is_zero) == (b.mantissa, b.log_scale, b.is_zero)
-
-    def test_reset_history_keeps_the_memo(self):
-        p = random_peps(3, 3, 2, 2, seed=9)
-        cache = DynamicCache(p, 2)
-        n0 = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
-        n1 = n0.copy()
-        n1[[0, 1]] = n1[[1, 0]]
-        cache.amplitude(n0)
-        cache.amplitude(n1)
-        envs, amps = dict(cache._envs), dict(cache._amps)
-        cache.reset_history()
-        assert cache.base is None and cache.base_amp is None
-        assert cache._envs == envs and cache._amps == amps
-        a, b = cache.peek(n0), DynamicCache(p, 2).peek(n0)  # cold again: closes at the last row
-        assert (a.mantissa, a.log_scale) == (b.mantissa, b.log_scale)

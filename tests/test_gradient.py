@@ -98,9 +98,9 @@ def assert_matches_oracle(p, cfg, chi):
 def chain_configs(peps, model, chi, n_sweeps, n_warmup, seed):
     """The configurations a Metropolis ``gradient_estimate`` samples, in order."""
     ev = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
-    n_warmup, cfg0 = tnflab.vmc._chain_args(model, n_sweeps, n_warmup)
+    n_warmup, cfg0 = tnflab.vmc._chain_args(peps, model, n_sweeps, n_warmup)
     chain = tnflab.vmc._chain_samples(ev, model, n_sweeps, n_warmup, seed, 0, cfg0)
-    return [(s.config.copy(), tnflab.vmc.local_energy(model, ev.peek, s.config)) for s in chain]
+    return [(s.config.copy(), tnflab.vmc.local_energy(model, ev.amplitude, s.config)) for s in chain]
 
 
 def oracle_metropolis_gradient(peps, model, chi, n_sweeps, n_warmup, seed):

@@ -599,12 +599,12 @@ def test_fixed_table_matches_each_configuration_alone(data):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_stacked_misses_match_single_closures(data):
-    """``_close_misses`` memoizes each (configuration, closure row) miss
-    with the bits of ``amplitude_fixed`` on the plan closing at that row and
-    of a single ``DynamicCache`` closure, at chi 1-4 on open and periodic
-    lattices down to one row or one column. The miss list repeats
-    configurations and mixes closure rows, so it spans several shape groups;
-    an entry memoized beforehand is left as it was."""
+    """``_close_misses`` returns, and memoizes, the amplitude of each
+    (configuration, closure row) with the bits of ``amplitude_fixed`` on the
+    plan closing at that row and of a single ``DynamicCache`` closure, at
+    chi 1-4 on open and periodic lattices down to one row or one column. The
+    list repeats configurations and mixes closure rows, so its misses span
+    several shape groups; an entry memoized beforehand is returned as it was."""
     boundary = data.draw(st.sampled_from(BOUNDARIES), label="boundary")
     rows, cols = data.draw(st.integers(1, 4), label="rows"), data.draw(st.integers(1, 4), label="cols")
     n_sites = rows * cols
@@ -619,11 +619,10 @@ def test_stacked_misses_match_single_closures(data):
     pre_cfg, pre_mid = data.draw(st.sampled_from(entries), label="memoized")
     pre = stack._closed(as_config(pre_cfg, n_sites, 2), pre_mid)
     table = as_configs([cfg for cfg, _ in entries], n_sites, 2)
-    stack._close_misses(table, [mid for _, mid in entries])
-    pre_key = stack._row_tags[pre_mid] + table[entries.index((pre_cfg, pre_mid))].tobytes()
-    assert stack._amps[pre_key] is pre
-    for (cfg, mid), row in zip(entries, table):
-        got = stack._amps[stack._row_tags[mid] + row.tobytes()]
+    amps = stack._close_misses(table, [mid for _, mid in entries])
+    assert amps[entries.index((pre_cfg, pre_mid))] is pre
+    for (cfg, mid), row, got in zip(entries, table, amps):
+        assert stack._amps[stack._row_tags[mid] + row.tobytes()] is got
         want = amplitude_fixed(state, cfg, FixedPlan(rows, cols, chi, mid))
         alone = DynamicCache(state, chi)._closed(as_config(cfg, n_sites, 2), mid)
         assert exact_bits(got) == exact_bits(want) == exact_bits(alone), (cfg, mid)
@@ -632,7 +631,8 @@ def test_stacked_misses_match_single_closures(data):
 def test_stacked_misses_close_one_stack_per_row_and_shape(monkeypatch):
     """The misses of one closure row with equal boundary shapes close in one
     stacked closure: the neighbours of the Neel configuration of a random
-    3x3 state close in one closure per row, and a second pass closes none."""
+    3x3 state close in one closure per row, and a second pass closes none
+    and returns the same amplitudes."""
     state = random_peps(3, 3, 2, 2, seed=4)
     cfg = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0])
     table = []
@@ -650,9 +650,9 @@ def test_stacked_misses_close_one_stack_per_row_and_shape(monkeypatch):
 
     monkeypatch.setattr(peps_module, "_close_strip", counted)
     stack = DynamicCache(state, 2)
-    stack._close_misses(table, mids)
+    first = stack._close_misses(table, mids)
     assert sizes == [8, 8, 8]
-    stack._close_misses(table, mids)
+    assert all(a is b for a, b in zip(stack._close_misses(table, mids), first))
     assert sizes == [8, 8, 8]
 
 

@@ -6,15 +6,13 @@ import pytest
 
 from tnflab.ed import Sector
 from tnflab.errors import NumericalAbortError
-from tnflab.models import heisenberg, neel_config, nn_pairs
+from tnflab.models import heisenberg, j1j2, neel_config, nn_pairs
 import tnflab.peps as peps_module
 from tnflab.peps import DynamicCache, FixedEvaluator, FixedPlan, product_peps, random_peps
 from tnflab.tensor import AmplitudeValue
 from tnflab.vmc import (
     ChainState,
-    _chain_args,
     _chain_rng,
-    _chain_samples,
     enumerate_energy,
     estimate_energy,
     gradient_estimate,
@@ -37,16 +35,16 @@ def local_energy_average(amplitude_fn, model):
     return num / den
 
 
-class UniformAmplitude:
+class UniformAmplitude(FixedEvaluator):
     """Constant over a magnetization sector: every exchange is accepted."""
 
-    def peek(self, n):
+    def __init__(self):
+        super().__init__(random_peps(2, 2, 2, 1, seed=0), FixedPlan.for_lattice(2, 2, 1))
+
+    def _closed(self, cfg, mid):
         return AmplitudeValue.from_parts(1.0)
 
-    __call__ = peek
-
-    def commit(self, n, amp=None):
-        pass
+    __call__ = FixedEvaluator.amplitude
 
 
 class TestLocalEnergy:
@@ -80,14 +78,14 @@ class TestLocalEnergy:
         """The configuration is read, not truncated: 0.9 is not the energy of 0."""
         ev = FixedEvaluator(random_peps(2, 2, 2, 2, seed=0), FixedPlan.for_lattice(2, 2, 2))
         with pytest.raises(ValueError):
-            local_energy(heisenberg(2, 2), ev.peek, [bad, 1, 1, 0])
+            local_energy(heisenberg(2, 2), ev.amplitude, [bad, 1, 1, 0])
 
     def test_integer_valued_floats_and_bools_read_as_ints(self):
         m = heisenberg(2, 2)
         ev = FixedEvaluator(random_peps(2, 2, 2, 2, seed=0), FixedPlan.for_lattice(2, 2, 2))
-        want = local_energy(m, ev.peek, [0, 1, 1, 0])
+        want = local_energy(m, ev.amplitude, [0, 1, 1, 0])
         for n in ([0.0, 1.0, 1.0, 0.0], np.array([False, True, True, False])):
-            got = local_energy(m, ev.peek, n)
+            got = local_energy(m, ev.amplitude, n)
             assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
     def test_enumeration_equals_sector_rayleigh_quotient(self):
@@ -96,22 +94,32 @@ class TestLocalEnergy:
         ev = FixedEvaluator(p, FixedPlan.for_lattice(4, 4, 4))
         got = enumerate_energy(p, m, 4)
 
-        assert abs(got - local_energy_average(ev.peek, m)) < 1e-10
+        assert abs(got - local_energy_average(ev.amplitude, m)) < 1e-10
 
 
 class TestMetropolis:
     def test_uniform_amplitude_accepts_everything(self):
         cfg = neel_config(2, 2)
         src = UniformAmplitude()
-        chain = ChainState(cfg.copy(), src.peek(cfg), _chain_rng(0, 0), src)
+        chain = ChainState(cfg.copy(), src.amplitude(cfg), _chain_rng(0, 0), src)
         metropolis_sweep(chain, nn_pairs(2, 2))
         assert chain.proposed == chain.accepted > 0
+
+    @pytest.mark.parametrize("bad", [0.9, math.nan, 2, "length"])
+    def test_bad_chain_config_rejected(self, bad):
+        """A chain's configuration is read like any other: a bad entry or
+        length raises ``ValueError``."""
+        ev = FixedEvaluator(random_peps(2, 2, 2, 2, seed=0), FixedPlan.for_lattice(2, 2, 2))
+        cfg = [0, 1, 1, 0, 1] if bad == "length" else [bad, 1, 1, 0]
+        chain = ChainState(cfg, ev.amplitude([0, 1, 1, 0]), _chain_rng(0, 0), ev)
+        with pytest.raises(ValueError):
+            metropolis_sweep(chain, nn_pairs(2, 2))
 
     def test_single_config_product_state_is_frozen(self):
         cfg = neel_config(2, 2)
         p = product_peps(2, 2, 2, cfg)
         ev = FixedEvaluator(p, FixedPlan.for_lattice(2, 2, 2))
-        chain = ChainState(cfg.copy(), ev.peek(cfg), _chain_rng(0, 0), ev)
+        chain = ChainState(cfg.copy(), ev.amplitude(cfg), _chain_rng(0, 0), ev)
         for _ in range(5):
             metropolis_sweep(chain, nn_pairs(2, 2))
         assert chain.accepted == 0
@@ -121,7 +129,7 @@ class TestMetropolis:
         p = random_peps(3, 3, 2, 2, seed=1)
         ev = FixedEvaluator(p, FixedPlan.for_lattice(3, 3, 2))
         cfg = neel_config(3, 3)
-        chain = ChainState(cfg.copy(), ev.peek(cfg), _chain_rng(1, 0), ev)
+        chain = ChainState(cfg.copy(), ev.amplitude(cfg), _chain_rng(1, 0), ev)
         sz = cfg.sum()
         for _ in range(20):
             metropolis_sweep(chain, nn_pairs(3, 3))
@@ -134,14 +142,14 @@ class TestMetropolis:
         cfg0 = neel_config(2, 2)
         probs = {}
         for cfg in Sector(4).configs:
-            a = ev.peek(cfg)
+            a = ev.amplitude(cfg)
             probs[tuple(cfg)] = 0.0 if a.is_zero else abs(a.mantissa) ** 2 * math.exp(2 * a.log_scale)
         z = sum(probs.values())
         probs = {k: v / z for k, v in probs.items()}
 
         n_sweeps = 100_000
         counts = {k: 0 for k in probs}
-        chain = ChainState(cfg0.copy(), ev.peek(cfg0), _chain_rng(3, 0), ev)
+        chain = ChainState(cfg0.copy(), ev.amplitude(cfg0), _chain_rng(3, 0), ev)
         sched = nn_pairs(2, 2)
         for _ in range(n_sweeps):
             metropolis_sweep(chain, sched)
@@ -168,7 +176,7 @@ class TestMetropolis:
         src = UniformAmplitude()
         cfg0 = neel_config(2, 2)
         rng = np.random.default_rng(44)
-        chain = ChainState(cfg0.copy(), src.peek(cfg0), _chain_rng(4, 0), src)
+        chain = ChainState(cfg0.copy(), src.amplitude(cfg0), _chain_rng(4, 0), src)
         sched = nn_pairs(2, 2)
         thin = 5
         n_samples = 6_000
@@ -302,15 +310,33 @@ def count_calls(monkeypatch, *names) -> dict[str, int]:
 
 
 def lone_series(peps, model, mode, chi, n_sweeps, n_warmup, seed, k):
-    """Chain ``k``'s local energies on a fresh evaluator, each amplitude
-    closed on its own as ``peek`` reaches it."""
-    if mode == "fixed":
-        ev = FixedEvaluator(peps, FixedPlan.for_lattice(peps.rows, peps.cols, chi))
-    else:
-        ev = DynamicCache(peps, chi)
-    n_warmup, cfg0 = _chain_args(model, n_sweeps, n_warmup)
-    chain = _chain_samples(ev, model, n_sweeps, n_warmup, seed, k, cfg0)
-    return np.array([local_energy(model, ev.peek, s.config).real for s in chain])
+    """Chain ``k``'s local energies from a chain of its own, move by move,
+    on a fresh evaluator: the proposals and random draws of
+    ``metropolis_sweep`` from the Neel configuration, each amplitude read
+    through the one-configuration API (``FixedEvaluator.amplitude``, or
+    ``DynamicCache.peek`` and ``commit``) and each energy from
+    ``local_energy``."""
+    plan = FixedPlan.for_lattice(peps.rows, peps.cols, chi)
+    ev = FixedEvaluator(peps, plan) if mode == "fixed" else DynamicCache(peps, chi)
+    read = ev.amplitude if mode == "fixed" else ev.peek
+    cfg = neel_config(model.rows, model.cols)
+    amp = ev.amplitude(cfg)  # a cold cache takes it as the first configuration
+    rng, series = _chain_rng(seed, k), []
+    for sweep in range(n_sweeps):
+        for i, j in nn_pairs(model.rows, model.cols, model.boundary):
+            if cfg[i] == cfg[j]:
+                continue
+            n1 = cfg.copy()
+            n1[i], n1[j] = n1[j], n1[i]
+            amp1 = read(n1)
+            ratio = amp1.abs_ratio_sq(amp)
+            if ratio >= 1.0 or rng.random() < ratio:
+                cfg, amp = n1, amp1
+                if mode == "dynamic":
+                    ev.commit(cfg, amp)
+        if sweep >= n_warmup:
+            series.append(local_energy(model, read, cfg).real)
+    return np.array(series)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "dynamic"])
@@ -318,22 +344,42 @@ def lone_series(peps, model, mode, chi, n_sweeps, n_warmup, seed, k):
 @pytest.mark.parametrize("n_chains", [2, 3])
 def test_each_chain_gives_its_series_alone(monkeypatch, mode, boundary, n_chains):
     """The chains of an estimate share one memo, and each gives, bit for bit,
-    the series it gives alone on a fresh evaluator; so does a run whose
-    memos are emptied in the middle of each chain. On this instance a
-    dynamic chain 1 that started on chain 0's history, not cold, would
-    give another series."""
-    p = random_peps(3, 3, 2, 2, seed=0, boundary=boundary)
-    m = heisenberg(3, 3, boundary)
-    want = [lone_series(p, m, mode, 1, 30, 5, 1, k) for k in range(n_chains)]
-    calls, absorbs = count_calls(monkeypatch, "boundary_absorb"), []
-    for budget in (peps_module.MEMO_MAX_BYTES, 6 << 10):
-        monkeypatch.setattr(peps_module, "MEMO_MAX_BYTES", budget)
-        est = estimate_energy(p, m, mode, 1, n_sweeps=30, n_warmup=5, n_chains=n_chains, seed=1)
-        assert len(est.series) == n_chains
-        for k, (got, alone) in enumerate(zip(est.series, want)):
-            assert got.tobytes() == alone.tobytes(), (budget, k)
-        absorbs.append(calls["boundary_absorb"] - sum(absorbs))
-    assert absorbs[1] > absorbs[0]  # the small budget emptied the memos along the way
+    the series of a per-move chain of its own on a fresh evaluator; so does
+    a run whose memos are emptied in the middle of each chain. The lattice
+    has more columns than rows, and each case runs the Heisenberg model and
+    a J1-J2 model, whose diagonals span two rows, so a local-energy
+    neighbour closing at another row than its exchange's last site gives
+    another series."""
+    p = random_peps(3, 4, 2, 2, seed=0, boundary=boundary)
+    for m in (heisenberg(3, 4, boundary), j1j2(3, 4, 0.5, boundary)):
+        want = [lone_series(p, m, mode, 1, 30, 5, 1, k) for k in range(n_chains)]
+        calls, absorbs = count_calls(monkeypatch, "boundary_absorb"), []
+        for budget in (peps_module.MEMO_MAX_BYTES, 6 << 10):
+            monkeypatch.setattr(peps_module, "MEMO_MAX_BYTES", budget)
+            est = estimate_energy(p, m, mode, 1, n_sweeps=30, n_warmup=5, n_chains=n_chains, seed=1)
+            assert len(est.series) == n_chains
+            for k, (got, alone) in enumerate(zip(est.series, want)):
+                assert got.tobytes() == alone.tobytes(), (m.name, budget, k)
+            absorbs.append(calls["boundary_absorb"] - sum(absorbs))
+        assert absorbs[1] > absorbs[0]  # the small budget emptied the memos along the way
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_model_and_state_site_counts_must_match(monkeypatch, swap):
+    """A model of another site count than the state raises ``ValueError``
+    before any contraction, in both modes of ``estimate_energy`` and in a
+    Metropolis ``gradient_estimate``."""
+    p, m = random_peps(4, 4, 2, 2, seed=0), heisenberg(3, 3)
+    if swap:
+        p, m = random_peps(3, 3, 2, 2, seed=0), heisenberg(4, 4)
+    calls = count_calls(monkeypatch, "boundary_absorb", "_close_strip")
+    for mode in ("fixed", "dynamic"):
+        with pytest.raises(ValueError, match="sites"):
+            estimate_energy(p, m, mode, 2, n_sweeps=10, n_warmup=2)
+    with pytest.raises(ValueError, match="sites"):
+        gradient_estimate(p, m, 2, n_sweeps=10, n_warmup=2)
+    assert calls == {"boundary_absorb": 0, "_close_strip": 0}
 
 
 # Work of the pinned instance below, per mode: (boundary_absorb calls,
