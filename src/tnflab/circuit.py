@@ -148,7 +148,8 @@ class BitVec:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
+        # One C-level pass with the rule of ``b in (0, 1)``: each bit compares equal to 0 or 1.
+        if self.bits.count(0) + self.bits.count(1) != len(self.bits):
             raise ValueError("bits must be 0 or 1")
 
     @classmethod

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .adjoint import Tape, degenerate_cut, qr_backward, singular_r, svd_backward
+from .adjoint import Tape, _h, degenerate_cut, qr_backward, singular_r, svd_backward
 from .errors import DimensionError
 from .tensor import renormalize, stack_dot, svd_split
 
@@ -115,17 +115,16 @@ def compress(
     truncates below the numerical rank. Chains leave the stack at a bond
     where their kept ranks differ, and a chain with an exactly-zero site
     (the value 0) leaves unswept with log factor 0. Returns the parts, which
-    hold every chain once. A ``tape`` records a stack of one chain (a larger
-    stack raises ``ValueError``) as one step (see :mod:`tnflab.adjoint`),
-    degenerate when the compression is, and the largest discarded weight.
+    hold every chain once. A ``tape`` records each swept part as one step
+    (see :mod:`tnflab.adjoint`), with a flag per chain for a degenerate
+    compression, and the largest discarded weight; a zero part is not
+    recorded.
     """
     inputs = sites
     sites = [np.asarray(s, dtype=complex) for s in sites]
     chain, count = list(sites), len(sites[0])
     if not count:
         return []
-    if tape is not None and count != 1:
-        raise ValueError(f"a tape records a stack of one chain, got {count}")
     # Left-to-right QR canonicalization.
     qrs = []
     for i in range(len(sites) - 1):
@@ -138,11 +137,11 @@ def compress(
         qrs.append((q, rmat))
 
     # Right-to-left truncation sweep over pending parts (rows, sites, log
-    # factors, bond); with a tape, the cuts of its one chain, last bond first.
-    parts, cuts = [], []
-    pending = [(list(range(count)), sites, [0.0] * count, len(sites) - 1)]
+    # factors, bond, and with a tape the cuts of their chains, last bond first).
+    parts = []
+    pending = [(list(range(count)), sites, [0.0] * count, len(sites) - 1, [])]
     while pending:
-        rows, sites, log, i = pending.pop()
+        rows, sites, log, i, cuts = pending.pop()
         t, lf, zero = renormalize(sites[i])
         if any(zero):
             # A zero site ends its chain; at site 0 the chain keeps its log factor.
@@ -158,7 +157,7 @@ def compress(
         if i == 0:
             parts.append(Chains(rows, [t] + sites[1:], log))
             if tape is not None:
-                _record(tape, inputs, chain, qrs, cuts[::-1], lf[0], parts[-1], chi)
+                _record(tape, inputs, chain, qrs, cuts[::-1], lf, parts[-1], chi)
             continue
         for sel, split in svd_split(t, 1, chi if chi is not None else t.shape[1]):
             whole = len(sel) == len(rows)
@@ -169,51 +168,82 @@ def compress(
             prev = sub[i - 1]
             prod = stack_dot(prev.reshape(len(prev), -1, prev.shape[-1]), carry)
             sub[i - 1] = prod.reshape(prev.shape[:-1] + carry.shape[2:])
+            sub_rows, sub_cuts = (rows if whole else [rows[j] for j in sel]), cuts
             if tape is not None:
-                tape.max_discarded = max(tape.max_discarded, float(split.discarded_weight[0]))
-                cuts.append((lf[0], split, carry[0]))
-            pending.append((rows if whole else [rows[j] for j in sel], sub,
-                            log if whole else [log[j] for j in sel], i - 1))
+                tape.max_discarded = max(tape.max_discarded, float(split.discarded_weight.max()))
+                sub_cuts = cuts + [(sub_rows, lf if whole else [lf[j] for j in sel], split, carry)]
+            pending.append((sub_rows, sub, log if whole else [log[j] for j in sel], i - 1, sub_cuts))
     return parts
 
 
 def _record(tape, inputs, chain, qrs, cuts, lf0, part, chi):
-    """Record the compression of the stack of one ``chain`` to ``part`` on
-    ``tape``: ``qrs`` are the ``(q, r)`` factors, ``cuts`` the ``(log factor,
-    split, carry)`` of bonds ``1 .. n-1`` and ``lf0`` the last rescaling's log
-    factor. The rule reads cotangents in any shape with the sites' element order."""
-    degenerate = any(singular_r(r[0]) for _, r in qrs)
-    for (_, split, carry), (_, r) in zip(cuts, qrs):
+    """Record the compression of the chains ``part.rows`` of the stack
+    ``chain`` to ``part`` on ``tape``: ``qrs`` are the stack's ``(q, r)``
+    factors, ``cuts`` the ``(rows, log factors, split, carry)`` of bonds
+    ``1 .. n-1``, each over the chains it cut, and ``lf0`` the last
+    rescaling's log factors. A part of one chain runs on its plain matrices;
+    a degenerate chain gets no cotangent. The rule reads cotangents in any
+    shape with the sites' element order, and gives them for the whole stack."""
+    rows, count = part.rows, len(chain[0])
+    lead = () if len(rows) == 1 else (len(rows),)
+
+    def take(a, at):
+        """The entries of ``a`` (one per chain of ``at``) of the part's chains."""
+        if not lead:
+            return a[at.index(rows[0])]
+        return a if len(at) == len(rows) else np.asarray(a)[np.searchsorted(at, rows)]
+
+    def scales(lf):
+        factors = [math.exp(-x) for x in np.atleast_1d(lf).tolist()]
+        return np.array(factors).reshape(lead + (1, 1)) if lead else factors[0]
+
+    every = list(range(count))
+    qrs = [(take(q, every), take(r, every)) for q, r in qrs]
+    cuts = [(scales(take(lf, at)), [take(f, at) for f in split.thin], take(carry, at))
+            for at, lf, split, carry in cuts]
+    sites = [take(s, every) for s in chain]
+    degenerate = np.zeros(lead, bool)
+    for (_, r), (_, thin, carry) in zip(qrs, cuts):
         # The bond's extent after the QR sweep caps it when chi is None.
-        degenerate |= degenerate_cut(carry.shape[1], split.thin[1][0], chi or r.shape[1])
+        degenerate |= singular_r(r) | degenerate_cut(carry.shape[-1], thin[1], chi or r.shape[-2])
+    if lead and degenerate.any():  # a stand-in factor keeps the solve of a singular chain finite
+        qrs = [(q, np.where(degenerate[:, None, None], np.eye(*r.shape[-2:]), r)) for q, r in qrs]
+    lf0 = scales(lf0)
 
     def backward(bars):
-        if degenerate:  # no derivative: nothing goes back through it
+        if degenerate.all():  # no derivative: nothing goes back through it
             return [None] * len(chain)
-        batch = bars[0].shape[0]
-        bars = [b.reshape((batch,) + s.shape[1:]) for b, s in zip(bars, part.sites)]
-        zbar = bars[0] * math.exp(-lf0)
+        head = bars[0].shape[:1] + lead
+        bars = [b.reshape(head + s.shape[1:]) for b, s in zip(bars, part.sites)]
+        zbar = bars[0].reshape(head + (chain[0].shape[1], -1)) * lf0
         qbars = []
         # Truncations, first bond first: site i-1 became q_{i-1} @ carry_i.
-        for i, (lf, split, c) in enumerate(cuts, start=1):
-            q = qrs[i - 1][0][0]
-            zm = zbar.reshape(batch, q.shape[0], c.shape[1])
-            qbars.append(zm @ c.conj().T)
-            u, s, vh = (f[0] for f in split.thin)
-            ybar = bars[i].reshape(batch, c.shape[1], -1)
-            zbar = svd_backward(u, s, vh, c.shape[1], q.conj().T @ zm, ybar) * math.exp(-lf)
+        for i, (scale, (u, s, vh), c) in enumerate(cuts, start=1):
+            q = qrs[i - 1][0]
+            zm = zbar.reshape(head + (q.shape[-2], c.shape[-1]))
+            qbars.append(zm @ _h(c))
+            ybar = bars[i].reshape(head + (c.shape[-1], -1))
+            zbar = svd_backward(u, s, vh, c.shape[-1], _h(q) @ zm, ybar) * scale
         abars = [None] * len(chain)
         # QR sweep, last site first: site i+1 became r_i @ site i+1.
         for i in range(len(chain) - 2, -1, -1):
-            q, r = qrs[i][0][0], qrs[i][1][0]
-            a = chain[i + 1][0].reshape(chain[i + 1].shape[1], -1)
-            xbar = zbar.reshape(batch, r.shape[0], -1)
-            abars[i + 1] = (r.conj().T @ xbar).reshape((batch,) + chain[i + 1].shape)
-            zbar = qr_backward(q, r, qbars[i], xbar @ a.conj().T)
-        abars[0] = zbar.reshape((batch,) + chain[0].shape)
-        return abars
+            q, r = qrs[i]
+            a = sites[i + 1].reshape(lead + (chain[i + 1].shape[1], -1))
+            xbar = zbar.reshape(head + (r.shape[-2], -1))
+            abars[i + 1] = (_h(r) @ xbar).reshape(head + chain[i + 1].shape[1:])
+            zbar = qr_backward(q, r, qbars[i], xbar @ _h(a))
+        abars[0] = zbar.reshape(head + chain[0].shape[1:])
+        if lead:
+            for g in abars:
+                g[:, degenerate] = 0.0
+        if len(rows) == count:
+            return abars
+        wide = [np.zeros(head[:1] + s.shape, complex) for s in chain]
+        for w, g in zip(wide, abars):
+            w[:, rows] = g.reshape(w[:, rows].shape)
+        return wide
 
-    tape.record(inputs, part.sites, backward, degenerate)
+    tape.record(inputs, part.sites, backward, degenerate.reshape(-1))
 
 
 def mps_amplitude(sites: Sequence[np.ndarray], config: Sequence[int]) -> complex:

@@ -31,7 +31,8 @@ each of which gets the bits it gets alone. A single evaluation is a stack of
 one, whose products run on plain 2-D matrices; :func:`fixed_table`, the one
 walk behind every enumeration (sector energies, the Floquet transverse
 tables), stacks every distinct prefix of a level and every closure into
-one amplitude table; the evaluators' memo closes the misses of a table of
+one amplitude table, and :func:`fixed_table_vjp` tapes the same walk for one
+reverse pass over it (the gradient estimators'); the evaluators' memo closes the misses of a table of
 configurations (a Monte Carlo sample's neighbours, each at its own closure
 row) in one closure per closure row and boundary shape. Boundaries keep
 their legs in the order the next contraction reads them, so memoized and
@@ -63,6 +64,7 @@ __all__ = [
     "boundary_absorb",
     "amplitude_fixed",
     "fixed_table",
+    "fixed_table_vjp",
     "BLOCK_BYTES",
     "log_derivatives",
     "FixedEvaluator",
@@ -195,20 +197,20 @@ def _unroll_row(row: list[np.ndarray], tape: Tape | None = None) -> list[np.ndar
         n, u, _, d, _ = t.shape
         out = [np.einsum("Yuwdw->Yud", t).reshape(n, u, 1, d, 1)]
         if tape is not None:
-            tape.record([t, None], out, einsum_backward("uvdw,vw->ud", [t[0], eye]))
+            tape.record([t, None], out, einsum_backward("uvdw,vw->ud", [t, eye]))
         return out
     out = []
     for c, t in enumerate(row):
         n, u, l, d, r = t.shape
         if c == 0:
             a = t.transpose(0, 1, 3, 4, 2).reshape(n, u, 1, d, r * w)
-            spec, ops = "uwdr->udrw", [t[0]]
+            spec, ops = "uwdr->udrw", [t]
         elif c == ncols - 1:
             a = t.transpose(0, 1, 2, 4, 3).reshape(n, u, l * w, d, 1)
-            spec, ops = "uldw->ulwd", [t[0]]
+            spec, ops = "uldw->ulwd", [t]
         else:
             a = np.einsum("Yuldr,wx->Yulwdrx", t, eye).reshape(n, u, l * w, d, r * w)
-            spec, ops = "uldr,wx->ulwdrx", [t[0], eye]
+            spec, ops = "uldr,wx->ulwdrx", [t, eye]
         out.append(np.ascontiguousarray(a))
         if tape is not None:
             tape.record([t, None][: len(ops)], out[-1:], einsum_backward(spec, ops))
@@ -285,7 +287,7 @@ def boundary_absorb(
     (by kept rank, or an exactly-zero site), labels carried along and log
     scales grown by the factors taken out. Each boundary gets the bits it
     gets alone; a single boundary is a stack of one. A ``tape`` records
-    every step of a stack of one (see :mod:`tnflab.adjoint`).
+    every step (see :mod:`tnflab.adjoint`).
     """
     count = len(row[0])
     if stack is None:
@@ -294,7 +296,7 @@ def boundary_absorb(
         if tape is not None:
             spec = "abcd->" + "".join("abcd"[a - 1] for a in axes[1:])
             for t, s in zip(row, sites):
-                tape.record([t], [s], einsum_backward(spec, [t[0]]))
+                tape.record([t], [s], einsum_backward(spec, [t]))
         labels, log = range(count), [0.0] * count
     else:
         if len(row) != len(stack.sites):
@@ -323,7 +325,7 @@ def boundary_absorb(
             sites.append(np.ascontiguousarray(m.reshape(n, l * l2, o, f2, r * r2)))
             if tape is not None:
                 read = tape.recorded(s)
-                tape.record([read, t0], sites[-1:], einsum_backward(spec, [read[0], t0[0]]))
+                tape.record([read, t0], sites[-1:], einsum_backward(spec, [read, t0]))
     axes, parts = _LAYOUT[side], []
     for part in compress(sites, chi, tape):
         laid = [np.ascontiguousarray(s.transpose(axes)) for s in part.sites]
@@ -358,8 +360,8 @@ def _close_strip(
     row's outward legs pair with the surviving boundary's open legs (or with
     each other on a single-row lattice). Columns are contracted left to
     right with running renormalization, each chain bit for bit as alone. A
-    ``tape`` records every step of a stack of one; the last one makes the
-    final one-entry vector whose entry is the mantissa.
+    ``tape`` records every step; the last one makes the final one-entry
+    vectors whose entries are the raw values.
     """
     count = len(mid[0])
     lead, dot = _products(count)
@@ -406,7 +408,7 @@ def _close_strip(
         if False not in z:  # every chain is zero (a zero chain stays zero)
             return np.zeros(count, complex), [0.0] * count
         if tape is not None:
-            _record_column(tape, c, top, m, bottom, t, vec, nrm, lf[0])
+            _record_column(tape, c, top, m, bottom, t, vec, nrm, lf)
         vec = nrm
         factors.append(lf)
     # The last column's right bonds are 1.
@@ -421,21 +423,21 @@ def _close_one(top: Chains | None, mid: list[np.ndarray], bottom: Chains | None,
     return AmplitudeValue.from_parts(value, log)
 
 
-def _record_column(tape: Tape, c: int, top, m, bottom, t, vec, nrm, lf: float) -> None:
-    """Record closure column ``c`` of a stack of one: ``t`` from the column's
-    tensors, then the running vector ``nrm`` (rescaled by ``exp(-lf)``) from
-    ``vec`` and ``t``; ``vec`` is ``None`` at the first column, which reads
-    row 0 of ``t``. The rules run on the chain's own arrays, as a single
-    chain's contraction reads them."""
+def _record_column(tape: Tape, c: int, top, m, bottom, t, vec, nrm, lf: list[float]) -> None:
+    """Record closure column ``c`` of a stack: ``t`` from the column's
+    tensors, then the running vectors ``nrm`` (each rescaled by ``exp(-lf)``)
+    from ``vec`` and ``t``; ``vec`` is ``None`` at the first column, which
+    reads row 0 of ``t``."""
     if top is None and bottom is None:
-        inputs, ops, spec = [m, None], [m[0], np.eye(m.shape[1])], "ucvq,uv->cq"
+        inputs, ops, spec = [m, None], [m, np.eye(m.shape[1])], "ucvq,uv->cq"
     else:
         inputs = [tape.recorded(top.sites[c])] if top is not None else []
         inputs += [m] + ([tape.recorded(bottom.sites[c])] if bottom is not None else [])
-        ops, spec = [x[0] for x in inputs], _CLOSE_SPECS[(top is not None, bottom is not None)]
+        ops, spec = inputs, _CLOSE_SPECS[(top is not None, bottom is not None)]
     tape.record(inputs, [t], einsum_backward(spec, ops))
-    prev = np.eye(1, t.shape[0])[0] if vec is None else vec[0]
-    tape.record([vec, t], [nrm], einsum_backward("i,ij->j", [prev, t], math.exp(-lf)))
+    mats = t.reshape((len(m),) + t.shape[-2:])
+    prev = np.eye(1, mats.shape[1])[0] if vec is None else vec.reshape(len(m), -1)
+    tape.record([vec, t], [nrm], einsum_backward("i,ij->j", [prev, mats], [math.exp(-x) for x in lf]))
 
 
 # ---------------------------------------------------------------------------
@@ -521,53 +523,154 @@ def fixed_table(peps: Peps, plan: FixedPlan, configs) -> tuple[np.ndarray, np.nd
     """
     _check_plan(peps, plan)
     table = as_configs(configs, peps.n_sites, peps.phys_dim)
-    (b_part, b_pos), bottoms = np.zeros((2, len(table)), np.int64), []
+    b_part, b_pos, bottoms = _bottoms(peps, plan, table)
     mantissa, log_scale = np.empty(len(table), complex), np.empty(len(table))
+    for top, pos, cfgs in _walk(peps, table, range(plan.mid), plan.chi, "top"):
+        for part, at, picked in _closure_cuts(peps, plan, top, pos, cfgs, b_part, bottoms):
+            closed = _close_strip(_gather(top, at), _stacked_row(peps, table[picked], plan.mid),
+                                  _gather(bottoms[part], b_pos[picked]))
+            mantissa[picked], log_scale[picked] = table_from_parts(*closed)
+    return mantissa, log_scale
+
+
+def fixed_table_vjp(peps: Peps, plan: FixedPlan, configs, cotangent) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of ``Re sum_k conj(cotangent[k]) ln psi_k`` over the real
+    parameters in :func:`peps_to_params` order, ``psi_k`` the amplitude
+    :func:`fixed_table` gives row ``k`` of ``configs``, and per row the
+    parameters its contraction leaves at 0, as :func:`log_derivatives`
+    counts them: the read entries of the rows that feed a degenerate
+    truncation of that row's own contraction, and all of them for a zero
+    amplitude (which contributes nothing).
+
+    One taped walk of :func:`fixed_table`'s schedule and one reverse pass
+    over it, per top slice as the walk goes: each closure stack is pulled
+    back once, a gather pulls back as a scatter-add into its parent stack,
+    each distinct prefix boundary is pulled back once with the summed
+    cotangent of its children, and a projected row into the physical slices
+    of its site tensors. The bottom side runs again, taped, after the top.
+    Each configuration's degenerate truncations drop only its own
+    contributions. The sum runs in another order than one reverse pass per
+    configuration, so the bits differ from that sum's.
+    """
+    _check_plan(peps, plan)
+    table = as_configs(configs, peps.n_sites, peps.phys_dim)
+    cotangent = np.asarray(cotangent, complex).reshape(len(table))
+    grads = [[np.zeros(t.shape, complex) for t in row] for row in peps.sites]
+    b_part, b_pos, bottoms = _bottoms(peps, plan, table)
+    b_bars = [_zero_bars(bottom, "bottom") for bottom in bottoms]
+    zeroed, dead = np.zeros(len(table), np.int64), np.zeros(len(table), bool)
+
+    def close(top, pos, cfgs, top_zeroed):
+        zeroed[cfgs] = top_zeroed[pos]
+        bar = _zero_bars(top, "top")
+        for part, at, picked in _closure_cuts(peps, plan, top, pos, cfgs, b_part, bottoms):
+            tape = Tape()
+            ends = _taped_gather(top, at, "top", tape), _taped_gather(bottoms[part], b_pos[picked], "bottom", tape)
+            values, _ = _close_strip(ends[0], _stacked_row(peps, table[picked], plan.mid, tape), ends[1], tape)
+            live = values != 0
+            dead[picked] = ~live
+            if not live.any():
+                continue
+            vec = tape.ops[-1][1][0]
+            seed = np.where(live, cotangent[picked], 0) / np.conj(np.where(live, values, 1))
+            bars = tape.backward({id(vec): seed.reshape((1,) + vec.shape)})
+            _pull_row(grads, peps, tape, bars, table[picked], plan.mid)
+            _pull_gather(bar, ends[0], at, tape, bars)
+            _pull_gather(b_bars[part], ends[1], b_pos[picked], tape, bars)
+        return bar
+
+    def reopen(bottom, pos, cfgs, bottom_zeroed):
+        zeroed[cfgs] += bottom_zeroed[pos]
+        return b_bars[b_part[cfgs[0]]]
+
+    _walk_back(peps, table, range(plan.mid), plan.chi, "top", grads, close)
+    _walk_back(peps, table, range(peps.rows - 1, plan.mid, -1), plan.chi, "bottom", grads, reopen)
+    zeroed[dead] = _row_sizes(peps, range(peps.rows))[-1]
+    return np.concatenate([p for row in grads for g in row for p in (g.real.ravel(), g.imag.ravel())]), zeroed
+
+
+def _bottoms(peps: Peps, plan: FixedPlan, table: np.ndarray):
+    """Every distinct bottom boundary of the checked ``table`` under
+    ``plan``, as the stacks of its walk, and per configuration the stack
+    that holds its boundary and the place in it."""
+    (b_part, b_pos), bottoms = np.zeros((2, len(table)), np.int64), []
     for bottom, pos, cfgs in _walk(peps, table, range(peps.rows - 1, plan.mid, -1), plan.chi, "bottom"):
         b_part[cfgs], b_pos[cfgs] = len(bottoms), pos
         bottoms.append(bottom)
+    return b_part, b_pos, bottoms
+
+
+def _closure_cuts(peps: Peps, plan: FixedPlan, top, pos, cfgs, b_part, bottoms):
+    """The closure stacks of the configurations ``cfgs`` under the top stack
+    ``top`` (``pos`` their places in it): per stack, the bottom part it
+    reads, and the places and table rows of its configurations."""
     shapes = [t.shape[1:] for t in _row(peps, np.zeros(peps.n_sites, int), plan.mid)]
-    for top, pos, cfgs in _walk(peps, table, range(plan.mid), plan.chi, "top"):
-        order = np.argsort(b_part[cfgs], kind="stable")  # a closure stack reads one bottom part
-        pos, cfgs = pos[order], cfgs[order]
-        edges = np.flatnonzero(np.diff(b_part[cfgs], prepend=-1, append=-1)).tolist()
-        for lo, hi in zip(edges, edges[1:]):
-            bottom = bottoms[b_part[cfgs[lo]]]
-            step = max(1, BLOCK_BYTES // peps.rows // _stack_bytes(top, shapes, bottom))
-            for k in range(lo, hi, step):
-                cut = slice(k, min(k + step, hi))
-                closed = _close_strip(_gather(top, pos[cut]), _stacked_row(peps, table[cfgs[cut]], plan.mid),
-                                      _gather(bottom, b_pos[cfgs[cut]]))
-                mantissa[cfgs[cut]], log_scale[cfgs[cut]] = table_from_parts(*closed)
-    return mantissa, log_scale
+    order = np.argsort(b_part[cfgs], kind="stable")  # a closure stack reads one bottom part
+    pos, cfgs = pos[order], cfgs[order]
+    edges = np.flatnonzero(np.diff(b_part[cfgs], prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        part = b_part[cfgs[lo]]
+        step = max(1, BLOCK_BYTES // peps.rows // _stack_bytes(top, shapes, bottoms[part]))
+        for k in range(lo, hi, step):
+            cut = slice(k, min(k + step, hi))
+            yield part, pos[cut], cfgs[cut]
+
+
+def _levels(peps: Peps, table: np.ndarray, rows: range) -> list[tuple]:
+    """The prefix levels of the checked ``table`` along ``rows`` (the rows
+    one side absorbs, in order): per row, the table row of one configuration
+    of each distinct prefix, the first child of each prefix of the level
+    before and the row's site shapes; then the configurations under each
+    last prefix and where each prefix's start.
+
+    Prefixes are numbered in lexicographic order, so each parent's children
+    are consecutive. One stable sort of the table by the side's sites, first
+    site first, orders every level, and a level's prefixes start where one
+    of its sites changes along that order.
+    """
+    cols, blank = peps.cols, np.zeros(peps.n_sites, int)
+    sites = [c for r in rows for c in range(r * cols, (r + 1) * cols)]
+    order = np.lexsort([table[:, c] for c in reversed(sites)]) if sites else np.arange(len(table))
+    start = np.zeros(len(table), bool)
+    start[:1] = True
+    starts, levels = np.zeros(1, np.intp), []
+    for r in rows:
+        for c in range(r * cols, (r + 1) * cols):
+            site = table[order, c]
+            start[1:] |= site[1:] != site[:-1]
+        parents, starts = starts, np.flatnonzero(start)
+        first = np.append(np.searchsorted(starts, parents), len(starts))
+        levels.append((order[starts], first, r, [t.shape[1:] for t in _row(peps, blank, r)]))
+    levels.append((order, np.append(starts, len(table)), None, None))
+    return levels
+
+
+def _children(first: np.ndarray, stack: Chains | None) -> tuple[np.ndarray, np.ndarray]:
+    """The child prefixes of the boundaries of ``stack`` (of the root for
+    ``None``), in order, and the place of each one's parent in the stack."""
+    parents = np.zeros(1, np.intp) if stack is None else np.asarray(stack.rows)
+    lo, n = first[parents], first[parents + 1] - first[parents]
+    pos = np.repeat(np.arange(len(n)), n)
+    return pos, np.arange(len(pos)) + (lo - np.cumsum(n) + n)[pos]
+
+
+def _slice_size(peps: Peps, stack: Chains | None, shapes: list[tuple], side: str) -> int:
+    """How many children of ``stack`` one absorb of a row of site shapes
+    ``shapes`` takes: a ``rows``-th of :data:`BLOCK_BYTES`, and at least one."""
+    ends = (stack, None) if side == "top" else (None, stack)
+    return max(1, BLOCK_BYTES // peps.rows // _stack_bytes(ends[0], shapes, ends[1]))
 
 
 def _walk(peps: Peps, table: np.ndarray, rows: range, chi: int, side: str):
     """Depth first over the distinct prefixes of the table along ``rows``
-    (the rows one side absorbs, in order), yielding each stack of the last
-    level's boundaries (``None`` for no rows), the configurations under it
-    and the place of each one's boundary in it.
+    (see :func:`_levels`), yielding each stack of the last level's
+    boundaries (``None`` for no rows), the configurations under it and the
+    place of each one's boundary in it.
 
-    Level ``k`` numbers its prefixes in order of the pair (parent prefix,
-    row pattern), so each parent's children are consecutive, and absorbs a
-    stack's children in slices that fit a ``rows``-th of :data:`BLOCK_BYTES`,
-    last in first out, so a level holds one slice's boundaries at a time.
+    A level absorbs a stack's children in slices (:func:`_slice_size`), last
+    in first out, so a level holds one slice's boundaries at a time.
     """
-    d, cols, blank = peps.phys_dim, peps.cols, np.zeros(peps.n_sites, int)
-    ids, count, levels = np.zeros(len(table), np.int64), 1, []
-    for r in rows:
-        key, bound = ids, count
-        for c in range(r * cols, (r + 1) * cols):
-            if bound * d >= 1 << 62:  # renumber before the key could overflow
-                uniq, key = np.unique(key, return_inverse=True)
-                bound = len(uniq)
-            key, bound = key * d + table[:, c], bound * d
-        _, held, key = np.unique(key, return_index=True, return_inverse=True)
-        shapes = [t.shape[1:] for t in _row(peps, blank, r)]
-        levels.append((held, np.searchsorted(ids[held], np.arange(count + 1)), r, shapes))
-        ids, count = key, len(held)
-    held = np.argsort(ids, kind="stable")  # the configurations under each last prefix
-    levels.append((held, np.searchsorted(ids[held], np.arange(count + 1)), None, None))
+    levels = _levels(peps, table, rows)
     pending = [(0, None, None, None)]  # (level, stack, a slice of its children or None)
     while pending:
         k, stack, pos, child = pending.pop()
@@ -577,16 +680,91 @@ def _walk(peps: Peps, table: np.ndarray, rows: range, chi: int, side: str):
             for part in reversed(boundary_absorb(_gather(stack, pos), row, chi, side)):
                 pending.append((k + 1, Chains(child[part.rows].tolist(), part.sites, part.log), None, None))
             continue
-        parents = np.zeros(1, np.int64) if stack is None else np.asarray(stack.rows)
-        lo, n = first[parents], first[parents + 1] - first[parents]
-        pos = np.repeat(np.arange(len(n)), n)  # each child's parent, and the children in order:
-        child = np.arange(len(pos)) + (lo - np.cumsum(n) + n)[pos]
+        pos, child = _children(first, stack)
         if r is None:
             yield stack, pos, held[child]
             continue
-        ends = (stack, None) if side == "top" else (None, stack)
-        step = max(1, BLOCK_BYTES // peps.rows // _stack_bytes(ends[0], shapes, ends[1]))
+        step = _slice_size(peps, stack, shapes, side)
         pending += [(k, stack, pos[j : j + step], child[j : j + step]) for j in range(0, len(child), step)][::-1]
+
+
+def _walk_back(peps: Peps, table: np.ndarray, rows: range, chi: int, side: str, grads, last) -> None:
+    """:func:`_walk` taped, with each slice pulled back right after its
+    children: ``last(stack, pos, cfgs, zeroed)`` takes what :func:`_walk`
+    yields and each boundary's zeroed-parameter count, and returns the
+    cotangents of the stack's sites (compress's leg order, see
+    :func:`_zero_bars`). The rows' cotangents are added into ``grads``.
+    A boundary's count is that of the rows up to its deepest degenerate
+    truncation."""
+    levels, sizes = _levels(peps, table, rows), _row_sizes(peps, rows)
+
+    def visit(k, stack, zeroed):
+        held, first, r, shapes = levels[k]
+        pos, child = _children(first, stack)
+        if r is None:
+            return last(stack, pos, held[child], zeroed)
+        bar = _zero_bars(stack, side)
+        step = _slice_size(peps, stack, shapes, side)
+        for j in range(0, len(child), step):
+            at, kids = pos[j : j + step], child[j : j + step]
+            tape = Tape()
+            gathered, cfgs = _taped_gather(stack, at, side, tape), table[held[kids]]
+            seeds = {}
+            for part in boundary_absorb(gathered, _stacked_row(peps, cfgs, r, tape), chi, side, tape):
+                made = [tape.recorded(s) for s in part.sites]
+                flags = tape.degenerate.get(id(made[0]), False)  # a zero part has no record
+                below = np.where(flags, sizes[k], zeroed[at[part.rows]])
+                got = visit(k + 1, Chains(kids[part.rows].tolist(), part.sites, part.log), below)
+                seeds.update((id(m), g[None]) for m, g in zip(made, got))
+            bars = tape.backward(seeds)
+            _pull_row(grads, peps, tape, bars, cfgs, r)
+            _pull_gather(bar, gathered, at, tape, bars)
+        return bar
+
+    visit(0, None, np.zeros(1, np.int64))
+
+
+def _row_sizes(peps: Peps, rows: range) -> np.ndarray:
+    """The real parameters the configuration reads in the first ``k + 1`` of
+    ``rows``, for each ``k``."""
+    return np.cumsum([0] + [2 * sum(t.size for t in peps.sites[r]) // peps.phys_dim for r in rows])[1:]
+
+
+def _zero_bars(stack: Chains | None, side: str) -> list[np.ndarray] | None:
+    """Zero cotangents of the sites of ``stack``, in compress's leg order."""
+    if stack is None:
+        return None
+    return [np.zeros(s.transpose(_COMPRESS_ORDER[side]).shape, complex) for s in stack.sites]
+
+
+def _taped_gather(stack: Chains | None, pos: np.ndarray, side: str, tape: Tape) -> Chains | None:
+    """:func:`_gather` for ``tape``, whose steps then read each gathered site
+    in compress's leg order."""
+    gathered = _gather(stack, pos)
+    if gathered is not None:
+        tape.relaid.update((id(s), (s, s.transpose(_COMPRESS_ORDER[side]))) for s in gathered.sites)
+    return gathered
+
+
+def _pull_gather(bar, gathered: Chains | None, pos: np.ndarray, tape: Tape, bars: dict) -> None:
+    """Scatter-add the cotangents of the ``gathered`` sites into ``bar``,
+    those of the stack they were gathered from at ``pos``."""
+    if gathered is None:
+        return
+    for acc, s in zip(bar, gathered.sites):
+        g = bars.get(id(tape.recorded(s)))
+        if g is not None:
+            np.add.at(acc, pos, g.reshape((len(pos),) + acc.shape[1:]))
+
+
+def _pull_row(grads, peps: Peps, tape: Tape, bars: dict, cfgs: np.ndarray, r: int) -> None:
+    """Add the cotangents of the projected sites of row ``r`` of ``cfgs``
+    into the physical slices of ``grads``."""
+    hot = cfgs[:, r * peps.cols : (r + 1) * peps.cols].T == np.arange(peps.phys_dim)[:, None, None]
+    for c, g in enumerate(grads[r]):
+        bar = bars.get(id(tape.leaves[(r, c)]))
+        if bar is not None:
+            g += (hot[:, c].astype(float) @ bar.reshape(len(cfgs), -1)).T.reshape(g.shape)
 
 
 def _gather(stack: Chains | None, pos: np.ndarray) -> Chains | None:
@@ -597,16 +775,19 @@ def _gather(stack: Chains | None, pos: np.ndarray) -> Chains | None:
     return Chains(list(range(len(pos))), [s[pos] for s in stack.sites], [stack.log[i] for i in pos.tolist()])
 
 
-def _stacked_row(peps: Peps, cfgs: np.ndarray, r: int) -> list[np.ndarray]:
+def _stacked_row(peps: Peps, cfgs: np.ndarray, r: int, tape: Tape | None = None) -> list[np.ndarray]:
     """:func:`_row` of each configuration of the table ``cfgs`` as one stack.
     Each chain's site is laid out as a slice of a site, as :func:`_row`
-    reads it, so products with an extent of 1 round as alone."""
+    reads it, so products with an extent of 1 round as alone. A ``tape``
+    keeps the projected sites as its leaves."""
     row = []
     for c, site in enumerate(peps.sites[r]):
         sliced = np.empty((len(cfgs),) + site.shape, site.dtype)
         sliced[..., 0] = site.transpose(4, 0, 1, 2, 3)[cfgs[:, r * peps.cols + c]]
         row.append(sliced[..., 0])
-    return _unroll_row(row) if peps.boundary == "pbc" else row
+    if tape is not None:
+        tape.leaves.update(((r, c), t) for c, t in enumerate(row))
+    return _unroll_row(row, tape) if peps.boundary == "pbc" else row
 
 
 def _stack_bytes(top: Chains | None, shapes: list[tuple], bottom: Chains | None) -> int:
@@ -640,21 +821,26 @@ def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.
     tape = Tape()
     amp = _schedule_amplitude(peps, cfg, plan.mid, plan.chi, tape)
     if amp.is_zero:
-        bars, tainted = {}, {id(t) for t in tape.leaves.values()}
+        bars, zeroed = {}, int(_row_sizes(peps, range(peps.rows))[-1])
     else:
         vec = tape.ops[-1][1][0]
         v = complex(vec.reshape(-1)[0]).conjugate()
         seed = np.zeros((2, vec.size), complex)
         seed[:, 0] = 1.0 / v, 1j / v  # cotangents of Re ln psi and arg psi
-        bars, tainted = tape.backward(seed.reshape((2,) + vec.shape))
-    parts, zeroed = [], 0
+        bars = tape.backward({id(vec): seed.reshape((2,) + vec.shape)})
+        # The compressions in order, top side first: a row feeds those of its side from its own on.
+        flags = [bool(f[0]) for f in tape.degenerate.values()]
+        zeroed = 0
+        for rows, side in ((range(plan.mid), flags[: plan.mid]),
+                           (range(peps.rows - 1, plan.mid, -1), flags[plan.mid :])):
+            if True in side:
+                zeroed += int(_row_sizes(peps, rows)[len(side) - 1 - side[::-1].index(True)])
+    parts = []
     for r in range(peps.rows):
         for c in range(peps.cols):
             leaf = tape.leaves[(r, c)]
             g = np.zeros((2,) + peps.sites[r][c].shape, complex)
-            if id(leaf) in tainted:
-                zeroed += 2 * leaf.size
-            elif id(leaf) in bars:
+            if id(leaf) in bars:
                 g[..., cfg[r * peps.cols + c]] = bars[id(leaf)].reshape(g.shape[:-1])
             parts += [(g[0].real + 1j * g[1].real).ravel(), (g[0].imag + 1j * g[1].imag).ravel()]
     return amp, np.concatenate(parts), zeroed

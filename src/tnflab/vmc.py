@@ -23,9 +23,11 @@ the bits it would compute itself.
 
 Gradients are defined for the fixed schedule only, where the
 amplitude is one deterministic, piecewise smooth function of the tensors.
-Its log-derivatives are exact reverse-mode derivatives
-(:func:`tnflab.peps.log_derivatives`): one taped contraction and one reverse
-pass per distinct configuration, while a byte-bounded memo holds it. Parameters of rows that feed a truncation
+The estimator needs one weighted sum of the log-derivatives, so it is one
+exact reverse-mode vector-Jacobian product of ``ln psi`` over the distinct
+configurations of the sample (:func:`tnflab.peps.fixed_table_vjp`): one
+taped walk and one reverse pass, no per-configuration derivatives and no
+memo of them. Parameters of rows that feed a truncation
 whose boundary singular values are degenerate (relative gap below
 :data:`tnflab.adjoint.TRUNCATION_GAP`), or a rank-deficient boundary, have no
 derivative there; they get 0 and are counted in
@@ -42,7 +44,6 @@ import numpy as np
 from .ed import Sector, sector_hamiltonian
 from .errors import NumericalAbortError
 from .models import Model, neel_config, nn_pairs
-from . import peps as peps_module
 from .peps import (
     DynamicCache,
     FixedEvaluator,
@@ -50,7 +51,7 @@ from .peps import (
     Peps,
     as_config,
     fixed_table,
-    log_derivatives,
+    fixed_table_vjp,
     peps_from_params,
     peps_to_params,
 )
@@ -361,69 +362,49 @@ def gradient_estimate(
 ) -> tuple[np.ndarray, GradientInfo]:
     """Energy gradient over the flattened parameters (fixed schedule only).
 
-    g_k = 2 Re(<E_loc O_k*> - <E_loc><O_k*>) with O_k = d ln psi / d theta_k the exact
-    reverse-mode log-derivative (:func:`tnflab.peps.log_derivatives`), computed once per
-    distinct configuration. ``sampling="enumerate"`` (small lattices and tests) weights each sector
-    configuration by ``|psi_k|^2``, with ``E_loc = (H psi)_k / psi_k`` and ``<E_loc>`` =
-    :func:`enumerate_energy`, all from one amplitude vector. ``"metropolis"`` averages
-    :func:`local_energy` over chain 0 of :func:`estimate_energy` with the same seed, from
-    the Neel configuration, on a model with the state's site count. A repeated configuration reuses its ``O_k``, bit for bit, from a
-    memo held under :data:`tnflab.peps.MEMO_MAX_BYTES`, which empties when a store would pass it.
-    ``zeroed_params`` sums, over samples, the parameters left at 0 because they feed a
-    degenerate truncation. A non-finite energy raises :class:`NumericalAbortError`.
+    g_k = 2 Re sum_n c_n conj(O_k(n)) with c_n = w_n (E_loc(n) - <E_loc>) / sum_n w_n and
+    O_k = d ln psi / d theta_k the exact reverse-mode log-derivative, over the distinct
+    configurations ``n`` of the sample: one vector-Jacobian product of ``ln psi`` seeded with
+    ``2 c_n``, which :func:`tnflab.peps.fixed_table_vjp` computes in one taped walk and one
+    reverse pass over the sample's table. ``sampling="enumerate"`` (small lattices and tests)
+    takes each sector configuration of nonzero weight ``w_n = |psi_n|^2``, with
+    ``E_loc = (H psi)_n / psi_n`` and ``<E_loc>`` = :func:`enumerate_energy`, all from one
+    amplitude vector. ``"metropolis"`` takes the distinct configurations of chain 0 of
+    :func:`estimate_energy` with the same seed, from the Neel configuration, on a model with
+    the state's site count, each weighted by its visit count; ``<E_loc>`` averages
+    :func:`local_energy` over the samples in chain order. ``zeroed_params`` sums, over
+    samples, the parameters left at 0 because they feed a degenerate truncation. A
+    non-finite energy raises :class:`NumericalAbortError`.
     """
     plan = FixedPlan.for_lattice(peps.rows, peps.cols, chi)
     if sampling == "enumerate":
         configs, psi, h_psi, e_mean = _sector_state(peps, model, plan)
         weights = np.abs(psi) ** 2
-        samples = ((configs[k], weights[k], h_psi[k] / psi[k]) for k in np.flatnonzero(weights))
+        live = np.flatnonzero(weights)
+        table, counts, w, e_loc = configs[live], np.ones(len(live), np.int64), weights[live], h_psi[live] / psi[live]
     elif sampling == "metropolis":
         n_warmup, cfg0 = _chain_args(peps, model, n_sweeps, n_warmup)
         chain = _chain_energies(FixedEvaluator(peps, plan), model, n_sweeps, n_warmup, seed, 0, cfg0)
-        samples = ((s.config, 1.0, e) for s, e in chain)
+        # E_loc is a pure function of the configuration on the fixed schedule: one per distinct one.
+        seen: dict[bytes, int] = {}
+        rows, energies, visits = [], [], []
+        sum_e = 0.0
+        for sample, e in chain:
+            k = seen.setdefault(sample.config.tobytes(), len(seen))
+            if k == len(rows):
+                rows.append(sample.config)
+                energies.append(e)
+                visits.append(0)
+            visits[k] += 1
+            sum_e += e.real
+        table, counts, e_loc = np.array(rows), np.array(visits), np.array(energies)
+        w, e_mean = counts.astype(float), sum_e / int(counts.sum())
     else:
         raise ValueError(f"unknown sampling {sampling!r}")
-
-    n_params = peps_to_params(peps).size
-    sum_w = 0.0
-    sum_e = 0.0
-    sum_o = np.zeros(n_params, dtype=complex)
-    sum_eo = np.zeros(n_params, dtype=complex)
-    zeroed = 0
-    n_samples = 0
-    # O_k(n) is a pure function of n. The memo counts each entry's key and
-    # O_k bytes, and a store that would pass peps.MEMO_MAX_BYTES empties it.
-    memo: dict[bytes, tuple[np.ndarray, int]] = {}
-    memo_bytes = 0
-    # E_loc is complex per configuration (only its average is real); the
-    # gradient needs the full complex value against O_k*.
-    for cfg, w, e in samples:
-        if (key := cfg.tobytes()) in memo:
-            o, z = memo[key]
-        else:
-            _, o, z = log_derivatives(peps, cfg, plan)
-            size = len(key) + o.nbytes
-            if memo_bytes + size <= peps_module.MEMO_MAX_BYTES:
-                memo[key] = o, z
-                memo_bytes += size
-            else:
-                memo, memo_bytes = {}, 0
-        oc = np.conj(o)
-        sum_w += w
-        sum_e += w * e.real
-        sum_o += w * oc
-        sum_eo += w * e * oc
-        zeroed += z
-        n_samples += 1
-
-    if sampling == "metropolis":
-        e_mean = sum_e / sum_w
     if not math.isfinite(e_mean):
         raise NumericalAbortError(f"energy estimate is not finite: {e_mean}")
-    o_mean = sum_o / sum_w
-    eo_mean = sum_eo / sum_w
-    grad = 2.0 * np.real(eo_mean - e_mean * o_mean)
-    return grad, GradientInfo(energy=e_mean, n_samples=n_samples, zeroed_params=zeroed)
+    grad, zeroed = fixed_table_vjp(peps, plan, table, 2.0 * w * (e_loc - e_mean) / w.sum())
+    return grad, GradientInfo(energy=e_mean, n_samples=int(counts.sum()), zeroed_params=int(counts @ zeroed))
 
 
 def sgd_optimize(

@@ -102,6 +102,15 @@ class TestBitVec:
         with pytest.raises(ValueError):
             BitVec.from_int(8, 3)
 
+    @pytest.mark.parametrize("bit", [True, False, 0.0, 1.0, 0, 1])
+    def test_bits_equal_to_0_or_1_accepted(self, bit):
+        assert BitVec((1, bit, 0)).bits == (1, bit, 0)
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5, float("nan"), "1", None])
+    def test_other_bits_rejected(self, bit):
+        with pytest.raises(ValueError, match="0 or 1"):
+            BitVec((0, bit, 1))
+
 
 class TestAdders:
     def test_half_adder_truth_table(self):

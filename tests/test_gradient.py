@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 import tnflab.peps
 import tnflab.vmc
+import tnflab.ed
+from tnflab.adjoint import Tape
 from tnflab.errors import NumericalAbortError
 from tnflab.models import heisenberg, neel_config
 from tnflab.peps import (
     FixedEvaluator,
     FixedPlan,
+    fixed_table_vjp,
     log_derivatives,
     peps_from_params,
     peps_to_params,
@@ -240,6 +243,132 @@ def test_rank_deficient_boundaries_zero_their_rows():
     assert np.max(np.abs(o[size[0] : size[0] + size[1]] - want) / np.maximum(1.0, np.abs(want))) < 1e-6
 
 
+def oracle_table_gradient(peps, plan, table, cotangent):
+    """``fixed_table_vjp`` the per-configuration way: ``Re conj(c) O_k`` of
+    each row's :func:`log_derivatives`, summed in order, and each row's
+    zeroed count."""
+    grad, zeroed = np.zeros(peps_to_params(peps).size), []
+    for cfg, c in zip(table, cotangent):
+        _, o, z = log_derivatives(peps, cfg, plan)
+        grad += np.real(np.conj(c) * o)
+        zeroed.append(z)
+    return grad, np.array(zeroed)
+
+
+def oracle_enumerate_gradient(peps, model, chi):
+    """The enumerated gradient with every sector configuration's derivatives
+    taken afresh, summed in sector order."""
+    plan = FixedPlan.for_lattice(peps.rows, peps.cols, chi)
+    configs, psi, h_psi, e_mean = tnflab.vmc._sector_state(peps, model, plan)
+    n_params = peps_to_params(peps).size
+    sum_w, zeroed, n = 0.0, 0, 0
+    sum_o = np.zeros(n_params, dtype=complex)
+    sum_eo = np.zeros(n_params, dtype=complex)
+    for k in np.flatnonzero(np.abs(psi) ** 2):
+        w, e = abs(psi[k]) ** 2, h_psi[k] / psi[k]
+        _, o, z = log_derivatives(peps, configs[k], plan)
+        sum_w += w
+        sum_o += w * np.conj(o)
+        sum_eo += w * e * np.conj(o)
+        zeroed += z
+        n += 1
+    grad = 2.0 * np.real(sum_eo / sum_w - e_mean * (sum_o / sum_w))
+    return grad, GradientInfo(energy=e_mean, n_samples=n, zeroed_params=zeroed)
+
+
+def assert_close_gradient(got, want):
+    """``(gradient, info)`` pairs: the gradients within ``1e-10 * max|g|``, the
+    infos equal."""
+    (g, info), (g_want, info_want) = got, want
+    assert info == info_want
+    assert np.max(np.abs(g - g_want)) <= 1e-10 * np.max(np.abs(g_want))
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_table_pass_matches_the_per_configuration_oracle(data):
+    """One taped walk over a random table with repeats, against the sum of
+    each row's log-derivatives: open and periodic lattices up to 3x3, D 1-3,
+    chi 1-4, phys_dim 2 and 3, each closure row."""
+    rows = data.draw(st.integers(1, 3), label="rows")
+    cols = data.draw(st.integers(1, 3), label="cols")
+    boundary = data.draw(st.sampled_from(("obc", "pbc")), label="boundary")
+    bond = data.draw(st.integers(1, 2 if boundary == "pbc" and rows * cols > 4 else 3), label="bond")
+    chi = data.draw(st.integers(1, 4), label="chi")
+    phys = data.draw(st.integers(2, 3), label="phys_dim")
+    mid = data.draw(st.integers(0, rows - 1), label="mid")
+    seed = data.draw(st.integers(0, 999), label="seed")
+    p = random_peps(rows, cols, phys, bond, seed=seed, boundary=boundary)
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, phys, size=(data.draw(st.integers(1, 12), label="n"), rows * cols))
+    table = table[rng.integers(0, len(table), size=len(table) + 4)]
+    cotangent = rng.standard_normal(len(table)) + 1j * rng.standard_normal(len(table))
+    plan = FixedPlan(rows, cols, chi, mid)
+    g, zeroed = fixed_table_vjp(p, plan, table, cotangent)
+    want, want_zeroed = oracle_table_gradient(p, plan, table, cotangent)
+    assert np.array_equal(zeroed, want_zeroed)
+    assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def zero_padded_state(seed):
+    """A 3x3 D=1 state zero-padded to D=2: rank-deficient boundaries."""
+    p = random_peps(3, 3, 2, 2, seed=seed)
+    for row in p.sites:
+        for t in row:
+            for axis in range(4):
+                t[(slice(None),) * axis + (slice(1, None),)] = 0.0
+    return p
+
+
+def half_padded_state(seed):
+    """A 3x3 D=2 state whose sites read at physical value 0 are zero-padded
+    D=1 tensors: stacks mix degenerate and regular chains."""
+    p = random_peps(3, 3, 2, 2, seed=seed)
+    for row in p.sites:
+        for t in row:
+            for axis in range(4):
+                t[(slice(None),) * axis + (slice(1, None),) + (slice(None),) * (3 - axis) + (0,)] = 0.0
+    return p
+
+
+def holed_state():
+    """A 3x3 state whose site (1, 1) reads 0 at physical value 1: every
+    configuration with that spin up has amplitude 0."""
+    p = random_peps(3, 3, 2, 2, seed=4)
+    p.sites[1][1][..., 1] = 0.0
+    return p
+
+
+FIXED_CASES = [
+    pytest.param(holed_state, 2, id="zero amplitudes"),
+    pytest.param(lambda: degenerate_row_state((1.0, 1.0, 0.5), seed=5), 1, id="degenerate truncation"),
+    pytest.param(lambda: zero_padded_state(8), 2, id="zero-padded D1 to D2"),
+    pytest.param(lambda: half_padded_state(8), 2, id="zero-padded on one spin"),
+]
+
+
+@pytest.mark.parametrize("make,chi", FIXED_CASES)
+def test_table_pass_zeroes_what_the_oracle_zeroes(make, chi):
+    """Zero amplitudes, a degenerate truncation and rank-deficient boundaries:
+    each row's zeroed count, the gradient and its exact zeros are the
+    per-configuration oracle's, in a table and in both estimators."""
+    p = make()
+    m = heisenberg(p.rows, p.cols)
+    plan = FixedPlan.for_lattice(p.rows, p.cols, chi)
+    table = tnflab.ed.Sector(p.n_sites).configs
+    cotangent = np.random.default_rng(1).standard_normal(len(table)) + 0.5j
+    g, zeroed = fixed_table_vjp(p, plan, table, cotangent)
+    want, want_zeroed = oracle_table_gradient(p, plan, table, cotangent)
+    assert np.array_equal(zeroed, want_zeroed) and zeroed.any()
+    assert np.array_equal(g == 0, want == 0)
+    assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+    for got, want in ((gradient_estimate(p, m, chi, sampling="enumerate"), oracle_enumerate_gradient(p, m, chi)),
+                      (gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=2),
+                       oracle_metropolis_gradient(p, m, chi, 30, 10, 2))):
+        assert_close_gradient(got, want)
+        assert np.array_equal(got[0] == 0, want[0] == 0)
+
+
 # 30 sweeps, 10 of them warm-up: 20 samples of 4, 8 and 5 distinct configurations.
 REVISITING_CHAINS = [
     pytest.param(2, 2, "obc", 2, 4, 3, id="2x2 obc D2 chi4"),
@@ -250,63 +379,72 @@ REVISITING_CHAINS = [
 
 @pytest.mark.parametrize("rows,cols,boundary,bond,chi,seed", REVISITING_CHAINS)
 def test_probes_once_per_distinct_configuration(monkeypatch, rows, cols, boundary, bond, chi, seed):
-    """Each distinct sampled configuration costs one taped contraction and
-    no patched amplitude; a repeated configuration costs nothing."""
+    """The Metropolis gradient makes no taped single-configuration
+    contraction and no patched amplitude: one taped walk closes each
+    distinct sampled configuration once, and each taped slice of it (the one
+    top row's absorb, the one closure stack) gets one reverse pass."""
     m = heisenberg(rows, cols, boundary)
     p = random_peps(rows, cols, 2, bond, seed=seed, boundary=boundary)
     samples = [cfg.tobytes() for cfg, _ in chain_configs(p, m, chi, 30, 10, seed)]
     assert len(set(samples)) < len(samples), "the chain must revisit configurations"
-    taped, patched = Counter(), Counter()
-    forward = tnflab.peps._schedule_amplitude
+    calls = Counter()
+    forward, absorb, close = tnflab.peps._schedule_amplitude, tnflab.peps.boundary_absorb, tnflab.peps._close_strip
+    backward = Tape.backward
 
     def counted(peps, n, mid, chi, tape=None):
-        if tape is not None:
-            taped[n.tobytes()] += 1
+        calls["single taped"] += tape is not None
         return forward(peps, n, mid, chi, tape)
 
+    def absorbed(stack, row, chi, side="top", tape=None):
+        calls["taped absorbs"] += tape is not None
+        return absorb(stack, row, chi, side, tape)
+
+    def closed(top, mid, bottom, tape=None):
+        if tape is not None:
+            calls["taped closures"] += 1
+            calls["closed"] += len(mid[0])
+        return close(top, mid, bottom, tape)
+
+    def pulled(self, seeds):
+        calls["reverse passes"] += 1
+        return backward(self, seeds)
+
     def probe(self, n, *args, **kwargs):
-        patched[n.tobytes()] += 1
+        calls["patched"] += 1
 
     monkeypatch.setattr(tnflab.peps, "_schedule_amplitude", counted)
+    monkeypatch.setattr(tnflab.peps, "boundary_absorb", absorbed)
+    monkeypatch.setattr(tnflab.peps, "_close_strip", closed)
+    monkeypatch.setattr(Tape, "backward", pulled)
     monkeypatch.setattr(FixedEvaluator, "amplitude_with_site", probe)
     gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
-    assert taped == {cfg: 1 for cfg in set(samples)}
-    assert not patched
+    assert calls == {"taped absorbs": 1, "taped closures": 1, "closed": len(set(samples)), "reverse passes": 2}
 
 
 @pytest.mark.parametrize("rows,cols,boundary,bond,chi,seed", REVISITING_CHAINS)
 def test_revisiting_chain_matches_the_per_sample_oracle(rows, cols, boundary, bond, chi, seed):
-    """Reusing O_k(n) for a repeated configuration gives the bits of taking
-    every sample's derivatives afresh."""
+    """Weighting each distinct configuration by its visits gives the
+    gradient of taking every sample's derivatives afresh, to rounding (the
+    sums run in another order), and the same energy, sample count and
+    zeroed count."""
     m = heisenberg(rows, cols, boundary)
     p = random_peps(rows, cols, 2, bond, seed=seed, boundary=boundary)
-    g, info = gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
-    want, want_info = oracle_metropolis_gradient(p, m, chi, 30, 10, seed)
-    assert g.tobytes() == want.tobytes()
-    assert info == want_info
+    assert_close_gradient(gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed),
+                          oracle_metropolis_gradient(p, m, chi, 30, 10, seed))
 
 
-@pytest.mark.parametrize("rows,cols,boundary,bond,chi,seed", REVISITING_CHAINS)
-def test_bounded_derivative_memo_keeps_the_gradient(monkeypatch, rows, cols, boundary, bond, chi, seed):
-    """A budget of two configurations' ``O_k`` empties the derivative memo
-    along the way, so repeated configurations are taped again; the gradient
-    bytes and ``zeroed_params`` stay those of the unbounded memo."""
-    m = heisenberg(rows, cols, boundary)
-    p = random_peps(rows, cols, 2, bond, seed=seed, boundary=boundary)
-    want, want_info = gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
-    taped, forward = [0], tnflab.peps._schedule_amplitude
-
-    def counted(peps, n, mid, chi, tape=None):
-        taped[0] += tape is not None
-        return forward(peps, n, mid, chi, tape)
-
-    monkeypatch.setattr(tnflab.peps, "_schedule_amplitude", counted)
-    monkeypatch.setattr(tnflab.peps, "MEMO_MAX_BYTES", 2 * (peps_to_params(p).size * 16 + 8 * rows * cols))
-    g, info = gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=seed)
-    assert g.tobytes() == want.tobytes()
-    assert info == want_info
-    distinct = {cfg.tobytes() for cfg, _ in chain_configs(p, m, chi, 30, 10, seed)}
-    assert taped[0] > len(distinct)
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+@pytest.mark.parametrize("bond", [2, 3])
+def test_both_samplings_match_the_oracle_on_3x3(boundary, bond):
+    """3x3 simple-update states at chi 1-4: both estimators against the
+    per-configuration oracle."""
+    m = heisenberg(3, 3, boundary)
+    p = simple_update(random_peps(3, 3, 2, bond, seed=bond, boundary=boundary), m, tau=0.05, steps=20)
+    for chi in (1, 2, 3, 4):
+        assert_close_gradient(gradient_estimate(p, m, chi, sampling="enumerate"),
+                              oracle_enumerate_gradient(p, m, chi))
+        assert_close_gradient(gradient_estimate(p, m, chi, n_sweeps=30, n_warmup=10, seed=chi),
+                              oracle_metropolis_gradient(p, m, chi, 30, 10, chi))
 
 
 class TestGradient:

@@ -150,16 +150,60 @@ def test_stacked_compress_matches_each_chain_alone():
                 assert float(part.log[j]).hex() == log.hex()
 
 
-def test_tape_records_a_stack_of_one_only():
-    """A tape follows one chain; a stack of two raises before anything is recorded."""
+def test_tape_records_each_part_of_a_stack():
+    """A taped stack that splits by kept rank records one step per swept
+    part, with a degeneracy flag per chain, and none for its zero chain;
+    pulled back, each chain gets the cotangents it gets taped alone."""
     rng = np.random.default_rng(8)
-    stack = [np.stack(sites) for sites in zip(*(random_mps(rng, 4, 2, 2) for _ in range(2)))]
+    entangled = [random_mps(rng, 4, 2, 2) for _ in range(2)]
+    product = [np.zeros_like(s) for s in entangled[0]]
+    for s in product:
+        s[0, :, 0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    chains = [entangled[0], product, [np.zeros_like(s) for s in entangled[0]], entangled[1]]
+    stack = [np.stack(sites) for sites in zip(*chains)]
     tape = Tape()
-    with pytest.raises(ValueError, match="stack of one"):
-        compress(stack, 2, tape)
-    assert tape.ops == []
-    compress([s[:1] for s in stack], 2, tape)
-    assert len(tape.ops) == 1
+    parts = compress(stack, 2, tape)
+    swept = [part for part in parts if 2 not in part.rows]
+    assert len(swept) == 2 and len(tape.ops) == 2
+    flags = {tuple(part.rows): tape.degenerate[id(part.sites[0])].tolist() for part in swept}
+    assert flags == {(0, 3): [False, False], (1,): [True]}
+    seeds = {id(s): rng.standard_normal((1,) + s.shape) + 0j for part in swept for s in part.sites}
+    bars = tape.backward(seeds)
+    for part in swept:
+        for j, row in enumerate(part.rows):
+            alone = Tape()
+            [one] = compress([s[row : row + 1] for s in stack], 2, alone)
+            want = alone.backward({id(a): seeds[id(s)][:, j : j + 1] for a, s in zip(one.sites, part.sites)})
+            for site, a in zip(stack, alone.ops[0][0]):
+                got = bars[id(site)].reshape((1,) + site.shape)[:, row]
+                if id(a) not in want:
+                    assert not np.any(got)
+                else:
+                    assert np.allclose(got, want[id(a)].reshape(got.shape), rtol=1e-12, atol=1e-12)
+    assert not np.any(bars[id(stack[0])].reshape((1,) + stack[0].shape)[:, 2])
+
+
+def test_tape_pulls_back_a_part_with_a_singular_chain():
+    """At chi=1 a zero-padded chain, whose QR factors are singular, shares a
+    part with a regular one: it is flagged and gets no cotangent, and the
+    regular chain gets the cotangents it gets taped alone."""
+    rng = np.random.default_rng(0)
+    regular = random_mps(rng, 3, 2, 3)
+    padded = [s.copy() for s in random_mps(rng, 3, 2, 3)]
+    padded[0][..., 1:] = padded[1][1:] = padded[1][..., 1:] = padded[2][1:] = 0
+    stack = [np.stack(sites) for sites in zip(regular, padded)]
+    tape = Tape()
+    [part] = compress(stack, 1, tape)
+    assert tape.degenerate[id(part.sites[0])].tolist() == [False, True]
+    seeds = {id(s): rng.standard_normal((1,) + s.shape) + 0j for s in part.sites}
+    bars = tape.backward(seeds)
+    alone = Tape()
+    [one] = compress([s[:1] for s in stack], 1, alone)
+    want = alone.backward({id(a): seeds[id(s)][:, :1] for a, s in zip(one.sites, part.sites)})
+    for site, a in zip(stack, alone.ops[0][0]):
+        got = bars[id(site)].reshape((1,) + site.shape)
+        assert not np.any(got[:, 1])
+        assert np.allclose(got[:, 0], want[id(a)].reshape(got[:, 0].shape), rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)

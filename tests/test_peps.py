@@ -656,6 +656,33 @@ def test_stacked_misses_close_one_stack_per_row_and_shape(monkeypatch):
     assert sizes == [8, 8, 8]
 
 
+def half_padded_state(seed):
+    """A 3x3 D=2 state whose sites read at physical value 0 are zero-padded
+    D=1 tensors: a boundary's kept rank depends on its spins, so the walk's
+    stacks split into parts of several ranks."""
+    p = random_peps(3, 3, 2, 2, seed=seed)
+    for row in p.sites:
+        for t in row:
+            for axis in range(4):
+                t[(slice(None),) * axis + (slice(1, None),) + (slice(None),) * (3 - axis) + (0,)] = 0.0
+    return p
+
+
+def test_fixed_table_closes_against_bottom_parts_of_several_ranks():
+    """Every closure stack reads one bottom part, also where the bottom
+    boundaries split by kept rank: the sector table gets the bits of
+    ``amplitude_fixed`` at every closure row and chi 1-4."""
+    p = half_padded_state(8)
+    configs = Sector(9).configs
+    for mid, chi in itertools.product(range(3), range(1, 5)):
+        plan = FixedPlan(3, 3, chi, mid)
+        bottoms = peps_module._bottoms(p, plan, as_configs(configs, 9, 2))[2]
+        if mid == 0 and chi == 2:
+            assert len({b.sites[0].shape for b in bottoms}) > 1
+        got = table_bits(fixed_table(p, plan, configs))
+        assert got == [exact_bits(amplitude_fixed(p, n, plan)) for n in configs], (mid, chi)
+
+
 @pytest.mark.parametrize("bad", [0.9, math.nan, 2, "width"])
 def test_fixed_table_rejects_a_bad_table_whole(bad):
     """A bad entry anywhere, or rows of the wrong width, raise one

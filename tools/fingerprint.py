@@ -1,6 +1,6 @@
 """Print one SHA-256 over the library's outputs, to check bit identity.
 
-    python tools/fingerprint.py [--src DIR]
+    python tools/fingerprint.py [--src DIR] [--items FILE]
 
 Imports ``tnflab`` from ``DIR`` (default: the ``src`` directory of this
 checkout) and hashes, in a fixed order, the exact bits of:
@@ -40,11 +40,14 @@ all items. Run it with ``--src`` at two commits: equal hashes mean the two
 builds give the same bits on every item, and the part lines say where they
 differ. It calls only long-standing public signatures and command-line
 flags, so one copy of this script serves both sides. It takes about 25 s on
-one core of a 2-vCPU Xeon VM.
+one core of a 2-vCPU Xeon VM. ``--items FILE`` also writes one line per item,
+its label and the SHA-256 of its payload, so ``diff`` of two commits' files
+names the items that moved.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -63,16 +66,19 @@ class Digest:
     """SHA-256 over a sequence of items, with an item count, and one more
     SHA-256 over the items of the current part."""
 
-    def __init__(self):
+    def __init__(self, items=None):
         self.sha = hashlib.sha256()
         self.part = hashlib.sha256()
         self.count = 0
+        self.items = items
 
     def add(self, label: str, payload: bytes) -> None:
         item = label.encode() + b"\0" + payload + b"\n"
         self.sha.update(item)
         self.part.update(item)
         self.count += 1
+        if self.items is not None:
+            self.items.write(f"{label} {hashlib.sha256(payload).hexdigest()}\n")
 
     def amp(self, label: str, a) -> None:
         m = complex(a.mantissa)
@@ -344,15 +350,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                     help="directory that holds the tnflab package")
+    ap.add_argument("--items", type=Path, help="also write each item's label and payload SHA-256 here")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
     import tnflab as tnf
 
-    d = Digest()
-    for part in (lattice_items, floquet_items, entanglement_items, vmc_items, circuit_items, cli_items):
-        d.part = hashlib.sha256()
-        part(d, tnf)
-        print(f"sha256 {part.__name__.removesuffix('_items')} {d.part.hexdigest()}")
+    with open(args.items, "w") if args.items else contextlib.nullcontext() as items:
+        d = Digest(items)
+        for part in (lattice_items, floquet_items, entanglement_items, vmc_items, circuit_items, cli_items):
+            d.part = hashlib.sha256()
+            part(d, tnf)
+            print(f"sha256 {part.__name__.removesuffix('_items')} {d.part.hexdigest()}")
     print(f"items {d.count}")
     print(f"sha256 {d.sha.hexdigest()}")
     return 0
