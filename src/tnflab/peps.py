@@ -28,15 +28,17 @@ paired into the boundary physical legs until the final closure.
 The boundary engine (:func:`boundary_absorb` and the strip closure) works on
 stacks: every array carries a leading axis over independent contractions,
 each of which gets the bits it gets alone. A single evaluation is a stack of
-one, whose products run on plain 2-D matrices; :func:`fixed_table`, the one
+one, whose products run on plain 2-D matrices. :func:`fixed_table`, the one
 walk behind every enumeration (sector energies, the Floquet transverse
 tables), stacks every distinct prefix of a level and every closure into
-one amplitude table, and :func:`fixed_table_vjp` tapes the same walk for one
-reverse pass over it (the gradient estimators'); the evaluators' memo closes the misses of a table of
-configurations (a Monte Carlo sample's neighbours, each at its own closure
-row) in one closure per closure row and boundary shape. Boundaries keep
-their legs in the order the next contraction reads them, so memoized and
-gathered ones are read without a copy.
+one amplitude table; :func:`fixed_table_vjp` (the gradient estimators') is
+that walk with a tape per slice, each pulled back as the walk goes. It walks
+the bottom side twice by design: untaped for the kept bottom boundaries,
+then taped for the reverse pass. The evaluators' memo closes the misses of
+a table of configurations (a Monte Carlo sample's neighbours, each at its
+own closure row) in one closure per closure row and boundary shape.
+Boundaries keep their legs in the order the next contraction reads them, so
+memoized and gathered ones are read without a copy.
 """
 from __future__ import annotations
 
@@ -513,24 +515,16 @@ def fixed_table(peps: Peps, plan: FixedPlan, configs) -> tuple[np.ndarray, np.nd
     bit for bit, as an amplitude table (see :mod:`tnflab.tensor`).
 
     The configurations share the plan's schedule, so one walk on the stacked
-    engine absorbs each distinct prefix of rows ``0 .. mid-1`` and each
-    distinct suffix of rows ``mid+1 ..`` once, then gathers each
-    configuration's two boundaries by index and closes them in stacked
-    closures. Every distinct bottom boundary is kept; the top side runs depth
-    first and closes as it goes. A stack holds as many chains as fit a
-    ``rows``-th of :data:`BLOCK_BYTES` at its own shapes, and at least one.
-    The table is read by :func:`tnflab.mps.as_configs`.
+    engine (:func:`_walk`) absorbs each distinct prefix of rows
+    ``0 .. mid-1`` and each distinct suffix of rows ``mid+1 ..`` once, then
+    gathers each configuration's two boundaries by index and closes them in
+    stacked closures. Every distinct bottom boundary is kept; the top side
+    runs depth first and closes as it goes. A stack holds as many chains as
+    fit a ``rows``-th of :data:`BLOCK_BYTES` at its own shapes, and at least
+    one. The table is read by :func:`tnflab.mps.as_configs`.
     """
     _check_plan(peps, plan)
-    table = as_configs(configs, peps.n_sites, peps.phys_dim)
-    b_part, b_pos, bottoms = _bottoms(peps, plan, table)
-    mantissa, log_scale = np.empty(len(table), complex), np.empty(len(table))
-    for top, pos, cfgs in _walk(peps, table, range(plan.mid), plan.chi, "top"):
-        for part, at, picked in _closure_cuts(peps, plan, top, pos, cfgs, b_part, bottoms):
-            closed = _close_strip(_gather(top, at), _stacked_row(peps, table[picked], plan.mid),
-                                  _gather(bottoms[part], b_pos[picked]))
-            mantissa[picked], log_scale[picked] = table_from_parts(*closed)
-    return mantissa, log_scale
+    return _table(peps, plan, as_configs(configs, peps.n_sites, peps.phys_dim))[:2]
 
 
 def fixed_table_vjp(peps: Peps, plan: FixedPlan, configs, cotangent) -> tuple[np.ndarray, np.ndarray]:
@@ -542,35 +536,59 @@ def fixed_table_vjp(peps: Peps, plan: FixedPlan, configs, cotangent) -> tuple[np
     truncation of that row's own contraction, and all of them for a zero
     amplitude (which contributes nothing).
 
-    One taped walk of :func:`fixed_table`'s schedule and one reverse pass
-    over it, per top slice as the walk goes: each closure stack is pulled
-    back once, a gather pulls back as a scatter-add into its parent stack,
-    each distinct prefix boundary is pulled back once with the summed
-    cotangent of its children, and a projected row into the physical slices
-    of its site tensors. The bottom side runs again, taped, after the top.
-    Each configuration's degenerate truncations drop only its own
+    :func:`fixed_table`'s walk and closures with a tape per absorb slice and
+    per closure stack, each pulled back right after its children (see
+    :func:`_walk`): a gather pulls back as a scatter-add into its parent
+    stack, each distinct prefix boundary once with the summed cotangent of
+    its children, and a projected row into the physical slices of its site
+    tensors. The kept bottom boundaries hold no tape, which bounds memory, so
+    the bottom side is walked twice: untaped for them, and taped after the
+    top. Each configuration's degenerate truncations drop only its own
     contributions. The sum runs in another order than one reverse pass per
-    configuration, so the bits differ from that sum's.
+    configuration, so the bits differ from that sum's. ``cotangent`` holds
+    one finite number per table row, else ``ValueError`` is raised before any
+    contraction.
     """
     _check_plan(peps, plan)
     table = as_configs(configs, peps.n_sites, peps.phys_dim)
-    cotangent = np.asarray(cotangent, complex).reshape(len(table))
+    seed = np.asarray(cotangent)
+    if seed.shape != (len(table),) or seed.dtype.kind not in "iufc" or not np.isfinite(seed).all():
+        raise ValueError(f"cotangent must hold one finite number per table row ({len(table)})")
     grads = [[np.zeros(t.shape, complex) for t in row] for row in peps.sites]
-    b_part, b_pos, bottoms = _bottoms(peps, plan, table)
-    b_bars = [_zero_bars(bottom, "bottom") for bottom in bottoms]
-    zeroed, dead = np.zeros(len(table), np.int64), np.zeros(len(table), bool)
+    zeroed = _table(peps, plan, table, grads, seed.astype(complex))[2]
+    return np.concatenate([p for row in grads for g in row for p in (g.real.ravel(), g.imag.ravel())]), zeroed
+
+
+def _table(peps: Peps, plan: FixedPlan, table: np.ndarray, grads=None, cotangent=None):
+    """:func:`fixed_table` of the checked ``table``, and ``None``. Given
+    ``grads`` (one zero array per site), also :func:`fixed_table_vjp` of
+    ``cotangent``: its cotangents are added into ``grads``, and each row's
+    zeroed count comes third."""
+    (b_part, b_pos), bottoms, below = np.zeros((2, len(table)), np.int64), [], range(peps.rows - 1, plan.mid, -1)
+
+    def keep(bottom, pos, cfgs, _):  # every distinct bottom boundary, and where each row's is
+        b_part[cfgs], b_pos[cfgs] = len(bottoms), pos
+        bottoms.append(bottom)
+
+    _walk(peps, table, below, plan.chi, "bottom", keep)
+    mantissa, log_scale = np.empty(len(table), complex), np.empty(len(table))
+    shapes = [t.shape[1:] for t in _row(peps, np.zeros(peps.n_sites, int), plan.mid)]
+    if grads is not None:
+        b_bars = [_zero_bars(bottom, "bottom") for bottom in bottoms]
+        zeroed = np.zeros(len(table), np.int64)
 
     def close(top, pos, cfgs, top_zeroed):
-        zeroed[cfgs] = top_zeroed[pos]
-        bar = _zero_bars(top, "top")
-        for part, at, picked in _closure_cuts(peps, plan, top, pos, cfgs, b_part, bottoms):
-            tape = Tape()
-            ends = _taped_gather(top, at, "top", tape), _taped_gather(bottoms[part], b_pos[picked], "bottom", tape)
-            values, _ = _close_strip(ends[0], _stacked_row(peps, table[picked], plan.mid, tape), ends[1], tape)
-            live = values != 0
-            dead[picked] = ~live
-            if not live.any():
+        bar = None if grads is None else _zero_bars(top, "top")
+        if grads is not None:
+            zeroed[cfgs] = top_zeroed[pos]
+        for part, at, picked in _closure_cuts(peps, shapes, top, pos, cfgs, b_part, bottoms):
+            tape = None if grads is None else Tape()
+            ends = _gather(top, at, "top", tape), _gather(bottoms[part], b_pos[picked], "bottom", tape)
+            values, logs = _close_strip(ends[0], _stacked_row(peps, table[picked], plan.mid, tape), ends[1], tape)
+            mantissa[picked], log_scale[picked] = table_from_parts(values, logs)
+            if tape is None or not values.any():
                 continue
+            live = values != 0
             vec = tape.ops[-1][1][0]
             seed = np.where(live, cotangent[picked], 0) / np.conj(np.where(live, values, 1))
             bars = tape.backward({id(vec): seed.reshape((1,) + vec.shape)})
@@ -581,36 +599,27 @@ def fixed_table_vjp(peps: Peps, plan: FixedPlan, configs, cotangent) -> tuple[np
 
     def reopen(bottom, pos, cfgs, bottom_zeroed):
         zeroed[cfgs] += bottom_zeroed[pos]
-        return b_bars[b_part[cfgs[0]]]
+        return None if bottom is None else b_bars[b_part[cfgs[0]]]
 
-    _walk_back(peps, table, range(plan.mid), plan.chi, "top", grads, close)
-    _walk_back(peps, table, range(peps.rows - 1, plan.mid, -1), plan.chi, "bottom", grads, reopen)
-    zeroed[dead] = _row_sizes(peps, range(peps.rows))[-1]
-    return np.concatenate([p for row in grads for g in row for p in (g.real.ravel(), g.imag.ravel())]), zeroed
-
-
-def _bottoms(peps: Peps, plan: FixedPlan, table: np.ndarray):
-    """Every distinct bottom boundary of the checked ``table`` under
-    ``plan``, as the stacks of its walk, and per configuration the stack
-    that holds its boundary and the place in it."""
-    (b_part, b_pos), bottoms = np.zeros((2, len(table)), np.int64), []
-    for bottom, pos, cfgs in _walk(peps, table, range(peps.rows - 1, plan.mid, -1), plan.chi, "bottom"):
-        b_part[cfgs], b_pos[cfgs] = len(bottoms), pos
-        bottoms.append(bottom)
-    return b_part, b_pos, bottoms
+    _walk(peps, table, range(plan.mid), plan.chi, "top", close, grads)
+    if grads is None:
+        return mantissa, log_scale, None
+    _walk(peps, table, below, plan.chi, "bottom", reopen, grads)
+    zeroed[mantissa == 0] = _row_sizes(peps, range(peps.rows))[-1]
+    return mantissa, log_scale, zeroed
 
 
-def _closure_cuts(peps: Peps, plan: FixedPlan, top, pos, cfgs, b_part, bottoms):
+def _closure_cuts(peps: Peps, shapes: list[tuple], top, pos, cfgs, b_part, bottoms):
     """The closure stacks of the configurations ``cfgs`` under the top stack
-    ``top`` (``pos`` their places in it): per stack, the bottom part it
-    reads, and the places and table rows of its configurations."""
-    shapes = [t.shape[1:] for t in _row(peps, np.zeros(peps.n_sites, int), plan.mid)]
+    ``top`` (``pos`` their places in it) on a middle row of site shapes
+    ``shapes``: per stack, the bottom part it reads, and the places and
+    table rows of its configurations."""
     order = np.argsort(b_part[cfgs], kind="stable")  # a closure stack reads one bottom part
     pos, cfgs = pos[order], cfgs[order]
     edges = np.flatnonzero(np.diff(b_part[cfgs], prepend=-1, append=-1)).tolist()
     for lo, hi in zip(edges, edges[1:]):
         part = b_part[cfgs[lo]]
-        step = max(1, BLOCK_BYTES // peps.rows // _stack_bytes(top, shapes, bottoms[part]))
+        step = _stack_size(peps, top, shapes, bottoms[part])
         for k in range(lo, hi, step):
             cut = slice(k, min(k + step, hi))
             yield part, pos[cut], cfgs[cut]
@@ -654,74 +663,54 @@ def _children(first: np.ndarray, stack: Chains | None) -> tuple[np.ndarray, np.n
     return pos, np.arange(len(pos)) + (lo - np.cumsum(n) + n)[pos]
 
 
-def _slice_size(peps: Peps, stack: Chains | None, shapes: list[tuple], side: str) -> int:
-    """How many children of ``stack`` one absorb of a row of site shapes
-    ``shapes`` takes: a ``rows``-th of :data:`BLOCK_BYTES`, and at least one."""
-    ends = (stack, None) if side == "top" else (None, stack)
-    return max(1, BLOCK_BYTES // peps.rows // _stack_bytes(ends[0], shapes, ends[1]))
-
-
-def _walk(peps: Peps, table: np.ndarray, rows: range, chi: int, side: str):
+def _walk(peps: Peps, table: np.ndarray, rows: range, chi: int, side: str, last, grads=None):
     """Depth first over the distinct prefixes of the table along ``rows``
-    (see :func:`_levels`), yielding each stack of the last level's
-    boundaries (``None`` for no rows), the configurations under it and the
-    place of each one's boundary in it.
+    (see :func:`_levels`), calling ``last(stack, pos, cfgs, zeroed)`` on each
+    stack of the last level's boundaries (``None`` for no rows), with the
+    place of each configuration's boundary in it and the configurations
+    under it.
 
-    A level absorbs a stack's children in slices (:func:`_slice_size`), last
-    in first out, so a level holds one slice's boundaries at a time.
+    A level absorbs a stack's children in slices of :func:`_stack_size`, in
+    order, so a level holds one slice's boundaries at a time. Given
+    ``grads``, each slice is taped and pulled back right after its children:
+    ``zeroed`` holds each boundary's zeroed-parameter count (that of the rows
+    up to its deepest degenerate truncation), ``last`` returns the
+    cotangents of the stack's sites (compress's leg order, see
+    :func:`_zero_bars`), and the rows' cotangents are added into ``grads``.
+    Without it nothing of the reverse pass is kept, and ``zeroed`` is ``None``.
     """
     levels = _levels(peps, table, rows)
-    pending = [(0, None, None, None)]  # (level, stack, a slice of its children or None)
-    while pending:
-        k, stack, pos, child = pending.pop()
-        held, first, r, shapes = levels[k]
-        if child is not None:
-            row = _stacked_row(peps, table[held[child]], r)
-            for part in reversed(boundary_absorb(_gather(stack, pos), row, chi, side)):
-                pending.append((k + 1, Chains(child[part.rows].tolist(), part.sites, part.log), None, None))
-            continue
-        pos, child = _children(first, stack)
-        if r is None:
-            yield stack, pos, held[child]
-            continue
-        step = _slice_size(peps, stack, shapes, side)
-        pending += [(k, stack, pos[j : j + step], child[j : j + step]) for j in range(0, len(child), step)][::-1]
-
-
-def _walk_back(peps: Peps, table: np.ndarray, rows: range, chi: int, side: str, grads, last) -> None:
-    """:func:`_walk` taped, with each slice pulled back right after its
-    children: ``last(stack, pos, cfgs, zeroed)`` takes what :func:`_walk`
-    yields and each boundary's zeroed-parameter count, and returns the
-    cotangents of the stack's sites (compress's leg order, see
-    :func:`_zero_bars`). The rows' cotangents are added into ``grads``.
-    A boundary's count is that of the rows up to its deepest degenerate
-    truncation."""
-    levels, sizes = _levels(peps, table, rows), _row_sizes(peps, rows)
+    sizes = None if grads is None else _row_sizes(peps, rows)
 
     def visit(k, stack, zeroed):
         held, first, r, shapes = levels[k]
         pos, child = _children(first, stack)
         if r is None:
             return last(stack, pos, held[child], zeroed)
-        bar = _zero_bars(stack, side)
-        step = _slice_size(peps, stack, shapes, side)
+        bar = None if grads is None else _zero_bars(stack, side)
+        step = _stack_size(peps, *((stack, shapes, None) if side == "top" else (None, shapes, stack)))
         for j in range(0, len(child), step):
             at, kids = pos[j : j + step], child[j : j + step]
-            tape = Tape()
-            gathered, cfgs = _taped_gather(stack, at, side, tape), table[held[kids]]
+            tape = None if grads is None else Tape()
+            gathered, cfgs = _gather(stack, at, side, tape), table[held[kids]]
             seeds = {}
             for part in boundary_absorb(gathered, _stacked_row(peps, cfgs, r, tape), chi, side, tape):
+                below = Chains(kids[part.rows].tolist(), part.sites, part.log)
+                if tape is None:
+                    visit(k + 1, below, None)
+                    continue
                 made = [tape.recorded(s) for s in part.sites]
                 flags = tape.degenerate.get(id(made[0]), False)  # a zero part has no record
-                below = np.where(flags, sizes[k], zeroed[at[part.rows]])
-                got = visit(k + 1, Chains(kids[part.rows].tolist(), part.sites, part.log), below)
+                got = visit(k + 1, below, np.where(flags, sizes[k], zeroed[at[part.rows]]))
                 seeds.update((id(m), g[None]) for m, g in zip(made, got))
-            bars = tape.backward(seeds)
-            _pull_row(grads, peps, tape, bars, cfgs, r)
-            _pull_gather(bar, gathered, at, tape, bars)
+            if tape is not None:
+                bars = tape.backward(seeds)
+                _pull_row(grads, peps, tape, bars, cfgs, r)
+                _pull_gather(bar, gathered, at, tape, bars)
         return bar
 
-    visit(0, None, np.zeros(1, np.int64))
+    visit(0, None, None if grads is None else np.zeros(1, np.int64))
+    del visit  # its self-reference would keep the levels alive until a collection
 
 
 def _row_sizes(peps: Peps, rows: range) -> np.ndarray:
@@ -735,15 +724,6 @@ def _zero_bars(stack: Chains | None, side: str) -> list[np.ndarray] | None:
     if stack is None:
         return None
     return [np.zeros(s.transpose(_COMPRESS_ORDER[side]).shape, complex) for s in stack.sites]
-
-
-def _taped_gather(stack: Chains | None, pos: np.ndarray, side: str, tape: Tape) -> Chains | None:
-    """:func:`_gather` for ``tape``, whose steps then read each gathered site
-    in compress's leg order."""
-    gathered = _gather(stack, pos)
-    if gathered is not None:
-        tape.relaid.update((id(s), (s, s.transpose(_COMPRESS_ORDER[side]))) for s in gathered.sites)
-    return gathered
 
 
 def _pull_gather(bar, gathered: Chains | None, pos: np.ndarray, tape: Tape, bars: dict) -> None:
@@ -767,12 +747,17 @@ def _pull_row(grads, peps: Peps, tape: Tape, bars: dict, cfgs: np.ndarray, r: in
             g += (hot[:, c].astype(float) @ bar.reshape(len(cfgs), -1)).T.reshape(g.shape)
 
 
-def _gather(stack: Chains | None, pos: np.ndarray) -> Chains | None:
+def _gather(stack: Chains | None, pos: np.ndarray, side: str, tape: Tape | None) -> Chains | None:
     """The boundaries of ``stack`` at ``pos``, repeats and all, as one stack
-    labelled ``0 .. len(pos)-1``; its sites stay contiguous in their layout."""
+    labelled ``0 .. len(pos)-1``; its sites stay contiguous in their layout.
+    A ``tape``'s steps then read each gathered site of ``side`` in
+    compress's leg order."""
     if stack is None:
         return None
-    return Chains(list(range(len(pos))), [s[pos] for s in stack.sites], [stack.log[i] for i in pos.tolist()])
+    gathered = Chains(list(range(len(pos))), [s[pos] for s in stack.sites], [stack.log[i] for i in pos.tolist()])
+    if tape is not None:
+        tape.relaid.update((id(s), (s, s.transpose(_COMPRESS_ORDER[side]))) for s in gathered.sites)
+    return gathered
 
 
 def _stacked_row(peps: Peps, cfgs: np.ndarray, r: int, tape: Tape | None = None) -> list[np.ndarray]:
@@ -790,19 +775,20 @@ def _stacked_row(peps: Peps, cfgs: np.ndarray, r: int, tape: Tape | None = None)
     return _unroll_row(row, tape) if peps.boundary == "pbc" else row
 
 
-def _stack_bytes(top: Chains | None, shapes: list[tuple], bottom: Chains | None) -> int:
-    """Bytes per chain of the largest arrays an absorb into one boundary
-    stack, or a closure between two, makes on a row of site shapes
-    ``shapes``: per column, the product of the top boundary (else the
-    bottom one) with the row over the face legs, and the bonds of all three
-    layers."""
+def _stack_size(peps: Peps, top: Chains | None, shapes: list[tuple], bottom: Chains | None) -> int:
+    """How many chains one absorb into a boundary stack (``top`` or
+    ``bottom``), or one closure between two, takes on a row of site shapes
+    ``shapes``: as many as fit a ``rows``-th of :data:`BLOCK_BYTES`, and at
+    least one. A chain counts the bytes of its largest arrays: per column,
+    the product of the top boundary (else the bottom one) with the row over
+    the face legs, and the bonds of all three layers."""
     total = 0
     for c, (u, l, d, r) in enumerate(shapes):
         lt, o, rt, _ = top.sites[c][0].shape if top is not None else (1, 1, 1, u)
         o2, _, lb, rb = bottom.sites[c][0].shape if bottom is not None else (1, d, 1, 1)
         face = lt * o * rt * l * d * r if top is not None else o2 * lb * rb * u * l * r
         total += max(face, lt * rt * l * r * lb * rb)
-    return 16 * total
+    return max(1, BLOCK_BYTES // peps.rows // (16 * total))
 
 
 def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.ndarray, int]:

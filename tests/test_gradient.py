@@ -16,6 +16,7 @@ from tnflab.models import heisenberg, neel_config
 from tnflab.peps import (
     FixedEvaluator,
     FixedPlan,
+    fixed_table,
     fixed_table_vjp,
     log_derivatives,
     peps_from_params,
@@ -367,6 +368,94 @@ def test_table_pass_zeroes_what_the_oracle_zeroes(make, chi):
                        oracle_metropolis_gradient(p, m, chi, 30, 10, 2))):
         assert_close_gradient(got, want)
         assert np.array_equal(got[0] == 0, want[0] == 0)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 3)])
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+def test_empty_table_gives_a_zero_gradient(rows, cols, boundary):
+    """No configurations at any closure row, the last one included (where the
+    bottom side has no rows): a zero gradient and no counts, as
+    ``fixed_table`` gives two empty arrays."""
+    p = random_peps(rows, cols, 2, 2, seed=1, boundary=boundary)
+    for mid in range(rows):
+        plan = FixedPlan(rows, cols, 2, mid)
+        g, zeroed = fixed_table_vjp(p, plan, [], [])
+        assert g.shape == peps_to_params(p).shape and not g.any()
+        assert zeroed.shape == (0,) and zeroed.dtype == np.int64
+        assert [a.shape for a in fixed_table(p, plan, [])] == [(0,), (0,)]
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param([1.0, np.nan], id="nan"),
+    pytest.param([np.inf, 1.0], id="inf"),
+    pytest.param([1.0, complex(0.0, -np.inf)], id="complex inf"),
+    pytest.param([1.0, 2.0, 3.0], id="wrong length"),
+    pytest.param([[1.0, 2.0]], id="2-D"),
+    pytest.param(["1", "2"], id="strings"),
+])
+def test_cotangent_must_hold_one_finite_number_per_row(monkeypatch, bad):
+    """A cotangent that is not one finite number per table row raises a
+    ``ValueError`` that names it, before any contraction."""
+    p = random_peps(2, 3, 2, 2, seed=1)
+    plan = FixedPlan.for_lattice(2, 3, 2)
+    table = np.array([[0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0]])
+
+    def contracted(*args, **kwargs):
+        raise AssertionError("contracted before the cotangent was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tnflab.peps, "boundary_absorb", contracted)
+        patch.setattr(tnflab.peps, "_close_strip", contracted)
+        with pytest.raises(ValueError, match="cotangent"):
+            fixed_table_vjp(p, plan, table, bad)
+    want = fixed_table_vjp(p, plan, table, [1.0, 2.0])
+    for good in ([1, 2], np.array([1.0, 2.0], np.float32), [1 + 0j, 2 + 0j]):
+        got = fixed_table_vjp(p, plan, table, good)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 3), (4, 3)])
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+def test_both_tables_walk_one_schedule(monkeypatch, rows, cols, boundary):
+    """``fixed_table_vjp`` walks ``fixed_table``'s schedule: on a table with
+    a repeated row, at two closure rows and with stacks small enough to
+    slice, its top-side absorbs and closure stacks are ``fixed_table``'s, of
+    the same sizes, rows and order, taped; and where ``fixed_table`` walks
+    the bottom side once, the vjp walks it twice, untaped (for the kept
+    bottoms) and then taped (for the reverse pass)."""
+    p = random_peps(rows, cols, 2, 2, seed=3, boundary=boundary)
+    table = np.random.default_rng(3).integers(0, 2, size=(24, rows * cols))
+    table = np.vstack([table, table[5:6]])
+    calls = []
+    absorb, close = tnflab.peps.boundary_absorb, tnflab.peps._close_strip
+    size = lambda stack: None if stack is None else len(stack.rows)
+    row_bits = lambda row: b"".join(t.tobytes() for t in row)
+
+    def absorbed(stack, row, chi, side="top", tape=None):
+        calls.append(("absorb", side, size(stack), len(row[0]), row_bits(row), tape is not None))
+        return absorb(stack, row, chi, side, tape)
+
+    def closed(top, mid, bottom, tape=None):
+        calls.append(("close", size(top), size(bottom), len(mid[0]), row_bits(mid), tape is not None))
+        return close(top, mid, bottom, tape)
+
+    monkeypatch.setattr(tnflab.peps, "boundary_absorb", absorbed)
+    monkeypatch.setattr(tnflab.peps, "_close_strip", closed)
+    monkeypatch.setattr(tnflab.peps, "BLOCK_BYTES", 1 << 15)
+    cotangent = np.ones(len(table))
+    for mid in (1, 2):
+        plan = FixedPlan(rows, cols, 2, mid)
+        calls.clear()
+        fixed_table(p, plan, table)
+        table_calls = calls[:]
+        calls.clear()
+        fixed_table_vjp(p, plan, table, cotangent)
+        bottom = [c for c in table_calls if c[:2] == ("absorb", "bottom")]
+        assert not any(c[-1] for c in table_calls)
+        assert [c[:-1] for c in calls] == [c[:-1] for c in table_calls + bottom]
+        assert [c[-1] for c in calls] == [False] * len(bottom) + [True] * (len(calls) - len(bottom))
+        # Stacks were sliced: some absorb takes fewer children than its level has.
+        assert sum(c[0] == "close" for c in table_calls) > 1
 
 
 # 30 sweeps, 10 of them warm-up: 20 samples of 4, 8 and 5 distinct configurations.

@@ -676,7 +676,9 @@ def test_fixed_table_closes_against_bottom_parts_of_several_ranks():
     configs = Sector(9).configs
     for mid, chi in itertools.product(range(3), range(1, 5)):
         plan = FixedPlan(3, 3, chi, mid)
-        bottoms = peps_module._bottoms(p, plan, as_configs(configs, 9, 2))[2]
+        bottoms = []
+        peps_module._walk(p, as_configs(configs, 9, 2), range(2, mid, -1), chi, "bottom",
+                          lambda bottom, *_: bottoms.append(bottom))
         if mid == 0 and chi == 2:
             assert len({b.sites[0].shape for b in bottoms}) > 1
         got = table_bits(fixed_table(p, plan, configs))
