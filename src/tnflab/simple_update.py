@@ -55,9 +55,11 @@ def _along(v: np.ndarray, axis: int) -> np.ndarray:
 
 def simple_update(peps: Peps, model: Model, tau: float, steps: int) -> Peps:
     """Evolve by ``steps`` applications of the bond-gate sweep; returns a new
-    state truncated to the input bond dimension."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    state truncated to the input bond dimension. The gates need ``phys_dim`` 2."""
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    if peps.phys_dim != 2:
+        raise ValueError(f"phys_dim must be 2 for spin-1/2 bond gates, got {peps.phys_dim}")
     if (model.rows, model.cols) != (peps.rows, peps.cols):
         raise ValueError("model lattice does not match the state")
     rows, cols = peps.rows, peps.cols

@@ -36,6 +36,7 @@ derivative there; they get 0 and are counted in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -422,8 +423,13 @@ def sgd_optimize(
     Returns the best-energy state seen and the per-iteration energy trace;
     each iteration's chain warms up by :func:`gradient_estimate`'s default
     rule. Aborts with :class:`NumericalAbortError` when the energy rises
-    more than ten times its initial magnitude above the start.
+    more than ten times its initial magnitude above the start. Bad ``iterations``
+    or ``learning_rate`` (not a finite real) raise ``ValueError`` first.
     """
+    _check_count("iterations", iterations, 0)
+    real = isinstance(learning_rate, numbers.Real) and not isinstance(learning_rate, bool)
+    if not (real and math.isfinite(learning_rate)):
+        raise ValueError(f"learning_rate must be a finite real number, got {learning_rate!r}")
     params = peps_to_params(peps)
     current = peps
     trace: list[float] = []

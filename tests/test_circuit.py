@@ -40,6 +40,8 @@ from tnflab.errors import (
     ResourceLimitError,
 )
 
+BLOCK = circuit._BLOCK_NODES  # nodes per compiled block
+
 
 class TestGateTensors:
     def test_xor_entries(self):
@@ -713,6 +715,24 @@ class TestEvaluatorErrors:
         with pytest.raises(GraphError):  # operand widths are checked first
             eval_binary(g, [BitVec((1,))])
 
+    @pytest.mark.parametrize("pad", [BLOCK - 1, BLOCK])
+    def test_non_basis_slice_raises_on_either_side_of_a_block_boundary(self, monkeypatch, pad):
+        """The AND is the last node of the first block or the first node of
+        the second, after an output made in the first."""
+        self._non_basis_and(monkeypatch)
+        b = CircuitBuilder()
+        x, y = b.input_bits(2)
+        early = b.const_bit(1)
+        for _ in range(pad - 1):
+            b.const_bit(0)
+        g = b.finish([[b.and_(x, y)], [early]])
+        assert g.nodes[pad].kind is GateKind.AND
+        for graph in (g, CircuitGraph.from_json(g.to_json())):
+            assert eval_binary(graph, [BitVec((0, 1))]) == oracle_eval_binary(g, [BitVec((0, 1))])
+            for run in (eval_binary, oracle_eval_binary):
+                with pytest.raises(InvariantError):
+                    run(graph, [BitVec((1, 1))])
+
     def test_gate_kind_checked_before_invariant(self, monkeypatch):
         self._non_basis_and(monkeypatch)
         b = CircuitBuilder()
@@ -820,11 +840,12 @@ def oracle_eval_amp_circuit(graph, inputs, memo=True):
     return [float_decode(v) for v in vectors], stats
 
 
-def random_logic_circuit(rng):
-    """Random xor/and/or/delta/const_bit circuit; every wire nothing reads is an output."""
+def random_logic_circuit(rng, ops=(0, 30)):
+    """Random xor/and/or/delta/const_bit circuit of ``rng.integers(*ops)`` draws;
+    every wire nothing reads is an output."""
     b = CircuitBuilder()
     free = [w for _ in range(rng.integers(1, 4)) for w in b.input_bits(int(rng.integers(1, 4)))]
-    for _ in range(rng.integers(0, 30)):
+    for _ in range(rng.integers(*ops)):
         op = rng.choice(["xor", "and_", "or_", "delta", "const_bit"])
         if op == "const_bit":
             free.append(b.const_bit(int(rng.integers(2))))
@@ -864,13 +885,66 @@ def random_amp_circuit(rng):
     return b.finish([[amps[i]] for i in rng.integers(len(amps), size=rng.integers(1, 4))])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_compiled_binary_matches_oracle(seed):
-    rng = np.random.default_rng(seed)
-    g = random_logic_circuit(rng)
+def long_amp_circuit(rng, n_ops):
+    """A random plus/times/const_float/func circuit several blocks long. Each
+    (+) or (x) node takes the last one's output and any earlier input,
+    constant or func output, so many wires are read blocks after they are
+    made and the values stay finite; two variables are fanned out by var_copy
+    chains whose copies feed func nodes blocks later. The outputs are the
+    first amp wire a node made, a random one and the last (+) or (x) output."""
+    b = CircuitBuilder()
+    acc = b.input_amp()
+    leaves = [acc, b.input_amp()]
+    free_vars = [b.input_var(int(rng.integers(1, 5))) for _ in range(2)]
+    made = []
+    for _ in range(n_ops):
+        op = rng.choice(["plus", "times", "const_float", "func", "var_copy"])
+        if op in ("plus", "times"):
+            acc = getattr(b, op)(acc, leaves[rng.integers(len(leaves))])
+            made.append(acc)
+        elif op == "const_float":
+            made.append(b.const_float(rng.uniform(-1.5, 1.5)))
+            leaves.append(made[-1])
+        elif op == "func" and len(free_vars) > 2:
+            v = free_vars.pop(rng.integers(len(free_vars)))
+            made.append(b.func(function_table(np.sin, rng.uniform(-3, 3, b.var_grids[v])), v))
+            leaves.append(made[-1])
+        else:
+            free_vars += b.var_copy(free_vars.pop(rng.integers(len(free_vars))))
+    return b.finish([[made[0]], [made[rng.integers(len(made))]], [acc]])
+
+
+def random_inputs(rng, g):
+    return [float(rng.uniform(-1.5, 1.5)) if g.wire_types[w] == "amp" else int(rng.integers(g.var_grids[w]))
+            for (w,) in g.input_groups]
+
+
+def assert_amp_matches_oracle(g, xs):
+    """Values bit for bit and contraction counts, with and without memo, of
+    ``g`` and of its JSON round trip, or the oracle's exception. Where einsum
+    reads NaN only because a product its tensor zeroes overflowed, the rules,
+    which never form that product, are not compared (see
+    ``test_a_product_the_tensor_zeroes_is_never_formed``)."""
     loaded = CircuitGraph.from_json(g.to_json())
-    for _ in range(8):
+    for memo in (True, False):
+        try:
+            want, want_stats = oracle_eval_amp_circuit(g, xs, memo)
+        except ZeroedProductOverflow:
+            continue
+        except (NumericalAbortError, RepresentationError) as exc:
+            for graph in (g, loaded):
+                with pytest.raises(type(exc)):
+                    eval_amp_circuit(graph, xs, memo)
+            continue
+        for graph in (g, loaded):
+            got, stats = eval_amp_circuit(graph, xs, memo)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert stats == want_stats
+
+
+def assert_binary_matches_oracle(rng, g, n_inputs):
+    loaded = CircuitGraph.from_json(g.to_json())
+    for _ in range(n_inputs):
         xs = [BitVec(tuple(int(b) for b in rng.integers(2, size=len(grp)))) for grp in g.input_groups]
         want = oracle_eval_binary(g, xs)
         assert eval_binary(g, xs) == want
@@ -879,31 +953,77 @@ def test_compiled_binary_matches_oracle(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1))
+def test_compiled_binary_matches_oracle(seed):
+    rng = np.random.default_rng(seed)
+    assert_binary_matches_oracle(rng, random_logic_circuit(rng), 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
 def test_compiled_amp_matches_oracle(seed):
-    """Values bit for bit and contraction counts, with and without memo, or
-    the oracle's exception. Where einsum reads NaN only because a product
-    its tensor zeroes overflowed, the rules, which never form that product,
-    are not compared (see ``test_a_product_the_tensor_zeroes_is_never_formed``)."""
     rng = np.random.default_rng(seed)
     g = random_amp_circuit(rng)
-    loaded = CircuitGraph.from_json(g.to_json())
     for _ in range(4):
-        xs = [float(rng.uniform(-1.5, 1.5)) if g.wire_types[w] == "amp" else int(rng.integers(g.var_grids[w]))
-              for (w,) in g.input_groups]
-        for memo in (True, False):
-            try:
-                want, want_stats = oracle_eval_amp_circuit(g, xs, memo)
-            except ZeroedProductOverflow:
-                continue
-            except (NumericalAbortError, RepresentationError) as exc:
-                for graph in (g, loaded):
-                    with pytest.raises(type(exc)):
-                        eval_amp_circuit(graph, xs, memo)
-                continue
-            for graph in (g, loaded):
-                got, stats = eval_amp_circuit(graph, xs, memo)
-                assert [v.hex() for v in got] == [v.hex() for v in want]
-                assert stats == want_stats
+        assert_amp_matches_oracle(g, random_inputs(rng, g))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_compiled_blocks_match_oracle(seed):
+    """Programs two to three blocks long: wires read blocks after they are
+    made, outputs made in the first block, and func and var_copy wires that
+    cross blocks."""
+    rng = np.random.default_rng(seed)
+    g = random_logic_circuit(rng, ops=(2 * BLOCK, 3 * BLOCK))
+    g = dataclasses.replace(g, output_groups=g.output_groups + (g.nodes[0].outputs,))
+    assert len(g.nodes) > BLOCK
+    assert_binary_matches_oracle(rng, g, 4)
+    g = long_amp_circuit(rng, 3 * BLOCK)
+    assert len(g._amp_program[0]) > 1
+    for _ in range(2):
+        assert_amp_matches_oracle(g, random_inputs(rng, g))
+
+
+def test_output_that_is_an_input_wire_needs_no_program():
+    b = CircuitBuilder()
+    x, y = b.input_bits(2)
+    g = b.finish([[y, x]])
+    assert g._binary_program == ()
+    for bits in ((0, 1), (1, 1)):
+        assert eval_binary(g, [BitVec(bits)]) == oracle_eval_binary(g, [BitVec(bits)])
+    b = CircuitBuilder()
+    a = b.input_amp()
+    b.plus(a, b.input_amp())  # nothing reads it
+    g = b.finish([[a]])
+    assert g._amp_program == ((), 0)
+    for memo in (True, False):
+        assert eval_amp_circuit(g, [0.25, 3.0], memo) == oracle_eval_amp_circuit(g, [0.25, 3.0], memo)
+
+
+def test_wire_ids_name_one_local_whatever_their_integer_type():
+    """A graph may spell a wire id as a bool or a numpy integer; the compiled
+    blocks name each wire by its integer value."""
+    g = CircuitGraph([Node(GateKind.DELTA, (0,), (1, 2)), Node(GateKind.XOR, (True, np.int64(2)), (3,))],
+                     ["bit"] * 4, [[0]], [[3]])
+    assert eval_binary(g, [BitVec((1,))]) == oracle_eval_binary(g, [BitVec((1,))]) == [BitVec((0,))]
+    g = CircuitGraph([Node(GateKind.TIMES, (np.int64(0), True), (2,))], ["amp"] * 3, [[0], [1]], [[2]])
+    assert eval_amp_circuit(g, [3.0, 2.0]) == oracle_eval_amp_circuit(g, [3.0, 2.0]) == ([6.0], EvalStats(1))
+
+
+def test_20000_link_chain_runs_in_blocks():
+    """40,000 nodes in 80 blocks, far past the recursion limit; the formal
+    tree count is exact."""
+    b = CircuitBuilder()
+    w = b.input_amp()
+    for _ in range(20000):
+        w = b.plus(b.times(w, w), w)
+    g = b.finish([[w]])
+    want = 1e-6
+    for _ in range(20000):
+        want = want * want + want
+    assert eval_amp_circuit(g, [1e-6]) == ([want], EvalStats(40000))
+    assert len(g._amp_program[0]) == 40000 // BLOCK
+    assert eval_amp_circuit(g, [1e-6], memo=False) == ([want], EvalStats(3**20000 - 1))
 
 
 _ENTRIES = st.one_of(

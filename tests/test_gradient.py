@@ -646,6 +646,17 @@ class TestSgd:
         with pytest.raises(NumericalAbortError):
             tnflab.vmc.sgd_optimize(p, m, chi=2, learning_rate=0.1, iterations=5)
 
+    @pytest.mark.parametrize(
+        "iterations, learning_rate, name",
+        [(-1, 0.1, "iterations"), (1.5, 0.1, "iterations"), (True, 0.1, "iterations"),
+         (2, float("nan"), "learning_rate"), (2, float("inf"), "learning_rate"), (2, "0.1", "learning_rate")],
+    )
+    def test_bad_arguments_rejected_before_any_contraction(self, monkeypatch, iterations, learning_rate, name):
+        monkeypatch.setattr(tnflab.vmc, "gradient_estimate", None)
+        p = random_peps(2, 2, 2, 2, seed=6)
+        with pytest.raises(ValueError, match=name):
+            sgd_optimize(p, heisenberg(2, 2), chi=2, learning_rate=learning_rate, iterations=iterations)
+
     def test_deterministic_given_seed(self):
         m = heisenberg(2, 2)
         p = random_peps(2, 2, 2, 2, seed=6)

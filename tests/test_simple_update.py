@@ -39,6 +39,15 @@ def test_nonpositive_tau_rejected():
         simple_update(p, heisenberg(2, 2), tau=0.0, steps=1)
 
 
+@pytest.mark.parametrize(
+    "phys_dim, tau, name", [(3, 0.1, "phys_dim"), (2, float("nan"), "tau"), (2, float("inf"), "tau")]
+)
+def test_bad_arguments_rejected_by_name(phys_dim, tau, name):
+    p = random_peps(2, 2, phys_dim, 2, seed=1)
+    with pytest.raises(ValueError, match=name):
+        simple_update(p, heisenberg(2, 2), tau=tau, steps=1)
+
+
 def test_non_edge_coupling_rejected():
     p = random_peps(2, 2, 2, 2, seed=2)
     diag = Model("bad", 2, 2, "obc", ((0, 3, 1.0),))
