@@ -20,18 +20,20 @@ consumers, standing for the formally duplicated subgraphs that memoized
 evaluation contracts only once.
 
 A graph compiles each evaluator's program once, on its first evaluation, into
-500-node straight-line Python blocks (25-35 us per node, 0.3 s for 10,000);
-evaluation runs them on a list of wire values indexed by wire id.
+500-node straight-line Python blocks (25-35 us per node, 0.3 s for 10,000) that
+take the operands and return the outputs: a graph of at most 500 nodes is one call.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -142,6 +144,9 @@ def gate_tensor(kind: GateKind, payload=None) -> np.ndarray:
     return tensor.copy()
 
 
+_BYTE_BITS = tuple(tuple((v >> i) & 1 for i in range(8)) for v in range(256))  # little-endian
+
+
 @dataclass(frozen=True)
 class BitVec:
     """Little-endian bit string: bit i weighs 2^i."""
@@ -157,10 +162,15 @@ class BitVec:
     def from_int(cls, value: int, n_bits: int) -> "BitVec":
         if value < 0 or value >= (1 << n_bits):
             raise ValueError(f"{value} does not fit in {n_bits} bits")
-        return cls(tuple((value >> i) & 1 for i in range(n_bits)))
+        if n_bits <= 8:
+            return cls(_BYTE_BITS[value][:n_bits])
+        return cls(sum((_BYTE_BITS[(value >> s) & 255] for s in range(0, n_bits, 8)), ())[:n_bits])
 
     def to_int(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
+        x = 0
+        for b in reversed(self.bits):
+            x = x + x + b
+        return operator.index(x)  # a float bit raises TypeError
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -220,6 +230,14 @@ def _truth_table(tensor: np.ndarray, n_in: int):
     return tuple(int(i[0]) for i in hot)
 
 
+def _wire_ids(ids) -> tuple[int, ...]:
+    """Wire ids as plain ints (``operator.index``); any other id raises :class:`GraphError`."""
+    try:
+        return tuple(map(operator.index, ids))
+    except TypeError:
+        raise GraphError(f"wire ids must be integers, got {ids!r}") from None
+
+
 @dataclass(frozen=True)
 class CircuitGraph:
     """Immutable directed acyclic gate graph with typed wires, checked once
@@ -237,11 +255,15 @@ class CircuitGraph:
     var_grids: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("nodes", "wire_types"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "wire_types", tuple(self.wire_types))
+        nodes = tuple(self.nodes)
+        ids = chain.from_iterable(chain.from_iterable(map(operator.attrgetter("inputs", "outputs"), nodes)))
+        if not set(map(type, ids)) <= {int}:  # one C-level pass; rebuilding every node costs more
+            nodes = tuple(Node(n.kind, _wire_ids(n.inputs), _wire_ids(n.outputs), n.payload) for n in nodes)
         for name in ("input_groups", "output_groups"):
-            object.__setattr__(self, name, tuple(tuple(g) for g in getattr(self, name)))
-        object.__setattr__(self, "var_grids", MappingProxyType(dict(self.var_grids)))
+            object.__setattr__(self, name, tuple(map(_wire_ids, getattr(self, name))))
+        grids = dict(zip(_wire_ids(self.var_grids), self.var_grids.values()))
+        object.__setattr__(self, "var_grids", MappingProxyType(grids))
         wires = range(len(self.wire_types))
         for w, kind in enumerate(self.wire_types):
             if kind == "var" and w not in self.var_grids:
@@ -251,8 +273,8 @@ class CircuitGraph:
             if w not in wires:
                 raise GraphError(f"input wire {w} is not a wire of the graph")
         bit_reads: list[int] = []
-        nodes = []
-        for node in self.nodes:
+        checked = []
+        for node in nodes:
             for w in node.inputs:
                 if w not in produced:
                     raise GraphError(f"wire {w} consumed before production (cycle or unbound)")
@@ -261,10 +283,10 @@ class CircuitGraph:
                     raise GraphError(f"wire {w} produced twice or not a wire of the graph")
                 produced.add(w)
             gate, node = _check_node(node, self.wire_types, self.var_grids)
-            nodes.append(node)
+            checked.append(node)
             if gate.in_kind == "bit":
                 bit_reads.extend(node.inputs)
-        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "nodes", tuple(checked))
         for g in self.output_groups:
             for w in g:
                 if w not in produced:
@@ -311,13 +333,16 @@ class CircuitGraph:
 
     @cached_property
     def _binary_program(self) -> tuple:
-        """Every node as straight-line blocks (:func:`_straight_line`): a gate unpacks its
-        output bits from a truth table read off its tensor once per kind (a constant's is
-        its one row), indexed by its input bits, after a check that raises
-        :class:`InvariantError` if the table has a slice that is not one-hot."""
+        """Every node as straight-line blocks (:func:`_straight_line`) on bit inputs: a
+        gate unpacks its output bits from a truth table read off its tensor once per kind
+        (a constant's is its one row), indexed by its input bits, after a check that
+        raises :class:`InvariantError` if the table has a slice that is not one-hot."""
+        if any(self.wire_types[w] != "bit" for group in self.input_groups for w in group):
+            raise GraphError("binary circuits take bit inputs only")
         namespace: dict = {"InvariantError": InvariantError}
-        tables, steps = {}, []
-        for node in self.nodes:
+        tables: dict = {}
+
+        def lines(k: int, node: Node) -> list[str]:
             gate = _GATES[node.kind]
             if gate.out_kind != "bit":
                 raise GraphError(f"{node.kind} is not a binary-circuit gate")
@@ -331,12 +356,10 @@ class CircuitGraph:
                 namespace[tables[key][0]] = table
             name, checked = tables[key]
             row = name + "".join(f"[w{w:d}]" for w in node.inputs)
-            lines = [f"{''.join(f'w{w:d}, ' for w in node.outputs)}= {row}"]
-            if checked:
-                lines.insert(0, f"if {row} is None: "
-                                "raise InvariantError('non-basis intermediate in binary evaluation')")
-            steps.append((node.inputs, node.outputs, lines))
-        return _straight_line(steps, self, namespace)
+            check = [f"if {row} is None: raise InvariantError('non-basis intermediate in binary evaluation')"]
+            return check * checked + [f"{''.join(f'w{w:d}, ' for w in node.outputs)}= {row}"]
+
+        return _straight_line(self, self.nodes, lines, namespace)
 
     @cached_property
     def _amp_program(self) -> tuple:
@@ -353,20 +376,23 @@ class CircuitGraph:
                     raise GraphError(f"{node.kind} is not an amplitude-circuit gate")
                 needed.update(node.inputs)
                 reached.append(node)
-        namespace, steps = {}, []
-        for k, node in enumerate(reversed(reached)):
+        del needed  # freed before the compile, whose peak it would raise
+        reached.reverse()
+        namespace: dict = {}
+
+        def lines(k: int, node: Node) -> list[str]:
             o, (x, y) = node.outputs[0], (*node.inputs, None, None)[:2]
             if node.kind in (GateKind.PLUS, GateKind.TIMES):
                 value = (f"w{x:d}_0 * w{y:d}_1 + w{x:d}_1 * w{y:d}_0" if node.kind is GateKind.PLUS
                          else f"w{x:d}_1 * w{y:d}_1")
-                lines = [f"w{o:d}_0 = 0.0 + w{x:d}_0 * w{y:d}_0", f"w{o:d}_1 = 0.0 + {value}"]
-            elif node.kind is GateKind.VAR_COPY:
-                lines = [f"w{o:d} = w{node.outputs[1]:d} = w{x:d}"]
-            else:  # a constant's pair, or a func node's row at its grid index
-                namespace[f"c{k}"] = (1.0, float(node.payload)) if x is None else node.payload
-                lines = [f"w{o:d}_0, w{o:d}_1 = c{k}" + "".join(f"[w{w:d}]" for w in node.inputs)]
-            steps.append((node.inputs, node.outputs, lines))
-        return _straight_line(steps, self, namespace), len(steps)
+                return [f"w{o:d}_0 = 0.0 + w{x:d}_0 * w{y:d}_0", f"w{o:d}_1 = 0.0 + {value}"]
+            if node.kind is GateKind.VAR_COPY:
+                return [f"w{o:d} = w{node.outputs[1]:d} = w{x:d}"]
+            # a constant's pair, or a func node's row at its grid index
+            namespace[f"c{k}"] = (1.0, float(node.payload)) if x is None else node.payload
+            return [f"w{o:d}_0, w{o:d}_1 = c{k}" + "".join(f"[w{w:d}]" for w in node.inputs)]
+
+        return _straight_line(self, reached, lines, namespace), len(reached)
 
     @cached_property
     def _tree_contractions(self) -> int:
@@ -385,27 +411,44 @@ class CircuitGraph:
 _BLOCK_NODES = 500
 
 
-def _straight_line(steps: list, graph: CircuitGraph, namespace: dict) -> tuple:
-    """One function per ``_BLOCK_NODES`` steps ``(input wires, output wires, lines)``,
-    run on the wire-value list. Wire ``w`` is the local ``w<w>``, or ``w<w>_0, w<w>_1``
-    for an amp wire's ``(lead, value)`` pair. A block loads the wires it reads from the
-    list, runs its lines, and stores back only the wires a later block or an output
-    reads. Only wire ids (as ints) and namespace names are formatted into the source."""
-    blocks = [steps[i : i + _BLOCK_NODES] for i in range(0, len(steps), _BLOCK_NODES)]
-    last_read = {w: b for b, block in enumerate(blocks) for ins, _, _ in block for w in ins}
-    last_read.update((w, len(blocks)) for group in graph.output_groups for w in group)
+def _straight_line(graph: CircuitGraph, nodes: Sequence[Node], lines, namespace: dict) -> tuple:
+    """One function per ``_BLOCK_NODES`` nodes (one for none), each compiled before the next
+    one's source is made from ``lines(k, node)``, node ``k``'s statements. Wire ``w`` is the
+    local ``w<w>``, or ``w<w>_0, w<w>_1`` for an amp wire's ``(lead, value)`` pair. The first
+    block takes one operand per input group and unpacks it; the last returns the output
+    groups as tuples. Between blocks, a list indexed by wire id holds the wires a later
+    block reads. Only wire ids (as ints) and namespace names are formatted into the source."""
+    n_blocks = max(1, -(-len(nodes) // _BLOCK_NODES))
+    outputs = [w for group in graph.output_groups for w in group]
+    last_read = [0] * len(graph.wire_types)  # the last block that reads each wire
+    for k, node in enumerate(nodes):
+        for w in node.inputs:
+            last_read[w] = k // _BLOCK_NODES
+    for w in outputs:
+        last_read[w] = n_blocks - 1
 
     def local(w: int) -> str:
         return f"w{w:d}_0, w{w:d}_1" if graph.wire_types[w] == "amp" else f"w{w:d}"
 
+    def locals_tuple(group) -> str:
+        return "(" + "".join(f"{local(w)}, " for w in group) + ")"
+
     functions = []
-    for b, block in enumerate(blocks):
-        made = {w for _, outs, _ in block for w in outs}
-        loads = dict.fromkeys(w for ins, _, _ in block for w in ins if w not in made)
-        lines = [f"{local(w)} = v[{w:d}]" for w in loads]
-        lines += [line for _, _, block_lines in block for line in block_lines]
-        lines += [f"v[{w:d}] = {local(w)}" for _, outs, _ in block for w in outs if last_read.get(w, b) > b]
-        source = "def block(v):\n    " + "\n    ".join(lines)
+    for b in range(n_blocks):
+        block = nodes[b * _BLOCK_NODES : (b + 1) * _BLOCK_NODES]
+        entry = graph.input_groups if b == 0 else ()
+        made = dict.fromkeys([w for group in entry for w in group] + [w for node in block for w in node.outputs])
+        reads = [w for node in block for w in node.inputs] + (outputs if b == n_blocks - 1 else [])
+        body = [f"{locals_tuple(group)} = x{i}" for i, group in enumerate(entry)]
+        body += [f"{local(w)} = v[{w:d}]" for w in dict.fromkeys(reads) if w not in made]
+        body += [line for k, node in enumerate(block, b * _BLOCK_NODES) for line in lines(k, node)]
+        if b == n_blocks - 1:
+            body.append(f"return ({''.join(locals_tuple(group) + ', ' for group in graph.output_groups)})")
+        else:
+            body += [f"v = [None] * {len(graph.wire_types):d}"] * (b == 0)
+            body += [f"v[{w:d}] = {local(w)}" for w in made if last_read[w] > b] + ["return v"]
+        params = ", ".join(f"x{i}" for i in range(len(entry))) if b == 0 else "v"
+        source = f"def block({params}):\n    " + "\n    ".join(body)
         exec(compile(source, f"<circuit block {b}>", "exec"), namespace)
         functions.append(namespace.pop("block"))
     return tuple(functions)
@@ -491,13 +534,10 @@ class CircuitBuilder:
             return [wire]
         maker = self.delta if self.wire_types[wire] == "bit" else self.var_copy
         outs = []
-        current = wire
         for _ in range(k - 1):
-            a, b = maker(current)
+            a, wire = maker(wire)
             outs.append(a)
-            current = b
-        outs.append(current)
-        return outs
+        return outs + [wire]
 
     def finish(self, output_groups: list[list[int]]) -> CircuitGraph:
         """The graph of the nodes added so far; later calls do not change it."""
@@ -545,14 +585,12 @@ def _ripple_add(b: CircuitBuilder, xs: list[int], ys: list[int]) -> list[int]:
     """Sum of two equal-width bit strings, width+1 output bits."""
     if len(xs) != len(ys):
         raise GraphError("ripple adder needs equal widths")
-    out = []
     s, carry = _half_adder(b, xs[0], ys[0])
-    out.append(s)
-    for i in range(1, len(xs)):
-        s, carry = _full_adder(b, carry, xs[i], ys[i])
+    out = [s]
+    for x, y in zip(xs[1:], ys[1:]):
+        s, carry = _full_adder(b, carry, x, y)
         out.append(s)
-    out.append(carry)
-    return out
+    return out + [carry]
 
 
 def build_adder(n_bits: int) -> CircuitGraph:
@@ -591,9 +629,7 @@ def build_multiplier(m_bits: int, n_bits: int) -> CircuitGraph:
     ys = b.input_bits(n_bits)
     xcopies = [b.copies(x, n_bits) for x in xs]  # one copy of each x bit per y bit
     ycopies = [b.copies(y, m_bits) for y in ys]
-    rows = []
-    for j in range(n_bits):
-        rows.append([b.and_(xcopies[i][j], ycopies[j][i]) for i in range(m_bits)])
+    rows = [[b.and_(xcopies[i][j], ycopies[j][i]) for i in range(m_bits)] for j in range(n_bits)]
     out = _shifted_accumulate(b, rows)
     return b.finish([out[: m_bits + n_bits]])
 
@@ -609,8 +645,7 @@ def build_square(n_bits: int) -> CircuitGraph:
     allcopies = [b.copies(x, n_bits + 1) for x in xs]
     rows = []
     for j in range(n_bits):
-        selector = allcopies[j][n_bits]
-        sel_copies = b.copies(selector, n_bits)
+        sel_copies = b.copies(allcopies[j][n_bits], n_bits)  # the row selector's copies
         rows.append([b.and_(allcopies[i][j], sel_copies[i]) for i in range(n_bits)])
     out = _shifted_accumulate(b, rows)
     return b.finish([out[: 2 * n_bits]])
@@ -630,24 +665,24 @@ def eval_binary(graph: CircuitGraph, inputs: Sequence[BitVec]) -> list[BitVec]:
 
     A wire holds one bit. Contracting basis vectors into a gate's input legs
     is indexing its tensor by the input bits, so the graph's program, compiled
-    to straight-line blocks on the first evaluation, looks the output bits up
-    in a truth table read off the tensor once. A slice that is not one-hot (no
-    product state) raises :class:`InvariantError` when an input reaches it.
-    Work is linear in the gate count.
+    to straight-line blocks on the first evaluation that take the operands'
+    bits and return the output groups', looks the output bits up in a truth
+    table read off the tensor once. A slice that is not one-hot (no product
+    state) raises :class:`InvariantError` when an input reaches it. Work is
+    linear in the gate count.
     """
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} input operands")
-    bits = [0] * len(graph.wire_types)
     for group, vec in zip(graph.input_groups, inputs):
         if not isinstance(vec, BitVec):
             raise GraphError(f"operand {vec!r} is not a BitVec")
-        if len(group) != len(vec):
+        if len(group) != len(vec.bits):
             raise GraphError(f"operand width {len(vec)} does not match group {len(group)}")
-        for w, b in zip(group, vec.bits):
-            bits[w] = b
-    for block in graph._binary_program:
-        block(bits)
-    return [BitVec(tuple(bits[w] for w in group)) for group in graph.output_groups]
+    blocks = graph._binary_program
+    out = blocks[0](*[vec.bits for vec in inputs])
+    for block in blocks[1:]:
+        out = block(out)
+    return list(map(BitVec, out))
 
 
 def float_encode(x: float) -> np.ndarray:
@@ -692,7 +727,7 @@ def eval_amp_circuit(
     """
     if len(inputs) != len(graph.input_groups):
         raise GraphError(f"expected {len(graph.input_groups)} inputs")
-    values: list = [None] * len(graph.wire_types)
+    operands = []
     for group, value in zip(graph.input_groups, inputs):
         if len(group) != 1:
             raise GraphError("amp circuits bind one wire per input group")
@@ -701,19 +736,19 @@ def eval_amp_circuit(
             x = float(value) if isinstance(value, (np.integer, np.floating)) else value
             if x not in _GATES[GateKind.CONST_FLOAT].payloads:
                 raise GraphError(f"amp input {value!r} is not a finite real")
-            values[w] = (1.0, float(x))
+            operands.append((1.0, float(x)))
         elif graph.wire_types[w] == "var":
             if type(value) is bool or not isinstance(value, (int, np.integer)):
                 raise GraphError(f"grid index {value!r} is not an integer")
             if not 0 <= value < graph.var_grids[w]:
                 raise GraphError(f"grid index {value} out of range")
-            values[w] = int(value)
+            operands.append((int(value),))
         else:
             raise GraphError("binary inputs do not belong in amp evaluation")
     blocks, contractions = graph._amp_program
-    for block in blocks:
-        block(values)
-    pairs = [values[w] for (w,) in graph.output_groups]
+    pairs = blocks[0](*operands)
+    for block in blocks[1:]:
+        pairs = block(pairs)
     if not all(map(math.isfinite, sum(pairs, ()))):
         raise NumericalAbortError(f"amplitude circuit outputs {pairs} are not all finite")
     stats = EvalStats(contractions if memo else graph._tree_contractions)

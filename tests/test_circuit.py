@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import traceback
 from unittest import mock
 
 import numpy as np
@@ -112,6 +113,35 @@ class TestBitVec:
     def test_other_bits_rejected(self, bit):
         with pytest.raises(ValueError, match="0 or 1"):
             BitVec((0, bit, 1))
+
+    @pytest.mark.parametrize("n_bits", range(21))
+    def test_conversions_match_the_bitwise_formulas(self, n_bits):
+        """Every value below 2^12 and 300 sampled above it, at widths that read
+        one byte (0-8) and several (9-20)."""
+        values = list(range(min(1 << n_bits, (1 << 12) + 1)))
+        if n_bits > 12:
+            rng = np.random.default_rng(n_bits)
+            values += [int(v) for v in rng.integers(1 << 12, 1 << n_bits, size=300)] + [(1 << n_bits) - 1]
+        for v in values:
+            vec = BitVec.from_int(v, n_bits)
+            assert vec.bits == tuple((v >> i) & 1 for i in range(n_bits))
+            assert type(vec.to_int()) is int and vec.to_int() == sum(b << i for i, b in enumerate(vec.bits)) == v
+
+    @pytest.mark.parametrize("n_bits", [0, 1, 8, 9, 20])
+    def test_conversion_errors(self, n_bits):
+        for value in (-1, 1 << n_bits, -(1 << 30), 1 << 70):
+            with pytest.raises(ValueError, match="does not fit"):
+                BitVec.from_int(value, n_bits)
+        for value in (0.0, float((1 << n_bits) - 1), np.float64(0.0)):  # in range, not ints
+            with pytest.raises(TypeError):
+                BitVec.from_int(value, n_bits)
+        assert BitVec.from_int(np.int64((1 << n_bits) - 1), n_bits).bits == (1,) * n_bits
+
+    def test_to_int_reads_bool_bits_and_rejects_float_bits(self):
+        assert BitVec((True, False, 1)).to_int() == 5
+        assert type(BitVec((True, np.int64(1))).to_int()) is int
+        with pytest.raises(TypeError):
+            BitVec((1, 0.0)).to_int()
 
 
 class TestAdders:
@@ -733,6 +763,24 @@ class TestEvaluatorErrors:
                 with pytest.raises(InvariantError):
                     run(graph, [BitVec((1, 1))])
 
+    def test_non_basis_slice_raises_from_its_own_block(self, monkeypatch):
+        """With the AND's (1, 1) slice made non-basis, the first block raises when
+        x & 3 == 3, the last when only y == 3; other inputs agree with the oracle."""
+        self._non_basis_and(monkeypatch)
+        g = three_block_logic_circuit()
+        for graph in (g, CircuitGraph.from_json(g.to_json())):
+            for xs in three_block_cases():
+                x, y = xs[0].to_int(), xs[2].to_int()
+                if x & 3 != 3 and y != 3:
+                    assert eval_binary(graph, xs) == oracle_eval_binary(g, xs)
+                    continue
+                with pytest.raises(InvariantError):
+                    oracle_eval_binary(g, xs)
+                with pytest.raises(InvariantError) as exc:
+                    eval_binary(graph, xs)
+                block = 0 if x & 3 == 3 else 2
+                assert traceback.extract_tb(exc.tb)[-1].filename == f"<circuit block {block}>"
+
     def test_gate_kind_checked_before_invariant(self, monkeypatch):
         self._non_basis_and(monkeypatch)
         b = CircuitBuilder()
@@ -988,14 +1036,16 @@ def test_output_that_is_an_input_wire_needs_no_program():
     b = CircuitBuilder()
     x, y = b.input_bits(2)
     g = b.finish([[y, x]])
-    assert g._binary_program == ()
+    (block,) = g._binary_program  # one block that compiles no node: it unpacks and returns
+    assert block.__code__.co_varnames == ("x0", "w0", "w1")
     for bits in ((0, 1), (1, 1)):
         assert eval_binary(g, [BitVec(bits)]) == oracle_eval_binary(g, [BitVec(bits)])
     b = CircuitBuilder()
     a = b.input_amp()
     b.plus(a, b.input_amp())  # nothing reads it
     g = b.finish([[a]])
-    assert g._amp_program == ((), 0)
+    (block,), count = g._amp_program
+    assert count == 0 and block.__code__.co_varnames == ("x0", "x1", "w0_0", "w0_1", "w1_0", "w1_1")
     for memo in (True, False):
         assert eval_amp_circuit(g, [0.25, 3.0], memo) == oracle_eval_amp_circuit(g, [0.25, 3.0], memo)
 
@@ -1008,6 +1058,89 @@ def test_wire_ids_name_one_local_whatever_their_integer_type():
     assert eval_binary(g, [BitVec((1,))]) == oracle_eval_binary(g, [BitVec((1,))]) == [BitVec((0,))]
     g = CircuitGraph([Node(GateKind.TIMES, (np.int64(0), True), (2,))], ["amp"] * 3, [[0], [1]], [[2]])
     assert eval_amp_circuit(g, [3.0, 2.0]) == oracle_eval_amp_circuit(g, [3.0, 2.0]) == ([6.0], EvalStats(1))
+
+
+def test_wire_ids_are_plain_ints_and_survive_a_json_round_trip():
+    """Numpy-integer and bool ids in nodes, groups and grids are read as their
+    values when the graph is made, so it serializes and loads equal."""
+    bit = CircuitGraph([Node(GateKind.DELTA, (np.int64(0),), (True, np.int32(2))),
+                        Node(GateKind.XOR, (1, np.uint8(2)), (np.int64(3),))],
+                       ["bit"] * 4, [[np.int64(0)]], [[np.int16(3), False]])
+    var = CircuitGraph([Node(GateKind.VAR_COPY, (False,), (True, np.int64(2))),
+                        Node(GateKind.FUNC, (np.int64(1),), (3,), [[1.0, 2.0], [1.0, 3.0]])],
+                       ["var", "var", "var", "amp"], [[np.int64(0)]], [[np.int64(3)]],
+                       {np.int64(0): 2, True: 2, np.int8(2): 2})
+    for g in (bit, var):
+        ids = [w for n in g.nodes for w in n.inputs + n.outputs]
+        ids += [w for groups in (g.input_groups, g.output_groups) for grp in groups for w in grp] + list(g.var_grids)
+        assert {type(w) for w in ids} == {int}
+        loaded = CircuitGraph.from_json(g.to_json())
+        assert loaded == g and loaded.to_json() == g.to_json()
+    assert eval_binary(bit, [BitVec((1,))]) == [BitVec((0, 1))]
+    assert eval_amp_circuit(var, [1])[0] == [3.0]
+
+
+@pytest.mark.parametrize("bad", [1.0, "1", None, np.float64(1.0)])
+@pytest.mark.parametrize("where", ["input", "output", "node", "grid"])
+def test_wire_ids_that_are_not_integers_are_rejected(bad, where):
+    nodes = [Node(GateKind.VAR_COPY, (0,), (1, 2)),
+             Node(GateKind.FUNC, (bad if where == "node" else 1,), (3,), [[1.0, 2.0]])]
+    inputs = [[bad]] if where == "input" else [[0]]
+    outputs = [[bad]] if where == "output" else [[3]]
+    grids = {bad if where == "grid" else 0: 1, 1: 1, 2: 1}
+    with pytest.raises(GraphError, match="wire ids must be integers"):
+        CircuitGraph(nodes, ["var", "var", "var", "amp"], inputs, outputs, grids)
+
+
+def three_block_logic_circuit():
+    """Nodes 0..BLOCK-1, BLOCK..2*BLOCK-1 and 2*BLOCK: input bits first read in
+    the last block, an empty operand group, an output group that mixes an input
+    wire with wires made in the first and second blocks, a wire in two output
+    groups, an empty output group, and an AND in the first and in the last
+    block (it fires on x & 3 == 3 and on y == 3)."""
+    b = CircuitBuilder()
+    xs, empty, ys = b.input_bits(3), b.input_bits(0), b.input_bits(2)
+    x0, x0_copy = b.delta(xs[0])
+    first = b.and_(x0, xs[1])
+    while len(b.nodes) < BLOCK:
+        b.const_bit(1)
+    second = b.xor(x0_copy, b.const_bit(1))
+    while len(b.nodes) < 2 * BLOCK:
+        b.const_bit(0)
+    last = b.and_(ys[0], ys[1])
+    assert empty == [] and b.nodes[BLOCK + 1].outputs == (second,) and b.nodes[2 * BLOCK].outputs == (last,)
+    return b.finish([[xs[2], first, second], [last], [second], []])
+
+
+def three_block_cases():
+    return [[BitVec.from_int(x, 3), BitVec(()), BitVec.from_int(y, 2)] for x in range(8) for y in range(4)]
+
+
+def test_three_block_binary_program_matches_oracle():
+    g = three_block_logic_circuit()
+    assert len(g._binary_program) == 3
+    for graph in (g, CircuitGraph.from_json(g.to_json())):
+        for xs in three_block_cases():
+            assert eval_binary(graph, xs) == oracle_eval_binary(g, xs)
+
+
+def test_three_block_amp_program_matches_oracle():
+    """Reached nodes 0..BLOCK-1, BLOCK..2*BLOCK-1 and the rest: an amp and a
+    variable input first read in the last block, outputs made in each block
+    and one that is an input wire, and a wire in two output groups."""
+    b = CircuitBuilder()
+    x, late, var = b.input_amp(), b.input_amp(), b.input_var(3)
+    acc, made = x, []
+    for _ in range(BLOCK):
+        acc = b.times(acc, b.const_float(1.0 + 1e-3))
+        made.append(acc)
+    out = b.times(b.plus(acc, late), b.func(function_table(np.cos, [0.0, 0.5, 1.0]), var))
+    g = b.finish([[made[10]], [x], [made[-10]], [out], [made[10]]])
+    block_of = {n.outputs[0]: k // BLOCK for k, n in enumerate(g.nodes)}  # every node is reached
+    assert len(g._amp_program[0]) == 3 and [block_of[w] for w in (made[10], made[-10], out)] == [0, 1, 2]
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        assert_amp_matches_oracle(g, random_inputs(rng, g))
 
 
 def test_20000_link_chain_runs_in_blocks():
