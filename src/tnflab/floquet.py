@@ -12,8 +12,9 @@ Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
 * :func:`evolve_conventional` - MPS compressed to ``chi`` after every
   period (contraction along the time direction).
 * :func:`tnf_amplitude_transverse` - ``amplitude_fixed`` on the Floquet
-  PEPS (:func:`floquet_peps`): columns contracted one by one along the
-  spatial direction, the boundary running along the time axis and
+  PEPS (:func:`floquet_peps`), a table of one on the
+  :func:`tnflab.peps.fixed_table` walk: columns contracted one by one along
+  the spatial direction, the boundary running along the time axis and
   compressed to ``chi`` after each column.
 * :func:`tnf_amplitude_inverse_time` - the bra ``<n|`` absorbs period
   layers from the final step backward, compressed to ``chi`` per layer.
@@ -53,7 +54,7 @@ from .peps import (
     Peps,
     _check_chi,
     _in_compress_order,
-    _schedule_amplitude,
+    amplitude_fixed,
     as_config,
     boundary_absorb,
     fixed_table,
@@ -292,7 +293,8 @@ def tnf_amplitude_transverse(params: FloquetParams, n, chi: int, t: int) -> Ampl
     _check_chi(chi)
     if t == 0:
         return AmplitudeValue.from_parts(float(not cfg.any()))
-    return _schedule_amplitude(floquet_peps(params, t), np.repeat(cfg, t), params.n_sites - 1, chi)
+    plan = FixedPlan(params.n_sites, t, chi, params.n_sites - 1)
+    return amplitude_fixed(floquet_peps(params, t), np.repeat(cfg, t), plan)
 
 
 def transverse_table(params: FloquetParams, chi: int, t: int) -> tuple[np.ndarray, np.ndarray]:

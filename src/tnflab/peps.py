@@ -18,8 +18,8 @@ Amplitudes for a basis configuration come in three flavors:
   (the last row for its first configuration), over the same prefix memo as
   :class:`FixedEvaluator`, so the value depends on the Markov history at
   finite ``chi``. Each evaluator's ``closure_row`` is its one rule.
-* :func:`exact_amplitude` - untruncated row-by-row contraction, the small
-  lattice oracle.
+* :func:`exact_amplitude` - the same schedule closed at the last row with
+  no compression, the small-lattice oracle.
 
 Periodic wrap bonds are handled by unrolling each cyclic row into an open
 row with doubled horizontal bonds and by keeping the vertical wrap legs open,
@@ -27,18 +27,19 @@ paired into the boundary physical legs until the final closure.
 
 The boundary engine (:func:`boundary_absorb` and the strip closure) works on
 stacks: every array carries a leading axis over independent contractions,
-each of which gets the bits it gets alone. A single evaluation is a stack of
-one, whose products run on plain 2-D matrices. :func:`fixed_table`, the one
-walk behind every enumeration (sector energies, the Floquet transverse
-tables), stacks every distinct prefix of a level and every closure into
-one amplitude table; :func:`fixed_table_vjp` (the gradient estimators') is
-that walk with a tape per slice, each pulled back as the walk goes. It walks
-the bottom side twice by design: untaped for the kept bottom boundaries,
-then taped for the reverse pass. The evaluators' memo closes the misses of
-a table of configurations (a Monte Carlo sample's neighbours, each at its
-own closure row) in one closure per closure row and boundary shape.
-Boundaries keep their legs in the order the next contraction reads them, so
-memoized and gathered ones are read without a copy.
+each of which gets the bits it gets alone. :func:`fixed_table`'s walk is
+behind every fixed-schedule amplitude outside the evaluators' memo: it stacks
+every distinct prefix of a level and every closure of a table into one
+amplitude table, and a single amplitude (:func:`amplitude_fixed`,
+:func:`exact_amplitude`, the Floquet transverse route) is a table of one,
+whose products run on plain 2-D matrices. :func:`fixed_table_vjp` (the
+gradient estimators', and :func:`log_derivatives` twice) is that walk with a
+tape per slice, each pulled back as the walk goes; it walks the bottom side
+twice, untaped for the kept bottom boundaries, then taped. The evaluators'
+memo closes its misses (a Monte Carlo sample's neighbours, each at its own
+closure row) in one closure per closure row and boundary shape. Boundaries
+keep their legs in the order the next contraction reads them, so memoized
+and gathered ones are read without a copy.
 """
 from __future__ import annotations
 
@@ -219,23 +220,16 @@ def _unroll_row(row: list[np.ndarray], tape: Tape | None = None) -> list[np.ndar
     return out
 
 
-def _row(
-    peps: Peps, cfg: np.ndarray, r: int, patch=None, tape: Tape | None = None
-) -> list[np.ndarray]:
+def _row(peps: Peps, cfg: np.ndarray, r: int, patch=None) -> list[np.ndarray]:
     """Row ``r`` projected on ``cfg`` as a stack of one, unrolled on periodic
-    lattices.
-
-    ``patch`` is an optional ``((row, col), tensor)`` replacing one site. A
-    ``tape`` keeps the projected tensors as its leaves.
-    """
+    lattices. ``patch`` is an optional ``((row, col), tensor)`` replacing one
+    site."""
     ks = cfg[r * peps.cols : (r + 1) * peps.cols].tolist()
     row = [site[None, ..., k] for site, k in zip(peps.sites[r], ks)]
     if patch is not None and patch[0][0] == r:
         (_, c), tensor = patch
         row[c] = tensor[None, ..., ks[c]]
-    if tape is not None:
-        tape.leaves.update(((r, c), t) for c, t in enumerate(row))
-    return _unroll_row(row, tape) if peps.boundary == "pbc" else row
+    return _unroll_row(row) if peps.boundary == "pbc" else row
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +411,9 @@ def _close_strip(
     return vec.reshape(count), [functools.reduce(operator.add, fs) for fs in zip(*factors)]
 
 
-def _close_one(top: Chains | None, mid: list[np.ndarray], bottom: Chains | None,
-               tape: Tape | None = None) -> AmplitudeValue:
+def _close_one(top: Chains | None, mid: list[np.ndarray], bottom: Chains | None) -> AmplitudeValue:
     """:func:`_close_strip` of a stack of one, as its amplitude."""
-    values, [log] = _close_strip(top, mid, bottom, tape)
+    values, [log] = _close_strip(top, mid, bottom)
     [value] = values.tolist()
     return AmplitudeValue.from_parts(value, log)
 
@@ -463,8 +456,9 @@ class FixedPlan:
     mid: int
 
     def __post_init__(self):
-        _check_chi(self.chi)
-        if not 0 <= self.mid < self.rows:
+        for name, lowest in (("rows", 1), ("cols", 1), ("chi", 1), ("mid", 0)):
+            _check_int(name, getattr(self, name), lowest)
+        if self.mid >= self.rows:
             raise ValueError(f"mid must be in [0, {self.rows}), got {self.mid}")
 
     @classmethod
@@ -474,8 +468,14 @@ class FixedPlan:
 
 def _check_chi(chi) -> None:
     """Raise ``ValueError`` unless ``chi`` is a positive integer (not a bool)."""
-    if isinstance(chi, bool) or not hasattr(chi, "__index__") or chi < 1:
-        raise ValueError(f"chi must be a positive integer, got {chi!r}")
+    _check_int("chi", chi, 1)
+
+
+def _check_int(name: str, value, lowest: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of at
+    least ``lowest``, 0 or 1."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < lowest:
+        raise ValueError(f"{name} must be a {('non-negative', 'positive')[lowest]} integer, got {value!r}")
 
 
 def _check_plan(peps: Peps, plan: FixedPlan) -> None:
@@ -484,24 +484,12 @@ def _check_plan(peps: Peps, plan: FixedPlan) -> None:
 
 
 def amplitude_fixed(peps: Peps, n, plan: FixedPlan) -> AmplitudeValue:
-    """TNF amplitude of ``n`` under the fixed schedule ``plan``."""
+    """TNF amplitude of ``n`` under the fixed schedule ``plan``: row 0 of
+    :func:`fixed_table` of the table of ``n`` alone."""
     _check_plan(peps, plan)
-    return _schedule_amplitude(peps, as_config(n, peps.n_sites, peps.phys_dim), plan.mid, plan.chi)
-
-
-def _schedule_amplitude(
-    peps: Peps, cfg: np.ndarray, mid: int, chi: int | None, tape: Tape | None = None
-) -> AmplitudeValue:
-    """Uncached amplitude of the checked configuration ``cfg`` (flat int64, as
-    :func:`as_config` gives it): rows above ``mid`` absorbed downward, rows
-    below it upward, each absorption compressed to ``chi``, and the strip at
-    ``mid`` closed exactly. A ``tape`` records the whole contraction."""
-    top = bottom = None
-    for r in range(mid):
-        [top] = boundary_absorb(top, _row(peps, cfg, r, tape=tape), chi, "top", tape)
-    for r in range(peps.rows - 1, mid, -1):
-        [bottom] = boundary_absorb(bottom, _row(peps, cfg, r, tape=tape), chi, "bottom", tape)
-    return _close_one(top, _row(peps, cfg, mid, tape=tape), bottom, tape)
+    cfg = as_config(n, peps.n_sites, peps.phys_dim)
+    [m], [log] = (x.tolist() for x in _table(peps, plan.mid, plan.chi, cfg[None])[:2])
+    return AmplitudeValue(m, log, m == 0)
 
 
 # Bytes one lock-step stack may take: a :func:`fixed_table` stack a ``rows``-th,
@@ -511,8 +499,8 @@ BLOCK_BYTES = 8 << 20
 
 
 def fixed_table(peps: Peps, plan: FixedPlan, configs) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`amplitude_fixed` of each row of the table ``configs``, in order,
-    bit for bit, as an amplitude table (see :mod:`tnflab.tensor`).
+    """The amplitude of each row of the table ``configs`` under the schedule
+    ``plan``, in order, as an amplitude table (see :mod:`tnflab.tensor`).
 
     The configurations share the plan's schedule, so one walk on the stacked
     engine (:func:`_walk`) absorbs each distinct prefix of rows
@@ -521,20 +509,25 @@ def fixed_table(peps: Peps, plan: FixedPlan, configs) -> tuple[np.ndarray, np.nd
     stacked closures. Every distinct bottom boundary is kept; the top side
     runs depth first and closes as it goes. A stack holds as many chains as
     fit a ``rows``-th of :data:`BLOCK_BYTES` at its own shapes, and at least
-    one. The table is read by :func:`tnflab.mps.as_configs`.
+    one. Each chain gets the bits it gets alone, so a row's amplitude is
+    :func:`amplitude_fixed`'s (a table of one) whatever else the table holds.
+    The table is read by :func:`tnflab.mps.as_configs`.
     """
     _check_plan(peps, plan)
-    return _table(peps, plan, as_configs(configs, peps.n_sites, peps.phys_dim))[:2]
+    return _table(peps, plan.mid, plan.chi, as_configs(configs, peps.n_sites, peps.phys_dim))[:2]
 
 
 def fixed_table_vjp(peps: Peps, plan: FixedPlan, configs, cotangent) -> tuple[np.ndarray, np.ndarray]:
     """The gradient of ``Re sum_k conj(cotangent[k]) ln psi_k`` over the real
     parameters in :func:`peps_to_params` order, ``psi_k`` the amplitude
     :func:`fixed_table` gives row ``k`` of ``configs``, and per row the
-    parameters its contraction leaves at 0, as :func:`log_derivatives`
-    counts them: the read entries of the rows that feed a degenerate
-    truncation of that row's own contraction, and all of them for a zero
-    amplitude (which contributes nothing).
+    number of real parameters its contraction leaves at 0 (the zeroed rule):
+    a truncation degenerate for a configuration
+    (:func:`tnflab.adjoint.degenerate_cut`) sends nothing back through its
+    chain, so on each side of the closure row the entries ``t[..., n_s]``
+    read by the rows absorbed up to that side's last such truncation get 0
+    and are counted; a zero amplitude contributes nothing, and every entry
+    it reads is counted.
 
     :func:`fixed_table`'s walk and closures with a tape per absorb slice and
     per closure stack, each pulled back right after its children (see
@@ -554,26 +547,27 @@ def fixed_table_vjp(peps: Peps, plan: FixedPlan, configs, cotangent) -> tuple[np
     seed = np.asarray(cotangent)
     if seed.shape != (len(table),) or seed.dtype.kind not in "iufc" or not np.isfinite(seed).all():
         raise ValueError(f"cotangent must hold one finite number per table row ({len(table)})")
-    grads = [[np.zeros(t.shape, complex) for t in row] for row in peps.sites]
-    zeroed = _table(peps, plan, table, grads, seed.astype(complex))[2]
-    return np.concatenate([p for row in grads for g in row for p in (g.real.ravel(), g.imag.ravel())]), zeroed
+    return _table(peps, plan.mid, plan.chi, table, seed.astype(complex))[2:]
 
 
-def _table(peps: Peps, plan: FixedPlan, table: np.ndarray, grads=None, cotangent=None):
-    """:func:`fixed_table` of the checked ``table``, and ``None``. Given
-    ``grads`` (one zero array per site), also :func:`fixed_table_vjp` of
-    ``cotangent``: its cotangents are added into ``grads``, and each row's
-    zeroed count comes third."""
-    (b_part, b_pos), bottoms, below = np.zeros((2, len(table)), np.int64), [], range(peps.rows - 1, plan.mid, -1)
+def _table(peps: Peps, mid: int, chi: int | None, table: np.ndarray, cotangent=None):
+    """The amplitude table of the checked ``table`` with the strip closed at
+    row ``mid`` and each absorption compressed to ``chi`` (exact for
+    ``None``), then two ``None``. Given ``cotangent``, the last two are
+    :func:`fixed_table_vjp` of it: the gradient and each row's zeroed
+    count."""
+    (b_part, b_pos), bottoms, below = np.zeros((2, len(table)), np.int64), [], range(peps.rows - 1, mid, -1)
 
     def keep(bottom, pos, cfgs, _):  # every distinct bottom boundary, and where each row's is
         b_part[cfgs], b_pos[cfgs] = len(bottoms), pos
         bottoms.append(bottom)
 
-    _walk(peps, table, below, plan.chi, "bottom", keep)
+    _walk(peps, table, below, chi, "bottom", keep)
     mantissa, log_scale = np.empty(len(table), complex), np.empty(len(table))
-    shapes = [t.shape[1:] for t in _row(peps, np.zeros(peps.n_sites, int), plan.mid)]
-    if grads is not None:
+    shapes = [t.shape[1:] for t in _row(peps, np.zeros(peps.n_sites, int), mid)]
+    grads = None
+    if cotangent is not None:
+        grads = [[np.zeros(t.shape, complex) for t in row] for row in peps.sites]
         b_bars = [_zero_bars(bottom, "bottom") for bottom in bottoms]
         zeroed = np.zeros(len(table), np.int64)
 
@@ -584,7 +578,7 @@ def _table(peps: Peps, plan: FixedPlan, table: np.ndarray, grads=None, cotangent
         for part, at, picked in _closure_cuts(peps, shapes, top, pos, cfgs, b_part, bottoms):
             tape = None if grads is None else Tape()
             ends = _gather(top, at, "top", tape), _gather(bottoms[part], b_pos[picked], "bottom", tape)
-            values, logs = _close_strip(ends[0], _stacked_row(peps, table[picked], plan.mid, tape), ends[1], tape)
+            values, logs = _close_strip(ends[0], _stacked_row(peps, table[picked], mid, tape), ends[1], tape)
             mantissa[picked], log_scale[picked] = table_from_parts(values, logs)
             if tape is None or not values.any():
                 continue
@@ -592,7 +586,7 @@ def _table(peps: Peps, plan: FixedPlan, table: np.ndarray, grads=None, cotangent
             vec = tape.ops[-1][1][0]
             seed = np.where(live, cotangent[picked], 0) / np.conj(np.where(live, values, 1))
             bars = tape.backward({id(vec): seed.reshape((1,) + vec.shape)})
-            _pull_row(grads, peps, tape, bars, table[picked], plan.mid)
+            _pull_row(grads, peps, tape, bars, table[picked], mid)
             _pull_gather(bar, ends[0], at, tape, bars)
             _pull_gather(b_bars[part], ends[1], b_pos[picked], tape, bars)
         return bar
@@ -601,12 +595,13 @@ def _table(peps: Peps, plan: FixedPlan, table: np.ndarray, grads=None, cotangent
         zeroed[cfgs] += bottom_zeroed[pos]
         return None if bottom is None else b_bars[b_part[cfgs[0]]]
 
-    _walk(peps, table, range(plan.mid), plan.chi, "top", close, grads)
+    _walk(peps, table, range(mid), chi, "top", close, grads)
     if grads is None:
-        return mantissa, log_scale, None
-    _walk(peps, table, below, plan.chi, "bottom", reopen, grads)
+        return mantissa, log_scale, None, None
+    _walk(peps, table, below, chi, "bottom", reopen, grads)
     zeroed[mantissa == 0] = _row_sizes(peps, range(peps.rows))[-1]
-    return mantissa, log_scale, zeroed
+    grad = np.concatenate([p for row in grads for g in row for p in (g.real.ravel(), g.imag.ravel())])
+    return mantissa, log_scale, grad, zeroed
 
 
 def _closure_cuts(peps: Peps, shapes: list[tuple], top, pos, cfgs, b_part, bottoms):
@@ -792,44 +787,18 @@ def _stack_size(peps: Peps, top: Chains | None, shapes: list[tuple], bottom: Cha
 
 
 def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.ndarray, int]:
-    """The amplitude of ``n`` and ``O_k = d ln psi(n) / d theta_k`` for every
-    real parameter in :func:`peps_to_params` order, from one taped
-    fixed-schedule contraction and one reverse pass (:mod:`tnflab.adjoint`).
-
-    The amplitude is bit for bit :func:`amplitude_fixed`'s. Only the entries
-    ``t[..., n_s]`` an amplitude reads have nonzero derivatives. The read
-    entries of rows that feed a degenerate truncation, and all read entries
-    of a zero amplitude, have none: they get 0, and the third value counts
-    them.
-    """
+    """The amplitude of ``n`` (bit for bit :func:`amplitude_fixed`'s),
+    ``O_k = d ln psi(n) / d theta_k`` for every real parameter in
+    :func:`peps_to_params` order, and how many of them
+    :func:`fixed_table_vjp`'s zeroed rule leaves at 0: two passes of that
+    walk over the table of ``n`` alone, with cotangents 1 (``Re O_k``) and
+    ``1j`` (``Im O_k``)."""
     _check_plan(peps, plan)
-    cfg = as_config(n, peps.n_sites, peps.phys_dim)
-    tape = Tape()
-    amp = _schedule_amplitude(peps, cfg, plan.mid, plan.chi, tape)
-    if amp.is_zero:
-        bars, zeroed = {}, int(_row_sizes(peps, range(peps.rows))[-1])
-    else:
-        vec = tape.ops[-1][1][0]
-        v = complex(vec.reshape(-1)[0]).conjugate()
-        seed = np.zeros((2, vec.size), complex)
-        seed[:, 0] = 1.0 / v, 1j / v  # cotangents of Re ln psi and arg psi
-        bars = tape.backward({id(vec): seed.reshape((2,) + vec.shape)})
-        # The compressions in order, top side first: a row feeds those of its side from its own on.
-        flags = [bool(f[0]) for f in tape.degenerate.values()]
-        zeroed = 0
-        for rows, side in ((range(plan.mid), flags[: plan.mid]),
-                           (range(peps.rows - 1, plan.mid, -1), flags[plan.mid :])):
-            if True in side:
-                zeroed += int(_row_sizes(peps, rows)[len(side) - 1 - side[::-1].index(True)])
-    parts = []
-    for r in range(peps.rows):
-        for c in range(peps.cols):
-            leaf = tape.leaves[(r, c)]
-            g = np.zeros((2,) + peps.sites[r][c].shape, complex)
-            if id(leaf) in bars:
-                g[..., cfg[r * peps.cols + c]] = bars[id(leaf)].reshape(g.shape[:-1])
-            parts += [(g[0].real + 1j * g[1].real).ravel(), (g[0].imag + 1j * g[1].imag).ravel()]
-    return amp, np.concatenate(parts), zeroed
+    table = as_config(n, peps.n_sites, peps.phys_dim)[None]
+    (m, log, re, zeroed), (_, _, im, _) = (_table(peps, plan.mid, plan.chi, table, np.array([c], complex))
+                                           for c in (1, 1j))
+    [m], [log] = m.tolist(), log.tolist()
+    return AmplitudeValue(m, log, m == 0), re + 1j * im, int(zeroed[0])
 
 
 # Bytes each memo of a :class:`_BoundaryStack` may hold, as it counts them: room for the
@@ -1103,16 +1072,19 @@ def _exact_peak(peps: Peps) -> int:
 
 
 def exact_amplitude(peps: Peps, n) -> AmplitudeValue:
-    """Untruncated row-by-row contraction. Raises :class:`ResourceLimitError`,
-    before any contraction, when its largest array would exceed
-    :data:`EXACT_MAX_BYTES`."""
+    """Untruncated row-by-row contraction: the table walk of ``n`` alone,
+    closed at the last row with no compression. Raises
+    :class:`ResourceLimitError`, before any contraction, when its largest
+    array would exceed :data:`EXACT_MAX_BYTES`."""
     need = 16 * _exact_peak(peps)
     if need > EXACT_MAX_BYTES:
         raise ResourceLimitError(
             f"exact amplitude would build a {need / 2**20:.0f} MiB array, over the "
             f"{EXACT_MAX_BYTES >> 20} MiB guard"
         )
-    return _schedule_amplitude(peps, as_config(n, peps.n_sites, peps.phys_dim), peps.rows - 1, None)
+    cfg = as_config(n, peps.n_sites, peps.phys_dim)
+    [m], [log] = (x.tolist() for x in _table(peps, peps.rows - 1, None, cfg[None])[:2])
+    return AmplitudeValue(m, log, m == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Gradient estimation and stochastic gradient descent."""
 import cmath
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -12,10 +13,18 @@ import tnflab.vmc
 import tnflab.ed
 from tnflab.adjoint import Tape
 from tnflab.errors import NumericalAbortError
+from tnflab.floquet import PRESETS, FloquetParams, floquet_peps, tnf_amplitude_transverse
 from tnflab.models import heisenberg, neel_config
+from tnflab.mps import as_config
 from tnflab.peps import (
     FixedEvaluator,
     FixedPlan,
+    _close_strip,
+    _row_sizes,
+    _unroll_row,
+    amplitude_fixed,
+    boundary_absorb,
+    exact_amplitude,
     fixed_table,
     fixed_table_vjp,
     log_derivatives,
@@ -25,6 +34,7 @@ from tnflab.peps import (
     random_peps,
 )
 from tnflab.simple_update import simple_update
+from tnflab.tensor import AmplitudeValue
 from tnflab.vmc import (
     GradientInfo,
     enumerate_energy,
@@ -83,6 +93,123 @@ def bits(a):
     return (a.mantissa, a.log_scale, a.is_zero)
 
 
+# The reference contraction: the fixed schedule run on one configuration by
+# itself, built from the engine's layer steps and owing nothing to the table
+# walk, its gathers or its seeding. Every fixed-schedule route and the
+# per-configuration oracles below are held to it.
+
+
+def reference_row(peps, cfg, r, tape):
+    """Row ``r`` projected on ``cfg`` as a stack of one, unrolled on periodic
+    lattices; a ``tape`` keeps the projected sites as its leaves."""
+    ks = cfg[r * peps.cols : (r + 1) * peps.cols].tolist()
+    row = [site[None, ..., k] for site, k in zip(peps.sites[r], ks)]
+    if tape is not None:
+        tape.leaves.update(((r, c), t) for c, t in enumerate(row))
+    return _unroll_row(row, tape) if peps.boundary == "pbc" else row
+
+
+def reference_amplitude(peps, n, mid, chi, tape=None):
+    """The amplitude of ``n``: rows above ``mid`` absorbed downward, rows
+    below it upward, each absorption compressed to ``chi`` (exact for
+    ``None``), and the strip at ``mid`` closed exactly. A ``tape`` records
+    the whole contraction."""
+    cfg = as_config(n, peps.n_sites, peps.phys_dim)
+    top = bottom = None
+    for r in range(mid):
+        [top] = boundary_absorb(top, reference_row(peps, cfg, r, tape), chi, "top", tape)
+    for r in range(peps.rows - 1, mid, -1):
+        [bottom] = boundary_absorb(bottom, reference_row(peps, cfg, r, tape), chi, "bottom", tape)
+    values, [log] = _close_strip(top, reference_row(peps, cfg, mid, tape), bottom, tape)
+    [value] = values.tolist()
+    return AmplitudeValue.from_parts(value, log)
+
+
+def reference_log_derivatives(peps, n, plan):
+    """``log_derivatives`` from one taped :func:`reference_amplitude` and one
+    reverse pass seeded with the cotangents of ``Re ln psi`` and ``arg psi``
+    at once. The zeroed count reads the tape's degeneracy flags, one per
+    compression in recording order: on each side, the parameters read by
+    the rows up to its last degenerate truncation; for a zero amplitude,
+    every read parameter."""
+    cfg = as_config(n, peps.n_sites, peps.phys_dim)
+    tape = Tape()
+    amp = reference_amplitude(peps, cfg, plan.mid, plan.chi, tape)
+    if amp.is_zero:
+        bars, zeroed = {}, int(_row_sizes(peps, range(peps.rows))[-1])
+    else:
+        vec = tape.ops[-1][1][0]
+        v = complex(vec.reshape(-1)[0]).conjugate()
+        seed = np.zeros((2, vec.size), complex)
+        seed[:, 0] = 1.0 / v, 1j / v
+        bars = tape.backward({id(vec): seed.reshape((2,) + vec.shape)})
+        # The compressions in order, top side first: a row feeds those of its side from its own on.
+        flags = [bool(f[0]) for f in tape.degenerate.values()]
+        zeroed = 0
+        for rows, side in ((range(plan.mid), flags[: plan.mid]),
+                           (range(peps.rows - 1, plan.mid, -1), flags[plan.mid :])):
+            if True in side:
+                zeroed += int(_row_sizes(peps, rows)[len(side) - 1 - side[::-1].index(True)])
+    parts = []
+    for r in range(peps.rows):
+        for c in range(peps.cols):
+            leaf = tape.leaves[(r, c)]
+            g = np.zeros((2,) + peps.sites[r][c].shape, complex)
+            if id(leaf) in bars:
+                g[..., cfg[r * peps.cols + c]] = bars[id(leaf)].reshape(g.shape[:-1])
+            parts += [(g[0].real + 1j * g[1].real).ravel(), (g[0].imag + 1j * g[1].imag).ravel()]
+    return amp, np.concatenate(parts), zeroed
+
+
+def fixed_route_pairs(boundary, chi):
+    """``amplitude_fixed`` and the reference at every closure row of 3x3 D=2
+    states, one of them with a hole that zeroes some amplitudes."""
+    p = random_peps(3, 3, 2, 2, seed=chi, boundary=boundary)
+    holed = p.copy()
+    holed.sites[1][1][..., 1] = 0.0
+    configs = np.random.default_rng(chi).integers(0, 2, size=(4, 9))
+    configs[:, 4] = [0, 1, 0, 1]
+    pairs = [(amplitude_fixed(state, cfg, FixedPlan(3, 3, chi, mid)), reference_amplitude(state, cfg, mid, chi))
+             for state, mid, cfg in itertools.product((p, holed), range(3), configs)]
+    assert any(want.is_zero for _, want in pairs)
+    return pairs
+
+
+def exact_route_pairs(boundary):
+    """``exact_amplitude`` and the untruncated reference closed at the last row."""
+    p = random_peps(3, 3, 2, 2, seed=5, boundary=boundary)
+    return [(exact_amplitude(p, cfg), reference_amplitude(p, cfg, 2, None))
+            for cfg in np.random.default_rng(5).integers(0, 2, size=(6, 9))]
+
+
+def transverse_route_pairs(chi):
+    """``tnf_amplitude_transverse`` and the reference on the Floquet PEPS,
+    closed at its last column, at L=6 and t=1-3."""
+    params = FloquetParams(6, **PRESETS["maximally_chaotic"])
+    configs = np.random.default_rng(chi).integers(0, 2, size=(6, 6))
+    return [(tnf_amplitude_transverse(params, cfg, chi, t),
+             reference_amplitude(floquet_peps(params, t), np.repeat(cfg, t), 5, chi))
+            for t, cfg in itertools.product(range(1, 4), configs)]
+
+
+SINGLE_ROUTES = [
+    *(pytest.param(lambda b=b, chi=chi: fixed_route_pairs(b, chi), id=f"fixed {b} chi{chi}")
+      for b in ("obc", "pbc") for chi in (1, 2, 4)),
+    *(pytest.param(lambda b=b: exact_route_pairs(b), id=f"exact {b}") for b in ("obc", "pbc")),
+    *(pytest.param(lambda chi=chi: transverse_route_pairs(chi), id=f"transverse chi{chi}") for chi in (2, 64)),
+]
+
+
+@pytest.mark.parametrize("pairs", SINGLE_ROUTES)
+def test_single_routes_are_the_reference_bit_for_bit(pairs):
+    """Each single-configuration route gives the reference contraction's
+    ``mantissa``, ``log_scale`` and ``is_zero``, zero amplitudes included:
+    ``amplitude_fixed`` at every closure row, ``exact_amplitude`` and
+    ``tnf_amplitude_transverse`` below and above the bond it needs."""
+    for got, want in pairs():
+        assert bits(got) == bits(want)
+
+
 def assert_matches_oracle(p, cfg, chi):
     """Reverse-mode O_k(n) against the finite-difference oracle, to 1e-6
     relative to max(1, |O_fd|), skipping parameters the oracle flags; the
@@ -117,7 +244,7 @@ def oracle_metropolis_gradient(peps, model, chi, n_sweeps, n_warmup, seed):
     sum_eo = np.zeros(n_params, dtype=complex)
     samples = chain_configs(peps, model, chi, n_sweeps, n_warmup, seed)
     for cfg, e in samples:
-        _, o, z = log_derivatives(peps, cfg, plan)
+        _, o, z = reference_log_derivatives(peps, cfg, plan)
         oc = np.conj(o)
         sum_w += 1.0
         sum_e += 1.0 * e.real
@@ -246,11 +373,11 @@ def test_rank_deficient_boundaries_zero_their_rows():
 
 def oracle_table_gradient(peps, plan, table, cotangent):
     """``fixed_table_vjp`` the per-configuration way: ``Re conj(c) O_k`` of
-    each row's :func:`log_derivatives`, summed in order, and each row's
-    zeroed count."""
+    each row's :func:`reference_log_derivatives`, summed in order, and each
+    row's zeroed count."""
     grad, zeroed = np.zeros(peps_to_params(peps).size), []
     for cfg, c in zip(table, cotangent):
-        _, o, z = log_derivatives(peps, cfg, plan)
+        _, o, z = reference_log_derivatives(peps, cfg, plan)
         grad += np.real(np.conj(c) * o)
         zeroed.append(z)
     return grad, np.array(zeroed)
@@ -267,7 +394,7 @@ def oracle_enumerate_gradient(peps, model, chi):
     sum_eo = np.zeros(n_params, dtype=complex)
     for k in np.flatnonzero(np.abs(psi) ** 2):
         w, e = abs(psi[k]) ** 2, h_psi[k] / psi[k]
-        _, o, z = log_derivatives(peps, configs[k], plan)
+        _, o, z = reference_log_derivatives(peps, configs[k], plan)
         sum_w += w
         sum_o += w * np.conj(o)
         sum_eo += w * e * np.conj(o)
@@ -368,6 +495,27 @@ def test_table_pass_zeroes_what_the_oracle_zeroes(make, chi):
                        oracle_metropolis_gradient(p, m, chi, 30, 10, 2))):
         assert_close_gradient(got, want)
         assert np.array_equal(got[0] == 0, want[0] == 0)
+
+
+@pytest.mark.parametrize("make,chi", FIXED_CASES)
+def test_log_derivatives_match_the_reference(make, chi):
+    """The same states, at every closure row: the amplitude is the
+    reference's bit for bit, ``O_k`` within ``1e-12 * max|O|`` with the same
+    exact zeros, and the zeroed count is the reference's."""
+    p = make()
+    configs = tnflab.ed.Sector(p.n_sites).configs
+    configs = configs[:: len(configs) // 12 + 1]
+    counts = []
+    for mid in range(p.rows):
+        plan = FixedPlan(p.rows, p.cols, chi, mid)
+        for cfg in configs:
+            amp, o, zeroed = log_derivatives(p, cfg, plan)
+            want_amp, want, want_zeroed = reference_log_derivatives(p, cfg, plan)
+            assert bits(amp) == bits(want_amp) and zeroed == want_zeroed
+            assert np.array_equal(o == 0, want == 0)
+            assert np.max(np.abs(o - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+            counts.append(zeroed)
+    assert any(counts)
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 3)])
@@ -477,12 +625,8 @@ def test_probes_once_per_distinct_configuration(monkeypatch, rows, cols, boundar
     samples = [cfg.tobytes() for cfg, _ in chain_configs(p, m, chi, 30, 10, seed)]
     assert len(set(samples)) < len(samples), "the chain must revisit configurations"
     calls = Counter()
-    forward, absorb, close = tnflab.peps._schedule_amplitude, tnflab.peps.boundary_absorb, tnflab.peps._close_strip
+    absorb, close = tnflab.peps.boundary_absorb, tnflab.peps._close_strip
     backward = Tape.backward
-
-    def counted(peps, n, mid, chi, tape=None):
-        calls["single taped"] += tape is not None
-        return forward(peps, n, mid, chi, tape)
 
     def absorbed(stack, row, chi, side="top", tape=None):
         calls["taped absorbs"] += tape is not None
@@ -501,7 +645,6 @@ def test_probes_once_per_distinct_configuration(monkeypatch, rows, cols, boundar
     def probe(self, n, *args, **kwargs):
         calls["patched"] += 1
 
-    monkeypatch.setattr(tnflab.peps, "_schedule_amplitude", counted)
     monkeypatch.setattr(tnflab.peps, "boundary_absorb", absorbed)
     monkeypatch.setattr(tnflab.peps, "_close_strip", closed)
     monkeypatch.setattr(Tape, "backward", pulled)

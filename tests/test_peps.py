@@ -759,9 +759,12 @@ class TestAmplitudeFixed:
 
     def test_plan_checks_chi_and_closure_row(self):
         assert FixedPlan(4, 4, 3, 2) == FixedPlan.for_lattice(4, 4, 3)
-        for chi, mid in ((0, 2), (2, 4), (2, -1)):
+        bad = [(4, 4, 0, 2), (4, 4, 2, 4), (4, 4, 2, -1), (3, 3, 2, 1.5), (3, 3, 2, True),
+               (3.0, 3, 2, 1), (3, True, 2, 0), (3, 0, 2, 0), (3, "3", 2, 1)]
+        for args in bad:
             with pytest.raises(ValueError):
-                FixedPlan(4, 4, chi, mid)
+                FixedPlan(*args)
+        assert FixedPlan(np.int64(3), 3, np.int32(2), np.int8(1)).mid == 1
 
     # The memo tests loop over both boundaries inside one test each, so a PBC
     # regression fails the same test id that guards the OBC path.
