@@ -26,10 +26,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_int
 from .floquet import (
     FloquetParams,
-    _check_periods,
     _configs,
     conventional_states,
     exact_states,
@@ -41,7 +40,6 @@ from .floquet import (
     transverse_table,
 )
 from .mps import chain_values
-from .peps import _check_chi
 from .tensor import rescaled, table_from_parts
 
 __all__ = [
@@ -118,7 +116,7 @@ def _tables(
     an unknown method, a truncated method without a positive integer ``chi``,
     or a negative start."""
     _check_method(method, chi)
-    _check_periods(times.start)
+    check_int("number of periods", times.start, 0)
     if method == "tnf_transverse":
         return (transverse_table(params, chi, t) for t in times)
     if method == "tnf_inverse":  # lock-step blocks outer, times inner, then each time's blocks joined
@@ -144,7 +142,7 @@ def _check_method(method: str, chi: int | None) -> None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "exact":
         try:
-            _check_chi(chi)
+            check_int("chi", chi, 1)
         except ValueError as err:
             raise ValueError(f"truncated methods need a positive chi: {err}") from None
 
@@ -205,7 +203,7 @@ def bulk_entropy_sweep(
     n = params.n_sites
     if sizes is None:
         sizes = range(1, n)
-    _check_periods(t)
+    check_int("number of periods", t, 0)
     [table] = _tables(params, method, chi, range(t, t + 1))
     psi = rescaled(*table)
     out = []

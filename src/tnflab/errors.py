@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 The CLI maps these onto distinct exit codes, so runner scripts can tell a
-bad config from a blown resource guard or a numerical abort.
+bad config from a blown resource guard or a numerical abort. The argument
+rules :func:`check_int` and :func:`check_real` raise ``ValueError``.
 """
+import math
+import numbers
 
 
 class DimensionError(ValueError):
@@ -39,3 +42,17 @@ class GraphError(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal invariant failed (e.g. a non-basis intermediate in a binary circuit)."""
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real
+    number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")

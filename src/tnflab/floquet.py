@@ -11,11 +11,11 @@ Amplitudes ``<n| F^t |0...0>`` come from five contraction routes:
 * :func:`exact_evolve` - dense state vector, the benchmark (L <= 14).
 * :func:`evolve_conventional` - MPS compressed to ``chi`` after every
   period (contraction along the time direction).
-* :func:`tnf_amplitude_transverse` - ``amplitude_fixed`` on the Floquet
-  PEPS (:func:`floquet_peps`), a table of one on the
-  :func:`tnflab.peps.fixed_table` walk: columns contracted one by one along
-  the spatial direction, the boundary running along the time axis and
-  compressed to ``chi`` after each column.
+* :func:`tnf_amplitude_transverse` - the Floquet PEPS (:func:`floquet_peps`)
+  contracted as :func:`transverse_table` contracts every configuration, on a
+  table of one: columns contracted one by one along the spatial direction,
+  the boundary running along the time axis and compressed to ``chi`` after
+  each column.
 * :func:`tnf_amplitude_inverse_time` - the bra ``<n|`` absorbs period
   layers from the final step backward, compressed to ``chi`` per layer.
 * :func:`mpo_mpo_inverse` - compresses ``F^t`` itself as an MPO
@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_int, check_real
 from .mps import Chains, as_configs, chain_values, mps_amplitude
 from .mps import compress  # noqa: F401  a binding perfbench/tracer.py requires
 from .peps import (
@@ -52,14 +51,12 @@ from .peps import (
     BLOCK_BYTES,
     FixedPlan,
     Peps,
-    _check_chi,
     _in_compress_order,
-    amplitude_fixed,
     as_config,
     boundary_absorb,
     fixed_table,
 )
-from .tensor import AmplitudeValue, svd_split, table_from_parts
+from .tensor import AmplitudeValue, svd_split, table_from_parts, table_value
 
 __all__ = [
     "FloquetParams",
@@ -98,14 +95,10 @@ class FloquetParams:
     t_max: int = 0
 
     def __post_init__(self):
-        for name, low in (("n_sites", 2), ("t_max", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__") or value < low:
-                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+        check_int("n_sites", self.n_sites, 2)
+        check_int("t_max", self.t_max, 0)
         for name in ("j", "g", "h"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            check_real(name, getattr(self, name))
 
 
 PRESETS = {
@@ -181,12 +174,6 @@ def _configs(n_sites: int) -> np.ndarray:
     return (np.arange(1 << n_sites, dtype=np.int64)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
-def _check_periods(t) -> None:
-    """Raise ``ValueError`` unless ``t`` is a nonnegative integer (not a bool)."""
-    if isinstance(t, bool) or not hasattr(t, "__index__") or t < 0:
-        raise ValueError(f"number of periods must be a nonnegative integer, got {t!r}")
-
-
 def _diagonal_phases(params: FloquetParams) -> np.ndarray:
     """exp(i J sum z z') over all configurations, shaped (2,)*L.
 
@@ -221,7 +208,7 @@ def exact_states(params: FloquetParams) -> Iterator[np.ndarray]:
 
 def exact_evolve(params: FloquetParams, t: int) -> np.ndarray:
     """|psi(t)> = F^t |0...0> by dense gate application, normalized."""
-    _check_periods(t)
+    check_int("number of periods", t, 0)
     return next(itertools.islice(exact_states(params), t, None)).reshape(-1)
 
 
@@ -235,7 +222,7 @@ def _advance(parts: list[Chains], layer: list[np.ndarray], chi: int) -> list[Cha
 
 def conventional_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:
     """:func:`evolve_conventional` at t = 0, 1, ..., advanced one period per step."""
-    _check_chi(chi)
+    check_int("chi", chi, 1)
     e0 = np.array([1.0, 0.0], dtype=complex).reshape(1, 1, 1, 1, 2)  # a top boundary stack of one
     parts = [Chains([0], [e0] * params.n_sites, [0.0])]
     layer = [w.transpose(2, 0, 1, 3) for w in build_floquet_mpo(params)]  # in meets the state
@@ -251,7 +238,7 @@ def evolve_conventional(params: FloquetParams, chi: int, t: int) -> tuple[list[n
     Returns the chain and the accumulated log norm factor; amplitudes are
     ``mps_amplitude(sites, n) * exp(log)``.
     """
-    _check_periods(t)
+    check_int("number of periods", t, 0)
     return next(itertools.islice(conventional_states(params, chi), t, None))
 
 
@@ -264,7 +251,7 @@ def floquet_peps(params: FloquetParams, t: int) -> Peps:
     physical leg and earlier columns ignore theirs, so ``n`` reads as
     ``np.repeat(n, t)``. The transverse route closes the strip at row ``L - 1``.
     """
-    _check_periods(t)
+    check_int("number of periods", t, 0)
     if t < 1:
         raise ValueError(f"the Floquet PEPS needs at least one period, got {t}")
     e0 = np.array([1.0, 0.0], dtype=complex)
@@ -283,28 +270,29 @@ def floquet_peps(params: FloquetParams, t: int) -> Peps:
 def tnf_amplitude_transverse(params: FloquetParams, n, chi: int, t: int) -> AmplitudeValue:
     """<n| F^t |0...0> by column-by-column contraction along space.
 
-    :func:`tnflab.peps.amplitude_fixed` on :func:`floquet_peps`: the
+    :func:`transverse_table`'s walk over the table of ``n`` alone: the
     time-axis boundary is compressed to ``chi`` after each of the first
     ``L - 1`` columns and closed exactly against the last. The isometries
     depend on ``n`` through the bra caps but their positions never do.
     """
     cfg = as_config(n, params.n_sites, 2)
-    _check_periods(t)
-    _check_chi(chi)
-    if t == 0:
-        return AmplitudeValue.from_parts(float(not cfg.any()))
-    plan = FixedPlan(params.n_sites, t, chi, params.n_sites - 1)
-    return amplitude_fixed(floquet_peps(params, t), np.repeat(cfg, t), plan)
+    check_int("number of periods", t, 0)
+    check_int("chi", chi, 1)
+    return table_value(*_transverse(params, chi, t, cfg[None]))
 
 
 def transverse_table(params: FloquetParams, chi: int, t: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`tnf_amplitude_transverse` of all ``2^L`` configurations at time
-    ``t`` in index order as an amplitude table, bit for bit: one
-    :func:`tnflab.peps.fixed_table` over :func:`floquet_peps`, each
-    configuration read as ``np.repeat(n, t)``."""
-    _check_chi(chi)
-    _check_periods(t)
-    table = _configs(params.n_sites)
+    ``t`` in index order as an amplitude table, bit for bit."""
+    check_int("chi", chi, 1)
+    check_int("number of periods", t, 0)
+    return _transverse(params, chi, t, _configs(params.n_sites))
+
+
+def _transverse(params: FloquetParams, chi: int, t: int, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitude table of the configurations ``table`` at time ``t``: one
+    :func:`tnflab.peps.fixed_table` over :func:`floquet_peps` closed at row
+    ``L - 1``, each configuration read as ``np.repeat(n, t)``."""
     if t == 0:
         return table_from_parts(~table.any(axis=1), 0.0)
     plan = FixedPlan(params.n_sites, t, chi, params.n_sites - 1)
@@ -317,8 +305,8 @@ def inverse_time_block(params: FloquetParams, chi: int, t_max: int) -> int:
     MPO applied to chains whose bonds are as wide as ``chi``, the chain
     length and ``t_max`` allow (a chain ``t`` periods old has bonds of at
     most ``w**t`` for MPO bond ``w``; applied bonds multiply); at least one."""
-    _check_chi(chi)
-    _check_periods(t_max)
+    check_int("chi", chi, 1)
+    check_int("number of periods", t_max, 0)
     n = params.n_sites
     mpo = build_floquet_mpo(params)
     reach = max(w.shape[0] for w in mpo) ** max(t_max - 1, 0)
@@ -334,7 +322,7 @@ def inverse_time_series(params: FloquetParams, chi: int, configs) -> Iterator[tu
     advance in lock step: one stacked absorb of the period layer (compressed
     to ``chi``) per period and one stacked overlap with ``|0...0>``, each
     chain bit for bit as alone. Size blocks with :func:`inverse_time_block`."""
-    _check_chi(chi)
+    check_int("chi", chi, 1)
     return _lockstep(params, chi, as_configs(configs, params.n_sites, 2))
 
 
@@ -360,15 +348,13 @@ def tnf_amplitude_inverse_time(params: FloquetParams, n, chi: int, t: int) -> Am
     amplitude dependent; the schedule itself is fixed. A block of one in
     :func:`inverse_time_series`.
     """
-    _check_periods(t)
-    table = next(itertools.islice(inverse_time_series(params, chi, [n]), t, None))
-    [mantissa], [log_scale] = (x.tolist() for x in table)
-    return AmplitudeValue(mantissa, log_scale, mantissa == 0)
+    check_int("number of periods", t, 0)
+    return table_value(*next(itertools.islice(inverse_time_series(params, chi, [n]), t, None)))
 
 
 def mpo_states(params: FloquetParams, chi: int) -> Iterator[tuple[list[np.ndarray], float]]:
     """:func:`mpo_mpo_inverse` at t = 0, 1, ..., advanced one period per step."""
-    _check_chi(chi)
+    check_int("chi", chi, 1)
     yield [np.eye(2, dtype=complex)[None, :, :, None] for _ in range(params.n_sites)], 0.0
     # F as a top boundary stack of one (outputs open, inputs as faces); earlier layers attach by their outputs.
     mpo = build_floquet_mpo(params)
@@ -387,7 +373,7 @@ def mpo_mpo_inverse(params: FloquetParams, chi: int, t: int) -> tuple[list[np.nd
     before any configuration is attached. Returns (sites, log_scale); use
     :func:`mpo_amplitude` to evaluate configurations.
     """
-    _check_periods(t)
+    check_int("number of periods", t, 0)
     return next(itertools.islice(mpo_states(params, chi), t, None))
 
 

@@ -53,9 +53,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjoint import Tape, einsum_backward
-from .errors import CacheStateError, DimensionError, ResourceLimitError
+from .errors import CacheStateError, DimensionError, ResourceLimitError, check_int
 from .mps import Chains, as_config, as_configs, compress
-from .tensor import AmplitudeValue, renormalize, stack_dot, table_from_parts
+from .tensor import AmplitudeValue, renormalize, stack_dot, table_from_parts, table_value
 
 __all__ = [
     "Peps",
@@ -230,6 +230,12 @@ def _row(peps: Peps, cfg: np.ndarray, r: int, patch=None) -> list[np.ndarray]:
         (_, c), tensor = patch
         row[c] = tensor[None, ..., ks[c]]
     return _unroll_row(row) if peps.boundary == "pbc" else row
+
+
+def _row_shapes(peps: Peps, r: int) -> list[tuple]:
+    """The ``(up, left, down, right)`` extents of each site of row ``r``, as
+    :func:`_row` gives them."""
+    return [t.shape[1:] for t in _row(peps, np.zeros(peps.n_sites, int), r)]
 
 
 # ---------------------------------------------------------------------------
@@ -457,25 +463,13 @@ class FixedPlan:
 
     def __post_init__(self):
         for name, lowest in (("rows", 1), ("cols", 1), ("chi", 1), ("mid", 0)):
-            _check_int(name, getattr(self, name), lowest)
+            check_int(name, getattr(self, name), lowest)
         if self.mid >= self.rows:
             raise ValueError(f"mid must be in [0, {self.rows}), got {self.mid}")
 
     @classmethod
     def for_lattice(cls, rows: int, cols: int, chi: int) -> "FixedPlan":
         return cls(rows, cols, chi, rows // 2)
-
-
-def _check_chi(chi) -> None:
-    """Raise ``ValueError`` unless ``chi`` is a positive integer (not a bool)."""
-    _check_int("chi", chi, 1)
-
-
-def _check_int(name: str, value, lowest: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (not a bool) of at
-    least ``lowest``, 0 or 1."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value < lowest:
-        raise ValueError(f"{name} must be a {('non-negative', 'positive')[lowest]} integer, got {value!r}")
 
 
 def _check_plan(peps: Peps, plan: FixedPlan) -> None:
@@ -488,8 +482,7 @@ def amplitude_fixed(peps: Peps, n, plan: FixedPlan) -> AmplitudeValue:
     :func:`fixed_table` of the table of ``n`` alone."""
     _check_plan(peps, plan)
     cfg = as_config(n, peps.n_sites, peps.phys_dim)
-    [m], [log] = (x.tolist() for x in _table(peps, plan.mid, plan.chi, cfg[None])[:2])
-    return AmplitudeValue(m, log, m == 0)
+    return table_value(*_table(peps, plan.mid, plan.chi, cfg[None])[:2])
 
 
 # Bytes one lock-step stack may take: a :func:`fixed_table` stack a ``rows``-th,
@@ -564,7 +557,7 @@ def _table(peps: Peps, mid: int, chi: int | None, table: np.ndarray, cotangent=N
 
     _walk(peps, table, below, chi, "bottom", keep)
     mantissa, log_scale = np.empty(len(table), complex), np.empty(len(table))
-    shapes = [t.shape[1:] for t in _row(peps, np.zeros(peps.n_sites, int), mid)]
+    shapes = _row_shapes(peps, mid)
     grads = None
     if cotangent is not None:
         grads = [[np.zeros(t.shape, complex) for t in row] for row in peps.sites]
@@ -632,7 +625,7 @@ def _levels(peps: Peps, table: np.ndarray, rows: range) -> list[tuple]:
     site first, orders every level, and a level's prefixes start where one
     of its sites changes along that order.
     """
-    cols, blank = peps.cols, np.zeros(peps.n_sites, int)
+    cols = peps.cols
     sites = [c for r in rows for c in range(r * cols, (r + 1) * cols)]
     order = np.lexsort([table[:, c] for c in reversed(sites)]) if sites else np.arange(len(table))
     start = np.zeros(len(table), bool)
@@ -644,7 +637,7 @@ def _levels(peps: Peps, table: np.ndarray, rows: range) -> list[tuple]:
             start[1:] |= site[1:] != site[:-1]
         parents, starts = starts, np.flatnonzero(start)
         first = np.append(np.searchsorted(starts, parents), len(starts))
-        levels.append((order[starts], first, r, [t.shape[1:] for t in _row(peps, blank, r)]))
+        levels.append((order[starts], first, r, _row_shapes(peps, r)))
     levels.append((order, np.append(starts, len(table)), None, None))
     return levels
 
@@ -797,8 +790,7 @@ def log_derivatives(peps: Peps, n, plan: FixedPlan) -> tuple[AmplitudeValue, np.
     table = as_config(n, peps.n_sites, peps.phys_dim)[None]
     (m, log, re, zeroed), (_, _, im, _) = (_table(peps, plan.mid, plan.chi, table, np.array([c], complex))
                                            for c in (1, 1j))
-    [m], [log] = m.tolist(), log.tolist()
-    return AmplitudeValue(m, log, m == 0), re + 1j * im, int(zeroed[0])
+    return table_value(m, log), re + 1j * im, int(zeroed[0])
 
 
 # Bytes each memo of a :class:`_BoundaryStack` may hold, as it counts them: room for the
@@ -825,7 +817,7 @@ class _BoundaryStack:
     """
 
     def __init__(self, peps: Peps, chi: int):
-        _check_chi(chi)
+        check_int("chi", chi, 1)
         self.peps = peps
         self.chi = chi
         self._envs: dict[tuple, Chains] = {}
@@ -1040,19 +1032,9 @@ def _exact_peak(peps: Peps) -> int:
     site shapes alone: an absorbed row's sites before compression and the
     closure columns, with every boundary bond at its exact-rank bound (the
     product of the (open, face) extents on the smaller side)."""
-    def row_shapes(r):
-        shapes = [t.shape[:4] for t in peps.sites[r]]
-        if peps.boundary == "obc":
-            return shapes
-        last, w = len(shapes) - 1, shapes[0][1]  # unrolled: the wrap bond rides along
-        if last == 0:
-            return [(shapes[0][0], 1, shapes[0][2], 1)]
-        return [(u, l * w if c else 1, d, r * w if c < last else 1)
-                for c, (u, l, d, r) in enumerate(shapes)]
-
     peak, legs, bonds = 0, None, None  # legs: (open, face) per column
     for r in range(peps.rows):
-        row = row_shapes(r)
+        row = _row_shapes(peps, r)
         row_bonds = [row[0][1]] + [s[3] for s in row]
         if r == peps.rows - 1:  # the closure
             if bonds is not None:
@@ -1083,8 +1065,7 @@ def exact_amplitude(peps: Peps, n) -> AmplitudeValue:
             f"{EXACT_MAX_BYTES >> 20} MiB guard"
         )
     cfg = as_config(n, peps.n_sites, peps.phys_dim)
-    [m], [log] = (x.tolist() for x in _table(peps, peps.rows - 1, None, cfg[None])[:2])
-    return AmplitudeValue(m, log, m == 0)
+    return table_value(*_table(peps, peps.rows - 1, None, cfg[None])[:2])
 
 
 # ---------------------------------------------------------------------------

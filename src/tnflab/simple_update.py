@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .errors import check_int, check_real
 from .models import Model, spin_coupling_matrix
 from .peps import Peps
 from .tensor import svd_split
@@ -55,9 +56,12 @@ def _along(v: np.ndarray, axis: int) -> np.ndarray:
 
 def simple_update(peps: Peps, model: Model, tau: float, steps: int) -> Peps:
     """Evolve by ``steps`` applications of the bond-gate sweep; returns a new
-    state truncated to the input bond dimension. The gates need ``phys_dim`` 2."""
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    state truncated to the input bond dimension. ``steps`` is an integer of
+    at least 0, ``tau`` a positive finite real; the gates need ``phys_dim`` 2."""
+    check_int("steps", steps, 0)
+    check_real("tau", tau)
+    if tau <= 0:
+        raise ValueError(f"tau must be positive, got {tau}")
     if peps.phys_dim != 2:
         raise ValueError(f"phys_dim must be 2 for spin-1/2 bond gates, got {peps.phys_dim}")
     if (model.rows, model.cols) != (peps.rows, peps.cols):

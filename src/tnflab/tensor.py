@@ -13,7 +13,8 @@ Determinism is guaranteed within a single build/runtime, not bit-exactly
 across platforms, since LAPACK backends differ.
 
 An amplitude table is two arrays, ``mantissa`` and ``log_scale``, whose entry
-``k`` holds the fields of the ``k``-th :class:`AmplitudeValue` (a zero has mantissa 0).
+``k`` holds the fields of the ``k``-th :class:`AmplitudeValue` (a zero has mantissa 0);
+:func:`table_value` reads a table of one as its value.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
     "Renormalized",
     "AmplitudeValue",
     "table_from_parts",
+    "table_value",
     "rescaled",
 ]
 
@@ -276,6 +278,12 @@ def table_from_parts(values, log) -> tuple[np.ndarray, np.ndarray]:
     log_scale = np.fromiter(map(math.log, m.tolist()), float, m.size) + log
     log_scale[zero] = 0.0
     return mantissa, log_scale
+
+
+def table_value(mantissa: np.ndarray, log_scale: np.ndarray) -> AmplitudeValue:
+    """The :class:`AmplitudeValue` of a one-entry amplitude table."""
+    [m], [log] = mantissa.tolist(), log_scale.tolist()
+    return AmplitudeValue(m, log, m == 0)
 
 
 def rescaled(mantissa: np.ndarray, log_scale: np.ndarray) -> np.ndarray:

@@ -36,14 +36,13 @@ derivative there; they get 0 and are counted in
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .ed import Sector, sector_hamiltonian
-from .errors import NumericalAbortError
+from .errors import NumericalAbortError, check_int, check_real
 from .models import Model, neel_config, nn_pairs
 from .peps import (
     DynamicCache,
@@ -194,24 +193,17 @@ def _blocking_stderr(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(n))
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
-    (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 def _chain_args(peps: Peps, model: Model, n_sweeps: int, n_warmup: int | None, initial_config=None):
     """Checked warm-up length and start configuration of a chain of
     ``model`` on ``peps``, which must have the model's site count."""
     if model.n_sites != peps.n_sites:
         raise ValueError(f"model has {model.n_sites} sites, state has {peps.n_sites}")
-    _check_count("n_sweeps", n_sweeps, 1)
+    check_int("n_sweeps", n_sweeps, 1)
     if n_warmup is None:
         # 10% of the run with a floor of 100 sweeps, but never starve short
         # runs: at most half the sweeps go to warmup.
         n_warmup = min(max(100, n_sweeps // 10), n_sweeps // 2)
-    _check_count("n_warmup", n_warmup, 0)
+    check_int("n_warmup", n_warmup, 0)
     if n_warmup >= n_sweeps:
         raise ValueError(f"n_warmup must be below n_sweeps ({n_sweeps}), got {n_warmup}")
     if initial_config is None:
@@ -288,7 +280,7 @@ def estimate_energy(
     pool made runs slower, since the GIL serializes the small numpy calls.
     A non-finite mean raises :class:`NumericalAbortError`.
     """
-    _check_count("n_chains", n_chains, 1)
+    check_int("n_chains", n_chains, 1)
     n_warmup, cfg0 = _chain_args(peps, model, n_sweeps, n_warmup, initial_config)
     evaluator = _make_evaluator(peps, mode, chi)
     series = []
@@ -426,10 +418,8 @@ def sgd_optimize(
     more than ten times its initial magnitude above the start. Bad ``iterations``
     or ``learning_rate`` (not a finite real) raise ``ValueError`` first.
     """
-    _check_count("iterations", iterations, 0)
-    real = isinstance(learning_rate, numbers.Real) and not isinstance(learning_rate, bool)
-    if not (real and math.isfinite(learning_rate)):
-        raise ValueError(f"learning_rate must be a finite real number, got {learning_rate!r}")
+    check_int("iterations", iterations, 0)
+    check_real("learning_rate", learning_rate)
     params = peps_to_params(peps)
     current = peps
     trace: list[float] = []

@@ -255,6 +255,27 @@ class TestExactAmplitude:
             p = random_peps(rows, cols, 2, bond, seed=0, boundary=boundary)
             assert 16 * _exact_peak(p) <= EXACT_MAX_BYTES
 
+    @pytest.mark.parametrize("boundary, rows, cols, peaks", [
+        ("obc", 3, 1, [1, 2, 3]), ("obc", 2, 2, [1, 4, 9]), ("obc", 3, 3, [1, 32, 243]),
+        ("pbc", 3, 1, [1, 4, 9]), ("pbc", 2, 2, [1, 16, 81]), ("pbc", 3, 3, [1, 1024, 59049]),
+    ])
+    def test_guard_peak_pinned(self, boundary, rows, cols, peaks):
+        """The guard's entry count at D 1-3, pinned: periodic rows are
+        counted unrolled, with the wrap bond riding along."""
+        assert [_exact_peak(random_peps(rows, cols, 2, d, seed=0, boundary=boundary)) for d in (1, 2, 3)] == peaks
+
+    @pytest.mark.parametrize("boundary, vertical, horizontal, peak", [
+        ("obc", 2, 3, 72), ("obc", 3, 2, 48), ("pbc", 2, 3, 5184), ("pbc", 3, 2, 2304),
+    ])
+    def test_guard_peak_reads_each_bond_direction(self, boundary, vertical, horizontal, peak):
+        """A 3x3 state whose vertical and horizontal bonds differ in extent:
+        the guard reads each from its own legs."""
+        def ext(k, n, bond):
+            return bond if boundary == "pbc" or 0 < k < n else 1
+        sites = [[np.ones((ext(r, 3, vertical), ext(c, 3, horizontal), ext(r + 1, 3, vertical),
+                           ext(c + 1, 3, horizontal), 2), complex) for c in range(3)] for r in range(3)]
+        assert _exact_peak(Peps(3, 3, 2, max(vertical, horizontal), sites, boundary)) == peak
+
 
 class TestBoundaryAbsorb:
     def test_no_truncation_matches_direct_contraction(self):

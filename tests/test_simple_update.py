@@ -1,4 +1,6 @@
 """Imaginary-time simple update."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,13 +41,22 @@ def test_nonpositive_tau_rejected():
         simple_update(p, heisenberg(2, 2), tau=0.0, steps=1)
 
 
-@pytest.mark.parametrize(
-    "phys_dim, tau, name", [(3, 0.1, "phys_dim"), (2, float("nan"), "tau"), (2, float("inf"), "tau")]
-)
-def test_bad_arguments_rejected_by_name(phys_dim, tau, name):
+@pytest.mark.parametrize("phys_dim, tau, steps, name", [
+    pytest.param(3, 0.1, 1, "phys_dim", id="3-0.1-phys_dim"),
+    pytest.param(2, float("nan"), 1, "tau", id="2-nan-tau"),
+    pytest.param(2, float("inf"), 1, "tau", id="2-inf-tau"),
+    pytest.param(2, True, 1, "tau", id="2-True-tau"),
+    pytest.param(2, "a", 1, "tau", id="2-a-tau"),
+    pytest.param(2, 0.1, -1, "steps", id="steps=-1"),
+    pytest.param(2, 0.1, True, "steps", id="steps=True"),
+    pytest.param(2, 0.1, 2.5, "steps", id="steps=2.5"),
+])
+def test_bad_arguments_rejected_by_name(phys_dim, tau, steps, name, monkeypatch):
+    """Each bad argument is a ``ValueError`` naming it, raised before any gate is built."""
+    monkeypatch.setattr(sys.modules["tnflab.simple_update"], "spin_coupling_matrix", None)  # gates call it
     p = random_peps(2, 2, phys_dim, 2, seed=1)
     with pytest.raises(ValueError, match=name):
-        simple_update(p, heisenberg(2, 2), tau=tau, steps=1)
+        simple_update(p, heisenberg(2, 2), tau=tau, steps=steps)
 
 
 def test_non_edge_coupling_rejected():

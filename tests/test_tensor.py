@@ -9,8 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tnflab.errors import DimensionError, NumericalAbortError
-from tnflab.tensor import AmplitudeValue, _gauge_fix, renormalize, rescaled, stack_dot, svd_split, table_from_parts
+from tnflab.errors import NumericalAbortError, check_int, check_real
+from tnflab.floquet import FloquetParams, transverse_table
+from tnflab.tensor import (
+    AmplitudeValue,
+    _gauge_fix,
+    renormalize,
+    rescaled,
+    stack_dot,
+    svd_split,
+    table_from_parts,
+    table_value,
+)
 
 
 def split_one(t, n_left, chi):
@@ -275,8 +285,9 @@ ENTRY = st.tuples(st.builds(complex, PART, PART), st.floats(-700, 700))
 @settings(max_examples=300, deadline=None)
 def test_table_rule_matches_from_parts_bitwise(entries):
     """``table_from_parts`` gives each entry the fields of
-    ``AmplitudeValue.from_parts``, and ``rescaled`` the vector of the scalar
-    rule, bit for bit: signed zeros, subnormals and all."""
+    ``AmplitudeValue.from_parts``, ``table_value`` reads each entry back as
+    that value, and ``rescaled`` gives the vector of the scalar rule, bit for
+    bit: signed zeros, subnormals and all."""
     amps = [AmplitudeValue.from_parts(v, lg) for v, lg in entries]
     mantissa, log_scale = table_from_parts(np.array([v for v, _ in entries], complex), [lg for _, lg in entries])
     assert mantissa.dtype == complex and log_scale.dtype == float
@@ -284,4 +295,32 @@ def test_table_rule_matches_from_parts_bitwise(entries):
     assert mantissa.view(np.int64).tolist() == want[0].view(np.int64).tolist()
     assert log_scale.view(np.int64).tolist() == want[1].view(np.int64).tolist()
     assert (mantissa == 0).tolist() == [a.is_zero for a in amps]
+    # Float reprs round-trip, so equal reprs are equal bits.
+    assert [repr(table_value(m, lg)) for m, lg in zip(mantissa[:, None], log_scale[:, None])] == list(map(repr, amps))
     assert rescaled(mantissa, log_scale).view(np.int64).tolist() == scalar_rescaled(amps).view(np.int64).tolist()
+
+
+_INT = "count must be an integer of at least"
+_REAL = "rate must be a finite real number"
+
+
+@pytest.mark.parametrize("rule, args, match", [
+    *(pytest.param(check_int, ("count", v, least), None, id=f"int-ok-{v!r}")
+      for v, least in ((0, 0), (np.int64(1), 1), (np.uint8(1), 1))),
+    *(pytest.param(check_int, ("count", v, 1), f"{_INT} 1", id=f"int-bad-{v!r}")
+      for v in (True, 2.5, np.float64(2.0), "3", None, 0)),
+    pytest.param(check_int, ("count", -1, 0), f"{_INT} 0", id="int-bad-below-0"),
+    *(pytest.param(check_real, ("rate", v), None, id=f"real-ok-{v!r}") for v in (0.5, 3, np.float64(0.25))),
+    *(pytest.param(check_real, ("rate", v), _REAL, id=f"real-bad-{v!r}")
+      for v in (True, math.nan, math.inf, -math.inf, 1j, "0.5", None)),
+    # The arguments are checked before the 2^L enumeration guard (a ResourceLimitError).
+    pytest.param(transverse_table, (FloquetParams(15, 0.1, 0.2, 0.3), 0, 1), "chi", id="transverse-chi-first"),
+])
+def test_argument_rules(rule, args, match):
+    """Each rule accepts its values and rejects every other with a
+    ``ValueError`` naming the argument."""
+    if match is None:
+        assert rule(*args) is None
+    else:
+        with pytest.raises(ValueError, match=match):
+            rule(*args)
