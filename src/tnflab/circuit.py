@@ -176,6 +176,13 @@ class BitVec:
         return len(self.bits)
 
 
+def _bitvec(bits: tuple[int, ...]) -> BitVec:
+    """A :class:`BitVec` of bits already known to be 0 or 1, built without the check."""
+    vec = object.__new__(BitVec)
+    object.__setattr__(vec, "bits", bits)
+    return vec
+
+
 class Node(NamedTuple):
     kind: GateKind
     inputs: tuple[int, ...]
@@ -682,7 +689,7 @@ def eval_binary(graph: CircuitGraph, inputs: Sequence[BitVec]) -> list[BitVec]:
     out = blocks[0](*[vec.bits for vec in inputs])
     for block in blocks[1:]:
         out = block(out)
-    return list(map(BitVec, out))
+    return list(map(_bitvec, out))  # truth-table bits, or operand bits checked when made
 
 
 def float_encode(x: float) -> np.ndarray:

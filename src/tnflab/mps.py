@@ -8,7 +8,8 @@ tables of them.
 
 :func:`compress` works on stacks of chains of equal shapes: site ``i`` of a
 stack is one array whose leading axis runs over the chains, and each chain
-comes out bit for bit as it would alone. A single chain is a stack of one.
+comes out bit for bit as it would alone. A single chain is a stack of one,
+run on its plain matrices as :mod:`tnflab.tensor` runs one tensor.
 Layers are applied by :func:`tnflab.peps.boundary_absorb` (:func:`apply_mpo`
 is its single-chain reference); :func:`chain_values` reads stacks out.
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .adjoint import Tape, _h, degenerate_cut, qr_backward, singular_r, svd_backward
 from .errors import DimensionError
-from .tensor import renormalize, stack_dot, svd_split
+from .tensor import _products, renormalize, svd_split
 
 __all__ = [
     "as_config",
@@ -36,8 +37,6 @@ __all__ = [
     "compress",
     "mps_amplitude",
     "chain_values",
-    "mps_to_dense",
-    "mpo_to_dense",
 ]
 
 
@@ -125,16 +124,17 @@ def compress(
     chain, count = list(sites), len(sites[0])
     if not count:
         return []
+    lead, dot = _products(count)  # a stack of one runs on its plain matrices
     # Left-to-right QR canonicalization.
     qrs = []
     for i in range(len(sites) - 1):
-        shape = sites[i].shape
-        q, rmat = np.linalg.qr(sites[i].reshape(count, -1, shape[-1]))
-        sites[i] = q.reshape(shape[:-1] + q.shape[-1:])
-        nxt = sites[i + 1]
-        prod = stack_dot(rmat, nxt.reshape(nxt.shape[:2] + (-1,)))
-        sites[i + 1] = prod.reshape(rmat.shape[:2] + nxt.shape[2:])
-        qrs.append((q, rmat))
+        site, nxt = sites[i], sites[i + 1]
+        q, rmat = np.linalg.qr(site.reshape(lead + (-1, site.shape[-1])))
+        sites[i] = q.reshape(site.shape[:-1] + q.shape[-1:])
+        prod = dot(rmat, nxt.reshape(lead + (nxt.shape[1], -1)))
+        sites[i + 1] = prod.reshape((count, -1) + nxt.shape[2:])
+        if tape is not None:
+            qrs.append((q, rmat) if lead else (q[None], rmat[None]))
 
     # Right-to-left truncation sweep over pending parts (rows, sites, log
     # factors, bond, and with a tape the cuts of their chains, last bond first).
@@ -165,8 +165,8 @@ def compress(
             sub[i] = split.right
             carry = split.isometry * split.singulars[:, None, :]  # (l, k) per chain
             # np.tensordot(sub[i - 1], carry, axes=([-1], [0])) per chain, bit for bit.
-            prev = sub[i - 1]
-            prod = stack_dot(prev.reshape(len(prev), -1, prev.shape[-1]), carry)
+            prev, (lead, dot) = sub[i - 1], _products(len(sel))
+            prod = dot(prev.reshape(lead + (-1, prev.shape[-1])), carry.reshape(lead + carry.shape[1:]))
             sub[i - 1] = prod.reshape(prev.shape[:-1] + carry.shape[2:])
             sub_rows, sub_cuts = (rows if whole else [rows[j] for j in sel]), cuts
             if tape is not None:
@@ -265,25 +265,3 @@ def chain_values(mats: Sequence[np.ndarray]) -> np.ndarray:
     for m in mats[1:]:
         mat = mat @ m
     return mat[..., 0, 0]
-
-
-def mps_to_dense(sites: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense state vector with site 0 the most significant index."""
-    out = sites[0]
-    for s in sites[1:]:
-        out = np.tensordot(out, s, axes=([out.ndim - 1], [0]))
-    return out.reshape(-1)
-
-
-def mpo_to_dense(mpo: Sequence[np.ndarray]) -> np.ndarray:
-    """Dense operator matrix (out x in), site 0 most significant."""
-    out = mpo[0]
-    for w in mpo[1:]:
-        out = np.tensordot(out, w, axes=([out.ndim - 1], [0]))
-    # axes: (l, o1, i1, o2, i2, ..., r)
-    n = (out.ndim - 2) // 2
-    perm = [0] + [1 + 2 * k for k in range(n)] + [2 + 2 * k for k in range(n)] + [out.ndim - 1]
-    out = out.transpose(perm)
-    d_out = int(np.prod(out.shape[1 : 1 + n]))
-    d_in = int(np.prod(out.shape[1 + n : 1 + 2 * n]))
-    return out.reshape(d_out, d_in)

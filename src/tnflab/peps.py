@@ -27,7 +27,9 @@ paired into the boundary physical legs until the final closure.
 
 The boundary engine (:func:`boundary_absorb` and the strip closure) works on
 stacks: every array carries a leading axis over independent contractions,
-each of which gets the bits it gets alone. :func:`fixed_table`'s walk is
+each of which gets the bits it gets alone. A stack of one (each Metropolis
+proposal's absorbs and closure) runs on its plain matrices, as
+:mod:`tnflab.tensor` runs one tensor. :func:`fixed_table`'s walk is
 behind every fixed-schedule amplitude outside the evaluators' memo: it stacks
 every distinct prefix of a level and every closure of a table into one
 amplitude table, and a single amplitude (:func:`amplitude_fixed`,
@@ -55,7 +57,7 @@ import numpy as np
 from .adjoint import Tape, einsum_backward
 from .errors import CacheStateError, DimensionError, ResourceLimitError, check_int
 from .mps import Chains, as_config, as_configs, compress
-from .tensor import AmplitudeValue, renormalize, stack_dot, table_from_parts, table_value
+from .tensor import AmplitudeValue, _products, renormalize, table_from_parts, table_value
 
 __all__ = [
     "Peps",
@@ -254,14 +256,6 @@ def _in_compress_order(site: np.ndarray, side: str) -> np.ndarray:
     """A stored boundary site of ``side`` as a contiguous copy in compress's
     leg order ``(count, left, open, face, right)``."""
     return np.ascontiguousarray(site.transpose(_COMPRESS_ORDER[side]))
-
-
-def _products(count: int):
-    """The leading shape of the matrices of a stack of ``count`` chains, and
-    their product: a stack of one multiplies plain 2-D matrices with
-    ``np.dot`` itself (a stacked ``np.matmul`` costs a microsecond more on
-    these small matrices), a larger stack runs :func:`tnflab.tensor.stack_dot`."""
-    return ((), np.dot) if count == 1 else ((count,), stack_dot)
 
 
 def boundary_absorb(

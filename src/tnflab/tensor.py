@@ -5,6 +5,9 @@ index. Real-valued models simply carry zero imaginary parts. All functions
 are pure; nothing here mutates its arguments.
 The primitives take stacks only: axis 0 runs over independent tensors, each
 of which gets the bits it would get alone; a single tensor is a stack of one.
+Each primitive runs a stack of one on its plain 2-D matrices (``np.dot`` for
+its products, see :func:`_products`) and keeps one kept rank and one scale
+for it, in the same body as a larger stack, with the same bits.
 
 The SVD here is deterministic: the raw factorization is phase-ambiguous, so
 every kept singular vector pair is rotated to a canonical gauge (largest left
@@ -74,36 +77,37 @@ class TruncatedSvd:
 
 
 def _svd(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of each matrix of the stack ``mats``."""
+    """Thin SVD of the matrix, or of each matrix of the stack, ``mats``."""
     try:
         return np.linalg.svd(mats, full_matrices=False)
     except np.linalg.LinAlgError:
         if not np.all(np.isfinite(mats)):
             raise NumericalAbortError("SVD input has non-finite entries") from None
     factors = []
-    for mat in mats:
+    for mat in mats.reshape((-1,) + mats.shape[-2:]):
         try:
             factors.append(np.linalg.svd(mat, full_matrices=False))
         except np.linalg.LinAlgError:
             # gesdd occasionally fails to converge; gesvd is slower but robust.
             factors.append(scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd"))
-    return tuple(np.stack(f) for f in zip(*factors))
+    return tuple(np.stack(f).reshape(mats.shape[:-2] + f[0].shape) for f in zip(*factors))
 
 
 def _gauge_fix(u: np.ndarray, vh: np.ndarray) -> None:
-    """Rotate each singular pair of the stacks ``u`` and ``vh`` in place so the
-    largest-magnitude entry of the left vector is real and positive; ties
-    resolve to the lowest index. A column whose pivot is zero keeps phase 1."""
-    count, _, k = u.shape
-    pivots = u[np.arange(count)[:, None], np.abs(u).argmax(axis=1), np.arange(k)]
+    """Rotate each singular pair of the matrices, or stacks, ``u`` and ``vh``
+    in place so the largest-magnitude entry of the left vector is real and
+    positive; ties resolve to the lowest index. A column whose pivot is zero
+    keeps phase 1."""
+    k, at = u.shape[-1], np.abs(u).argmax(axis=-2)
+    pivots = u[at, np.arange(k)] if u.ndim == 2 else u[np.arange(len(u))[:, None], at, np.arange(k)]
     size = np.hypot(pivots.real, pivots.imag)  # the bits of the scalar abs(p)
     if 0.0 not in size.ravel().tolist():
         phase = pivots / size
     else:
         phase = np.where(size == 0, 1.0, pivots / np.where(size == 0, 1.0, size))
-    u /= phase[:, None, :]
+    u /= phase[..., None, :]
     # Out of place: an in-place product on a one-column vh skips the fused path of the row product.
-    vh[:] = vh * phase[:, :, None]
+    vh[:] = vh * phase[..., None]
 
 
 def svd_split(t: np.ndarray, n_left: int, chi: int) -> list[tuple[list[int], TruncatedSvd]]:
@@ -133,11 +137,18 @@ def svd_split(t: np.ndarray, n_left: int, chi: int) -> list[tuple[list[int], Tru
         raise ValueError(f"n_left must lie in (0, {t.ndim - 1}), got {n_left}")
 
     count, left_shape, right_shape = len(t), t.shape[1 : n_left + 1], t.shape[n_left + 1 :]
-    u, s, vh = _svd(t.reshape(count, math.prod(left_shape), math.prod(right_shape)))
-    if math.isnan(np.add.reduce(s, axis=None)):
-        raise NumericalAbortError("SVD input has non-finite entries")
+    lead, _ = _products(count)  # a stack of one splits its plain matrix
+    u, s, vh = _svd(t.reshape(lead + (math.prod(left_shape), math.prod(right_shape))))
     # Kept rank per tensor, 0 for an exactly-zero one; the stack splits by it.
-    kept = [min(chi, r) for r in np.add.reduce(s > s[:, :1] * _SINGULAR_FLOOR, axis=1).tolist()]
+    if lead:
+        bad = math.isnan(np.add.reduce(s, axis=None))
+        kept = [min(chi, r) for r in np.add.reduce(s > s[:, :1] * _SINGULAR_FLOOR, axis=1).tolist()]
+    else:  # one tensor's few singular values, as floats
+        values = s.tolist()
+        bad, floor = math.isnan(sum(values)), values[0] * _SINGULAR_FLOOR
+        kept = [min(chi, len([x for x in values if x > floor]))]
+    if bad:
+        raise NumericalAbortError("SVD input has non-finite entries")
     if kept.count(kept[0]) == count:
         groups = {kept[0]: list(range(count))}
     else:
@@ -150,15 +161,16 @@ def svd_split(t: np.ndarray, n_left: int, chi: int) -> list[tuple[list[int], Tru
         size = len(rows)
         if k == 0:
             # Exactly-zero input: keep one canonical zero mode so shapes stay sane.
-            iso = np.zeros((size, ug.shape[1], 1), dtype=complex)
+            iso = np.zeros((size, math.prod(left_shape), 1), dtype=complex)
             iso[:, 0] = 1.0
             split = TruncatedSvd(iso.reshape((size,) + left_shape + (1,)), np.zeros((size, 1)),
                                  np.zeros((size, 1) + right_shape, dtype=complex))
         else:
-            iso, right = ug[:, :, :k], vg[:, :k, :]
+            iso, right = ug[..., :k], vg[..., :k, :]
             _gauge_fix(iso, right)  # writes the kept columns of the thin factors
-            split = TruncatedSvd(iso.reshape((size,) + left_shape + (k,)), sg[:, :k],
-                                 right.reshape((size, k) + right_shape), (ug, sg, vg))
+            thin = (ug, sg, vg) if lead else (ug[None], sg[None], vg[None])
+            split = TruncatedSvd(iso.reshape((size,) + left_shape + (k,)), thin[1][:, :k],
+                                 right.reshape((size, k) + right_shape), thin)
         out.append((rows, split))
     return out
 
@@ -180,7 +192,8 @@ def renormalize(t: np.ndarray) -> Renormalized:
     """
     t = np.asarray(t)
     if len(t) == 1:  # a stack of one is rescaled as one tensor: the same bits, sooner
-        m = float(np.maximum.reduce(np.abs(t), axis=None)) if t.size else 0.0
+        a = np.abs(t).ravel()
+        m = float(a[a.argmax()]) if a.size else 0.0  # argmax finds a NaN too
         if not m < math.inf:
             raise NumericalAbortError(f"cannot renormalize a tensor whose largest entry is {m}")
         return Renormalized(t / m, [math.log(m)], [False]) if m else Renormalized(t, [0.0], [True])
@@ -207,6 +220,14 @@ def stack_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if 1 in (a.shape[1], a.shape[2], b.shape[2]):
         return np.stack([np.dot(x, y) for x, y in zip(a, b)])
     return np.matmul(a, b)
+
+
+def _products(count: int):
+    """The leading shape of the matrices of a stack of ``count`` tensors, and
+    their product: a stack of one multiplies plain 2-D matrices with
+    ``np.dot`` itself (a stacked ``np.matmul`` costs a microsecond more on
+    these small matrices), a larger stack runs :func:`stack_dot`."""
+    return ((), np.dot) if count == 1 else ((count,), stack_dot)
 
 
 @dataclass(frozen=True, slots=True)

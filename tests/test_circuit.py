@@ -235,6 +235,23 @@ class TestBinaryEvaluator:
         (out,) = eval_binary(g, [BitVec((1,))])
         assert out.bits == (1,)
 
+    def test_outputs_are_the_expected_bitvecs(self):
+        """The outputs, built without a second bit check, equal and hash as the
+        checked ``BitVec``s of the same bits (an operand passed straight through
+        and a computed sum), while a bad ``BitVec`` a user builds still raises."""
+        b = CircuitBuilder()
+        x, y = b.input_bits(1)[0], b.input_bits(3)
+        g = b.finish([[x], [b.xor(y[0], y[1]), y[2]]])
+        for xv, yv in ((0, 5), (1, 3), (1, 6)):
+            got = eval_binary(g, [BitVec((xv,)), BitVec.from_int(yv, 3)])
+            want = [BitVec((xv,)), BitVec(((yv & 1) ^ (yv >> 1 & 1), yv >> 2))]
+            assert got == want
+            assert [type(v) for v in got] == [BitVec, BitVec]
+            assert list(map(hash, got)) == list(map(hash, want))
+        for bad in ((2,), (0, -1), (1, 0.5)):
+            with pytest.raises(ValueError):
+                BitVec(bad)
+
     def test_bit_fanout_requires_delta(self):
         b = CircuitBuilder()
         (w,) = b.input_bits(1)

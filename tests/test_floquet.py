@@ -27,10 +27,11 @@ from tnflab.floquet import (
     tnf_amplitude_transverse,
     transverse_table,
 )
-from tnflab.mps import apply_mpo, compress, mps_amplitude, mps_to_dense, mpo_to_dense
+from tnflab.mps import apply_mpo, compress, mps_amplitude
 import tnflab.peps as peps_module
 from tnflab.peps import BLOCK_BYTES, FixedPlan, amplitude_fixed
 from tnflab.tensor import AmplitudeValue
+from test_mps import mpo_to_dense, mps_to_dense
 
 Z = np.diag([1.0, -1.0])
 X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 from tnflab.adjoint import Tape
 from tnflab.errors import DimensionError
 from tnflab.floquet import PRESETS, FloquetParams, inverse_time_series
-from tnflab.mps import (
-    apply_mpo,
-    compress,
-    mps_amplitude,
-    mps_to_dense,
-    mpo_to_dense,
-)
+from tnflab.mps import apply_mpo, compress, mps_amplitude
+import tnflab.peps as peps_module
 from tnflab.peps import FixedPlan, fixed_table, random_peps
 
 
@@ -25,6 +20,28 @@ def compress_chain(chain, chi, tape=None):
     [part] = compress([s[None] for s in chain], chi, tape)
     assert part.rows == [0]
     return [s[0] for s in part.sites], float(part.log[0])
+
+
+def mps_to_dense(sites):
+    """Dense state vector of one chain of ``(l, p, r)`` sites, site 0 the most
+    significant index."""
+    out = sites[0]
+    for s in sites[1:]:
+        out = np.tensordot(out, s, axes=([out.ndim - 1], [0]))
+    return out.reshape(-1)
+
+
+def mpo_to_dense(mpo):
+    """Dense operator matrix (out x in) of ``(l, out, in, r)`` MPO sites, site 0
+    the most significant index."""
+    out = mpo[0]
+    for w in mpo[1:]:
+        out = np.tensordot(out, w, axes=([out.ndim - 1], [0]))
+    # axes: (l, o1, i1, o2, i2, ..., r)
+    n = (out.ndim - 2) // 2
+    perm = [0] + [1 + 2 * k for k in range(n)] + [2 + 2 * k for k in range(n)] + [out.ndim - 1]
+    out = out.transpose(perm)
+    return out.reshape(math.prod(out.shape[1 : 1 + n]), math.prod(out.shape[1 + n : 1 + 2 * n]))
 
 
 def random_mps(rng, n, phys, bond):
@@ -99,6 +116,94 @@ def test_compress_respects_chi():
     mps = random_mps(rng, 6, 2, 5)
     out, _ = compress_chain(mps, 3)
     assert all(s.shape[2] <= 3 for s in out[:-1])
+
+
+def reference_compress(chain, chi):
+    """One chain compressed straight from the recipe on plain matrices, as
+    its sites and log factor: a left-to-right QR sweep, then from the right
+    each site rescaled to unit max-abs entry (its log added up) and split by
+    an SVD cut at ``chi`` and the 1e-12 relative floor, each kept pair turned
+    so that the largest-magnitude entry of its left vector (the lowest on a
+    tie) is real and positive. An exactly-zero site stops the sweep; the
+    chain then keeps its log factor only when that site is site 0."""
+    sites = [np.asarray(s, complex) for s in chain]
+    for i in range(len(sites) - 1):
+        a, b = sites[i], sites[i + 1]
+        q, r = np.linalg.qr(a.reshape(-1, a.shape[-1]))
+        sites[i] = q.reshape(a.shape[:-1] + q.shape[1:])
+        sites[i + 1] = np.dot(r, b.reshape(b.shape[0], -1)).reshape(r.shape[:1] + b.shape[1:])
+    log = 0.0
+    for i in range(len(sites) - 1, -1, -1):
+        top = float(np.max(np.abs(sites[i])))
+        if top == 0.0:
+            return sites, log if i == 0 else 0.0
+        t = sites[i] / top
+        log += math.log(top)
+        if i == 0:
+            return [t] + sites[1:], log
+        u, s, vh = np.linalg.svd(t.reshape(t.shape[0], -1), full_matrices=False)
+        k = min(chi or t.shape[0], int(np.sum(s > s[0] * 1e-12)))
+        u, vh = u[:, :k], vh[:k]
+        for j in range(k):
+            pivot = u[int(np.argmax(np.abs(u[:, j]))), j]
+            phase = pivot / abs(pivot)
+            u[:, j] = u[:, j] / phase
+            vh[j] = vh[j] * phase
+        sites[i] = vh.reshape((k,) + t.shape[1:])
+        prev = sites[i - 1]
+        sites[i - 1] = np.dot(prev.reshape(-1, prev.shape[-1]), u * s[:k]).reshape(prev.shape[:-1] + (k,))
+
+
+def _padded_chain(rng, n, phys, bond):
+    """A bond-1 chain zero-padded to bond ``bond``: every matrix is rank deficient."""
+    chain = []
+    for i in range(n):
+        left, right = (1 if i == 0 else bond), (1 if i == n - 1 else bond)
+        s = np.zeros((left, phys, right), complex)
+        s[0, :, 0] = rng.standard_normal(phys) + 1j * rng.standard_normal(phys)
+        chain.append(s)
+    return chain
+
+
+def _rank5_chain(rng, side, bonds, open_, face):
+    """A chain of rank-5 boundary sites ``(left, open, face, right)`` as
+    compress reads them from a stored boundary of ``side``: views, in
+    compress's leg order, of arrays kept in the side's layout."""
+    chain = []
+    for left, right in zip(bonds, bonds[1:]):
+        shape = (1, left, open_, face, right)
+        site = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stored = np.ascontiguousarray(site.transpose(peps_module._LAYOUT[side]))
+        chain.append(stored.transpose(peps_module._COMPRESS_ORDER[side])[0])
+    return chain
+
+
+@pytest.mark.parametrize("chi", [1, 2, 3, 4, None])
+def test_compress_of_one_chain_matches_the_plain_matrix_reference(chi):
+    """A stack of one compresses to the reference's bits: rank-3 chains, real
+    and complex, rank-5 boundary sites read in both sides' layouts, a chain
+    with an exactly-zero site (in the middle and at site 0), a bond-1 chain
+    zero-padded to rank deficiency, and that chain with a 1e-9 perturbation."""
+    rng = np.random.default_rng(11)
+    chains = [random_mps(rng, n, phys, bond) for n, phys, bond in ((2, 2, 2), (4, 2, 3), (5, 3, 4), (6, 2, 5))]
+    chains.append([s.real + 0j for s in random_mps(rng, 4, 2, 4)])
+    chains += [_rank5_chain(rng, side, bonds, open_, 3) for side in ("top", "bottom")
+               for bonds, open_ in (([1, 3, 9, 4, 1], 1), ([2, 4, 5, 2], 2))]
+    for at in (2, 0):
+        holed = random_mps(rng, 4, 2, 3)
+        holed[at] = np.zeros_like(holed[at])
+        chains.append(holed)
+    chains.append(_padded_chain(rng, 5, 2, 3))
+    # A second product state at 1e-9 of the first: Schmidt values that only the 1e-12 floor keeps.
+    faint = _padded_chain(rng, 5, 2, 3)
+    for i, s in enumerate(faint):
+        s[min(i, 1), :, 0 if i == len(faint) - 1 else 1] = rng.standard_normal(2) * (1e-9 if i == 0 else 1.0)
+    chains.append(faint)
+    for chain in chains:
+        got, log = compress_chain(chain, chi)
+        want, want_log = reference_compress(chain, chi)
+        assert _bits(got) == _bits(want)
+        assert log.hex() == float(want_log).hex()
 
 
 @pytest.mark.parametrize("chi", [1, 2, None])

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tnflab.peps as peps_module
+from tnflab.adjoint import Tape
 from tnflab.ed import Sector
 from tnflab.errors import DimensionError, ResourceLimitError
 from tnflab.mps import Chains, as_configs, compress
@@ -575,6 +576,59 @@ def test_stacked_contractions_give_each_chain_its_bits_alone(boundary, closure, 
                 assert got == exact_bits(want), (chi, j)
                 amps[j] = want
         assert amps[every[-1]].is_zero, chi
+
+
+def parts_bits(parts):
+    """Labels, log scales and site bits of each part of a stack."""
+    return [(part.rows, [x.hex() for x in part.log], [(s.shape, s.tobytes()) for s in part.sites])
+            for part in parts]
+
+
+def pick(part: Chains | None, labels: list) -> Chains | None:
+    """The chains of ``part`` with the labels ``labels``, in that order, as one stack."""
+    if part is None:
+        return None
+    pos = [part.rows.index(j) for j in labels]
+    return Chains(labels, [s[pos] for s in part.sites], [part.log[p] for p in pos])
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("count", [1, 3])
+def test_forward_bits_do_not_depend_on_the_tape(boundary, count):
+    """compress, boundary_absorb (top and bottom, starting a boundary and
+    absorbing into one) and each kind of strip closure (two boundaries, top
+    or bottom only, a single row) give the same outputs with a tape as
+    without, on stacks of one and of three at chi 1, 2 and None."""
+    rng = np.random.default_rng(21)
+    shape = (count, 3, 2, 3)
+    chains = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4)]
+    chains[0], chains[-1] = chains[0][:, :1], chains[-1][..., :1]
+    for chi in (1, 2, None):
+        assert parts_bits(compress(chains, chi, Tape())) == parts_bits(compress(chains, chi)), chi
+    for rows in (3, 1):
+        peps = random_peps(rows, 3, 2, 2, seed=rows, boundary=boundary)
+        cfgs = rng.integers(0, 2, (count, peps.n_sites))
+        for chi, mid in itertools.product((1, 2, None), range(rows)):
+            got = []
+            for tape in (None, Tape()):
+                out, ends = [], {}
+                for side, order in (("top", range(mid)), ("bottom", range(rows - 1, mid, -1))):
+                    stack = None
+                    for r in order:
+                        labels = list(range(count)) if stack is None else stack.rows
+                        row = peps_module._stacked_row(peps, cfgs[labels], r, tape)
+                        parts = boundary_absorb(stack, row, chi, side, tape)
+                        out.append(parts_bits(parts))
+                        stack = max(parts, key=lambda part: len(part.rows))
+                    ends[side] = stack
+                # The closure takes the chains both boundaries kept in their largest parts.
+                common = [j for j in range(count) if all(e is None or j in e.rows for e in ends.values())]
+                assert common
+                row = peps_module._stacked_row(peps, cfgs[common], mid, tape)
+                values, logs = _close_strip(pick(ends["top"], common), row, pick(ends["bottom"], common), tape)
+                out.append((common, values.tobytes(), [x.hex() for x in logs]))
+                got.append(out)
+            assert got[0] == got[1], (rows, chi, mid)
 
 
 def exact_bits(a):

@@ -107,6 +107,31 @@ class TestSvdSplit:
         gram = s.isometry.conj().T @ s.isometry
         assert np.allclose(gram, np.eye(1))
 
+    def test_gesdd_failure_falls_back_to_gesvd(self, monkeypatch):
+        """When numpy's SVD raises ``LinAlgError``, each matrix is split by
+        gesvd: a stack of one and each tensor of a stack of three alike, and
+        a non-finite input still aborts."""
+        rng = np.random.default_rng(8)
+        t = rng.standard_normal((3, 4, 2, 3)) + 1j * rng.standard_normal((3, 4, 2, 3))
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        [(rows, stacked)] = svd_split(t, 1, 4)
+        assert rows == [0, 1, 2]
+        for j in rows:
+            [(_, one)] = svd_split(t[j : j + 1], 1, 4)
+            for field in ("isometry", "singulars", "right"):
+                assert getattr(stacked, field)[j].tobytes() == getattr(one, field)[0].tobytes()
+            assert [f[j].tobytes() for f in stacked.thin] == [f[0].tobytes() for f in one.thin]
+            rec = np.tensordot(one.isometry[0] * one.singulars[0], one.right[0], axes=([1], [0]))
+            assert np.allclose(rec, t[j], atol=1e-12)
+        bad = t[:1].copy()
+        bad[0, 1, 1, 2] = np.nan
+        with pytest.raises(NumericalAbortError):
+            svd_split(bad, 1, 3)
+
 
 def gauge_fix_per_column(u, vh):
     """The per-column loop that ``_gauge_fix`` replaced, kept as its bitwise oracle."""
@@ -122,16 +147,18 @@ def gauge_fix_per_column(u, vh):
 
 
 def assert_gauge_fix_matches_loop(u, vh, kept=None):
-    """Both fixes on copies of ``u[:, :kept]`` and ``vh[:kept]``, the strided
-    views svd_split passes (as stacks of one), agree bit for bit; returns the
-    fixed copies."""
+    """The fix on copies of ``u[:, :kept]`` and ``vh[:kept]``, the strided
+    views svd_split passes, as plain matrices and as stacks of one, and the
+    loop agree bit for bit; returns the fixed copies."""
     kept = u.shape[1] if kept is None else kept
     got_u, got_vh = u.copy(), vh.copy()
     _gauge_fix(got_u[None, :, :kept], got_vh[None, :kept])
+    plain_u, plain_vh = u.copy(), vh.copy()
+    _gauge_fix(plain_u[:, :kept], plain_vh[:kept])
     want_u, want_vh = u.copy(), vh.copy()
     gauge_fix_per_column(want_u[:, :kept], want_vh[:kept])
-    assert got_u.tobytes() == want_u.tobytes()
-    assert got_vh.tobytes() == want_vh.tobytes()
+    assert got_u.tobytes() == plain_u.tobytes() == want_u.tobytes()
+    assert got_vh.tobytes() == plain_vh.tobytes() == want_vh.tobytes()
     return got_u, got_vh
 
 
